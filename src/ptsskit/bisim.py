@@ -15,6 +15,10 @@ Three deciders plus supporting machinery:
 
 All three compute the greatest symmetric relation by deleting violating pairs
 from the full relation.  Relation lifting is decided by exact max-flow.
+
+`decide(kind, pts)` is the query entry point: it computes the relation of a
+kind once and answers relatedness, classes and a distinguishing witness, the
+last by running the kind's own per-pair check once more.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from .lp import LinearSystem, max_flow
 from .terms import Term, render_term
 
 EPSILON = "eps"
+
+# the relations `decide` answers for: branching, probabilistic branching and
+# rooted branching bisimulation
+KINDS = ("branching", "pbranching", "rooted")
 
 RelationLike = Union["StateRelation", Iterable[tuple[Term, Term]], Mapping[Term, set]]
 
@@ -295,27 +303,24 @@ def weak_combined_reachable(
 # ---------------------------------------------------------------------------
 # Greatest-fixpoint computation shared by the three deciders
 
-def _full_pairs(states: Sequence[Term]) -> set[tuple[Term, Term]]:
-    return {(s, t) for s in states for t in states}
+# A per-pair check: the first challenge of `s` that `t` fails to match, or None.
+PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
 
 
-def _refine(
-    pts: PTS,
-    make_check: Callable[[Mapping[Term, set]], Callable[[tuple[Term, Term]], bool]],
-) -> StateRelation:
+def _refine(pts: PTS, make_check: Callable[[PTS, Mapping[Term, set]], PairCheck]) -> StateRelation:
     states = sorted(pts.states, key=render_term)
-    pairs = _full_pairs(states)
+    pairs = {(s, t) for s in states for t in states}
     while True:
         table: dict[Term, set] = {}
         for s, t in pairs:
             table.setdefault(s, set()).add(t)
-        check = make_check(table)
-        verdict: dict[tuple[Term, Term], bool] = {}
-        for pair in sorted(pairs, key=lambda p: (render_term(p[0]), render_term(p[1]))):
-            verdict[pair] = check(pair)
-        new_pairs = {
-            (s, t) for (s, t) in pairs if verdict[(s, t)] and verdict[(t, s)]
+        check = make_check(pts, table)
+        matched = {
+            pair
+            for pair in sorted(pairs, key=lambda p: (render_term(p[0]), render_term(p[1])))
+            if check(*pair) is None
         }
+        new_pairs = {(s, t) for (s, t) in matched if (t, s) in matched}
         if new_pairs == pairs:
             return StateRelation(states, pairs)
         pairs = new_pairs
@@ -335,6 +340,23 @@ def _preserving_set(pts: PTS, rel: Mapping[Term, set]) -> list[PtsTransition]:
     ]
 
 
+def _first_unmatched(
+    pts: PTS,
+    rel: Mapping[Term, set],
+    matched: Callable[[Term, PtsTransition, Term], bool],
+) -> PairCheck:
+    """The matching loop of every decider: each non-inert challenge of `s`
+    must be `matched` from `t`."""
+
+    def check(s: Term, t: Term) -> Optional[PtsTransition]:
+        for tr in pts.outgoing(s):
+            if not _inert(rel, s, t, tr) and not matched(s, tr, t):
+                return tr
+        return None
+
+    return check
+
+
 # -- scheduler-free branching bisimulation ----------------------------------
 
 def _cached_lift(rel: Mapping[Term, set]) -> Callable[[Distribution, Distribution], bool]:
@@ -351,24 +373,16 @@ def _cached_lift(rel: Mapping[Term, set]) -> Callable[[Distribution, Distributio
     return check
 
 
+def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+    lift = _cached_lift(rel)
+    return _first_unmatched(
+        pts, rel, lambda s, tr, t: _execution_match(pts, rel, s, tr, t, lift)
+    )
+
+
 def branching_bisim(pts: PTS) -> StateRelation:
     """Greatest branching bisimulation, computed without schedulers."""
-
-    def make_check(rel: Mapping[Term, set]) -> Callable[[tuple[Term, Term]], bool]:
-        lift = _cached_lift(rel)
-
-        def ok(pair: tuple[Term, Term]) -> bool:
-            s, t = pair
-            for tr in pts.outgoing(s):
-                if _inert(rel, s, t, tr):
-                    continue
-                if not _execution_match(pts, rel, s, tr, t, lift):
-                    return False
-            return True
-
-        return ok
-
-    return _refine(pts, make_check)
+    return _refine(pts, _branching_check)
 
 
 def _execution_match(
@@ -377,13 +391,11 @@ def _execution_match(
     s: Term,
     challenge: PtsTransition,
     t: Term,
-    lift: Optional[Callable[[Distribution, Distribution], bool]] = None,
+    lift: Callable[[Distribution, Distribution], bool],
 ) -> bool:
     """Search a concrete execution from `t`: inert tau-steps whose supports
     stay related to `s`, ending in a `challenge.label` step with lifted-related
     target."""
-    if lift is None:
-        lift = _cached_lift(rel)
     related_to_s = rel.get(s, set())
     seen = {t}
     queue = [t]
@@ -403,30 +415,24 @@ def _execution_match(
 
 # -- probabilistic branching bisimulation ------------------------------------
 
+def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+    preserving = _preserving_set(pts, rel)
+    cache: dict[tuple[Distribution, str, Term], bool] = {}
+
+    def matched(s: Term, tr: PtsTransition, t: Term) -> bool:
+        key = (tr.target, tr.label, t)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = _combined_match(pts, rel, preserving, tr, t)
+        return hit
+
+    return _first_unmatched(pts, rel, matched)
+
+
 def prob_branching_bisim(pts: PTS) -> StateRelation:
     """Greatest probabilistic branching bisimulation: combined matching via an
     allowed weak tau-step followed by a one-step convex combination."""
-
-    def make_check(rel: Mapping[Term, set]) -> Callable[[tuple[Term, Term]], bool]:
-        preserving = _preserving_set(pts, rel)
-        cache: dict[tuple[Distribution, str, Term], bool] = {}
-
-        def ok(pair: tuple[Term, Term]) -> bool:
-            s, t = pair
-            for tr in pts.outgoing(s):
-                if _inert(rel, s, t, tr):
-                    continue
-                key = (tr.target, tr.label, t)
-                hit = cache.get(key)
-                if hit is None:
-                    hit = cache[key] = _combined_match(pts, rel, preserving, tr, t)
-                if not hit:
-                    return False
-            return True
-
-        return ok
-
-    return _refine(pts, make_check)
+    return _refine(pts, _pbranching_check)
 
 
 def _combined_match(
@@ -493,27 +499,20 @@ def branching_bisim_scheduler_oracle(
     and final steps range over deterministic schedulers of length <= max_len.
     Intended as an independent cross-check on small systems."""
 
-    def make_check(rel: Mapping[Term, set]) -> Callable[[tuple[Term, Term]], bool]:
-        preserving = _preserving_set(pts, rel)
+    def make_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
         by_source: dict[Term, list[PtsTransition]] = {}
-        for tr in preserving:
+        for tr in _preserving_set(pts, rel):
             by_source.setdefault(tr.source, []).append(tr)
         memo: dict = {}
         counter = [0]
         lift = _cached_lift(rel)
-
-        def ok(pair: tuple[Term, Term]) -> bool:
-            s, t = pair
-            for tr in pts.outgoing(s):
-                if _inert(rel, s, t, tr):
-                    continue
-                if not _oracle_match(
-                    pts, by_source, tr, t, max_len, budget, memo, counter, lift
-                ):
-                    return False
-            return True
-
-        return ok
+        return _first_unmatched(
+            pts,
+            rel,
+            lambda s, tr, t: _oracle_match(
+                pts, by_source, tr, t, max_len, budget, memo, counter, lift
+            ),
+        )
 
     return _refine(pts, make_check)
 
@@ -593,6 +592,21 @@ def _oracle_match(
 
 # -- rooted branching bisimulation -------------------------------------------
 
+def _rooted_challenge(
+    pts: PTS, bb: StateRelation, s: Term, t: Term
+) -> Optional[tuple[Term, PtsTransition]]:
+    """The first initial step of `s` or `t` that the other state cannot mirror
+    by one equally labelled step with a `bb`-lifted target."""
+    for x, y in ((s, t), (t, s)):
+        for tr in pts.outgoing(x):
+            if not any(
+                lift_check(bb, tr.target, other.target)
+                for other in pts.outgoing(y, tr.label)
+            ):
+                return x, tr
+    return None
+
+
 def rooted_branching_bisim(
     pts: PTS, s: Term, t: Term, bb: Optional[StateRelation] = None
 ) -> bool:
@@ -602,52 +616,65 @@ def rooted_branching_bisim(
         raise ValueError("both states must belong to the PTS")
     if bb is None:
         bb = branching_bisim(pts)
-    for x, y in ((s, t), (t, s)):
-        for tr in pts.outgoing(x):
-            if not any(
-                lift_check(bb, tr.target, other.target)
-                for other in pts.outgoing(y, tr.label)
-            ):
-                return False
-    return True
+    return _rooted_challenge(pts, bb, s, t) is None
 
 
-# -- witnesses for negative answers -------------------------------------------
+# -- the query entry point ----------------------------------------------------
+
+@dataclass(frozen=True)
+class Decision:
+    """The greatest relation of one kind on a PTS and the queries on it.
+
+    For "rooted" the relation is branching bisimulation, against which the
+    initial steps of a queried pair are lifted; it has no classes of its own.
+    """
+
+    kind: str
+    pts: PTS
+    relation: StateRelation
+
+    def related(self, s: Term, t: Term) -> bool:
+        if self.kind == "rooted":
+            return rooted_branching_bisim(self.pts, s, t, self.relation)
+        return self.relation.related(s, t)
+
+    def classes(self) -> Optional[tuple[tuple[Term, ...], ...]]:
+        return None if self.kind == "rooted" else self.relation.classes()
+
+    def witness(self, s: Term, t: Term) -> Optional[tuple[Term, PtsTransition]]:
+        return distinguishing_challenge(self.pts, self.kind, s, t, self.relation)
+
+
+def decide(kind: str, pts: PTS) -> Decision:
+    """Compute the greatest `kind` relation on `pts` once, for any number of
+    queries.  `kind` is one of KINDS."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    relation = prob_branching_bisim(pts) if kind == "pbranching" else branching_bisim(pts)
+    return Decision(kind, pts, relation)
+
 
 def distinguishing_challenge(
-    pts: PTS, kind: str, s: Term, t: Term
+    pts: PTS, kind: str, s: Term, t: Term, rel: Optional[StateRelation] = None
 ) -> Optional[tuple[Term, PtsTransition]]:
     """A transition certifying s and t are not `kind`-related, if they are not.
 
-    The certificate is a challenge that fails even when the queried pair is
-    added to the computed greatest relation.
+    `rel` is the relation `decide(kind, pts)` computes, and is computed when
+    not given.  The certificate is a challenge that fails the kind's own
+    per-pair check even when the queried pair is added to that relation.
     """
+    if rel is None:
+        rel = decide(kind, pts).relation
     if kind == "rooted":
-        bb = branching_bisim(pts)
-        for x, y in ((s, t), (t, s)):
-            for tr in pts.outgoing(x):
-                if not any(
-                    lift_check(bb, tr.target, other.target)
-                    for other in pts.outgoing(y, tr.label)
-                ):
-                    return x, tr
-        return None
-
-    rel = branching_bisim(pts) if kind == "branching" else prob_branching_bisim(pts)
+        return _rooted_challenge(pts, rel, s, t)
     if rel.related(s, t):
         return None
     table = {u: set(rel.partners(u)) for u in pts.states}
     table.setdefault(s, set()).add(t)
     table.setdefault(t, set()).add(s)
-    preserving = _preserving_set(pts, table)
+    check = (_branching_check if kind == "branching" else _pbranching_check)(pts, table)
     for x, y in ((s, t), (t, s)):
-        for tr in pts.outgoing(x):
-            if _inert(table, x, y, tr):
-                continue
-            if kind == "branching":
-                if not _execution_match(pts, table, x, tr, y):
-                    return x, tr
-            else:
-                if not _combined_match(pts, table, preserving, tr, y):
-                    return x, tr
+        tr = check(x, y)
+        if tr is not None:
+            return x, tr
     return None

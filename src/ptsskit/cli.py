@@ -10,21 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .bisim import (
-    branching_bisim,
-    distinguishing_challenge,
-    prob_branching_bisim,
-    rooted_branching_bisim,
-)
+from .bisim import KINDS, decide
 from .engine import (
-    PTS,
     DomainBound,
     DomainBoundError,
     IncompleteError,
@@ -45,8 +37,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BOUNDS = 3
-
-KINDS = ("branching", "pbranching", "rooted")
 
 
 class CliError(Exception):
@@ -90,10 +80,16 @@ def _bound(args: argparse.Namespace, roots: tuple[Term, ...]) -> DomainBound:
     )
 
 
+def _positive(text: str) -> int:
+    if not text.isdigit() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_bound_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-depth", type=int, default=8)
-    sub.add_argument("--max-states", type=int, default=512)
-    sub.add_argument("--max-iterations", type=int, default=64)
+    sub.add_argument("--max-depth", type=_positive, default=8)
+    sub.add_argument("--max-states", type=_positive, default=512)
+    sub.add_argument("--max-iterations", type=_positive, default=64)
 
 
 def _emit(text: str) -> None:
@@ -160,14 +156,6 @@ def _cmd_pts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _relation_for(kind: str, pts: PTS):
-    if kind == "branching":
-        return branching_bisim(pts)
-    if kind == "pbranching":
-        return prob_branching_bisim(pts)
-    raise CliError(f"unknown kind {kind}", EXIT_USAGE)
-
-
 def _cmd_bisim(args: argparse.Namespace) -> int:
     path = args.path
     if path.endswith(".pts"):
@@ -185,15 +173,10 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
         roots = tuple(_parse_terms(spec, args.root, path)) + (s, t)
         pts = reachable_pts(spec, _bound(args, roots))
 
-    if args.kind == "rooted":
-        related = rooted_branching_bisim(pts, s, t)
-        partition = None
-    else:
-        rel = _relation_for(args.kind, pts)
-        related = rel.related(s, t)
-        partition = rel.classes()
-
-    witness = None if related else distinguishing_challenge(pts, args.kind, s, t)
+    decision = decide(args.kind, pts)
+    related = decision.related(s, t)
+    partition = decision.classes()
+    witness = None if related else decision.witness(s, t)
     if args.json:
         payload = {
             "kind": args.kind,
@@ -283,7 +266,6 @@ class FileOutcome:
     path: str
     rows: list[tuple[Expectation, str, bool]]
     error: Optional[str] = None
-    error_code: int = EXIT_NEGATIVE
 
 
 def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[str]]:
@@ -306,6 +288,8 @@ def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[s
             detail = head[len(kind):].strip()
             if kind not in ("format", "violation", "complete", "bisim", "probe"):
                 raise CliError(f"{path}:{line_no}: unknown expectation {kind!r}", EXIT_USAGE)
+            if kind in ("bisim", "probe") and detail and detail.split()[0] not in KINDS:
+                raise CliError(f"{path}:{line_no}: unknown {kind} kind {detail.split()[0]!r}", EXIT_USAGE)
             if kind == "violation":
                 # payload sits after the colon: `# expect violation: <rule> <cond>`
                 detail, expected = expected, "present"
@@ -324,11 +308,7 @@ def _run_pts_expectations(path: str, text: str, expectations: list[Expectation])
         except ValueError:
             raise CliError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'", EXIT_USAGE)
         s, t = opaque_state(sname), opaque_state(tname)
-        if kind == "rooted":
-            related = rooted_branching_bisim(pts, s, t)
-        else:
-            related = _relation_for(kind, pts).related(s, t)
-        actual = "yes" if related else "no"
+        actual = "yes" if decide(kind, pts).related(s, t) else "no"
         rows.append((exp, actual, actual == exp.expected))
     return FileOutcome(path, rows)
 
@@ -369,11 +349,7 @@ def _run_spec_expectations(
                 raise CliError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'", EXIT_USAGE)
             s, t = _parse_terms(spec, [stext, ttext], path)
             pts = reachable_pts(spec, DomainBound(roots + (s, t), max_depth=10))
-            if kind == "rooted":
-                related = rooted_branching_bisim(pts, s, t)
-            else:
-                related = _relation_for(kind, pts).related(s, t)
-            actual = "yes" if related else "no"
+            actual = "yes" if decide(kind, pts).related(s, t) else "no"
         elif exp.kind == "probe":
             try:
                 kind, ctext, utext, vtext = exp.detail.split()
@@ -404,30 +380,19 @@ def _run_corpus_file(path: Path) -> FileOutcome:
         raise CliError(f"{path}: {msgs}", EXIT_USAGE)
 
 
-def corpus_run(directory: str, threads: Optional[int] = None) -> tuple[list[FileOutcome], int]:
+def corpus_run(directory: str) -> tuple[list[FileOutcome], int]:
     base = Path(directory)
     if not base.is_dir():
         raise CliError(f"not a directory: {directory}", EXIT_USAGE)
-    files = sorted(p for p in base.iterdir() if p.suffix in (".ptss", ".pts"))
-    if threads is None:
-        env = os.environ.get("PTSS_KIT_THREADS")
-        threads = max(1, int(env)) if env else min(4, max(1, len(files)))
     outcomes: list[FileOutcome] = []
     usage_error = False
-    if files:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(p, pool.submit(_run_corpus_file, p)) for p in files]
-            for p, future in futures:
-                try:
-                    outcomes.append(future.result())
-                except CliError as exc:
-                    usage_error = True
-                    outcomes.append(FileOutcome(str(p), [], error=str(exc), error_code=exc.code))
-                except (DomainBoundError, NotConvergedError, IncompleteError, ProbeError,
-                        RuleInstantiationError) as exc:
-                    outcomes.append(
-                        FileOutcome(str(p), [], error=str(exc), error_code=EXIT_BOUNDS)
-                    )
+    for p in sorted(p for p in base.iterdir() if p.suffix in (".ptss", ".pts")):
+        try:
+            outcomes.append(_run_corpus_file(p))
+        except (CliError, DomainBoundError, NotConvergedError, IncompleteError, ProbeError,
+                RuleInstantiationError) as exc:
+            usage_error = usage_error or isinstance(exc, CliError)
+            outcomes.append(FileOutcome(str(p), [], error=str(exc)))
     mismatches = any(
         outcome.error is not None or any(not ok for _, _, ok in outcome.rows)
         for outcome in outcomes
@@ -442,11 +407,11 @@ def corpus_run(directory: str, threads: Optional[int] = None) -> tuple[list[File
 
 
 def _cmd_corpus_run(args: argparse.Namespace) -> int:
-    outcomes, code = corpus_run(args.directory, threads=args.threads)
+    outcomes, code = corpus_run(args.directory)
     total = 0
     failed = 0
     lines = []
-    for outcome in sorted(outcomes, key=lambda o: o.path):
+    for outcome in outcomes:
         if outcome.error is not None:
             lines.append(f"{outcome.path}: ERROR: {outcome.error}")
             failed += 1
@@ -479,7 +444,7 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
                         for e, actual, ok in o.rows
                     ],
                 }
-                for o in sorted(outcomes, key=lambda o: o.path)
+                for o in outcomes
             ],
             "failed": failed,
             "total": total,
@@ -539,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus-run", help="run expectation headers across a directory")
     p.add_argument("directory")
-    p.add_argument("--threads", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_corpus_run)
     return parser

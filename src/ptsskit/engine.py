@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .distributions import Distribution, evaluate
+from .distributions import Distribution, EvalError, evaluate
 from .parser import PTSS, Diagnostic, ParseFailure, Rule
 from .terms import (
     FunctionSymbol,
@@ -424,7 +424,11 @@ def load_pts(text: str) -> PTS:
                 items.append((states[tname], prob))
             if bad:
                 continue
-            dist = Distribution(items)
+            try:
+                dist = Distribution(items)
+            except EvalError as exc:
+                err(str(exc), line_no)
+                continue
             if not dist.is_full:
                 err(f"distribution mass is {dist.total_mass}, expected 1", line_no)
                 continue

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bisim import StateRelation, branching_bisim, prob_branching_bisim, rooted_branching_bisim
+from .bisim import decide
 from .engine import DomainBound, reachable_pts
 from .parser import PTSS, Rule
 from .terms import (
@@ -487,8 +487,6 @@ def congruence_probe(
     Preconditions: the spec is complete over the domain spanned by the pairs
     and wrapped terms, and every pair is `kind`-related before wrapping.
     """
-    if kind not in ("rooted", "branching", "pbranching"):
-        raise ValueError(f"unknown probe kind {kind!r}")
     for c in contexts:
         _validate_context(c)
     roots: list[Term] = []
@@ -503,22 +501,7 @@ def congruence_probe(
         max_states=bound.max_states,
         max_iterations=bound.max_iterations,
     )
-    pts = reachable_pts(p, domain)
-
-    if kind == "rooted":
-        bb = branching_bisim(pts)
-
-        def related(a: Term, b: Term) -> bool:
-            return rooted_branching_bisim(pts, a, b, bb)
-
-    else:
-        rel: StateRelation = (
-            branching_bisim(pts) if kind == "branching" else prob_branching_bisim(pts)
-        )
-
-        def related(a: Term, b: Term) -> bool:
-            return rel.related(a, b)
-
+    related = decide(kind, reachable_pts(p, domain)).related
     for u, v in pairs:
         if not related(u, v):
             raise ProbeError(

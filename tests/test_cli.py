@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ptsskit.cli import EXIT_BOUNDS, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from tests.conftest import CORPUS, RUNNING_SPEC
 
@@ -198,8 +200,8 @@ def test_corpus_run_full(capsys):
 def test_corpus_run_deterministic_output(tmp_path, capsys):
     for name in ("weak_trans.pts", "mixed_choice.pts", "running.ptss", "cx23.ptss"):
         (tmp_path / name).write_text((CORPUS / name).read_text())
-    _, out1, _ = run_cli(capsys, "corpus-run", str(tmp_path), "--threads", "1")
-    _, out2, _ = run_cli(capsys, "corpus-run", str(tmp_path), "--threads", "3")
+    _, out1, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    _, out2, _ = run_cli(capsys, "corpus-run", str(tmp_path))
     assert out1 == out2 and "FAIL" not in out1
 
 
@@ -227,10 +229,20 @@ def test_corpus_run_malformed_header(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-def test_corpus_run_honors_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PTSS_KIT_THREADS", "2")
-    (tmp_path / "a.pts").write_text((CORPUS / "mixed_choice.pts").read_text())
-    (tmp_path / "b.pts").write_text((CORPUS / "tau_tree.pts").read_text())
+def test_pts_negative_entry_is_a_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "neg.pts"
+    bad.write_text("state s\nstate t\ntrans s --a-> { t: -1/2, s: 3/2 }\n")
+    code, _, err = run_cli(capsys, "bisim", str(bad), "--kind", "branching", "s", "t")
+    assert code == EXIT_USAGE
+    assert err.startswith(f"{bad}:3:") and "negative probability" in err
     code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
-    assert code == EXIT_OK
-    assert out.splitlines() == sorted(out.splitlines(), key=lambda l: not l.startswith(str(tmp_path)))
+    assert code == EXIT_USAGE
+    assert "negative probability" in out and "Traceback" not in out
+
+
+@pytest.mark.parametrize("flag", ["--max-states", "--max-depth", "--max-iterations"])
+def test_nonpositive_bound_flag_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["bisim", str(CORPUS / "mixed_choice.pts"), "--kind", "branching", "t0", "u1", flag, "0"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}: expected a positive integer, got '0'" in capsys.readouterr().err
