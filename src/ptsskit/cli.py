@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .bisim import KINDS, decide
+from .bisim import KINDS, Decision, decide
 from .engine import (
     DomainBound,
     DomainBoundError,
@@ -60,15 +60,34 @@ def _load_spec(path: str) -> PTSS:
     return spec
 
 
-def _parse_terms(spec: PTSS, texts: list[str], path: str) -> list[Term]:
+# a term's text, the file or command-line argument it came from, and its line there
+_TermText = tuple[str, str, int]
+
+
+def _parse_terms(spec: PTSS, items: list[_TermText]) -> list[Term]:
+    """Parse terms; a diagnostic names the term's origin and line, and the
+    column in the term's text."""
     out = []
-    for text in texts:
+    for text, origin, line in items:
         try:
             out.append(parse_term(text, spec.signature))
         except ParseFailure as exc:
-            msgs = "\n".join(f"{path}:{d}" for d in exc.diagnostics)
+            msgs = "\n".join(f"{origin}:{line}:{d.col}: {d.severity}: {d.message}" for d in exc.diagnostics)
             raise CliError(msgs or f"bad term {text!r}", EXIT_USAGE)
     return out
+
+
+def _args(option: str, texts: list[str]) -> list[_TermText]:
+    return [(text, f"{option} {text!r}", 1) for text in texts]
+
+
+def _term_lines(path: str) -> list[_TermText]:
+    """The non-blank, non-comment lines of a file."""
+    items = []
+    for line_no, line in enumerate(_read_file(path).splitlines(), start=1):
+        if line.strip() and not line.strip().startswith("#"):
+            items.append((line.strip(), path, line_no))
+    return items
 
 
 def _bound(args: argparse.Namespace, roots: tuple[Term, ...]) -> DomainBound:
@@ -110,7 +129,7 @@ def _cmd_check_format(args: argparse.Namespace) -> int:
 
 def _cmd_stable_model(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    roots = tuple(_parse_terms(spec, args.root, args.spec))
+    roots = tuple(_parse_terms(spec, _args("--root", args.root)))
     if not roots:
         raise CliError("stable-model needs at least one --root", EXIT_USAGE)
     model = stable_model(spec, _bound(args, roots))
@@ -143,7 +162,7 @@ def _cmd_stable_model(args: argparse.Namespace) -> int:
 
 def _cmd_pts(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    roots = tuple(_parse_terms(spec, args.root, args.spec))
+    roots = tuple(_parse_terms(spec, _args("--root", args.root)))
     if not roots:
         raise CliError("pts needs at least one --root", EXIT_USAGE)
     pts = reachable_pts(spec, _bound(args, roots))
@@ -169,8 +188,8 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
             raise CliError(f"{path}: unknown state {args.s!r} or {args.t!r}", EXIT_USAGE)
     else:
         spec = _load_spec(path)
-        s, t = _parse_terms(spec, [args.s, args.t], path)
-        roots = tuple(_parse_terms(spec, args.root, path)) + (s, t)
+        s, t = _parse_terms(spec, _args("argument s", [args.s]) + _args("argument t", [args.t]))
+        roots = tuple(_parse_terms(spec, _args("--root", args.root))) + (s, t)
         pts = reachable_pts(spec, _bound(args, roots))
 
     decision = decide(args.kind, pts)
@@ -205,24 +224,14 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    pair_lines = [
-        line.strip()
-        for line in _read_file(args.pairs).splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
     pairs = []
-    for line in pair_lines:
+    for line, path, line_no in _term_lines(args.pairs):
         parts = line.split()
         if len(parts) != 2:
-            raise CliError(f"{args.pairs}: expected '<term> <term>' per line", EXIT_USAGE)
-        u, v = _parse_terms(spec, parts, args.pairs)
+            raise CliError(f"{path}:{line_no}: expected '<term> <term>' per line", EXIT_USAGE)
+        u, v = _parse_terms(spec, [(part, path, line_no) for part in parts])
         pairs.append((u, v))
-    context_lines = [
-        line.strip()
-        for line in _read_file(args.contexts).splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    contexts = _parse_terms(spec, context_lines, args.contexts)
+    contexts = _parse_terms(spec, _term_lines(args.contexts))
     violations = congruence_probe(spec, pairs, contexts, _bound(args, ()), kind=args.kind)
     if args.json:
         _emit(
@@ -268,13 +277,13 @@ class FileOutcome:
     error: Optional[str] = None
 
 
-def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[str]]:
+def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_TermText]]:
     expectations: list[Expectation] = []
-    roots: list[str] = []
+    roots: list[_TermText] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("# roots:"):
-            roots.extend(stripped[len("# roots:"):].split())
+            roots.extend((r, path, line_no) for r in stripped[len("# roots:"):].split())
         elif stripped.startswith("# expect "):
             body = stripped[len("# expect "):]
             if ":" not in body:
@@ -299,6 +308,7 @@ def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[s
 
 def _run_pts_expectations(path: str, text: str, expectations: list[Expectation]) -> FileOutcome:
     pts = load_pts(text)
+    decisions: dict[str, Decision] = {}
     rows: list[tuple[Expectation, str, bool]] = []
     for exp in expectations:
         if exp.kind != "bisim":
@@ -308,19 +318,21 @@ def _run_pts_expectations(path: str, text: str, expectations: list[Expectation])
         except ValueError:
             raise CliError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'", EXIT_USAGE)
         s, t = opaque_state(sname), opaque_state(tname)
-        actual = "yes" if decide(kind, pts).related(s, t) else "no"
+        if kind not in decisions:
+            decisions[kind] = decide(kind, pts)
+        actual = "yes" if decisions[kind].related(s, t) else "no"
         rows.append((exp, actual, actual == exp.expected))
     return FileOutcome(path, rows)
 
 
 def _run_spec_expectations(
-    path: str, text: str, expectations: list[Expectation], root_texts: list[str]
+    path: str, text: str, expectations: list[Expectation], root_items: list[_TermText]
 ) -> FileOutcome:
     spec, diags = try_parse_spec(text)
     if spec is None:
         messages = "; ".join(str(d) for d in diags if d.severity == "error")
         raise CliError(f"{path}: {messages}", EXIT_USAGE)
-    roots = tuple(_parse_terms(spec, root_texts, path))
+    roots = tuple(_parse_terms(spec, root_items))
     rows: list[tuple[Expectation, str, bool]] = []
     report = None
     for exp in expectations:
@@ -347,7 +359,7 @@ def _run_spec_expectations(
                 kind, stext, ttext = exp.detail.split()
             except ValueError:
                 raise CliError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'", EXIT_USAGE)
-            s, t = _parse_terms(spec, [stext, ttext], path)
+            s, t = _parse_terms(spec, [(stext, path, exp.line), (ttext, path, exp.line)])
             pts = reachable_pts(spec, DomainBound(roots + (s, t), max_depth=10))
             actual = "yes" if decide(kind, pts).related(s, t) else "no"
         elif exp.kind == "probe":
@@ -357,7 +369,7 @@ def _run_spec_expectations(
                 raise CliError(
                     f"{path}:{exp.line}: expected 'probe <kind> <context> <u> <v>'", EXIT_USAGE
                 )
-            context, u, v = _parse_terms(spec, [ctext, utext, vtext], path)
+            context, u, v = _parse_terms(spec, [(x, path, exp.line) for x in (ctext, utext, vtext)])
             violations = congruence_probe(
                 spec, [(u, v)], [context], DomainBound((), max_depth=10), kind=kind
             )

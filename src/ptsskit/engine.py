@@ -124,28 +124,49 @@ class PTS:
 # ---------------------------------------------------------------------------
 # Rule instantiation
 
+class _Derived:
+    """The transitions derived so far, indexed two ways: targets by
+    (source, label), for premises whose source is closed once substituted,
+    and (source, target) pairs by label, for the open ones."""
+
+    def __init__(self) -> None:
+        self.all: set[SymbolicTransition] = set()
+        self.by_source: dict[tuple[Term, str], list[Term]] = {}
+        self.by_label: dict[str, list[tuple[Term, Term]]] = {}
+
+    def add(self, tr: SymbolicTransition) -> bool:
+        if tr in self.all:
+            return False
+        self.all.add(tr)
+        self.by_source.setdefault((tr.source, tr.label), []).append(tr.target)
+        self.by_label.setdefault(tr.label, []).append((tr.source, tr.target))
+        return True
+
+
 def _solve_positives(
     rho: dict[str, Term],
     premises: tuple[tuple[Term, str, Term], ...],
-    by_label: dict[str, list[tuple[Term, Term]]],
+    derived: _Derived,
 ) -> list[dict[str, Term]]:
     solutions = [rho]
     for psrc, label, ptgt in premises:
         grown: list[dict[str, Term]] = []
         for sub in solutions:
-            src_pat = substitute(sub, psrc)
+            src = substitute(sub, psrc)
             tgt_pat = substitute(sub, ptgt)
-            for u, theta in by_label.get(label, ()):  # derived so far
-                m1 = match(src_pat, u)
+            if src.closed:  # one lookup, and nothing to match the source against
+                for theta in derived.by_source.get((src, label), ()):
+                    m = match(tgt_pat, theta)
+                    if m is not None:
+                        grown.append({**sub, **m})
+                continue
+            for u, theta in derived.by_label.get(label, ()):
+                m1 = match(src, u)
                 if m1 is None:
                     continue
                 m2 = match(substitute(m1, tgt_pat), theta)
-                if m2 is None:
-                    continue
-                merged = dict(sub)
-                merged.update(m1)
-                merged.update(m2)
-                grown.append(merged)
+                if m2 is not None:
+                    grown.append({**sub, **m1, **m2})
         solutions = grown
         if not solutions:
             break
@@ -154,20 +175,20 @@ def _solve_positives(
 
 def _rule_instances(
     rule: Rule,
-    universe: list[Term],
-    by_label: dict[str, list[tuple[Term, Term]]],
+    candidates: Iterable[Term],
+    derived: _Derived,
     neg_holds: Callable[[Term, str], bool],
     max_depth: int,
 ) -> Iterable[SymbolicTransition]:
-    for src in universe:
+    for src in candidates:
         rho0 = match(rule.source, src)
         if rho0 is None:
             continue
-        for rho in _solve_positives(rho0, rule.pos_premises, by_label):
+        for rho in _solve_positives(rho0, rule.pos_premises, derived):
             ok = True
             for nsrc, nlabel in rule.neg_premises:
                 inst = substitute(rho, nsrc)
-                if not is_closed(inst):
+                if not inst.closed:
                     raise RuleInstantiationError(
                         f"rule {rule.name}: negative premise source {render_term(inst)} "
                         f"has unbound variables"
@@ -178,12 +199,12 @@ def _rule_instances(
             if not ok:
                 continue
             target = substitute(rho, rule.target)
-            if not is_closed(target):
+            if not target.closed:
                 raise RuleInstantiationError(
                     f"rule {rule.name}: conclusion target {render_term(target)} "
                     f"has unbound variables"
                 )
-            if term_depth(target) > max_depth:
+            if target.depth > max_depth:
                 raise DomainBoundError(target, "conclusion target exceeds max depth")
             yield SymbolicTransition(src, rule.label, target)
 
@@ -194,18 +215,24 @@ def _derive(
     neg_holds: Callable[[Term, str], bool],
     max_depth: int,
 ) -> frozenset[SymbolicTransition]:
-    trans: set[SymbolicTransition] = set()
-    by_label: dict[str, list[tuple[Term, Term]]] = {}
+    # Subterms come first and a transition can be used as soon as it is
+    # derived, so one pass derives what premises on arguments need, and a
+    # second pass confirms the fixed point.  A rule whose source is an
+    # application only sees the terms with its head symbol.
+    ordered = sorted(universe, key=term_depth)
+    by_head: dict[FunctionSymbol, list[Term]] = {}
+    for u in ordered:
+        by_head.setdefault(u.symbol, []).append(u)
+    derived = _Derived()
     changed = True
     while changed:
         changed = False
         for rule in rules:
-            for tr in list(_rule_instances(rule, universe, by_label, neg_holds, max_depth)):
-                if tr not in trans:
-                    trans.add(tr)
-                    by_label.setdefault(tr.label, []).append((tr.source, tr.target))
-                    changed = True
-    return frozenset(trans)
+            src = rule.source
+            candidates = by_head.get(src.symbol, ()) if isinstance(src, Apply) else ordered
+            for tr in _rule_instances(rule, candidates, derived, neg_holds, max_depth):
+                changed = derived.add(tr) or changed
+    return frozenset(derived.all)
 
 
 def _pt0_neg_holds(rules: tuple[Rule, ...]) -> Callable[[Term, str], bool]:
@@ -383,21 +410,24 @@ def load_pts(text: str) -> PTS:
                 states[name] = opaque_state(name)
                 order.append(states[name])
         elif line.startswith("trans "):
-            rest = line[len("trans "):]
-            if "--" not in rest:
-                err("expected '--<label>->'", line_no)
-                continue
-            src_text, after = rest.split("--", 1)
-            if "->" not in after:
-                err("expected '->' after the label", line_no)
-                continue
-            label, dist_text = after.split("->", 1)
-            src_text, label, dist_text = src_text.strip(), label.strip(), dist_text.strip()
-            if src_text not in states:
-                err(f"undeclared state {src_text}", line_no)
-                continue
-            if not (dist_text.startswith("{") and dist_text.endswith("}")):
-                err("expected a '{ term: p/q, ... }' distribution", line_no)
+            # the arrow is the last `--<label>->` before the distribution's
+            # `{`, so a source state's name may itself contain `--`
+            head, brace, dist_text = line[len("trans "):].partition("{")
+            head, dist_text = head.rstrip(), (brace + dist_text).strip()
+            arrow = head.rfind("--", 0, len(head) - 2)
+            src_text, label = head[:arrow].strip(), head[arrow + 2:-2].strip()
+            if not (brace and dist_text.endswith("}")):
+                problem = "expected a '{ term: p/q, ... }' distribution"
+            elif arrow < 0:
+                problem = "expected '--<label>->'"
+            elif not head.endswith("->"):
+                problem = "expected '->' after the label"
+            elif src_text not in states:
+                problem = f"undeclared state {src_text}"
+            else:
+                problem = None
+            if problem is not None:
+                err(problem, line_no)
                 continue
             items: list[tuple[Term, Fraction]] = []
             bad = False

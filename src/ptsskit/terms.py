@@ -11,9 +11,10 @@ are immutable and weights are exact rationals.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
+from typing import ClassVar, Iterator, Mapping, Optional, Union
 
 
 class Sort(enum.Enum):
@@ -80,55 +81,117 @@ def lift_symbol(f: FunctionSymbol) -> FunctionSymbol:
 class StateVar:
     name: str
 
+    sort: ClassVar[Sort] = Sort.STATE
+    depth: ClassVar[int] = 1
+    closed: ClassVar[bool] = False
+
 
 @dataclass(frozen=True)
 class DistVar:
     name: str
 
+    sort: ClassVar[Sort] = Sort.DIST
+    depth: ClassVar[int] = 1
+    closed: ClassVar[bool] = False
 
-@dataclass(frozen=True)
-class Apply:
-    symbol: FunctionSymbol
-    args: tuple["Term", ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.symbol.rank:
-            raise SortError(
-                f"{self.symbol.name} expects {self.symbol.rank} arguments, got {len(self.args)}"
-            )
-        for arg, want in zip(self.args, self.symbol.arg_sorts):
+class _Node:
+    """Base of the hash-consed node kinds (Filliatre & Conchon, 2006).
+
+    A node is built at most once per structure: the constructor returns the
+    live node of an equal key if there is one, so structurally equal nodes
+    are one object, and `==` and `hash` are identity, O(1).  `depth` and
+    `closed` are computed from the arguments' stored values when the node is
+    built.  The tables hold nodes weakly: a node lives exactly as long as
+    some caller holds it.
+    """
+
+    __slots__ = ("depth", "closed", "__weakref__")
+    _fields: ClassVar[tuple[str, ...]]  # the constructor's arguments
+
+    @classmethod
+    def _build(cls, key: object, kids: tuple["Term", ...], **fields: object) -> "_Node":
+        node = object.__new__(cls)
+        fields.update(depth=1 + max((k.depth for k in kids), default=0), closed=all(k.closed for k in kids))
+        for name, value in fields.items():
+            object.__setattr__(node, name, value)
+        cls._table[key] = node
+        return node
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled terms go through the constructor, so stay interned
+        return (type(self), tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({render_term(self)})"
+
+
+class Apply(_Node):
+    _fields = ("symbol", "args")
+    __slots__ = _fields + ("sort",)
+    _table = weakref.WeakValueDictionary()
+
+    def __new__(cls, symbol: FunctionSymbol, args: tuple["Term", ...] = ()) -> "Apply":
+        args = tuple(args)
+        node = cls._table.get((symbol, args))
+        if node is not None:
+            return node
+        if len(args) != symbol.rank:
+            raise SortError(f"{symbol.name} expects {symbol.rank} arguments, got {len(args)}")
+        for arg, want in zip(args, symbol.arg_sorts):
             if term_sort(arg) is not want:
                 raise SortError(
-                    f"argument {render_term(arg)} of {self.symbol.name} has sort "
+                    f"argument {render_term(arg)} of {symbol.name} has sort "
                     f"{term_sort(arg).value}, expected {want.value}"
                 )
+        return cls._build((symbol, args), args, symbol=symbol, args=args, sort=symbol.result_sort)
 
 
-@dataclass(frozen=True)
-class Dirac:
-    inner: "Term"
+class Dirac(_Node):
+    __slots__ = _fields = ("inner",)
+    sort = Sort.DIST
+    _table = weakref.WeakValueDictionary()
 
-    def __post_init__(self) -> None:
-        if term_sort(self.inner) is not Sort.STATE:
-            raise SortError(f"delta takes a state term, got {render_term(self.inner)}")
+    def __new__(cls, inner: "Term") -> "Dirac":
+        node = cls._table.get(inner)
+        if node is not None:
+            return node
+        if term_sort(inner) is not Sort.STATE:
+            raise SortError(f"delta takes a state term, got {render_term(inner)}")
+        return cls._build(inner, (inner,), inner=inner)
 
 
-@dataclass(frozen=True)
-class Convex:
-    weights: tuple[Fraction, ...]
-    args: tuple["Term", ...]
+class Convex(_Node):
+    __slots__ = _fields = ("weights", "args")
+    sort = Sort.DIST
+    _table = weakref.WeakValueDictionary()
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.args) or not self.args:
+    def __new__(cls, weights: tuple[Fraction, ...], args: tuple["Term", ...]) -> "Convex":
+        weights, args = tuple(weights), tuple(args)
+        node = cls._table.get((weights, args))
+        if node is not None:
+            return node
+        if len(weights) != len(args) or not args:
             raise SortError("oplus needs one weight per branch and at least one branch")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise SortError("oplus weights must be positive")
-        total = sum(self.weights)
+        total = sum(weights)
         if total != 1:
             raise SortError(f"oplus weights sum to {total}, expected 1")
-        for arg in self.args:
+        for arg in args:
             if term_sort(arg) is not Sort.DIST:
                 raise SortError(f"oplus branches must be distribution terms, got {render_term(arg)}")
+        return cls._build((weights, args), args, weights=weights, args=args)
+
+
+def interned_count() -> int:
+    """Live nodes in the intern tables."""
+    return len(Apply._table) + len(Dirac._table) + len(Convex._table)
 
 
 Term = Union[StateVar, DistVar, Apply, Dirac, Convex]
@@ -137,14 +200,8 @@ Substitution = Mapping[str, Term]
 
 
 def term_sort(t: Term) -> Sort:
-    if isinstance(t, StateVar):
-        return Sort.STATE
-    if isinstance(t, DistVar):
-        return Sort.DIST
-    if isinstance(t, Apply):
-        return t.symbol.result_sort
-    if isinstance(t, (Dirac, Convex)):
-        return Sort.DIST
+    if isinstance(t, (StateVar, DistVar, _Node)):
+        return t.sort
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -170,7 +227,8 @@ def render_term(t: Term) -> str:
 
 def variables(t: Term) -> set[str]:
     out: set[str] = set()
-    _collect_vars(t, out)
+    if not t.closed:
+        _collect_vars(t, out)
     return out
 
 
@@ -188,7 +246,7 @@ def _collect_vars(t: Term, out: set[str]) -> None:
 
 
 def is_closed(t: Term) -> bool:
-    return not variables(t)
+    return t.closed
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -211,19 +269,13 @@ def state_subterms(t: Term) -> Iterator[Term]:
 
 
 def term_depth(t: Term) -> int:
-    if isinstance(t, (StateVar, DistVar)):
-        return 1
-    if isinstance(t, Apply):
-        return 1 + max((term_depth(a) for a in t.args), default=0)
-    if isinstance(t, Dirac):
-        return 1 + term_depth(t.inner)
-    if isinstance(t, Convex):
-        return 1 + max(term_depth(a) for a in t.args)
-    raise TypeError(f"not a term: {t!r}")
+    return t.depth
 
 
 def substitute(rho: Substitution, t: Term) -> Term:
     """Replace variable occurrences; unmapped variables stay.  Sort-checked."""
+    if t.closed:
+        return t
     if isinstance(t, StateVar):
         if t.name in rho:
             rep = rho[t.name]
@@ -263,30 +315,30 @@ def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
 
 
 def _match_into(pattern: Term, subject: Term, binding: dict[str, Term]) -> bool:
-    if isinstance(pattern, (StateVar, DistVar)):
-        want = Sort.STATE if isinstance(pattern, StateVar) else Sort.DIST
-        if term_sort(subject) is not want:
+    if pattern.closed:  # interned: equal means identical
+        return pattern is subject
+    kind = type(pattern)
+    if kind is StateVar or kind is DistVar:
+        if term_sort(subject) is not pattern.sort:
             return False
         seen = binding.get(pattern.name)
         if seen is not None:
             return seen == subject
         binding[pattern.name] = subject
         return True
-    if isinstance(pattern, Apply):
-        return (
-            isinstance(subject, Apply)
-            and pattern.symbol == subject.symbol
-            and all(_match_into(p, s, binding) for p, s in zip(pattern.args, subject.args))
-        )
-    if isinstance(pattern, Dirac):
-        return isinstance(subject, Dirac) and _match_into(pattern.inner, subject.inner, binding)
-    if isinstance(pattern, Convex):
-        return (
-            isinstance(subject, Convex)
-            and pattern.weights == subject.weights
-            and all(_match_into(p, s, binding) for p, s in zip(pattern.args, subject.args))
-        )
-    raise TypeError(f"not a term: {pattern!r}")
+    if type(subject) is not kind:
+        return False
+    if kind is Dirac:
+        return _match_into(pattern.inner, subject.inner, binding)
+    if kind is Apply:
+        if pattern.symbol is not subject.symbol and pattern.symbol != subject.symbol:
+            return False
+    elif pattern.weights != subject.weights:
+        return False
+    for p, s in zip(pattern.args, subject.args):
+        if not _match_into(p, s, binding):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=True)

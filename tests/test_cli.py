@@ -246,3 +246,37 @@ def test_nonpositive_bound_flag_is_a_usage_error(capsys, flag):
         main(["bisim", str(CORPUS / "mixed_choice.pts"), "--kind", "branching", "t0", "u1", flag, "0"])
     assert exc.value.code == EXIT_USAGE
     assert f"argument {flag}: expected a positive integer, got '0'" in capsys.readouterr().err
+
+
+def test_term_argument_errors_name_the_argument(tmp_path, capsys):
+    spec = str(CORPUS / "running.ptss")
+    root = "a.oplus{-1/2:delta(0),3/2:delta(0)}"
+    code, _, err = run_cli(capsys, "pts", spec, "--root", root)
+    assert code == EXIT_USAGE
+    assert err == f"--root '{root}':1:9: error: unexpected character '-'\n"
+    code, _, err = run_cli(capsys, "bisim", spec, "--kind", "branching", "a.delta(0)", "b.delta(x")
+    assert code == EXIT_USAGE
+    assert err == "argument t 'b.delta(x':1:10: error: expected ')'\n"
+    pairs, contexts = tmp_path / "pairs.txt", tmp_path / "contexts.txt"
+    pairs.write_text("a.delta(0) b.delta(0)\n# comment\na.delta(0) q(\n")
+    contexts.write_text("+(_,0)\n")
+    code, _, err = run_cli(
+        capsys, "probe-congruence", spec, "--pairs", str(pairs), "--contexts", str(contexts)
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith(f"{pairs}:3:")
+    # a term in an expectation names the file and the expectation's line
+    (tmp_path / "x.ptss").write_text(
+        "# expect bisim branching b.delta(0) tau.delta(b.delta(0: yes\n" + RUNNING_SPEC
+    )
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert f"{tmp_path / 'x.ptss'}: ERROR: {tmp_path / 'x.ptss'}:1:" in out
+
+
+def test_pts_state_names_may_contain_dashes(tmp_path, capsys):
+    path = tmp_path / "dashes.pts"
+    path.write_text("state a--b\nstate c\ntrans a--b --tau-> { c: 1 }\ntrans c --a-> { a--b: 1 }\n")
+    code, out, _ = run_cli(capsys, "bisim", str(path), "--kind", "branching", "a--b", "a--b")
+    assert code == EXIT_OK
+    assert "branching: a--b ~ a--b: YES" in out

@@ -131,3 +131,13 @@ def test_corpus_unknown_bisim_kind_is_a_usage_error(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_USAGE
     assert "unknown bisim kind 'strong'" in out
+
+
+def test_corpus_run_decides_each_kind_once_per_pts_file(monkeypatch, tmp_path, capsys):
+    # mixed_choice.pts: 2 branching and 3 pbranching rows; tau_tree.pts: 8 branching rows
+    for name in ("mixed_choice.pts", "tau_tree.pts"):
+        (tmp_path / name).write_text((CORPUS / name).read_text())
+    counts = {name: _counting(monkeypatch, name) for name in ("branching_bisim", "prob_branching_bisim")}
+    assert main(["corpus-run", str(tmp_path)]) == 0
+    assert "summary: 13 expectations, 0 failed" in capsys.readouterr().out
+    assert {name: len(c) for name, c in counts.items()} == {"branching_bisim": 2, "prob_branching_bisim": 1}

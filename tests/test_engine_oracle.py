@@ -1,0 +1,116 @@
+"""The indexed rule engine against the scan-every-transition oracle in
+`tests/reference_engine.py`, and the invariants of hash-consed terms."""
+
+import gc
+import random
+
+import pytest
+
+from ptsskit.cli import main
+from ptsskit.engine import (
+    DomainBound,
+    DomainBoundError,
+    RuleInstantiationError,
+    load_pts,
+    opaque_state,
+    stable_model,
+)
+from ptsskit.parser import parse_spec, parse_term
+from ptsskit.terms import Apply, Dirac, interned_count, is_closed, substitute, term_depth
+from tests import reference_engine as reference
+from tests.conftest import RUNNING_SPEC
+from tests.genspecs import LEAF_TERMS, random_format_safe_spec, random_negative_free_spec
+from tests.test_golden_pts import CORPUS, SPEC_ROOTS, chain_root
+
+
+def _outcome(solve, spec, bound):
+    """Every (CT, PT) step of the iteration, or the error that stopped it."""
+    try:
+        model = solve(spec, bound)
+    except (DomainBoundError, RuleInstantiationError) as exc:
+        return type(exc).__name__, str(exc)
+    return model.history, model.iterations, model.converged
+
+
+def _agree(spec, roots, **kw):
+    bound = DomainBound(tuple(roots), **kw)
+    got = _outcome(stable_model, spec, bound)
+    assert got == _outcome(reference.stable_model, spec, bound)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_ROOTS))
+@pytest.mark.parametrize("max_depth", [8, 10])
+def test_corpus_specs_agree_with_the_oracle_at_every_iteration(name, max_depth):
+    spec = parse_spec((CORPUS / name).read_text())
+    roots = [parse_term(r, spec.signature) for r in SPEC_ROOTS[name]]
+    _agree(spec, roots, max_depth=max_depth)
+
+
+def test_chain_sums_agree_with_the_oracle():
+    spec = parse_spec(RUNNING_SPEC)
+    for n in range(1, 9):
+        history, _, converged = _agree(spec, [parse_term(chain_root(n), spec.signature)], max_depth=64)
+        assert converged and history[-1][0]
+
+
+def test_generated_specs_agree_with_the_oracle():
+    rng = random.Random(4242)
+    outcomes = set()
+    for _ in range(30):
+        spec, roots = random_negative_free_spec(rng)
+        outcomes.add(type(_agree(spec, roots, max_depth=12, max_states=256)[0]))
+    for _ in range(30):
+        spec = random_format_safe_spec(rng)
+        roots = [parse_term(f"k0({rng.choice(LEAF_TERMS)})", spec.signature) for _ in range(2)]
+        outcomes.add(type(_agree(spec, roots, max_depth=8, max_states=64)[0]))
+    assert tuple in outcomes  # at least one spec reached a model
+
+
+# ---------------------------------------------------------------------------
+# Interning
+
+def test_equal_terms_from_every_constructor_are_one_object(sig):
+    text = "+(a.delta(0),b.oplus{1/2:delta(0),1/2:delta(tau.delta(0))})"
+    parsed = parse_term(text, sig)
+    assert parse_term(text, sig) is parsed
+    assert parse_term(text, parse_spec(RUNNING_SPEC).signature) is parsed  # a second parse of the spec
+    pattern = parse_term("+(x,b.oplus{1/2:delta(0),1/2:mu})", sig)
+    rho = {"x": parse_term("a.delta(0)", sig), "mu": parse_term("delta(tau.delta(0))", sig)}
+    assert substitute(rho, pattern) is parsed
+    text = "state s\nstate t\ntrans s --a-> { t: 1 }\n"
+    pts, again = load_pts(text), load_pts(text)
+    assert pts.states == (opaque_state("s"), opaque_state("t"))
+    assert all(u is v for u, v in zip(pts.states, again.states))
+    assert pts.transitions[0].target.support[0] is pts.states[1]
+
+
+def test_deep_terms_answer_hash_depth_and_closedness_without_recursion(sig):
+    zero, pre_a = parse_term("0", sig), sig.prefix("a")
+    term = zero
+    for _ in range(5000):
+        term = Apply(pre_a, (Dirac(term),))
+    rebuilt = zero
+    for _ in range(5000):
+        rebuilt = Apply(pre_a, (Dirac(rebuilt),))
+    assert rebuilt is term and rebuilt == term and hash(rebuilt) == hash(term)
+    assert term_depth(term) == 10001
+    assert is_closed(term)
+
+
+def test_intern_table_does_not_grow_across_cli_calls(capsys):
+    def pts(k):  # a root no other test builds
+        chain = "0"
+        for i in range(k):
+            chain = f"{'ab'[i % 2]}.delta({chain})"
+        argv = ["pts", str(CORPUS / "running.ptss"), "--root", f"+({chain},tau.delta({chain}))"]
+        assert main(argv + ["--max-depth", "64"]) == 0
+
+    pts(21)
+    gc.collect()
+    settled = interned_count()
+    for k in (22, 23, 24):
+        pts(k)
+    gc.collect()
+    assert interned_count() <= settled
+    assert capsys.readouterr().out
