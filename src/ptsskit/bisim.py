@@ -256,48 +256,45 @@ def weak_combined_reachable(
     taus = [tr for tr in pts.transitions if tr.label == "tau" and tr in allowed_set]
     sys = LinearSystem()
     if a in (None, EPSILON, "tau"):
-        for u in pts.states:
-            coeffs: dict = {}
-            for tr in taus:
-                c = Fraction(0)
-                if tr.source == u:
-                    c += 1
-                c -= tr.target.get(u)
-                if c != 0:
-                    coeffs[("x", tr)] = c
-            rhs = (Fraction(1) if u == s else Fraction(0)) - target.get(u)
-            sys.add_equation(coeffs, rhs)
+        for u, coeffs in _flow_rows(pts.states, taus, "x").items():
+            sys.add_equation(coeffs, (1 if u == s else 0) - target.get(u))
         return sys.is_feasible()
 
+    # tau flow x until the `a`-step y, then tau flow z; y leaves the first
+    # phase and enters the second
     visibles = [tr for tr in pts.transitions if tr.label == a and tr in allowed_set]
-    for u in pts.states:
-        coeffs = {}
-        for tr in taus:
-            c = Fraction(0)
-            if tr.source == u:
-                c += 1
-            c -= tr.target.get(u)
-            if c != 0:
-                coeffs[("x", tr)] = c
-        for tr in visibles:
-            if tr.source == u:
-                coeffs[("y", tr)] = Fraction(1)
-        sys.add_equation(coeffs, Fraction(1) if u == s else Fraction(0))
-    for u in pts.states:
-        coeffs = {}
-        for tr in taus:
-            c = Fraction(0)
-            if tr.source == u:
-                c += 1
-            c -= tr.target.get(u)
-            if c != 0:
-                coeffs[("z", tr)] = c
-        for tr in visibles:
-            p = tr.target.get(u)
-            if p:
-                coeffs[("y", tr)] = coeffs.get(("y", tr), Fraction(0)) - p
+    before = _flow_rows(pts.states, taus, "x")
+    _flow_rows(pts.states, visibles, "y", enter=False, rows=before)
+    for u, coeffs in before.items():
+        sys.add_equation(coeffs, 1 if u == s else 0)
+    after = _flow_rows(pts.states, taus, "z")
+    _flow_rows(pts.states, visibles, "y", leave=False, rows=after)
+    for u, coeffs in after.items():
         sys.add_equation(coeffs, -target.get(u))
     return sys.is_feasible()
+
+
+def _flow_rows(
+    states: Sequence[Term],
+    transitions: Iterable[PtsTransition],
+    tag: str,
+    leave: bool = True,
+    enter: bool = True,
+    rows: Optional[dict[Term, dict]] = None,
+) -> dict[Term, dict]:
+    """Flow conservation, one row of coefficients per state: the occupation
+    variable (tag, i) of the i-th transition tr counts 1 in the row of tr's
+    source if `leave`, and -p in the row of each state that tr reaches with
+    probability p if `enter`.  Adds to `rows` when given."""
+    if rows is None:
+        rows = {u: {} for u in states}
+    for i, tr in enumerate(transitions):
+        if leave:
+            rows[tr.source][tag, i] = 1
+        if enter:
+            for u, p in tr.target.items():
+                rows[u][tag, i] = rows[u].get((tag, i), 0) - p
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +449,22 @@ def _combined_match(
         return False
     sys = LinearSystem()
     # weak tau phase: occupation x over preserving transitions, sigma = stop mass
-    for u in pts.states:
-        coeffs: dict = {("sigma", u): Fraction(1)}
-        for tr in preserving:
-            c = Fraction(0)
-            if tr.source == u:
-                c += 1
-            c -= tr.target.get(u)
-            if c != 0:
-                coeffs[("x", tr)] = c
-        sys.add_equation(coeffs, Fraction(1) if u == t else Fraction(0))
+    for u, coeffs in _flow_rows(pts.states, preserving, "x").items():
+        coeffs[("sigma", u)] = 1
+        sys.add_equation(coeffs, 1 if u == t else 0)
     # every stopped unit takes exactly one label-step (convex per state)
-    for u in pts.states:
-        coeffs = {("sigma", u): Fraction(-1)}
-        for tr in steps:
-            if tr.source == u:
-                coeffs[("y", tr)] = Fraction(1)
-        sys.add_equation(coeffs, Fraction(0))
+    for u, coeffs in _flow_rows(pts.states, steps, "y", enter=False).items():
+        coeffs[("sigma", u)] = -1
+        sys.add_equation(coeffs, 0)
     # lifting of pi_s against the resulting distribution
-    table = rel
     for p in pi_s.support:
-        coeffs = {}
-        for v in pts.states:
-            if v in table.get(p, set()):
-                coeffs[("w", p, v)] = Fraction(1)
+        coeffs = {("w", p, v): 1 for v in pts.states if v in rel.get(p, set())}
         sys.add_equation(coeffs, pi_s.get(p))
-    for v in pts.states:
-        coeffs = {}
+    for v, coeffs in _flow_rows(pts.states, steps, "y", leave=False).items():
         for p in pi_s.support:
-            if v in table.get(p, set()):
-                coeffs[("w", p, v)] = Fraction(1)
-        for tr in steps:
-            q = tr.target.get(v)
-            if q:
-                coeffs[("y", tr)] = coeffs.get(("y", tr), Fraction(0)) - q
-        sys.add_equation(coeffs, Fraction(0))
+            if v in rel.get(p, set()):
+                coeffs[("w", p, v)] = 1
+        sys.add_equation(coeffs, 0)
     return sys.is_feasible()
 
 

@@ -21,10 +21,10 @@ from .terms import (
     Sort,
     Term,
     Apply,
+    Dirac,
     is_closed,
     match,
     render_term,
-    state_subterms,
     substitute,
     term_depth,
     term_sort,
@@ -257,13 +257,20 @@ def _holds_against(trs: frozenset[SymbolicTransition]) -> Callable[[Term, str], 
 # Domain closure and the stable-model iteration
 
 def _check_and_collect(term: Term, universe: set[Term], bound: DomainBound) -> None:
-    for sub in state_subterms(term):
-        if term_depth(sub) > bound.max_depth:
-            raise DomainBoundError(sub, "term exceeds max depth")
-        if sub not in universe:
+    """Add the state subterms of `term` to the universe, in pre-order.  The
+    universe is closed under subterms, so the walk stops at collected terms."""
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        if sub in universe:
+            continue
+        if term_sort(sub) is Sort.STATE:
+            if term_depth(sub) > bound.max_depth:
+                raise DomainBoundError(sub, "term exceeds max depth")
             universe.add(sub)
             if len(universe) > bound.max_states:
                 raise DomainBoundError(sub, "domain exceeds max states")
+        stack.extend(reversed((sub.inner,) if isinstance(sub, Dirac) else sub.args))
 
 
 def _closed_universe(p: PTSS, bound: DomainBound) -> list[Term]:

@@ -1,8 +1,9 @@
 """Exact rational linear feasibility and max-flow.
 
-Both routines run entirely over `fractions.Fraction`: the decision procedures
-built on top (relation lifting, weak combined transitions) sit on boundary
-cases where floating point would flip answers.
+Both routines are exact: `feasible` pivots integer rows scaled from the
+`fractions.Fraction` input, and `max_flow` runs over `Fraction`.  The decision
+procedures built on top (relation lifting, weak combined transitions) sit on
+boundary cases where floating point would flip answers.
 """
 
 from __future__ import annotations
@@ -11,60 +12,72 @@ from collections import deque
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-Row = Sequence[Fraction]
+Row = Mapping[int, Fraction]  # column index -> nonzero coefficient
 
 
 def feasible(rows: Sequence[Row], rhs: Sequence[Fraction]) -> bool:
-    """Is there x >= 0 with A x = b?  Phase-1 simplex, Bland's rule."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0:
-        return True
-    # tableau: n structural columns, m artificial columns, rhs; b normalized >= 0
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        row.append(b)
-        tab.append(row)
-    basis = [n + i for i in range(m)]
-    width = n + m + 1
-    # reduced costs for minimizing the artificial sum: z[j] = sum of rows
-    z = [sum(tab[i][j] for i in range(m)) for j in range(width)]
+    """Is there x >= 0 with A x = b?  Phase-1 simplex, Bland's rule.
 
+    Rows are sparse.  Pivoting is fraction-free (Edmonds 1967; Bareiss 1968):
+    each row is scaled to integers, and after every pivot all rows share the
+    denominator `d`, the previous pivot, by which the update divides exactly.
+    The artificial columns are never stored: they may not re-enter, so only
+    their basis indices (after every structural column) are kept, for the
+    tie-break.  The last row is the phase-1 objective, the sum of the rows.
+    Before pivoting, variables forced to zero and the rows left empty go.
+    """
+    tab: list[dict[int, int]] = []
+    b: list[int] = []
+    for row, r in zip(rows, rhs):
+        scale = r.denominator
+        for v in row.values():
+            if scale % v.denominator:
+                scale *= v.denominator
+        if r.numerator < 0:
+            scale = -scale
+        tab.append({j: v.numerator * scale // v.denominator for j, v in row.items() if v})
+        b.append(r.numerator * scale // r.denominator)
+    while True:  # as x >= 0, a row = 0 with one coefficient sign forces its variables to 0
+        forced = {j for row, r in zip(tab, b) if not r and row
+                  and (min(row.values()) > 0 or max(row.values()) < 0) for j in row}
+        if not forced:
+            break
+        tab = [{j: v for j, v in row.items() if j not in forced} for row in tab]
+    if any(r and not row for row, r in zip(tab, b)):
+        return False
+    tab, b = [row for row in tab if row], [r for row, r in zip(tab, b) if row]
+    m = len(tab)
+    n = 1 + max((j for row in tab for j in row), default=-1)
+    basis = list(range(n, n + m))
+    z: dict[int, int] = {}
+    for row in tab:
+        for j, v in row.items():
+            z[j] = z.get(j, 0) + v
+    tab.append(z)
+    b.append(sum(b))
+    d = 1
     while True:
-        enter = -1
-        for j in range(n):  # artificials may never re-enter
-            if j in basis:
-                continue
-            if z[j] > 0:
-                enter = j
-                break
+        enter = min((j for j, v in tab[m].items() if v > 0), default=-1)
         if enter < 0:
-            return z[-1] == 0
-        leave = -1
-        best: Fraction | None = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            # unbounded in phase 1 cannot happen (objective bounded below by 0)
-            return z[-1] == 0
-        pivot = tab[leave][enter]
-        tab[leave] = [v / pivot for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                factor = tab[i][enter]
-                tab[i] = [a - factor * b for a, b in zip(tab[i], tab[leave])]
-        factor = z[enter]
-        z = [a - factor * b for a, b in zip(z, tab[leave])]
+            return b[m] == 0
+        leave, p = -1, 0
+        for i in range(m):  # least ratio b[i] / a, then least basis index
+            a = tab[i].get(enter, 0)
+            if a > 0 and (leave < 0 or b[i] * p < b[leave] * a
+                          or (b[i] * p == b[leave] * a and basis[i] < basis[leave])):
+                leave, p = i, a
+        prow, pb = tab[leave], b[leave]
+        for i in range(m + 1):
+            f = tab[i].get(enter, 0)
+            if i == leave or not f and p == d:
+                continue
+            new = {j: p * v for j, v in tab[i].items()}
+            if f:
+                for j, v in prow.items():
+                    new[j] = new.get(j, 0) - f * v
+            tab[i] = {j: v // d for j, v in new.items() if v}
+            b[i] = (p * b[i] - f * pb) // d
+        d = p
         basis[leave] = enter
 
 
@@ -77,31 +90,15 @@ class LinearSystem:
         self._rhs: list[Fraction] = []
 
     def var(self, key: Hashable) -> int:
-        idx = self._vars.get(key)
-        if idx is None:
-            idx = len(self._vars)
-            self._vars[key] = idx
-        return idx
+        return self._vars.setdefault(key, len(self._vars))
 
     def add_equation(self, coeffs: Mapping[Hashable, Fraction], rhs: Fraction) -> None:
-        row: dict[int, Fraction] = {}
-        for key, c in coeffs.items():
-            if c == 0:
-                continue
-            idx = self.var(key)
-            row[idx] = row.get(idx, Fraction(0)) + Fraction(c)
-        self._rows.append(row)
-        self._rhs.append(Fraction(rhs))
+        """Add sum of coeffs[key] * key = rhs; coefficients are Fractions or ints."""
+        self._rows.append({self.var(key): c for key, c in coeffs.items() if c})
+        self._rhs.append(rhs)
 
     def is_feasible(self) -> bool:
-        n = len(self._vars)
-        dense = []
-        for row in self._rows:
-            vec = [Fraction(0)] * n
-            for idx, c in row.items():
-                vec[idx] = c
-            dense.append(vec)
-        return feasible(dense, self._rhs)
+        return feasible(self._rows, self._rhs)
 
 
 def max_flow(

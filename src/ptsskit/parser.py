@@ -210,17 +210,27 @@ class _RConvex:
 _Raw = Union[_RName, _RApp, _RPrefix, _RDirac, _RConvex]
 
 
-def _parse_raw_term(cur: _Cursor) -> Optional[_Raw]:
+# Nesting bound: a deeper term is rejected before it could exhaust the Python
+# stack, here or in the recursive term walks it meets later.  Operands count
+# one level, and arguments of an operator or of oplus two, as they cost the
+# walks two frames.
+MAX_NESTING = 800
+
+
+def _parse_raw_term(cur: _Cursor, depth: int = 0) -> Optional[_Raw]:
     tok = cur.peek()
     if tok is None:
         cur.error("expected a term")
+        return None
+    if depth > MAX_NESTING:
+        cur.error(f"term nested more than {MAX_NESTING} levels deep")
         return None
 
     if tok.kind == "METAVAR":
         cur.next()
         if cur.expect("PUNCT", ".") is None:
             return None
-        arg = _parse_raw_term(cur)
+        arg = _parse_raw_term(cur, depth + 1)
         return None if arg is None else _RPrefix(META, arg, False, tok.line, tok.col)
 
     if tok.kind == "PUNCT" and tok.text == "^":
@@ -233,16 +243,16 @@ def _parse_raw_term(cur: _Cursor) -> Optional[_Raw]:
             cur.next()
             if cur.expect("PUNCT", ".") is None:
                 return None
-            arg = _parse_raw_term(cur)
+            arg = _parse_raw_term(cur, depth + 1)
             return None if arg is None else _RPrefix(META, arg, True, tok.line, tok.col)
         if head.kind in ("IDENT", "INT") or (head.kind == "PUNCT" and head.text == "+"):
             cur.next()
             nxt = cur.peek()
             if head.kind == "IDENT" and nxt is not None and nxt.kind == "PUNCT" and nxt.text == ".":
                 cur.next()
-                arg = _parse_raw_term(cur)
+                arg = _parse_raw_term(cur, depth + 1)
                 return None if arg is None else _RPrefix(head.text, arg, True, tok.line, tok.col)
-            args = _parse_raw_args(cur)
+            args = _parse_raw_args(cur, depth + 1)
             if args is None:
                 return None
             return _RApp(head.text, args, True, tok.line, tok.col)
@@ -251,7 +261,7 @@ def _parse_raw_term(cur: _Cursor) -> Optional[_Raw]:
 
     if tok.kind == "PUNCT" and tok.text == "(":
         cur.next()
-        inner = _parse_raw_term(cur)
+        inner = _parse_raw_term(cur, depth + 1)
         if inner is None or cur.expect("PUNCT", ")") is None:
             return None
         return inner
@@ -260,7 +270,7 @@ def _parse_raw_term(cur: _Cursor) -> Optional[_Raw]:
         cur.next()
         if cur.expect("PUNCT", "(") is None:
             return None
-        arg = _parse_raw_term(cur)
+        arg = _parse_raw_term(cur, depth + 1)
         if arg is None or cur.expect("PUNCT", ")") is None:
             return None
         return _RDirac(arg, tok.line, tok.col)
@@ -275,7 +285,7 @@ def _parse_raw_term(cur: _Cursor) -> Optional[_Raw]:
             w = _parse_weight(cur)
             if w is None or cur.expect("PUNCT", ":") is None:
                 return None
-            arg = _parse_raw_term(cur)
+            arg = _parse_raw_term(cur, depth + 2)
             if arg is None:
                 return None
             weights.append(w)
@@ -294,10 +304,10 @@ def _parse_raw_term(cur: _Cursor) -> Optional[_Raw]:
         nxt = cur.peek()
         if tok.kind == "IDENT" and nxt is not None and nxt.kind == "PUNCT" and nxt.text == ".":
             cur.next()
-            arg = _parse_raw_term(cur)
+            arg = _parse_raw_term(cur, depth + 1)
             return None if arg is None else _RPrefix(tok.text, arg, False, tok.line, tok.col)
         if nxt is not None and nxt.kind == "PUNCT" and nxt.text == "(":
-            args = _parse_raw_args(cur)
+            args = _parse_raw_args(cur, depth + 1)
             if args is None:
                 return None
             return _RApp(tok.text, args, False, tok.line, tok.col)
@@ -307,7 +317,7 @@ def _parse_raw_term(cur: _Cursor) -> Optional[_Raw]:
     return None
 
 
-def _parse_raw_args(cur: _Cursor) -> Optional[tuple[_Raw, ...]]:
+def _parse_raw_args(cur: _Cursor, depth: int) -> Optional[tuple[_Raw, ...]]:
     nxt = cur.peek()
     if nxt is None or nxt.kind != "PUNCT" or nxt.text != "(":
         return ()
@@ -318,7 +328,7 @@ def _parse_raw_args(cur: _Cursor) -> Optional[tuple[_Raw, ...]]:
         cur.next()
         return tuple(args)
     while True:
-        arg = _parse_raw_term(cur)
+        arg = _parse_raw_term(cur, depth + 1)
         if arg is None:
             return None
         args.append(arg)

@@ -14,7 +14,7 @@ import enum
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterator, Mapping, Optional, Union
+from typing import ClassVar, Mapping, Optional, Union
 
 
 class Sort(enum.Enum):
@@ -216,11 +216,11 @@ def render_term(t: Term) -> str:
             return f"{hat}{sym.prefix_action}.{render_term(t.args[0])}"
         if not t.args:
             return sym.name
-        return f"{sym.name}({','.join(render_term(a) for a in t.args)})"
+        return f"{sym.name}({','.join(map(render_term, t.args))})"
     if isinstance(t, Dirac):
         return f"delta({render_term(t.inner)})"
     if isinstance(t, Convex):
-        parts = ",".join(f"{w}:{render_term(a)}" for w, a in zip(t.weights, t.args))
+        parts = ",".join(map("{}:{}".format, t.weights, map(render_term, t.args)))
         return "oplus{" + parts + "}"
     raise TypeError(f"not a term: {t!r}")
 
@@ -247,25 +247,6 @@ def _collect_vars(t: Term, out: set[str]) -> None:
 
 def is_closed(t: Term) -> bool:
     return t.closed
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms including `t` itself, pre-order."""
-    yield t
-    if isinstance(t, Apply):
-        for a in t.args:
-            yield from subterms(a)
-    elif isinstance(t, Dirac):
-        yield from subterms(t.inner)
-    elif isinstance(t, Convex):
-        for a in t.args:
-            yield from subterms(a)
-
-
-def state_subterms(t: Term) -> Iterator[Term]:
-    for s in subterms(t):
-        if term_sort(s) is Sort.STATE:
-            yield s
 
 
 def term_depth(t: Term) -> int:

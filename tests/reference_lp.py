@@ -1,0 +1,73 @@
+"""The dense phase-1 simplex that `ptsskit.lp.feasible` replaced, kept as
+the test oracle for it.
+
+It pivots a full `Fraction` tableau with m artificial columns under Bland's
+rule.  Rows are dense coefficient lists.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+Row = Sequence[Fraction]
+
+
+def feasible(rows: Sequence[Row], rhs: Sequence[Fraction]) -> bool:
+    """Is there x >= 0 with A x = b?  Phase-1 simplex, Bland's rule."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return True
+    # tableau: n structural columns, m artificial columns, rhs; b normalized >= 0
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
+        row.append(b)
+        tab.append(row)
+    basis = [n + i for i in range(m)]
+    width = n + m + 1
+    # reduced costs for minimizing the artificial sum: z[j] = sum of rows
+    z = [sum(tab[i][j] for i in range(m)) for j in range(width)]
+
+    while True:
+        enter = -1
+        for j in range(n):  # artificials may never re-enter
+            if j in basis:
+                continue
+            if z[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            return z[-1] == 0
+        leave = -1
+        best: Fraction | None = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            # unbounded in phase 1 cannot happen (objective bounded below by 0)
+            return z[-1] == 0
+        pivot = tab[leave][enter]
+        tab[leave] = [v / pivot for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                factor = tab[i][enter]
+                tab[i] = [a - factor * b for a, b in zip(tab[i], tab[leave])]
+        factor = z[enter]
+        z = [a - factor * b for a, b in zip(z, tab[leave])]
+        basis[leave] = enter
+
+
+def dense(rows: Sequence[Mapping[int, Fraction]]) -> list[list[Fraction]]:
+    """Sparse rows (column -> coefficient) as dense lists, for `feasible`."""
+    n = 1 + max((j for row in rows for j in row), default=-1)
+    return [[Fraction(row.get(j, 0)) for j in range(n)] for row in rows]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ptsskit.cli import EXIT_BOUNDS, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from ptsskit.parser import MAX_NESTING
 from tests.conftest import CORPUS, RUNNING_SPEC
 
 
@@ -280,3 +281,38 @@ def test_pts_state_names_may_contain_dashes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bisim", str(path), "--kind", "branching", "a--b", "a--b")
     assert code == EXIT_OK
     assert "branching: a--b ~ a--b: YES" in out
+
+
+def _prefix_chain(n):
+    return "a.delta(" * n + "0" + ")" * n
+
+
+@pytest.mark.parametrize("n", [1500, 5000])
+def test_deeply_nested_root_is_a_diagnostic(tmp_path, capsys, n):
+    spec, root = str(CORPUS / "running.ptss"), _prefix_chain(n)
+    nested = f"error: term nested more than {MAX_NESTING} levels deep"
+    # the parser stops at the first token past the bound, 400 prefixes in
+    col = 8 * (MAX_NESTING // 2) + 3
+    code, out, err = run_cli(capsys, "pts", spec, "--root", root, "--max-depth", "5000")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"--root '{root}':1:{col}: {nested}\n"
+    path = tmp_path / "deep.ptss"
+    path.write_text(f"# roots: {root}\n# expect complete: yes\n" + RUNNING_SPEC)
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert f"{path}:1:{col}: {nested}" in out and "Traceback" not in out
+
+
+@pytest.mark.parametrize("shape, levels", [
+    ("a.delta({})", 2),  # an operand is one level
+    ("+({},0)", 2),  # an argument of an operator two
+    ("a.oplus{{1:delta({})}}", 4),  # and so is an oplus branch
+])
+def test_terms_at_the_nesting_bound_run_through(capsys, shape, levels):
+    spec, root = str(CORPUS / "running.ptss"), "0"
+    for _ in range(MAX_NESTING // levels):
+        root = shape.format(root)
+    code, out, _ = run_cli(capsys, "stable-model", spec, "--root", root, "--max-depth", "5000")
+    assert code == EXIT_OK and "complete: yes" in out
+    code, _, err = run_cli(capsys, "stable-model", spec, "--root", shape.format(root), "--max-depth", "5000")
+    assert code == EXIT_USAGE and "levels deep" in err

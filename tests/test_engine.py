@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from ptsskit.distributions import Distribution
 from ptsskit.engine import (
     DomainBound,
+    _check_and_collect,
     DomainBoundError,
     IncompleteError,
     RuleInstantiationError,
@@ -206,3 +209,40 @@ def test_load_pts_validates():
         load_pts("state s0\ntrans s0 --a-> { s1: 1 }\n")  # s1 undeclared
     with pytest.raises(ParseFailure):
         load_pts("state s0\ntrans s0 --a-> { s0: 1/2 }\n")  # mass below one
+
+
+class _CountingSet(set):
+    """A universe that counts how often each term is looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.visits = Counter()
+
+    def __contains__(self, term):
+        self.visits[term] += 1
+        return super().__contains__(term)
+
+
+def test_universe_walk_stops_at_collected_terms(sig):
+    n = 400
+    root = parse_term("a.delta(" * n + "0" + ")" * n, sig)
+    universe = _CountingSet()
+    b = DomainBound((root,), max_depth=5000)
+    # as the universe closure does: the root, then each transition target
+    _check_and_collect(root, universe, b)
+    for state in list(universe):
+        _check_and_collect(state, universe, b)
+    assert len(universe) == n + 1
+    assert max(universe.visits.values()) <= 2  # a full walk per call: n + 1
+    assert sum(universe.visits.values()) <= 3 * (n + 1)
+
+
+def test_universe_walk_checks_bounds_on_new_terms(sig):
+    root = parse_term("+(a.delta(b.delta(0)),b.delta(0))", sig)
+    with pytest.raises(DomainBoundError, match="max depth: \\+"):
+        _check_and_collect(root, set(), DomainBound((root,), max_depth=5))
+    universe: set = set()
+    _check_and_collect(root, universe, DomainBound((root,)))
+    deeper = parse_term("a.delta(+(a.delta(b.delta(0)),b.delta(0)))", sig)
+    with pytest.raises(DomainBoundError, match="max states: a.delta"):
+        _check_and_collect(deeper, universe, DomainBound((root,), max_states=len(universe)))

@@ -2,39 +2,49 @@ import random
 from fractions import Fraction
 
 from ptsskit.lp import LinearSystem, feasible, max_flow
+from tests import reference_lp
 
 F = Fraction
 
 
+def solve(rows, rhs):
+    """`feasible` on the sparse form of the dense `rows`, checked against the
+    dense reference simplex."""
+    got = feasible([{j: v for j, v in enumerate(row) if v} for row in rows], rhs)
+    assert got == reference_lp.feasible(rows, rhs)
+    return got
+
+
 def test_feasible_simple():
     # x + y = 1, x - y = 0  ->  x = y = 1/2
-    assert feasible([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)])
+    assert solve([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)])
 
 
 def test_infeasible_negative_requirement():
     # x = -1 with x >= 0
-    assert not feasible([[F(1)]], [F(-1)])
+    assert not solve([[F(1)]], [F(-1)])
 
 
 def test_infeasible_conflicting_rows():
     # x + y = 1 and x + y = 2
-    assert not feasible([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
+    assert not solve([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
 
 
 def test_feasible_degenerate_zero_row():
-    assert feasible([[F(0), F(0)]], [F(0)])
-    assert not feasible([[F(0), F(0)]], [F(1)])
+    assert solve([[F(0), F(0)]], [F(0)])
+    assert not solve([[F(0), F(0)]], [F(1)])
 
 
 def test_feasible_exact_boundary():
     # 3x = 1 has the exact rational solution x = 1/3
-    assert feasible([[F(3)]], [F(1)])
+    assert solve([[F(3)]], [F(1)])
     # x + y = 1, 20x = 7 -> x = 7/20: exactness matters at odd denominators
-    assert feasible([[F(1), F(1)], [F(20), F(0)]], [F(1), F(7)])
+    assert solve([[F(1), F(1)], [F(20), F(0)]], [F(1), F(7)])
 
 
 def test_feasible_empty_system():
     assert feasible([], [])
+    assert reference_lp.feasible([], [])
 
 
 def test_linear_system_builder():
@@ -53,7 +63,7 @@ def test_feasible_matches_random_known_solutions():
         x = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         rhs = [sum(r[j] * x[j] for j in range(n)) for r in rows]
-        assert feasible(rows, rhs)  # constructed to be satisfiable
+        assert solve(rows, rhs)  # constructed to be satisfiable
 
 
 def test_max_flow_simple_path():

@@ -1,0 +1,142 @@
+"""Cross-check of the sparse fraction-free `lp.feasible` against the dense
+`Fraction` tableau it replaced (`tests/reference_lp.py`).
+
+Random systems come from a fixed-seed hypothesis run; they include zero rows,
+duplicated and rank-deficient rows, negative right-hand sides, infeasible and
+degenerate systems, and 30-digit numerators and denominators.  Every LP that
+`corpus-run` makes on the corpus is replayed against the oracle as well.
+"""
+
+import io
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ptsskit import lp
+from ptsskit.cli import main
+from tests import reference_lp
+from tests.conftest import CORPUS
+
+F = Fraction
+BIG = 10**30
+
+SMALL = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+HUGE = st.builds(F, st.integers(-BIG * 9, BIG * 9), st.integers(BIG, BIG * 9))
+COEFF = st.one_of(st.just(F(0)), st.just(F(0)), SMALL, HUGE)  # half zeros: sparse rows
+
+
+def sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def agree(rows, rhs):
+    """The sparse answer equals the dense one; the input rows are untouched."""
+    sp = sparse(rows)
+    copy = [dict(row) for row in sp]
+    got = lp.feasible(sp, rhs)
+    assert sp == copy
+    assert got == reference_lp.feasible(rows, rhs)
+    return got
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=6))
+    extra = []
+    for row in rows:
+        kind = draw(st.sampled_from(["none", "none", "zero", "copy", "combination"]))
+        if kind == "zero":
+            extra.append([F(0)] * n)
+        elif kind == "copy":
+            extra.append(list(row))
+        elif kind == "combination":  # rank-deficient: a multiple of a row plus another
+            other = draw(st.sampled_from(rows))
+            k = draw(SMALL)
+            extra.append([k * a + b for a, b in zip(row, other)])
+    rows = rows + extra
+    if draw(st.booleans()):
+        # consistent: b = A x for some x >= 0 with zeros (degenerate vertices)
+        x = draw(st.lists(st.one_of(st.just(F(0)), SMALL.map(abs), HUGE.map(abs)), min_size=n, max_size=n))
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        if draw(st.booleans()):  # a 10^-30 nudge that floats cannot see
+            i = draw(st.integers(0, len(rows) - 1))
+            rhs[i] += draw(st.sampled_from([F(1, BIG), F(-1, BIG)]))
+    else:
+        rhs = draw(st.lists(st.one_of(SMALL, HUGE), min_size=len(rows), max_size=len(rows)))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [rhs[i] for i in order]
+
+
+def test_sparse_feasible_matches_dense_reference():
+    answers = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(systems())
+    def run(system):
+        answers.append(agree(*system))
+
+    run()
+    # the generator is worth little if it mostly yields one verdict
+    assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
+def test_thirty_digit_boundaries():
+    eps = F(1, BIG)
+    # x + y = 1 and x = 1 + 10^-30 leaves y = -10^-30: infeasible, though
+    # 1 + 1e-30 == 1 in floating point
+    assert not agree([[F(1), F(1)], [F(1), F(0)]], [F(1), 1 + eps])
+    assert agree([[F(1), F(1)], [F(1), F(0)]], [F(1), 1 - eps])
+    # coefficients whose ratio a truncating division would round
+    a, b = F(BIG + 1, BIG - 1), F(BIG + 3, BIG + 1)
+    assert agree([[a, -b]], [F(0)])
+    assert not agree([[a, F(0)], [F(0), b], [F(1), F(-1)]], [a, b, eps])
+    assert agree([[a, F(0)], [F(0), b], [F(1), F(-1)]], [a, b, F(0)])
+
+
+def test_negative_right_hand_sides():
+    assert agree([[F(-1), F(1)]], [F(-2)])  # x = 2 + y
+    assert not agree([[F(1), F(1)]], [F(-1)])
+    assert agree([[F(0)], [F(-3)]], [F(0), F(-1)])
+
+
+def corpus_lps():
+    """Every LP `corpus-run` makes on each corpus file, with no repeats."""
+    seen = {}
+    solve = lp.LinearSystem.is_feasible
+
+    def capture(system):
+        key = (tuple(tuple(sorted(row.items())) for row in system._rows), tuple(system._rhs))
+        seen.setdefault(key, ([dict(row) for row in system._rows], list(system._rhs)))
+        return solve(system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp.LinearSystem, "is_feasible", capture)
+        with redirect_stdout(io.StringIO()):
+            main(["corpus-run", str(CORPUS)])
+    return list(seen.values())
+
+
+def test_corpus_lps_match_dense_reference():
+    lps = corpus_lps()
+    assert len(lps) > 100  # final_pb.ptss and mixed_choice.pts
+    for rows, rhs in lps:
+        assert lp.feasible(rows, rhs) == reference_lp.feasible(reference_lp.dense(rows), rhs)
+
+
+def test_linear_system_passes_sparse_rows_through_the_module_global(monkeypatch):
+    calls = []
+
+    def spy(rows, rhs):
+        calls.append([dict(row) for row in rows])
+        return True
+
+    monkeypatch.setattr(lp, "feasible", spy)
+    system = lp.LinearSystem()
+    system.add_equation({"x": F(1), "y": F(0)}, F(1))
+    system.add_equation({"y": F(2)}, F(0))
+    assert system.is_feasible()
+    assert calls == [[{0: F(1)}, {1: F(2)}]]

@@ -21,7 +21,6 @@ from ptsskit.terms import (
     render_term,
     sort_of,
     substitute,
-    subterms,
     term_depth,
     term_sort,
     validate_signature,
@@ -115,6 +114,19 @@ def test_match_basic(sig, t):
 
 def test_match_mismatch(sig, t):
     assert match(t("a.mu"), t("b.delta(0)")) is None
+
+
+def subterms(t):
+    """All subterms including `t` itself, pre-order."""
+    yield t
+    if isinstance(t, Apply):
+        for a in t.args:
+            yield from subterms(a)
+    elif isinstance(t, Dirac):
+        yield from subterms(t.inner)
+    elif isinstance(t, Convex):
+        for a in t.args:
+            yield from subterms(a)
 
 
 def _enumeration_match_oracle(pattern, subject):
