@@ -27,6 +27,7 @@ from .engine import (
     reachable_pts,
     stable_model,
 )
+from .errors import PtssError
 from .format_check import (
     FormatReport,
     build_nesting_graph,

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 from .distributions import Distribution
 from .engine import PTS, PtsTransition
+from .errors import BoundError
 from .lp import LinearSystem, max_flow
 from .terms import Term, render_term
 
@@ -42,7 +43,7 @@ KINDS = ("branching", "pbranching", "rooted")
 RelationLike = Union["StateRelation", Iterable[tuple[Term, Term]], Mapping[Term, set]]
 
 
-class BudgetExceededError(Exception):
+class BudgetExceededError(BoundError):
     pass
 
 

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .bisim import KINDS, Decision, decide
 from .engine import (
     DomainBound,
-    DomainBoundError,
-    IncompleteError,
-    NotConvergedError,
-    RuleInstantiationError,
     export_pts,
     is_complete,
     load_pts,
@@ -29,56 +26,55 @@ from .engine import (
     reachable_pts,
     stable_model,
 )
-from .format_check import ProbeError, check_format, congruence_probe
-from .parser import PTSS, ParseFailure, parse_term, try_parse_spec
+from .errors import EXIT_BOUNDS, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, PtssError
+from .format_check import check_format, congruence_probe
+from .parser import PTSS, ParseFailure, parse_spec, parse_term
 from .terms import Term, render_term
 
-EXIT_OK = 0
-EXIT_NEGATIVE = 1
-EXIT_USAGE = 2
-EXIT_BOUNDS = 3
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+T = TypeVar("T")
+# the one bound of every corpus-run expectation
+_CORPUS_BOUND = DomainBound((), max_depth=10)
 
 
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PtssError(f"cannot read {path}: {exc}")
 
 
-def _load_spec(path: str) -> PTSS:
-    spec, diags = try_parse_spec(_read_file(path))
-    if spec is None:
-        messages = "\n".join(f"{path}:{d}" for d in diags if d.severity == "error")
-        raise CliError(messages or f"{path}: parse failed", EXIT_USAGE)
-    return spec
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """Parse a file with `parse`; each diagnostic is prefixed with the path."""
+    try:
+        return parse(_read_file(path))
+    except ParseFailure as exc:
+        raise PtssError("\n".join(f"{path}:{d}" for d in exc.diagnostics))
 
 
-# a term's text, the file or command-line argument it came from, and its line there
-_TermText = tuple[str, str, int]
+# a term's text, the file or argument it came from, its line there, and its offset in that line
+_TermText = tuple[str, str, int, int]
 
 
 def _parse_terms(spec: PTSS, items: list[_TermText]) -> list[Term]:
-    """Parse terms; a diagnostic names the term's origin and line, and the
-    column in the term's text."""
+    """Parse terms; a diagnostic names the term's origin and its line and
+    column there."""
     out = []
-    for text, origin, line in items:
+    for text, origin, line, offset in items:
         try:
             out.append(parse_term(text, spec.signature))
         except ParseFailure as exc:
-            msgs = "\n".join(f"{origin}:{line}:{d.col}: {d.severity}: {d.message}" for d in exc.diagnostics)
-            raise CliError(msgs or f"bad term {text!r}", EXIT_USAGE)
+            msgs = "\n".join(f"{origin}:{line}:{offset + d.col}: {d.severity}: {d.message}" for d in exc.diagnostics)
+            raise PtssError(msgs or f"bad term {text!r}")
     return out
 
 
 def _args(option: str, texts: list[str]) -> list[_TermText]:
-    return [(text, f"{option} {text!r}", 1) for text in texts]
+    return [(text, f"{option} {text!r}", 1, 0) for text in texts]
+
+
+def _words(text: str, origin: str, line: int, offset: int) -> list[_TermText]:
+    """The whitespace-separated words of `text`, which sits at `offset` in its line."""
+    return [(m.group(), origin, line, offset + m.start()) for m in re.finditer(r"\S+", text)]
 
 
 def _term_lines(path: str) -> list[_TermText]:
@@ -86,7 +82,7 @@ def _term_lines(path: str) -> list[_TermText]:
     items = []
     for line_no, line in enumerate(_read_file(path).splitlines(), start=1):
         if line.strip() and not line.strip().startswith("#"):
-            items.append((line.strip(), path, line_no))
+            items.append((line.strip(), path, line_no, len(line) - len(line.lstrip())))
     return items
 
 
@@ -121,17 +117,17 @@ def _emit(text: str) -> None:
 # Subcommands
 
 def _cmd_check_format(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(args.spec, parse_spec)
     report = check_format(spec)
     _emit(report.to_json() if args.json else report.render_text())
     return EXIT_OK if report.overall else EXIT_NEGATIVE
 
 
 def _cmd_stable_model(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(args.spec, parse_spec)
     roots = tuple(_parse_terms(spec, _args("--root", args.root)))
     if not roots:
-        raise CliError("stable-model needs at least one --root", EXIT_USAGE)
+        raise PtssError("stable-model needs at least one --root")
     model = stable_model(spec, _bound(args, roots))
     complete = model.converged and model.is_two_valued
     if args.json:
@@ -161,14 +157,17 @@ def _cmd_stable_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_pts(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(args.spec, parse_spec)
     roots = tuple(_parse_terms(spec, _args("--root", args.root)))
     if not roots:
-        raise CliError("pts needs at least one --root", EXIT_USAGE)
+        raise PtssError("pts needs at least one --root")
     pts = reachable_pts(spec, _bound(args, roots))
     text = export_pts(pts)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise PtssError(f"cannot write {args.out}: {exc}")
         _emit(f"wrote {len(pts.states)} states, {len(pts.transitions)} transitions to {args.out}")
     else:
         _emit(text)
@@ -178,16 +177,12 @@ def _cmd_pts(args: argparse.Namespace) -> int:
 def _cmd_bisim(args: argparse.Namespace) -> int:
     path = args.path
     if path.endswith(".pts"):
-        try:
-            pts = load_pts(_read_file(path))
-        except ParseFailure as exc:
-            msgs = "\n".join(f"{path}:{d}" for d in exc.diagnostics)
-            raise CliError(msgs, EXIT_USAGE)
+        pts = _load(path, load_pts)
         s, t = opaque_state(args.s), opaque_state(args.t)
         if not pts.has_state(s) or not pts.has_state(t):
-            raise CliError(f"{path}: unknown state {args.s!r} or {args.t!r}", EXIT_USAGE)
+            raise PtssError(f"{path}: unknown state {args.s!r} or {args.t!r}")
     else:
-        spec = _load_spec(path)
+        spec = _load(path, parse_spec)
         s, t = _parse_terms(spec, _args("argument s", [args.s]) + _args("argument t", [args.t]))
         roots = tuple(_parse_terms(spec, _args("--root", args.root))) + (s, t)
         pts = reachable_pts(spec, _bound(args, roots))
@@ -223,13 +218,13 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(args.spec, parse_spec)
     pairs = []
-    for line, path, line_no in _term_lines(args.pairs):
-        parts = line.split()
+    for text, path, line_no, offset in _term_lines(args.pairs):
+        parts = _words(text, path, line_no, offset)
         if len(parts) != 2:
-            raise CliError(f"{path}:{line_no}: expected '<term> <term>' per line", EXIT_USAGE)
-        u, v = _parse_terms(spec, [(part, path, line_no) for part in parts])
+            raise PtssError(f"{path}:{line_no}: expected '<term> <term>' per line")
+        u, v = _parse_terms(spec, parts)
         pairs.append((u, v))
     contexts = _parse_terms(spec, _term_lines(args.contexts))
     violations = congruence_probe(spec, pairs, contexts, _bound(args, ()), kind=args.kind)
@@ -268,6 +263,7 @@ class Expectation:
     kind: str
     detail: str
     expected: str
+    words: list[_TermText]  # the words of `detail`, each with its place in the file
 
 
 @dataclass
@@ -282,27 +278,28 @@ def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_
     roots: list[_TermText] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
+        indent = len(line) - len(line.lstrip())
         if stripped.startswith("# roots:"):
-            roots.extend((r, path, line_no) for r in stripped[len("# roots:"):].split())
+            roots.extend(_words(stripped[len("# roots:"):], path, line_no, indent + len("# roots:")))
         elif stripped.startswith("# expect "):
             body = stripped[len("# expect "):]
             if ":" not in body:
-                raise CliError(f"{path}:{line_no}: malformed expectation (missing ':')", EXIT_USAGE)
+                raise PtssError(f"{path}:{line_no}: malformed expectation (missing ':')")
             head, expected = body.rsplit(":", 1)
-            head = head.strip()
+            words = _words(head, path, line_no, indent + len("# expect "))
             expected = expected.strip()
-            if not head or not expected:
-                raise CliError(f"{path}:{line_no}: malformed expectation", EXIT_USAGE)
-            kind = head.split()[0]
-            detail = head[len(kind):].strip()
+            if not words or not expected:
+                raise PtssError(f"{path}:{line_no}: malformed expectation")
+            kind = words[0][0]
+            detail = head.strip()[len(kind):].strip()
             if kind not in ("format", "violation", "complete", "bisim", "probe"):
-                raise CliError(f"{path}:{line_no}: unknown expectation {kind!r}", EXIT_USAGE)
-            if kind in ("bisim", "probe") and detail and detail.split()[0] not in KINDS:
-                raise CliError(f"{path}:{line_no}: unknown {kind} kind {detail.split()[0]!r}", EXIT_USAGE)
+                raise PtssError(f"{path}:{line_no}: unknown expectation {kind!r}")
+            if kind in ("bisim", "probe") and detail and words[1][0] not in KINDS:
+                raise PtssError(f"{path}:{line_no}: unknown {kind} kind {words[1][0]!r}")
             if kind == "violation":
                 # payload sits after the colon: `# expect violation: <rule> <cond>`
                 detail, expected = expected, "present"
-            expectations.append(Expectation(line_no, kind, detail, expected))
+            expectations.append(Expectation(line_no, kind, detail, expected, words[1:]))
     return expectations, roots
 
 
@@ -312,12 +309,13 @@ def _run_pts_expectations(path: str, text: str, expectations: list[Expectation])
     rows: list[tuple[Expectation, str, bool]] = []
     for exp in expectations:
         if exp.kind != "bisim":
-            raise CliError(f"{path}:{exp.line}: only bisim expectations apply to .pts files", EXIT_USAGE)
-        try:
-            kind, sname, tname = exp.detail.split()
-        except ValueError:
-            raise CliError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'", EXIT_USAGE)
+            raise PtssError(f"{path}:{exp.line}: only bisim expectations apply to .pts files")
+        if len(exp.words) != 3:
+            raise PtssError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'")
+        kind, sname, tname = (word[0] for word in exp.words)
         s, t = opaque_state(sname), opaque_state(tname)
+        if not pts.has_state(s) or not pts.has_state(t):
+            raise PtssError(f"{path}:{exp.line}: unknown state {sname!r} or {tname!r}")
         if kind not in decisions:
             decisions[kind] = decide(kind, pts)
         actual = "yes" if decisions[kind].related(s, t) else "no"
@@ -328,10 +326,7 @@ def _run_pts_expectations(path: str, text: str, expectations: list[Expectation])
 def _run_spec_expectations(
     path: str, text: str, expectations: list[Expectation], root_items: list[_TermText]
 ) -> FileOutcome:
-    spec, diags = try_parse_spec(text)
-    if spec is None:
-        messages = "; ".join(str(d) for d in diags if d.severity == "error")
-        raise CliError(f"{path}: {messages}", EXIT_USAGE)
+    spec = parse_spec(text)
     roots = tuple(_parse_terms(spec, root_items))
     rows: list[tuple[Expectation, str, bool]] = []
     report = None
@@ -344,78 +339,64 @@ def _run_spec_expectations(
             try:
                 rule, cond = exp.detail.split()
             except ValueError:
-                raise CliError(f"{path}:{exp.line}: expected 'violation: <rule> <cond>'", EXIT_USAGE)
+                raise PtssError(f"{path}:{exp.line}: expected 'violation: <rule> <cond>'")
             hit = any(v.rule == rule and v.condition == cond for v in report.all_violations())
             actual = "present" if hit else "absent"
             rows.append((exp, actual, actual == exp.expected))
             continue
         elif exp.kind == "complete":
             if not roots:
-                raise CliError(f"{path}:{exp.line}: complete expectation needs '# roots:'", EXIT_USAGE)
-            complete, _ = is_complete(spec, DomainBound(roots))
+                raise PtssError(f"{path}:{exp.line}: complete expectation needs '# roots:'")
+            complete, _ = is_complete(spec, replace(_CORPUS_BOUND, roots=roots))
             actual = "yes" if complete else "no"
         elif exp.kind == "bisim":
-            try:
-                kind, stext, ttext = exp.detail.split()
-            except ValueError:
-                raise CliError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'", EXIT_USAGE)
-            s, t = _parse_terms(spec, [(stext, path, exp.line), (ttext, path, exp.line)])
-            pts = reachable_pts(spec, DomainBound(roots + (s, t), max_depth=10))
-            actual = "yes" if decide(kind, pts).related(s, t) else "no"
-        elif exp.kind == "probe":
-            try:
-                kind, ctext, utext, vtext = exp.detail.split()
-            except ValueError:
-                raise CliError(
-                    f"{path}:{exp.line}: expected 'probe <kind> <context> <u> <v>'", EXIT_USAGE
-                )
-            context, u, v = _parse_terms(spec, [(x, path, exp.line) for x in (ctext, utext, vtext)])
-            violations = congruence_probe(
-                spec, [(u, v)], [context], DomainBound((), max_depth=10), kind=kind
-            )
+            if len(exp.words) != 3:
+                raise PtssError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'")
+            s, t = _parse_terms(spec, exp.words[1:])
+            pts = reachable_pts(spec, replace(_CORPUS_BOUND, roots=roots + (s, t)))
+            actual = "yes" if decide(exp.words[0][0], pts).related(s, t) else "no"
+        else:  # "probe", the last kind _parse_expectations admits
+            if len(exp.words) != 4:
+                raise PtssError(f"{path}:{exp.line}: expected 'probe <kind> <context> <u> <v>'")
+            context, u, v = _parse_terms(spec, exp.words[1:])
+            violations = congruence_probe(spec, [(u, v)], [context], _CORPUS_BOUND, kind=exp.words[0][0])
             actual = "ok" if not violations else "fail"
-        else:  # pragma: no cover - guarded by _parse_expectations
-            raise CliError(f"{path}:{exp.line}: unknown expectation", EXIT_USAGE)
         rows.append((exp, actual, actual == exp.expected))
     return FileOutcome(path, rows)
 
 
 def _run_corpus_file(path: Path) -> FileOutcome:
-    text = path.read_text(encoding="utf-8")
+    text = _read_file(str(path))
     expectations, roots = _parse_expectations(text, str(path))
     try:
         if path.suffix == ".pts":
             return _run_pts_expectations(str(path), text, expectations)
         return _run_spec_expectations(str(path), text, expectations, roots)
     except ParseFailure as exc:
-        msgs = "; ".join(str(d) for d in exc.diagnostics)
-        raise CliError(f"{path}: {msgs}", EXIT_USAGE)
+        raise PtssError(f"{path}: {exc}")
 
 
 def corpus_run(directory: str) -> tuple[list[FileOutcome], int]:
+    """Run every file's expectations.  Exit 2 if a file has a usage or parse
+    error, else 1 if a file has any error or a failed expectation, else 0."""
     base = Path(directory)
     if not base.is_dir():
-        raise CliError(f"not a directory: {directory}", EXIT_USAGE)
+        raise PtssError(f"not a directory: {directory}")
     outcomes: list[FileOutcome] = []
     usage_error = False
     for p in sorted(p for p in base.iterdir() if p.suffix in (".ptss", ".pts")):
         try:
             outcomes.append(_run_corpus_file(p))
-        except (CliError, DomainBoundError, NotConvergedError, IncompleteError, ProbeError,
-                RuleInstantiationError) as exc:
-            usage_error = usage_error or isinstance(exc, CliError)
+        except PtssError as exc:
+            usage_error = usage_error or exc.exit_code == EXIT_USAGE
             outcomes.append(FileOutcome(str(p), [], error=str(exc)))
+    if usage_error:
+        return outcomes, EXIT_USAGE
     mismatches = any(
         outcome.error is not None or any(not ok for _, _, ok in outcome.rows)
         for outcome in outcomes
     )
-    if usage_error:
-        code = EXIT_USAGE
-    elif mismatches:
-        code = EXIT_NEGATIVE
-    else:
-        code = EXIT_OK
-    return outcomes, code
+    return outcomes, EXIT_NEGATIVE if mismatches else EXIT_OK
 
 
 def _cmd_corpus_run(args: argparse.Namespace) -> int:
@@ -526,19 +507,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(exc, file=sys.stderr)
-        return exc.code
-    except ProbeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainBoundError, NotConvergedError, IncompleteError, RuleInstantiationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDS
-    except ParseFailure as exc:
-        for d in exc.diagnostics:
-            print(d, file=sys.stderr)
-        return EXIT_USAGE
+    except PtssError as exc:
+        # the front end's own messages say where they arose; the library's get a severity
+        print(exc if type(exc) is PtssError else f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator
 
+from .errors import PtssError
 from .terms import (
     Apply,
     Convex,
@@ -25,7 +26,7 @@ from .terms import (
 )
 
 
-class EvalError(Exception):
+class EvalError(PtssError):
     """A distribution term cannot be evaluated (open, ill-sorted, ...)."""
 
 

@@ -15,10 +15,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .distributions import Distribution, EvalError, evaluate
+from .errors import BoundError
 from .parser import PTSS, Diagnostic, ParseFailure, Rule
 from .terms import (
     FunctionSymbol,
     Sort,
+    SortError,
     Term,
     Apply,
     Dirac,
@@ -31,22 +33,22 @@ from .terms import (
 )
 
 
-class DomainBoundError(Exception):
+class DomainBoundError(BoundError):
     def __init__(self, term: Term, reason: str):
         self.term = term
         self.reason = reason
         super().__init__(f"{reason}: {render_term(term)}")
 
 
-class RuleInstantiationError(Exception):
+class RuleInstantiationError(BoundError):
     """A rule cannot be instantiated effectively (unbound variables)."""
 
 
-class NotConvergedError(Exception):
+class NotConvergedError(BoundError):
     pass
 
 
-class IncompleteError(Exception):
+class IncompleteError(BoundError):
     """The spec has no associated PTS because its stable model is 3-valued."""
 
 
@@ -277,7 +279,7 @@ def _closed_universe(p: PTSS, bound: DomainBound) -> list[Term]:
     universe: set[Term] = set()
     for root in bound.roots:
         if not is_closed(root) or term_sort(root) is not Sort.STATE:
-            raise ValueError(f"root must be a closed state term: {render_term(root)}")
+            raise SortError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
     while True:
         ordered = sorted(universe, key=render_term)

@@ -13,11 +13,12 @@ positions of the conclusion target.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .bisim import decide
 from .engine import DomainBound, reachable_pts
+from .errors import PtssError
 from .parser import PTSS, Rule
 from .terms import (
     Apply,
@@ -126,7 +127,7 @@ class FormatReport:
         )
 
 
-class ProbeError(Exception):
+class ProbeError(PtssError):
     """The congruence probe's preconditions do not hold."""
 
 
@@ -495,13 +496,7 @@ def congruence_probe(
     for c in contexts:
         for u, v in pairs:
             roots.extend((plug(c, u), plug(c, v)))
-    domain = DomainBound(
-        tuple(dict.fromkeys(roots)),
-        max_depth=bound.max_depth,
-        max_states=bound.max_states,
-        max_iterations=bound.max_iterations,
-    )
-    related = decide(kind, reachable_pts(p, domain)).related
+    related = decide(kind, reachable_pts(p, replace(bound, roots=tuple(dict.fromkeys(roots))))).related
     for u, v in pairs:
         if not related(u, v):
             raise ProbeError(

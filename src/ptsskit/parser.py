@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .errors import PtssError
 from .terms import (
     Apply,
     Convex,
@@ -53,7 +54,7 @@ class Diagnostic:
         return f"{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
-class ParseFailure(Exception):
+class ParseFailure(PtssError):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics) or "parse failed")
@@ -342,16 +343,23 @@ def _parse_raw_args(cur: _Cursor, depth: int) -> Optional[tuple[_Raw, ...]]:
     return tuple(args)
 
 
+def _too_long(cur: _Cursor, tok: Token) -> bool:
+    """Flag an integer longer than int() converts by default."""
+    if len(tok.text) > 4300:
+        cur.error("integer has more than 4300 digits", tok)
+    return len(tok.text) > 4300
+
+
 def _parse_weight(cur: _Cursor) -> Optional[Fraction]:
     tok = cur.expect("INT")
-    if tok is None:
+    if tok is None or _too_long(cur, tok):
         return None
     num = int(tok.text)
     nxt = cur.peek()
     if nxt is not None and nxt.kind == "PUNCT" and nxt.text == "/":
         cur.next()
         den = cur.expect("INT")
-        if den is None:
+        if den is None or _too_long(cur, den):
             return None
         if int(den.text) == 0:
             cur.error("weight denominator is zero", den)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Mapping, Optional, Union
 
+from .errors import PtssError
+
 
 class Sort(enum.Enum):
     STATE = "s"
@@ -25,7 +27,7 @@ class Sort(enum.Enum):
         return f"Sort.{self.name}"
 
 
-class SortError(Exception):
+class SortError(PtssError):
     """A term or substitution violates the sort discipline."""
 
 

@@ -300,7 +300,7 @@ def test_deeply_nested_root_is_a_diagnostic(tmp_path, capsys, n):
     path.write_text(f"# roots: {root}\n# expect complete: yes\n" + RUNNING_SPEC)
     code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
     assert code == EXIT_USAGE
-    assert f"{path}:1:{col}: {nested}" in out and "Traceback" not in out
+    assert f"{path}:1:{col + len('# roots: ')}: {nested}" in out and "Traceback" not in out
 
 
 @pytest.mark.parametrize("shape, levels", [
@@ -316,3 +316,107 @@ def test_terms_at_the_nesting_bound_run_through(capsys, shape, levels):
     assert code == EXIT_OK and "complete: yes" in out
     code, _, err = run_cli(capsys, "stable-model", spec, "--root", shape.format(root), "--max-depth", "5000")
     assert code == EXIT_USAGE and "levels deep" in err
+
+
+
+def _bad_input_files(tmp_path):
+    (tmp_path / "open_pairs.txt").write_text("x y\n")
+    (tmp_path / "pairs.txt").write_text("a.delta(0) a.delta(0)\n")
+    (tmp_path / "contexts.txt").write_text("+(_,0)\n")
+    (tmp_path / "dist_contexts.txt").write_text("delta(_)\n")
+    latin1 = RUNNING_SPEC.replace("running", "caf\xe9").encode("latin-1")
+    (tmp_path / "latin1.ptss").write_bytes(latin1)
+    (tmp_path / "dir.ptss").mkdir()
+    # corpus directories whose bad.ptss fails and whose good.ptss passes
+    for name in ("roots", "latin1", "dir", "states"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "good.ptss").write_text("# roots: 0\n# expect complete: yes\n" + RUNNING_SPEC)
+    (tmp_path / "roots" / "bad.ptss").write_text("# roots: x\n# expect complete: yes\n" + RUNNING_SPEC)
+    (tmp_path / "latin1" / "bad.ptss").write_bytes(latin1)
+    (tmp_path / "dir" / "bad.ptss").mkdir()
+    (tmp_path / "states" / "bad.pts").write_text("# expect bisim rooted s zz: yes\nstate s\n")
+
+
+_LONG_INT = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["pts", "{running}", "--root", "x"], "error: root must be a closed state term: x", id="open-root"),
+    pytest.param(["bisim", "{running}", "--kind", "branching", "delta(0)", "0"],
+                 "error: root must be a closed state term: delta(0)", id="distribution-root"),
+    pytest.param(["probe-congruence", "{running}", "--pairs", "{tmp}/open_pairs.txt", "--contexts",
+                  "{tmp}/contexts.txt"], "error: root must be a closed state term: x", id="open-pair"),
+    pytest.param(["probe-congruence", "{running}", "--pairs", "{tmp}/pairs.txt", "--contexts",
+                  "{tmp}/dist_contexts.txt"], "error: root must be a closed state term: delta(a.delta(0))",
+                 id="distribution-context"),
+    pytest.param(["pts", "{running}", "--root", "a.oplus{{" + _LONG_INT + ":delta(0)}}"],
+                 "--root 'a.oplus{{" + _LONG_INT + ":delta(0)}}':1:9: error: integer has more than 4300 digits",
+                 id="long-weight"),
+    pytest.param(["check-format", "{tmp}/latin1.ptss"], "cannot read {tmp}/latin1.ptss: 'utf-8' codec can't decode",
+                 id="non-utf8"),
+    pytest.param(["check-format", "{tmp}/dir.ptss"], "cannot read {tmp}/dir.ptss: [Errno 21] Is a directory",
+                 id="directory"),
+    pytest.param(["pts", "{running}", "--root", "0", "-o", "{tmp}/missing/x.pts"],
+                 "cannot write {tmp}/missing/x.pts: [Errno 2] No such file or directory", id="unwritable-out"),
+    pytest.param(["corpus-run", "{tmp}/roots"], "{tmp}/roots/bad.ptss: ERROR: root must be a closed state term: x",
+                 id="corpus-open-root"),
+    pytest.param(["corpus-run", "{tmp}/latin1"],
+                 "{tmp}/latin1/bad.ptss: ERROR: cannot read {tmp}/latin1/bad.ptss: 'utf-8'", id="corpus-non-utf8"),
+    pytest.param(["corpus-run", "{tmp}/dir"], "{tmp}/dir/bad.ptss: ERROR: cannot read {tmp}/dir/bad.ptss: [Errno 21]",
+                 id="corpus-directory"),
+    pytest.param(["corpus-run", "{tmp}/states"],
+                 "{tmp}/states/bad.pts: ERROR: {tmp}/states/bad.pts:1: unknown state 's' or 'zz'",
+                 id="corpus-unknown-state"),
+])
+def test_bad_input_is_a_one_line_diagnostic(tmp_path, capsys, argv, message):
+    _bad_input_files(tmp_path)
+    fill = {"tmp": tmp_path, "running": CORPUS / "running.ptss"}
+    argv = [arg.format(**fill) for arg in argv]
+    message = message.format(**fill)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    if argv[0] == "corpus-run":
+        # the bad file is marked and the run goes on to the next one
+        lines = out.splitlines()
+        assert lines[0].startswith(message) and err == ""
+        assert lines[1:] == [
+            f"{argv[1]}/good.ptss:2: complete: expected yes, got yes: PASS",
+            "summary: 1 expectations, 1 failed",
+        ]
+    else:
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+def test_corpus_run_probe_precondition_is_a_usage_error(tmp_path, capsys):
+    # the pair is not related before wrapping, so the probe's precondition
+    # fails: exit 2, as probe-congruence gives for it
+    (tmp_path / "p.ptss").write_text(
+        "# expect probe rooted +(_,0) a.delta(0) b.delta(0): ok\n" + RUNNING_SPEC
+    )
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert f"{tmp_path / 'p.ptss'}: ERROR: probe precondition failed" in out
+
+
+def test_term_diagnostics_give_the_column_in_the_file_line(tmp_path, capsys):
+    spec = str(CORPUS / "running.ptss")
+    _, _, err = run_cli(capsys, "pts", spec, "--root", "q(0)")
+    col = int(err.split(":")[2])  # the column of the error inside the term
+    files = {
+        "pairs.txt": "0 0\n", "bad_pairs.txt": "0 0\n  a.delta(0)   q(0)\n",
+        "contexts.txt": "+(_,0)\n", "bad_contexts.txt": "\n   q(0)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for pairs, contexts, bad, offset in [
+        ("bad_pairs.txt", "contexts.txt", "bad_pairs.txt", 15),
+        ("pairs.txt", "bad_contexts.txt", "bad_contexts.txt", 3),
+    ]:
+        code, _, err = run_cli(capsys, "probe-congruence", spec, "--pairs", str(tmp_path / pairs),
+                               "--contexts", str(tmp_path / contexts))
+        assert code == EXIT_USAGE and err.startswith(f"{tmp_path / bad}:2:{offset + col}: error:")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "x.ptss").write_text("  # expect bisim branching 0  q(0): yes\n" + RUNNING_SPEC)
+    code, out, _ = run_cli(capsys, "corpus-run", str(corpus))
+    assert code == EXIT_USAGE and f"ERROR: {corpus / 'x.ptss'}:1:{30 + col}: error:" in out

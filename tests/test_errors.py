@@ -1,0 +1,105 @@
+"""The error model: every exception class of the library is a `PtssError`,
+the command line catches exactly that, and no input ends in a traceback."""
+
+import ast
+import contextlib
+import importlib
+import io
+import pathlib
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ptsskit.bisim import KINDS
+from ptsskit.cli import main
+from ptsskit.engine import load_pts
+from ptsskit.errors import PtssError
+from ptsskit.parser import parse_spec
+from tests.conftest import CORPUS
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ptsskit"
+
+
+def test_every_exception_class_is_a_ptss_error():
+    seen = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("ptsskit" if path.stem == "__init__" else f"ptsskit.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)  # every class is defined at module level
+                if issubclass(cls, BaseException):
+                    assert issubclass(cls, PtssError), f"{path.name}: {node.name}"
+                    seen.append(node.name)
+    assert "ParseFailure" in seen and "BudgetExceededError" in seen and "CliError" not in seen
+
+
+def test_cli_entry_points_catch_only_ptss_error():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("main", "corpus_run"):
+        handlers = [n for n in ast.walk(functions[name]) if isinstance(n, ast.ExceptHandler)]
+        assert [ast.unparse(h.type) for h in handlers] == ["PtssError"], name
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+TEXTS = [path.read_text() for path in sorted(CORPUS.iterdir())]
+SMALL_PTS = [t for t in TEXTS if t.count("\nstate ") <= 6 and "\ntrans " in t]
+TERMS = ["0", "x", "a.delta(0)", "+(a.delta(0),0)", "b.oplus{1/2:delta(0),1/2:delta(a.delta(0))}",
+         "delta(0)", "t0", "t1", "u1", "stop"]
+NOISE = st.text(alphabet="(){}<>,.:;|-+/_#=~ \n\t01axyzsδé\x00", max_size=8)
+
+
+@st.composite
+def mutated(draw, sources):
+    """A source text with up to three slices deleted, duplicated or replaced by noise."""
+    text = draw(st.sampled_from(sources))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        text = text[:i] + draw(st.sampled_from(["", text[i:j] * 2, draw(NOISE)])) + text[j:]
+    return text
+
+
+TERM = st.one_of(st.sampled_from(TERMS), mutated(TERMS), NOISE)
+
+
+def _only_ptss_errors(parse, text):
+    try:
+        parse(text)
+    except PtssError:
+        pass
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(
+    spec=mutated(TEXTS),
+    pts=mutated(SMALL_PTS),
+    bad_byte=st.sampled_from([False] * 7 + [True]),
+    root=TERM,
+    s=TERM,
+    t=TERM,
+    kind=st.sampled_from(KINDS),
+    states=st.lists(st.sampled_from(["t0", "t1", "t2", "u1", "stop", "x"]), min_size=2, max_size=2),
+)
+def test_mutated_input_ends_in_a_verdict_or_a_diagnostic(tmp_path, spec, pts, bad_byte, root, s, t, kind, states):
+    _only_ptss_errors(parse_spec, spec)
+    _only_ptss_errors(load_pts, pts)
+    spec_path, pts_path = tmp_path / "spec.ptss", tmp_path / "aut.pts"
+    suffix = b"\xff" if bad_byte else b""
+    spec_path.write_bytes(spec.encode("utf-8", "surrogatepass") + suffix)
+    pts_path.write_bytes(pts.encode("utf-8", "surrogatepass"))
+    bounds = ["--max-depth", "4", "--max-states", "24", "--max-iterations", "8"]
+    runs = [
+        ["check-format", str(spec_path)],
+        ["pts", str(spec_path), f"--root={root}", *bounds],
+        ["bisim", "--kind", kind, *bounds, "--", str(spec_path), s, t],
+        ["bisim", "--kind", kind, "--", str(pts_path), *states],
+    ]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in out.getvalue() + err.getvalue()
