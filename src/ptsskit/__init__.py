@@ -4,10 +4,8 @@ a static checker for the congruence-safe rule format."""
 
 from .bisim import (
     EPSILON,
-    Scheduler,
     StateRelation,
     branching_bisim,
-    branching_bisim_scheduler_oracle,
     lift_check,
     prob_branching_bisim,
     rooted_branching_bisim,

@@ -4,6 +4,8 @@ Subcommands: check-format, stable-model, pts, bisim, probe-congruence,
 corpus-run.  Exit codes: 0 affirmative (format passes, states related, no
 probe violations, all expectations met), 1 negative, 2 usage or parse errors,
 3 bound or convergence failures.  All output is deterministically ordered.
+An error prints one `<where>: error: <message>` line per diagnostic, or
+`error: <message>` when it names no place.
 """
 
 from __future__ import annotations
@@ -40,15 +42,16 @@ def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise PtssError(f"cannot read {path}: {exc}")
+        raise PtssError(f"cannot read: {getattr(exc, 'strerror', None) or exc}", path)
 
 
 def _load(path: str, parse: Callable[[str], T]) -> T:
-    """Parse a file with `parse`; each diagnostic is prefixed with the path."""
+    """Parse a file with `parse`; an error that names no place is put at the path."""
     try:
         return parse(_read_file(path))
-    except ParseFailure as exc:
-        raise PtssError("\n".join(f"{path}:{d}" for d in exc.diagnostics))
+    except PtssError as exc:
+        exc.where = exc.where or path
+        raise
 
 
 # a term's text, the file or argument it came from, its line there, and its offset in that line
@@ -63,8 +66,7 @@ def _parse_terms(spec: PTSS, items: list[_TermText]) -> list[Term]:
         try:
             out.append(parse_term(text, spec.signature))
         except ParseFailure as exc:
-            msgs = "\n".join(f"{origin}:{line}:{offset + d.col}: {d.severity}: {d.message}" for d in exc.diagnostics)
-            raise PtssError(msgs or f"bad term {text!r}")
+            raise ParseFailure([replace(d, line=line, col=offset + d.col) for d in exc.diagnostics], origin)
     return out
 
 
@@ -167,7 +169,7 @@ def _cmd_pts(args: argparse.Namespace) -> int:
         try:
             Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise PtssError(f"cannot write {args.out}: {exc}")
+            raise PtssError(f"cannot write: {exc.strerror or exc}", args.out)
         _emit(f"wrote {len(pts.states)} states, {len(pts.transitions)} transitions to {args.out}")
     else:
         _emit(text)
@@ -180,7 +182,7 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
         pts = _load(path, load_pts)
         s, t = opaque_state(args.s), opaque_state(args.t)
         if not pts.has_state(s) or not pts.has_state(t):
-            raise PtssError(f"{path}: unknown state {args.s!r} or {args.t!r}")
+            raise PtssError(f"unknown state {args.s!r} or {args.t!r}", path)
     else:
         spec = _load(path, parse_spec)
         s, t = _parse_terms(spec, _args("argument s", [args.s]) + _args("argument t", [args.t]))
@@ -223,7 +225,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     for text, path, line_no, offset in _term_lines(args.pairs):
         parts = _words(text, path, line_no, offset)
         if len(parts) != 2:
-            raise PtssError(f"{path}:{line_no}: expected '<term> <term>' per line")
+            raise PtssError("expected '<term> <term>' per line", f"{path}:{line_no}")
         u, v = _parse_terms(spec, parts)
         pairs.append((u, v))
     contexts = _parse_terms(spec, _term_lines(args.contexts))
@@ -270,7 +272,7 @@ class Expectation:
 class FileOutcome:
     path: str
     rows: list[tuple[Expectation, str, bool]]
-    error: Optional[str] = None
+    error: Optional[str] = None  # the file's diagnostic lines
 
 
 def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_TermText]]:
@@ -284,18 +286,18 @@ def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_
         elif stripped.startswith("# expect "):
             body = stripped[len("# expect "):]
             if ":" not in body:
-                raise PtssError(f"{path}:{line_no}: malformed expectation (missing ':')")
+                raise PtssError("malformed expectation (missing ':')", f"{path}:{line_no}")
             head, expected = body.rsplit(":", 1)
             words = _words(head, path, line_no, indent + len("# expect "))
             expected = expected.strip()
             if not words or not expected:
-                raise PtssError(f"{path}:{line_no}: malformed expectation")
+                raise PtssError("malformed expectation", f"{path}:{line_no}")
             kind = words[0][0]
             detail = head.strip()[len(kind):].strip()
             if kind not in ("format", "violation", "complete", "bisim", "probe"):
-                raise PtssError(f"{path}:{line_no}: unknown expectation {kind!r}")
+                raise PtssError(f"unknown expectation {kind!r}", f"{path}:{line_no}")
             if kind in ("bisim", "probe") and detail and words[1][0] not in KINDS:
-                raise PtssError(f"{path}:{line_no}: unknown {kind} kind {words[1][0]!r}")
+                raise PtssError(f"unknown {kind} kind {words[1][0]!r}", f"{path}:{line_no}")
             if kind == "violation":
                 # payload sits after the colon: `# expect violation: <rule> <cond>`
                 detail, expected = expected, "present"
@@ -309,13 +311,13 @@ def _run_pts_expectations(path: str, text: str, expectations: list[Expectation])
     rows: list[tuple[Expectation, str, bool]] = []
     for exp in expectations:
         if exp.kind != "bisim":
-            raise PtssError(f"{path}:{exp.line}: only bisim expectations apply to .pts files")
+            raise PtssError("only bisim expectations apply to .pts files", f"{path}:{exp.line}")
         if len(exp.words) != 3:
-            raise PtssError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'")
+            raise PtssError("expected 'bisim <kind> <s> <t>'", f"{path}:{exp.line}")
         kind, sname, tname = (word[0] for word in exp.words)
         s, t = opaque_state(sname), opaque_state(tname)
         if not pts.has_state(s) or not pts.has_state(t):
-            raise PtssError(f"{path}:{exp.line}: unknown state {sname!r} or {tname!r}")
+            raise PtssError(f"unknown state {sname!r} or {tname!r}", f"{path}:{exp.line}")
         if kind not in decisions:
             decisions[kind] = decide(kind, pts)
         actual = "yes" if decisions[kind].related(s, t) else "no"
@@ -339,25 +341,25 @@ def _run_spec_expectations(
             try:
                 rule, cond = exp.detail.split()
             except ValueError:
-                raise PtssError(f"{path}:{exp.line}: expected 'violation: <rule> <cond>'")
+                raise PtssError("expected 'violation: <rule> <cond>'", f"{path}:{exp.line}")
             hit = any(v.rule == rule and v.condition == cond for v in report.all_violations())
             actual = "present" if hit else "absent"
             rows.append((exp, actual, actual == exp.expected))
             continue
         elif exp.kind == "complete":
             if not roots:
-                raise PtssError(f"{path}:{exp.line}: complete expectation needs '# roots:'")
+                raise PtssError("complete expectation needs '# roots:'", f"{path}:{exp.line}")
             complete, _ = is_complete(spec, replace(_CORPUS_BOUND, roots=roots))
             actual = "yes" if complete else "no"
         elif exp.kind == "bisim":
             if len(exp.words) != 3:
-                raise PtssError(f"{path}:{exp.line}: expected 'bisim <kind> <s> <t>'")
+                raise PtssError("expected 'bisim <kind> <s> <t>'", f"{path}:{exp.line}")
             s, t = _parse_terms(spec, exp.words[1:])
             pts = reachable_pts(spec, replace(_CORPUS_BOUND, roots=roots + (s, t)))
             actual = "yes" if decide(exp.words[0][0], pts).related(s, t) else "no"
         else:  # "probe", the last kind _parse_expectations admits
             if len(exp.words) != 4:
-                raise PtssError(f"{path}:{exp.line}: expected 'probe <kind> <context> <u> <v>'")
+                raise PtssError("expected 'probe <kind> <context> <u> <v>'", f"{path}:{exp.line}")
             context, u, v = _parse_terms(spec, exp.words[1:])
             violations = congruence_probe(spec, [(u, v)], [context], _CORPUS_BOUND, kind=exp.words[0][0])
             actual = "ok" if not violations else "fail"
@@ -368,12 +370,9 @@ def _run_spec_expectations(
 def _run_corpus_file(path: Path) -> FileOutcome:
     text = _read_file(str(path))
     expectations, roots = _parse_expectations(text, str(path))
-    try:
-        if path.suffix == ".pts":
-            return _run_pts_expectations(str(path), text, expectations)
-        return _run_spec_expectations(str(path), text, expectations, roots)
-    except ParseFailure as exc:
-        raise PtssError(f"{path}: {exc}")
+    if path.suffix == ".pts":
+        return _run_pts_expectations(str(path), text, expectations)
+    return _run_spec_expectations(str(path), text, expectations, roots)
 
 
 def corpus_run(directory: str) -> tuple[list[FileOutcome], int]:
@@ -381,7 +380,7 @@ def corpus_run(directory: str) -> tuple[list[FileOutcome], int]:
     error, else 1 if a file has any error or a failed expectation, else 0."""
     base = Path(directory)
     if not base.is_dir():
-        raise PtssError(f"not a directory: {directory}")
+        raise PtssError("not a directory", directory)
     outcomes: list[FileOutcome] = []
     usage_error = False
     for p in sorted(p for p in base.iterdir() if p.suffix in (".ptss", ".pts")):
@@ -389,7 +388,8 @@ def corpus_run(directory: str) -> tuple[list[FileOutcome], int]:
             outcomes.append(_run_corpus_file(p))
         except PtssError as exc:
             usage_error = usage_error or exc.exit_code == EXIT_USAGE
-            outcomes.append(FileOutcome(str(p), [], error=str(exc)))
+            exc.where = exc.where or str(p)
+            outcomes.append(FileOutcome(str(p), [], error="\n".join(exc.lines())))
     if usage_error:
         return outcomes, EXIT_USAGE
     mismatches = any(
@@ -406,7 +406,7 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
     lines = []
     for outcome in outcomes:
         if outcome.error is not None:
-            lines.append(f"{outcome.path}: ERROR: {outcome.error}")
+            lines.append(outcome.error)
             failed += 1
             continue
         for exp, actual, ok in outcome.rows:
@@ -508,8 +508,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except PtssError as exc:
-        # the front end's own messages say where they arose; the library's get a severity
-        print(exc if type(exc) is PtssError else f"error: {exc}", file=sys.stderr)
+        print("\n".join(exc.lines()), file=sys.stderr)
         return exc.exit_code
 
 

@@ -40,13 +40,13 @@ class Distribution:
         for term, p in items:
             p = Fraction(p)
             if p < 0:
-                raise EvalError(f"negative probability {p} for {render_term(term)}")
+                raise EvalError(f"negative probability for {render_term(term)}")
             if p == 0:
                 continue
             table[term] = table.get(term, Fraction(0)) + p
         total = sum(table.values(), Fraction(0))
         if total > 1:
-            raise EvalError(f"total mass {total} exceeds 1")
+            raise EvalError("total mass exceeds 1")
         self._table = table
         self._items = tuple(sorted(table.items(), key=lambda kv: render_term(kv[0])))
         self._total = total
@@ -100,7 +100,7 @@ def convex_combine(pairs: Iterable[tuple[Fraction, Distribution]]) -> Distributi
     pairs = [(Fraction(p), d) for p, d in pairs]
     for p, _ in pairs:
         if p <= 0:
-            raise EvalError(f"nonpositive weight {p} in convex combination")
+            raise EvalError("nonpositive weight in convex combination")
     if sum(p for p, _ in pairs) > 1:
         raise EvalError("convex combination weights exceed 1")
     items: list[tuple[Term, Fraction]] = []

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .distributions import Distribution, EvalError, evaluate
-from .errors import BoundError
-from .parser import PTSS, Diagnostic, ParseFailure, Rule
+from .errors import BoundError, brief
+from .parser import PTSS, Diagnostic, ParseFailure, Rule, read_weight
 from .terms import (
     FunctionSymbol,
     Sort,
@@ -378,20 +378,49 @@ def opaque_state(name: str) -> Term:
     return Apply(FunctionSymbol(name, (), Sort.STATE), ())
 
 
-def _split_balanced(text: str, sep: str) -> list[str]:
-    parts: list[str] = []
+def _split_balanced(text: str, sep: str, pos: int, end: int) -> list[tuple[int, int]]:
+    """The spans of text[pos:end] between the `sep`s outside brackets."""
+    spans: list[tuple[int, int]] = []
     depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "({":
+    for i in range(pos, end):
+        if text[i] in "({":
             depth += 1
-        elif ch in ")}":
+        elif text[i] in ")}":
             depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+        elif text[i] == sep and depth == 0:
+            spans.append((pos, i))
+            pos = i + 1
+    spans.append((pos, end))
+    return spans
+
+
+def _read_distribution(
+    code: str, line_no: int, states: dict[str, Term], diags: list[Diagnostic]
+) -> Optional[Distribution]:
+    """The `{ state: p, ... }` that ends `code`, or None after a diagnostic."""
+
+    def err(message: str) -> None:
+        diags.append(Diagnostic("error", message, line_no, 1))
+
+    items: list[tuple[Term, Fraction]] = []
+    for start, stop in _split_balanced(code, ",", code.index("{") + 1, code.rindex("}")):
+        if not code[start:stop].strip():
+            continue
+        pieces = _split_balanced(code, ":", start, stop)
+        if len(pieces) != 2:
+            return err(f"malformed distribution entry {code[start:stop].strip()!r}")
+        name = code[slice(*pieces[0])].strip()
+        if name not in states:
+            return err(f"undeclared state {name}")
+        prob = read_weight(code, line_no, diags, *pieces[1])
+        if prob is None:
+            return None
+        items.append((states[name], prob))
+    try:
+        dist = Distribution(items)
+    except EvalError as exc:
+        return err(str(exc))
+    return dist if dist.is_full else err(f"distribution mass is {brief(dist.total_mass)}, expected 1")
 
 
 def load_pts(text: str) -> PTS:
@@ -438,38 +467,8 @@ def load_pts(text: str) -> PTS:
             if problem is not None:
                 err(problem, line_no)
                 continue
-            items: list[tuple[Term, Fraction]] = []
-            bad = False
-            for chunk in _split_balanced(dist_text[1:-1], ","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                pieces = _split_balanced(chunk, ":")
-                if len(pieces) != 2:
-                    err(f"malformed distribution entry {chunk!r}", line_no)
-                    bad = True
-                    break
-                tname, ptext = pieces[0].strip(), pieces[1].strip()
-                if tname not in states:
-                    err(f"undeclared state {tname}", line_no)
-                    bad = True
-                    break
-                try:
-                    prob = Fraction(ptext)
-                except (ValueError, ZeroDivisionError):
-                    err(f"bad probability {ptext!r}", line_no)
-                    bad = True
-                    break
-                items.append((states[tname], prob))
-            if bad:
-                continue
-            try:
-                dist = Distribution(items)
-            except EvalError as exc:
-                err(str(exc), line_no)
-                continue
-            if not dist.is_full:
-                err(f"distribution mass is {dist.total_mass}, expected 1", line_no)
+            dist = _read_distribution(raw_line.split("#", 1)[0], line_no, states, diags)
+            if dist is None:
                 continue
             labels.add(label)
             transitions.append(PtsTransition(states[src_text], label, dist))

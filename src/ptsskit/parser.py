@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import PtssError
+from .errors import PtssError, brief
 from .terms import (
     Apply,
     Convex,
@@ -55,9 +55,14 @@ class Diagnostic:
 
 
 class ParseFailure(PtssError):
-    def __init__(self, diagnostics: list[Diagnostic]):
+    def __init__(self, diagnostics: list[Diagnostic], where: str = ""):
         self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics) or "parse failed")
+        super().__init__("; ".join(str(d) for d in self.diagnostics) or "parse failed", where)
+
+    def lines(self) -> list[str]:
+        # each diagnostic carries its line and column; `where` names the input
+        prefix = f"{self.where}:" if self.where else ""
+        return [prefix + str(d) for d in self.diagnostics] or super().lines()
 
 
 @dataclass(frozen=True)
@@ -107,22 +112,19 @@ class Token:
     col: int
 
 
-_TOKEN_KINDS = (
-    "WS", "COMMENT", "ARROW", "NARROW", "RARROW", "TURNSTILE", "METAVAR",
-    "IDENT", "INT", "PUNCT",
-)
-
-
-def _lex_line(text: str, line_no: int, diags: list[Diagnostic]) -> list[Token]:
+def _lex_line(
+    text: str, line_no: int, diags: list[Diagnostic], pos: int = 0, end: Optional[int] = None
+) -> list[Token]:
+    """The tokens of text[pos:end], with their columns in `text`."""
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    end = len(text) if end is None else end
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos, end)
         if m is None:
             diags.append(Diagnostic("error", f"unexpected character {text[pos]!r}", line_no, pos + 1))
             pos += 1
             continue
-        kind = next(k for k in _TOKEN_KINDS if m.group(k) is not None)
+        kind = m.lastgroup  # the alternative that matched: it closes after its label group
         if kind in ("ARROW", "NARROW"):
             label = m.group("alabel") if kind == "ARROW" else m.group("nlabel")
             tokens.append(Token(kind, label, line_no, m.start() + 1))
@@ -368,6 +370,22 @@ def _parse_weight(cur: _Cursor) -> Optional[Fraction]:
     return Fraction(num)
 
 
+def read_weight(text: str, line_no: int, diags: list[Diagnostic], pos: int, end: int) -> Optional[Fraction]:
+    """The weight that fills text[pos:end], read as an oplus weight is:
+    `INT` or `INT/INT`.  Anything else adds a diagnostic and gives None."""
+    seen = len(diags)
+    tokens = _lex_line(text, line_no, diags, pos, end)
+    if not tokens:  # nothing to point at but the end of the span
+        if len(diags) == seen:
+            diags.append(Diagnostic("error", "expected a probability", line_no, end + 1))
+        return None
+    cur = _Cursor(tokens, line_no, diags)
+    weight = _parse_weight(cur)
+    if weight is not None and not cur.at_end():
+        cur.error("a probability is an integer or p/q")
+    return weight if len(diags) == seen else None
+
+
 def _raw_expand(raw: _Raw, action: str) -> _Raw:
     if isinstance(raw, _RName):
         return raw
@@ -490,7 +508,7 @@ class _Resolver:
                 return None
             total = sum(raw.weights)
             if total != 1:
-                self.error(f"weights sum to {total}, expected 1", raw)
+                self.error(f"weights sum to {brief(total)}, expected 1", raw)
                 return None
             if any(w <= 0 for w in raw.weights):
                 self.error("weights must be positive", raw)

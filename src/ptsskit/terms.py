@@ -182,9 +182,8 @@ class Convex(_Node):
             raise SortError("oplus needs one weight per branch and at least one branch")
         if any(w <= 0 for w in weights):
             raise SortError("oplus weights must be positive")
-        total = sum(weights)
-        if total != 1:
-            raise SortError(f"oplus weights sum to {total}, expected 1")
+        if sum(weights) != 1:
+            raise SortError("oplus weights do not sum to 1")
         for arg in args:
             if term_sort(arg) is not Sort.DIST:
                 raise SortError(f"oplus branches must be distribution terms, got {render_term(arg)}")

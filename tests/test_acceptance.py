@@ -12,7 +12,6 @@ import pytest
 from ptsskit.bisim import (
     EPSILON,
     branching_bisim,
-    branching_bisim_scheduler_oracle,
     lift_check,
     prob_branching_bisim,
     weak_combined_reachable,
@@ -31,6 +30,7 @@ from ptsskit.format_check import check_format, congruence_probe, plug
 from ptsskit.parser import parse_spec, parse_term
 from tests.conftest import CORPUS
 from tests.genspecs import random_format_safe_spec, random_negative_free_spec, shallow_contexts
+from tests.reference_schedulers import branching_bisim_scheduler_oracle
 
 S_TEXT = "a.delta(b.delta(0))"
 T_TEXT = "a.delta(tau.delta(b.delta(0)))"

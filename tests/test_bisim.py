@@ -6,22 +6,24 @@ import pytest
 
 from ptsskit.bisim import (
     EPSILON,
-    Scheduler,
     branching_bisim,
-    branching_bisim_scheduler_oracle,
-    cone_probability,
     distinguishing_challenge,
-    execution_probability,
     lift_check,
     prob_branching_bisim,
     rooted_branching_bisim,
-    scheduler_weak_transition,
     weak_combined_reachable,
 )
 from ptsskit.distributions import Distribution
 from ptsskit.engine import DomainBound, load_pts, opaque_state, reachable_pts
 from ptsskit.parser import parse_term
 from tests.conftest import CORPUS
+from tests.reference_schedulers import (
+    Scheduler,
+    branching_bisim_scheduler_oracle,
+    cone_probability,
+    execution_probability,
+    scheduler_weak_transition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -442,7 +444,7 @@ def test_class_changing_tau_matched_by_actual_step(running, sig):
 
 
 def test_oracle_budget_error(tautree):
-    from ptsskit.bisim import BudgetExceededError
+    from tests.reference_schedulers import BudgetExceededError
 
     with pytest.raises(BudgetExceededError):
         branching_bisim_scheduler_oracle(tautree, max_len=6, budget=1)

@@ -5,8 +5,12 @@ import ast
 import contextlib
 import importlib
 import io
+import json
 import pathlib
+import select
+import subprocess
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +19,7 @@ from ptsskit.cli import main
 from ptsskit.engine import load_pts
 from ptsskit.errors import PtssError
 from ptsskit.parser import parse_spec
-from tests.conftest import CORPUS
+from tests.conftest import CORPUS, capped_python
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ptsskit"
 
@@ -30,7 +34,7 @@ def test_every_exception_class_is_a_ptss_error():
                 if issubclass(cls, BaseException):
                     assert issubclass(cls, PtssError), f"{path.name}: {node.name}"
                     seen.append(node.name)
-    assert "ParseFailure" in seen and "BudgetExceededError" in seen and "CliError" not in seen
+    assert "ParseFailure" in seen and "DomainBoundError" in seen and "CliError" not in seen
 
 
 def test_cli_entry_points_catch_only_ptss_error():
@@ -103,3 +107,65 @@ def test_mutated_input_ends_in_a_verdict_or_a_diagnostic(tmp_path, spec, pts, ba
             code = main(argv)
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# -- numeric fields of .pts text -------------------------------------------------
+
+# runs each command line it reads (one JSON list a line) and answers with its
+# exit code and output, so that each example gets a deadline without paying
+# for a fresh interpreter
+WORKER = """
+import contextlib, io, json, sys, traceback
+from ptsskit.cli import main
+for line in sys.stdin:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(json.loads(line))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = None
+    print(json.dumps([code, out.getvalue()]), flush=True)
+"""
+DEADLINE_S = 10
+
+DIGITS = st.one_of(st.text("0123456789", min_size=1, max_size=5), st.integers(4295, 4305).map("7".__mul__))
+NUMBER = st.one_of(
+    st.builds(
+        lambda *parts: "".join(parts),
+        st.sampled_from(["", "", "-", "+", " "]),
+        DIGITS,
+        st.one_of(st.just(""), DIGITS.map(".".__add__)),
+        st.sampled_from(["", "", "e5", "e99999", "E-999999999", "e+999999999"]),
+        st.one_of(st.just(""), st.just("/"), DIGITS.map("/".__add__)),
+    ),
+    st.sampled_from(["", "inf", "nan", "1_000", "0x1f", "1 / 2", "\u00bd", "\u0661/\u0662"]),
+)
+
+
+@pytest.fixture(scope="module")
+def cli_worker(tmp_path_factory):
+    with capped_python(["-c", WORKER], stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+        yield proc, tmp_path_factory.mktemp("numeric")
+        proc.kill()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(weights=st.lists(NUMBER, min_size=3, max_size=3), kind=st.sampled_from(KINDS))
+def test_numeric_fields_end_in_a_verdict_or_a_diagnostic_in_time(cli_worker, weights, kind):
+    proc, base = cli_worker
+    w1, w2, w3 = weights
+    path = base / "aut.pts"
+    path.write_text(f"state s\nstate t\ntrans s --a-> {{ t: {w1}, s: {w2} }}\ntrans t --tau-> {{ s: {w3} }}\n")
+    root = f"a.oplus{{{w1}:delta(0),{w2}:delta(b.delta(0))}}"
+    for argv in (["bisim", "--kind", kind, str(path), "s", "t"], ["pts", str(CORPUS / "running.ptss"), f"--root={root}"]):
+        proc.stdin.write(json.dumps(argv) + "\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], DEADLINE_S)
+        if not ready:
+            proc.kill()
+        assert ready, f"{argv} ran past {DEADLINE_S} s"
+        code, output = json.loads(proc.stdout.readline())
+        assert code in (0, 1, 2, 3) and "Traceback" not in output, (argv, output)
