@@ -11,22 +11,24 @@ Two scheduler-free deciders plus supporting machinery:
   followed by a one-step convex combination of equally labelled transitions;
   decided by exact-rational linear feasibility.
 
-Both compute the greatest symmetric relation by deleting violating pairs
-from the full relation.  Relation lifting is decided by exact max-flow.
-`rooted_branching_bisim` matches the initial steps of a pair strictly
-against the branching relation.  The scheduler-based definitions these
-characterizations are checked against live in the tests, as an oracle.
+Both refine a partition of the states by signatures (Groote & Vaandrager
+1990; Blom & Orzan 2003); lifting against a partition is equality of block
+masses.  `rooted_branching_bisim` matches the initial steps of a pair
+strictly against the branching relation.  The scheduler-based definitions
+and the pair-deleting fixpoint live in the tests, as oracles.
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
 kind once and answers relatedness, classes and a distinguishing witness, the
-last by running the kind's own per-pair check once more.
+last by running the kind's own per-pair check once more on the relation plus
+the queried pair, which lifts by exact max-flow.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .distributions import Distribution
 from .engine import PTS, PtsTransition
@@ -43,50 +45,42 @@ RelationLike = Union["StateRelation", Iterable[tuple[Term, Term]], Mapping[Term,
 
 
 class StateRelation:
-    """A set of state pairs with constant-time membership."""
+    """A symmetric relation on the states of a PTS, as each state's set of
+    partners.  The deciders' relations are equivalences, each class sharing
+    one set, except for the rare pbranching fixpoint that is not transitive."""
 
-    def __init__(self, states: Sequence[Term], pairs: Iterable[tuple[Term, Term]]):
+    def __init__(self, states: Sequence[Term], partners: Mapping[Term, frozenset[Term]]):
         self.states = tuple(states)
-        self.pairs = frozenset(pairs)
-        self._by_left: dict[Term, set[Term]] = {}
-        for s, t in self.pairs:
-            self._by_left.setdefault(s, set()).add(t)
+        self._by_left = dict(partners)
 
     def related(self, s: Term, t: Term) -> bool:
-        return (s, t) in self.pairs
+        return t in self.partners(s)
 
-    def partners(self, s: Term) -> set[Term]:
-        return self._by_left.get(s, set())
+    def partners(self, s: Term) -> frozenset[Term]:
+        return self._by_left.get(s, frozenset())
 
-    def is_symmetric(self) -> bool:
-        return all((t, s) in self.pairs for s, t in self.pairs)
+    @property
+    def pairs(self) -> frozenset[tuple[Term, Term]]:
+        """Every related pair, n² of them for one block."""
+        return frozenset((s, t) for s in self.states for t in self.partners(s))
 
     def is_equivalence(self) -> bool:
-        if not all((s, s) in self.pairs for s in self.states):
-            return False
-        if not self.is_symmetric():
-            return False
-        for s, t in self.pairs:
-            if not self._by_left.get(t, set()) <= self._by_left.get(s, set()):
-                return False
-        return True
+        return all(
+            s in self.partners(s) and all(self.partners(t) == self.partners(s) for t in self.partners(s))
+            for s in self.states
+        )
 
     def classes(self) -> tuple[tuple[Term, ...], ...]:
+        # each unseen state with its partners, in the order of `states`
+        index = {s: i for i, s in enumerate(self.states)}
         seen: set[Term] = set()
         out: list[tuple[Term, ...]] = []
-        for s in sorted(self.states, key=render_term):
-            if s in seen:
-                continue
-            block = sorted(self.partners(s) | {s}, key=render_term)
-            seen.update(block)
-            out.append(tuple(block))
+        for s in self.states:
+            if s not in seen:
+                block = sorted(self.partners(s) | {s}, key=index.__getitem__)
+                seen.update(block)
+                out.append(tuple(block))
         return tuple(out)
-
-    def __contains__(self, pair: tuple[Term, Term]) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def _partners_map(rel: RelationLike) -> Mapping[Term, set]:
@@ -180,12 +174,14 @@ def _flow_rows(
     tag: str,
     leave: bool = True,
     enter: bool = True,
-    rows: Optional[dict[Term, dict]] = None,
-) -> dict[Term, dict]:
+    rows: Optional[dict[Hashable, dict]] = None,
+    at: Optional[Mapping[Term, Hashable]] = None,
+) -> dict[Hashable, dict]:
     """Flow conservation, one row of coefficients per state: the occupation
     variable (tag, i) of the i-th transition tr counts 1 in the row of tr's
     source if `leave`, and -p in the row of each state that tr reaches with
-    probability p if `enter`.  Adds to `rows` when given."""
+    probability p if `enter` (in the row `at[state]` when `at` is given).
+    Adds to `rows` when given, making the rows it lacks."""
     if rows is None:
         rows = {u: {} for u in states}
     for i, tr in enumerate(transitions):
@@ -193,34 +189,88 @@ def _flow_rows(
             rows[tr.source][tag, i] = 1
         if enter:
             for u, p in tr.target.items():
-                rows[u][tag, i] = rows[u].get((tag, i), 0) - p
+                row = rows.setdefault(u if at is None else at[u], {})
+                row[tag, i] = row.get((tag, i), 0) - p
     return rows
 
 
 # ---------------------------------------------------------------------------
-# Greatest-fixpoint computation shared by the deciders
+# Partition refinement shared by the deciders
+
+def _partition(pts: PTS, signing: Callable[[PTS, dict[Term, int], list[Term]], list]) -> StateRelation:
+    """The coarsest partition in which no block splits by `signing`, the
+    signatures of a block's members against the blocks (state -> id).  A
+    round re-signs the blocks that split in the round before and those with
+    a member stepping into one.  The first part of a split keeps its id."""
+    states = sorted(pts.states, key=render_term)
+    block = dict.fromkeys(states, 0)
+    members = [states]
+    sources: dict[Term, set[Term]] = {}
+    for tr in pts.transitions:
+        for u in tr.target.support:
+            sources.setdefault(u, set()).add(tr.source)
+    dirty = {0}
+    while dirty:
+        split = []
+        for b in sorted(dirty):
+            parts: dict[Hashable, list[Term]] = {}
+            for x, sig in zip(members[b], signing(pts, block, members[b])):
+                parts.setdefault(sig, []).append(x)
+            if len(parts) > 1:
+                members[b], *rest = parts.values()
+                split.append(b)
+                for part in rest:
+                    split.append(len(members))
+                    block.update(dict.fromkeys(part, len(members)))
+                    members.append(part)
+        dirty = {block[u] for b in split for x in members[b] for u in sources.get(x, ())}
+        dirty.update(split)
+    sets = [frozenset(ms) for ms in members]
+    return StateRelation(states, {s: sets[block[s]] for s in states})
+
+
+def _masses(block: Mapping[Term, Hashable], d: Distribution) -> frozenset[tuple[Hashable, Fraction]]:
+    """The block masses of `d`: each block with d(block)."""
+    acc: dict[Hashable, Fraction] = {}
+    for u, p in d.items():
+        b = block[u]
+        acc[b] = acc[b] + p if b in acc else p
+    return frozenset(acc.items())
+
+
+def _steps(pts: PTS, block: Mapping[Term, int], members: list[Term]) -> tuple[dict, dict]:
+    """Each member's moves, the (label, block masses) of its non-inert steps,
+    and its inert steps: tau-steps whose support lies in its block."""
+    moves: dict[Term, set] = {}
+    inert: dict[Term, list[PtsTransition]] = {}
+    for x in members:
+        moves[x], inert[x], b = set(), [], block[x]
+        for tr in pts.outgoing(x):
+            if tr.label == "tau" and all(block[u] == b for u in tr.target.support):
+                inert[x].append(tr)
+            else:
+                moves[x].add((tr.label, _masses(block, tr.target)))
+    return moves, inert
+
+
+def _inert_reach(inert: Mapping[Term, list], x: Term) -> list[Term]:
+    """The states `x` reaches through `inert` steps, `x` first; a step
+    reaches every state of its support."""
+    reach, seen = [x], {x}
+    for u in reach:
+        for tr in inert[u]:
+            for v in tr.target.support:
+                if v not in seen:
+                    seen.add(v)
+                    reach.append(v)
+    return reach
+
+
+# ---------------------------------------------------------------------------
+# The per-pair checks, against any relation: witnesses and the last pbranching sweeps
 
 # A per-pair check: the first challenge of `s` that `t` fails to match, or None.
 PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
-
-
-def _refine(pts: PTS, make_check: Callable[[PTS, Mapping[Term, set]], PairCheck]) -> StateRelation:
-    states = sorted(pts.states, key=render_term)
-    pairs = {(s, t) for s in states for t in states}
-    while True:
-        table: dict[Term, set] = {}
-        for s, t in pairs:
-            table.setdefault(s, set()).add(t)
-        check = make_check(pts, table)
-        matched = {
-            pair
-            for pair in sorted(pairs, key=lambda p: (render_term(p[0]), render_term(p[1])))
-            if check(*pair) is None
-        }
-        new_pairs = {(s, t) for (s, t) in matched if (t, s) in matched}
-        if new_pairs == pairs:
-            return StateRelation(states, pairs)
-        pairs = new_pairs
 
 
 def _inert(rel: Mapping[Term, set], s: Term, t: Term, tr: PtsTransition) -> bool:
@@ -256,30 +306,25 @@ def _first_unmatched(
 
 # -- scheduler-free branching bisimulation ----------------------------------
 
-def _cached_lift(rel: Mapping[Term, set]) -> Callable[[Distribution, Distribution], bool]:
-    # the relation table is fixed within one refinement sweep
-    cache: dict[tuple[Distribution, Distribution], bool] = {}
-
-    def check(d1: Distribution, d2: Distribution) -> bool:
-        key = (d1, d2)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = lift_check(rel, d1, d2)
-        return hit
-
-    return check
-
-
 def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
-    lift = _cached_lift(rel)
+    lift = functools.cache(functools.partial(lift_check, rel))  # the relation is fixed within one sweep
     return _first_unmatched(
         pts, rel, lambda s, tr, t: _execution_match(pts, rel, s, tr, t, lift)
     )
 
 
+def _branching_signatures(pts: PTS, block: Mapping[Term, int], members: list[Term]) -> list[Hashable]:
+    # what x can do after inert steps: the non-inert moves of every state it reaches
+    moves, inert = _steps(pts, block, members)
+    return [
+        frozenset().union(*(moves[u] for u in _inert_reach(inert, x))) if inert[x] else frozenset(moves[x])
+        for x in members
+    ]
+
+
 def branching_bisim(pts: PTS) -> StateRelation:
     """Greatest branching bisimulation, computed without schedulers."""
-    return _refine(pts, _branching_check)
+    return _partition(pts, _branching_signatures)
 
 
 def _execution_match(
@@ -326,10 +371,84 @@ def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     return _first_unmatched(pts, rel, matched)
 
 
+def _pbranching_signatures(
+    pts: PTS, block: Mapping[Term, int], members: list[Term], stay: bool = True
+) -> list[Hashable]:
+    # the non-inert moves of the block that t matches; t matches its own
+    moves, inert = _steps(pts, block, members)
+    candidates = set().union(*moves.values())
+    sigs = []
+    for t in members:
+        reach = _inert_reach(inert, t)
+        steps = [tr for u in reach for tr in inert[u]]
+        sigs.append(frozenset(
+            c for c in candidates if c in moves[t] or _block_match(pts, block, t, reach, steps, *c, stay)
+        ))
+    return sigs
+
+
 def prob_branching_bisim(pts: PTS) -> StateRelation:
     """Greatest probabilistic branching bisimulation: combined matching via an
-    allowed weak tau-step followed by a one-step convex combination."""
-    return _refine(pts, _pbranching_check)
+    allowed weak tau-step followed by a one-step convex combination.
+
+    One state of a related pair may mix an inert tau-step into a combination
+    where the other cannot, so the signatures let a unit stay put instead.
+    Unless each member then matches every move of its block without staying
+    put, sweeps of the per-pair check delete the pairs of a block that fail;
+    the pairs they keep need not be transitive."""
+    rel = _partition(pts, _pbranching_signatures)
+    block = {s: i for i, c in enumerate(rel.classes()) for s in c}
+    if all(len(set(_pbranching_signatures(pts, block, list(c), False))) == 1 for c in rel.classes()):
+        return rel
+    table = {u: set(rel.partners(u)) for u in rel.states}
+    while True:
+        check = _pbranching_check(pts, table)
+        failed = [(s, t) for s in rel.states for t in table[s] if s != t and check(s, t) is not None]
+        if not failed:
+            return StateRelation(rel.states, {s: frozenset(table[s]) for s in rel.states})
+        for s, t in failed:
+            table[s].discard(t)
+            table[t].discard(s)
+
+
+def _block_match(
+    pts: PTS, block: Mapping[Term, int], t: Term, reach: list, inert: list, label: str, masses: frozenset, stay: bool
+) -> bool:
+    """`_combined_match` against a partition: a weak phase over the inert
+    steps among the states `t` reaches by them, then a convex choice of
+    `label` steps, or for tau and `stay` of staying put, whose combined
+    target has the given block masses."""
+    steps = [tr for u in reach for tr in pts.outgoing(u, label)]
+    stay = stay and label == "tau"
+    # staying alone never leaves the block; t's one step is its own move, tried by the caller
+    if not steps or (not inert and not stay and len(steps) == 1):
+        return False
+    sys = _weak_then_step(reach, inert, steps, t, stay)
+    want = dict(masses)
+    lift = _flow_rows((), steps, "y", leave=False, rows={b: {} for b in want}, at=block)
+    if stay:
+        lift.setdefault(block[t], {}).update({("stay", u): -1 for u in reach})
+    for b, coeffs in lift.items():
+        sys.add_equation(coeffs, -want.get(b, 0))
+    return sys.is_feasible()
+
+
+def _weak_then_step(
+    states: Sequence[Term], weak: Sequence[PtsTransition], steps: Sequence[PtsTransition], t: Term, stay: bool = False
+) -> LinearSystem:
+    """The rows both combined matches share: occupation x of the `weak`
+    steps from `t` and sigma, the mass stopped at each state; every stopped
+    unit then takes exactly one of `steps` (y) or, with `stay`, stays put."""
+    sys = LinearSystem()
+    for u, coeffs in _flow_rows(states, weak, "x").items():
+        coeffs[("sigma", u)] = 1
+        sys.add_equation(coeffs, 1 if u == t else 0)
+    for u, coeffs in _flow_rows(states, steps, "y", enter=False).items():
+        coeffs[("sigma", u)] = -1
+        if stay:
+            coeffs[("stay", u)] = 1
+        sys.add_equation(coeffs, 0)
+    return sys
 
 
 def _combined_match(
@@ -347,15 +466,8 @@ def _combined_match(
     steps = [tr for tr in pts.transitions if tr.label == label]
     if not steps:
         return False
-    sys = LinearSystem()
-    # weak tau phase: occupation x over preserving transitions, sigma = stop mass
-    for u, coeffs in _flow_rows(pts.states, preserving, "x").items():
-        coeffs[("sigma", u)] = 1
-        sys.add_equation(coeffs, 1 if u == t else 0)
-    # every stopped unit takes exactly one label-step (convex per state)
-    for u, coeffs in _flow_rows(pts.states, steps, "y", enter=False).items():
-        coeffs[("sigma", u)] = -1
-        sys.add_equation(coeffs, 0)
+    # a weak tau phase inside the preserving set, then one label-step per stopped unit
+    sys = _weak_then_step(pts.states, preserving, steps, t)
     # lifting of pi_s against the resulting distribution
     for p in pi_s.support:
         coeffs = {("w", p, v): 1 for v in pts.states if v in rel.get(p, set())}
@@ -377,10 +489,8 @@ def _rooted_challenge(
     by one equally labelled step with a `bb`-lifted target."""
     for x, y in ((s, t), (t, s)):
         for tr in pts.outgoing(x):
-            if not any(
-                lift_check(bb, tr.target, other.target)
-                for other in pts.outgoing(y, tr.label)
-            ):
+            want = _masses(bb._by_left, tr.target)
+            if not any(_masses(bb._by_left, other.target) == want for other in pts.outgoing(y, tr.label)):
                 return x, tr
     return None
 

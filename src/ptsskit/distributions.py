@@ -43,7 +43,10 @@ class Distribution:
                 raise EvalError(f"negative probability for {render_term(term)}")
             if p == 0:
                 continue
-            table[term] = table.get(term, Fraction(0)) + p
+            q = table[term] = table.get(term, Fraction(0)) + p
+            # an int of over 14,284 bits has 4,300 digits or more, the most str() prints
+            if q.denominator.bit_length() > 14284:
+                raise EvalError("a probability has 4300 digits or more")
         total = sum(table.values(), Fraction(0))
         if total > 1:
             raise EvalError("total mass exceeds 1")

@@ -16,11 +16,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Mapping, Optional
 
-from ptsskit.bisim import EPSILON, StateRelation, lift_check
+from ptsskit.bisim import EPSILON, lift_check
 from ptsskit.distributions import Distribution
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.errors import BoundError
 from ptsskit.terms import Term, render_term
+from tests.reference_refine import PairRelation
 
 
 class BudgetExceededError(BoundError):
@@ -131,7 +132,7 @@ def scheduler_weak_transition(
 
 def branching_bisim_scheduler_oracle(
     pts: PTS, max_len: int = 6, budget: int = 200_000
-) -> StateRelation:
+) -> PairRelation:
     """Brute-force scheduler-based branching bisimulation: weak tau prefixes
     and final steps range over deterministic schedulers of length <= max_len.
     Intended as an independent cross-check on small systems.
@@ -168,7 +169,7 @@ def branching_bisim_scheduler_oracle(
                 if holds(*pair)}
         new_pairs = {(s, t) for s, t in kept if (t, s) in kept}
         if new_pairs == pairs:
-            return StateRelation(states, pairs)
+            return PairRelation(states, pairs)
         pairs = new_pairs
 
 

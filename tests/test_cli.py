@@ -452,3 +452,35 @@ def test_term_diagnostics_give_the_column_in_the_file_line(tmp_path, capsys):
     (corpus / "x.ptss").write_text("  # expect bisim branching 0  q(0): yes\n" + RUNNING_SPEC)
     code, out, _ = run_cli(capsys, "corpus-run", str(corpus))
     assert code == EXIT_USAGE and f"{corpus / 'x.ptss'}:1:{30 + col}: error:" in out
+
+
+def _capped_cli(argv, cwd, seconds):
+    """`ptsskit` in a fresh, memory-capped interpreter, killed after `seconds`."""
+    with capped_python(["-m", "ptsskit.cli", *argv], cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            out, err = proc.communicate(timeout=seconds)
+        finally:
+            proc.kill()
+    return proc.returncode, out, err
+
+
+def test_probability_of_4300_digits_is_a_diagnostic(tmp_path):
+    # each weight has 3,000 digits, which the parser accepts; the lifted
+    # ^g(mu,mu) of rule f_a squares the denominators, and a 6,000-digit
+    # probability has no str for the sort key or the output
+    root = f"f(a.oplus{{1/{_A}:delta(b.delta(0)),{_A - 1}/{_A}:delta(c.delta(0))}})"
+    argv = ["pts", str(CORPUS / "final_pb.ptss"), "--root", root]
+    assert _capped_cli(argv, tmp_path, 20) == (EXIT_USAGE, "", "error: a probability has 4300 digits or more\n")
+
+
+@pytest.mark.parametrize("kind", ["branching", "rooted"])
+def test_bisim_on_a_401_state_chain_finishes(tmp_path, kind):
+    # the pair-deleting fixpoint re-checked all 401² pairs on each of 400
+    # sweeps and did not finish in 120 s
+    root = "0"
+    for _ in range(400):
+        root = f"a.delta({root})"
+    argv = ["bisim", str(CORPUS / "running.ptss"), "--kind", kind, root, root, "--max-depth", "5000"]
+    code, out, err = _capped_cli(argv, tmp_path, 20)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith(": YES\n") and out.count("class: ") == (401 if kind == "branching" else 0)

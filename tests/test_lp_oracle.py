@@ -4,7 +4,9 @@
 Random systems come from a fixed-seed hypothesis run; they include zero rows,
 duplicated and rank-deficient rows, negative right-hand sides, infeasible and
 degenerate systems, and 30-digit numerators and denominators.  Every LP that
-`corpus-run` makes on the corpus is replayed against the oracle as well.
+`corpus-run` makes on the corpus, and every LP of the pair-deleting
+pbranching fixpoint (`tests/reference_refine.py`) on the corpus `.pts`
+files, is replayed against the oracle as well.
 """
 
 import io
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 from ptsskit import lp
 from ptsskit.cli import main
-from tests import reference_lp
+from ptsskit.engine import load_pts
+from tests import reference_lp, reference_refine
 from tests.conftest import CORPUS
 
 F = Fraction
@@ -104,7 +107,9 @@ def test_negative_right_hand_sides():
 
 
 def corpus_lps():
-    """Every LP `corpus-run` makes on each corpus file, with no repeats."""
+    """Every LP `corpus-run` makes on each corpus file, and every LP of the
+    pair-deleting pbranching fixpoint on each corpus `.pts` file, which has a
+    `w` variable per related pair, with no repeats."""
     seen = {}
     solve = lp.LinearSystem.is_feasible
 
@@ -117,12 +122,14 @@ def corpus_lps():
         mp.setattr(lp.LinearSystem, "is_feasible", capture)
         with redirect_stdout(io.StringIO()):
             main(["corpus-run", str(CORPUS)])
+        for path in sorted(CORPUS.glob("*.pts")):
+            reference_refine.prob_branching_bisim(load_pts(path.read_text()))
     return list(seen.values())
 
 
 def test_corpus_lps_match_dense_reference():
     lps = corpus_lps()
-    assert len(lps) > 100  # final_pb.ptss and mixed_choice.pts
+    assert len(lps) > 100  # mostly the pair-deleting fixpoint's
     for rows, rhs in lps:
         assert lp.feasible(rows, rhs) == reference_lp.feasible(reference_lp.dense(rows), rhs)
 
