@@ -202,7 +202,7 @@ def _partition(pts: PTS, signing: Callable[[PTS, dict[Term, int], list[Term]], l
     signatures of a block's members against the blocks (state -> id).  A
     round re-signs the blocks that split in the round before and those with
     a member stepping into one.  The first part of a split keeps its id."""
-    states = sorted(pts.states, key=render_term)
+    states = list(pts.states)  # in text order
     block = dict.fromkeys(states, 0)
     members = [states]
     sources: dict[Term, set[Term]] = {}

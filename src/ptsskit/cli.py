@@ -11,6 +11,7 @@ An error prints one `<where>: error: <message>` line per diagnostic, or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -450,6 +451,7 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptsskit",
@@ -503,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except PtssError as exc:

@@ -26,6 +26,9 @@ from .terms import (
 )
 
 
+_ONE = Fraction(1)
+
+
 class EvalError(PtssError):
     """A distribution term cannot be evaluated (open, ill-sorted, ...)."""
 
@@ -56,7 +59,9 @@ class Distribution:
 
     @staticmethod
     def dirac(term: Term) -> "Distribution":
-        return Distribution([(term, Fraction(1))])
+        point = object.__new__(Distribution)  # a point mass needs none of the checks
+        point._table, point._items, point._total = {term: _ONE}, ((term, _ONE),), _ONE
+        return point
 
     @property
     def support(self) -> tuple[Term, ...]:
@@ -120,38 +125,51 @@ def evaluate(theta: Term) -> Distribution:
     assigns to f(xi_1..xi_n) the product of the argument probabilities over
     f's state-sorted positions, with the dist-sorted positions required to
     equal the corresponding arguments of ^f syntactically (empty product = 1).
+    The walk is iterative: a node is evaluated after the arguments it sums
+    or multiplies.
     """
-    if isinstance(theta, (StateVar, DistVar)):
-        raise EvalError(f"cannot evaluate open term {render_term(theta)}")
+    value: dict[Term, Distribution] = {}
+    stack = [theta]
+    while stack:
+        t = stack[-1]
+        if isinstance(t, (StateVar, DistVar)):
+            raise EvalError(f"cannot evaluate open term {render_term(t)}")
+        if isinstance(t, Apply) and not t.symbol.is_lifted:
+            raise EvalError(f"{t.symbol.name} is not a distribution operator")
+        if isinstance(t, Apply):
+            args = [a for a, s in zip(t.args, t.symbol.origin.arg_sorts) if s is Sort.STATE]
+        else:
+            args = t.args if isinstance(t, Convex) else ()
+        pending = [a for a in args if a not in value]
+        if pending:
+            stack += reversed(pending)
+        else:
+            value[stack.pop()] = _evaluate_node(t, [value[a] for a in args])
+    return value[theta]
+
+
+def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:
+    """The value of `theta`, given the values of its arguments in `evaluate`."""
     if isinstance(theta, Dirac):
         if not is_closed(theta.inner):
             raise EvalError(f"cannot evaluate open term {render_term(theta)}")
         return Distribution.dirac(theta.inner)
     if isinstance(theta, Convex):
-        return convex_combine([(w, evaluate(a)) for w, a in zip(theta.weights, theta.args)])
-    if isinstance(theta, Apply):
-        sym = theta.symbol
-        if not sym.is_lifted:
-            raise EvalError(f"{sym.name} is not a distribution operator")
-        origin = sym.origin
-        assert origin is not None
-        state_pos = [i for i, s in enumerate(origin.arg_sorts) if s is Sort.STATE]
-        arg_dists = {i: evaluate(theta.args[i]) for i in state_pos}
-        for j, s in enumerate(origin.arg_sorts):
-            if s is Sort.DIST and not is_closed(theta.args[j]):
-                raise EvalError(f"cannot evaluate open term {render_term(theta)}")
-        items: list[tuple[Term, Fraction]] = []
-        for combo in product(*(arg_dists[i].items() for i in state_pos)):
-            picked = dict(zip(state_pos, combo))
-            args = tuple(
-                picked[i][0] if i in picked else theta.args[i] for i in range(origin.rank)
-            )
-            p = Fraction(1)
-            for _, q in combo:
-                p *= q
-            items.append((Apply(origin, args), p))
-        result = Distribution(items)
-        if not result.is_full:
-            raise EvalError(f"evaluation of {render_term(theta)} lost mass")
-        return result
-    raise EvalError(f"not a distribution term: {theta!r}")
+        return convex_combine(zip(theta.weights, dists))
+    if not isinstance(theta, Apply):
+        raise EvalError(f"not a distribution term: {theta!r}")
+    origin = theta.symbol.origin
+    if any(s is Sort.DIST and not is_closed(a) for a, s in zip(theta.args, origin.arg_sorts)):
+        raise EvalError(f"cannot evaluate open term {render_term(theta)}")
+    items: list[tuple[Term, Fraction]] = []
+    for combo in product(*(d.items() for d in dists)):
+        picked = iter(combo)
+        args = tuple(next(picked)[0] if s is Sort.STATE else a for a, s in zip(theta.args, origin.arg_sorts))
+        p = _ONE
+        for _, q in combo:
+            p *= q
+        items.append((Apply(origin, args), p))
+    result = Distribution(items)
+    if not result.is_full:
+        raise EvalError(f"evaluation of {render_term(theta)} lost mass")
+    return result

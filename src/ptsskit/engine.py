@@ -2,16 +2,19 @@
 extraction of the associated probabilistic transition system.
 
 The certain/possible pair (CT, PT) is iterated from (empty, everything):
-each step re-derives all transitions bottom-up, checking negative premises
+each step derives the transitions bottom-up, checking negative premises
 against the opposite component of the previous step.  The initial "possible
 everything" relation is never materialized; a negative literal holds in it
-only when no rule conclusion could ever produce a matching transition.
+only when no rule conclusion could ever produce a matching transition.  The
+domain closure derives PT0 once, extending one derivation as the domain
+grows, and a spec without negative premises derives nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Optional
 
 from .distributions import Distribution, EvalError, evaluate
@@ -23,7 +26,6 @@ from .terms import (
     SortError,
     Term,
     Apply,
-    Dirac,
     is_closed,
     match,
     render_term,
@@ -37,7 +39,9 @@ class DomainBoundError(BoundError):
     def __init__(self, term: Term, reason: str):
         self.term = term
         self.reason = reason
-        super().__init__(f"{reason}: {render_term(term)}")
+        text = render_term(term)
+        text = text if len(text) <= 200 else text[:200] + "..."
+        super().__init__(f"{reason}: {text} (depth {term.depth})")
 
 
 class RuleInstantiationError(BoundError):
@@ -99,12 +103,17 @@ class PtsTransition:
 
 @dataclass(frozen=True)
 class PTS:
+    """States and transitions are kept in text order, transitions without repeats."""
+
     states: tuple[Term, ...]
     actions: tuple[str, ...]
     transitions: tuple[PtsTransition, ...]
     _outgoing: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "states", tuple(sorted(self.states, key=render_term)))
+        order = sorted(set(self.transitions), key=lambda t: (render_term(t.source), t.label, repr(t.target)))
+        object.__setattr__(self, "transitions", tuple(order))
         out: dict[Term, list[PtsTransition]] = {s: [] for s in self.states}
         for tr in self.transitions:
             out[tr.source].append(tr)
@@ -127,28 +136,35 @@ class PTS:
 # Rule instantiation
 
 class _Derived:
-    """The transitions derived so far, indexed two ways: targets by
-    (source, label), for premises whose source is closed once substituted,
-    and (source, target) pairs by label, for the open ones."""
+    """The transitions derived so far, in the order derived, and an index:
+    targets by (source, label), for premises whose source is closed once
+    substituted, and (source, target) pairs by label, for the open ones.  An
+    index entry remembers the sources whose rule instances read it; a
+    transition added to it marks them dirty."""
 
     def __init__(self) -> None:
-        self.all: set[SymbolicTransition] = set()
-        self.by_source: dict[tuple[Term, str], list[Term]] = {}
-        self.by_label: dict[str, list[tuple[Term, Term]]] = {}
+        self.all: dict[SymbolicTransition, None] = {}
+        self.index: dict[object, list] = {}
+        self.readers: dict[object, set[Term]] = {}
+        self.dirty: set[Term] = set()
 
-    def add(self, tr: SymbolicTransition) -> bool:
-        if tr in self.all:
-            return False
-        self.all.add(tr)
-        self.by_source.setdefault((tr.source, tr.label), []).append(tr.target)
-        self.by_label.setdefault(tr.label, []).append((tr.source, tr.target))
-        return True
+    def read(self, key: object, reader: Term) -> list:
+        self.readers.setdefault(key, set()).add(reader)
+        return self.index.get(key, ())
+
+    def add(self, tr: SymbolicTransition) -> None:
+        if tr not in self.all:
+            self.all[tr] = None
+            for key, entry in (((tr.source, tr.label), tr.target), (tr.label, (tr.source, tr.target))):
+                self.index.setdefault(key, []).append(entry)
+                self.dirty.update(self.readers.get(key, ()))
 
 
 def _solve_positives(
     rho: dict[str, Term],
     premises: tuple[tuple[Term, str, Term], ...],
     derived: _Derived,
+    reader: Term,
 ) -> list[dict[str, Term]]:
     solutions = [rho]
     for psrc, label, ptgt in premises:
@@ -157,12 +173,12 @@ def _solve_positives(
             src = substitute(sub, psrc)
             tgt_pat = substitute(sub, ptgt)
             if src.closed:  # one lookup, and nothing to match the source against
-                for theta in derived.by_source.get((src, label), ()):
+                for theta in derived.read((src, label), reader):
                     m = match(tgt_pat, theta)
                     if m is not None:
                         grown.append({**sub, **m})
                 continue
-            for u, theta in derived.by_label.get(label, ()):
+            for u, theta in derived.read(label, reader):
                 m1 = match(src, u)
                 if m1 is None:
                     continue
@@ -186,8 +202,7 @@ def _rule_instances(
         rho0 = match(rule.source, src)
         if rho0 is None:
             continue
-        for rho in _solve_positives(rho0, rule.pos_premises, derived):
-            ok = True
+        for rho in _solve_positives(rho0, rule.pos_premises, derived, src):
             for nsrc, nlabel in rule.neg_premises:
                 inst = substitute(rho, nsrc)
                 if not inst.closed:
@@ -196,63 +211,55 @@ def _rule_instances(
                         f"has unbound variables"
                     )
                 if not neg_holds(inst, nlabel):
-                    ok = False
                     break
-            if not ok:
-                continue
-            target = substitute(rho, rule.target)
-            if not target.closed:
-                raise RuleInstantiationError(
-                    f"rule {rule.name}: conclusion target {render_term(target)} "
-                    f"has unbound variables"
-                )
-            if target.depth > max_depth:
-                raise DomainBoundError(target, "conclusion target exceeds max depth")
-            yield SymbolicTransition(src, rule.label, target)
+            else:
+                target = substitute(rho, rule.target)
+                if not target.closed:
+                    raise RuleInstantiationError(
+                        f"rule {rule.name}: conclusion target {render_term(target)} "
+                        f"has unbound variables"
+                    )
+                if target.depth > max_depth:
+                    raise DomainBoundError(target, "conclusion target exceeds max depth")
+                yield SymbolicTransition(src, rule.label, target)
 
 
 def _derive(
     rules: tuple[Rule, ...],
-    universe: list[Term],
+    terms: Iterable[Term],
     neg_holds: Callable[[Term, str], bool],
     max_depth: int,
-) -> frozenset[SymbolicTransition]:
-    # Subterms come first and a transition can be used as soon as it is
-    # derived, so one pass derives what premises on arguments need, and a
-    # second pass confirms the fixed point.  A rule whose source is an
-    # application only sees the terms with its head symbol.
-    ordered = sorted(universe, key=term_depth)
-    by_head: dict[FunctionSymbol, list[Term]] = {}
-    for u in ordered:
-        by_head.setdefault(u.symbol, []).append(u)
-    derived = _Derived()
-    changed = True
-    while changed:
-        changed = False
+    derived: _Derived,
+) -> _Derived:
+    """Extend `derived` to the least fixed point of the rules over the
+    sources in `terms` and in `derived`.  Subterms come first and a
+    transition can be used as soon as it is derived, so one pass usually
+    derives everything; a later pass visits the dirty sources only.  A rule
+    whose source is an application only sees the terms with its head symbol."""
+    while terms:
+        ordered = sorted(terms, key=lambda u: (u.depth, render_term(u)))
+        by_head: dict[FunctionSymbol, list[Term]] = {}
+        for u in ordered:
+            by_head.setdefault(u.symbol, []).append(u)
+        derived.dirty = set()
         for rule in rules:
             src = rule.source
             candidates = by_head.get(src.symbol, ()) if isinstance(src, Apply) else ordered
             for tr in _rule_instances(rule, candidates, derived, neg_holds, max_depth):
-                changed = derived.add(tr) or changed
-    return frozenset(derived.all)
+                derived.add(tr)
+        terms = derived.dirty
+    return derived
 
 
 def _pt0_neg_holds(rules: tuple[Rule, ...]) -> Callable[[Term, str], bool]:
     # Against the unmaterialized "possibly everything" start: a negative
     # literal can only be granted when no rule conclusion could match at all.
-    def holds(t: Term, a: str) -> bool:
-        return not any(r.label == a and match(r.source, t) is not None for r in rules)
-
-    return holds
+    return lambda t, a: not any(r.label == a and match(r.source, t) is not None for r in rules)
 
 
 def _holds_against(trs: frozenset[SymbolicTransition]) -> Callable[[Term, str], bool]:
     present = {(tr.source, tr.label) for tr in trs}
-
-    def holds(t: Term, a: str) -> bool:
-        return (t, a) not in present
-
-    return holds
+    return lambda t, a: (t, a) not in present
 
 
 # ---------------------------------------------------------------------------
@@ -272,45 +279,55 @@ def _check_and_collect(term: Term, universe: set[Term], bound: DomainBound) -> N
             universe.add(sub)
             if len(universe) > bound.max_states:
                 raise DomainBoundError(sub, "domain exceeds max states")
-        stack.extend(reversed((sub.inner,) if isinstance(sub, Dirac) else sub.args))
+        stack.extend(reversed(sub.kids))
 
 
-def _closed_universe(p: PTSS, bound: DomainBound) -> list[Term]:
+def _closed_universe(p: PTSS, bound: DomainBound, derived: Optional[_Derived] = None) -> list[Term]:
+    """The roots' domain in text order: closed under subterms and the support
+    of every target derived over it with every negative premise granted,
+    which is left in `derived`.  That derivation is monotone in the domain, so
+    each round extends it from the new terms and evaluates the new targets."""
+    derived = _Derived() if derived is None else derived
     universe: set[Term] = set()
     for root in bound.roots:
         if not is_closed(root) or term_sort(root) is not Sort.STATE:
             raise SortError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
-    while True:
-        ordered = sorted(universe, key=render_term)
-        trs = _derive(p.rules, ordered, lambda t, a: True, bound.max_depth)
-        before = len(universe)
-        for tr in trs:
+    new = set(universe)
+    while new:
+        done = len(derived.all)
+        _derive(p.rules, new, lambda t, a: True, bound.max_depth, derived)
+        old = set(universe)
+        for tr in islice(derived.all, done, None):
             for s in evaluate(tr.target).support:
                 _check_and_collect(s, universe, bound)
-        if len(universe) == before:
-            return ordered
+        new = universe - old
+    return sorted(universe, key=render_term)
 
 
 def stable_model(p: PTSS, bound: DomainBound) -> ThreeValuedModel:
     """Iterate the certain/possible pair to its least fixed point over the
-    domain generated by the roots (closed under rule targets and subterms)."""
-    universe = _closed_universe(p, bound)
-    ct = _derive(p.rules, universe, _pt0_neg_holds(p.rules), bound.max_depth)
-    pt = _derive(p.rules, universe, lambda t, a: True, bound.max_depth)
-    history = [(ct, pt)]
-    iterations = 1
-    converged = False
-    while iterations < bound.max_iterations:
-        ct_next = _derive(p.rules, universe, _holds_against(pt), bound.max_depth)
-        pt_next = _derive(p.rules, universe, _holds_against(ct), bound.max_depth)
-        iterations += 1
-        history.append((ct_next, pt_next))
-        if ct_next == ct and pt_next == pt:
-            converged = True
+    domain generated by the roots (closed under rule targets and subterms).
+    PT0 grants every negative premise, so it is the closure's derivation;
+    without negative premises every step derives it again."""
+    closure = _Derived()
+    universe = _closed_universe(p, bound, closure)
+    pt0 = frozenset(closure.all)
+
+    def derive(neg_holds: Callable[[Term, str], bool]) -> frozenset[SymbolicTransition]:
+        if any(rule.neg_premises for rule in p.rules):
+            return frozenset(_derive(p.rules, universe, neg_holds, bound.max_depth, _Derived()).all)
+        return pt0
+
+    history = [(derive(_pt0_neg_holds(p.rules)), pt0)]
+    while len(history) < bound.max_iterations:
+        ct, pt = history[-1]
+        ct_next = derive(_holds_against(pt))
+        history.append((ct_next, ct_next if ct == pt else derive(_holds_against(ct))))
+        if history[-1] == history[-2]:
             break
-        ct, pt = ct_next, pt_next
-    return ThreeValuedModel(ct, pt, iterations, converged, tuple(history))
+    converged = len(history) > 1 and history[-1] == history[-2]
+    return ThreeValuedModel(*history[-1], len(history), converged, tuple(history))
 
 
 def is_complete(p: PTSS, bound: DomainBound) -> tuple[bool, ThreeValuedModel]:
@@ -332,43 +349,25 @@ def reachable_pts(p: PTSS, bound: DomainBound) -> PTS:
     for tr in model.ct:
         by_source.setdefault(tr.source, []).append(tr)
 
-    states: set[Term] = set()
-    transitions: set[tuple[Term, str, Distribution]] = set()
-    frontier = sorted(set(bound.roots), key=render_term)
-    for root in frontier:
-        states.add(root)
-    while frontier:
-        nxt: list[Term] = []
-        for s in frontier:
-            for tr in by_source.get(s, ()):  # derived transitions from s
-                pi = evaluate(tr.target)
-                key = (s, tr.label, pi)
-                if key in transitions:
-                    continue
-                transitions.add(key)
-                for u in pi.support:
-                    if u not in states:
-                        states.add(u)
-                        nxt.append(u)
-        frontier = sorted(nxt, key=render_term)
-    ordered_states = tuple(sorted(states, key=render_term))
-    ordered_trans = tuple(
-        PtsTransition(s, l, d)
-        for s, l, d in sorted(
-            transitions, key=lambda k: (render_term(k[0]), k[1], repr(k[2]))
-        )
-    )
-    return PTS(ordered_states, tuple(p.signature.actions), ordered_trans)
+    states = set(bound.roots)
+    transitions: set[PtsTransition] = set()
+    todo = list(states)
+    while todo:
+        s = todo.pop()
+        for tr in by_source.get(s, ()):  # derived transitions from s
+            pi = evaluate(tr.target)
+            transitions.add(PtsTransition(s, tr.label, pi))
+            todo += [u for u in pi.support if u not in states]
+            states.update(pi.support)
+    return PTS(tuple(states), tuple(p.signature.actions), tuple(transitions))
 
 
 # ---------------------------------------------------------------------------
 # Line-oriented PTS text format (export and direct input)
 
 def export_pts(pts: PTS) -> str:
-    lines = [f"state {render_term(s)}" for s in sorted(pts.states, key=render_term)]
-    for tr in sorted(
-        pts.transitions, key=lambda t: (render_term(t.source), t.label, repr(t.target))
-    ):
+    lines = [f"state {render_term(s)}" for s in pts.states]
+    for tr in pts.transitions:
         body = ", ".join(f"{render_term(u)}: {p}" for u, p in tr.target.items())
         lines.append(f"trans {render_term(tr.source)} --{tr.label}-> {{ {body} }}")
     return "\n".join(lines) + "\n"
@@ -476,12 +475,4 @@ def load_pts(text: str) -> PTS:
             err(f"unknown line {line.split()[0]!r}", line_no)
     if diags:
         raise ParseFailure(diags)
-    actions = tuple(sorted(labels | {"tau"}))
-    ordered_states = tuple(sorted(order, key=render_term))
-    ordered_trans = tuple(
-        sorted(
-            set(transitions),
-            key=lambda t: (render_term(t.source), t.label, repr(t.target)),
-        )
-    )
-    return PTS(ordered_states, actions, ordered_trans)
+    return PTS(tuple(order), tuple(sorted(labels | {"tau"})), tuple(transitions))

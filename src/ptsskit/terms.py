@@ -86,6 +86,11 @@ class StateVar:
     sort: ClassVar[Sort] = Sort.STATE
     depth: ClassVar[int] = 1
     closed: ClassVar[bool] = False
+    kids: ClassVar[tuple] = ()
+
+    @property
+    def text(self) -> str:
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,8 @@ class DistVar:
     sort: ClassVar[Sort] = Sort.DIST
     depth: ClassVar[int] = 1
     closed: ClassVar[bool] = False
+    kids: ClassVar[tuple] = ()
+    text = StateVar.text
 
 
 class _Node:
@@ -102,19 +109,19 @@ class _Node:
 
     A node is built at most once per structure: the constructor returns the
     live node of an equal key if there is one, so structurally equal nodes
-    are one object, and `==` and `hash` are identity, O(1).  `depth` and
-    `closed` are computed from the arguments' stored values when the node is
-    built.  The tables hold nodes weakly: a node lives exactly as long as
-    some caller holds it.
+    are one object, and `==` and `hash` are identity, O(1).  `kids` are the
+    direct subterms; `depth` and `closed` are computed from their stored
+    values when the node is built, and `text` by `render_term`.  The tables
+    hold nodes weakly: a node lives exactly as long as some caller holds it.
     """
 
-    __slots__ = ("depth", "closed", "__weakref__")
+    __slots__ = ("depth", "closed", "text", "kids", "__weakref__")
     _fields: ClassVar[tuple[str, ...]]  # the constructor's arguments
 
     @classmethod
     def _build(cls, key: object, kids: tuple["Term", ...], **fields: object) -> "_Node":
         node = object.__new__(cls)
-        fields.update(depth=1 + max((k.depth for k in kids), default=0), closed=all(k.closed for k in kids))
+        fields.update(depth=1 + max((k.depth for k in kids), default=0), closed=all(k.closed for k in kids), text=None, kids=kids)
         for name, value in fields.items():
             object.__setattr__(node, name, value)
         cls._table[key] = node
@@ -206,44 +213,64 @@ def term_sort(t: Term) -> Sort:
     raise TypeError(f"not a term: {t!r}")
 
 
-def render_term(t: Term) -> str:
-    """Canonical compact text form; `parse_term` inverts it."""
-    if isinstance(t, (StateVar, DistVar)):
-        return t.name
-    if isinstance(t, Apply):
-        sym = t.symbol
-        if sym.prefix_action is not None:
-            hat = "^" if sym.is_lifted else ""
-            return f"{hat}{sym.prefix_action}.{render_term(t.args[0])}"
-        if not t.args:
-            return sym.name
-        return f"{sym.name}({','.join(map(render_term, t.args))})"
+def _pieces(t: _Node) -> list:
+    """The text of a node as its strings and subterms, in order."""
     if isinstance(t, Dirac):
-        return f"delta({render_term(t.inner)})"
+        return ["delta(", t.inner, ")"]
     if isinstance(t, Convex):
-        parts = ",".join(map("{}:{}".format, t.weights, map(render_term, t.args)))
-        return "oplus{" + parts + "}"
-    raise TypeError(f"not a term: {t!r}")
+        out: list = ["oplus{"]
+        for w, a in zip(t.weights, t.args):
+            out += [f"{w}:", a, ","]
+        out[-1] = "}"
+        return out
+    sym = t.symbol
+    if sym.prefix_action is not None:
+        return [f"{'^' if sym.is_lifted else ''}{sym.prefix_action}.", t.args[0]]
+    if not t.args:
+        return [sym.name]
+    out = [f"{sym.name}("]
+    for a in t.args:
+        out += [a, ","]
+    out[-1] = ")"
+    return out
+
+
+def render_term(t: Term) -> str:
+    """Canonical compact text form; `parse_term` inverts it.
+
+    The walk is iterative.  A node keeps its text when it is at most 16 deep
+    or its depth is a multiple of 16, so rendering a term again walks fewer
+    than 16 levels, and a chain D deep keeps D/16 long texts, not D.
+    """
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is str:
+            out.append(u)
+        elif type(u) is tuple:  # the pieces of node u[0] are out[u[1]:]
+            node, start = u
+            out[start:] = ["".join(out[start:])]
+            object.__setattr__(node, "text", out[start])
+        elif u.text is not None:
+            out.append(u.text)
+        else:
+            if u.depth <= 16 or u.depth % 16 == 0:
+                stack.append((u, len(out)))
+            stack += reversed(_pieces(u))
+    return "".join(out)
 
 
 def variables(t: Term) -> set[str]:
     out: set[str] = set()
-    if not t.closed:
-        _collect_vars(t, out)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, (StateVar, DistVar)):
+            out.add(u.name)
+        elif not u.closed:
+            stack += u.kids
     return out
-
-
-def _collect_vars(t: Term, out: set[str]) -> None:
-    if isinstance(t, (StateVar, DistVar)):
-        out.add(t.name)
-    elif isinstance(t, Apply):
-        for a in t.args:
-            _collect_vars(a, out)
-    elif isinstance(t, Dirac):
-        _collect_vars(t.inner, out)
-    elif isinstance(t, Convex):
-        for a in t.args:
-            _collect_vars(a, out)
 
 
 def is_closed(t: Term) -> bool:
@@ -423,18 +450,9 @@ def validate_signature(sig: Signature) -> list[str]:
 def sort_of(t: Term, sig: Signature) -> Sort:
     """Sort of a term well-formed over `sig`; raises SortError naming the
     innermost offending node otherwise."""
-    if isinstance(t, Apply):
-        for a in t.args:
-            sort_of(a, sig)
-        if sig.op(t.symbol.name) != t.symbol:
-            raise SortError(f"operator {t.symbol.name} is not declared in the signature")
-        return t.symbol.result_sort
-    if isinstance(t, Dirac):
-        sort_of(t.inner, sig)
-        return Sort.DIST
-    if isinstance(t, Convex):
-        for a in t.args:
-            sort_of(a, sig)
-        return Sort.DIST
+    for a in t.kids:
+        sort_of(a, sig)
+    if isinstance(t, Apply) and sig.op(t.symbol.name) != t.symbol:
+        raise SortError(f"operator {t.symbol.name} is not declared in the signature")
     return term_sort(t)
 

@@ -250,6 +250,22 @@ def test_nonpositive_bound_flag_is_a_usage_error(capsys, flag):
     assert f"argument {flag}: expected a positive integer, got '0'" in capsys.readouterr().err
 
 
+def test_the_parser_built_once_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process: a usage error after good calls
+    # reads as it does in a fresh process, and no --root carries over
+    bad = ["pts", str(CORPUS / "running.ptss"), "--max-depth", "0"]
+    with capped_python(["-m", "ptsskit.cli", *bad], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as fresh:
+        fresh_out, fresh_err = fresh.communicate(timeout=60)
+    assert fresh.returncode == EXIT_USAGE
+    assert run_cli(capsys, "pts", str(CORPUS / "running.ptss"), "--root", "a.delta(0)")[0] == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr() == (fresh_out, fresh_err)
+    code, _, err = run_cli(capsys, "pts", str(CORPUS / "running.ptss"))
+    assert (code, err) == (EXIT_USAGE, "error: pts needs at least one --root\n")
+
+
 def test_term_argument_errors_name_the_argument(tmp_path, capsys):
     spec = str(CORPUS / "running.ptss")
     root = "a.oplus{-1/2:delta(0),3/2:delta(0)}"

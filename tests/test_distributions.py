@@ -64,6 +64,8 @@ def test_eval_open_term_rejected(t):
         evaluate(t("mu"))
     with pytest.raises(EvalError):
         evaluate(Dirac(t("x")))
+    with pytest.raises(EvalError, match="open term mu$"):  # the first open branch
+        evaluate(t("oplus{1/2:mu,1/2:^+(delta(0),nu)}"))
 
 
 def test_mass(t):

@@ -2,6 +2,8 @@ from collections import Counter
 
 import pytest
 
+from ptsskit import engine
+from ptsskit.cli import main
 from ptsskit.distributions import Distribution
 from ptsskit.engine import (
     DomainBound,
@@ -18,6 +20,9 @@ from ptsskit.engine import (
 )
 from ptsskit.parser import ParseFailure, parse_spec, parse_term
 from ptsskit.terms import render_term
+from tests import reference_engine as reference
+from tests.conftest import CORPUS
+from tests.test_golden_pts import SPEC_ROOTS, chain_root
 
 F_SPEC = """\
 ptss incomplete_f
@@ -246,3 +251,58 @@ def test_universe_walk_checks_bounds_on_new_terms(sig):
     deeper = parse_term("a.delta(+(a.delta(b.delta(0)),b.delta(0)))", sig)
     with pytest.raises(DomainBoundError, match="max states: a.delta"):
         _check_and_collect(deeper, universe, DomainBound((root,), max_states=len(universe)))
+
+
+# derivations per job, counted at `engine._derive`: the stable model reuses
+# the domain closure's derivation, which is already the model of a spec
+# without negative premises
+DERIVES_BEFORE = {"cx236l.ptss": 9, "delayed_g.ptss": 5, "incomplete_f.ptss": 5}
+
+
+@pytest.fixture
+def derive_calls(monkeypatch):
+    calls = []
+    derive = engine._derive
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_derive", spy)
+    return calls
+
+
+def test_a_chains_job_derives_once(derive_calls, capsys):
+    assert main(["pts", str(CORPUS / "running.ptss"), "--root", chain_root(14), "--max-depth", "64"]) == 0
+    assert len(derive_calls) == 1
+    assert "state " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(DERIVES_BEFORE))
+def test_negative_premise_specs_derive_less_often(derive_calls, name):
+    spec = parse_spec((CORPUS / name).read_text())
+    model = stable_model(spec, bound(spec.signature, *SPEC_ROOTS[name], max_depth=10))
+    assert model.converged
+    assert len(derive_calls) < DERIVES_BEFORE[name]
+
+
+LATE_SPEC = """\
+ptss late
+actions a, b, tau
+op 0 : -> s
+op g : s -> s
+op h : s -> s
+rule enter: g(x) --a-> delta(h(x))
+rule step: h(x) --b-> delta(x)
+rule ahead: h(x) --b-> mu |- g(x) --b-> mu
+"""
+
+
+def test_a_source_gains_a_step_from_a_term_that_enters_the_domain_later():
+    # g(0) reads the b-steps of h(0) in the closure's first round, before
+    # h(0) is in the domain; the second round must revisit it
+    spec = parse_spec(LATE_SPEC)
+    b = bound(spec.signature, "g(0)")
+    model = stable_model(spec, b)
+    assert sorted(map(repr, model.ct)) == ["g(0) --a-> delta(h(0))", "g(0) --b-> delta(0)", "h(0) --b-> delta(0)"]
+    assert model.history == reference.stable_model(spec, b).history

@@ -169,3 +169,40 @@ def test_numeric_fields_end_in_a_verdict_or_a_diagnostic_in_time(cli_worker, wei
         assert ready, f"{argv} ran past {DEADLINE_S} s"
         code, output = json.loads(proc.stdout.readline())
         assert code in (0, 1, 2, 3) and "Traceback" not in output, (argv, output)
+
+
+# -- deep terms built by rules -------------------------------------------------
+
+GROW = """\
+ptss grow
+actions a, tau
+op 0 : -> s
+op pre<A> : d -> s
+op g : s -> s
+rule prefix: <A>.mu --<A>-> mu
+rule r: {rule}
+"""
+TEN_G = "g(" * 11 + "x" + ")" * 11
+TEN_OPLUS = "oplus{1:" * 10 + "mu" + "}" * 10
+
+
+@pytest.mark.parametrize("rule,root,bounds", [
+    ("g(x) --a-> delta(g(g(x)))", "g(0)", ["--max-depth", "1500"]),
+    ("g(x) --a-> delta(g(g(x)))", "g(0)", ["--max-depth", "5000"]),
+    # ten levels a step, so that terms pass a thousand levels before a bound trips
+    (f"g(x) --a-> delta({TEN_G})", "g(0)", ["--max-depth", "1500", "--max-states", "5000"]),
+    # the same in distribution terms, which `evaluate` walks
+    (f"g(a.mu) --a-> delta(g(a.{TEN_OPLUS}))", "g(a.delta(0))", ["--max-depth", "1200", "--max-states", "5000"]),
+], ids=["double-1500", "double-5000", "ten-states", "ten-distributions"])
+def test_rule_built_deep_terms_end_in_a_result_or_a_bound_in_time(tmp_path, rule, root, bounds):
+    spec = tmp_path / "grow.ptss"
+    spec.write_text(GROW.format(rule=rule))
+    argv = ["-m", "ptsskit.cli", "pts", str(spec), "--root", root, *bounds]
+    with capped_python(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            _, err = proc.communicate(timeout=DEADLINE_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            pytest.fail(f"{rule} {bounds} ran past {DEADLINE_S} s")
+    assert proc.returncode in (0, 3) and "Traceback" not in err, err[-2000:]
+    assert len(err) < 400  # a bound message shows at most 200 characters of its term
