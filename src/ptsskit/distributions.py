@@ -34,38 +34,49 @@ class EvalError(PtssError):
 
 
 class Distribution:
-    """Finite-support map from closed state terms to positive rationals."""
+    """Finite-support map from closed state terms to positive rationals,
+    kept as given.  The text is made once, and it is the hash: hashing a
+    `Fraction` costs more than a string's cached hash."""
 
-    __slots__ = ("_items", "_table", "_total")
+    __slots__ = ("_items", "_table", "_total", "_support", "_text")
 
     def __init__(self, items: Iterable[tuple[Term, Fraction]]):
         table: dict[Term, Fraction] = {}
+        num, den = 0, 1  # the total mass: Fractions are added only where denominators differ
         for term, p in items:
-            p = Fraction(p)
-            if p < 0:
-                raise EvalError(f"negative probability for {render_term(term)}")
-            if p == 0:
+            pn, pd = p.numerator, p.denominator
+            if pn <= 0:
+                if pn < 0:
+                    raise EvalError(f"negative probability for {render_term(term)}")
                 continue
-            q = table[term] = table.get(term, Fraction(0)) + p
+            q = table.get(term)
+            q = table[term] = p if q is None else q + p
             # an int of over 14,284 bits has 4,300 digits or more, the most str() prints
             if q.denominator.bit_length() > 14284:
                 raise EvalError("a probability has 4300 digits or more")
-        total = sum(table.values(), Fraction(0))
-        if total > 1:
+            if num and pd != den:
+                total = Fraction(num, den) + p
+                num, den = total.numerator, total.denominator
+            else:
+                num, den = num + pn, pd
+        if num > den:
             raise EvalError("total mass exceeds 1")
+        support = tuple(sorted(table, key=render_term)) if len(table) > 1 else tuple(table)
         self._table = table
-        self._items = tuple(sorted(table.items(), key=lambda kv: render_term(kv[0])))
-        self._total = total
+        self._items = tuple(zip(support, map(table.__getitem__, support)))
+        self._support = support
+        self._total = _ONE if num == den else Fraction(num, den)
+        self._text = None
 
     @staticmethod
     def dirac(term: Term) -> "Distribution":
         point = object.__new__(Distribution)  # a point mass needs none of the checks
-        point._table, point._items, point._total = {term: _ONE}, ((term, _ONE),), _ONE
+        point._table, point._items, point._support, point._total, point._text = {term: _ONE}, ((term, _ONE),), (term,), _ONE, None
         return point
 
     @property
     def support(self) -> tuple[Term, ...]:
-        return tuple(t for t, _ in self._items)
+        return self._support
 
     @property
     def total_mass(self) -> Fraction:
@@ -82,7 +93,7 @@ class Distribution:
         return self._table.get(term, Fraction(0))
 
     def __iter__(self) -> Iterator[Term]:
-        return iter(self.support)
+        return iter(self._support)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -91,11 +102,12 @@ class Distribution:
         return isinstance(other, Distribution) and self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(repr(self))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{render_term(t)}: {p}" for t, p in self._items)
-        return "{" + body + "}"
+        if self._text is None:
+            self._text = "{" + ", ".join(f"{render_term(t)}: {p}" for t, p in self._items) + "}"
+        return self._text
 
 
 def mass(d: Distribution, terms: Iterable[Term]) -> Fraction:
@@ -126,9 +138,10 @@ def evaluate(theta: Term) -> Distribution:
     f's state-sorted positions, with the dist-sorted positions required to
     equal the corresponding arguments of ^f syntactically (empty product = 1).
     The walk is iterative: a node is evaluated after the arguments it sums
-    or multiplies.
+    or multiplies, and its value is kept on the node, so a node is evaluated
+    once however many terms share it.  A value refers only to state terms
+    that do not contain its node, so no reference cycle forms.
     """
-    value: dict[Term, Distribution] = {}
     stack = [theta]
     while stack:
         t = stack[-1]
@@ -140,12 +153,13 @@ def evaluate(theta: Term) -> Distribution:
             args = [a for a, s in zip(t.args, t.symbol.origin.arg_sorts) if s is Sort.STATE]
         else:
             args = t.args if isinstance(t, Convex) else ()
-        pending = [a for a in args if a not in value]
+        pending = [a for a in args if a.value is None]
         if pending:
             stack += reversed(pending)
         else:
-            value[stack.pop()] = _evaluate_node(t, [value[a] for a in args])
-    return value[theta]
+            if stack.pop().value is None:  # a node pending twice is evaluated once
+                object.__setattr__(t, "value", _evaluate_node(t, [a.value for a in args]))
+    return theta.value
 
 
 def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:

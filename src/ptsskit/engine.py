@@ -12,6 +12,7 @@ grows, and a spec without negative premises derives nothing more.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -111,9 +112,11 @@ class PTS:
     _outgoing: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(sorted(self.states, key=render_term)))
-        order = sorted(set(self.transitions), key=lambda t: (render_term(t.source), t.label, repr(t.target)))
-        object.__setattr__(self, "transitions", tuple(order))
+        text = {s: render_term(s) for s in self.states}
+        object.__setattr__(self, "states", tuple(sorted(self.states, key=text.__getitem__)))
+        # equal transitions have equal texts, and texts hash without the Fractions
+        keyed = {(text[t.source], t.label, repr(t.target)): t for t in self.transitions}
+        object.__setattr__(self, "transitions", tuple(keyed[k] for k in sorted(keyed)))
         out: dict[Term, list[PtsTransition]] = {s: [] for s in self.states}
         for tr in self.transitions:
             out[tr.source].append(tr)
@@ -374,47 +377,55 @@ def export_pts(pts: PTS) -> str:
 
 
 def opaque_state(name: str) -> Term:
-    return Apply(FunctionSymbol(name, (), Sort.STATE), ())
+    state = Apply(FunctionSymbol(name, (), Sort.STATE), ())
+    object.__setattr__(state, "text", name)  # what render_term gives a constant
+    return state
 
 
-def _split_balanced(text: str, sep: str, pos: int, end: int) -> list[tuple[int, int]]:
-    """The spans of text[pos:end] between the `sep`s outside brackets."""
-    spans: list[tuple[int, int]] = []
-    depth = 0
-    for i in range(pos, end):
-        if text[i] in "({":
-            depth += 1
-        elif text[i] in ")}":
-            depth -= 1
-        elif text[i] == sep and depth == 0:
-            spans.append((pos, i))
-            pos = i + 1
-    spans.append((pos, end))
-    return spans
+_ACTION_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # as the `.ptss` lexer reads one
+_BRACKET_OR_SEPARATOR = re.compile(r"[(){},:]")
 
 
 def _read_distribution(
     code: str, line_no: int, states: dict[str, Term], diags: list[Diagnostic]
 ) -> Optional[Distribution]:
-    """The `{ state: p, ... }` that ends `code`, or None after a diagnostic."""
+    """The `{ state: p, ... }` that ends `code`, or None after a diagnostic.
+    One scan finds the entries' `,` and `:`, those outside brackets: a state
+    name may hold a term's text."""
 
     def err(message: str) -> None:
         diags.append(Diagnostic("error", message, line_no, 1))
 
+    start, end = code.index("{") + 1, code.rindex("}")
+    entries, depth, colons = [], 0, []  # an entry: its start, its stop and the colons between
+    for m in _BRACKET_OR_SEPARATOR.finditer(code, start, end):
+        c = m.group()
+        if c in "({":
+            depth += 1
+        elif c in ")}":
+            depth -= 1
+        elif depth == 0 and c == ":":
+            colons.append(m.start())
+        elif depth == 0:
+            entries.append((start, m.start(), colons))
+            start, colons = m.end(), []
+    entries.append((start, end, colons))
+
     items: list[tuple[Term, Fraction]] = []
-    for start, stop in _split_balanced(code, ",", code.index("{") + 1, code.rindex("}")):
-        if not code[start:stop].strip():
-            continue
-        pieces = _split_balanced(code, ":", start, stop)
-        if len(pieces) != 2:
+    for start, stop, colons in entries:
+        if len(colons) != 1:
+            if not code[start:stop].strip():
+                continue
             return err(f"malformed distribution entry {code[start:stop].strip()!r}")
-        name = code[slice(*pieces[0])].strip()
+        name = code[start:colons[0]].strip()
         if name not in states:
             return err(f"undeclared state {name}")
-        prob = read_weight(code, line_no, diags, *pieces[1])
+        prob = read_weight(code, line_no, diags, colons[0] + 1, stop)
         if prob is None:
             return None
         items.append((states[name], prob))
+    if len(items) == 1 and items[0][1] == 1:  # a point mass needs none of the checks
+        return Distribution.dirac(items[0][0])
     try:
         dist = Distribution(items)
     except EvalError as exc:
@@ -434,7 +445,8 @@ def load_pts(text: str) -> PTS:
         diags.append(Diagnostic("error", message, line_no, 1))
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        code = raw_line.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.startswith("state "):
@@ -459,6 +471,8 @@ def load_pts(text: str) -> PTS:
                 problem = "expected '--<label>->'"
             elif not head.endswith("->"):
                 problem = "expected '->' after the label"
+            elif not _ACTION_NAME.fullmatch(label):
+                problem = f"label {label!r} is not an action name"
             elif src_text not in states:
                 problem = f"undeclared state {src_text}"
             else:
@@ -466,7 +480,7 @@ def load_pts(text: str) -> PTS:
             if problem is not None:
                 err(problem, line_no)
                 continue
-            dist = _read_distribution(raw_line.split("#", 1)[0], line_no, states, diags)
+            dist = _read_distribution(code, line_no, states, diags)
             if dist is None:
                 continue
             labels.add(label)

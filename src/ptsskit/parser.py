@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import PtssError, brief
 from .terms import (
@@ -99,13 +99,13 @@ _TOKEN_RE = re.compile(
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<INT>\d+)
   | (?P<PUNCT>[(){},:.^/+@])
+  | (?P<BAD>[\s\S])
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -117,20 +117,16 @@ def _lex_line(
 ) -> list[Token]:
     """The tokens of text[pos:end], with their columns in `text`."""
     tokens: list[Token] = []
-    end = len(text) if end is None else end
-    while pos < end:
-        m = _TOKEN_RE.match(text, pos, end)
-        if m is None:
-            diags.append(Diagnostic("error", f"unexpected character {text[pos]!r}", line_no, pos + 1))
-            pos += 1
-            continue
+    for m in _TOKEN_RE.finditer(text, pos, len(text) if end is None else end):
         kind = m.lastgroup  # the alternative that matched: it closes after its label group
-        if kind in ("ARROW", "NARROW"):
-            label = m.group("alabel") if kind == "ARROW" else m.group("nlabel")
-            tokens.append(Token(kind, label, line_no, m.start() + 1))
-        elif kind not in ("WS", "COMMENT"):
+        if kind == "WS" or kind == "COMMENT":
+            continue
+        if kind == "BAD":  # `[\s\S]`, not `.`: a `--root` text may hold a newline
+            diags.append(Diagnostic("error", f"unexpected character {m.group()!r}", line_no, m.start() + 1))
+        elif kind == "ARROW" or kind == "NARROW":
+            tokens.append(Token(kind, m.group("alabel" if kind == "ARROW" else "nlabel"), line_no, m.start() + 1))
+        else:
             tokens.append(Token(kind, m.group(), line_no, m.start() + 1))
-        pos = m.end()
     return tokens
 
 
@@ -170,15 +166,13 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # Raw (sort-unresolved) terms
 
-@dataclass(frozen=True)
-class _RName:
+class _RName(NamedTuple):
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class _RApp:
+class _RApp(NamedTuple):
     name: str
     args: tuple["_Raw", ...]
     lifted: bool
@@ -186,8 +180,7 @@ class _RApp:
     col: int
 
 
-@dataclass(frozen=True)
-class _RPrefix:
+class _RPrefix(NamedTuple):
     action: str  # concrete action or META
     arg: "_Raw"
     lifted: bool
@@ -195,15 +188,13 @@ class _RPrefix:
     col: int
 
 
-@dataclass(frozen=True)
-class _RDirac:
+class _RDirac(NamedTuple):
     arg: "_Raw"
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class _RConvex:
+class _RConvex(NamedTuple):
     weights: tuple[Fraction, ...]
     args: tuple["_Raw", ...]
     line: int
@@ -370,20 +361,30 @@ def _parse_weight(cur: _Cursor) -> Optional[Fraction]:
     return Fraction(num)
 
 
+# a weight as _parse_weight reads one: INT or INT/INT, an INT being the lexer's \d+ of at most 4,300 digits
+_WEIGHT_RE = re.compile(r"[ \t]*(\d{1,4300})[ \t]*(?:/[ \t]*(\d{1,4300})[ \t]*)?")
+
+
 def read_weight(text: str, line_no: int, diags: list[Diagnostic], pos: int, end: int) -> Optional[Fraction]:
     """The weight that fills text[pos:end], read as an oplus weight is:
-    `INT` or `INT/INT`.  Anything else adds a diagnostic and gives None."""
+    `INT` or `INT/INT`.  Anything else adds a diagnostic and gives None.
+    The span holds no `#`: a `.pts` line loses its comment first."""
+    m = _WEIGHT_RE.fullmatch(text, pos, end)
+    if m is not None:
+        num, den = m.groups()
+        if den is None:
+            return Fraction(int(num))
+        if int(den):
+            return Fraction(int(num), int(den))
+    # not a weight: the lexer and the oplus parser word the diagnostic
     seen = len(diags)
-    tokens = _lex_line(text, line_no, diags, pos, end)
-    if not tokens:  # nothing to point at but the end of the span
+    cur = _Cursor(_lex_line(text, line_no, diags, pos, end), line_no, diags)
+    if cur.at_end():  # nothing to point at but the end of the span
         if len(diags) == seen:
             diags.append(Diagnostic("error", "expected a probability", line_no, end + 1))
-        return None
-    cur = _Cursor(tokens, line_no, diags)
-    weight = _parse_weight(cur)
-    if weight is not None and not cur.at_end():
+    elif _parse_weight(cur) is not None and not cur.at_end():
         cur.error("a probability is an integer or p/q")
-    return weight if len(diags) == seen else None
+    return None
 
 
 def _raw_expand(raw: _Raw, action: str) -> _Raw:
@@ -399,16 +400,6 @@ def _raw_expand(raw: _Raw, action: str) -> _Raw:
     if isinstance(raw, _RConvex):
         return _RConvex(raw.weights, tuple(_raw_expand(a, action) for a in raw.args), raw.line, raw.col)
     raise TypeError(raw)
-
-
-def _raw_has_meta(raw: _Raw) -> bool:
-    if isinstance(raw, _RPrefix):
-        return raw.action == META or _raw_has_meta(raw.arg)
-    if isinstance(raw, (_RApp, _RConvex)):
-        return any(_raw_has_meta(a) for a in raw.args)
-    if isinstance(raw, _RDirac):
-        return _raw_has_meta(raw.arg)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +527,7 @@ class _RawRule:
     label: str
     target: _Raw
     line: int
-
-    def has_meta(self) -> bool:
-        if self.label == META or any(l == META for _, l, _ in self.pos) or any(
-            l == META for _, l in self.neg
-        ):
-            return True
-        raws = [self.source, self.target]
-        raws.extend(s for s, _, _ in self.pos)
-        raws.extend(t for _, _, t in self.pos)
-        raws.extend(s for s, _ in self.neg)
-        return any(_raw_has_meta(r) for r in raws)
+    has_meta: bool = False  # a `<A>` prefix or label
 
 
 def _parse_rule_line(cur: _Cursor) -> Optional[_RawRule]:
@@ -621,6 +602,7 @@ def _parse_rule_line(cur: _Cursor) -> Optional[_RawRule]:
         label=conclusion[2],
         target=conclusion[3],  # type: ignore[arg-type]
         line=cur.line,
+        has_meta=any(tok.text == META for tok in cur.tokens),
     )
 
 
@@ -779,7 +761,7 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
     rules: list[Rule] = []
     seen_rule_names: set[str] = set()
     for raw in raw_rules:
-        if raw.has_meta():
+        if raw.has_meta:
             instances = [
                 (
                     f"{raw.name}@{a}",
@@ -822,16 +804,14 @@ def parse_spec(text: str) -> PTSS:
 def parse_term(text: str, sig: Signature, expected: Optional[Sort] = None) -> Term:
     """Parse a single (open or closed) term against a signature."""
     diags: list[Diagnostic] = []
-    tokens = _lex_line(text, 1, diags)
-    cur = _Cursor(tokens, 1, diags)
+    cur = _Cursor(_lex_line(text, 1, diags), 1, diags)
     raw = _parse_raw_term(cur)
     if raw is not None and not cur.at_end():
         cur.error("unexpected trailing tokens after term")
-    term: Optional[Term] = None
-    if raw is not None and not any(d.severity == "error" for d in diags):
-        term = _Resolver(sig, diags).resolve(raw, expected)
-    if term is None or any(d.severity == "error" for d in diags):
-        raise ParseFailure([d for d in diags if d.severity == "error"])
+    # every diagnostic is an error, and a term that does not resolve has one
+    term = None if diags or raw is None else _Resolver(sig, diags).resolve(raw, expected)
+    if term is None:
+        raise ParseFailure(diags)
     return term
 
 

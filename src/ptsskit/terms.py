@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Mapping, Optional, Union
 
@@ -45,6 +45,16 @@ class FunctionSymbol:
     result_sort: Sort
     origin: Optional["FunctionSymbol"] = None
     prefix_action: Optional[str] = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:  # each intern-table lookup of an Apply hashes its symbol
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:  # an unpickled symbol hashes afresh: str hashes differ between processes
+        return (type(self), (self.name, self.arg_sorts, self.result_sort, self.origin, self.prefix_action))
 
     @property
     def rank(self) -> int:
@@ -87,6 +97,7 @@ class StateVar:
     depth: ClassVar[int] = 1
     closed: ClassVar[bool] = False
     kids: ClassVar[tuple] = ()
+    value: ClassVar[None] = None
 
     @property
     def text(self) -> str:
@@ -101,6 +112,7 @@ class DistVar:
     depth: ClassVar[int] = 1
     closed: ClassVar[bool] = False
     kids: ClassVar[tuple] = ()
+    value: ClassVar[None] = None
     text = StateVar.text
 
 
@@ -111,19 +123,29 @@ class _Node:
     live node of an equal key if there is one, so structurally equal nodes
     are one object, and `==` and `hash` are identity, O(1).  `kids` are the
     direct subterms; `depth` and `closed` are computed from their stored
-    values when the node is built, and `text` by `render_term`.  The tables
-    hold nodes weakly: a node lives exactly as long as some caller holds it.
+    values when the node is built, `text` by `render_term` and the `value`
+    of a distribution node by `evaluate`.  The tables hold nodes weakly: a
+    node lives exactly as long as some caller holds it.
     """
 
-    __slots__ = ("depth", "closed", "text", "kids", "__weakref__")
+    __slots__ = ("depth", "closed", "text", "value", "kids", "__weakref__")
     _fields: ClassVar[tuple[str, ...]]  # the constructor's arguments
 
     @classmethod
     def _build(cls, key: object, kids: tuple["Term", ...], **fields: object) -> "_Node":
         node = object.__new__(cls)
-        fields.update(depth=1 + max((k.depth for k in kids), default=0), closed=all(k.closed for k in kids), text=None, kids=kids)
+        depth, closed = 1, True
+        for k in kids:
+            depth = k.depth + 1 if k.depth >= depth else depth
+            closed = closed and k.closed
+        init = object.__setattr__  # one call a slot is the fastest way to build a node
+        init(node, "depth", depth)
+        init(node, "closed", closed)
+        init(node, "text", None)
+        init(node, "value", None)
+        init(node, "kids", kids)
         for name, value in fields.items():
-            object.__setattr__(node, name, value)
+            init(node, name, value)
         cls._table[key] = node
         return node
 
@@ -242,6 +264,8 @@ def render_term(t: Term) -> str:
     or its depth is a multiple of 16, so rendering a term again walks fewer
     than 16 levels, and a chain D deep keeps D/16 long texts, not D.
     """
+    if t.text is not None:
+        return t.text
     out: list[str] = []
     stack: list = [t]
     while stack:
@@ -364,18 +388,16 @@ class Signature:
     state_ops: tuple[FunctionSymbol, ...]
     dist_ops: tuple[FunctionSymbol, ...]
     has_prefix_family: bool = False
+    _by_name: tuple[dict, dict] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:  # the first operator of a name wins; validate_signature reports the rest
+        object.__setattr__(self, "_by_name", tuple({f.name: f for f in reversed(ops)} for ops in (self.state_ops, self.dist_ops)))
 
     def state_op(self, name: str) -> Optional[FunctionSymbol]:
-        for f in self.state_ops:
-            if f.name == name:
-                return f
-        return None
+        return self._by_name[0].get(name)
 
     def dist_op(self, name: str) -> Optional[FunctionSymbol]:
-        for f in self.dist_ops:
-            if f.name == name:
-                return f
-        return None
+        return self._by_name[1].get(name)
 
     def op(self, name: str) -> Optional[FunctionSymbol]:
         return self.state_op(name) or self.dist_op(name)

@@ -13,14 +13,14 @@ from ptsskit.parser import parse_spec, parse_term
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
-def capped_python(argv: list[str], **popen) -> subprocess.Popen:
+def capped_python(argv: list[str], python: str = sys.executable, **popen) -> subprocess.Popen:
     """Start `python *argv` on this checkout's `ptsskit`, its address space
     capped at 1 GiB, so that a runaway big-int computation fails on its own
     instead of filling the machine's memory."""
     env = {**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")}
     cap = (1 << 30, 1 << 30)
     return subprocess.Popen(
-        [sys.executable, *argv], env=env, text=True,
+        [python, *argv], env=env, text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap), **popen,
     )
 

@@ -300,6 +300,17 @@ def test_pts_state_names_may_contain_dashes(tmp_path, capsys):
     assert "branching: a--b ~ a--b: YES" in out
 
 
+@pytest.mark.parametrize("arrow, label", [
+    ("--->", ""), ("-- a b ->", "a b"), ("--a-b->", "a-b"), ("--1a->", "1a"), ("--<A>->", "<A>"), ("--é->", "é"),
+])
+def test_pts_labels_are_action_names(tmp_path, capsys, arrow, label):
+    # any text between `--` and `->` was once a label, and export_pts wrote it back out
+    path = tmp_path / "labels.pts"
+    path.write_text(f"state s\nstate t\ntrans s {arrow} {{ t: 1 }}\ntrans t -- a -> {{ s: 1 }}\n")
+    code, out, err = run_cli(capsys, "bisim", str(path), "--kind", "branching", "s", "t")
+    assert (code, out, err) == (EXIT_USAGE, "", f"{path}:3:1: error: label {label!r} is not an action name\n")
+
+
 def _prefix_chain(n):
     return "a.delta(" * n + "0" + ")" * n
 

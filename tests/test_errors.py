@@ -195,6 +195,24 @@ TEN_OPLUS = "oplus{1:" * 10 + "mu" + "}" * 10
     (f"g(a.mu) --a-> delta(g(a.{TEN_OPLUS}))", "g(a.delta(0))", ["--max-depth", "1200", "--max-states", "5000"]),
 ], ids=["double-1500", "double-5000", "ten-states", "ten-distributions"])
 def test_rule_built_deep_terms_end_in_a_result_or_a_bound_in_time(tmp_path, rule, root, bounds):
+    code, err = _grow(tmp_path, rule, root, bounds)
+    assert code in (0, 3) and "Traceback" not in err, err[-2000:]
+    assert len(err) < 400  # a bound message shows at most 200 characters of its term
+
+
+@pytest.mark.parametrize("depth", [1500, 5000])
+def test_each_distribution_node_is_evaluated_once(tmp_path, depth):
+    # each round's new state steps to an oplus chain one round longer than the
+    # last; evaluated afresh at each call, the chains took 1.7 s and 19 s
+    bounds = ["--max-depth", str(depth), "--max-states", "5000"]
+    code, err = _grow(tmp_path, f"g(a.mu) --a-> delta(g(a.{TEN_OPLUS}))", "g(a.delta(0))", bounds)
+    target = "delta(g(a." + "oplus{1:" * 30
+    assert (code, err) == (3, f"error: conclusion target exceeds max depth: {target[:200]}... (depth {depth + 5})\n")
+
+
+def _grow(tmp_path, rule, root, bounds):
+    """The exit code and stderr of `pts` on GROW with `rule`, run in a fresh
+    capped interpreter that must finish within DEADLINE_S."""
     spec = tmp_path / "grow.ptss"
     spec.write_text(GROW.format(rule=rule))
     argv = ["-m", "ptsskit.cli", "pts", str(spec), "--root", root, *bounds]
@@ -204,5 +222,4 @@ def test_rule_built_deep_terms_end_in_a_result_or_a_bound_in_time(tmp_path, rule
         except subprocess.TimeoutExpired:
             proc.kill()
             pytest.fail(f"{rule} {bounds} ran past {DEADLINE_S} s")
-    assert proc.returncode in (0, 3) and "Traceback" not in err, err[-2000:]
-    assert len(err) < 400  # a bound message shows at most 200 characters of its term
+    return proc.returncode, err

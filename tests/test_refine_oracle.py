@@ -51,6 +51,10 @@ def plain_pts(k, trans):
 
 
 def stuttered_pts(k, trans):
+    return load_pts(stuttered_text(k, trans))
+
+
+def stuttered_text(k, trans):
     """R, a copy of R in which each state first takes one inert tau-step, and
     a planted unrelated pair."""
     lines = [f"state {x}{i}" for i in range(k) for x in "rcm"] + ["state p", "state q"]
@@ -59,7 +63,7 @@ def stuttered_pts(k, trans):
         lines.append(f"trans m{i} --{label}-> {_dist('c', target)}")
     lines += [f"trans c{i} --tau-> {{ m{i}: 1 }}" for i in range(k)]
     lines += ["trans p --a-> { r0: 1 }", "trans q --b-> { r0: 1 }"]
-    return load_pts("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # -- the corpus ---------------------------------------------------------------------
