@@ -15,6 +15,15 @@ named `<name>@<action>`.  Term syntax: `a.t` (prefix), `delta(t)`,
 `oplus{1/2: t1, 1/2: t2}` with exact `p/q` weights, `^f(...)` for the lifting
 of `f` (liftings are auto-declared; declaring one is an error), and bare
 identifiers for variables, whose sort is inferred from position.
+
+The parser makes one pass.  A line's tokens are the strings of one
+`findall`; a column is worked out only for a diagnostic.  A recursive
+descent over them (`_Cursor`) looks each name up once and builds
+sort-checked, interned terms as it reads; a `<A>` rule is read from its
+tokens once per action.  The sort errors of a rule are reported after every
+line's syntax errors, as a resolver walking the rule would meet them: its
+positive premises, its negative ones, its conclusion, each term in order.
+A rule line reports each of them once.
 """
 
 from __future__ import annotations
@@ -22,10 +31,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NoReturn, Optional, Union
 
 from .errors import PtssError, brief
 from .terms import (
+    _DIST,
+    _STATE,
     Apply,
     Convex,
     Dirac,
@@ -87,121 +98,58 @@ class PTSS:
 # ---------------------------------------------------------------------------
 # Lexer
 
+# A match is a token or a comment.  A search skips what no match starts
+# at: blanks, and stray characters, which the lexer reports.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>[ \t]+)
-  | (?P<COMMENT>\#.*)
-  | (?P<ARROW>--(?P<alabel>[A-Za-z_][A-Za-z0-9_]*|<A>)->)
-  | (?P<NARROW>-/(?P<nlabel>[A-Za-z_][A-Za-z0-9_]*|<A>)->)
-  | (?P<RARROW>->)
-  | (?P<TURNSTILE>\|-)
-  | (?P<METAVAR><A>)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<INT>\d+)
-  | (?P<PUNCT>[(){},:.^/+@])
-  | (?P<BAD>[\s\S])
-    """,
-    re.VERBOSE,
+    r"#.*|--(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->|-/(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->|->|\|-|<A>"
+    r"|[A-Za-z_][A-Za-z0-9_]*|\d+|[(){},:.^/+@]"
 )
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
+# the first characters of an identifier, an integer or `+`, the tokens that
+# name an operator or a variable; a token beginning past ASCII is an integer
+_NAME_START = _IDENT_START | _DIGITS | {"+"}
+_ARROW_MSG = "expected '--<label>->' or '-/<label>->'"
+_SORTS = {"s": _STATE, "d": _DIST}
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+def _text(tok: str) -> str:
+    """A token as diagnostics quote it: an arrow by its label."""
+    return tok[2:-2] if tok[:2] in ("--", "-/") else tok
 
 
-def _lex_line(
-    text: str, line_no: int, diags: list[Diagnostic], pos: int = 0, end: Optional[int] = None
-) -> list[Token]:
-    """The tokens of text[pos:end], with their columns in `text`."""
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text, pos, len(text) if end is None else end):
-        kind = m.lastgroup  # the alternative that matched: it closes after its label group
-        if kind == "WS" or kind == "COMMENT":
-            continue
-        if kind == "BAD":  # `[\s\S]`, not `.`: a `--root` text may hold a newline
-            diags.append(Diagnostic("error", f"unexpected character {m.group()!r}", line_no, m.start() + 1))
-        elif kind == "ARROW" or kind == "NARROW":
-            tokens.append(Token(kind, m.group("alabel" if kind == "ARROW" else "nlabel"), line_no, m.start() + 1))
-        else:
-            tokens.append(Token(kind, m.group(), line_no, m.start() + 1))
+def _lex_line(text: str, line_no: int, diags: list[Diagnostic], pos: int = 0, end: Optional[int] = None) -> list[str]:
+    """The token strings of text[pos:end]; each stray character adds a diagnostic."""
+    end = len(text) if end is None else end
+    tokens = _TOKEN_RE.findall(text, pos, end)
+    stop = text.find("#", pos, end)  # a comment runs to the end, unless a newline ends it
+    if stop < 0 or text.find("\n", stop, end) < 0:
+        stop = end if stop < 0 else stop
+        blanks = text.count(" ", pos, stop) + text.count("\t", pos, stop)
+        if stop < end:
+            tokens.pop()
+        if sum(map(len, tokens)) + blanks == stop - pos:
+            return tokens  # the tokens and the blanks fill the text up to the comment
+    tokens = []
+    for m in (*_TOKEN_RE.finditer(text, pos, end), None):
+        stop = end if m is None else m.start()
+        diags.extend(Diagnostic("error", f"unexpected character {c!r}", line_no, j + 1)
+                     for j, c in enumerate(text[pos:stop], pos) if c not in " \t")
+        if m is not None:
+            if m[0][0] != "#":
+                tokens.append(m[0])
+            pos = m.end()
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token], line: int, diags: list[Diagnostic]):
-        self.tokens = tokens
-        self.i = 0
-        self.line = line
-        self.diags = diags
-
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> Optional[Token]:
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
-
-    def error(self, message: str, tok: Optional[Token] = None) -> None:
-        tok = tok or self.peek()
-        col = tok.col if tok else (self.tokens[-1].col + len(self.tokens[-1].text) if self.tokens else 1)
-        self.diags.append(Diagnostic("error", message, self.line, col))
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind.lower()
-            self.error(f"expected {want!r}")
-            return None
-        return self.next()
+def _mismatch(got: Sort, expected: Optional[Sort]) -> Optional[str]:
+    if expected is not None and got is not expected:
+        return f"term has sort {got.value}, expected {expected.value}"
+    return None
 
 
-# ---------------------------------------------------------------------------
-# Raw (sort-unresolved) terms
-
-class _RName(NamedTuple):
-    name: str
-    line: int
-    col: int
-
-
-class _RApp(NamedTuple):
-    name: str
-    args: tuple["_Raw", ...]
-    lifted: bool
-    line: int
-    col: int
-
-
-class _RPrefix(NamedTuple):
-    action: str  # concrete action or META
-    arg: "_Raw"
-    lifted: bool
-    line: int
-    col: int
-
-
-class _RDirac(NamedTuple):
-    arg: "_Raw"
-    line: int
-    col: int
-
-
-class _RConvex(NamedTuple):
-    weights: tuple[Fraction, ...]
-    args: tuple["_Raw", ...]
-    line: int
-    col: int
-
-
-_Raw = Union[_RName, _RApp, _RPrefix, _RDirac, _RConvex]
+class _Stop(PtssError):
+    """A syntax error, already reported: the rest of the line is not read."""
 
 
 # Nesting bound: a deeper term is rejected before it could exhaust the Python
@@ -210,158 +158,491 @@ _Raw = Union[_RName, _RApp, _RPrefix, _RDirac, _RConvex]
 # walks two frames.
 MAX_NESTING = 800
 
+_Event = tuple[str, Optional[Sort], int]
 
-def _parse_raw_term(cur: _Cursor, depth: int = 0) -> Optional[_Raw]:
-    tok = cur.peek()
-    if tok is None:
-        cur.error("expected a term")
+
+class _Cursor:
+    """The tokens of one line, or of a term or weight text, and the reading
+    of them into terms over `sig`.
+
+    Terms are built as they are read.  A sort error makes the term None and
+    is put in `events`, which also holds each variable's sort as its position
+    gives it; `settle` reports them as a resolver walking the terms in order
+    would.  A syntax error raises `_Stop`.  Token k's column is worked out
+    only for a diagnostic.
+    """
+
+    __slots__ = ("text", "pos", "end", "toks", "i", "line", "diags", "sig", "ops", "prefixes", "action", "events",
+                 "vars")
+
+    def __init__(self, text: str, line: int, diags: list[Diagnostic], pos: int = 0, end: Optional[int] = None):
+        self.text, self.pos, self.end = text, pos, len(text) if end is None else end
+        self.toks = _lex_line(text, line, diags, pos, self.end)
+        self.toks.append("")  # the end, which no test of a token matches
+        self.i = 0
+        self.line = line
+        self.diags = diags
+        self.action: Optional[str] = None  # the action `<A>` stands for
+        self.events: list[_Event] = []
+        self.vars: dict[str, Term] = {}  # the variables read, which a rule's instances share
+
+    def over(self, sig: Signature) -> "_Cursor":
+        """Read terms over `sig`."""
+        self.sig, self.ops, self.prefixes = sig, sig.names, sig.prefixes
+        return self
+
+    def col(self, k: int) -> int:
+        """The column of token k, or just past the last token for the end."""
+        n, end = 0, 1
+        for m in _TOKEN_RE.finditer(self.text, self.pos, self.end):
+            if m[0][0] != "#":
+                if n == k:
+                    return m.start() + 1
+                n, end = n + 1, m.start() + 1 + len(_text(m[0]))
+        return end
+
+    def error(self, message: str, k: Optional[int] = None) -> None:
+        self.diags.append(Diagnostic("error", message, self.line, self.col(self.i if k is None else k)))
+
+    def fail(self, message: str, k: Optional[int] = None) -> NoReturn:
+        self.error(message, k)
+        raise _Stop
+
+    def take(self, text: str) -> None:
+        if self.toks[self.i] != text:
+            self.fail(f"expected {text!r}")
+        self.i += 1
+
+    def integer(self) -> int:
+        tok = self.toks[self.i]
+        if not (tok[:1] in _DIGITS or tok[:1] >= "\x80"):
+            self.fail("expected 'int'")
+        if len(tok) > 4300:  # more than int() converts by default
+            self.fail("integer has more than 4300 digits")
+        self.i += 1
+        return int(tok)
+
+    def weight(self) -> Fraction:
+        num = self.integer()
+        if self.toks[self.i] != "/":
+            return Fraction(num)
+        self.i += 1
+        den = self.integer()
+        if den == 0:
+            self.fail("weight denominator is zero", self.i - 1)
+        return Fraction(num, den)
+
+    def term(self, expected: Optional[Sort], depth: int) -> Optional[Term]:
+        """Read a term of the expected sort (None: either) and build it; None
+        for a term with a sort error, which goes to events.  `depth` counts
+        the nesting levels of MAX_NESTING."""
+        toks = self.toks
+        k = self.i
+        tok = toks[k]
+        if not tok:
+            self.fail("expected a term")
+        if depth > MAX_NESTING:
+            self.fail(f"term nested more than {MAX_NESTING} levels deep")
+        self.i = k + 1
+        c = tok[0]
+        if tok == "delta":
+            self.take("(")
+            if expected is _STATE:
+                self.events.append(("term has sort d, expected s", None, k))
+            inner = self.term(_STATE, depth + 1)
+            self.take(")")
+            return None if inner is None or expected is _STATE else Dirac(inner)
+        if tok == "oplus":
+            return self.convex(k, expected, depth)
+        # the forms left but `(t)` are prefixes, whose operand is read below, and operators
+        if c in _NAME_START or c >= "\x80":
+            nxt = toks[k + 1]
+            if nxt == "(":
+                return self.apply(tok, False, k, expected, depth)
+            if nxt != "." or c not in _IDENT_START:
+                return self.name(tok, k, expected)
+            self.i = k + 2
+            f = self.prefixes.get(tok)
+            if f is None or expected is _DIST:
+                f = self.prefix(tok, False, k, expected)
+        elif tok == "<A>":
+            self.take(".")
+            f = self.prefix(self.action, False, k, expected)
+        elif tok == "^":
+            head = toks[k + 1]
+            c = head[:1]
+            if head == "<A>":
+                self.i = k + 2
+                self.take(".")
+                f = self.prefix(self.action, True, k, expected)
+            elif not (c in _NAME_START or c >= "\x80"):
+                self.fail("expected an operator name after '^'")
+            elif toks[k + 2] != "." or c not in _IDENT_START:
+                self.i = k + 2
+                return self.apply(head, True, k, expected, depth)
+            else:
+                self.i = k + 3
+                f = self.prefix(head, True, k, expected)
+        elif tok == "(":
+            inner = self.term(expected, depth + 1)
+            self.take(")")
+            return inner
+        else:
+            self.fail(f"unexpected token {_text(tok)!r} in term", k)
+        arg = self.term(_DIST, depth + 1)
+        return None if f is None or arg is None else Apply(f, (arg,))
+
+    def prefix(self, act: Optional[str], lifted: bool, k: int, expected: Optional[Sort]) -> Optional[FunctionSymbol]:
+        """The operator of a prefix `act.`, or None with its error put in events."""
+        f = self.prefixes.get(act)
+        if act is None:
+            err = "action metavariable <A> is only allowed inside rules"
+        elif act not in self.prefixes:
+            err = f"unknown action {act}"
+        elif f is None:
+            err = "no prefix operator declared (missing 'op pre<A> : d -> s')"
+        else:
+            f = self.sig.lifted(f) if lifted else f
+            err = _mismatch(f.result_sort, expected)
+        if err is None:
+            return f
+        self.events.append((err, None, k))
         return None
-    if depth > MAX_NESTING:
-        cur.error(f"term nested more than {MAX_NESTING} levels deep")
+
+    def apply(self, name: str, lifted: bool, k: int, expected: Optional[Sort], depth: int) -> Optional[Term]:
+        if lifted:
+            f = self.sig.state_op(name)
+            sym = None if f is None else self.sig.lifted(f)
+            err = f"unknown operator {name} (cannot lift)" if f is None else None
+        else:
+            sym = self.ops.get(name)
+            err = f"unknown operator {name}" if sym is None else None
+        toks, events = self.toks, self.events
+        start = len(events)  # the arguments' events go if the operator has an error
+        args: list = []
+        failed = False
+        if toks[self.i] == "(":
+            self.i += 1
+            if toks[self.i] == ")":
+                self.i += 1
+            else:
+                sorts = iter(() if sym is None else sym.arg_sorts)
+                while True:
+                    arg = self.term(next(sorts, None), depth + 2)
+                    failed = failed or arg is None
+                    args.append(arg)
+                    if toks[self.i] != ",":
+                        break
+                    self.i += 1
+                self.take(")")
+        if sym is not None:
+            if len(sym.arg_sorts) != len(args):
+                err = f"operator {sym.name} expects {sym.rank} arguments, got {len(args)}"
+            else:
+                err = _mismatch(sym.result_sort, expected)
+        if err:
+            del events[start:]
+            events.append((err, None, k))
+            return None
+        return None if failed else Apply(sym, tuple(args))
+
+    def name(self, name: str, k: int, expected: Optional[Sort]) -> Optional[Term]:
+        op = self.ops.get(name)
+        if op is not None:
+            err = f"operator {name} expects {op.rank} arguments" if op.arg_sorts else None
+            err = err or _mismatch(op.result_sort, expected)
+            if err is None:
+                return Apply(op, ())
+        elif name in self.prefixes:
+            err = f"action {name} cannot be used as a term"
+        else:
+            sort = expected or _STATE
+            self.events.append((name, sort, k))
+            var = self.vars.get(name)
+            if var is None or var.sort is not sort:
+                var = self.vars[name] = StateVar(name) if sort is _STATE else DistVar(name)
+            return var
+        self.events.append((err, None, k))
         return None
 
-    if tok.kind == "METAVAR":
-        cur.next()
-        if cur.expect("PUNCT", ".") is None:
-            return None
-        arg = _parse_raw_term(cur, depth + 1)
-        return None if arg is None else _RPrefix(META, arg, False, tok.line, tok.col)
-
-    if tok.kind == "PUNCT" and tok.text == "^":
-        cur.next()
-        head = cur.peek()
-        if head is None:
-            cur.error("expected an operator name after '^'")
-            return None
-        if head.kind == "METAVAR":
-            cur.next()
-            if cur.expect("PUNCT", ".") is None:
-                return None
-            arg = _parse_raw_term(cur, depth + 1)
-            return None if arg is None else _RPrefix(META, arg, True, tok.line, tok.col)
-        if head.kind in ("IDENT", "INT") or (head.kind == "PUNCT" and head.text == "+"):
-            cur.next()
-            nxt = cur.peek()
-            if head.kind == "IDENT" and nxt is not None and nxt.kind == "PUNCT" and nxt.text == ".":
-                cur.next()
-                arg = _parse_raw_term(cur, depth + 1)
-                return None if arg is None else _RPrefix(head.text, arg, True, tok.line, tok.col)
-            args = _parse_raw_args(cur, depth + 1)
-            if args is None:
-                return None
-            return _RApp(head.text, args, True, tok.line, tok.col)
-        cur.error("expected an operator name after '^'")
-        return None
-
-    if tok.kind == "PUNCT" and tok.text == "(":
-        cur.next()
-        inner = _parse_raw_term(cur, depth + 1)
-        if inner is None or cur.expect("PUNCT", ")") is None:
-            return None
-        return inner
-
-    if tok.kind == "IDENT" and tok.text == "delta":
-        cur.next()
-        if cur.expect("PUNCT", "(") is None:
-            return None
-        arg = _parse_raw_term(cur, depth + 1)
-        if arg is None or cur.expect("PUNCT", ")") is None:
-            return None
-        return _RDirac(arg, tok.line, tok.col)
-
-    if tok.kind == "IDENT" and tok.text == "oplus":
-        cur.next()
-        if cur.expect("PUNCT", "{") is None:
-            return None
+    def convex(self, k: int, expected: Optional[Sort], depth: int) -> Optional[Term]:
+        self.take("{")
+        events = self.events
+        start = len(events)
         weights: list[Fraction] = []
-        args: list[_Raw] = []
+        args: list = []
+        failed = False
         while True:
-            w = _parse_weight(cur)
-            if w is None or cur.expect("PUNCT", ":") is None:
-                return None
-            arg = _parse_raw_term(cur, depth + 2)
-            if arg is None:
-                return None
-            weights.append(w)
+            weights.append(self.weight())
+            self.take(":")
+            arg = self.term(_DIST, depth + 2)
+            failed = failed or arg is None
             args.append(arg)
-            nxt = cur.peek()
-            if nxt is not None and nxt.kind == "PUNCT" and nxt.text == ",":
-                cur.next()
+            if self.toks[self.i] != ",":
+                break
+            self.i += 1
+        self.take("}")
+        total = sum(weights)
+        err = (_mismatch(_DIST, expected)
+               or (f"weights sum to {brief(total)}, expected 1" if total != 1 else None)
+               or ("weights must be positive" if any(w <= 0 for w in weights) else None))
+        if err:
+            del events[start:]
+            events.append((err, None, k))
+            return None
+        return None if failed else Convex(tuple(weights), tuple(args))
+
+    def rule(self) -> tuple[str, list, list, tuple[Term, str, Term], list]:
+        """The name, positive and negative premises and conclusion of a rule,
+        and the parts of it that `settle` reports on, in the order a resolver
+        meets them: the positive premises, the negative ones, the conclusion."""
+        toks = self.toks
+        tok = toks[self.i]
+        c = tok[:1]
+        if not (c in _IDENT_START or c in _DIGITS or c >= "\x80"):
+            self.fail("expected a rule name")
+        self.i += 1
+        name = tok
+        if toks[self.i] == "@":
+            self.i += 1
+            part = toks[self.i]
+            if part[:1] not in _IDENT_START:
+                self.fail("expected 'ident'")
+            self.i += 1
+            name = f"{name}@{part}"
+        self.take(":")
+        pos: list = []
+        neg: list = []
+        parts: list = []  # (label, events, events) a positive literal
+        neg_parts: list = []  # (label, events) a negative one
+        turnstile: Optional[int] = None
+        while True:
+            self.events = source_events = []
+            source = self.term(_STATE, 0)
+            k = self.i
+            arrow = toks[k]
+            if not arrow:
+                self.fail(_ARROW_MSG)
+            self.i = k + 1
+            kind = arrow[:2]
+            if kind != "--" and kind != "-/":
+                self.fail(_ARROW_MSG, k)
+            label = arrow[2:-2]
+            if label == META and self.action is not None:
+                label = self.action
+            negative = kind == "-/"
+            if negative:
+                neg.append((source, label))
+                neg_parts += (label, source_events)
+            else:
+                self.events = target_events = []
+                pos.append((source, label, self.term(_DIST, 0)))
+                parts += (label, source_events, target_events)
+            nxt = toks[self.i]
+            if nxt == ",":
+                self.i += 1
+                continue
+            if nxt == "|-":
+                if turnstile is not None:
+                    self.fail("duplicate '|-'")
+                self.i += 1
+                turnstile = len(pos) + len(neg)
                 continue
             break
-        if cur.expect("PUNCT", "}") is None:
-            return None
-        return _RConvex(tuple(weights), tuple(args), tok.line, tok.col)
+        if toks[self.i]:
+            self.fail("unexpected trailing tokens in rule")
+        if len(pos) + len(neg) - (turnstile or 0) != 1:
+            self.fail("a rule needs exactly one conclusion after '|-'")
+        if negative:
+            self.fail("rule conclusion cannot be a negative literal")
+        return name, pos[:-1], neg, pos[-1], parts[:-3] + neg_parts + parts[-3:]
 
-    if tok.kind in ("IDENT", "INT") or (tok.kind == "PUNCT" and tok.text == "+"):
-        cur.next()
-        nxt = cur.peek()
-        if tok.kind == "IDENT" and nxt is not None and nxt.kind == "PUNCT" and nxt.text == ".":
-            cur.next()
-            arg = _parse_raw_term(cur, depth + 1)
-            return None if arg is None else _RPrefix(tok.text, arg, False, tok.line, tok.col)
-        if nxt is not None and nxt.kind == "PUNCT" and nxt.text == "(":
-            args = _parse_raw_args(cur, depth + 1)
-            if args is None:
-                return None
-            return _RApp(tok.text, args, False, tok.line, tok.col)
-        return _RName(tok.text, tok.line, tok.col)
+    def settle(self, parts: list) -> list[Diagnostic]:
+        """The diagnostics of a rule or term read, as a resolver walking its
+        parts in order reports them: a label (a string) that is no action,
+        and in each term's events the first sort error, or the first variable
+        met at another sort than before."""
+        found: list[Diagnostic] = []
+        sorts: dict[str, Sort] = {}
+        for part in parts:
+            if type(part) is str:
+                if part not in self.prefixes:
+                    found.append(Diagnostic("error", f"unknown action {part}", self.line, 1))
+                continue
+            for what, sort, k in part:
+                if sort is None:
+                    message = what
+                else:
+                    seen = sorts.setdefault(what, sort)
+                    if seen is sort:
+                        continue
+                    message = f"variable {what} used at sorts {seen.value} and {sort.value}"
+                found.append(Diagnostic("error", message, self.line, self.col(k)))
+                break
+        return found
 
-    cur.error(f"unexpected token {tok.text!r} in term")
-    return None
+
+# ---------------------------------------------------------------------------
+# Spec parsing
+
+def _rule_line(cur: _Cursor, rules: list[Rule], names: set[str]) -> list[Diagnostic]:
+    """Read the rule on cur's line, once per action if it mentions `<A>`,
+    and add its instances to `rules`; gives their diagnostics, each once."""
+    meta = any(META in tok for tok in cur.toks)
+    actions = cur.sig.actions if meta else (None,)
+    start = cur.i
+    found: list[Diagnostic] = []
+    for action in actions or (None,):
+        cur.i, cur.action = start, action
+        name, pos, neg, (source, label, target), parts = cur.rule()
+        if not actions:  # nothing to instantiate `<A>` with: read for syntax errors only
+            break
+        if meta:
+            name = f"{name}@{action}"
+        if name in names:
+            new = [Diagnostic("error", f"duplicate rule name {name}", cur.line, 1)]
+        else:
+            new = cur.settle(parts)
+            if not new:
+                rules.append(Rule(name, tuple(pos), tuple(neg), source, label, target))
+                names.add(name)
+        for d in new:
+            if d not in found:
+                found.append(d)
+    return found
 
 
-def _parse_raw_args(cur: _Cursor, depth: int) -> Optional[tuple[_Raw, ...]]:
-    nxt = cur.peek()
-    if nxt is None or nxt.kind != "PUNCT" or nxt.text != "(":
-        return ()
-    cur.next()
-    args: list[_Raw] = []
-    nxt = cur.peek()
-    if nxt is not None and nxt.kind == "PUNCT" and nxt.text == ")":
-        cur.next()
-        return tuple(args)
-    while True:
-        arg = _parse_raw_term(cur, depth + 1)
-        if arg is None:
-            return None
-        args.append(arg)
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "PUNCT" and nxt.text == ",":
-            cur.next()
+def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
+    """Parse a `.ptss` source; returns (spec-or-None, diagnostics)."""
+    diags: list[Diagnostic] = []
+    late: list[Diagnostic] = []  # the rules' sort and name diagnostics, which follow every line's
+    name: Optional[str] = None
+    actions: list[str] = []
+    user_ops: list[FunctionSymbol] = []
+    prefix_family = False
+    rules: list[Rule] = []
+    rule_names: set[str] = set()
+    sig: Optional[Signature] = None
+
+    def signature() -> Signature:
+        sig = build_signature(actions, user_ops, prefix_family)
+        diags.extend(Diagnostic("error", msg, 1, 1) for msg in validate_signature(sig))
+        return sig
+
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip(" \t")[:1] in ("", "#"):  # a blank or comment line: no tokens, nothing stray
             continue
-        break
-    if cur.expect("PUNCT", ")") is None:
-        return None
-    return tuple(args)
+        cur = _Cursor(line, line_no, diags)
+        toks = cur.toks
+        head = toks[0]
+        if not head:
+            continue
+        cur.i = 1
+        try:
+            if head == "ptss":
+                if toks[1][:1] not in _IDENT_START:
+                    cur.fail("expected a specification name")
+                if name is not None:
+                    cur.error("duplicate 'ptss' declaration", 0)
+                name = toks[1]
+            elif head in ("actions", "op") and sig is not None:
+                cur.fail("declarations must precede rules", 0)
+            elif head == "actions":
+                while True:
+                    tok = toks[cur.i]
+                    if tok[:1] not in _IDENT_START:
+                        cur.fail("expected an action name")
+                    actions.append(tok)
+                    cur.i += 1
+                    if toks[cur.i] != ",":
+                        break
+                    cur.i += 1
+                if toks[cur.i]:
+                    cur.fail("expected ',' between actions")
+            elif head == "op":
+                tok = toks[1]
+                if not tok:
+                    cur.fail("expected an operator name")
+                if tok == "^":
+                    cur.fail("liftings are auto-declared; do not declare '^' operators", 1)
+                is_family = tok == "pre" and toks[2] == META
+                cur.i = 3 if is_family else 2
+                cur.take(":")
+                arg_sorts: list[Sort] = []
+                while toks[cur.i] in _SORTS:
+                    arg_sorts.append(_SORTS[toks[cur.i]])
+                    cur.i += 1
+                if toks[cur.i] != "->":
+                    cur.fail("expected 'rarrow'")
+                cur.i += 1
+                if toks[cur.i] not in _SORTS:
+                    cur.fail("expected a result sort ('s' or 'd')")
+                result = _SORTS[toks[cur.i]]
+                cur.i += 1
+                if toks[cur.i]:
+                    cur.fail("unexpected trailing tokens in op declaration")
+                opname = _text(tok)
+                if is_family:
+                    if arg_sorts != [_DIST] or result is not _STATE:
+                        cur.fail("the prefix family must be declared 'op pre<A> : d -> s'", 0)
+                    prefix_family = True
+                elif result is not _STATE:
+                    cur.fail("only state operators may be declared; liftings are automatic", 0)
+                elif opname in ("delta", "oplus"):
+                    cur.fail(f"{opname} is a reserved name", 0)
+                elif opname in actions:
+                    cur.fail(f"operator name {opname} collides with an action", 0)
+                elif any(f.name == opname for f in user_ops):
+                    cur.fail(f"duplicate operator {opname}", 0)
+                else:
+                    user_ops.append(FunctionSymbol(opname, tuple(arg_sorts), result))
+            elif head == "rule":
+                if sig is None:
+                    sig = signature()
+                late += _rule_line(cur.over(sig), rules, rule_names)
+            else:
+                cur.error(f"unknown declaration {_text(head)!r}", 0)
+        except _Stop:
+            pass
+
+    if sig is None:
+        sig = signature()
+    if name is None:
+        diags.append(Diagnostic("error", "missing 'ptss <name>' declaration", 1, 1))
+    diags += late
+    if any(d.severity == "error" for d in diags):
+        return None, diags
+    assert name is not None
+    return PTSS(name, sig, tuple(rules)), diags
 
 
-def _too_long(cur: _Cursor, tok: Token) -> bool:
-    """Flag an integer longer than int() converts by default."""
-    if len(tok.text) > 4300:
-        cur.error("integer has more than 4300 digits", tok)
-    return len(tok.text) > 4300
+def parse_spec(text: str) -> PTSS:
+    spec, diags = try_parse_spec(text)
+    if spec is None:
+        raise ParseFailure([d for d in diags if d.severity == "error"])
+    return spec
 
 
-def _parse_weight(cur: _Cursor) -> Optional[Fraction]:
-    tok = cur.expect("INT")
-    if tok is None or _too_long(cur, tok):
-        return None
-    num = int(tok.text)
-    nxt = cur.peek()
-    if nxt is not None and nxt.kind == "PUNCT" and nxt.text == "/":
-        cur.next()
-        den = cur.expect("INT")
-        if den is None or _too_long(cur, den):
-            return None
-        if int(den.text) == 0:
-            cur.error("weight denominator is zero", den)
-            return None
-        return Fraction(num, int(den.text))
-    return Fraction(num)
+def parse_term(text: str, sig: Signature, expected: Optional[Sort] = None) -> Term:
+    """Parse a single (open or closed) term against a signature."""
+    diags: list[Diagnostic] = []
+    cur = _Cursor(text, 1, diags).over(sig)
+    term = None
+    try:
+        term = cur.term(expected, 0)
+        if cur.toks[cur.i]:
+            cur.fail("unexpected trailing tokens after term")
+    except _Stop:
+        pass
+    # every diagnostic is an error, and a term with a sort error has one
+    if not diags and cur.events:
+        diags = cur.settle([cur.events])
+    if diags:
+        raise ParseFailure(diags)
+    return term
 
 
-# a weight as _parse_weight reads one: INT or INT/INT, an INT being the lexer's \d+ of at most 4,300 digits
+# a weight as _Cursor.weight reads one: INT or INT/INT, an INT being the lexer's \d+ of at most 4,300 digits
 _WEIGHT_RE = re.compile(r"[ \t]*(\d{1,4300})[ \t]*(?:/[ \t]*(\d{1,4300})[ \t]*)?")
 
 
@@ -376,443 +657,20 @@ def read_weight(text: str, line_no: int, diags: list[Diagnostic], pos: int, end:
             return Fraction(int(num))
         if int(den):
             return Fraction(int(num), int(den))
-    # not a weight: the lexer and the oplus parser word the diagnostic
+    # not a weight: the lexer and the weight reader word the diagnostic
     seen = len(diags)
-    cur = _Cursor(_lex_line(text, line_no, diags, pos, end), line_no, diags)
-    if cur.at_end():  # nothing to point at but the end of the span
+    cur = _Cursor(text, line_no, diags, pos, end)
+    if not cur.toks[0]:  # nothing to point at but the end of the span
         if len(diags) == seen:
             diags.append(Diagnostic("error", "expected a probability", line_no, end + 1))
-    elif _parse_weight(cur) is not None and not cur.at_end():
-        cur.error("a probability is an integer or p/q")
+        return None
+    try:
+        cur.weight()
+        if cur.toks[cur.i]:
+            cur.error("a probability is an integer or p/q")
+    except _Stop:
+        pass
     return None
-
-
-def _raw_expand(raw: _Raw, action: str) -> _Raw:
-    if isinstance(raw, _RName):
-        return raw
-    if isinstance(raw, _RApp):
-        return _RApp(raw.name, tuple(_raw_expand(a, action) for a in raw.args), raw.lifted, raw.line, raw.col)
-    if isinstance(raw, _RPrefix):
-        act = action if raw.action == META else raw.action
-        return _RPrefix(act, _raw_expand(raw.arg, action), raw.lifted, raw.line, raw.col)
-    if isinstance(raw, _RDirac):
-        return _RDirac(_raw_expand(raw.arg, action), raw.line, raw.col)
-    if isinstance(raw, _RConvex):
-        return _RConvex(raw.weights, tuple(_raw_expand(a, action) for a in raw.args), raw.line, raw.col)
-    raise TypeError(raw)
-
-
-# ---------------------------------------------------------------------------
-# Sort resolution
-
-class _Resolver:
-    def __init__(self, sig: Signature, diags: list[Diagnostic]):
-        self.sig = sig
-        self.diags = diags
-        self.var_sorts: dict[str, Sort] = {}
-
-    def error(self, message: str, raw: _Raw) -> None:
-        self.diags.append(Diagnostic("error", message, raw.line, raw.col))
-
-    def _check_result(self, raw: _Raw, got: Sort, expected: Optional[Sort]) -> bool:
-        if expected is not None and got is not expected:
-            self.error(
-                f"term has sort {got.value}, expected {expected.value}",
-                raw,
-            )
-            return False
-        return True
-
-    def resolve(self, raw: _Raw, expected: Optional[Sort]) -> Optional[Term]:
-        if isinstance(raw, _RName):
-            op = self.sig.op(raw.name)
-            if op is not None:
-                if op.rank != 0:
-                    self.error(f"operator {raw.name} expects {op.rank} arguments", raw)
-                    return None
-                if not self._check_result(raw, op.result_sort, expected):
-                    return None
-                return Apply(op, ())
-            if raw.name in self.sig.actions:
-                self.error(f"action {raw.name} cannot be used as a term", raw)
-                return None
-            sort = expected if expected is not None else Sort.STATE
-            seen = self.var_sorts.get(raw.name)
-            if seen is not None and seen is not sort:
-                self.error(
-                    f"variable {raw.name} used at sorts {seen.value} and {sort.value}", raw
-                )
-                return None
-            self.var_sorts[raw.name] = sort
-            return StateVar(raw.name) if sort is Sort.STATE else DistVar(raw.name)
-
-        if isinstance(raw, _RApp):
-            f = self.sig.state_op(raw.name)
-            if raw.lifted:
-                if f is None:
-                    self.error(f"unknown operator {raw.name} (cannot lift)", raw)
-                    return None
-                sym = self.sig.lifted(f)
-            else:
-                sym = f if f is not None else self.sig.dist_op(raw.name)
-            if sym is None:
-                self.error(f"unknown operator {raw.name}", raw)
-                return None
-            if sym.rank != len(raw.args):
-                self.error(f"operator {sym.name} expects {sym.rank} arguments, got {len(raw.args)}", raw)
-                return None
-            if not self._check_result(raw, sym.result_sort, expected):
-                return None
-            args = []
-            for a, want in zip(raw.args, sym.arg_sorts):
-                t = self.resolve(a, want)
-                if t is None:
-                    return None
-                args.append(t)
-            return Apply(sym, tuple(args))
-
-        if isinstance(raw, _RPrefix):
-            if raw.action == META:
-                self.error("action metavariable <A> is only allowed inside rules", raw)
-                return None
-            if raw.action not in self.sig.actions:
-                self.error(f"unknown action {raw.action}", raw)
-                return None
-            f = self.sig.prefix(raw.action)
-            if f is None:
-                self.error(f"no prefix operator declared (missing 'op pre<A> : d -> s')", raw)
-                return None
-            sym = self.sig.lifted(f) if raw.lifted else f
-            if not self._check_result(raw, sym.result_sort, expected):
-                return None
-            arg = self.resolve(raw.arg, Sort.DIST)
-            return None if arg is None else Apply(sym, (arg,))
-
-        if isinstance(raw, _RDirac):
-            if not self._check_result(raw, Sort.DIST, expected):
-                return None
-            inner = self.resolve(raw.arg, Sort.STATE)
-            return None if inner is None else Dirac(inner)
-
-        if isinstance(raw, _RConvex):
-            if not self._check_result(raw, Sort.DIST, expected):
-                return None
-            total = sum(raw.weights)
-            if total != 1:
-                self.error(f"weights sum to {brief(total)}, expected 1", raw)
-                return None
-            if any(w <= 0 for w in raw.weights):
-                self.error("weights must be positive", raw)
-                return None
-            args = []
-            for a in raw.args:
-                t = self.resolve(a, Sort.DIST)
-                if t is None:
-                    return None
-                args.append(t)
-            return Convex(raw.weights, tuple(args))
-
-        raise TypeError(raw)
-
-
-# ---------------------------------------------------------------------------
-# Spec parsing
-
-@dataclass
-class _RawRule:
-    name: str
-    pos: list[tuple[_Raw, str, _Raw]]
-    neg: list[tuple[_Raw, str]]
-    source: _Raw
-    label: str
-    target: _Raw
-    line: int
-    has_meta: bool = False  # a `<A>` prefix or label
-
-
-def _parse_rule_line(cur: _Cursor) -> Optional[_RawRule]:
-    name_tok = cur.peek()
-    if name_tok is None or name_tok.kind not in ("IDENT", "INT"):
-        cur.error("expected a rule name")
-        return None
-    cur.next()
-    name = name_tok.text
-    nxt = cur.peek()
-    if nxt is not None and nxt.kind == "PUNCT" and nxt.text == "@":
-        cur.next()
-        part = cur.expect("IDENT")
-        if part is None:
-            return None
-        name = f"{name}@{part.text}"
-    if cur.expect("PUNCT", ":") is None:
-        return None
-
-    literals: list[tuple[str, _Raw, str, Optional[_Raw]]] = []
-    turnstile_at: Optional[int] = None
-    while True:
-        src = _parse_raw_term(cur)
-        if src is None:
-            return None
-        tok = cur.next()
-        if tok is None:
-            cur.error("expected '--<label>->' or '-/<label>->'")
-            return None
-        if tok.kind == "ARROW":
-            tgt = _parse_raw_term(cur)
-            if tgt is None:
-                return None
-            literals.append(("pos", src, tok.text, tgt))
-        elif tok.kind == "NARROW":
-            literals.append(("neg", src, tok.text, None))
-        else:
-            cur.error("expected '--<label>->' or '-/<label>->'", tok)
-            return None
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "PUNCT" and nxt.text == ",":
-            cur.next()
-            continue
-        if nxt is not None and nxt.kind == "TURNSTILE":
-            if turnstile_at is not None:
-                cur.error("duplicate '|-'")
-                return None
-            cur.next()
-            turnstile_at = len(literals)
-            continue
-        break
-    if not cur.at_end():
-        cur.error("unexpected trailing tokens in rule")
-        return None
-
-    premises = literals[: turnstile_at or 0]
-    rest = literals[turnstile_at or 0 :]
-    if len(rest) != 1:
-        cur.error("a rule needs exactly one conclusion after '|-'")
-        return None
-    conclusion = rest[0]
-    if conclusion[0] != "pos":
-        cur.error("rule conclusion cannot be a negative literal")
-        return None
-    pos = [(s, l, t) for kind, s, l, t in premises if kind == "pos" and t is not None]
-    neg = [(s, l) for kind, s, l, _ in premises if kind == "neg"]
-    return _RawRule(
-        name=name,
-        pos=pos,
-        neg=neg,
-        source=conclusion[1],
-        label=conclusion[2],
-        target=conclusion[3],  # type: ignore[arg-type]
-        line=cur.line,
-        has_meta=any(tok.text == META for tok in cur.tokens),
-    )
-
-
-def _resolve_rule(raw: _RawRule, name: str, sig: Signature, diags: list[Diagnostic]) -> Optional[Rule]:
-    res = _Resolver(sig, diags)
-    before = len(diags)
-
-    def check_label(label: str, line: int) -> bool:
-        if label not in sig.actions:
-            diags.append(Diagnostic("error", f"unknown action {label}", line, 1))
-            return False
-        return True
-
-    pos: list[tuple[Term, str, Term]] = []
-    for s_raw, label, t_raw in raw.pos:
-        ok = check_label(label, raw.line)
-        s = res.resolve(s_raw, Sort.STATE)
-        t = res.resolve(t_raw, Sort.DIST)
-        if ok and s is not None and t is not None:
-            pos.append((s, label, t))
-    neg: list[tuple[Term, str]] = []
-    for s_raw, label in raw.neg:
-        ok = check_label(label, raw.line)
-        s = res.resolve(s_raw, Sort.STATE)
-        if ok and s is not None:
-            neg.append((s, label))
-    ok = check_label(raw.label, raw.line)
-    source = res.resolve(raw.source, Sort.STATE)
-    target = res.resolve(raw.target, Sort.DIST)
-    if len(diags) != before or not ok or source is None or target is None:
-        return None
-    return Rule(name, tuple(pos), tuple(neg), source, raw.label, target)
-
-
-def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
-    """Parse a `.ptss` source; returns (spec-or-None, diagnostics)."""
-    diags: list[Diagnostic] = []
-    name: Optional[str] = None
-    actions: list[str] = []
-    user_ops: list[FunctionSymbol] = []
-    prefix_family = False
-    raw_rules: list[_RawRule] = []
-    sig: Optional[Signature] = None
-
-    def ensure_signature() -> Signature:
-        nonlocal sig
-        if sig is None:
-            sig = build_signature(actions, user_ops, prefix_family)
-            for msg in validate_signature(sig):
-                diags.append(Diagnostic("error", msg, 1, 1))
-        return sig
-
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _lex_line(line, line_no, diags)
-        if not tokens:
-            continue
-        cur = _Cursor(tokens, line_no, diags)
-        head = cur.next()
-        assert head is not None
-        if head.kind == "IDENT" and head.text == "ptss":
-            tok = cur.peek()
-            if tok is None or tok.kind != "IDENT":
-                cur.error("expected a specification name")
-                continue
-            cur.next()
-            if name is not None:
-                cur.error("duplicate 'ptss' declaration", head)
-            name = tok.text
-        elif head.kind == "IDENT" and head.text == "actions":
-            if sig is not None:
-                cur.error("declarations must precede rules", head)
-                continue
-            while True:
-                tok = cur.peek()
-                if tok is None or tok.kind != "IDENT":
-                    cur.error("expected an action name")
-                    break
-                cur.next()
-                actions.append(tok.text)
-                nxt = cur.peek()
-                if nxt is not None and nxt.kind == "PUNCT" and nxt.text == ",":
-                    cur.next()
-                    continue
-                if not cur.at_end():
-                    cur.error("expected ',' between actions")
-                break
-        elif head.kind == "IDENT" and head.text == "op":
-            if sig is not None:
-                cur.error("declarations must precede rules", head)
-                continue
-            tok = cur.next()
-            if tok is None:
-                cur.error("expected an operator name")
-                continue
-            if tok.kind == "PUNCT" and tok.text == "^":
-                cur.error("liftings are auto-declared; do not declare '^' operators", tok)
-                continue
-            opname = tok.text
-            is_family = False
-            nxt = cur.peek()
-            if tok.kind == "IDENT" and tok.text == "pre" and nxt is not None and nxt.kind == "METAVAR":
-                cur.next()
-                is_family = True
-            if cur.expect("PUNCT", ":") is None:
-                continue
-            arg_sorts: list[Sort] = []
-            while True:
-                tok2 = cur.peek()
-                if tok2 is not None and tok2.kind == "IDENT" and tok2.text in ("s", "d"):
-                    cur.next()
-                    arg_sorts.append(Sort.STATE if tok2.text == "s" else Sort.DIST)
-                    continue
-                break
-            if cur.expect("RARROW") is None:
-                continue
-            tok2 = cur.peek()
-            if tok2 is None or tok2.kind != "IDENT" or tok2.text not in ("s", "d"):
-                cur.error("expected a result sort ('s' or 'd')")
-                continue
-            cur.next()
-            result = Sort.STATE if tok2.text == "s" else Sort.DIST
-            if not cur.at_end():
-                cur.error("unexpected trailing tokens in op declaration")
-                continue
-            if is_family:
-                if arg_sorts != [Sort.DIST] or result is not Sort.STATE:
-                    cur.error("the prefix family must be declared 'op pre<A> : d -> s'", head)
-                    continue
-                prefix_family = True
-            else:
-                if result is not Sort.STATE:
-                    cur.error("only state operators may be declared; liftings are automatic", head)
-                    continue
-                if opname in ("delta", "oplus"):
-                    cur.error(f"{opname} is a reserved name", head)
-                    continue
-                if opname in actions:
-                    cur.error(f"operator name {opname} collides with an action", head)
-                    continue
-                if any(f.name == opname for f in user_ops):
-                    cur.error(f"duplicate operator {opname}", head)
-                    continue
-                user_ops.append(FunctionSymbol(opname, tuple(arg_sorts), result))
-        elif head.kind == "IDENT" and head.text == "rule":
-            ensure_signature()
-            raw = _parse_rule_line(cur)
-            if raw is not None:
-                raw_rules.append(raw)
-        else:
-            cur.error(f"unknown declaration {head.text!r}", head)
-
-    signature = ensure_signature()
-    if name is None:
-        diags.append(Diagnostic("error", "missing 'ptss <name>' declaration", 1, 1))
-
-    rules: list[Rule] = []
-    seen_rule_names: set[str] = set()
-    for raw in raw_rules:
-        if raw.has_meta:
-            instances = [
-                (
-                    f"{raw.name}@{a}",
-                    _RawRule(
-                        raw.name,
-                        [(_raw_expand(s, a), a if l == META else l, _raw_expand(t, a)) for s, l, t in raw.pos],
-                        [(_raw_expand(s, a), a if l == META else l) for s, l in raw.neg],
-                        _raw_expand(raw.source, a),
-                        a if raw.label == META else raw.label,
-                        _raw_expand(raw.target, a),
-                        raw.line,
-                    ),
-                )
-                for a in signature.actions
-            ]
-        else:
-            instances = [(raw.name, raw)]
-        for inst_name, inst in instances:
-            if inst_name in seen_rule_names:
-                diags.append(Diagnostic("error", f"duplicate rule name {inst_name}", inst.line, 1))
-                continue
-            rule = _resolve_rule(inst, inst_name, signature, diags)
-            if rule is not None:
-                rules.append(rule)
-                seen_rule_names.add(inst_name)
-
-    if any(d.severity == "error" for d in diags):
-        return None, diags
-    assert name is not None
-    return PTSS(name, signature, tuple(rules)), diags
-
-
-def parse_spec(text: str) -> PTSS:
-    spec, diags = try_parse_spec(text)
-    if spec is None:
-        raise ParseFailure([d for d in diags if d.severity == "error"])
-    return spec
-
-
-def parse_term(text: str, sig: Signature, expected: Optional[Sort] = None) -> Term:
-    """Parse a single (open or closed) term against a signature."""
-    diags: list[Diagnostic] = []
-    cur = _Cursor(_lex_line(text, 1, diags), 1, diags)
-    raw = _parse_raw_term(cur)
-    if raw is not None and not cur.at_end():
-        cur.error("unexpected trailing tokens after term")
-    # every diagnostic is an error, and a term that does not resolve has one
-    term = None if diags or raw is None else _Resolver(sig, diags).resolve(raw, expected)
-    if term is None:
-        raise ParseFailure(diags)
-    return term
 
 
 # ---------------------------------------------------------------------------

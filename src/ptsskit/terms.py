@@ -11,10 +11,11 @@ are immutable and weights are exact rationals.
 from __future__ import annotations
 
 import enum
-import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Mapping, Optional, Union
+from weakref import ref
 
 from .errors import PtssError
 
@@ -25,6 +26,9 @@ class Sort(enum.Enum):
 
     def __repr__(self) -> str:
         return f"Sort.{self.name}"
+
+
+_STATE, _DIST = Sort.STATE, Sort.DIST  # read through their class, enum members cost a call
 
 
 class SortError(PtssError):
@@ -45,16 +49,10 @@ class FunctionSymbol:
     result_sort: Sort
     origin: Optional["FunctionSymbol"] = None
     prefix_action: Optional[str] = None
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:  # each intern-table lookup of an Apply hashes its symbol
-        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:  # an unpickled symbol hashes afresh: str hashes differ between processes
-        return (type(self), (self.name, self.arg_sorts, self.result_sort, self.origin, self.prefix_action))
+        # each intern-table lookup of an Apply hashes its symbol: by name, whose str keeps its hash
+        return hash(self.name)
 
     @property
     def rank(self) -> int:
@@ -73,17 +71,17 @@ class FunctionSymbol:
 
 
 def prefix_symbol(action: str) -> FunctionSymbol:
-    return FunctionSymbol(f"{action}.", (Sort.DIST,), Sort.STATE, prefix_action=action)
+    return FunctionSymbol(f"{action}.", (_DIST,), _STATE, prefix_action=action)
 
 
 def lift_symbol(f: FunctionSymbol) -> FunctionSymbol:
     """The probabilistic lifting of a state operator: same rank, all-dist arguments."""
-    if f.result_sort is not Sort.STATE:
+    if f.result_sort is not _STATE:
         raise SortError(f"only state operators can be lifted, got {f.name}")
     return FunctionSymbol(
         f"^{f.name}",
-        (Sort.DIST,) * f.rank,
-        Sort.DIST,
+        (_DIST,) * f.rank,
+        _DIST,
         origin=f,
         prefix_action=f.prefix_action,
     )
@@ -116,6 +114,21 @@ class DistVar:
     text = StateVar.text
 
 
+class _Entry(ref):
+    """A table's weak reference to a node.  When the node dies, `_forget`
+    removes the entry, unless a new node has taken its key since."""
+
+    __slots__ = ("table", "key")
+
+
+def _forget(entry: _Entry, remove=_remove_dead_weakref) -> None:  # bound early: it may run at exit
+    remove(entry.table, entry.key)
+
+
+def _dead() -> None:
+    """What a table's miss calls in place of a live node's reference."""
+
+
 class _Node:
     """Base of the hash-consed node kinds (Filliatre & Conchon, 2006).
 
@@ -124,15 +137,18 @@ class _Node:
     are one object, and `==` and `hash` are identity, O(1).  `kids` are the
     direct subterms; `depth` and `closed` are computed from their stored
     values when the node is built, `text` by `render_term` and the `value`
-    of a distribution node by `evaluate`.  The tables hold nodes weakly: a
-    node lives exactly as long as some caller holds it.
+    of a distribution node by `evaluate`.  Each kind's table is a dict from
+    key to an `_Entry`, so a lookup is one dict probe and a node lives
+    exactly as long as some caller holds it.
     """
 
     __slots__ = ("depth", "closed", "text", "value", "kids", "__weakref__")
     _fields: ClassVar[tuple[str, ...]]  # the constructor's arguments
+    _table: ClassVar[dict]
 
     @classmethod
-    def _build(cls, key: object, kids: tuple["Term", ...], **fields: object) -> "_Node":
+    def _build(cls, key: object, kids: tuple["Term", ...]) -> "_Node":
+        """A new node of these kids, entered in the table; the caller sets the fields of its kind."""
         node = object.__new__(cls)
         depth, closed = 1, True
         for k in kids:
@@ -144,9 +160,8 @@ class _Node:
         init(node, "text", None)
         init(node, "value", None)
         init(node, "kids", kids)
-        for name, value in fields.items():
-            init(node, name, value)
-        cls._table[key] = node
+        entry = cls._table[key] = _Entry(node, _forget)
+        entry.table, entry.key = cls._table, key
         return node
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -163,16 +178,18 @@ class _Node:
 
 
 class Apply(_Node):
+    __slots__ = ("symbol", "sort")
     _fields = ("symbol", "args")
-    __slots__ = _fields + ("sort",)
-    _table = weakref.WeakValueDictionary()
+    _table: ClassVar[dict] = {}
+    args = _Node.kids  # the kids slot, read under its own name
 
     def __new__(cls, symbol: FunctionSymbol, args: tuple["Term", ...] = ()) -> "Apply":
-        args = tuple(args)
-        node = cls._table.get((symbol, args))
+        key = (symbol, tuple(args))
+        node = cls._table.get(key, _dead)()
         if node is not None:
             return node
-        if len(args) != symbol.rank:
+        args = key[1]
+        if len(args) != len(symbol.arg_sorts):
             raise SortError(f"{symbol.name} expects {symbol.rank} arguments, got {len(args)}")
         for arg, want in zip(args, symbol.arg_sorts):
             if term_sort(arg) is not want:
@@ -180,33 +197,41 @@ class Apply(_Node):
                     f"argument {render_term(arg)} of {symbol.name} has sort "
                     f"{term_sort(arg).value}, expected {want.value}"
                 )
-        return cls._build((symbol, args), args, symbol=symbol, args=args, sort=symbol.result_sort)
+        node = cls._build(key, args)
+        object.__setattr__(node, "symbol", symbol)
+        object.__setattr__(node, "sort", symbol.result_sort)
+        return node
 
 
 class Dirac(_Node):
     __slots__ = _fields = ("inner",)
     sort = Sort.DIST
-    _table = weakref.WeakValueDictionary()
+    _table: ClassVar[dict] = {}
 
     def __new__(cls, inner: "Term") -> "Dirac":
-        node = cls._table.get(inner)
+        node = cls._table.get(inner, _dead)()
         if node is not None:
             return node
-        if term_sort(inner) is not Sort.STATE:
+        if term_sort(inner) is not _STATE:
             raise SortError(f"delta takes a state term, got {render_term(inner)}")
-        return cls._build(inner, (inner,), inner=inner)
+        node = cls._build(inner, (inner,))
+        object.__setattr__(node, "inner", inner)
+        return node
 
 
 class Convex(_Node):
-    __slots__ = _fields = ("weights", "args")
+    __slots__ = ("weights",)
+    _fields = ("weights", "args")
     sort = Sort.DIST
-    _table = weakref.WeakValueDictionary()
+    _table: ClassVar[dict] = {}
+    args = _Node.kids
 
     def __new__(cls, weights: tuple[Fraction, ...], args: tuple["Term", ...]) -> "Convex":
-        weights, args = tuple(weights), tuple(args)
-        node = cls._table.get((weights, args))
+        key = (tuple(weights), tuple(args))
+        node = cls._table.get(key, _dead)()
         if node is not None:
             return node
+        weights, args = key
         if len(weights) != len(args) or not args:
             raise SortError("oplus needs one weight per branch and at least one branch")
         if any(w <= 0 for w in weights):
@@ -214,9 +239,11 @@ class Convex(_Node):
         if sum(weights) != 1:
             raise SortError("oplus weights do not sum to 1")
         for arg in args:
-            if term_sort(arg) is not Sort.DIST:
+            if term_sort(arg) is not _DIST:
                 raise SortError(f"oplus branches must be distribution terms, got {render_term(arg)}")
-        return cls._build((weights, args), args, weights=weights, args=args)
+        node = cls._build(key, args)
+        object.__setattr__(node, "weights", weights)
+        return node
 
 
 def interned_count() -> int:
@@ -389,9 +416,14 @@ class Signature:
     dist_ops: tuple[FunctionSymbol, ...]
     has_prefix_family: bool = False
     _by_name: tuple[dict, dict] = field(init=False, repr=False, compare=False)
+    names: dict = field(init=False, repr=False, compare=False)  # what `op` finds for each name
+    prefixes: dict = field(init=False, repr=False, compare=False)  # each action's prefix operator, or None
 
     def __post_init__(self) -> None:  # the first operator of a name wins; validate_signature reports the rest
-        object.__setattr__(self, "_by_name", tuple({f.name: f for f in reversed(ops)} for ops in (self.state_ops, self.dist_ops)))
+        state, dist = ({f.name: f for f in reversed(ops)} for ops in (self.state_ops, self.dist_ops))
+        object.__setattr__(self, "_by_name", (state, dist))
+        object.__setattr__(self, "names", {**dist, **state})
+        object.__setattr__(self, "prefixes", {a: state.get(f"{a}.") for a in self.actions})
 
     def state_op(self, name: str) -> Optional[FunctionSymbol]:
         return self._by_name[0].get(name)
@@ -400,7 +432,8 @@ class Signature:
         return self._by_name[1].get(name)
 
     def op(self, name: str) -> Optional[FunctionSymbol]:
-        return self.state_op(name) or self.dist_op(name)
+        """The state operator of this name, else the distribution operator."""
+        return self.names.get(name)
 
     def lifted(self, f: FunctionSymbol) -> FunctionSymbol:
         g = self.dist_op(f"^{f.name}")
@@ -445,19 +478,22 @@ def validate_signature(sig: Signature) -> list[str]:
         if f.name in names:
             out.append(f"duplicate name: {f.name}")
         names.add(f.name)
+    liftings: dict[Optional[str], list[FunctionSymbol]] = {}
+    for g in sig.dist_ops:
+        liftings.setdefault(g.lifted_of, []).append(g)
     for f in sig.state_ops:
-        if f.result_sort is not Sort.STATE:
+        if f.result_sort is not _STATE:
             out.append(f"state operator {f.name} has result sort {f.result_sort.value}")
-        lifted = [g for g in sig.dist_ops if g.lifted_of == f.name]
+        lifted = liftings.get(f.name, [])
         if not lifted:
             out.append(f"missing lifting: state operator {f.name} has no ^{f.name}")
         elif len(lifted) > 1:
             out.append(f"multiple liftings for {f.name}")
         else:
             g = lifted[0]
-            if g.rank != f.rank or any(s is not Sort.DIST for s in g.arg_sorts):
+            if g.rank != f.rank or any(s is not _DIST for s in g.arg_sorts):
                 out.append(f"lifting ^{f.name} must have rank {f.rank} with all-dist arguments")
-            if g.result_sort is not Sort.DIST:
+            if g.result_sort is not _DIST:
                 out.append(f"lifting ^{f.name} must map to sort d")
         if f.prefix_action is not None and f.prefix_action not in sig.actions:
             out.append(f"prefix operator {f.name} uses undeclared action {f.prefix_action}")
@@ -471,10 +507,20 @@ def validate_signature(sig: Signature) -> list[str]:
 
 def sort_of(t: Term, sig: Signature) -> Sort:
     """Sort of a term well-formed over `sig`; raises SortError naming the
-    innermost offending node otherwise."""
-    for a in t.kids:
-        sort_of(a, sig)
-    if isinstance(t, Apply) and sig.op(t.symbol.name) != t.symbol:
-        raise SortError(f"operator {t.symbol.name} is not declared in the signature")
+    innermost offending node otherwise, the first one in post-order.  The
+    walk is iterative and visits each distinct node once."""
+    seen: set = set()
+    stack: list = [(t, False)]
+    while stack:
+        u, kids_done = stack.pop()
+        if not kids_done:
+            if u in seen:
+                continue
+            seen.add(u)
+            if u.kids:
+                stack.append((u, True))
+                stack += [(k, False) for k in reversed(u.kids)]
+                continue
+        if isinstance(u, Apply) and sig.op(u.symbol.name) != u.symbol:
+            raise SortError(f"operator {u.symbol.name} is not declared in the signature")
     return term_sort(t)
-

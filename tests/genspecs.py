@@ -28,6 +28,13 @@ LEAF_TERMS = ["0", "a.delta(0)", "b.delta(0)", "tau.delta(0)", "+(a.delta(0),b.d
 
 def random_negative_free_spec(rng: random.Random) -> tuple[PTSS, list[Term]]:
     """A spec with positive premises only, plus small root terms for it."""
+    text, roots = negative_free_text(rng)
+    spec = parse_spec(text)
+    return spec, [parse_term(r, spec.signature) for r in roots]
+
+
+def negative_free_text(rng: random.Random) -> tuple[str, list[str]]:
+    """The text of `random_negative_free_spec` and of its roots."""
     n_ops = rng.randint(1, 3)
     lines = ["ptss gen"] + list(BASE_DECLS)
     for i in range(n_ops):
@@ -46,17 +53,17 @@ def random_negative_free_spec(rng: random.Random) -> tuple[PTSS, list[Term]]:
             rules.append(
                 f"rule r{i}: x --{lab}-> mu, y --{lab}-> nu |- k{i}(+(x,y)) --{out}-> mu"
             )
-    spec = parse_spec("\n".join(lines + rules) + "\n")
-    roots = [
-        parse_term(f"k0({rng.choice(LEAF_TERMS)})", spec.signature),
-        parse_term(rng.choice(LEAF_TERMS), spec.signature),
-    ]
-    return spec, roots
+    return "\n".join(lines + rules) + "\n", [f"k0({rng.choice(LEAF_TERMS)})", rng.choice(LEAF_TERMS)]
 
 
 def random_format_safe_spec(rng: random.Random) -> PTSS:
     """A format-conforming spec: wild positions always get patience rules and
     are only tested by non-tau premises."""
+    return parse_spec(format_safe_text(rng))
+
+
+def format_safe_text(rng: random.Random) -> str:
+    """The text of `random_format_safe_spec`."""
     n_ops = rng.randint(1, 2)
     lines = ["ptss gensafe"] + list(BASE_DECLS)
     for i in range(n_ops):
@@ -81,7 +88,7 @@ def random_format_safe_spec(rng: random.Random) -> PTSS:
         else:
             # guarded copy into a Dirac; no premise, nothing wild
             rules.append(f"rule r{i}: k{i}(x) --{out}-> delta(+(k{i}(x),0))")
-    return parse_spec("\n".join(lines + rules) + "\n")
+    return "\n".join(lines + rules) + "\n"
 
 
 def shallow_contexts(spec: PTSS, max_count: int = 4) -> list[Term]:

@@ -8,7 +8,9 @@ distribution body at its `,`s and then each entry at its `:`s; and it makes a
 `Fraction` of every probability and adds each one twice, into its entry and
 into the total.  A `.pts` label is whatever stands between the arrow's `--`
 and `->`.  The PTS it reads is ordered as `PTS` ordered it, by sorting the set
-of its transitions by their rendered texts.
+of its transitions by their rendered texts.  Its `Token`, `_Cursor` and
+`_parse_weight` are the parser's own from before the one-pass parser, which
+`tests/reference_parser.py` reads with too.
 """
 
 import re
@@ -18,9 +20,75 @@ from typing import NamedTuple, Optional
 from ptsskit.distributions import Distribution, EvalError
 from ptsskit.engine import PtsTransition, opaque_state
 from ptsskit.errors import brief
-from ptsskit.parser import Diagnostic, ParseFailure, Token, _Cursor, _parse_weight
+from ptsskit.parser import Diagnostic, ParseFailure
 from ptsskit.terms import Term
 from tests.reference_render import render_term
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+class _Cursor:
+    def __init__(self, tokens: list[Token], line: int, diags: list[Diagnostic]):
+        self.tokens = tokens
+        self.i = 0
+        self.line = line
+        self.diags = diags
+
+    def peek(self) -> Optional[Token]:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self) -> Optional[Token]:
+        tok = self.peek()
+        if tok is not None:
+            self.i += 1
+        return tok
+
+    def at_end(self) -> bool:
+        return self.i >= len(self.tokens)
+
+    def error(self, message: str, tok: Optional[Token] = None) -> None:
+        tok = tok or self.peek()
+        col = tok.col if tok else (self.tokens[-1].col + len(self.tokens[-1].text) if self.tokens else 1)
+        self.diags.append(Diagnostic("error", message, self.line, col))
+
+    def expect(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
+        tok = self.peek()
+        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+            want = text or kind.lower()
+            self.error(f"expected {want!r}")
+            return None
+        return self.next()
+
+
+def _too_long(cur: _Cursor, tok: Token) -> bool:
+    """Flag an integer longer than int() converts by default."""
+    if len(tok.text) > 4300:
+        cur.error("integer has more than 4300 digits", tok)
+    return len(tok.text) > 4300
+
+
+def _parse_weight(cur: _Cursor) -> Optional[Fraction]:
+    tok = cur.expect("INT")
+    if tok is None or _too_long(cur, tok):
+        return None
+    num = int(tok.text)
+    nxt = cur.peek()
+    if nxt is not None and nxt.kind == "PUNCT" and nxt.text == "/":
+        cur.next()
+        den = cur.expect("INT")
+        if den is None or _too_long(cur, den):
+            return None
+        if int(den.text) == 0:
+            cur.error("weight denominator is zero", den)
+            return None
+        return Fraction(num, int(den.text))
+    return Fraction(num)
+
 
 _TOKEN_RE = re.compile(
     r"""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ptsskit.distributions import Distribution, EvalError
 from ptsskit.engine import export_pts, load_pts, opaque_state
-from ptsskit.parser import ParseFailure, _lex_line, read_weight
+from ptsskit.parser import ParseFailure, _Cursor, read_weight
 from tests import reference_front as reference
 from tests.conftest import CORPUS
 from tests.test_golden_pts import GOLDEN
@@ -27,8 +27,9 @@ SETTINGS = settings(derandomize=True, max_examples=400, deadline=None, database=
 
 DIGIT_RUNS = ["7" * 4300, "7" * 4301]
 # a newline can reach the lexer in a `--root` text; \x0b and \x1c end a line
-# for str.splitlines, and `١` is a digit to `\d` and to int()
-ODD = ["\n", "\x0b", "\x1c", "١", "\t", " ", "é", "\x00", "#"]
+# for str.splitlines; `١` is a digit to `\d` and to int(), and `²` and `½` are
+# not to `\d`, though `²` is to str.isdigit() and `½` to str.isnumeric()
+ODD = ["\n", "\x0b", "\x1c", "١", "²", "½", "\t", " ", "é", "\x00", "#"]
 PIECES = ["0", "1", "2", "12", "007", "/", " ", "-", "+", ".", "e", ":", ",", "a", "x_1", "(", ")", "{", "}",
           "--", "->", "-/", "<A>", "|-", "^", "@", "--a->", "-/tau->", *ODD]
 LINE = st.one_of(
@@ -37,13 +38,30 @@ LINE = st.one_of(
 )
 
 
+# the token kinds of the reference lexer, by the whole text of a token
+KINDS = [("ARROW", r"--.+->"), ("NARROW", r"-/.+->"), ("RARROW", "->"), ("TURNSTILE", r"\|-"), ("METAVAR", "<A>"),
+         ("IDENT", "[A-Za-z_][A-Za-z0-9_]*"), ("INT", r"\d+"), ("PUNCT", "[(){},:.^/+@]")]
+
+
+def _lexed(line, pos, end):
+    """The tokens of line[pos:end] as the reference lexer gives them: kind,
+    text (an arrow's is its label), line and column."""
+    diags = []
+    cur = _Cursor(line, 7, diags, pos, end)
+    tokens = []
+    for k, tok in enumerate(cur.toks[:-1]):
+        kind = next(kind for kind, pattern in KINDS if re.fullmatch(pattern, tok))
+        tokens.append((kind, tok[2:-2] if kind in ("ARROW", "NARROW") else tok, 7, cur.col(k)))
+    return tokens, diags
+
+
 @SETTINGS
 @given(line=LINE, start=st.integers(0, 3), cut=st.integers(0, 3))
 def test_lines_lex_as_before(line, start, cut):
     for pos, end in ((0, None), (min(start, len(line)), max(min(start, len(line)), len(line) - cut))):
-        new_diags, old_diags = [], []
-        assert _lex_line(line, 7, new_diags, pos, end) == reference.lex_line(line, 7, old_diags, pos, end)
-        assert new_diags == old_diags
+        old_diags = []
+        old = [tuple(tok) for tok in reference.lex_line(line, 7, old_diags, pos, end)]
+        assert _lexed(line, pos, end) == (old, old_diags)
 
 
 NUMBER = st.sampled_from(["", "0", "1", "00", "12", "007", "١", "1\x0b", *DIGIT_RUNS])

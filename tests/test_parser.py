@@ -135,3 +135,11 @@ def test_reserved_names_rejected():
     spec, diags = try_parse_spec("ptss x\nactions tau\nop delta : -> s\n")
     assert spec is None
     assert any("reserved" in d.message for d in diags)
+
+
+def test_a_rule_reports_each_diagnostic_once():
+    # a `<A>` rule is read once per action, and its error is the same in each
+    spec = RUNNING_SPEC + "rule r: <A>.delta(g(x)) --<A>-> mu\n"
+    line = spec.count("\n")
+    _, diags = try_parse_spec(spec)
+    assert [str(d) for d in diags] == [f"{line}:19: error: unknown operator g"]

@@ -234,3 +234,14 @@ def test_substitute_preserves_sort(sig, data):
 def test_render_parse_roundtrip(sig, data):
     term = data.draw(_term_strategy(sig, closed=True))
     assert parse_term(render_term(term), sig, term_sort(term)) == term
+
+
+def test_sort_of_walks_a_deep_term_without_recursing(sig):
+    # 5,000 prefix levels, built with the constructors, which do not recurse
+    term = Apply(sig.state_op("0"), ())
+    for i in range(5000):
+        term = Apply(sig.prefix("ab"[i % 2]), (Dirac(term),))
+    assert sort_of(term, sig) is Sort.STATE
+    foreign = Apply(FunctionSymbol("g", (Sort.DIST,), Sort.STATE), (Dirac(term),))
+    with pytest.raises(SortError, match="operator g is not declared"):
+        sort_of(Apply(sig.prefix("a"), (Dirac(foreign),)), sig)
