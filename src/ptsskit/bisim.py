@@ -12,10 +12,17 @@ Two scheduler-free deciders plus supporting machinery:
   decided by exact-rational linear feasibility.
 
 Both refine a partition of the states by signatures (Groote & Vaandrager
-1990; Blom & Orzan 2003); lifting against a partition is equality of block
-masses.  `rooted_branching_bisim` matches the initial steps of a pair
-strictly against the branching relation.  The scheduler-based definitions
-and the pair-deleting fixpoint live in the tests, as oracles.
+1990; Blom & Orzan 2003) over an integer index of the PTS, built once per
+call (`_Index`): states numbered in text order, each step's weights scaled
+to integers by one common denominator.  Lifting against a partition is
+equality of block masses, exact integer sums; a state's moves are kept
+across rounds until one of its targets changes block.  A pbranching block
+match is an LP over a partition (Turrini & Hermanns 2015) on the steps that
+reach only the challenge's blocks, built only when they reach all of them.
+Every LP's integer rows are written by `_flow_rows`.
+`rooted_branching_bisim` matches the initial steps of a pair strictly
+against the branching relation.  The scheduler-based definitions and the
+pair-deleting fixpoint live in the tests, as oracles.
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
 kind once and answers relatedness, classes and a distinguishing witness, the
@@ -140,126 +147,145 @@ def weak_combined_reachable(
     for u in target.support:
         if not pts.has_state(u):
             raise ValueError(f"target mentions a foreign state: {render_term(u)}")
-    if allowed is None:
-        allowed_set = set(pts.transitions)
-    else:
-        allowed_set = set(allowed)
-        if not allowed_set <= set(pts.transitions):
-            raise ValueError("allowed set must be a subset of the PTS transitions")
-
-    taus = [tr for tr in pts.transitions if tr.label == "tau" and tr in allowed_set]
-    sys = LinearSystem()
-    if a in (None, EPSILON, "tau"):
-        for u, coeffs in _flow_rows(pts.states, taus, "x").items():
-            sys.add_equation(coeffs, (1 if u == s else 0) - target.get(u))
-        return sys.is_feasible()
-
-    # tau flow x until the `a`-step y, then tau flow z; y leaves the first
-    # phase and enters the second
-    visibles = [tr for tr in pts.transitions if tr.label == a and tr in allowed_set]
-    before = _flow_rows(pts.states, taus, "x")
-    _flow_rows(pts.states, visibles, "y", enter=False, rows=before)
-    for u, coeffs in before.items():
-        sys.add_equation(coeffs, 1 if u == s else 0)
-    after = _flow_rows(pts.states, taus, "z")
-    _flow_rows(pts.states, visibles, "y", leave=False, rows=after)
-    for u, coeffs in after.items():
-        sys.add_equation(coeffs, -target.get(u))
-    return sys.is_feasible()
+    allowed_set = set(pts.transitions if allowed is None else allowed)
+    if not allowed_set <= set(pts.transitions):
+        raise ValueError("allowed set must be a subset of the PTS transitions")
+    ix = _Index(pts)
+    n, scale = len(pts.states), ix.scale
+    taus = [ix.step(tr) for tr in pts.transitions if tr.label == "tau" and tr in allowed_set]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    col = _flow_rows(rows, range(n), taus, 0, scale)
+    if a not in (None, EPSILON, "tau"):
+        # tau flow x until the `a`-step y, then tau flow z; y leaves the first
+        # phase and enters the second
+        visibles = [ix.step(tr) for tr in pts.transitions if tr.label == a and tr in allowed_set]
+        rows += [{} for _ in range(n)]
+        col = _flow_rows(rows, range(n), visibles, col, scale, range(n, 2 * n))
+        _flow_rows(rows, range(n, 2 * n), taus, col, scale)
+    rhs = [scale if u == ix.num[s] else 0 for u in range(n)] + [0] * (len(rows) - n)
+    for u, p in target.items():  # the target is met in the rows of the last phase
+        rhs[len(rows) - n + ix.num[u]] -= scale * p
+    return LinearSystem(rows, rhs).is_feasible()
 
 
 def _flow_rows(
-    states: Sequence[Term],
-    transitions: Iterable[PtsTransition],
-    tag: str,
-    leave: bool = True,
-    enter: bool = True,
-    rows: Optional[dict[Hashable, dict]] = None,
-    at: Optional[Mapping[Term, Hashable]] = None,
-) -> dict[Hashable, dict]:
-    """Flow conservation, one row of coefficients per state: the occupation
-    variable (tag, i) of the i-th transition tr counts 1 in the row of tr's
-    source if `leave`, and -p in the row of each state that tr reaches with
-    probability p if `enter` (in the row `at[state]` when `at` is given).
-    Adds to `rows` when given, making the rows it lacks."""
-    if rows is None:
-        rows = {u: {} for u in states}
-    for i, tr in enumerate(transitions):
-        if leave:
-            rows[tr.source][tag, i] = 1
-        if enter:
-            for u, p in tr.target.items():
-                row = rows.setdefault(u if at is None else at[u], {})
-                row[tag, i] = row.get((tag, i), 0) - p
-    return rows
+    rows: list[dict[int, int]], at: Rows, steps: Sequence[Step], col: int, scale: int, into: Optional[Rows] = None
+) -> int:
+    """Flow conservation in integer rows, `scale` times a state's outflow less
+    its inflow: the j-th step's occupation, column `col + j`, counts `scale`
+    in the row `at[source]` and -w in the row `into[u]` (`at[u]` by default)
+    of each state u it reaches with weight w.  Returns the next free column."""
+    into = at if into is None else into
+    for j, (source, _, targets, weights) in enumerate(steps, col):
+        rows[at[source]][j] = scale
+        for u, w in zip(targets, weights):
+            row = rows[into[u]]
+            c = row.get(j, 0) - w
+            if c:
+                row[j] = c
+            else:  # a point-mass self-loop neither leaves nor enters
+                del row[j]
+    return col + len(steps)
 
 
 # ---------------------------------------------------------------------------
 # Partition refinement shared by the deciders
 
-def _partition(pts: PTS, signing: Callable[[PTS, dict[Term, int], list[Term]], list]) -> StateRelation:
-    """The coarsest partition in which no block splits by `signing`, the
-    signatures of a block's members against the blocks (state -> id).  A
-    round re-signs the blocks that split in the round before and those with
-    a member stepping into one.  The first part of a split keeps its id."""
-    states = list(pts.states)  # in text order
-    block = dict.fromkeys(states, 0)
-    members = [states]
-    sources: dict[Term, set[Term]] = {}
-    for tr in pts.transitions:
-        for u in tr.target.support:
-            sources.setdefault(u, set()).add(tr.source)
-    dirty = {0}
+# an index step (source, label, targets, integer weights); a state's row in `_flow_rows`
+Step = tuple[int, str, tuple[int, ...], tuple[int, ...]]
+Rows = Union[Sequence[int], Mapping[int, int]]
+
+
+class _Index:
+    """A PTS over dense state numbers, the order of `pts.states`: `steps[x]`
+    lists x's steps in the order of `pts.outgoing`, their probabilities times
+    `scale`, the least common denominator of every probability in the PTS."""
+
+    def __init__(self, pts: PTS):
+        self.pts, self.num = pts, {s: i for i, s in enumerate(pts.states)}
+        self.scale = 1
+        for d in {p.denominator for tr in pts.transitions for _, p in tr.target.items()}:
+            self.scale *= Fraction(self.scale, d).denominator  # so the least common multiple
+        self.steps: list[list[Step]] = [[] for _ in pts.states]
+        for tr in pts.transitions:
+            self.steps[self.num[tr.source]].append(self.step(tr))
+
+    def step(self, tr: PtsTransition) -> Step:
+        num, scale, items = self.num, self.scale, tr.target.items()
+        if len(items) == 1:  # a point mass
+            return num[tr.source], tr.label, (num[items[0][0]],), (scale,)
+        weights = tuple([p.numerator * (scale // p.denominator) for _, p in items])
+        return num[tr.source], tr.label, tuple([num[u] for u, _ in items]), weights
+
+
+def _partition(ix: _Index, signing: Callable[..., list]) -> tuple[StateRelation, list[int], list, list, list]:
+    """The coarsest partition in which no block splits by `signing(ix, block,
+    members, moves, inert)`, a block's signatures against the blocks (state ->
+    id): as a relation, each state's block, each block's members and each
+    state's `_steps`, recomputed only when it or a target changes block.  A
+    round re-signs the blocks holding such a state; a split keeps its id."""
+    n = len(ix.steps)
+    block, members = [0] * n, [list(range(n))]
+    sources: list[list[int]] = [[] for _ in range(n)]
+    for x, steps in enumerate(ix.steps):
+        for step in steps:
+            for u in step[2]:
+                sources[u].append(x)
+    moves, inert = [None] * n, [None] * n  # each state's, kept until it goes stale
+    stale, dirty = set(range(n)), [0]
     while dirty:
-        split = []
-        for b in sorted(dirty):
-            parts: dict[Hashable, list[Term]] = {}
-            for x, sig in zip(members[b], signing(pts, block, members[b])):
+        for b in dirty:
+            for x in members[b]:
+                if x in stale:
+                    moves[x], inert[x] = _steps(ix, block, x)
+            stale.difference_update(members[b])
+            parts: dict[Hashable, list[int]] = {}
+            for x, sig in zip(members[b], signing(ix, block, members[b], moves, inert)):
                 parts.setdefault(sig, []).append(x)
             if len(parts) > 1:
                 members[b], *rest = parts.values()
-                split.append(b)
                 for part in rest:
-                    split.append(len(members))
-                    block.update(dict.fromkeys(part, len(members)))
+                    for x in part:
+                        block[x] = len(members)
+                        stale.add(x)
+                        stale.update(sources[x])
                     members.append(part)
-        dirty = {block[u] for b in split for x in members[b] for u in sources.get(x, ())}
-        dirty.update(split)
-    sets = [frozenset(ms) for ms in members]
-    return StateRelation(states, {s: sets[block[s]] for s in states})
+        dirty = sorted({block[x] for x in stale})
+    states = ix.pts.states
+    sets = [frozenset(states[x] for x in ms) for ms in members]
+    return StateRelation(states, {s: sets[block[x]] for x, s in enumerate(states)}), block, members, moves, inert
 
 
-def _masses(block: Mapping[Term, Hashable], d: Distribution) -> frozenset[tuple[Hashable, Fraction]]:
-    """The block masses of `d`: each block with d(block)."""
-    acc: dict[Hashable, Fraction] = {}
-    for u, p in d.items():
+def _masses(block: Mapping[Hashable, Hashable], targets: Sequence[Hashable], weights: Sequence) -> frozenset:
+    """The block masses of a distribution: each block with its summed weight."""
+    if len(targets) == 1:
+        return frozenset(((block[targets[0]], weights[0]),))
+    acc: dict[Hashable, int] = {}
+    for u, w in zip(targets, weights):
         b = block[u]
-        acc[b] = acc[b] + p if b in acc else p
+        acc[b] = acc[b] + w if b in acc else w
     return frozenset(acc.items())
 
 
-def _steps(pts: PTS, block: Mapping[Term, int], members: list[Term]) -> tuple[dict, dict]:
-    """Each member's moves, the (label, block masses) of its non-inert steps,
-    and its inert steps: tau-steps whose support lies in its block."""
-    moves: dict[Term, set] = {}
-    inert: dict[Term, list[PtsTransition]] = {}
-    for x in members:
-        moves[x], inert[x], b = set(), [], block[x]
-        for tr in pts.outgoing(x):
-            if tr.label == "tau" and all(block[u] == b for u in tr.target.support):
-                inert[x].append(tr)
-            else:
-                moves[x].add((tr.label, _masses(block, tr.target)))
-    return moves, inert
+def _steps(ix: _Index, block: list[int], x: int) -> tuple[frozenset, list[Step]]:
+    """The moves of `x`, the (label, block masses) of its non-inert steps,
+    and its inert steps: tau-steps whose targets lie in its block."""
+    moves, inert, b = set(), [], block[x]
+    for step in ix.steps[x]:
+        if step[1] == "tau" and all(block[u] == b for u in step[2]):
+            inert.append(step)
+        else:
+            moves.add((step[1], _masses(block, step[2], step[3])))
+    return frozenset(moves), inert
 
 
-def _inert_reach(inert: Mapping[Term, list], x: Term) -> list[Term]:
+def _inert_reach(inert: list[list[Step]], x: int) -> list[int]:
     """The states `x` reaches through `inert` steps, `x` first; a step
     reaches every state of its support."""
     reach, seen = [x], {x}
     for u in reach:
-        for tr in inert[u]:
-            for v in tr.target.support:
+        for step in inert[u]:
+            for v in step[2]:
                 if v not in seen:
                     seen.add(v)
                     reach.append(v)
@@ -273,20 +299,6 @@ def _inert_reach(inert: Mapping[Term, list], x: Term) -> list[Term]:
 PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
 
 
-def _inert(rel: Mapping[Term, set], s: Term, t: Term, tr: PtsTransition) -> bool:
-    # branching-preserving challenge, anchored at both members of the pair
-    members = rel.get(s, set()) & rel.get(t, set())
-    return tr.label == "tau" and set(tr.target.support) <= members
-
-
-def _preserving_set(pts: PTS, rel: Mapping[Term, set]) -> list[PtsTransition]:
-    return [
-        tr
-        for tr in pts.transitions
-        if tr.label == "tau" and set(tr.target.support) <= rel.get(tr.source, set())
-    ]
-
-
 def _first_unmatched(
     pts: PTS,
     rel: Mapping[Term, set],
@@ -296,8 +308,9 @@ def _first_unmatched(
     must be `matched` from `t`."""
 
     def check(s: Term, t: Term) -> Optional[PtsTransition]:
+        members = rel.get(s, set()) & rel.get(t, set())  # an inert challenge stays among them
         for tr in pts.outgoing(s):
-            if not _inert(rel, s, t, tr) and not matched(s, tr, t):
+            if not (tr.label == "tau" and members.issuperset(tr.target.support)) and not matched(s, tr, t):
                 return tr
         return None
 
@@ -313,18 +326,17 @@ def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     )
 
 
-def _branching_signatures(pts: PTS, block: Mapping[Term, int], members: list[Term]) -> list[Hashable]:
+def _branching_signatures(ix: _Index, block: list[int], members: list[int], moves: list, inert: list) -> list[Hashable]:
     # what x can do after inert steps: the non-inert moves of every state it reaches
-    moves, inert = _steps(pts, block, members)
     return [
-        frozenset().union(*(moves[u] for u in _inert_reach(inert, x))) if inert[x] else frozenset(moves[x])
+        frozenset().union(*(moves[u] for u in _inert_reach(inert, x))) if inert[x] else moves[x]
         for x in members
     ]
 
 
 def branching_bisim(pts: PTS) -> StateRelation:
     """Greatest branching bisimulation, computed without schedulers."""
-    return _partition(pts, _branching_signatures)
+    return _partition(_Index(pts), _branching_signatures)[0]
 
 
 def _execution_match(
@@ -357,32 +369,25 @@ def _execution_match(
 
 # -- probabilistic branching bisimulation ------------------------------------
 
-def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
-    preserving = _preserving_set(pts, rel)
-    cache: dict[tuple[Distribution, str, Term], bool] = {}
-
-    def matched(s: Term, tr: PtsTransition, t: Term) -> bool:
-        key = (tr.target, tr.label, t)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = _combined_match(pts, rel, preserving, tr, t)
-        return hit
-
-    return _first_unmatched(pts, rel, matched)
+def _pbranching_check(pts: PTS, rel: Mapping[Term, set], ix: Optional[_Index] = None) -> PairCheck:
+    ix = _Index(pts) if ix is None else ix
+    preserving = [ix.step(tr) for tr in pts.transitions
+                  if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
+    match = functools.cache(lambda challenge, t: _combined_match(ix, rel, preserving, *challenge, t))
+    return _first_unmatched(pts, rel, lambda s, tr, t: match(ix.step(tr)[1:], ix.num[t]))
 
 
 def _pbranching_signatures(
-    pts: PTS, block: Mapping[Term, int], members: list[Term], stay: bool = True
+    ix: _Index, block: list[int], members: list[int], moves: list, inert: list, stay: bool = True
 ) -> list[Hashable]:
     # the non-inert moves of the block that t matches; t matches its own
-    moves, inert = _steps(pts, block, members)
-    candidates = set().union(*moves.values())
+    candidates = frozenset().union(*(moves[x] for x in members))
     sigs = []
     for t in members:
         reach = _inert_reach(inert, t)
-        steps = [tr for u in reach for tr in inert[u]]
+        steps = [step for u in reach for step in inert[u]]
         sigs.append(frozenset(
-            c for c in candidates if c in moves[t] or _block_match(pts, block, t, reach, steps, *c, stay)
+            c for c in candidates if c in moves[t] or _block_match(ix, block, t, reach, steps, *c, stay)
         ))
     return sigs
 
@@ -396,13 +401,13 @@ def prob_branching_bisim(pts: PTS) -> StateRelation:
     Unless each member then matches every move of its block without staying
     put, sweeps of the per-pair check delete the pairs of a block that fail;
     the pairs they keep need not be transitive."""
-    rel = _partition(pts, _pbranching_signatures)
-    block = {s: i for i, c in enumerate(rel.classes()) for s in c}
-    if all(len(set(_pbranching_signatures(pts, block, list(c), False))) == 1 for c in rel.classes()):
+    ix = _Index(pts)
+    rel, block, members, moves, inert = _partition(ix, _pbranching_signatures)
+    if all(len(set(_pbranching_signatures(ix, block, ms, moves, inert, False))) == 1 for ms in members):
         return rel
     table = {u: set(rel.partners(u)) for u in rel.states}
     while True:
-        check = _pbranching_check(pts, table)
+        check = _pbranching_check(pts, table, ix)
         failed = [(s, t) for s in rel.states for t in table[s] if s != t and check(s, t) is not None]
         if not failed:
             return StateRelation(rel.states, {s: frozenset(table[s]) for s in rel.states})
@@ -412,72 +417,58 @@ def prob_branching_bisim(pts: PTS) -> StateRelation:
 
 
 def _block_match(
-    pts: PTS, block: Mapping[Term, int], t: Term, reach: list, inert: list, label: str, masses: frozenset, stay: bool
+    ix: _Index, block: list[int], t: int, reach: list[int], inert: list[Step],
+    label: str, masses: frozenset, stay: bool,
 ) -> bool:
     """`_combined_match` against a partition: a weak phase over the inert
     steps among the states `t` reaches by them, then a convex choice of
     `label` steps, or for tau and `stay` of staying put, whose combined
-    target has the given block masses."""
-    steps = [tr for u in reach for tr in pts.outgoing(u, label)]
+    target has the given block masses.  A step that reaches a block without
+    mass takes none, and no LP is built when some block with mass is reached
+    by no other step, nor by staying put."""
+    steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
     stay = stay and label == "tau"
     # staying alone never leaves the block; t's one step is its own move, tried by the caller
     if not steps or (not inert and not stay and len(steps) == 1):
         return False
-    sys = _weak_then_step(reach, inert, steps, t, stay)
-    want = dict(masses)
-    lift = _flow_rows((), steps, "y", leave=False, rows={b: {} for b in want}, at=block)
-    if stay:
-        lift.setdefault(block[t], {}).update({("stay", u): -1 for u in reach})
-    for b, coeffs in lift.items():
-        sys.add_equation(coeffs, -want.get(b, 0))
-    return sys.is_feasible()
-
-
-def _weak_then_step(
-    states: Sequence[Term], weak: Sequence[PtsTransition], steps: Sequence[PtsTransition], t: Term, stay: bool = False
-) -> LinearSystem:
-    """The rows both combined matches share: occupation x of the `weak`
-    steps from `t` and sigma, the mass stopped at each state; every stopped
-    unit then takes exactly one of `steps` (y) or, with `stay`, stays put."""
-    sys = LinearSystem()
-    for u, coeffs in _flow_rows(states, weak, "x").items():
-        coeffs[("sigma", u)] = 1
-        sys.add_equation(coeffs, 1 if u == t else 0)
-    for u, coeffs in _flow_rows(states, steps, "y", enter=False).items():
-        coeffs[("sigma", u)] = -1
-        if stay:
-            coeffs[("stay", u)] = 1
-        sys.add_equation(coeffs, 0)
-    return sys
+    want, scale = dict(masses), ix.scale
+    steps += [(u, label, (u,), (scale,)) for u in reach] if stay else []  # staying put, as a step
+    steps = [step for step in steps if all(block[u] in want for u in step[2])]
+    if len({block[u] for step in steps for u in step[2]}) < len(want) or (not inert and len(steps) == 1):
+        return False
+    # a flow row per reached state, then a row per block with mass, for the combined target
+    at, lift = {u: i for i, u in enumerate(reach)}, {b: len(reach) + i for i, b in enumerate(want)}
+    rows: list[dict[int, int]] = [{} for _ in range(len(reach) + len(lift))]
+    col = _flow_rows(rows, at, inert, 0, scale)
+    _flow_rows(rows, at, steps, col, scale, {u: lift[block[u]] for step in steps for u in step[2]})
+    rhs = [scale] + [0] * (len(reach) - 1) + [-m for m in want.values()]  # reach[0] is t
+    return LinearSystem(rows, rhs).is_feasible()
 
 
 def _combined_match(
-    pts: PTS,
-    rel: Mapping[Term, set],
-    preserving: Sequence[PtsTransition],
-    challenge: PtsTransition,
-    t: Term,
+    ix: _Index, rel: Mapping[Term, set], preserving: Sequence[Step], label: str, targets: tuple, weights: tuple, t: int
 ) -> bool:
     """One linear feasibility question: does some weak tau-step of `t` inside
     the preserving set reach an intermediate distribution whose one-step
     `label`-combination is lifting-related to the challenge target?"""
-    label = challenge.label
-    pi_s = challenge.target
-    steps = [tr for tr in pts.transitions if tr.label == label]
+    steps = [step for out in ix.steps for step in out if step[1] == label]
     if not steps:
         return False
-    # a weak tau phase inside the preserving set, then one label-step per stopped unit
-    sys = _weak_then_step(pts.states, preserving, steps, t)
-    # lifting of pi_s against the resulting distribution
-    for p in pi_s.support:
-        coeffs = {("w", p, v): 1 for v in pts.states if v in rel.get(p, set())}
-        sys.add_equation(coeffs, pi_s.get(p))
-    for v, coeffs in _flow_rows(pts.states, steps, "y", leave=False).items():
-        for p in pi_s.support:
-            if v in rel.get(p, set()):
-                coeffs[("w", p, v)] = 1
-        sys.add_equation(coeffs, 0)
-    return sys.is_feasible()
+    n, scale, states = len(ix.steps), ix.scale, ix.pts.states
+    # a weak tau phase inside the preserving set, then one label-step per stopped unit; the
+    # second n rows lift the challenge target against the combined target, a column per related pair
+    rows: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    col = _flow_rows(rows, range(n), preserving, 0, scale)
+    col = _flow_rows(rows, range(n), steps, col, scale, range(n, 2 * n))
+    rhs = [scale if u == t else 0 for u in range(n)] + [0] * n
+    for p, w in zip(targets, weights):
+        row = {}
+        for v in sorted(ix.num[v] for v in rel.get(states[p], ())):
+            row[col] = rows[n + v][col] = scale
+            col += 1
+        rows.append(row)
+        rhs.append(w)
+    return LinearSystem(rows, rhs).is_feasible()
 
 
 # -- rooted branching bisimulation -------------------------------------------
@@ -489,8 +480,8 @@ def _rooted_challenge(
     by one equally labelled step with a `bb`-lifted target."""
     for x, y in ((s, t), (t, s)):
         for tr in pts.outgoing(x):
-            want = _masses(bb._by_left, tr.target)
-            if not any(_masses(bb._by_left, other.target) == want for other in pts.outgoing(y, tr.label)):
+            want = _masses(bb._by_left, *zip(*tr.target.items()))
+            if all(_masses(bb._by_left, *zip(*o.target.items())) != want for o in pts.outgoing(y, tr.label)):
                 return x, tr
     return None
 

@@ -18,7 +18,8 @@ from .terms import (
     Convex,
     Dirac,
     DistVar,
-    Sort,
+    _DIST,
+    _STATE,
     StateVar,
     Term,
     is_closed,
@@ -26,7 +27,7 @@ from .terms import (
 )
 
 
-_ONE = Fraction(1)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class EvalError(PtssError):
@@ -90,7 +91,7 @@ class Distribution:
         return self._items
 
     def get(self, term: Term) -> Fraction:
-        return self._table.get(term, Fraction(0))
+        return self._table.get(term, _ZERO)
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self._support)
@@ -150,7 +151,7 @@ def evaluate(theta: Term) -> Distribution:
         if isinstance(t, Apply) and not t.symbol.is_lifted:
             raise EvalError(f"{t.symbol.name} is not a distribution operator")
         if isinstance(t, Apply):
-            args = [a for a, s in zip(t.args, t.symbol.origin.arg_sorts) if s is Sort.STATE]
+            args = [a for a, s in zip(t.args, t.symbol.origin.arg_sorts) if s is _STATE]
         else:
             args = t.args if isinstance(t, Convex) else ()
         pending = [a for a in args if a.value is None]
@@ -173,12 +174,12 @@ def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:
     if not isinstance(theta, Apply):
         raise EvalError(f"not a distribution term: {theta!r}")
     origin = theta.symbol.origin
-    if any(s is Sort.DIST and not is_closed(a) for a, s in zip(theta.args, origin.arg_sorts)):
+    if any(s is _DIST and not is_closed(a) for a, s in zip(theta.args, origin.arg_sorts)):
         raise EvalError(f"cannot evaluate open term {render_term(theta)}")
     items: list[tuple[Term, Fraction]] = []
     for combo in product(*(d.items() for d in dists)):
         picked = iter(combo)
-        args = tuple(next(picked)[0] if s is Sort.STATE else a for a, s in zip(theta.args, origin.arg_sorts))
+        args = tuple(next(picked)[0] if s is _STATE else a for a, s in zip(theta.args, origin.arg_sorts))
         p = _ONE
         for _, q in combo:
             p *= q

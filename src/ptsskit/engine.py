@@ -23,10 +23,10 @@ from .errors import BoundError, brief
 from .parser import PTSS, Diagnostic, ParseFailure, Rule, read_weight
 from .terms import (
     FunctionSymbol,
-    Sort,
     SortError,
     Term,
     Apply,
+    _STATE,
     is_closed,
     match,
     render_term,
@@ -276,7 +276,7 @@ def _check_and_collect(term: Term, universe: set[Term], bound: DomainBound) -> N
         sub = stack.pop()
         if sub in universe:
             continue
-        if term_sort(sub) is Sort.STATE:
+        if term_sort(sub) is _STATE:
             if term_depth(sub) > bound.max_depth:
                 raise DomainBoundError(sub, "term exceeds max depth")
             universe.add(sub)
@@ -293,7 +293,7 @@ def _closed_universe(p: PTSS, bound: DomainBound, derived: Optional[_Derived] = 
     derived = _Derived() if derived is None else derived
     universe: set[Term] = set()
     for root in bound.roots:
-        if not is_closed(root) or term_sort(root) is not Sort.STATE:
+        if not is_closed(root) or term_sort(root) is not _STATE:
             raise SortError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
     new = set(universe)
@@ -377,7 +377,7 @@ def export_pts(pts: PTS) -> str:
 
 
 def opaque_state(name: str) -> Term:
-    state = Apply(FunctionSymbol(name, (), Sort.STATE), ())
+    state = Apply(FunctionSymbol(name, (), _STATE), ())
     object.__setattr__(state, "text", name)  # what render_term gives a constant
     return state
 
@@ -387,11 +387,11 @@ _BRACKET_OR_SEPARATOR = re.compile(r"[(){},:]")
 
 
 def _read_distribution(
-    code: str, line_no: int, states: dict[str, Term], diags: list[Diagnostic]
+    code: str, line_no: int, states: dict[str, Term], weights: dict[str, Fraction], diags: list[Diagnostic]
 ) -> Optional[Distribution]:
     """The `{ state: p, ... }` that ends `code`, or None after a diagnostic.
     One scan finds the entries' `,` and `:`, those outside brackets: a state
-    name may hold a term's text."""
+    name may hold a term's text.  `weights` keeps the file's weight texts read."""
 
     def err(message: str) -> None:
         diags.append(Diagnostic("error", message, line_no, 1))
@@ -420,7 +420,8 @@ def _read_distribution(
         name = code[start:colons[0]].strip()
         if name not in states:
             return err(f"undeclared state {name}")
-        prob = read_weight(code, line_no, diags, colons[0] + 1, stop)
+        key = code[colons[0] + 1:stop]  # a weight text that failed, or read 0, is read again
+        prob = weights[key] = weights.get(key) or read_weight(code, line_no, diags, colons[0] + 1, stop)
         if prob is None:
             return None
         items.append((states[name], prob))
@@ -437,6 +438,7 @@ def load_pts(text: str) -> PTS:
     """Read the line-oriented PTS format; state names are opaque."""
     diags: list[Diagnostic] = []
     states: dict[str, Term] = {}
+    weights: dict[str, Fraction] = {}
     order: list[Term] = []
     transitions: list[PtsTransition] = []
     labels: set[str] = set()
@@ -445,7 +447,7 @@ def load_pts(text: str) -> PTS:
         diags.append(Diagnostic("error", message, line_no, 1))
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        code = raw_line.split("#", 1)[0]
+        code = raw_line.partition("#")[0]
         line = code.strip()
         if not line:
             continue
@@ -471,7 +473,7 @@ def load_pts(text: str) -> PTS:
                 problem = "expected '--<label>->'"
             elif not head.endswith("->"):
                 problem = "expected '->' after the label"
-            elif not _ACTION_NAME.fullmatch(label):
+            elif label not in labels and not _ACTION_NAME.fullmatch(label):
                 problem = f"label {label!r} is not an action name"
             elif src_text not in states:
                 problem = f"undeclared state {src_text}"
@@ -480,7 +482,7 @@ def load_pts(text: str) -> PTS:
             if problem is not None:
                 err(problem, line_no)
                 continue
-            dist = _read_distribution(code, line_no, states, diags)
+            dist = _read_distribution(code, line_no, states, weights, diags)
             if dist is None:
                 continue
             labels.add(label)

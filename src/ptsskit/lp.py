@@ -1,26 +1,27 @@
 """Exact rational linear feasibility and max-flow.
 
-Both routines are exact: `feasible` pivots integer rows scaled from the
-`fractions.Fraction` input, and `max_flow` runs over `Fraction`.  The decision
-procedures built on top (relation lifting, weak combined transitions) sit on
-boundary cases where floating point would flip answers.
+Both routines are exact: `feasible` pivots integer rows, and `max_flow`
+runs over `fractions.Fraction`.  The decision procedures built on top
+(relation lifting, weak combined transitions) sit on boundary cases where
+floating point would flip answers.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Optional, Sequence, Union
 
-Row = Mapping[int, Fraction]  # column index -> nonzero coefficient
+Row = Mapping[int, Union[int, Fraction]]  # column index -> nonzero coefficient
 
 
-def feasible(rows: Sequence[Row], rhs: Sequence[Fraction]) -> bool:
+def feasible(rows: Sequence[Row], rhs: Sequence[Union[int, Fraction]]) -> bool:
     """Is there x >= 0 with A x = b?  Phase-1 simplex, Bland's rule.
 
     Rows are sparse.  Pivoting is fraction-free (Edmonds 1967; Bareiss 1968):
-    each row is scaled to integers, and after every pivot all rows share the
-    denominator `d`, the previous pivot, by which the update divides exactly.
+    a row with a `Fraction` is scaled to integers, an integer row is taken as
+    it is, and after every pivot all rows share the denominator `d`, the
+    previous pivot, by which the update divides exactly.
     The artificial columns are never stored: they may not re-enter, so only
     their basis indices (after every structural column) are kept, for the
     tie-break.  The last row is the phase-1 objective, the sum of the rows.
@@ -29,6 +30,10 @@ def feasible(rows: Sequence[Row], rhs: Sequence[Fraction]) -> bool:
     tab: list[dict[int, int]] = []
     b: list[int] = []
     for row, r in zip(rows, rhs):
+        if type(r) is int and all(type(v) is int for v in row.values()):
+            tab.append(row if r >= 0 else {j: -v for j, v in row.items()})
+            b.append(abs(r))
+            continue
         scale = r.denominator
         for v in row.values():
             if scale % v.denominator:
@@ -82,12 +87,12 @@ def feasible(rows: Sequence[Row], rhs: Sequence[Fraction]) -> bool:
 
 
 class LinearSystem:
-    """Equality-constraint builder keyed by arbitrary variable names."""
+    """Equality constraints as sparse rows, given whole or added by variable names."""
 
-    def __init__(self) -> None:
+    def __init__(self, rows: Optional[list[Row]] = None, rhs: Optional[list[Union[int, Fraction]]] = None) -> None:
         self._vars: dict[Hashable, int] = {}
-        self._rows: list[dict[int, Fraction]] = []
-        self._rhs: list[Fraction] = []
+        self._rows: list[Row] = [] if rows is None else rows
+        self._rhs: list[Union[int, Fraction]] = [] if rhs is None else rhs
 
     def var(self, key: Hashable) -> int:
         return self._vars.setdefault(key, len(self._vars))

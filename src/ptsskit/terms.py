@@ -339,7 +339,7 @@ def substitute(rho: Substitution, t: Term) -> Term:
     if isinstance(t, StateVar):
         if t.name in rho:
             rep = rho[t.name]
-            if term_sort(rep) is not Sort.STATE:
+            if term_sort(rep) is not _STATE:
                 raise SortError(
                     f"state variable {t.name} bound to distribution term {render_term(rep)}"
                 )
@@ -348,7 +348,7 @@ def substitute(rho: Substitution, t: Term) -> Term:
     if isinstance(t, DistVar):
         if t.name in rho:
             rep = rho[t.name]
-            if term_sort(rep) is not Sort.DIST:
+            if term_sort(rep) is not _DIST:
                 raise SortError(
                     f"distribution variable {t.name} bound to state term {render_term(rep)}"
                 )

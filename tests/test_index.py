@@ -1,0 +1,91 @@
+"""The integer index the bisimulation deciders refine over (`bisim._Index`):
+built only by commands that decide a bisimulation, and on the product family
+of ROADMAP "Product state spaces" the same pbranching classes as before it
+with a fraction of the LPs."""
+
+import hashlib
+import io
+import json
+import shutil
+from contextlib import redirect_stdout
+
+import pytest
+
+import ptsskit.bisim as bisim
+from ptsskit import lp
+from ptsskit.cli import EXIT_OK, main
+from ptsskit.engine import DomainBound, reachable_pts
+from ptsskit.parser import parse_spec, parse_term
+from ptsskit.terms import render_term
+from tests.conftest import CORPUS
+
+# running.ptss with a parallel composition; par_l@tau and par_r@tau are patience rules
+PRODUCT_SPEC = (CORPUS / "running.ptss").read_text().replace("rule prefix", "op par : s s -> s\nrule prefix") + (
+    "rule par_l: x --<A>-> mu |- par(x,y) --<A>-> ^par(mu,delta(y))\n"
+    "rule par_r: y --<A>-> mu |- par(x,y) --<A>-> ^par(delta(x),mu)\n"
+)
+COMPONENT = "a.oplus{1/2:delta(tau.delta(0)),1/2:delta(b.delta(0))}"
+
+# the pbranching classes of the 4-fold product before the index: 15 classes
+# of 768 states, as the sha256 of their rendered states in JSON
+PRODUCT_CLASSES_SHA256 = "8dad899302b9b5215139542cd91e8ef42735e39cd805dbf96f07db3c80c43240"
+PRODUCT_CLASS_SIZES = [3, 3, 12, 12, 18, 24, 24, 48, 72, 72, 72, 72, 96, 96, 144]
+PARENT_FEASIBLE_CALLS = 1994  # lp.feasible calls of that decision before the index
+
+
+def product_pts(k):
+    """The PTS reachable from the k-fold `par` of COMPONENT and from that
+    product beside an inert tau-step."""
+    spec = parse_spec(PRODUCT_SPEC)
+    root = COMPONENT
+    for _ in range(k - 1):
+        root = f"par({COMPONENT},{root})"
+    roots = tuple(parse_term(text, spec.signature) for text in (root, f"par(tau.delta(0),{root})"))
+    return reachable_pts(spec, DomainBound(roots, max_depth=64, max_states=4096)), roots
+
+
+def test_product_pbranching_keeps_its_classes_with_a_fifth_of_the_lps(monkeypatch):
+    pts, (root, stuttered) = product_pts(4)
+    assert len(pts.states) == 768
+    calls = []
+    feasible = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda rows, rhs: calls.append(len(rows)) or feasible(rows, rhs))
+    decision = bisim.decide("pbranching", pts)
+    classes = [[render_term(u) for u in c] for c in decision.classes()]
+    assert sorted(map(len, classes)) == PRODUCT_CLASS_SIZES
+    assert hashlib.sha256(json.dumps(classes).encode()).hexdigest() == PRODUCT_CLASSES_SHA256
+    assert decision.related(root, stuttered)
+    assert len(calls) <= PARENT_FEASIBLE_CALLS // 5
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Count the indexes built, wherever a decider builds one."""
+    built = []
+
+    class Counting(bisim._Index):
+        def __init__(self, pts):
+            built.append(pts)
+            super().__init__(pts)
+
+    monkeypatch.setattr(bisim, "_Index", Counting)
+    return built
+
+
+def test_pts_and_a_corpus_run_without_bisim_rows_build_no_index(index_builds, tmp_path):
+    # the files derive and check PTSs, and decide no bisimulation
+    with redirect_stdout(io.StringIO()):
+        assert main(["pts", str(CORPUS / "running.ptss"), "--root", "+(a.delta(b.delta(0)),tau.delta(0))"]) == EXIT_OK
+        for name in ("delayed_g.ptss", "incomplete_f.ptss"):
+            text = (CORPUS / name).read_text()
+            assert "# expect complete" in text and "expect bisim" not in text and "expect probe" not in text
+            shutil.copy(CORPUS / name, tmp_path / name)
+        assert main(["corpus-run", str(tmp_path)]) == EXIT_OK
+    assert index_builds == []
+
+
+@pytest.mark.parametrize("kind", bisim.KINDS)
+def test_a_yes_query_builds_one_index(index_builds, capsys, kind):
+    assert main(["bisim", str(CORPUS / "mixed_choice.pts"), "--kind", kind, "t0", "t0"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(": YES\n")
+    assert len(index_builds) == 1

@@ -24,8 +24,9 @@ KINDS = ("branching", "pbranching", "rooted")
 
 # -- the random families of perfbench/workloads.py ------------------------------
 
-def random_pts(rng, k):
-    """1-2 transitions per state, labels tau/a/b, 1-2-point targets in quarters."""
+def random_pts(rng, k, den=4):
+    """1-2 transitions per state, labels tau/a/b, 1-2-point targets in
+    multiples of 1/den (quarters, as in the benchmark, by default)."""
     trans = []
     for i in range(k):
         for _ in range(rng.randint(1, 2)):
@@ -34,7 +35,7 @@ def random_pts(rng, k):
                 target = {rng.randrange(k): Fraction(1)}
             else:
                 u, v = rng.sample(range(k), 2)
-                w = Fraction(rng.randint(1, 3), 4)
+                w = Fraction(rng.randint(1, den - 1), den)
                 target = {u: w, v: 1 - w}
             trans.append((i, label, target))
     return trans
@@ -139,6 +140,84 @@ def test_stuttered_systems_agree_with_the_pair_fixpoint(kind):
     for seed in range(4):
         for k in range(1, 5 if kind == "pbranching" else 9):
             _agree(kind, stuttered_pts(k, random_pts(random.Random(f"stutter:{seed}:{k}"), k)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("den", [3, 6])
+def test_thirds_and_sixths_agree_with_the_pair_fixpoint(kind, den):
+    # sixths mix the denominators 6, 3 and 2 within one system
+    for seed in range(3):
+        for k in range(1, 17):
+            _agree(kind, plain_pts(k, random_pts(random.Random(f"refine:{seed}:{k}"), k, den)))
+    for seed in range(4):
+        for k in range(1, 5 if kind == "pbranching" else 9):
+            _agree(kind, stuttered_pts(k, random_pts(random.Random(f"stutter:{seed}:{k}"), k, den)))
+
+
+# s and t are related only as sums: u, v and w form one class, on which s
+# puts 1/6 + 1/3 and t puts 1/2
+SUMS_ACROSS_DENOMINATORS = """\
+state s
+state t
+state u
+state v
+state w
+state x
+trans s --a-> { u: 1/6, v: 1/3, x: 1/2 }
+trans t --a-> { w: 1/2, x: 1/2 }
+trans u --b-> { x: 1 }
+trans v --b-> { x: 1 }
+trans w --b-> { x: 1 }
+"""
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_masses_agree_as_sums_across_denominators(kind):
+    pts = load_pts(SUMS_ACROSS_DENOMINATORS)
+    _agree(kind, pts)
+    decision = bisim.decide(kind, pts)
+    s, t = pts.states[:2]
+    assert decision.related(s, t)
+    if kind != "rooted":
+        assert [[render_term(u) for u in c] for c in decision.classes()] == [["s", "t"], ["u", "v", "w"], ["x"]]
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first 13 primes as bases, exact below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(r - 1)):
+            return False
+    return True
+
+
+def test_twenty_digit_prime_denominators_agree_with_the_pair_fixpoint():
+    # 12 states: r6..r11 copy the steps of r0..r5 onto the copies, and every
+    # split target of either half has its own 20-digit prime denominator, so
+    # the common denominator of the integer weights has hundreds of digits
+    primes = iter(n for n in range(10**19 + 1, 10**20, 2) if _is_prime(n))
+    rng = random.Random("primes:14")  # 5 of its 8 steps split
+    lines = [f"state r{i}" for i in range(12)]
+    for i, label, target in random_pts(rng, 6):
+        for shift in (0, 6):
+            if len(target) == 2:
+                p = next(primes)
+                w = Fraction(rng.randrange(1, p), p)
+                target = dict(zip(target, (w, 1 - w)))
+            lines.append(f"trans r{i + shift} --{label}-> {_dist('r', {u + shift: w for u, w in target.items()})}")
+    pts = load_pts("\n".join(lines) + "\n")
+    denominators = [p.denominator for tr in pts.transitions for _, p in tr.target.items() if p != 1]
+    assert len(denominators) == 20 and len(set(denominators)) == 10
+    assert all(len(str(d)) == 20 for d in denominators)
+    for kind in KINDS:
+        _agree(kind, pts)
+    assert len(bisim.branching_bisim(pts).classes()) < 12
 
 
 # Three systems of the random family on which the pbranching partition needs
