@@ -124,11 +124,7 @@ def convex_combine(pairs: Iterable[tuple[Fraction, Distribution]]) -> Distributi
             raise EvalError("nonpositive weight in convex combination")
     if sum(p for p, _ in pairs) > 1:
         raise EvalError("convex combination weights exceed 1")
-    items: list[tuple[Term, Fraction]] = []
-    for p, d in pairs:
-        for t, q in d.items():
-            items.append((t, p * q))
-    return Distribution(items)
+    return Distribution([(t, p if q is _ONE else p * q) for p, d in pairs for t, q in d.items()])
 
 
 def evaluate(theta: Term) -> Distribution:
@@ -143,6 +139,8 @@ def evaluate(theta: Term) -> Distribution:
     once however many terms share it.  A value refers only to state terms
     that do not contain its node, so no reference cycle forms.
     """
+    if theta.value is not None:
+        return theta.value
     stack = [theta]
     while stack:
         t = stack[-1]
@@ -171,8 +169,6 @@ def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:
         return Distribution.dirac(theta.inner)
     if isinstance(theta, Convex):
         return convex_combine(zip(theta.weights, dists))
-    if not isinstance(theta, Apply):
-        raise EvalError(f"not a distribution term: {theta!r}")
     origin = theta.symbol.origin
     if any(s is _DIST and not is_closed(a) for a, s in zip(theta.args, origin.arg_sorts)):
         raise EvalError(f"cannot evaluate open term {render_term(theta)}")
@@ -182,7 +178,8 @@ def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:
         args = tuple(next(picked)[0] if s is _STATE else a for a, s in zip(theta.args, origin.arg_sorts))
         p = _ONE
         for _, q in combo:
-            p *= q
+            if q is not _ONE:  # a Dirac argument's weight
+                p = q if p is _ONE else p * q
         items.append((Apply(origin, args), p))
     result = Distribution(items)
     if not result.is_full:

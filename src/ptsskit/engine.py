@@ -8,6 +8,14 @@ everything" relation is never materialized; a negative literal holds in it
 only when no rule conclusion could ever produce a matching transition.  The
 domain closure derives PT0 once, extending one derivation as the domain
 grows, and a spec without negative premises derives nothing more.
+
+Each `stable_model` call compiles every rule once (`_compile`), choosing how
+each premise is read from the variables bound before it: a bound source is
+looked up in the index of derived transitions, a still unbound target
+variable takes each derived target as it is, and a conclusion target is read
+from the binding or built by constructors chosen once; `match` and
+`substitute` serve the other shapes.  A pass matches a term once per source
+pattern, and each rule of that source goes on from the binding.
 """
 
 from __future__ import annotations
@@ -15,25 +23,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .distributions import Distribution, EvalError, evaluate
 from .errors import BoundError, brief
 from .parser import PTSS, Diagnostic, ParseFailure, Rule, read_weight
-from .terms import (
-    FunctionSymbol,
-    SortError,
-    Term,
-    Apply,
-    _STATE,
-    is_closed,
-    match,
-    render_term,
-    substitute,
-    term_depth,
-    term_sort,
-)
+from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, match,
+                    render_term, substitute, term_sort, variables)
 
 
 class DomainBoundError(BoundError):
@@ -57,8 +56,7 @@ class IncompleteError(BoundError):
     """The spec has no associated PTS because its stable model is 3-valued."""
 
 
-@dataclass(frozen=True)
-class SymbolicTransition:
+class SymbolicTransition(NamedTuple):
     source: Term
     label: str
     target: Term
@@ -92,8 +90,7 @@ class ThreeValuedModel:
         return self.ct == self.pt
 
 
-@dataclass(frozen=True)
-class PtsTransition:
+class PtsTransition(NamedTuple):
     source: Term
     label: str
     target: Distribution
@@ -138,14 +135,61 @@ class PTS:
 # ---------------------------------------------------------------------------
 # Rule instantiation
 
-class _Derived:
-    """The transitions derived so far, in the order derived, and an index:
-    targets by (source, label), for premises whose source is closed once
-    substituted, and (source, target) pairs by label, for the open ones.  An
-    index entry remembers the sources whose rule instances read it; a
-    transition added to it marks them dirty."""
+Binding = dict[str, Term]
 
-    def __init__(self) -> None:
+
+def _builder(t: Term) -> Callable[[Binding], Term]:
+    """t's instance under a binding of its variables, by constructors chosen
+    once: a variable is read from the binding and a closed term is kept."""
+    if t.closed:
+        return lambda rho: t
+    if isinstance(t, (StateVar, DistVar)):
+        return itemgetter(t.name)
+    kids = [_builder(k) for k in t.kids]
+    if isinstance(t, Dirac):
+        inner = kids[0]
+        return lambda rho: Dirac(inner(rho))
+    make = partial(Apply, t.symbol) if isinstance(t, Apply) else partial(Convex, t.weights)
+    return lambda rho: make(tuple([k(rho) for k in kids]))
+
+
+def _instance(t: Term, bound: set[str]) -> Callable[[Binding], Term]:
+    if t.depth <= 16 and variables(t) <= bound:  # _builder recurses once a level
+        return _builder(t)
+    return lambda rho: substitute(rho, t)  # an open instance is reported where it is used
+
+
+def _compile(rules: tuple[Rule, ...]) -> tuple[tuple, ...]:
+    """Each rule as (rule, premises, negatives, target), a positive premise
+    as (source, label, target, source_of, target_var): `source_of` builds a
+    bound source, or is None for an open one, which is matched against every
+    transition of its label, and `target_var` names an unbound target variable."""
+    compiled = []
+    for rule in rules:
+        bound = variables(rule.source)
+        premises = []
+        for src, label, tgt in rule.pos_premises:
+            names = variables(src)
+            source_of = _instance(src, bound) if names <= bound else None
+            bound |= names
+            target_var = tgt.name if isinstance(tgt, DistVar) and tgt.name not in bound else None
+            bound |= variables(tgt)
+            premises.append((src, label, tgt, source_of, target_var))
+        negatives = [(_instance(src, bound), label) for src, label in rule.neg_premises]
+        compiled.append((rule, premises, negatives, _instance(rule.target, bound)))
+    return tuple(compiled)
+
+
+class _Derived:
+    """The transitions derived so far by the compiled `rules`, in the order
+    derived, and an index: targets by (source, label), for premises whose
+    source is bound, and (source, target) pairs by label, for the labels of
+    open ones.  An index entry remembers the sources whose rule instances
+    read it; a transition added to it marks them dirty."""
+
+    def __init__(self, rules: tuple[tuple, ...]) -> None:
+        self.rules = rules
+        self.scanned = {label for c in rules for _, label, _, source_of, _ in c[1] if source_of is None}
         self.all: dict[SymbolicTransition, None] = {}
         self.index: dict[object, list] = {}
         self.readers: dict[object, set[Term]] = {}
@@ -158,98 +202,85 @@ class _Derived:
     def add(self, tr: SymbolicTransition) -> None:
         if tr not in self.all:
             self.all[tr] = None
-            for key, entry in (((tr.source, tr.label), tr.target), (tr.label, (tr.source, tr.target))):
+            source, label, target = tr
+            keyed = (((source, label), target), (label, (source, target)))
+            for key, entry in keyed if label in self.scanned else keyed[:1]:
                 self.index.setdefault(key, []).append(entry)
-                self.dirty.update(self.readers.get(key, ()))
+                if key in self.readers:
+                    self.dirty.update(self.readers[key])
 
 
-def _solve_positives(
-    rho: dict[str, Term],
-    premises: tuple[tuple[Term, str, Term], ...],
-    derived: _Derived,
-    reader: Term,
-) -> list[dict[str, Term]]:
-    solutions = [rho]
-    for psrc, label, ptgt in premises:
-        grown: list[dict[str, Term]] = []
+def _instances(
+    compiled: tuple, rho0: Binding, derived: _Derived, reader: Term, neg_holds: Callable[[Term, str], bool], max_depth: int
+) -> list[Term]:
+    """The conclusion targets of a compiled rule from rho0, its source's
+    binding: one for each solution of its positive premises, read by the
+    steps chosen when it was compiled, whose negative premises hold."""
+    rule, premises, negatives, target_of = compiled
+    solutions = [rho0]
+    for psrc, label, ptgt, source_of, target_var in premises:
+        grown: list[Binding] = []
         for sub in solutions:
-            src = substitute(sub, psrc)
-            tgt_pat = substitute(sub, ptgt)
-            if src.closed:  # one lookup, and nothing to match the source against
-                for theta in derived.read((src, label), reader):
-                    m = match(tgt_pat, theta)
-                    if m is not None:
-                        grown.append({**sub, **m})
+            if source_of is None:  # match the source against every transition of the label
+                src, tgt_pat = substitute(sub, psrc), substitute(sub, ptgt)
+                for u, theta in derived.read(label, reader):
+                    m1 = match(src, u)
+                    if m1 is None:
+                        continue
+                    m2 = match(substitute(m1, tgt_pat), theta)
+                    if m2 is not None:
+                        grown.append({**sub, **m1, **m2})
                 continue
-            for u, theta in derived.read(label, reader):
-                m1 = match(src, u)
-                if m1 is None:
-                    continue
-                m2 = match(substitute(m1, tgt_pat), theta)
-                if m2 is not None:
-                    grown.append({**sub, **m1, **m2})
+            thetas = derived.read((source_of(sub), label), reader)
+            if target_var is not None:  # nothing to match the target against
+                grown += [{**sub, target_var: theta} for theta in thetas]
+                continue
+            tgt_pat = substitute(sub, ptgt)
+            for theta in thetas:
+                m = match(tgt_pat, theta)
+                if m is not None:
+                    grown.append({**sub, **m})
         solutions = grown
-        if not solutions:
-            break
-    return solutions
+    targets = []
+    for rho in solutions:
+        for source_of, label in negatives:
+            inst = source_of(rho)
+            if not inst.closed:
+                raise RuleInstantiationError(f"rule {rule.name}: negative premise source {render_term(inst)} has unbound variables")
+            if not neg_holds(inst, label):
+                break
+        else:
+            target = target_of(rho)
+            if not target.closed:
+                raise RuleInstantiationError(f"rule {rule.name}: conclusion target {render_term(target)} has unbound variables")
+            if target.depth > max_depth:
+                raise DomainBoundError(target, "conclusion target exceeds max depth")
+            targets.append(target)
+    return targets
 
 
-def _rule_instances(
-    rule: Rule,
-    candidates: Iterable[Term],
-    derived: _Derived,
-    neg_holds: Callable[[Term, str], bool],
-    max_depth: int,
-) -> Iterable[SymbolicTransition]:
-    for src in candidates:
-        rho0 = match(rule.source, src)
-        if rho0 is None:
-            continue
-        for rho in _solve_positives(rho0, rule.pos_premises, derived, src):
-            for nsrc, nlabel in rule.neg_premises:
-                inst = substitute(rho, nsrc)
-                if not inst.closed:
-                    raise RuleInstantiationError(
-                        f"rule {rule.name}: negative premise source {render_term(inst)} "
-                        f"has unbound variables"
-                    )
-                if not neg_holds(inst, nlabel):
-                    break
-            else:
-                target = substitute(rho, rule.target)
-                if not target.closed:
-                    raise RuleInstantiationError(
-                        f"rule {rule.name}: conclusion target {render_term(target)} "
-                        f"has unbound variables"
-                    )
-                if target.depth > max_depth:
-                    raise DomainBoundError(target, "conclusion target exceeds max depth")
-                yield SymbolicTransition(src, rule.label, target)
-
-
-def _derive(
-    rules: tuple[Rule, ...],
-    terms: Iterable[Term],
-    neg_holds: Callable[[Term, str], bool],
-    max_depth: int,
-    derived: _Derived,
-) -> _Derived:
-    """Extend `derived` to the least fixed point of the rules over the
+def _derive(terms: Iterable[Term], neg_holds: Callable[[Term, str], bool], max_depth: int, derived: _Derived) -> _Derived:
+    """Extend `derived` to the least fixed point of its rules over the
     sources in `terms` and in `derived`.  Subterms come first and a
     transition can be used as soon as it is derived, so one pass usually
-    derives everything; a later pass visits the dirty sources only.  A rule
-    whose source is an application only sees the terms with its head symbol."""
+    derives everything; a later pass visits the dirty sources only.  A
+    source pattern that is an application only sees the terms with its head
+    symbol, and the rules take turns in their order."""
     while terms:
         ordered = sorted(terms, key=lambda u: (u.depth, render_term(u)))
         by_head: dict[FunctionSymbol, list[Term]] = {}
         for u in ordered:
             by_head.setdefault(u.symbol, []).append(u)
         derived.dirty = set()
-        for rule in rules:
-            src = rule.source
-            candidates = by_head.get(src.symbol, ()) if isinstance(src, Apply) else ordered
-            for tr in _rule_instances(rule, candidates, derived, neg_holds, max_depth):
-                derived.add(tr)
+        matches: dict[Term, list[tuple[Term, Binding]]] = {}  # by source pattern: the terms it matches, bound
+        for compiled in derived.rules:
+            pattern = compiled[0].source
+            if pattern not in matches:
+                candidates = by_head.get(pattern.symbol, ()) if isinstance(pattern, Apply) else ordered
+                matches[pattern] = [(src, rho0) for src in candidates if (rho0 := match(pattern, src)) is not None]
+            for src, rho0 in matches[pattern]:
+                for target in _instances(compiled, rho0, derived, src, neg_holds, max_depth):
+                    derived.add(SymbolicTransition(src, compiled[0].label, target))
         terms = derived.dirty
     return derived
 
@@ -277,7 +308,7 @@ def _check_and_collect(term: Term, universe: set[Term], bound: DomainBound) -> N
         if sub in universe:
             continue
         if term_sort(sub) is _STATE:
-            if term_depth(sub) > bound.max_depth:
+            if sub.depth > bound.max_depth:
                 raise DomainBoundError(sub, "term exceeds max depth")
             universe.add(sub)
             if len(universe) > bound.max_states:
@@ -290,20 +321,21 @@ def _closed_universe(p: PTSS, bound: DomainBound, derived: Optional[_Derived] = 
     of every target derived over it with every negative premise granted,
     which is left in `derived`.  That derivation is monotone in the domain, so
     each round extends it from the new terms and evaluates the new targets."""
-    derived = _Derived() if derived is None else derived
+    derived = _Derived(_compile(p.rules)) if derived is None else derived
     universe: set[Term] = set()
     for root in bound.roots:
-        if not is_closed(root) or term_sort(root) is not _STATE:
+        if not root.closed or term_sort(root) is not _STATE:
             raise SortError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
     new = set(universe)
     while new:
         done = len(derived.all)
-        _derive(p.rules, new, lambda t, a: True, bound.max_depth, derived)
+        _derive(new, lambda t, a: True, bound.max_depth, derived)
         old = set(universe)
         for tr in islice(derived.all, done, None):
             for s in evaluate(tr.target).support:
-                _check_and_collect(s, universe, bound)
+                if s not in universe:
+                    _check_and_collect(s, universe, bound)
         new = universe - old
     return sorted(universe, key=render_term)
 
@@ -313,20 +345,20 @@ def stable_model(p: PTSS, bound: DomainBound) -> ThreeValuedModel:
     domain generated by the roots (closed under rule targets and subterms).
     PT0 grants every negative premise, so it is the closure's derivation;
     without negative premises every step derives it again."""
-    closure = _Derived()
+    closure = _Derived(_compile(p.rules))
     universe = _closed_universe(p, bound, closure)
     pt0 = frozenset(closure.all)
 
-    def derive(neg_holds: Callable[[Term, str], bool]) -> frozenset[SymbolicTransition]:
+    def derive(holds: Callable, given: object) -> frozenset[SymbolicTransition]:  # holds(given) only if it derives
         if any(rule.neg_premises for rule in p.rules):
-            return frozenset(_derive(p.rules, universe, neg_holds, bound.max_depth, _Derived()).all)
+            return frozenset(_derive(universe, holds(given), bound.max_depth, _Derived(closure.rules)).all)
         return pt0
 
-    history = [(derive(_pt0_neg_holds(p.rules)), pt0)]
+    history = [(derive(_pt0_neg_holds, p.rules), pt0)]
     while len(history) < bound.max_iterations:
         ct, pt = history[-1]
-        ct_next = derive(_holds_against(pt))
-        history.append((ct_next, ct_next if ct == pt else derive(_holds_against(ct))))
+        ct_next = derive(_holds_against, pt)
+        history.append((ct_next, ct_next if ct == pt else derive(_holds_against, ct)))
         if history[-1] == history[-2]:
             break
     converged = len(history) > 1 and history[-1] == history[-2]

@@ -22,7 +22,6 @@ from .errors import PtssError
 from .parser import PTSS, Rule
 from .terms import (
     Apply,
-    Convex,
     Dirac,
     DistVar,
     FunctionSymbol,
@@ -69,9 +68,6 @@ class FormatReport:
     patience: tuple[tuple[Position, str], ...]
     verdicts: tuple[RuleVerdict, ...]
     overall: bool
-
-    def wild_positions(self) -> tuple[Position, ...]:
-        return tuple(pos for pos, wild in self.wildness if wild)
 
     def all_violations(self) -> tuple[Violation, ...]:
         out: list[Violation] = []
@@ -160,17 +156,11 @@ def _origin_position(symbol: FunctionSymbol) -> Optional[str]:
 def _application_positions_of(term: Term, name: str) -> Iterable[Position]:
     """Positions (g, j) such that some application of g or its lifting in
     `term` contains the variable `name` anywhere inside its j-th argument."""
-    if isinstance(term, Apply):
-        g = _origin_position(term.symbol)
-        for j, arg in enumerate(term.args, start=1):
-            if g is not None and name in variables(arg):
-                yield (g, j)
-            yield from _application_positions_of(arg, name)
-    elif isinstance(term, Dirac):
-        yield from _application_positions_of(term.inner, name)
-    elif isinstance(term, Convex):
-        for arg in term.args:
-            yield from _application_positions_of(arg, name)
+    g = _origin_position(term.symbol) if isinstance(term, Apply) else None
+    for j, arg in enumerate(term.kids, start=1):
+        if g is not None and name in variables(arg):
+            yield (g, j)
+        yield from _application_positions_of(arg, name)
 
 
 def _source_variable_positions(rule: Rule) -> list[tuple[str, int, str]]:
@@ -179,11 +169,7 @@ def _source_variable_positions(rule: Rule) -> list[tuple[str, int, str]]:
     src = rule.source
     if not isinstance(src, Apply):
         return []
-    out = []
-    for i, arg in enumerate(src.args, start=1):
-        if isinstance(arg, (StateVar, DistVar)):
-            out.append((src.symbol.name, i, arg.name))
-    return out
+    return [(src.symbol.name, i, arg.name) for i, arg in enumerate(src.args, start=1) if isinstance(arg, (StateVar, DistVar))]
 
 
 def build_nesting_graph(p: PTSS) -> NestingGraph:
@@ -295,17 +281,10 @@ def _wild_lookup(wildness: dict[Position, bool]) -> Callable[[FunctionSymbol, in
 
 def _occurrence_flags(term: Term, name: str, ok: bool, look) -> Iterable[bool]:
     """For every occurrence of the variable, whether its context is w-nested."""
-    if isinstance(term, (StateVar, DistVar)):
-        if term.name == name:
-            yield ok
-    elif isinstance(term, Apply):
-        for j, arg in enumerate(term.args, start=1):
-            yield from _occurrence_flags(arg, name, ok and look(term.symbol, j), look)
-    elif isinstance(term, Dirac):
-        yield from _occurrence_flags(term.inner, name, ok, look)
-    elif isinstance(term, Convex):
-        for arg in term.args:
-            yield from _occurrence_flags(arg, name, ok, look)
+    if isinstance(term, (StateVar, DistVar)) and term.name == name:
+        yield ok
+    for j, arg in enumerate(term.kids, start=1):
+        yield from _occurrence_flags(arg, name, ok and (not isinstance(term, Apply) or look(term.symbol, j)), look)
 
 
 def is_w_nested_occurrence(target: Term, var: str, wildness: dict[Position, bool]) -> bool:

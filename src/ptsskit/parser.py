@@ -20,8 +20,9 @@ The parser makes one pass.  A line's tokens are the strings of one
 `findall`; a column is worked out only for a diagnostic.  A recursive
 descent over them (`_Cursor`) looks each name up once and builds
 sort-checked, interned terms as it reads; a `<A>` rule is read from its
-tokens once per action.  The sort errors of a rule are reported after every
-line's syntax errors, as a resolver walking the rule would meet them: its
+tokens once per action, or once and relabelled if every `<A>` in it is an
+arrow's label.  The sort errors of a rule are reported after every line's
+syntax errors, as a resolver walking the rule would meet them: its
 positive premises, its negative ones, its conclusion, each term in order.
 A rule line reports each of them once.
 """
@@ -487,18 +488,27 @@ class _Cursor:
 
 def _rule_line(cur: _Cursor, rules: list[Rule], names: set[str]) -> list[Diagnostic]:
     """Read the rule on cur's line, once per action if it mentions `<A>`,
-    and add its instances to `rules`; gives their diagnostics, each once."""
-    meta = any(META in tok for tok in cur.toks)
-    actions = cur.sig.actions if meta else (None,)
+    and add its instances to `rules`; gives their diagnostics, each once.
+    A rule whose `<A>` are all arrow labels is read once and relabelled."""
+    metas = [tok for tok in cur.toks if META in tok]
+    once = all(tok[2:-2] == META for tok in metas)  # every `<A>` is an arrow's label
+    actions = cur.sig.actions if metas else (None,)
     start = cur.i
     found: list[Diagnostic] = []
-    for action in actions or (None,):
-        cur.i, cur.action = start, action
-        name, pos, neg, (source, label, target), parts = cur.rule()
+    for k, action in enumerate(actions or (None,)):
+        if k == 0 or not once:
+            cur.i, cur.action = start, None if once else action
+            read = cur.rule()
+        name, pos, neg, (source, label, target), parts = read
         if not actions:  # nothing to instantiate `<A>` with: read for syntax errors only
             break
-        if meta:
+        if metas:
             name = f"{name}@{action}"
+        if metas and once:  # the arrows read `<A>` as their label
+            pos = [(s, action if a == META else a, t) for s, a, t in pos]
+            neg = [(s, action if a == META else a) for s, a in neg]
+            label = action if label == META else label
+            parts = [action if part == META else part for part in parts]
         if name in names:
             new = [Diagnostic("error", f"duplicate rule name {name}", cur.line, 1)]
         else:

@@ -145,29 +145,34 @@ class _Node:
     __slots__ = ("depth", "closed", "text", "value", "kids", "__weakref__")
     _fields: ClassVar[tuple[str, ...]]  # the constructor's arguments
     _table: ClassVar[dict]
+    _open: ClassVar[type]  # the kind's twin that builds it
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__setattr__" not in cls.__dict__:  # a kind, and not its twin
+            # a node is built as this twin, whose slots take plain stores (both
+            # methods: one type slot serves the two), and then becomes its kind
+            plain = {"__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__}
+            cls._open = type(cls.__name__, (cls,), plain)
 
     @classmethod
     def _build(cls, key: object, kids: tuple["Term", ...]) -> "_Node":
-        """A new node of these kids, entered in the table; the caller sets the fields of its kind."""
-        node = object.__new__(cls)
+        """A new node of these kids, entered in the table; the caller sets
+        the fields of its kind and then `__class__` to the kind."""
+        node = object.__new__(cls._open)
         depth, closed = 1, True
         for k in kids:
             depth = k.depth + 1 if k.depth >= depth else depth
             closed = closed and k.closed
-        init = object.__setattr__  # one call a slot is the fastest way to build a node
-        init(node, "depth", depth)
-        init(node, "closed", closed)
-        init(node, "text", None)
-        init(node, "value", None)
-        init(node, "kids", kids)
+        node.depth, node.closed, node.text, node.value, node.kids = depth, closed, None, None, kids
         entry = cls._table[key] = _Entry(node, _forget)
         entry.table, entry.key = cls._table, key
         return node
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    __delattr__ = __setattr__
+    __delattr__ = __setattr__  # which delattr calls without a value
 
     def __reduce__(self) -> tuple:
         # copies and unpickled terms go through the constructor, so stay interned
@@ -198,8 +203,7 @@ class Apply(_Node):
                     f"{term_sort(arg).value}, expected {want.value}"
                 )
         node = cls._build(key, args)
-        object.__setattr__(node, "symbol", symbol)
-        object.__setattr__(node, "sort", symbol.result_sort)
+        node.symbol, node.sort, node.__class__ = symbol, symbol.result_sort, cls
         return node
 
 
@@ -215,7 +219,7 @@ class Dirac(_Node):
         if term_sort(inner) is not _STATE:
             raise SortError(f"delta takes a state term, got {render_term(inner)}")
         node = cls._build(inner, (inner,))
-        object.__setattr__(node, "inner", inner)
+        node.inner, node.__class__ = inner, cls
         return node
 
 
@@ -242,7 +246,7 @@ class Convex(_Node):
             if term_sort(arg) is not _DIST:
                 raise SortError(f"oplus branches must be distribution terms, got {render_term(arg)}")
         node = cls._build(key, args)
-        object.__setattr__(node, "weights", weights)
+        node.weights, node.__class__ = weights, cls
         return node
 
 
@@ -336,24 +340,12 @@ def substitute(rho: Substitution, t: Term) -> Term:
     """Replace variable occurrences; unmapped variables stay.  Sort-checked."""
     if t.closed:
         return t
-    if isinstance(t, StateVar):
-        if t.name in rho:
-            rep = rho[t.name]
-            if term_sort(rep) is not _STATE:
-                raise SortError(
-                    f"state variable {t.name} bound to distribution term {render_term(rep)}"
-                )
-            return rep
-        return t
-    if isinstance(t, DistVar):
-        if t.name in rho:
-            rep = rho[t.name]
-            if term_sort(rep) is not _DIST:
-                raise SortError(
-                    f"distribution variable {t.name} bound to state term {render_term(rep)}"
-                )
-            return rep
-        return t
+    if isinstance(t, (StateVar, DistVar)):
+        rep = rho.get(t.name, t)
+        if term_sort(rep) is not t.sort:
+            sort, other = ("state", "distribution") if t.sort is _STATE else ("distribution", "state")
+            raise SortError(f"{sort} variable {t.name} bound to {other} term {render_term(rep)}")
+        return rep
     if isinstance(t, Apply):
         return Apply(t.symbol, tuple(substitute(rho, a) for a in t.args))
     if isinstance(t, Dirac):

@@ -103,3 +103,45 @@ def shallow_contexts(spec: PTSS, max_count: int = 4) -> list[Term]:
     texts += [f"{n}(+(_,0))" for n in names]
     texts += [f"{m}({n}(_))" for m in names for n in names]
     return [parse_term(t, spec.signature) for t in texts[:max_count]]
+
+
+# premise and conclusion shapes for rules that share the source `k0(x)`; a
+# premise binds the variables it names, except a negative one
+GROUP_PREMISES = [
+    "x --{l}-> mu",  # bound source, target a variable still unbound
+    "x --{l}-> delta(y)",  # bound source, target matched
+    "z --{l}-> mu",  # open source: every transition of the label
+    "+(x,z) --{l}-> mu",  # a source open in one argument
+    "x -/{l}->",  # negative premise
+]
+GROUP_TARGETS = ["mu", "delta(y)", "^k0(mu)", "delta(k0(x))", "^+(mu,delta(x))", "delta(0)"]
+# rules that cannot be instantiated: nothing binds nu, and z is open
+BROKEN_RULES = ["x --a-> mu |- k0(x) --b-> nu", "z -/a-> |- k0(x) --a-> delta(0)"]
+
+
+def grouped_text(rng: random.Random) -> tuple[str, list[str]]:
+    """A spec whose rules share one source pattern but differ in their
+    premises, negative premises and conclusion targets, and roots for it.
+    One spec in four has a rule among them that cannot be instantiated."""
+    lines = ["ptss grouped"] + list(BASE_DECLS) + ["op k0 : s -> s"]
+    rules = []
+    for _ in range(rng.randint(2, 4)):
+        premises = [p.format(l=rng.choice(["a", "b", "tau"])) for p in rng.sample(GROUP_PREMISES, rng.randint(0, 2))]
+        bound = {v for p in premises if "-/" not in p for v in ("y", "mu") if v in p}
+        # z --l-> mu reads the rules' own targets, so lifting mu grows terms without bound
+        lifted = {"^k0(mu)", "^+(mu,delta(x))"} if any(p.startswith("z ") for p in premises) else set()
+        target = rng.choice([t for t in GROUP_TARGETS if t not in lifted and all(v in bound for v in ("y", "mu") if v in t)])
+        conclusion = f"k0(x) --{rng.choice('ab')}-> {target}"
+        rules.append(f"{', '.join(premises)} |- {conclusion}" if premises else conclusion)
+    if rng.random() < 0.25:
+        rules.insert(rng.randrange(len(rules) + 1), rng.choice(BROKEN_RULES))
+    rules = BASE_RULES + [f"rule g{i}: {rule}" for i, rule in enumerate(rules)]
+    roots = [f"k0({rng.choice(LEAF_TERMS)})", f"k0(k0({rng.choice(LEAF_TERMS)}))", rng.choice(LEAF_TERMS)]
+    return "\n".join(lines + rules) + "\n", roots
+
+
+def random_grouped_spec(rng: random.Random) -> tuple[PTSS, list[Term]]:
+    """`grouped_text`, parsed."""
+    text, roots = grouped_text(rng)
+    spec = parse_spec(text)
+    return spec, [parse_term(r, spec.signature) for r in roots]

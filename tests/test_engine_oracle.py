@@ -1,8 +1,11 @@
 """The indexed rule engine against the scan-every-transition oracle in
 `tests/reference_engine.py`, and the invariants of hash-consed terms."""
 
+import copy
 import gc
+import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,10 +19,10 @@ from ptsskit.engine import (
     stable_model,
 )
 from ptsskit.parser import parse_spec, parse_term
-from ptsskit.terms import Apply, Dirac, interned_count, is_closed, substitute, term_depth
+from ptsskit.terms import Apply, Convex, Dirac, interned_count, is_closed, substitute, term_depth
 from tests import reference_engine as reference
 from tests.conftest import RUNNING_SPEC
-from tests.genspecs import LEAF_TERMS, random_format_safe_spec, random_negative_free_spec
+from tests.genspecs import LEAF_TERMS, random_format_safe_spec, random_grouped_spec, random_negative_free_spec
 from tests.test_golden_pts import CORPUS, SPEC_ROOTS, chain_root
 
 
@@ -67,6 +70,21 @@ def test_generated_specs_agree_with_the_oracle():
     assert tuple in outcomes  # at least one spec reached a model
 
 
+def test_rules_sharing_a_source_pattern_agree_with_the_oracle():
+    # every rule of a spec but the base ones has the source k0(x), which a
+    # pass matches once a term: the rules differ in how their premises are
+    # read (a bound or an open source, a target variable bound or matched),
+    # in negative premises, in targets built or read, and some cannot be
+    # instantiated, where the first error must be the oracle's
+    rng = random.Random(1414)
+    outcomes = Counter()
+    for _ in range(60):
+        spec, roots = random_grouped_spec(rng)
+        got = _agree(spec, roots, max_depth=8, max_states=128)
+        outcomes[got[0] if isinstance(got[0], str) else "model"] += 1
+    assert outcomes["model"] >= 30 and outcomes["RuleInstantiationError"] >= 5
+
+
 # ---------------------------------------------------------------------------
 # Interning
 
@@ -83,6 +101,22 @@ def test_equal_terms_from_every_constructor_are_one_object(sig):
     assert pts.states == (opaque_state("s"), opaque_state("t"))
     assert all(u is v for u, v in zip(pts.states, again.states))
     assert pts.transitions[0].target.support[0] is pts.states[1]
+
+
+def test_finished_nodes_refuse_writes_and_copies_stay_interned(sig):
+    term = parse_term("+(a.oplus{1/2:delta(0),1/2:delta(b.delta(0))},0)", sig)
+    convex = term.args[0].args[0]
+    nodes = (term, convex.args[0], convex)
+    assert tuple(map(type, nodes)) == (Apply, Dirac, Convex)  # not the build-time twins
+    for node in nodes:
+        for name in ("depth", "kids", "text", node._fields[0]):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(node, name)
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    assert term.depth == 7 and term.closed
 
 
 def test_deep_terms_answer_hash_depth_and_closedness_without_recursion(sig):

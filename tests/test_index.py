@@ -14,7 +14,7 @@ import pytest
 import ptsskit.bisim as bisim
 from ptsskit import lp
 from ptsskit.cli import EXIT_OK, main
-from ptsskit.engine import DomainBound, reachable_pts
+from ptsskit.engine import DomainBound, export_pts, reachable_pts
 from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import render_term
 from tests.conftest import CORPUS
@@ -31,6 +31,14 @@ COMPONENT = "a.oplus{1/2:delta(tau.delta(0)),1/2:delta(b.delta(0))}"
 PRODUCT_CLASSES_SHA256 = "8dad899302b9b5215139542cd91e8ef42735e39cd805dbf96f07db3c80c43240"
 PRODUCT_CLASS_SIZES = [3, 3, 12, 12, 18, 24, 24, 48, 72, 72, 72, 72, 96, 96, 144]
 PARENT_FEASIBLE_CALLS = 1994  # lp.feasible calls of that decision before the index
+
+
+# the sha256 of `export_pts` of the k-fold product alone, and its states,
+# recorded before the engine compiled its rules
+PRODUCT_EXPORT = {
+    3: (64, "257d9d4576205066a01d5a4c1609c37fd990d710db74301e11394353a82b8f98"),
+    4: (256, "10aa9083b80b5da1cbdeb4ea3fac5f710240d33a5cbbeffce40a0d0bd2f88a53"),
+}
 
 
 def product_pts(k):
@@ -56,6 +64,19 @@ def test_product_pbranching_keeps_its_classes_with_a_fifth_of_the_lps(monkeypatc
     assert hashlib.sha256(json.dumps(classes).encode()).hexdigest() == PRODUCT_CLASSES_SHA256
     assert decision.related(root, stuttered)
     assert len(calls) <= PARENT_FEASIBLE_CALLS // 5
+
+
+@pytest.mark.parametrize("k", sorted(PRODUCT_EXPORT))
+def test_product_export_is_pinned(k):
+    # the lifted targets ^par(mu,delta(y)) and ^par(delta(x),mu), built and evaluated
+    states, digest = PRODUCT_EXPORT[k]
+    spec = parse_spec(PRODUCT_SPEC)
+    root = COMPONENT
+    for _ in range(k - 1):
+        root = f"par({COMPONENT},{root})"
+    pts = reachable_pts(spec, DomainBound((parse_term(root, spec.signature),), max_depth=64, max_states=4096))
+    assert len(pts.states) == states
+    assert hashlib.sha256(export_pts(pts).encode()).hexdigest() == digest
 
 
 @pytest.fixture
