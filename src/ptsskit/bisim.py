@@ -37,9 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
+from . import lp
 from .distributions import Distribution
 from .engine import PTS, PtsTransition
-from .lp import LinearSystem, max_flow
+from .lp import max_flow
 from .terms import Term, render_term
 
 EPSILON = "eps"
@@ -165,7 +166,7 @@ def weak_combined_reachable(
     rhs = [scale if u == ix.num[s] else 0 for u in range(n)] + [0] * (len(rows) - n)
     for u, p in target.items():  # the target is met in the rows of the last phase
         rhs[len(rows) - n + ix.num[u]] -= scale * p
-    return LinearSystem(rows, rhs).is_feasible()
+    return lp.feasible(rows, rhs)
 
 
 def _flow_rows(
@@ -442,7 +443,7 @@ def _block_match(
     col = _flow_rows(rows, at, inert, 0, scale)
     _flow_rows(rows, at, steps, col, scale, {u: lift[block[u]] for step in steps for u in step[2]})
     rhs = [scale] + [0] * (len(reach) - 1) + [-m for m in want.values()]  # reach[0] is t
-    return LinearSystem(rows, rhs).is_feasible()
+    return lp.feasible(rows, rhs)
 
 
 def _combined_match(
@@ -468,7 +469,7 @@ def _combined_match(
             col += 1
         rows.append(row)
         rhs.append(w)
-    return LinearSystem(rows, rhs).is_feasible()
+    return lp.feasible(rows, rhs)
 
 
 # -- rooted branching bisimulation -------------------------------------------

@@ -8,13 +8,20 @@ flowing into argument positions of other operators).  Wild arguments must be
 guarded by patience rules and may only be tested by non-tau positive premises;
 premise-target variables and wild source variables may only occur at w-nested
 positions of the conclusion target.
+
+Each rule target is read once, by an iterative walk that records, for every
+variable occurrence, the (operator, argument) positions above it (the
+occurrence table); the nesting graph, the wildness seeds, condition 2c, the
+w-nested test and probe contexts all read that table.  A patience rule is
+recognised by building the canonical patience target from the rule's own
+source and comparing it with the rule's target.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .bisim import decide
 from .engine import DomainBound, reachable_pts
@@ -24,16 +31,17 @@ from .terms import (
     Apply,
     Dirac,
     DistVar,
-    FunctionSymbol,
     Sort,
     StateVar,
     Term,
+    lift_symbol,
     render_term,
     substitute,
     variables,
 )
 
 Position = tuple[str, int]  # (state operator name, 1-based argument index)
+Table = dict[str, list[tuple[Position, ...]]]  # variable -> the positions above each occurrence
 
 HOLE = "_"
 
@@ -141,71 +149,87 @@ class ProbeViolation:
 
 
 # ---------------------------------------------------------------------------
-# Nesting graph and wildness
+# The occurrence table, the nesting graph and wildness
 
-def _origin_position(symbol: FunctionSymbol) -> Optional[str]:
-    """State-operator name a target application contributes positions for."""
-    if symbol.is_lifted:
-        assert symbol.origin is not None
-        return symbol.origin.name
-    if symbol.result_sort is Sort.STATE:
-        return symbol.name
-    return None
+def _occurrences(term: Term) -> Table:
+    """For each variable of `term`, one entry per occurrence: the (operator,
+    argument) positions above it, innermost first.  A lifted operator counts
+    as the operator it lifts; Dirac and convex nodes add none.  One iterative
+    walk, which carries the positions above a node as a linked list."""
+    out: Table = {}
+    stack: list = [(term, None)]
+    while stack:
+        u, above = stack.pop()
+        if u.closed:
+            continue
+        if not u.kids:  # a variable
+            path = []
+            while above is not None:
+                pos, above = above
+                path.append(pos)
+            out.setdefault(u.name, []).append(tuple(path))
+            continue
+        g = None
+        if isinstance(u, Apply):  # a lifted operator's positions are its origin's
+            f = u.symbol.origin or u.symbol
+            g = f.name if f.result_sort is Sort.STATE else None
+        stack += [(kid, above if g is None else ((g, j), above)) for j, kid in enumerate(u.kids, start=1)]
+    return out
 
 
-def _application_positions_of(term: Term, name: str) -> Iterable[Position]:
-    """Positions (g, j) such that some application of g or its lifting in
-    `term` contains the variable `name` anywhere inside its j-th argument."""
-    g = _origin_position(term.symbol) if isinstance(term, Apply) else None
-    for j, arg in enumerate(term.kids, start=1):
-        if g is not None and name in variables(arg):
-            yield (g, j)
-        yield from _application_positions_of(arg, name)
+def _above(table: Table, var: str) -> set[Position]:
+    """The positions above any occurrence of `var`."""
+    return {pos for path in table.get(var, ()) for pos in path}
 
 
-def _source_variable_positions(rule: Rule) -> list[tuple[str, int, str]]:
-    """(operator, index, variable) for conclusion-source argument positions
-    holding a bare variable."""
-    src = rule.source
-    if not isinstance(src, Apply):
-        return []
-    return [(src.symbol.name, i, arg.name) for i, arg in enumerate(src.args, start=1) if isinstance(arg, (StateVar, DistVar))]
+def _tables(p: PTSS) -> list[Table]:
+    return [_occurrences(rule.target) for rule in p.rules]
 
 
 def build_nesting_graph(p: PTSS) -> NestingGraph:
+    return _nesting_graph(p, _tables(p))
+
+
+def _nesting_graph(p: PTSS, tables: list[Table]) -> NestingGraph:
+    """An edge from each argument position of a conclusion source that holds
+    a variable to every position above that variable in the target."""
     vertices = {
         (f.name, i)
         for f in p.signature.state_ops
         for i in range(1, f.rank + 1)
     }
     edges: set[tuple[Position, Position]] = set()
-    for rule in p.rules:
-        for fname, i, var in _source_variable_positions(rule):
-            for pos in _application_positions_of(rule.target, var):
-                edges.add(((fname, i), pos))
+    for rule, table in zip(p.rules, tables):
+        if isinstance(rule.source, Apply):
+            for i, arg in enumerate(rule.source.args, start=1):
+                if isinstance(arg, (StateVar, DistVar)):
+                    edges.update(((rule.source.symbol.name, i), pos) for pos in _above(table, arg.name))
     return NestingGraph(frozenset(vertices), frozenset(edges))
 
 
 def classify_wild(p: PTSS, graph: Optional[NestingGraph] = None) -> dict[Position, bool]:
+    tables = _tables(p)
+    return _wildness(p, _nesting_graph(p, tables) if graph is None else graph, tables)
+
+
+def _wildness(p: PTSS, graph: NestingGraph, tables: list[Table]) -> dict[Position, bool]:
     """Least fixpoint: seed with positions receiving premise-target variables,
-    propagate along nesting-graph edges."""
-    if graph is None:
-        graph = build_nesting_graph(p)
+    propagate along nesting-graph edges by a worklist."""
     wild: set[Position] = set()
-    for rule in p.rules:
-        premise_vars: set[str] = set()
+    for rule, table in zip(p.rules, tables):
         for _, _, tgt in rule.pos_premises:
-            premise_vars |= variables(tgt)
-        for var in premise_vars:
-            wild.update(_application_positions_of(rule.target, var))
+            for var in variables(tgt):
+                wild |= _above(table, var)
     wild &= graph.vertices
-    changed = True
-    while changed:
-        changed = False
-        for src, dst in graph.edges:
-            if src in wild and dst not in wild:
+    after: dict[Position, list[Position]] = {}
+    for src, dst in graph.edges:
+        after.setdefault(src, []).append(dst)
+    work = list(wild)
+    while work:
+        for dst in after.get(work.pop(), ()):
+            if dst not in wild:
                 wild.add(dst)
-                changed = True
+                work.append(dst)
     return {pos: pos in wild for pos in sorted(graph.vertices)}
 
 
@@ -213,220 +237,128 @@ def classify_wild(p: PTSS, graph: Optional[NestingGraph] = None) -> dict[Positio
 # Patience rules
 
 def _patience_shape(rule: Rule) -> Optional[Position]:
-    """The (operator, index) this rule is a patience rule for, by shape alone
-    (alpha-renaming insensitive), or None."""
-    if rule.neg_premises or len(rule.pos_premises) != 1:
-        return None
-    psrc, plabel, ptgt = rule.pos_premises[0]
-    if plabel != "tau" or rule.label != "tau":
-        return None
-    if not isinstance(psrc, StateVar) or not isinstance(ptgt, DistVar):
-        return None
+    """The (operator, index) this rule is a patience rule for, or None.
+
+    A patience rule for f.i reads `x_i --tau-> mu |- f(x_1, ..., x_n) --tau-> t`
+    with pairwise distinct variables, where t is the canonical target
+    `^f(delta(x_1), ..., mu, ..., x_n)`: mu at i, and each other argument
+    under delta if it is a state.  That target is built from the rule's own
+    source, so the test is insensitive to alpha-renaming, and as terms are
+    interned, comparing it with the rule's target is one equality test.
+    """
     src = rule.source
-    if not isinstance(src, Apply):
+    if rule.neg_premises or len(rule.pos_premises) != 1 or rule.label != "tau" or not isinstance(src, Apply):
         return None
-    f = src.symbol
-    if f.result_sort is not Sort.STATE:
+    x, label, mu = rule.pos_premises[0]
+    args = src.args
+    if label != "tau" or not isinstance(x, StateVar) or not isinstance(mu, DistVar) or x not in args:
         return None
-    names = []
-    index = None
-    for i, arg in enumerate(src.args, start=1):
-        if not isinstance(arg, (StateVar, DistVar)):
-            return None
-        names.append(arg.name)
-        if arg == psrc:
-            index = i
-    if index is None or len(set(names)) != len(names) or ptgt.name in names:
-        return None
-    if f.arg_sorts[index - 1] is not Sort.STATE:
-        return None
-    tgt = rule.target
-    if not isinstance(tgt, Apply) or not tgt.symbol.is_lifted or tgt.symbol.origin != f:
-        return None
-    for i, (arg, theta) in enumerate(zip(src.args, tgt.args), start=1):
-        if i == index:
-            if theta != ptgt:
-                return None
-        elif f.arg_sorts[i - 1] is Sort.STATE:
-            if theta != Dirac(arg):
-                return None
-        else:
-            if theta != arg:
-                return None
-    return (f.name, index)
+    if len({mu.name, *(a.name for a in args if isinstance(a, (StateVar, DistVar)))}) <= len(args):
+        return None  # an argument is no variable, or a name occurs twice
+    canonical = Apply(
+        lift_symbol(src.symbol), tuple(mu if a == x else Dirac(a) if a.sort is Sort.STATE else a for a in args)
+    )
+    return (src.symbol.name, args.index(x) + 1) if canonical == rule.target else None
+
+
+def _first_per_position(rules: Iterable[Rule], shapes: Iterable[Optional[Position]]) -> dict[Position, str]:
+    out: dict[Position, str] = {}
+    for rule, pos in zip(rules, shapes):
+        if pos is not None:
+            out.setdefault(pos, rule.name)
+    return out
 
 
 def detect_patience_rules(p: PTSS) -> dict[Position, str]:
     """First patience rule per argument position, by syntactic shape."""
-    out: dict[Position, str] = {}
-    for rule in p.rules:
-        pos = _patience_shape(rule)
-        if pos is not None and pos not in out:
-            out[pos] = rule.name
-    return out
+    return _first_per_position(p.rules, map(_patience_shape, p.rules))
 
 
 # ---------------------------------------------------------------------------
 # w-nested positions
 
-def _wild_lookup(wildness: dict[Position, bool]) -> Callable[[FunctionSymbol, int], bool]:
-    def look(symbol: FunctionSymbol, index: int) -> bool:
-        name = _origin_position(symbol)
-        if name is None:
-            return False
-        return wildness.get((name, index), False)
-
-    return look
-
-
-def _occurrence_flags(term: Term, name: str, ok: bool, look) -> Iterable[bool]:
-    """For every occurrence of the variable, whether its context is w-nested."""
-    if isinstance(term, (StateVar, DistVar)) and term.name == name:
-        yield ok
-    for j, arg in enumerate(term.kids, start=1):
-        yield from _occurrence_flags(arg, name, ok and (not isinstance(term, Apply) or look(term.symbol, j)), look)
-
-
 def is_w_nested_occurrence(target: Term, var: str, wildness: dict[Position, bool]) -> bool:
     """True iff every occurrence of `var` in `target` sits under wild argument
     positions only (Dirac and convex nodes are transparent)."""
-    flags = list(_occurrence_flags(target, var, True, _wild_lookup(wildness)))
-    if not flags:
+    table = _occurrences(target)
+    if var not in table:
         raise ValueError(f"variable {var} does not occur in {render_term(target)}")
-    return all(flags)
+    return all(wildness.get(pos, False) for pos in _above(table, var))
 
 
 # ---------------------------------------------------------------------------
 # The format check
 
 def _check_safe_rule(
-    rule: Rule,
-    wildness: dict[Position, bool],
-    patience: dict[Position, str],
+    rule: Rule, wildness: dict[Position, bool], patience: dict[Position, str], table: Table
 ) -> list[Violation]:
     out: list[Violation] = []
+
+    def flag(condition: str, message: str) -> None:
+        out.append(Violation(rule.name, condition, message))
+
     src = rule.source
     if not isinstance(src, Apply):
-        out.append(Violation(rule.name, "shape", "conclusion source is not an operator application"))
+        flag("shape", "conclusion source is not an operator application")
         return out
     f = src.symbol
-    source_vars: list[Optional[str]] = []
+    source_vars: list[str] = []
     seen: set[str] = set()
-    shape_ok = True
     for arg in src.args:
         if not isinstance(arg, (StateVar, DistVar)) or arg.name in seen:
-            out.append(
-                Violation(
-                    rule.name,
-                    "shape",
-                    "conclusion source arguments must be pairwise distinct variables",
-                )
-            )
-            shape_ok = False
+            flag("shape", "conclusion source arguments must be pairwise distinct variables")
             break
         seen.add(arg.name)
         source_vars.append(arg.name)
     premise_target_vars: list[str] = []
     for _, _, tgt in rule.pos_premises:
         if not isinstance(tgt, DistVar) or tgt.name in seen:
-            out.append(
-                Violation(
-                    rule.name,
-                    "shape",
-                    "positive premise targets must be pairwise distinct fresh variables",
-                )
-            )
-            shape_ok = False
+            flag("shape", "positive premise targets must be pairwise distinct fresh variables")
             break
         seen.add(tgt.name)
         premise_target_vars.append(tgt.name)
-    if not shape_ok:
+    if out:
         return out
 
-    look = _wild_lookup(wildness)
-
-    for i, var in enumerate(source_vars, start=1):
-        if var is None or not wildness.get((f.name, i), False):
-            continue
-        has_patience = (f.name, i) in patience
-        if has_patience:
+    wild_vars = [(i, var) for i, var in enumerate(source_vars, start=1) if wildness.get((f.name, i), False)]
+    for i, var in wild_vars:
+        if (f.name, i) in patience:
             for psrc, plabel, _ in rule.pos_premises:
-                if var in variables(psrc):
-                    if not isinstance(psrc, StateVar) or plabel == "tau":
-                        out.append(
-                            Violation(
-                                rule.name,
-                                "2a",
-                                f"wild argument {f.name}.{i} may only be tested by a "
-                                f"positive premise '{var} --l-> mu' with l != tau",
-                            )
-                        )
+                if var in variables(psrc) and (not isinstance(psrc, StateVar) or plabel == "tau"):
+                    flag("2a", f"wild argument {f.name}.{i} may only be tested by a "
+                               f"positive premise '{var} --l-> mu' with l != tau")
             for nsrc, _ in rule.neg_premises:
                 if var in variables(nsrc):
-                    out.append(
-                        Violation(
-                            rule.name,
-                            "2a",
-                            f"wild argument {f.name}.{i} cannot be the source of a "
-                            f"negative premise",
-                        )
-                    )
-        else:
-            tested = any(var in variables(psrc) for psrc, _, _ in rule.pos_premises) or any(
-                var in variables(nsrc) for nsrc, _ in rule.neg_premises
-            )
-            if tested:
-                out.append(
-                    Violation(
-                        rule.name,
-                        "2b",
-                        f"wild argument {f.name}.{i} has no patience rule and must not "
-                        f"occur in premise sources",
-                    )
-                )
+                    flag("2a", f"wild argument {f.name}.{i} cannot be the source of a negative premise")
+        elif any(var in variables(psrc) for psrc, _, _ in rule.pos_premises) or any(
+            var in variables(nsrc) for nsrc, _ in rule.neg_premises
+        ):
+            flag("2b", f"wild argument {f.name}.{i} has no patience rule and must not occur in premise sources")
 
-    restricted = list(premise_target_vars)
-    for i, var in enumerate(source_vars, start=1):
-        if var is not None and wildness.get((f.name, i), False):
-            restricted.append(var)
-    for var in restricted:
-        flags = list(_occurrence_flags(rule.target, var, True, look))
-        if flags and not all(flags):
-            out.append(
-                Violation(
-                    rule.name,
-                    "2c",
-                    f"variable {var} occurs at a non-w-nested position in the target",
-                )
-            )
+    for var in premise_target_vars + [var for _, var in wild_vars]:
+        if not all(wildness.get(pos, False) for pos in _above(table, var)):
+            flag("2c", f"variable {var} occurs at a non-w-nested position in the target")
 
     for var in premise_target_vars:
         for psrc, _, _ in rule.pos_premises:
             if var in variables(psrc):
-                out.append(
-                    Violation(
-                        rule.name,
-                        "2d",
-                        f"premise target {var} occurs in the premise source "
-                        f"{render_term(psrc)} (look-ahead)",
-                    )
-                )
+                flag("2d", f"premise target {var} occurs in the premise source {render_term(psrc)} (look-ahead)")
     return out
 
 
 def check_format(p: PTSS) -> FormatReport:
     """Classify every rule as a patience rule for a wild argument or check the
     safe-rule shape and conditions 2a-2d, reporting all violations."""
-    graph = build_nesting_graph(p)
-    wildness = classify_wild(p, graph)
-    patience = detect_patience_rules(p)
+    tables = _tables(p)
+    wildness = _wildness(p, _nesting_graph(p, tables), tables)
+    shapes = [_patience_shape(rule) for rule in p.rules]
+    patience = _first_per_position(p.rules, shapes)
     verdicts: list[RuleVerdict] = []
-    for rule in p.rules:
-        pos = _patience_shape(rule)
+    for rule, pos, table in zip(p.rules, shapes, tables):
         if pos is not None and wildness.get(pos, False):
             verdicts.append(RuleVerdict(rule.name, "patience", patience_for=pos))
             continue
-        violations = _check_safe_rule(rule, wildness, patience)
+        violations = _check_safe_rule(rule, wildness, patience, table)
         if violations:
             verdicts.append(RuleVerdict(rule.name, "violating", violations=tuple(violations)))
         else:
@@ -444,8 +376,7 @@ def check_format(p: PTSS) -> FormatReport:
 # Congruence probing
 
 def _validate_context(context: Term) -> None:
-    count = sum(1 for _ in _occurrence_flags(context, HOLE, True, lambda s, i: True))
-    if count != 1:
+    if len(_occurrences(context).get(HOLE, ())) != 1:
         raise ProbeError(
             f"context {render_term(context)} must contain exactly one hole '{HOLE}'"
         )

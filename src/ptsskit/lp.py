@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Hashable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Row = Mapping[int, Union[int, Fraction]]  # column index -> nonzero coefficient
 
@@ -84,26 +84,6 @@ def feasible(rows: Sequence[Row], rhs: Sequence[Union[int, Fraction]]) -> bool:
             b[i] = (p * b[i] - f * pb) // d
         d = p
         basis[leave] = enter
-
-
-class LinearSystem:
-    """Equality constraints as sparse rows, given whole or added by variable names."""
-
-    def __init__(self, rows: Optional[list[Row]] = None, rhs: Optional[list[Union[int, Fraction]]] = None) -> None:
-        self._vars: dict[Hashable, int] = {}
-        self._rows: list[Row] = [] if rows is None else rows
-        self._rhs: list[Union[int, Fraction]] = [] if rhs is None else rhs
-
-    def var(self, key: Hashable) -> int:
-        return self._vars.setdefault(key, len(self._vars))
-
-    def add_equation(self, coeffs: Mapping[Hashable, Fraction], rhs: Fraction) -> None:
-        """Add sum of coeffs[key] * key = rhs; coefficients are Fractions or ints."""
-        self._rows.append({self.var(key): c for key, c in coeffs.items() if c})
-        self._rhs.append(rhs)
-
-    def is_feasible(self) -> bool:
-        return feasible(self._rows, self._rhs)
 
 
 def max_flow(

@@ -154,9 +154,10 @@ class _Stop(PtssError):
 
 
 # Nesting bound: a deeper term is rejected before it could exhaust the Python
-# stack, here or in the recursive term walks it meets later.  Operands count
-# one level, and arguments of an operator or of oplus two, as they cost the
-# walks two frames.
+# stack in the two walks that still recurse: this parser, and
+# `terms._match_into` over the patterns of rules.  Operands count one level,
+# and arguments of an operator or of oplus two, as they cost the walks two
+# frames.
 MAX_NESTING = 800
 
 _Event = tuple[str, Optional[Sort], int]

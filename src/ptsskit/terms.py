@@ -337,22 +337,39 @@ def term_depth(t: Term) -> int:
 
 
 def substitute(rho: Substitution, t: Term) -> Term:
-    """Replace variable occurrences; unmapped variables stay.  Sort-checked."""
+    """Replace variable occurrences; unmapped variables stay.  Sort-checked.
+
+    The walk is iterative and post-order: a node is rebuilt once its open
+    kids are, and kids are visited left to right, so the first variable bound
+    at the wrong sort is the one reported.
+    """
     if t.closed:
         return t
-    if isinstance(t, (StateVar, DistVar)):
-        rep = rho.get(t.name, t)
-        if term_sort(rep) is not t.sort:
-            sort, other = ("state", "distribution") if t.sort is _STATE else ("distribution", "state")
-            raise SortError(f"{sort} variable {t.name} bound to {other} term {render_term(rep)}")
-        return rep
-    if isinstance(t, Apply):
-        return Apply(t.symbol, tuple(substitute(rho, a) for a in t.args))
-    if isinstance(t, Dirac):
-        return Dirac(substitute(rho, t.inner))
-    if isinstance(t, Convex):
-        return Convex(t.weights, tuple(substitute(rho, a) for a in t.args))
-    raise TypeError(f"not a term: {t!r}")
+    done: list[Term] = []  # the rebuilt kids of the nodes on the stack
+    stack: list = [(t, False)]
+    while stack:
+        u, kids_done = stack.pop()
+        if u.closed:
+            done.append(u)
+        elif not u.kids:  # a variable
+            rep = rho.get(u.name, u)
+            if term_sort(rep) is not u.sort:
+                sort, other = ("state", "distribution") if u.sort is _STATE else ("distribution", "state")
+                raise SortError(f"{sort} variable {u.name} bound to {other} term {render_term(rep)}")
+            done.append(rep)
+        elif not kids_done:
+            stack.append((u, True))
+            stack += [(k, False) for k in reversed(u.kids)]
+        else:
+            kids = tuple(done[-len(u.kids):])
+            del done[-len(u.kids):]
+            if isinstance(u, Apply):
+                done.append(Apply(u.symbol, kids))
+            elif isinstance(u, Dirac):
+                done.append(Dirac(kids[0]))
+            else:
+                done.append(Convex(u.weights, kids))
+    return done[0]
 
 
 def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:

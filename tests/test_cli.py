@@ -347,6 +347,24 @@ def test_terms_at_the_nesting_bound_run_through(capsys, shape, levels):
 
 
 
+def test_deep_conclusion_target_is_instantiated(tmp_path, capsys):
+    # the target nests x 390 prefixes deep, inside the nesting bound; each
+    # instance is built by substitute, whose walk is iterative
+    path = tmp_path / "deep_target.ptss"
+    target = "delta(" + "a.delta(" * 390 + "x" + ")" * 391
+    path.write_text(
+        "ptss deep\nactions a, tau\nop 0 : -> s\nop g : s -> s\nop pre<A> : d -> s\n"
+        f"rule prefix: <A>.mu --<A>-> mu\nrule r: g(x) --a-> {target}\n"
+    )
+    code, out, err = run_cli(capsys, "pts", str(path), "--root", "g(0)", "--max-depth", "2000")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count("state ") == 392 and out.count("trans ") == 391
+    code, out, err = run_cli(capsys, "pts", str(path), "--root", "g(0)")
+    assert (code, out) == (EXIT_BOUNDS, "")
+    assert err.startswith("error: conclusion target exceeds max depth: delta(a.delta(")
+    assert err.endswith("... (depth 782)\n") and err.count("\n") == 1
+
+
 def _bad_input_files(tmp_path):
     (tmp_path / "open_pairs.txt").write_text("x y\n")
     (tmp_path / "pairs.txt").write_text("a.delta(0) a.delta(0)\n")

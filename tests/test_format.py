@@ -87,7 +87,7 @@ def test_wildness_is_least_fixpoint(cx235):
     wild = classify_wild(cx235, graph)
     wild_set = {pos for pos, w in wild.items() if w}
     seeds = set()
-    from ptsskit.format_check import _application_positions_of
+    from ptsskit.format_check import _above, _occurrences
     from ptsskit.terms import variables
 
     for rule in cx235.rules:
@@ -95,7 +95,7 @@ def test_wildness_is_least_fixpoint(cx235):
         for _, _, tgt in rule.pos_premises:
             pv |= variables(tgt)
         for v in pv:
-            seeds.update(_application_positions_of(rule.target, v))
+            seeds.update(_above(_occurrences(rule.target), v))
     for pos in wild_set:
         justified = pos in seeds or any(
             (src, pos) in graph.edges and src in wild_set for src in wild_set
@@ -311,12 +311,12 @@ def test_patience_classification_precedes_safe_rule_check(cx23):
     # pushed through the plain safe-rule conditions, a patience rule would
     # trip the tau-premise restriction on its own wild argument; the patience
     # classification takes precedence so it never does
-    from ptsskit.format_check import _check_safe_rule
+    from ptsskit.format_check import _check_safe_rule, _occurrences
 
     wild = classify_wild(cx23)
     patience = detect_patience_rules(cx23)
     rule = next(r for r in cx23.rules if r.name == "g_pat")
-    forced = _check_safe_rule(rule, wild, patience)
+    forced = _check_safe_rule(rule, wild, patience, _occurrences(rule.target))
     assert any(v.condition == "2a" for v in forced)
     report = check_format(cx23)
     verdict = next(v for v in report.verdicts if v.rule == "g_pat")

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from ptsskit.lp import LinearSystem, feasible, max_flow
+from ptsskit.lp import feasible, max_flow
 from tests import reference_lp
 
 F = Fraction
@@ -45,15 +45,6 @@ def test_feasible_exact_boundary():
 def test_feasible_empty_system():
     assert feasible([], [])
     assert reference_lp.feasible([], [])
-
-
-def test_linear_system_builder():
-    sys = LinearSystem()
-    sys.add_equation({"x": F(1), "y": F(1)}, F(1))
-    sys.add_equation({"x": F(1), "y": F(-1)}, F(1, 3))
-    assert sys.is_feasible()
-    sys.add_equation({"x": F(1)}, F(5))  # contradicts x <= 1
-    assert not sys.is_feasible()
 
 
 def test_feasible_matches_random_known_solutions():

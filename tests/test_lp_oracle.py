@@ -111,15 +111,15 @@ def corpus_lps():
     pair-deleting pbranching fixpoint on each corpus `.pts` file, which has a
     `w` variable per related pair, with no repeats."""
     seen = {}
-    solve = lp.LinearSystem.is_feasible
+    solve = lp.feasible
 
-    def capture(system):
-        key = (tuple(tuple(sorted(row.items())) for row in system._rows), tuple(system._rhs))
-        seen.setdefault(key, ([dict(row) for row in system._rows], list(system._rhs)))
-        return solve(system)
+    def capture(rows, rhs):
+        key = (tuple(tuple(sorted(row.items())) for row in rows), tuple(rhs))
+        seen.setdefault(key, ([dict(row) for row in rows], list(rhs)))
+        return solve(rows, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp.LinearSystem, "is_feasible", capture)
+        mp.setattr(lp, "feasible", capture)
         with redirect_stdout(io.StringIO()):
             main(["corpus-run", str(CORPUS)])
         for path in sorted(CORPUS.glob("*.pts")):
@@ -132,18 +132,3 @@ def test_corpus_lps_match_dense_reference():
     assert len(lps) > 100  # mostly the pair-deleting fixpoint's
     for rows, rhs in lps:
         assert lp.feasible(rows, rhs) == reference_lp.feasible(reference_lp.dense(rows), rhs)
-
-
-def test_linear_system_passes_sparse_rows_through_the_module_global(monkeypatch):
-    calls = []
-
-    def spy(rows, rhs):
-        calls.append([dict(row) for row in rows])
-        return True
-
-    monkeypatch.setattr(lp, "feasible", spy)
-    system = lp.LinearSystem()
-    system.add_equation({"x": F(1), "y": F(0)}, F(1))
-    system.add_equation({"y": F(2)}, F(0))
-    assert system.is_feasible()
-    assert calls == [[{0: F(1)}, {1: F(2)}]]

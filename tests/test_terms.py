@@ -105,6 +105,20 @@ def test_substitute_sort_violation(t):
         substitute({"x": t("delta(0)")}, StateVar("x"))
 
 
+def test_substitute_reports_the_first_variable_bound_at_the_wrong_sort(t):
+    rho = {"x": t("delta(0)"), "y": t("delta(b.delta(0))")}
+    with pytest.raises(SortError, match=r"^state variable x bound to distribution term delta\(0\)$"):
+        substitute(rho, t("+(a.delta(+(x,0)),y)"))
+
+
+def test_substitute_rebuilds_every_node_kind(t):
+    rho = {"x": t("b.delta(0)"), "mu": t("delta(0)")}
+    out = substitute(rho, t("a.oplus{1/3:delta(+(x,x)),2/3:^+(mu,delta(x))}"))
+    assert out is t("a.oplus{1/3:delta(+(b.delta(0),b.delta(0))),2/3:^+(delta(0),delta(b.delta(0)))}")
+    deep = t("a.delta(" * 300 + "x" + ")" * 300)
+    assert substitute(rho, deep) is t("a.delta(" * 300 + "b.delta(0)" + ")" * 300)
+
+
 def test_match_basic(sig, t):
     pat = t("+(x,y)")
     subj = t("+(0,a.delta(0))")
