@@ -25,9 +25,11 @@ against the branching relation.  The scheduler-based definitions and the
 pair-deleting fixpoint live in the tests, as oracles.
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
-kind once and answers relatedness, classes and a distinguishing witness, the
-last by running the kind's own per-pair check once more on the relation plus
-the queried pair, which lifts by exact max-flow.
+kind once and answers relatedness, classes and a distinguishing witness.  The
+witness reruns the kind's per-pair check on the relation plus the queried
+pair, lifting by exact max-flow for branching (`lift_check`) and through
+transport columns in one LP for pbranching (`_combined_match`); a rooted
+witness lifts by block masses (`_rooted_challenge`).
 """
 
 from __future__ import annotations

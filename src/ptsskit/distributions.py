@@ -181,7 +181,4 @@ def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:
             if q is not _ONE:  # a Dirac argument's weight
                 p = q if p is _ONE else p * q
         items.append((Apply(origin, args), p))
-    result = Distribution(items)
-    if not result.is_full:
-        raise EvalError(f"evaluation of {render_term(theta)} lost mass")
-    return result
+    return Distribution(items)

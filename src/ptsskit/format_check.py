@@ -7,14 +7,19 @@ and wildness propagates along the nesting graph (conclusion-source variables
 flowing into argument positions of other operators).  Wild arguments must be
 guarded by patience rules and may only be tested by non-tau positive premises;
 premise-target variables and wild source variables may only occur at w-nested
-positions of the conclusion target.
+positions of the conclusion target (condition 2c).
+
+Condition 2c holds by construction for any spec whose rule terms use only its
+signature's operators, as `parse_spec` guarantees, so it is never reported:
+every position above a premise-target variable seeds wildness, and a wild
+source position makes wild every position above its variable in the target.
 
 Each rule target is read once, by an iterative walk that records, for every
 variable occurrence, the (operator, argument) positions above it (the
-occurrence table); the nesting graph, the wildness seeds, condition 2c, the
-w-nested test and probe contexts all read that table.  A patience rule is
-recognised by building the canonical patience target from the rule's own
-source and comparing it with the rule's target.
+occurrence table); the nesting graph, the wildness seeds, the w-nested test
+and probe contexts all read that table.  A patience rule is recognised by
+building the canonical patience target from the rule's own source and
+comparing it with the rule's target.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class NestingGraph:
 @dataclass(frozen=True)
 class Violation:
     rule: str
-    condition: str  # one of 2a, 2b, 2c, 2d, shape
+    condition: str  # one of 2a, 2b, 2d, shape; 2c holds by construction, so is never reported
     message: str
 
     def __str__(self) -> str:
@@ -208,13 +213,10 @@ def _nesting_graph(p: PTSS, tables: list[Table]) -> NestingGraph:
 
 
 def classify_wild(p: PTSS, graph: Optional[NestingGraph] = None) -> dict[Position, bool]:
-    tables = _tables(p)
-    return _wildness(p, _nesting_graph(p, tables) if graph is None else graph, tables)
-
-
-def _wildness(p: PTSS, graph: NestingGraph, tables: list[Table]) -> dict[Position, bool]:
     """Least fixpoint: seed with positions receiving premise-target variables,
     propagate along nesting-graph edges by a worklist."""
+    tables = _tables(p)
+    graph = _nesting_graph(p, tables) if graph is None else graph
     wild: set[Position] = set()
     for rule, table in zip(p.rules, tables):
         for _, _, tgt in rule.pos_premises:
@@ -289,9 +291,7 @@ def is_w_nested_occurrence(target: Term, var: str, wildness: dict[Position, bool
 # ---------------------------------------------------------------------------
 # The format check
 
-def _check_safe_rule(
-    rule: Rule, wildness: dict[Position, bool], patience: dict[Position, str], table: Table
-) -> list[Violation]:
+def _check_safe_rule(rule: Rule, wildness: dict[Position, bool], patience: dict[Position, str]) -> list[Violation]:
     out: list[Violation] = []
 
     def flag(condition: str, message: str) -> None:
@@ -302,14 +302,12 @@ def _check_safe_rule(
         flag("shape", "conclusion source is not an operator application")
         return out
     f = src.symbol
-    source_vars: list[str] = []
     seen: set[str] = set()
     for arg in src.args:
         if not isinstance(arg, (StateVar, DistVar)) or arg.name in seen:
             flag("shape", "conclusion source arguments must be pairwise distinct variables")
             break
         seen.add(arg.name)
-        source_vars.append(arg.name)
     premise_target_vars: list[str] = []
     for _, _, tgt in rule.pos_premises:
         if not isinstance(tgt, DistVar) or tgt.name in seen:
@@ -320,7 +318,7 @@ def _check_safe_rule(
     if out:
         return out
 
-    wild_vars = [(i, var) for i, var in enumerate(source_vars, start=1) if wildness.get((f.name, i), False)]
+    wild_vars = [(i, a.name) for i, a in enumerate(src.args, start=1) if wildness.get((f.name, i), False)]
     for i, var in wild_vars:
         if (f.name, i) in patience:
             for psrc, plabel, _ in rule.pos_premises:
@@ -335,10 +333,6 @@ def _check_safe_rule(
         ):
             flag("2b", f"wild argument {f.name}.{i} has no patience rule and must not occur in premise sources")
 
-    for var in premise_target_vars + [var for _, var in wild_vars]:
-        if not all(wildness.get(pos, False) for pos in _above(table, var)):
-            flag("2c", f"variable {var} occurs at a non-w-nested position in the target")
-
     for var in premise_target_vars:
         for psrc, _, _ in rule.pos_premises:
             if var in variables(psrc):
@@ -348,17 +342,16 @@ def _check_safe_rule(
 
 def check_format(p: PTSS) -> FormatReport:
     """Classify every rule as a patience rule for a wild argument or check the
-    safe-rule shape and conditions 2a-2d, reporting all violations."""
-    tables = _tables(p)
-    wildness = _wildness(p, _nesting_graph(p, tables), tables)
+    safe-rule shape and conditions 2a, 2b and 2d, reporting all violations."""
+    wildness = classify_wild(p)
     shapes = [_patience_shape(rule) for rule in p.rules]
     patience = _first_per_position(p.rules, shapes)
     verdicts: list[RuleVerdict] = []
-    for rule, pos, table in zip(p.rules, shapes, tables):
+    for rule, pos in zip(p.rules, shapes):
         if pos is not None and wildness.get(pos, False):
             verdicts.append(RuleVerdict(rule.name, "patience", patience_for=pos))
             continue
-        violations = _check_safe_rule(rule, wildness, patience, table)
+        violations = _check_safe_rule(rule, wildness, patience)
         if violations:
             verdicts.append(RuleVerdict(rule.name, "violating", violations=tuple(violations)))
         else:

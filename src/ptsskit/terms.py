@@ -62,10 +62,6 @@ class FunctionSymbol:
     def is_lifted(self) -> bool:
         return self.origin is not None
 
-    @property
-    def lifted_of(self) -> Optional[str]:
-        return self.origin.name if self.origin is not None else None
-
     def __repr__(self) -> str:
         return f"FunctionSymbol({self.name!r})"
 
@@ -415,20 +411,22 @@ class Signature:
     """Action labels plus state operators and their liftings.
 
     `actions` keeps declaration order (rendering is order-preserving); `tau`
-    must be among them.  `dist_ops` holds exactly the liftings of `state_ops`.
+    must be among them.  `dist_ops` is built here, one `lift_symbol(f)` per
+    state operator, so every state operator has exactly one lifting.
     `has_prefix_family` records that the per-action prefix operators came from
     a single `pre<A>` family declaration.
     """
 
     actions: tuple[str, ...]
     state_ops: tuple[FunctionSymbol, ...]
-    dist_ops: tuple[FunctionSymbol, ...]
+    dist_ops: tuple[FunctionSymbol, ...] = field(init=False, compare=False)
     has_prefix_family: bool = False
     _by_name: tuple[dict, dict] = field(init=False, repr=False, compare=False)
     names: dict = field(init=False, repr=False, compare=False)  # what `op` finds for each name
     prefixes: dict = field(init=False, repr=False, compare=False)  # each action's prefix operator, or None
 
     def __post_init__(self) -> None:  # the first operator of a name wins; validate_signature reports the rest
+        object.__setattr__(self, "dist_ops", tuple(map(lift_symbol, self.state_ops)))
         state, dist = ({f.name: f for f in reversed(ops)} for ops in (self.state_ops, self.dist_ops))
         object.__setattr__(self, "_by_name", (state, dist))
         object.__setattr__(self, "names", {**dist, **state})
@@ -459,17 +457,11 @@ def build_signature(
     state_ops: list[FunctionSymbol],
     prefix_family: bool = False,
 ) -> Signature:
-    """Assemble a signature, generating prefix operators per action when asked
-    and one lifting per state operator."""
+    """Assemble a signature, generating prefix operators per action when asked."""
     ops = list(state_ops)
     if prefix_family:
         ops.extend(prefix_symbol(a) for a in actions)
-    return Signature(
-        actions=tuple(actions),
-        state_ops=tuple(ops),
-        dist_ops=tuple(lift_symbol(f) for f in ops),
-        has_prefix_family=prefix_family,
-    )
+    return Signature(actions=tuple(actions), state_ops=tuple(ops), has_prefix_family=prefix_family)
 
 
 def validate_signature(sig: Signature) -> list[str]:
@@ -487,30 +479,9 @@ def validate_signature(sig: Signature) -> list[str]:
         if f.name in names:
             out.append(f"duplicate name: {f.name}")
         names.add(f.name)
-    liftings: dict[Optional[str], list[FunctionSymbol]] = {}
-    for g in sig.dist_ops:
-        liftings.setdefault(g.lifted_of, []).append(g)
     for f in sig.state_ops:
-        if f.result_sort is not _STATE:
-            out.append(f"state operator {f.name} has result sort {f.result_sort.value}")
-        lifted = liftings.get(f.name, [])
-        if not lifted:
-            out.append(f"missing lifting: state operator {f.name} has no ^{f.name}")
-        elif len(lifted) > 1:
-            out.append(f"multiple liftings for {f.name}")
-        else:
-            g = lifted[0]
-            if g.rank != f.rank or any(s is not _DIST for s in g.arg_sorts):
-                out.append(f"lifting ^{f.name} must have rank {f.rank} with all-dist arguments")
-            if g.result_sort is not _DIST:
-                out.append(f"lifting ^{f.name} must map to sort d")
         if f.prefix_action is not None and f.prefix_action not in sig.actions:
             out.append(f"prefix operator {f.name} uses undeclared action {f.prefix_action}")
-    for g in sig.dist_ops:
-        if g.origin is None:
-            out.append(f"distribution operator {g.name} is not the lifting of a state operator")
-        elif sig.state_op(g.origin.name) != g.origin:
-            out.append(f"lifting {g.name} refers to undeclared state operator {g.lifted_of}")
     return out
 
 

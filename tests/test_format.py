@@ -311,12 +311,12 @@ def test_patience_classification_precedes_safe_rule_check(cx23):
     # pushed through the plain safe-rule conditions, a patience rule would
     # trip the tau-premise restriction on its own wild argument; the patience
     # classification takes precedence so it never does
-    from ptsskit.format_check import _check_safe_rule, _occurrences
+    from ptsskit.format_check import _check_safe_rule
 
     wild = classify_wild(cx23)
     patience = detect_patience_rules(cx23)
     rule = next(r for r in cx23.rules if r.name == "g_pat")
-    forced = _check_safe_rule(rule, wild, patience, _occurrences(rule.target))
+    forced = _check_safe_rule(rule, wild, patience)
     assert any(v.condition == "2a" for v in forced)
     report = check_format(cx23)
     verdict = next(v for v in report.verdicts if v.rule == "g_pat")

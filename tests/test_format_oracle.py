@@ -3,7 +3,9 @@ on fixed seeds: every corpus spec, 3,000 specs of each `tests/genspecs.py`
 generator, and 4,000 corpus mutants whose rules swap conclusion targets give
 the same report, nesting graph, wildness and patience map, and the same
 answer from `is_w_nested_occurrence` for every variable of every target.
-The 13,011 texts hold 4,977 distinct ones, and each of those is checked once."""
+Every premise-target variable and wild source variable is w-nested there
+(condition 2c).  The 13,011 texts hold 4,977 distinct ones, and each of
+those is checked once."""
 
 import random
 
@@ -17,7 +19,7 @@ from ptsskit.format_check import (
     is_w_nested_occurrence,
 )
 from ptsskit.parser import parse_spec
-from ptsskit.terms import variables
+from ptsskit.terms import Apply, DistVar, StateVar, variables
 from tests import reference_format as reference
 from tests.conftest import CORPUS
 from tests.genspecs import format_safe_text, grouped_text, negative_free_text
@@ -67,9 +69,19 @@ def check(spec) -> None:
     assert new == old
     assert (new.to_json(), new.render_text()) == (old.to_json(), old.render_text())
     for rule in spec.rules:
+        # condition 2c, which check_format does not test, holds by construction:
+        # premise-target variables and wild source variables are w-nested
+        restricted = set().union(*(variables(tgt) for _, _, tgt in rule.pos_premises))
+        if isinstance(rule.source, Apply):
+            f = rule.source.symbol.name
+            restricted.update(
+                a.name for i, a in enumerate(rule.source.args, start=1)
+                if isinstance(a, (StateVar, DistVar)) and wild.get((f, i), False)
+            )
         for var in variables(rule.target):
             got = is_w_nested_occurrence(rule.target, var, wild)
             assert got == reference.is_w_nested_occurrence(rule.target, var, wild), (rule.name, var)
+            assert got or var not in restricted, (rule.name, var)
 
 
 @pytest.mark.parametrize("chunk", range(CHUNKS))

@@ -34,7 +34,8 @@ VARIANTS = {
     # g.2 loses its patience rule but is still tested
     "mutant_2b": ("final_pb.ptss", "rule g_pat2: y --tau-> mu |- g(x,y) --tau-> ^g(delta(x),mu)", ""),
     # a wild source variable copied under another operator: the nesting graph
-    # makes that operator's argument wild too
+    # makes that operator's argument wild too, so the rule fails 2b, not 2c,
+    # which holds by construction
     "mutant_2c": (
         "cx23.ptss",
         "rule g_b: x2 --b-> mu |- g(x1,x2) --b-> ^0",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptsskit.parser import parse_term
+from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import (
     Apply,
     Convex,
@@ -17,6 +17,7 @@ from ptsskit.terms import (
     StateVar,
     build_signature,
     is_closed,
+    lift_symbol,
     match,
     render_term,
     sort_of,
@@ -25,23 +26,23 @@ from ptsskit.terms import (
     term_sort,
     validate_signature,
 )
+from tests.conftest import CORPUS
 
 
 def test_validate_running_signature(sig):
     assert validate_signature(sig) == []
 
 
-def test_validate_missing_lifting(sig):
-    plus = sig.state_op("+")
-    broken = Signature(
-        actions=sig.actions,
-        state_ops=sig.state_ops,
-        dist_ops=tuple(g for g in sig.dist_ops if g.lifted_of != "+"),
-        has_prefix_family=True,
-    )
-    msgs = validate_signature(broken)
-    assert any("missing lifting" in m and "+" in m for m in msgs)
-    assert plus is not None
+def test_signature_holds_one_lifting_per_state_operator(sig):
+    # a signature builds its own liftings, so validate_signature has none to check
+    ops = (sig.state_op("0"), sig.state_op("+"))
+    for built in (Signature(("tau", "a"), ops), build_signature(("tau", "a"), list(ops), prefix_family=True), sig):
+        assert built.dist_ops == tuple(lift_symbol(f) for f in built.state_ops)
+        assert all(built.lifted(f) == lift_symbol(f) for f in built.state_ops)
+    specs = sorted(CORPUS.glob("*.ptss"))
+    assert specs
+    for path in specs:
+        assert validate_signature(parse_spec(path.read_text()).signature) == [], path.name
 
 
 def test_validate_duplicate_name():
