@@ -57,7 +57,8 @@ RelationLike = Union["StateRelation", Iterable[tuple[Term, Term]], Mapping[Term,
 class StateRelation:
     """A symmetric relation on the states of a PTS, as each state's set of
     partners.  The deciders' relations are equivalences, each class sharing
-    one set, except for the rare pbranching fixpoint that is not transitive."""
+    one set, except for a pbranching relation on a system with no greatest
+    bisimulation equivalence, whose classes may overlap."""
 
     def __init__(self, states: Sequence[Term], partners: Mapping[Term, frozenset[Term]]):
         self.states = tuple(states)
@@ -402,21 +403,39 @@ def prob_branching_bisim(pts: PTS) -> StateRelation:
     One state of a related pair may mix an inert tau-step into a combination
     where the other cannot, so the signatures let a unit stay put instead.
     Unless each member then matches every move of its block without staying
-    put, sweeps of the per-pair check delete the pairs of a block that fail;
-    the pairs they keep need not be transitive."""
+    put, sweeps keep the pairs that pass the per-pair check both ways against
+    the relation in which the pair keeps only its common partners.  Every
+    bisimulation equivalence relating the pair lies inside that relation and
+    the check is monotone, so no pair of one is deleted.  Where no greatest
+    bisimulation equivalence exists, the pairs kept are those that some
+    bisimulation partition relates (checked by brute force on small systems),
+    and the classes may overlap."""
     ix = _Index(pts)
     rel, block, members, moves, inert = _partition(ix, _pbranching_signatures)
     if all(len(set(_pbranching_signatures(ix, block, ms, moves, inert, False))) == 1 for ms in members):
         return rel
     table = {u: set(rel.partners(u)) for u in rel.states}
     while True:
-        check = _pbranching_check(pts, table, ix)
-        failed = [(s, t) for s in rel.states for t in table[s] if s != t and check(s, t) is not None]
+        shared = _pbranching_check(pts, table, ix)
+        failed = []
+        for s in rel.states:
+            for t in table[s] - {s}:
+                check = shared if table[s] == table[t] else _pbranching_check(pts, _common(table, s, t), ix)
+                if check(s, t) is not None:
+                    failed.append((s, t))
         if not failed:
             return StateRelation(rel.states, {s: frozenset(table[s]) for s in rel.states})
         for s, t in failed:
             table[s].discard(t)
             table[t].discard(s)
+
+
+def _common(table: Mapping[Term, set], s: Term, t: Term) -> dict[Term, set]:
+    """`table` in which `s` and `t` keep only their common partners."""
+    common = table[s] & table[t]
+    out = {u: partners if u in common else partners - {s, t} for u, partners in table.items()}
+    out[s] = out[t] = common
+    return out
 
 
 def _block_match(

@@ -5,7 +5,8 @@ corpus-run.  Exit codes: 0 affirmative (format passes, states related, no
 probe violations, all expectations met), 1 negative, 2 usage or parse errors,
 3 bound or convergence failures.  All output is deterministically ordered.
 An error prints one `<where>: error: <message>` line per diagnostic, or
-`error: <message>` when it names no place.
+`error: <message>` when it names no place.  Each answer is computed once, as
+the payload that `--json` prints; the text lines are rendered from it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Optional, TypeVar
 
 from .bisim import KINDS, Decision, decide
 from .engine import (
+    PTS,
     DomainBound,
     export_pts,
     is_complete,
@@ -116,6 +118,27 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _answer(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """Print an answer: its payload under `--json`, else its text lines."""
+    _emit(json.dumps(payload, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+
+
+def _spec_and_roots(args: argparse.Namespace) -> tuple[PTSS, tuple[Term, ...]]:
+    spec = _load(args.spec, parse_spec)
+    roots = tuple(_parse_terms(spec, _args("--root", args.root)))
+    if not roots:
+        raise PtssError(f"{args.command} needs at least one --root")
+    return spec, roots
+
+
+def _states(pts: PTS, s: str, t: str, where: str) -> tuple[Term, Term]:
+    """The states of `pts` named `s` and `t`."""
+    u, v = opaque_state(s), opaque_state(t)
+    if not pts.has_state(u) or not pts.has_state(v):
+        raise PtssError(f"unknown state {s!r} or {t!r}", where)
+    return u, v
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -127,43 +150,27 @@ def _cmd_check_format(args: argparse.Namespace) -> int:
 
 
 def _cmd_stable_model(args: argparse.Namespace) -> int:
-    spec = _load(args.spec, parse_spec)
-    roots = tuple(_parse_terms(spec, _args("--root", args.root)))
-    if not roots:
-        raise PtssError("stable-model needs at least one --root")
+    spec, roots = _spec_and_roots(args)
     model = stable_model(spec, _bound(args, roots))
-    complete = model.converged and model.is_two_valued
-    if args.json:
-        _emit(
-            json.dumps(
-                {
-                    "certain": sorted(repr(tr) for tr in model.ct),
-                    "possible_only": sorted(repr(tr) for tr in model.pt - model.ct),
-                    "iterations": model.iterations,
-                    "converged": model.converged,
-                    "complete": complete,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        lines = [f"certain: {tr!r}" for tr in sorted(model.ct, key=repr)]
-        lines += [f"possible-only: {tr!r}" for tr in sorted(model.pt - model.ct, key=repr)]
-        lines.append(f"iterations: {model.iterations}")
-        lines.append(f"converged: {'yes' if model.converged else 'no'}")
-        lines.append(f"complete: {'yes' if complete else 'no'}")
-        _emit("\n".join(lines))
+    payload = {
+        "certain": sorted(repr(tr) for tr in model.ct),
+        "possible_only": sorted(repr(tr) for tr in model.pt - model.ct),
+        "iterations": model.iterations,
+        "converged": model.converged,
+        "complete": model.converged and model.is_two_valued,
+    }
+    lines = [f"certain: {tr}" for tr in payload["certain"]]
+    lines += [f"possible-only: {tr}" for tr in payload["possible_only"]]
+    lines.append(f"iterations: {model.iterations}")
+    lines += [f"{key}: {'yes' if payload[key] else 'no'}" for key in ("converged", "complete")]
+    _answer(args, payload, lines)
     if not model.converged:
         return EXIT_BOUNDS
-    return EXIT_OK if complete else EXIT_NEGATIVE
+    return EXIT_OK if payload["complete"] else EXIT_NEGATIVE
 
 
 def _cmd_pts(args: argparse.Namespace) -> int:
-    spec = _load(args.spec, parse_spec)
-    roots = tuple(_parse_terms(spec, _args("--root", args.root)))
-    if not roots:
-        raise PtssError("pts needs at least one --root")
+    spec, roots = _spec_and_roots(args)
     pts = reachable_pts(spec, _bound(args, roots))
     text = export_pts(pts)
     if args.out:
@@ -181,9 +188,7 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
     path = args.path
     if path.endswith(".pts"):
         pts = _load(path, load_pts)
-        s, t = opaque_state(args.s), opaque_state(args.t)
-        if not pts.has_state(s) or not pts.has_state(t):
-            raise PtssError(f"unknown state {args.s!r} or {args.t!r}", path)
+        s, t = _states(pts, args.s, args.t, path)
     else:
         spec = _load(path, parse_spec)
         s, t = _parse_terms(spec, _args("argument s", [args.s]) + _args("argument t", [args.t]))
@@ -194,29 +199,16 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
     related = decision.related(s, t)
     partition = decision.classes()
     witness = None if related else decision.witness(s, t)
-    if args.json:
-        payload = {
-            "kind": args.kind,
-            "left": render_term(s),
-            "right": render_term(t),
-            "related": related,
-        }
-        if partition is not None:
-            payload["classes"] = [[render_term(u) for u in block] for block in partition]
-        if witness is not None:
-            state, tr = witness
-            payload["witness"] = {"state": render_term(state), "challenge": repr(tr)}
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        lines = []
-        if partition is not None:
-            lines += ["class: " + " ".join(render_term(u) for u in block) for block in partition]
-        verdict = "YES" if related else "NO"
-        lines.append(f"{args.kind}: {render_term(s)} ~ {render_term(t)}: {verdict}")
-        if witness is not None:
-            state, tr = witness
-            lines.append(f"witness: unmatched challenge {tr!r}")
-        _emit("\n".join(lines))
+    payload = {"kind": args.kind, "left": render_term(s), "right": render_term(t), "related": related}
+    lines = []
+    if partition is not None:
+        payload["classes"] = [[render_term(u) for u in block] for block in partition]
+        lines += ["class: " + " ".join(block) for block in payload["classes"]]
+    lines.append(f"{args.kind}: {payload['left']} ~ {payload['right']}: {'YES' if related else 'NO'}")
+    if witness is not None:
+        payload["witness"] = {"state": render_term(witness[0]), "challenge": repr(witness[1])}
+        lines.append(f"witness: unmatched challenge {payload['witness']['challenge']}")
+    _answer(args, payload, lines)
     return EXIT_OK if related else EXIT_NEGATIVE
 
 
@@ -231,29 +223,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         pairs.append((u, v))
     contexts = _parse_terms(spec, _term_lines(args.contexts))
     violations = congruence_probe(spec, pairs, contexts, _bound(args, ()), kind=args.kind)
-    if args.json:
-        _emit(
-            json.dumps(
-                {
-                    "kind": args.kind,
-                    "violations": [
-                        {
-                            "context": render_term(v.context),
-                            "left": render_term(v.left),
-                            "right": render_term(v.right),
-                        }
-                        for v in violations
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        if violations:
-            _emit("\n".join(f"violation: {v}" for v in violations))
-        else:
-            _emit("no violations")
+    payload = {
+        "kind": args.kind,
+        "violations": [
+            {"context": render_term(v.context), "left": render_term(v.left), "right": render_term(v.right)}
+            for v in violations
+        ],
+    }
+    _answer(args, payload, [f"violation: {v}" for v in violations] or ["no violations"])
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
 
@@ -267,13 +244,6 @@ class Expectation:
     detail: str
     expected: str
     words: list[_TermText]  # the words of `detail`, each with its place in the file
-
-
-@dataclass
-class FileOutcome:
-    path: str
-    rows: list[tuple[Expectation, str, bool]]
-    error: Optional[str] = None  # the file's diagnostic lines
 
 
 def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_TermText]]:
@@ -306,146 +276,114 @@ def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_
     return expectations, roots
 
 
-def _run_pts_expectations(path: str, text: str, expectations: list[Expectation]) -> FileOutcome:
-    pts = load_pts(text)
+def _pts_evaluator(path: str, pts: PTS) -> Callable[[Expectation], str]:
+    """The outcome of an expectation on a `.pts` file, deciding each kind once."""
     decisions: dict[str, Decision] = {}
-    rows: list[tuple[Expectation, str, bool]] = []
-    for exp in expectations:
+
+    def actual(exp: Expectation) -> str:
+        where = f"{path}:{exp.line}"
         if exp.kind != "bisim":
-            raise PtssError("only bisim expectations apply to .pts files", f"{path}:{exp.line}")
+            raise PtssError("only bisim expectations apply to .pts files", where)
         if len(exp.words) != 3:
-            raise PtssError("expected 'bisim <kind> <s> <t>'", f"{path}:{exp.line}")
+            raise PtssError("expected 'bisim <kind> <s> <t>'", where)
         kind, sname, tname = (word[0] for word in exp.words)
-        s, t = opaque_state(sname), opaque_state(tname)
-        if not pts.has_state(s) or not pts.has_state(t):
-            raise PtssError(f"unknown state {sname!r} or {tname!r}", f"{path}:{exp.line}")
+        s, t = _states(pts, sname, tname, where)
         if kind not in decisions:
             decisions[kind] = decide(kind, pts)
-        actual = "yes" if decisions[kind].related(s, t) else "no"
-        rows.append((exp, actual, actual == exp.expected))
-    return FileOutcome(path, rows)
+        return "yes" if decisions[kind].related(s, t) else "no"
+
+    return actual
 
 
-def _run_spec_expectations(
-    path: str, text: str, expectations: list[Expectation], root_items: list[_TermText]
-) -> FileOutcome:
-    spec = parse_spec(text)
-    roots = tuple(_parse_terms(spec, root_items))
-    rows: list[tuple[Expectation, str, bool]] = []
-    report = None
-    for exp in expectations:
+def _spec_evaluator(path: str, spec: PTSS, roots: tuple[Term, ...]) -> Callable[[Expectation], str]:
+    """The outcome of an expectation on a `.ptss` file, checking its format once."""
+    report = functools.cache(lambda: check_format(spec))
+
+    def actual(exp: Expectation) -> str:
+        where = f"{path}:{exp.line}"
         if exp.kind == "format":
-            report = report or check_format(spec)
-            actual = "pass" if report.overall else "fail"
-        elif exp.kind == "violation":
-            report = report or check_format(spec)
+            return "pass" if report().overall else "fail"
+        if exp.kind == "violation":
             try:
                 rule, cond = exp.detail.split()
             except ValueError:
-                raise PtssError("expected 'violation: <rule> <cond>'", f"{path}:{exp.line}")
-            hit = any(v.rule == rule and v.condition == cond for v in report.all_violations())
-            actual = "present" if hit else "absent"
-            rows.append((exp, actual, actual == exp.expected))
-            continue
-        elif exp.kind == "complete":
+                raise PtssError("expected 'violation: <rule> <cond>'", where)
+            hit = any(v.rule == rule and v.condition == cond for v in report().all_violations())
+            return "present" if hit else "absent"
+        if exp.kind == "complete":
             if not roots:
-                raise PtssError("complete expectation needs '# roots:'", f"{path}:{exp.line}")
+                raise PtssError("complete expectation needs '# roots:'", where)
             complete, _ = is_complete(spec, replace(_CORPUS_BOUND, roots=roots))
-            actual = "yes" if complete else "no"
-        elif exp.kind == "bisim":
+            return "yes" if complete else "no"
+        if exp.kind == "bisim":
             if len(exp.words) != 3:
-                raise PtssError("expected 'bisim <kind> <s> <t>'", f"{path}:{exp.line}")
+                raise PtssError("expected 'bisim <kind> <s> <t>'", where)
             s, t = _parse_terms(spec, exp.words[1:])
             pts = reachable_pts(spec, replace(_CORPUS_BOUND, roots=roots + (s, t)))
-            actual = "yes" if decide(exp.words[0][0], pts).related(s, t) else "no"
-        else:  # "probe", the last kind _parse_expectations admits
-            if len(exp.words) != 4:
-                raise PtssError("expected 'probe <kind> <context> <u> <v>'", f"{path}:{exp.line}")
-            context, u, v = _parse_terms(spec, exp.words[1:])
-            violations = congruence_probe(spec, [(u, v)], [context], _CORPUS_BOUND, kind=exp.words[0][0])
-            actual = "ok" if not violations else "fail"
-        rows.append((exp, actual, actual == exp.expected))
-    return FileOutcome(path, rows)
+            return "yes" if decide(exp.words[0][0], pts).related(s, t) else "no"
+        # "probe", the last kind _parse_expectations admits
+        if len(exp.words) != 4:
+            raise PtssError("expected 'probe <kind> <context> <u> <v>'", where)
+        context, u, v = _parse_terms(spec, exp.words[1:])
+        violations = congruence_probe(spec, [(u, v)], [context], _CORPUS_BOUND, kind=exp.words[0][0])
+        return "ok" if not violations else "fail"
+
+    return actual
 
 
-def _run_corpus_file(path: Path) -> FileOutcome:
+def _run_corpus_file(path: Path) -> list[dict]:
+    """The `--json` rows of a file's expectations."""
     text = _read_file(str(path))
-    expectations, roots = _parse_expectations(text, str(path))
+    expectations, root_items = _parse_expectations(text, str(path))
     if path.suffix == ".pts":
-        return _run_pts_expectations(str(path), text, expectations)
-    return _run_spec_expectations(str(path), text, expectations, roots)
+        actual = _pts_evaluator(str(path), load_pts(text))
+    else:
+        spec = parse_spec(text)
+        actual = _spec_evaluator(str(path), spec, tuple(_parse_terms(spec, root_items)))
+    rows = []
+    for exp in expectations:
+        got = actual(exp)
+        rows.append({"line": exp.line, "kind": exp.kind, "detail": exp.detail, "expected": exp.expected,
+                     "actual": got, "ok": got == exp.expected})
+    return rows
 
 
-def corpus_run(directory: str) -> tuple[list[FileOutcome], int]:
-    """Run every file's expectations.  Exit 2 if a file has a usage or parse
-    error, else 1 if a file has any error or a failed expectation, else 0."""
+def corpus_run(directory: str) -> tuple[dict, list[str], int]:
+    """Run every file's expectations: the `--json` payload, the text lines and
+    the exit code.  Exit 2 if a file has a usage or parse error, else 1 if a
+    file has any error or a failed expectation, else 0."""
     base = Path(directory)
     if not base.is_dir():
         raise PtssError("not a directory", directory)
-    outcomes: list[FileOutcome] = []
+    files: list[dict] = []
+    lines: list[str] = []
+    total = failed = 0
     usage_error = False
     for p in sorted(p for p in base.iterdir() if p.suffix in (".ptss", ".pts")):
         try:
-            outcomes.append(_run_corpus_file(p))
+            rows = _run_corpus_file(p)
         except PtssError as exc:
             usage_error = usage_error or exc.exit_code == EXIT_USAGE
             exc.where = exc.where or str(p)
-            outcomes.append(FileOutcome(str(p), [], error="\n".join(exc.lines())))
-    if usage_error:
-        return outcomes, EXIT_USAGE
-    mismatches = any(
-        outcome.error is not None or any(not ok for _, _, ok in outcome.rows)
-        for outcome in outcomes
-    )
-    return outcomes, EXIT_NEGATIVE if mismatches else EXIT_OK
+            files.append({"path": str(p), "error": "\n".join(exc.lines()), "expectations": []})
+            lines.append(files[-1]["error"])
+            failed += 1
+            continue
+        files.append({"path": str(p), "error": None, "expectations": rows})
+        for row in rows:
+            total += 1
+            failed += not row["ok"]
+            desc = f"{row['kind']} {row['detail']}".strip()
+            status = "PASS" if row["ok"] else "FAIL"
+            lines.append(f"{p}:{row['line']}: {desc}: expected {row['expected']}, got {row['actual']}: {status}")
+    lines.append(f"summary: {total} expectations, {failed} failed")
+    code = EXIT_USAGE if usage_error else EXIT_NEGATIVE if failed else EXIT_OK
+    return {"files": files, "failed": failed, "total": total}, lines, code
 
 
 def _cmd_corpus_run(args: argparse.Namespace) -> int:
-    outcomes, code = corpus_run(args.directory)
-    total = 0
-    failed = 0
-    lines = []
-    for outcome in outcomes:
-        if outcome.error is not None:
-            lines.append(outcome.error)
-            failed += 1
-            continue
-        for exp, actual, ok in outcome.rows:
-            total += 1
-            if not ok:
-                failed += 1
-            status = "PASS" if ok else "FAIL"
-            desc = f"{exp.kind} {exp.detail}".strip()
-            lines.append(
-                f"{outcome.path}:{exp.line}: {desc}: expected {exp.expected}, got {actual}: {status}"
-            )
-    lines.append(f"summary: {total} expectations, {failed} failed")
-    if args.json:
-        payload = {
-            "files": [
-                {
-                    "path": o.path,
-                    "error": o.error,
-                    "expectations": [
-                        {
-                            "line": e.line,
-                            "kind": e.kind,
-                            "detail": e.detail,
-                            "expected": e.expected,
-                            "actual": actual,
-                            "ok": ok,
-                        }
-                        for e, actual, ok in o.rows
-                    ],
-                }
-                for o in outcomes
-            ],
-            "failed": failed,
-            "total": total,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _emit("\n".join(lines))
+    payload, lines, code = corpus_run(args.directory)
+    _answer(args, payload, lines)
     return code
 
 

@@ -48,6 +48,12 @@ def bisimulation_partitions(pts: PTS) -> list[Partition]:
     return kept
 
 
+def bisimulation_pairs(pts: PTS) -> frozenset[tuple[Term, Term]]:
+    """Every pair that some bisimulation partition relates: the pairs of the
+    coarsest one, where the bisimulation partitions are closed under join."""
+    return frozenset((s, t) for part in bisimulation_partitions(pts) for b in part for s in b for t in b)
+
+
 def join(pts: PTS, parts: Sequence[Partition]) -> Partition:
     """The finest partition that each of `parts` refines."""
     parent = {s: s for s in pts.states}
