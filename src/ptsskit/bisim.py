@@ -35,9 +35,8 @@ witness lifts by block masses (`_rooted_challenge`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lp
 from .distributions import Distribution
@@ -522,8 +521,7 @@ def rooted_branching_bisim(
 
 # -- the query entry point ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """The greatest relation of one kind on a PTS and the queries on it.
 
     For "rooted" the relation is branching bisimulation, against which the

@@ -16,9 +16,8 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .bisim import KINDS, Decision, decide
 from .engine import (
@@ -69,7 +68,7 @@ def _parse_terms(spec: PTSS, items: list[_TermText]) -> list[Term]:
         try:
             out.append(parse_term(text, spec.signature))
         except ParseFailure as exc:
-            raise ParseFailure([replace(d, line=line, col=offset + d.col) for d in exc.diagnostics], origin)
+            raise ParseFailure([d._replace(line=line, col=offset + d.col) for d in exc.diagnostics], origin)
     return out
 
 
@@ -237,8 +236,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Corpus expectations
 
-@dataclass
-class Expectation:
+class Expectation(NamedTuple):
     line: int
     kind: str
     detail: str
@@ -313,13 +311,13 @@ def _spec_evaluator(path: str, spec: PTSS, roots: tuple[Term, ...]) -> Callable[
         if exp.kind == "complete":
             if not roots:
                 raise PtssError("complete expectation needs '# roots:'", where)
-            complete, _ = is_complete(spec, replace(_CORPUS_BOUND, roots=roots))
+            complete, _ = is_complete(spec, _CORPUS_BOUND._replace(roots=roots))
             return "yes" if complete else "no"
         if exp.kind == "bisim":
             if len(exp.words) != 3:
                 raise PtssError("expected 'bisim <kind> <s> <t>'", where)
             s, t = _parse_terms(spec, exp.words[1:])
-            pts = reachable_pts(spec, replace(_CORPUS_BOUND, roots=roots + (s, t)))
+            pts = reachable_pts(spec, _CORPUS_BOUND._replace(roots=roots + (s, t)))
             return "yes" if decide(exp.words[0][0], pts).related(s, t) else "no"
         # "probe", the last kind _parse_expectations admits
         if len(exp.words) != 4:

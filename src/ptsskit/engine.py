@@ -21,7 +21,6 @@ pattern, and each rule of that source goes on from the binding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -31,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .distributions import Distribution, EvalError, evaluate
 from .errors import BoundError, brief
 from .parser import PTSS, Diagnostic, ParseFailure, Rule, read_weight
-from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, match,
+from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, _Record, match,
                     render_term, substitute, term_sort, variables)
 
 
@@ -65,20 +64,26 @@ class SymbolicTransition(NamedTuple):
         return f"{render_term(self.source)} --{self.label}-> {render_term(self.target)}"
 
 
-@dataclass(frozen=True)
-class DomainBound:
+class _Bound(NamedTuple):
     roots: tuple[Term, ...]
     max_depth: int = 8
     max_states: int = 512
     max_iterations: int = 64
 
-    def __post_init__(self) -> None:
-        if self.max_depth <= 0 or self.max_states <= 0 or self.max_iterations <= 0:
+
+class DomainBound(_Bound):
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "DomainBound":
+        bound = super().__new__(cls, *args, **kwargs)
+        if bound.max_depth <= 0 or bound.max_states <= 0 or bound.max_iterations <= 0:
             raise ValueError("domain bounds must be positive")
+        return bound
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
 
-@dataclass(frozen=True)
-class ThreeValuedModel:
+class ThreeValuedModel(NamedTuple):
     ct: frozenset[SymbolicTransition]
     pt: frozenset[SymbolicTransition]
     iterations: int
@@ -99,25 +104,22 @@ class PtsTransition(NamedTuple):
         return f"{render_term(self.source)} --{self.label}-> {self.target!r}"
 
 
-@dataclass(frozen=True)
-class PTS:
+class PTS(_Record):
     """States and transitions are kept in text order, transitions without repeats."""
 
-    states: tuple[Term, ...]
-    actions: tuple[str, ...]
-    transitions: tuple[PtsTransition, ...]
-    _outgoing: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    __slots__ = ("states", "actions", "transitions", "_outgoing")
+    _fields = __slots__[:3]
 
-    def __post_init__(self) -> None:
-        text = {s: render_term(s) for s in self.states}
-        object.__setattr__(self, "states", tuple(sorted(self.states, key=text.__getitem__)))
+    def __init__(self, states: tuple[Term, ...], actions: tuple[str, ...], transitions: tuple[PtsTransition, ...]) -> None:
+        text = {s: render_term(s) for s in states}
+        states = tuple(sorted(states, key=text.__getitem__))
         # equal transitions have equal texts, and texts hash without the Fractions
-        keyed = {(text[t.source], t.label, repr(t.target)): t for t in self.transitions}
-        object.__setattr__(self, "transitions", tuple(keyed[k] for k in sorted(keyed)))
-        out: dict[Term, list[PtsTransition]] = {s: [] for s in self.states}
-        for tr in self.transitions:
+        keyed = {(text[t.source], t.label, repr(t.target)): t for t in transitions}
+        transitions = tuple(keyed[k] for k in sorted(keyed))
+        out: dict[Term, list[PtsTransition]] = {s: [] for s in states}
+        for tr in transitions:
             out[tr.source].append(tr)
-        self._outgoing.update(out)
+        self._init(states, actions, transitions, out)
 
     def outgoing(self, state: Term, label: Optional[str] = None) -> tuple[PtsTransition, ...]:
         trs = self._outgoing.get(state, ())

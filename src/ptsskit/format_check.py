@@ -25,8 +25,7 @@ comparing it with the rule's target.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .bisim import decide
 from .engine import DomainBound, reachable_pts
@@ -51,14 +50,12 @@ Table = dict[str, list[tuple[Position, ...]]]  # variable -> the positions above
 HOLE = "_"
 
 
-@dataclass(frozen=True)
-class NestingGraph:
+class NestingGraph(NamedTuple):
     vertices: frozenset[Position]
     edges: frozenset[tuple[Position, Position]]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     condition: str  # one of 2a, 2b, 2d, shape; 2c holds by construction, so is never reported
     message: str
@@ -67,16 +64,14 @@ class Violation:
         return f"rule {self.rule}: condition {self.condition}: {self.message}"
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(NamedTuple):
     rule: str
     kind: str  # "patience" | "safe" | "violating"
     patience_for: Optional[Position] = None
     violations: tuple[Violation, ...] = ()
 
 
-@dataclass(frozen=True)
-class FormatReport:
+class FormatReport(NamedTuple):
     wildness: tuple[tuple[Position, bool], ...]
     patience: tuple[tuple[Position, str], ...]
     verdicts: tuple[RuleVerdict, ...]
@@ -140,8 +135,7 @@ class ProbeError(PtssError):
     """The congruence probe's preconditions do not hold."""
 
 
-@dataclass(frozen=True)
-class ProbeViolation:
+class ProbeViolation(NamedTuple):
     context: Term
     left: Term
     right: Term
@@ -399,7 +393,7 @@ def congruence_probe(
     for c in contexts:
         for u, v in pairs:
             roots.extend((plug(c, u), plug(c, v)))
-    related = decide(kind, reachable_pts(p, replace(bound, roots=tuple(dict.fromkeys(roots))))).related
+    related = decide(kind, reachable_pts(p, bound._replace(roots=tuple(dict.fromkeys(roots))))).related
     for u, v in pairs:
         if not related(u, v):
             raise ProbeError(

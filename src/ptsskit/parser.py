@@ -30,9 +30,8 @@ A rule line reports each of them once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn, Optional, Union
+from typing import NamedTuple, NoReturn, Optional, Union
 
 from .errors import PtssError, brief
 from .terms import (
@@ -55,8 +54,7 @@ from .terms import (
 META = "<A>"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str
     message: str
     line: int
@@ -77,8 +75,7 @@ class ParseFailure(PtssError):
         return [prefix + str(d) for d in self.diagnostics] or super().lines()
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """An SOS rule: positive/negative premises and a conclusion."""
 
     name: str
@@ -89,8 +86,7 @@ class Rule:
     target: Term
 
 
-@dataclass(frozen=True)
-class PTSS:
+class PTSS(NamedTuple):
     name: str
     signature: Signature
     rules: tuple[Rule, ...]

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Mapping, Optional, Union
+from typing import ClassVar, Mapping, NamedTuple, Optional, Union
 from weakref import ref
 
 from .errors import PtssError
@@ -35,8 +34,7 @@ class SortError(PtssError):
     """A term or substitution violates the sort discipline."""
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
+class FunctionSymbol(NamedTuple):
     """An operator of the two-sorted signature.
 
     `origin` is set on lifted symbols and points at the state operator being
@@ -83,31 +81,66 @@ def lift_symbol(f: FunctionSymbol) -> FunctionSymbol:
     )
 
 
-@dataclass(frozen=True)
-class StateVar:
+class _Record:
+    """Base of the term nodes and of the records that derive more state when
+    they are built.  A copy or an unpickling passes the `_fields` they are
+    built from to the constructor again, so copied nodes stay interned; a
+    record is compared, hashed and shown by those fields alone."""
+
+    __slots__ = ()
+    _fields: ClassVar[tuple[str, ...]]
+
+    def _init(self, *values: object) -> None:  # sets each slot, in order, once
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._key()))})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # which delattr calls without a value
+
+
+class _Var(NamedTuple):
     name: str
 
-    sort: ClassVar[Sort] = Sort.STATE
-    depth: ClassVar[int] = 1
-    closed: ClassVar[bool] = False
-    kids: ClassVar[tuple] = ()
-    value: ClassVar[None] = None
+    depth, closed, kids, value = 1, False, (), None
 
     @property
     def text(self) -> str:
         return self.name
 
+    def __eq__(self, other: object) -> bool:  # a state and a distribution variable of one name differ
+        return type(other) is type(self) and other.name == self.name
 
-@dataclass(frozen=True)
-class DistVar:
-    name: str
+    def __ne__(self, other: object) -> bool:  # tuple's own does not ask __eq__
+        return not self == other
 
-    sort: ClassVar[Sort] = Sort.DIST
-    depth: ClassVar[int] = 1
-    closed: ClassVar[bool] = False
-    kids: ClassVar[tuple] = ()
-    value: ClassVar[None] = None
-    text = StateVar.text
+    __hash__ = tuple.__hash__
+
+
+class StateVar(_Var):
+    __slots__ = ()
+    sort = _STATE
+
+
+class DistVar(_Var):
+    __slots__ = ()
+    sort = _DIST
 
 
 class _Entry(ref):
@@ -125,7 +158,7 @@ def _dead() -> None:
     """What a table's miss calls in place of a live node's reference."""
 
 
-class _Node:
+class _Node(_Record):
     """Base of the hash-consed node kinds (Filliatre & Conchon, 2006).
 
     A node is built at most once per structure: the constructor returns the
@@ -139,7 +172,7 @@ class _Node:
     """
 
     __slots__ = ("depth", "closed", "text", "value", "kids", "__weakref__")
-    _fields: ClassVar[tuple[str, ...]]  # the constructor's arguments
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal fields make one node
     _table: ClassVar[dict]
     _open: ClassVar[type]  # the kind's twin that builds it
 
@@ -164,15 +197,6 @@ class _Node:
         entry = cls._table[key] = _Entry(node, _forget)
         entry.table, entry.key = cls._table, key
         return node
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__  # which delattr calls without a value
-
-    def __reduce__(self) -> tuple:
-        # copies and unpickled terms go through the constructor, so stay interned
-        return (type(self), tuple(getattr(self, name) for name in self._fields))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({render_term(self)})"
@@ -406,31 +430,26 @@ def _match_into(pattern: Term, subject: Term, binding: dict[str, Term]) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=True)
-class Signature:
+class Signature(_Record):
     """Action labels plus state operators and their liftings.
 
     `actions` keeps declaration order (rendering is order-preserving); `tau`
     must be among them.  `dist_ops` is built here, one `lift_symbol(f)` per
     state operator, so every state operator has exactly one lifting.
     `has_prefix_family` records that the per-action prefix operators came from
-    a single `pre<A>` family declaration.
+    a single `pre<A>` family declaration.  `names` holds what `op` finds for
+    each name, and `prefixes` each action's prefix operator, or None.
     """
 
-    actions: tuple[str, ...]
-    state_ops: tuple[FunctionSymbol, ...]
-    dist_ops: tuple[FunctionSymbol, ...] = field(init=False, compare=False)
-    has_prefix_family: bool = False
-    _by_name: tuple[dict, dict] = field(init=False, repr=False, compare=False)
-    names: dict = field(init=False, repr=False, compare=False)  # what `op` finds for each name
-    prefixes: dict = field(init=False, repr=False, compare=False)  # each action's prefix operator, or None
+    __slots__ = ("actions", "state_ops", "has_prefix_family", "dist_ops", "_by_name", "names", "prefixes")
+    _fields = __slots__[:3]
 
-    def __post_init__(self) -> None:  # the first operator of a name wins; validate_signature reports the rest
-        object.__setattr__(self, "dist_ops", tuple(map(lift_symbol, self.state_ops)))
-        state, dist = ({f.name: f for f in reversed(ops)} for ops in (self.state_ops, self.dist_ops))
-        object.__setattr__(self, "_by_name", (state, dist))
-        object.__setattr__(self, "names", {**dist, **state})
-        object.__setattr__(self, "prefixes", {a: state.get(f"{a}.") for a in self.actions})
+    def __init__(self, actions: tuple[str, ...], state_ops: tuple[FunctionSymbol, ...], has_prefix_family=False) -> None:
+        # the first operator of a name wins; validate_signature reports the rest
+        dist_ops = tuple(map(lift_symbol, state_ops))
+        state, dist = ({f.name: f for f in reversed(ops)} for ops in (state_ops, dist_ops))
+        prefixes = {a: state.get(f"{a}.") for a in actions}
+        self._init(actions, state_ops, has_prefix_family, dist_ops, (state, dist), {**dist, **state}, prefixes)
 
     def state_op(self, name: str) -> Optional[FunctionSymbol]:
         return self._by_name[0].get(name)

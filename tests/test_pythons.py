@@ -1,7 +1,8 @@
 """The `requires-python >=3.10` floor: each other interpreter found on PATH
 runs `corpus-run corpus --json` and the `tests/golden_pts.json` cases in one
 subprocess, and must print what the golden file holds and what this
-interpreter prints.  It also parses a fixed list of malformed specs and
+interpreter prints, and must import `ptsskit.cli` without loading `dataclasses`
+or what it pulls in.  It also parses a fixed list of malformed specs and
 terms, some with characters that only some Unicode classes take, and must
 give the diagnostics this interpreter gives: the lexer leans on `re`'s `\\d`
 and on `str.splitlines`, which follow each interpreter's Unicode database."""
@@ -15,6 +16,7 @@ import pytest
 from tests.conftest import CORPUS, RUNNING_SPEC, capped_python
 from tests.test_front_oracle import ODD as FRONT_ODD
 from tests.test_golden_pts import GOLDEN, cases, run
+from tests.test_records import HEAVY
 
 # parses each malformed spec, and each malformed term against running.ptss
 DIAGNOSE = """
@@ -31,10 +33,11 @@ def diagnostics(corpus, specs, terms):
 """
 
 # runs each case it reads as `run` in tests/test_golden_pts.py does; that
-# module imports pytest, which another interpreter may lack
-WORKER = DIAGNOSE + """
-import contextlib, io, json, sys
+# module imports pytest, which another interpreter may lack.  It also names
+# the modules of HEAVY that importing ptsskit loaded.
+WORKER = "import contextlib, io, json, sys\nbefore = set(sys.modules)\n" + DIAGNOSE + """
 from ptsskit.cli import main
+loaded = [m for m in HEAVY if m in sys.modules and m not in before]
 corpus, argvs, specs, terms = json.load(sys.stdin)
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -42,8 +45,8 @@ def run(argv):
         code = main(argv)
     return {"code": code, **{k: v.getvalue().replace(corpus, "corpus") for k, v in (("stdout", out), ("stderr", err))}}
 cases = {key: run(argv) for key, argv in argvs.items()}
-print(json.dumps({"cases": cases, "diagnostics": diagnostics(corpus, specs, terms)}))
-"""
+print(json.dumps({"cases": cases, "diagnostics": diagnostics(corpus, specs, terms), "loaded": loaded}))
+""".replace("HEAVY", repr(HEAVY))
 
 # the lexer cross-check's odd characters, more line breaks and digits of other
 # scripts, a Roman numeral, a no-break space and the starts of arrows
@@ -83,6 +86,7 @@ def test_another_python_prints_the_same(name):
             proc.kill()
     assert proc.returncode == 0, err[-2000:]
     got = json.loads(out)
+    assert got["loaded"] == []
     assert got["cases"].pop("corpus-run") == run(corpus_run)
     assert got["cases"] == json.loads(GOLDEN.read_text())
     here: dict = {}
