@@ -3,15 +3,13 @@ distribution semantics, 3-valued stable models, branching bisimulations, and
 a static checker for the congruence-safe rule format."""
 
 from .bisim import (
-    EPSILON,
     StateRelation,
     branching_bisim,
     lift_check,
     prob_branching_bisim,
     rooted_branching_bisim,
-    weak_combined_reachable,
 )
-from .distributions import Distribution, convex_combine, evaluate, mass
+from .distributions import Distribution, convex_combine, evaluate
 from .engine import (
     PTS,
     DomainBound,
@@ -35,7 +33,7 @@ from .format_check import (
     detect_patience_rules,
     is_w_nested_occurrence,
 )
-from .parser import PTSS, Diagnostic, ParseFailure, Rule, parse_spec, parse_term, render
+from .parser import PTSS, Diagnostic, ParseFailure, Rule, parse_spec, parse_term
 from .terms import (
     Apply,
     Convex,
@@ -50,7 +48,6 @@ from .terms import (
     build_signature,
     match,
     render_term,
-    sort_of,
     substitute,
     validate_signature,
 )

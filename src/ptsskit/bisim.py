@@ -21,8 +21,9 @@ match is an LP over a partition (Turrini & Hermanns 2015) on the steps that
 reach only the challenge's blocks, built only when they reach all of them.
 Every LP's integer rows are written by `_flow_rows`.
 `rooted_branching_bisim` matches the initial steps of a pair strictly
-against the branching relation.  The scheduler-based definitions and the
-pair-deleting fixpoint live in the tests, as oracles.
+against the branching relation.  The scheduler-based definitions, the
+pair-deleting fixpoint and the weak combined transition LP live in the
+tests, as oracles (`tests/reference_schedulers.py`, `tests/reference_refine.py`).
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
 kind once and answers relatedness, classes and a distinguishing witness.  The
@@ -42,9 +43,7 @@ from . import lp
 from .distributions import Distribution
 from .engine import PTS, PtsTransition
 from .lp import max_flow
-from .terms import Term, render_term
-
-EPSILON = "eps"
+from .terms import Term
 
 # the relations `decide` answers for: branching, probabilistic branching and
 # rooted branching bisimulation
@@ -68,17 +67,6 @@ class StateRelation:
 
     def partners(self, s: Term) -> frozenset[Term]:
         return self._by_left.get(s, frozenset())
-
-    @property
-    def pairs(self) -> frozenset[tuple[Term, Term]]:
-        """Every related pair, n² of them for one block."""
-        return frozenset((s, t) for s in self.states for t in self.partners(s))
-
-    def is_equivalence(self) -> bool:
-        return all(
-            s in self.partners(s) and all(self.partners(t) == self.partners(s) for t in self.partners(s))
-            for s in self.states
-        )
 
     def classes(self) -> tuple[tuple[Term, ...], ...]:
         # each unseen state with its partners, in the order of `states`
@@ -128,47 +116,11 @@ def lift_check(relation: RelationLike, d1: Distribution, d2: Distribution) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Weak combined transitions
+# Partition refinement shared by the deciders
 
-def weak_combined_reachable(
-    pts: PTS,
-    s: Term,
-    a: Optional[str],
-    target: Distribution,
-    allowed: Optional[Iterable[PtsTransition]] = None,
-) -> bool:
-    """Is there a scheduler taking `s` to `target` executing exactly the trace
-    of `a` (empty for EPSILON/tau) with probability 1?
-
-    Decided by exact linear feasibility over per-transition occupation
-    variables, split into a before-`a` and an after-`a` phase for visible `a`.
-    """
-    if not pts.has_state(s):
-        raise ValueError(f"not a state of the PTS: {render_term(s)}")
-    if target.total_mass != 1:
-        raise ValueError("weak transitions target full distributions")
-    for u in target.support:
-        if not pts.has_state(u):
-            raise ValueError(f"target mentions a foreign state: {render_term(u)}")
-    allowed_set = set(pts.transitions if allowed is None else allowed)
-    if not allowed_set <= set(pts.transitions):
-        raise ValueError("allowed set must be a subset of the PTS transitions")
-    ix = _Index(pts)
-    n, scale = len(pts.states), ix.scale
-    taus = [ix.step(tr) for tr in pts.transitions if tr.label == "tau" and tr in allowed_set]
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    col = _flow_rows(rows, range(n), taus, 0, scale)
-    if a not in (None, EPSILON, "tau"):
-        # tau flow x until the `a`-step y, then tau flow z; y leaves the first
-        # phase and enters the second
-        visibles = [ix.step(tr) for tr in pts.transitions if tr.label == a and tr in allowed_set]
-        rows += [{} for _ in range(n)]
-        col = _flow_rows(rows, range(n), visibles, col, scale, range(n, 2 * n))
-        _flow_rows(rows, range(n, 2 * n), taus, col, scale)
-    rhs = [scale if u == ix.num[s] else 0 for u in range(n)] + [0] * (len(rows) - n)
-    for u, p in target.items():  # the target is met in the rows of the last phase
-        rhs[len(rows) - n + ix.num[u]] -= scale * p
-    return lp.feasible(rows, rhs)
+# an index step (source, label, targets, integer weights); a state's row in `_flow_rows`
+Step = tuple[int, str, tuple[int, ...], tuple[int, ...]]
+Rows = Union[Sequence[int], Mapping[int, int]]
 
 
 def _flow_rows(
@@ -189,14 +141,6 @@ def _flow_rows(
             else:  # a point-mass self-loop neither leaves nor enters
                 del row[j]
     return col + len(steps)
-
-
-# ---------------------------------------------------------------------------
-# Partition refinement shared by the deciders
-
-# an index step (source, label, targets, integer weights); a state's row in `_flow_rows`
-Step = tuple[int, str, tuple[int, ...], tuple[int, ...]]
-Rows = Union[Sequence[int], Mapping[int, int]]
 
 
 class _Index:

@@ -111,11 +111,6 @@ class Distribution:
         return self._text
 
 
-def mass(d: Distribution, terms: Iterable[Term]) -> Fraction:
-    """Summed probability of a set of state terms."""
-    return sum((d.get(t) for t in set(terms)), Fraction(0))
-
-
 def convex_combine(pairs: Iterable[tuple[Fraction, Distribution]]) -> Distribution:
     """Pointwise weighted sum; weights must be positive and sum to at most 1."""
     pairs = [(Fraction(p), d) for p, d in pairs]

@@ -119,16 +119,13 @@ class PTS(_Record):
         out: dict[Term, list[PtsTransition]] = {s: [] for s in states}
         for tr in transitions:
             out[tr.source].append(tr)
-        self._init(states, actions, transitions, out)
+        self._init(states, actions, transitions, {s: tuple(trs) for s, trs in out.items()})
 
     def outgoing(self, state: Term, label: Optional[str] = None) -> tuple[PtsTransition, ...]:
         trs = self._outgoing.get(state, ())
         if label is None:
-            return tuple(trs)
+            return trs
         return tuple(tr for tr in trs if tr.label == label)
-
-    def tau_transitions(self) -> tuple[PtsTransition, ...]:
-        return tuple(tr for tr in self.transitions if tr.label == "tau")
 
     def has_state(self, state: Term) -> bool:
         return state in self._outgoing

@@ -2,8 +2,8 @@
 
 Both routines are exact: `feasible` pivots integer rows, and `max_flow`
 runs over `fractions.Fraction`.  The decision procedures built on top
-(relation lifting, weak combined transitions) sit on boundary cases where
-floating point would flip answers.
+(relation lifting and the probabilistic branching block matches) sit on
+boundary cases where floating point would flip answers.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Parser and renderer for the `.ptss` rule DSL.
+"""Parser for the `.ptss` rule DSL.
 
 Canonical grammar, one declaration per line, `#` comments:
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, NoReturn, Optional, Union
+from typing import NamedTuple, NoReturn, Optional
 
 from .errors import PtssError, brief
 from .terms import (
@@ -47,7 +47,6 @@ from .terms import (
     StateVar,
     Term,
     build_signature,
-    render_term,
     validate_signature,
 )
 
@@ -186,7 +185,7 @@ class _Cursor:
 
     def over(self, sig: Signature) -> "_Cursor":
         """Read terms over `sig`."""
-        self.sig, self.ops, self.prefixes = sig, sig.names, sig.prefixes
+        self.sig, self.ops, self.prefixes = sig, sig._names, sig._prefixes
         return self
 
     def col(self, k: int) -> int:
@@ -678,37 +677,3 @@ def read_weight(text: str, line_no: int, diags: list[Diagnostic], pos: int, end:
     except _Stop:
         pass
     return None
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-
-def render_rule(rule: Rule) -> str:
-    premises = [f"{render_term(s)} --{l}-> {render_term(t)}" for s, l, t in rule.pos_premises]
-    premises += [f"{render_term(s)} -/{l}->" for s, l in rule.neg_premises]
-    conclusion = f"{render_term(rule.source)} --{rule.label}-> {render_term(rule.target)}"
-    if premises:
-        return f"rule {rule.name}: {', '.join(premises)} |- {conclusion}"
-    return f"rule {rule.name}: {conclusion}"
-
-
-def render_spec(spec: PTSS) -> str:
-    lines = [f"ptss {spec.name}", f"actions {', '.join(spec.signature.actions)}"]
-    for f in spec.signature.state_ops:
-        if f.prefix_action is not None:
-            continue
-        sorts = " ".join(s.value for s in f.arg_sorts)
-        sorts = f"{sorts} " if sorts else ""
-        lines.append(f"op {f.name} : {sorts}-> {f.result_sort.value}")
-    if spec.signature.has_prefix_family:
-        lines.append("op pre<A> : d -> s")
-    lines.extend(render_rule(r) for r in spec.rules)
-    return "\n".join(lines) + "\n"
-
-
-def render(obj: Union[PTSS, Rule, Term]) -> str:
-    if isinstance(obj, PTSS):
-        return render_spec(obj)
-    if isinstance(obj, Rule):
-        return render_rule(obj)
-    return render_term(obj)

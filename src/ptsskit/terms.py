@@ -270,11 +270,6 @@ class Convex(_Node):
         return node
 
 
-def interned_count() -> int:
-    """Live nodes in the intern tables."""
-    return len(Apply._table) + len(Dirac._table) + len(Convex._table)
-
-
 Term = Union[StateVar, DistVar, Apply, Dirac, Convex]
 
 Substitution = Mapping[str, Term]
@@ -350,10 +345,6 @@ def variables(t: Term) -> set[str]:
 
 def is_closed(t: Term) -> bool:
     return t.closed
-
-
-def term_depth(t: Term) -> int:
-    return t.depth
 
 
 def substitute(rho: Substitution, t: Term) -> Term:
@@ -437,11 +428,12 @@ class Signature(_Record):
     must be among them.  `dist_ops` is built here, one `lift_symbol(f)` per
     state operator, so every state operator has exactly one lifting.
     `has_prefix_family` records that the per-action prefix operators came from
-    a single `pre<A>` family declaration.  `names` holds what `op` finds for
-    each name, and `prefixes` each action's prefix operator, or None.
+    a single `pre<A>` family declaration.  `_names` holds what `op` finds for
+    each name, and `_prefixes` each action's prefix operator, or None; the
+    parser reads both.
     """
 
-    __slots__ = ("actions", "state_ops", "has_prefix_family", "dist_ops", "_by_name", "names", "prefixes")
+    __slots__ = ("actions", "state_ops", "has_prefix_family", "dist_ops", "_by_name", "_names", "_prefixes")
     _fields = __slots__[:3]
 
     def __init__(self, actions: tuple[str, ...], state_ops: tuple[FunctionSymbol, ...], has_prefix_family=False) -> None:
@@ -459,7 +451,7 @@ class Signature(_Record):
 
     def op(self, name: str) -> Optional[FunctionSymbol]:
         """The state operator of this name, else the distribution operator."""
-        return self.names.get(name)
+        return self._names.get(name)
 
     def lifted(self, f: FunctionSymbol) -> FunctionSymbol:
         g = self.dist_op(f"^{f.name}")
@@ -502,24 +494,3 @@ def validate_signature(sig: Signature) -> list[str]:
         if f.prefix_action is not None and f.prefix_action not in sig.actions:
             out.append(f"prefix operator {f.name} uses undeclared action {f.prefix_action}")
     return out
-
-
-def sort_of(t: Term, sig: Signature) -> Sort:
-    """Sort of a term well-formed over `sig`; raises SortError naming the
-    innermost offending node otherwise, the first one in post-order.  The
-    walk is iterative and visits each distinct node once."""
-    seen: set = set()
-    stack: list = [(t, False)]
-    while stack:
-        u, kids_done = stack.pop()
-        if not kids_done:
-            if u in seen:
-                continue
-            seen.add(u)
-            if u.kids:
-                stack.append((u, True))
-                stack += [(k, False) for k in reversed(u.kids)]
-                continue
-        if isinstance(u, Apply) and sig.op(u.symbol.name) != u.symbol:
-            raise SortError(f"operator {u.symbol.name} is not declared in the signature")
-    return term_sort(t)

@@ -19,7 +19,7 @@ from ptsskit.engine import (
     _check_and_collect,
 )
 from ptsskit.parser import PTSS, Rule
-from ptsskit.terms import Sort, Term, is_closed, match, render_term, substitute, term_depth, term_sort
+from ptsskit.terms import Sort, Term, is_closed, match, render_term, substitute, term_sort
 
 
 def solve_positives(
@@ -81,7 +81,7 @@ def rule_instances(
                     f"rule {rule.name}: conclusion target {render_term(target)} "
                     f"has unbound variables"
                 )
-            if term_depth(target) > max_depth:
+            if target.depth > max_depth:
                 raise DomainBoundError(target, "conclusion target exceeds max depth")
             yield SymbolicTransition(src, rule.label, target)
 

@@ -7,7 +7,8 @@ of the sweep before; it stops when a sweep deletes nothing.  Lifting goes
 through `lift_check`'s exact max-flow, and the pbranching check solves one LP
 with a `w` variable per related pair; rooted pairs lift by max-flow as well.
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
-with `StateRelation.pairs`.
+with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
+either kind of relation.
 """
 
 from __future__ import annotations
@@ -35,12 +36,18 @@ class PairRelation:
     def partners(self, s: Term) -> set[Term]:
         return self.table.get(s, set())
 
-    def is_equivalence(self) -> bool:
-        if not all((s, s) in self.pairs for s in self.states):
-            return False
-        if not all((t, s) in self.pairs for s, t in self.pairs):
-            return False
-        return all(self.partners(t) <= self.partners(s) for s, t in self.pairs)
+
+def pairs(rel) -> frozenset[tuple[Term, Term]]:
+    """Every related pair of a `StateRelation` or `PairRelation`, n² of them for one block."""
+    return frozenset((s, t) for s in rel.states for t in rel.partners(s))
+
+
+def is_equivalence(rel) -> bool:
+    """Whether each state is among its partners and shares their partner set."""
+    return all(
+        s in rel.partners(s) and all(rel.partners(t) == rel.partners(s) for t in rel.partners(s))
+        for s in rel.states
+    )
 
 
 def _refine(pts: PTS, make_check: Callable[[PTS, Mapping[Term, set]], PairCheck]) -> PairRelation:

@@ -4,9 +4,15 @@ Explicit schedulers, the cones they assign probability to, the weak
 transitions they induce, and a brute-force branching bisimulation whose weak
 tau prefixes range over deterministic schedulers of bounded length.  These
 are the scheduler-based definitions that the scheduler-free deciders of
-`ptsskit.bisim` are checked against.  The module uses public `ptsskit` names
-only, and carries its own pair-deletion fixpoint, so the library's
-refinement can change without touching the oracle.
+`ptsskit.bisim` are checked against.  The oracle carries its own
+pair-deletion fixpoint, so the library's refinement can change without
+touching it.
+
+Beside them sits the scheduler-free decision of a weak combined transition,
+`weak_combined_reachable`: one exact LP over per-transition occupations,
+written with the library's integer index and row builder (`_Index`,
+`_flow_rows`).  No command runs it; the deciders solve their weak phase
+inside their block matches.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from ptsskit.bisim import EPSILON, lift_check
+from ptsskit import lp
+from ptsskit.bisim import _flow_rows, _Index, lift_check
 from ptsskit.distributions import Distribution
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.errors import BoundError
@@ -24,8 +31,16 @@ from ptsskit.terms import Term, render_term
 from tests.reference_refine import PairRelation
 
 
+EPSILON = "eps"  # the empty trace of a weak transition, as tau
+
+
 class BudgetExceededError(BoundError):
     pass
+
+
+def mass(d: Distribution, terms: Iterable[Term]) -> Fraction:
+    """Summed probability of a set of state terms."""
+    return sum((d.get(t) for t in set(terms)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +140,47 @@ def scheduler_weak_transition(
     if total != 1:
         return None
     return Distribution(stopped)
+
+
+def weak_combined_reachable(
+    pts: PTS,
+    s: Term,
+    a: Optional[str],
+    target: Distribution,
+    allowed: Optional[Iterable[PtsTransition]] = None,
+) -> bool:
+    """Is there a scheduler taking `s` to `target` executing exactly the trace
+    of `a` (empty for EPSILON/tau) with probability 1?
+
+    Decided by exact linear feasibility over per-transition occupation
+    variables, split into a before-`a` and an after-`a` phase for visible `a`.
+    """
+    if not pts.has_state(s):
+        raise ValueError(f"not a state of the PTS: {render_term(s)}")
+    if target.total_mass != 1:
+        raise ValueError("weak transitions target full distributions")
+    for u in target.support:
+        if not pts.has_state(u):
+            raise ValueError(f"target mentions a foreign state: {render_term(u)}")
+    allowed_set = set(pts.transitions if allowed is None else allowed)
+    if not allowed_set <= set(pts.transitions):
+        raise ValueError("allowed set must be a subset of the PTS transitions")
+    ix = _Index(pts)
+    n, scale = len(pts.states), ix.scale
+    taus = [ix.step(tr) for tr in pts.transitions if tr.label == "tau" and tr in allowed_set]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    col = _flow_rows(rows, range(n), taus, 0, scale)
+    if a not in (None, EPSILON, "tau"):
+        # tau flow x until the `a`-step y, then tau flow z; y leaves the first
+        # phase and enters the second
+        visibles = [ix.step(tr) for tr in pts.transitions if tr.label == a and tr in allowed_set]
+        rows += [{} for _ in range(n)]
+        col = _flow_rows(rows, range(n), visibles, col, scale, range(n, 2 * n))
+        _flow_rows(rows, range(n, 2 * n), taus, col, scale)
+    rhs = [scale if u == ix.num[s] else 0 for u in range(n)] + [0] * (len(rows) - n)
+    for u, p in target.items():  # the target is met in the rows of the last phase
+        rhs[len(rows) - n + ix.num[u]] -= scale * p
+    return lp.feasible(rows, rhs)
 
 
 # ---------------------------------------------------------------------------

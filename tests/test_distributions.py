@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from ptsskit.distributions import Distribution, EvalError, convex_combine, evaluate, mass
+from ptsskit.distributions import Distribution, EvalError, convex_combine, evaluate
 from ptsskit.terms import Apply, Dirac, render_term
+from tests.reference_schedulers import mass
 
 
 def test_eval_dirac(t):

@@ -19,7 +19,7 @@ from ptsskit.engine import (
     stable_model,
 )
 from ptsskit.parser import parse_spec, parse_term
-from ptsskit.terms import Apply, Convex, Dirac, interned_count, is_closed, substitute, term_depth
+from ptsskit.terms import Apply, Convex, Dirac, is_closed, substitute
 from tests import reference_engine as reference
 from tests.conftest import RUNNING_SPEC
 from tests.genspecs import LEAF_TERMS, random_format_safe_spec, random_grouped_spec, random_negative_free_spec
@@ -128,8 +128,13 @@ def test_deep_terms_answer_hash_depth_and_closedness_without_recursion(sig):
     for _ in range(5000):
         rebuilt = Apply(pre_a, (Dirac(rebuilt),))
     assert rebuilt is term and rebuilt == term and hash(rebuilt) == hash(term)
-    assert term_depth(term) == 10001
+    assert term.depth == 10001
     assert is_closed(term)
+
+
+def _interned_count() -> int:
+    """Live nodes in the intern tables."""
+    return len(Apply._table) + len(Dirac._table) + len(Convex._table)
 
 
 def test_intern_table_does_not_grow_across_cli_calls(capsys):
@@ -142,9 +147,9 @@ def test_intern_table_does_not_grow_across_cli_calls(capsys):
 
     pts(21)
     gc.collect()
-    settled = interned_count()
+    settled = _interned_count()
     for k in (22, 23, 24):
         pts(k)
     gc.collect()
-    assert interned_count() <= settled
+    assert _interned_count() <= settled
     assert capsys.readouterr().out

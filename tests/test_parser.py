@@ -4,11 +4,11 @@ from ptsskit.parser import (
     ParseFailure,
     parse_spec,
     parse_term,
-    render,
     try_parse_spec,
 )
 from ptsskit.terms import Convex, Dirac, Sort, term_sort
 from tests.conftest import RUNNING_SPEC
+from tests.reference_render import render
 
 
 def test_running_example_parses(running):

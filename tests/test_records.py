@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptsskit.bisim import Decision, decide
+from ptsskit.bisim import Decision, StateRelation, decide
 from ptsskit.cli import Expectation
 from ptsskit.distributions import Distribution
 from ptsskit.engine import (PTS, DomainBound, PtsTransition, ThreeValuedModel, opaque_state, reachable_pts,
@@ -25,6 +25,7 @@ from ptsskit.format_check import (FormatReport, NestingGraph, ProbeViolation, Ru
 from ptsskit.parser import PTSS, Diagnostic, Rule, parse_spec, parse_term, try_parse_spec
 from ptsskit.terms import DistVar, FunctionSymbol, Signature, Sort, StateVar
 from tests.conftest import CORPUS
+from tests.reference_refine import pairs
 
 SRC = CORPUS.parent / "src"
 # what `dataclasses` pulls in, none of which the CLI needs
@@ -72,8 +73,8 @@ def test_a_signature_is_compared_by_what_it_is_built_from(running):
     assert Signature(sig.actions[::-1], sig.state_ops, sig.has_prefix_family) != sig
     assert Signature(sig.actions, sig.state_ops[::-1], sig.has_prefix_family) != sig
     # the derived maps take no part: one changed in place leaves the two equal
-    same.names["extra"] = same.state_ops[0]
-    same.prefixes["extra"] = None
+    same._names["extra"] = same.state_ops[0]
+    same._prefixes["extra"] = None
     assert same == sig and hash(same) == hash(sig)
     assert sig != tuple(getattr(sig, name) for name in ("actions", "state_ops", "has_prefix_family"))
 
@@ -145,7 +146,7 @@ def records():
 
 def _same(a, b):
     if isinstance(a, Decision):  # its relation is compared by identity, so by what it relates
-        return (a.kind, a.pts, a.relation.pairs) == (b.kind, b.pts, b.relation.pairs)
+        return (a.kind, a.pts, pairs(a.relation)) == (b.kind, b.pts, pairs(b.relation))
     return a == b and not a != b
 
 
@@ -161,6 +162,21 @@ def test_a_record_is_immutable_and_copies_to_an_equal_value(records, kind):
             delattr(value, name)
     for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(copied) is kind and _same(copied, value)
+
+
+@pytest.mark.parametrize("kind", [Signature, PTS, StateRelation], ids=lambda kind: kind.__name__)
+def test_every_public_attribute_holds_a_hashable_value(records, kind):
+    value = records[Decision].relation if kind is StateRelation else records[kind]
+    names = [name for name in getattr(kind, "__slots__", None) or vars(value) if not name.startswith("_")]
+    assert names
+    for name in names:
+        hash(getattr(value, name))  # raises TypeError on a list, dict or set anywhere inside
+
+
+def test_outgoing_returns_the_stored_tuple(records):
+    pts = records[PTS]
+    for s in pts.states:
+        assert type(pts.outgoing(s)) is tuple and pts.outgoing(s) is pts.outgoing(s)
 
 
 def test_importing_the_cli_loads_no_dataclasses():

@@ -121,12 +121,12 @@ def _slow(kind, pts):
 
 def _agree(kind, pts):
     fast = _fast(kind, pts)
-    assert fast.pairs == _slow(kind, pts).pairs
+    assert reference_refine.pairs(fast) == _slow(kind, pts).pairs
     if kind != "rooted":
         # one more sweep of the per-pair check deletes nothing
         table = {u: set(fast.partners(u)) for u in pts.states}
         check = (bisim._branching_check if kind == "branching" else bisim._pbranching_check)(pts, table)
-        assert all(check(s, t) is None for s, t in fast.pairs)
+        assert all(check(s, t) is None for s, t in reference_refine.pairs(fast))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -272,7 +272,7 @@ def test_pbranching_beyond_plain_signatures(text, classes):
     states = sorted(set(re.findall(r"r\d+", text)))
     pts = load_pts("".join(f"state {s}\n" for s in states) + text)
     if text is NOT_TRANSITIVE:
-        assert bisim.prob_branching_bisim(pts).pairs == bisimulation_pairs(pts)
+        assert reference_refine.pairs(bisim.prob_branching_bisim(pts)) == bisimulation_pairs(pts)
     else:
         _agree("pbranching", pts)
     assert [[render_term(u) for u in c] for c in bisim.prob_branching_bisim(pts).classes()] == classes

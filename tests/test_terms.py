@@ -20,9 +20,7 @@ from ptsskit.terms import (
     lift_symbol,
     match,
     render_term,
-    sort_of,
     substitute,
-    term_depth,
     term_sort,
     validate_signature,
 )
@@ -55,20 +53,6 @@ def test_validate_duplicate_name():
 def test_validate_missing_tau():
     sig = build_signature(["a"], [])
     assert any("tau" in m for m in validate_signature(sig))
-
-
-def test_sort_of(sig, t):
-    zero = t("0")
-    assert sort_of(zero, sig) is Sort.STATE
-    assert sort_of(t("delta(0)"), sig) is Sort.DIST
-    assert sort_of(t("^+(delta(0),delta(0))"), sig) is Sort.DIST
-    assert sort_of(t("a.delta(0)"), sig) is Sort.STATE
-
-
-def test_sort_of_rejects_foreign_symbol(sig):
-    foreign = Apply(FunctionSymbol("g", (), Sort.STATE), ())
-    with pytest.raises(SortError, match="g"):
-        sort_of(foreign, sig)
 
 
 def test_apply_enforces_arity(sig):
@@ -185,9 +169,9 @@ def test_match_then_substitute_is_identity(sig, t):
 
 
 def test_term_depth(t):
-    assert term_depth(t("0")) == 1
-    assert term_depth(t("a.delta(0)")) == 3
-    assert term_depth(t("+(a.delta(0),0)")) == 4
+    assert t("0").depth == 1
+    assert t("a.delta(0)").depth == 3
+    assert t("+(a.delta(0),0)").depth == 4
 
 
 def test_equal_terms_hash_equal(t):
@@ -249,14 +233,3 @@ def test_substitute_preserves_sort(sig, data):
 def test_render_parse_roundtrip(sig, data):
     term = data.draw(_term_strategy(sig, closed=True))
     assert parse_term(render_term(term), sig, term_sort(term)) == term
-
-
-def test_sort_of_walks_a_deep_term_without_recursing(sig):
-    # 5,000 prefix levels, built with the constructors, which do not recurse
-    term = Apply(sig.state_op("0"), ())
-    for i in range(5000):
-        term = Apply(sig.prefix("ab"[i % 2]), (Dirac(term),))
-    assert sort_of(term, sig) is Sort.STATE
-    foreign = Apply(FunctionSymbol("g", (Sort.DIST,), Sort.STATE), (Dirac(term),))
-    with pytest.raises(SortError, match="operator g is not declared"):
-        sort_of(Apply(sig.prefix("a"), (Dirac(foreign),)), sig)
