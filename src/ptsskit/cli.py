@@ -42,7 +42,8 @@ _CORPUS_BOUND = DomainBound((), max_depth=10)
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise PtssError(f"cannot read: {getattr(exc, 'strerror', None) or exc}", path)
 
@@ -142,9 +143,26 @@ def _states(pts: PTS, s: str, t: str, where: str) -> tuple[Term, Term]:
 # Subcommands
 
 def _cmd_check_format(args: argparse.Namespace) -> int:
-    spec = _load(args.spec, parse_spec)
-    report = check_format(spec)
-    _emit(report.to_json() if args.json else report.render_text())
+    report = check_format(_load(args.spec, parse_spec))
+    position = "{}.{}".format  # (operator, argument) as `op.i`
+    wild = [position(*pos) for pos, w in report.wildness if w]
+    patience = {position(*pos): rule for pos, rule in report.patience}
+    rows = [
+        {"rule": v.rule, "kind": v.kind, "patience_for": v.patience_for and position(*v.patience_for),
+         "violations": [{"condition": x.condition, "message": x.message} for x in v.violations]}
+        for v in report.verdicts
+    ]
+    payload = {"overall": report.overall, "wild": sorted(wild), "patience": patience, "rules": rows}
+    lines = [f"overall: {'pass' if report.overall else 'fail'}", "wild: " + (" ".join(wild) or "(none)")]
+    lines += [f"patience {pos}: {patience.get(pos) or '(missing)'}" for pos in wild]
+    for row in rows:  # a patience or safe rule has no violations, a violating one has some
+        head = f"rule {row['rule']}:"
+        if row["kind"] == "patience":
+            lines.append(f"{head} patience rule for {row['patience_for']}")
+        elif row["kind"] == "safe":
+            lines.append(f"{head} safe")
+        lines += [f"{head} violation {x['condition']}: {x['message']}" for x in row["violations"]]
+    _answer(args, payload, lines)
     return EXIT_OK if report.overall else EXIT_NEGATIVE
 
 
@@ -229,7 +247,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             for v in violations
         ],
     }
-    _answer(args, payload, [f"violation: {v}" for v in violations] or ["no violations"])
+    lines = [f"violation: context {v['context']} separates {v['left']} and {v['right']}" for v in payload["violations"]]
+    _answer(args, payload, lines or ["no violations"])
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
 

@@ -401,9 +401,8 @@ def reachable_pts(p: PTSS, bound: DomainBound) -> PTS:
 
 def export_pts(pts: PTS) -> str:
     lines = [f"state {render_term(s)}" for s in pts.states]
-    for tr in pts.transitions:
-        body = ", ".join(f"{render_term(u)}: {p}" for u, p in tr.target.items())
-        lines.append(f"trans {render_term(tr.source)} --{tr.label}-> {{ {body} }}")
+    for tr in pts.transitions:  # a target's text is its entries in braces, cached when PTS sorted it
+        lines.append(f"trans {render_term(tr.source)} --{tr.label}-> {{ {repr(tr.target)[1:-1]} }}")
     return "\n".join(lines) + "\n"
 
 

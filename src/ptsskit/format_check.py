@@ -20,11 +20,13 @@ occurrence table); the nesting graph, the wildness seeds, the w-nested test
 and probe contexts all read that table.  A patience rule is recognised by
 building the canonical patience target from the rule's own source and
 comparing it with the rule's target.
+
+The check returns its report as data, a `FormatReport` of per-rule verdicts,
+and the probe a list of `ProbeViolation`s; `cli` renders both.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple, Optional
 
 from .bisim import decide
@@ -60,9 +62,6 @@ class Violation(NamedTuple):
     condition: str  # one of 2a, 2b, 2d, shape; 2c holds by construction, so is never reported
     message: str
 
-    def __str__(self) -> str:
-        return f"rule {self.rule}: condition {self.condition}: {self.message}"
-
 
 class RuleVerdict(NamedTuple):
     rule: str
@@ -83,53 +82,6 @@ class FormatReport(NamedTuple):
             out.extend(v.violations)
         return tuple(out)
 
-    def render_text(self) -> str:
-        lines = [f"overall: {'pass' if self.overall else 'fail'}"]
-        wild = [f"{op}.{i}" for (op, i), w in self.wildness if w]
-        lines.append("wild: " + (" ".join(wild) if wild else "(none)"))
-        pat = dict(self.patience)
-        for (op, i), w in self.wildness:
-            if w:
-                rule = pat.get((op, i))
-                lines.append(f"patience {op}.{i}: " + (rule if rule else "(missing)"))
-        for v in self.verdicts:
-            if v.kind == "patience" and v.patience_for is not None:
-                op, i = v.patience_for
-                lines.append(f"rule {v.rule}: patience rule for {op}.{i}")
-            elif v.kind == "safe":
-                lines.append(f"rule {v.rule}: safe")
-            else:
-                for violation in v.violations:
-                    lines.append(
-                        f"rule {v.rule}: violation {violation.condition}: {violation.message}"
-                    )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "overall": self.overall,
-                "wild": sorted(f"{op}.{i}" for (op, i), w in self.wildness if w),
-                "patience": {f"{op}.{i}": r for (op, i), r in self.patience},
-                "rules": [
-                    {
-                        "rule": v.rule,
-                        "kind": v.kind,
-                        "patience_for": (
-                            f"{v.patience_for[0]}.{v.patience_for[1]}" if v.patience_for else None
-                        ),
-                        "violations": [
-                            {"condition": x.condition, "message": x.message}
-                            for x in v.violations
-                        ],
-                    }
-                    for v in self.verdicts
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
 
 class ProbeError(PtssError):
     """The congruence probe's preconditions do not hold."""
@@ -139,12 +91,6 @@ class ProbeViolation(NamedTuple):
     context: Term
     left: Term
     right: Term
-
-    def __str__(self) -> str:
-        return (
-            f"context {render_term(self.context)} separates "
-            f"{render_term(self.left)} and {render_term(self.right)}"
-        )
 
 
 # ---------------------------------------------------------------------------

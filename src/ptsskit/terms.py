@@ -428,9 +428,9 @@ class Signature(_Record):
     must be among them.  `dist_ops` is built here, one `lift_symbol(f)` per
     state operator, so every state operator has exactly one lifting.
     `has_prefix_family` records that the per-action prefix operators came from
-    a single `pre<A>` family declaration.  `_names` holds what `op` finds for
-    each name, and `_prefixes` each action's prefix operator, or None; the
-    parser reads both.
+    a single `pre<A>` family declaration.  `_names` holds the operator of each
+    name, state or lifted, and `_prefixes` each action's prefix operator, or
+    None; the parser reads both.
     """
 
     __slots__ = ("actions", "state_ops", "has_prefix_family", "dist_ops", "_by_name", "_names", "_prefixes")
@@ -448,10 +448,6 @@ class Signature(_Record):
 
     def dist_op(self, name: str) -> Optional[FunctionSymbol]:
         return self._by_name[1].get(name)
-
-    def op(self, name: str) -> Optional[FunctionSymbol]:
-        """The state operator of this name, else the distribution operator."""
-        return self._names.get(name)
 
     def lifted(self, f: FunctionSymbol) -> FunctionSymbol:
         g = self.dist_op(f"^{f.name}")

@@ -232,7 +232,7 @@ class _Resolver:
 
     def resolve(self, raw: _Raw, expected: Optional[Sort]) -> Optional[Term]:
         if isinstance(raw, _RName):
-            op = self.sig.op(raw.name)
+            op = self.sig.state_op(raw.name) or self.sig.dist_op(raw.name)
             if op is not None:
                 if op.rank != 0:
                     self.error(f"operator {raw.name} expects {op.rank} arguments", raw)

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from ptsskit.bisim import branching_bisim, lift_check, prob_branching_bisim
+from ptsskit.cli import main
 from ptsskit.distributions import evaluate
 from ptsskit.engine import DomainBound, reachable_pts
 from ptsskit.format_check import (
@@ -216,14 +219,14 @@ def test_final_pb_passes(final_pb):
     assert kinds["g_pat1"] == "patience" and kinds["g_pat2"] == "patience"
 
 
-def test_report_serialization(cx2):
-    report = check_format(cx2)
-    text = report.render_text()
+def test_report_serialization(capsys):
+    path = str(CORPUS / "cx2.ptss")
+    main(["check-format", path])
+    text = capsys.readouterr().out
     assert "overall: fail" in text
     assert "g.2" in text
-    import json
-
-    data = json.loads(report.to_json())
+    main(["check-format", path, "--json"])
+    data = json.loads(capsys.readouterr().out)
     assert data["overall"] is False
     assert "g.2" in data["wild"]
 

@@ -67,7 +67,6 @@ def check(spec) -> None:
     assert detect_patience_rules(spec) == reference.detect_patience_rules(spec)
     new, old = check_format(spec), reference.check_format(spec)
     assert new == old
-    assert (new.to_json(), new.render_text()) == (old.to_json(), old.render_text())
     for rule in spec.rules:
         # condition 2c, which check_format does not test, holds by construction:
         # premise-target variables and wild source variables are w-nested
