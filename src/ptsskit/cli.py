@@ -53,7 +53,7 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
     try:
         return parse(_read_file(path))
     except PtssError as exc:
-        exc.where = exc.where or path
+        exc.where = path if exc.where is None else exc.where
         raise
 
 
@@ -370,7 +370,7 @@ def corpus_run(directory: str) -> tuple[dict, list[str], int]:
     the exit code.  Exit 2 if a file has a usage or parse error, else 1 if a
     file has any error or a failed expectation, else 0."""
     base = Path(directory)
-    if not base.is_dir():
+    if not directory or not base.is_dir():  # Path("") is "."
         raise PtssError("not a directory", directory)
     files: list[dict] = []
     lines: list[str] = []
@@ -381,7 +381,7 @@ def corpus_run(directory: str) -> tuple[dict, list[str], int]:
             rows = _run_corpus_file(p)
         except PtssError as exc:
             usage_error = usage_error or exc.exit_code == EXIT_USAGE
-            exc.where = exc.where or str(p)
+            exc.where = str(p) if exc.where is None else exc.where
             files.append({"path": str(p), "error": "\n".join(exc.lines()), "expectations": []})
             lines.append(files[-1]["error"])
             failed += 1
@@ -459,8 +459,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _argv_table() -> dict[str, tuple]:
+    """Each subcommand's parser, its options by exact name, its positionals,
+    the actions it requires and the Namespace fields argparse starts from."""
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if a.default != argparse.SUPPRESS]  # all but -h
+        table[name] = (parser, {o: a for a in actions for o in a.option_strings},
+                       [a for a in actions if not a.option_strings], [a for a in actions if a.required],
+                       {**parser._defaults, **{a.dest: a.default for a in actions}})
+    return table
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """argparse's Namespace of a regular argv: a subcommand, then options by
+    exact name, each but a flag followed by its value, and positionals, no
+    value starting with `-`; each value goes through argparse's own
+    conversion, check and action.  None for any other argv."""
+    if not argv or argv[0] not in _argv_table():
+        return None
+    parser, options, positionals, required, defaults = _argv_table()[argv[0]]
+    args = argparse.Namespace(command=argv[0], **defaults)
+    tokens, free, seen = iter(argv[1:]), iter(positionals), set()
+    for token in tokens:
+        action = options.get(token) if token.startswith("-") else next(free, None)
+        values = [] if action is None or action.nargs == 0 else [next(tokens, "-") if action.option_strings else token]
+        if action is None or any(v.startswith("-") for v in values):
+            return None
+        try:
+            action(parser, args, parser._get_values(action, values))
+        except argparse.ArgumentError:
+            return None
+        seen.add(action)
+    return args if all(a in seen for a in required) else None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except PtssError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .errors import PtssError
 from .terms import (
@@ -71,9 +71,17 @@ class Distribution:
 
     @staticmethod
     def dirac(term: Term) -> "Distribution":
-        point = object.__new__(Distribution)  # a point mass needs none of the checks
-        point._table, point._items, point._support, point._total, point._text = {term: _ONE}, ((term, _ONE),), (term,), _ONE, None
-        return point
+        return Distribution._full(((term, _ONE),))  # a point mass needs none of the checks
+
+    @staticmethod
+    def _full(items: tuple[tuple[Term, Fraction], ...], text: Optional[str] = None) -> "Distribution":
+        """The distribution of `items`, made without checks, and `text` its repr
+        if given: the caller knows the items positive, ordered by text, without
+        repeats and of mass 1."""
+        dist = object.__new__(Distribution)
+        dist._table = dict(items)
+        dist._items, dist._support, dist._total, dist._text = items, tuple(dist._table), _ONE, text
+        return dist
 
     @property
     def support(self) -> tuple[Term, ...]:

@@ -464,8 +464,54 @@ def _read_distribution(
     return dist if dist.is_full else err(f"distribution mass is {brief(dist.total_mass)}, expected 1")
 
 
+# a state name has no bracket, separator or `#`; a denominator is not 0 and has at
+# most 4,299 digits, so under the 14,284 bits past which `Distribution` refuses it
+_NAME, _WEIGHT = r"[^\s#(){},:]+", r"[0-9]{1,4300}(?:/(?=0*[1-9])[0-9]{1,4299})?"
+_REGULAR_LINE = re.compile(rf"[ \t]*(?:state ({_NAME})|trans ({_NAME}) --([A-Za-z_][A-Za-z0-9_]*)-> "
+                           rf"\{{ ({_NAME}: {_WEIGHT}(?:, {_NAME}: {_WEIGHT})*) \}})?[ \t]*(?:#.*)?")
+
+
+def _read_regular(text: str) -> Optional[PTS]:
+    """The PTS of a text each line of which `_REGULAR_LINE` matches, each
+    state declared once and before use, each target of mass exactly 1 with
+    no state twice; else None.  Each distinct weight text is read once, and
+    each target gets its text here, so `PTS` renders none."""
+    states: dict[str, Term] = {}
+    weights: dict[str, tuple[Fraction, str]] = {}
+    transitions = []
+    for line in text.splitlines():
+        m = _REGULAR_LINE.fullmatch(line)
+        if m is None or m[1] in states:  # not regular, or a state declared again
+            return None
+        name, src, label, body = m.groups()
+        if name is not None:
+            states[name] = opaque_state(name)
+        elif src is not None:
+            entries: dict[str, tuple[Fraction, str]] = {}
+            num, den = 0, 1  # the mass so far
+            for name, _, w in (entry.partition(": ") for entry in body.split(", ")):
+                if w not in weights:
+                    weights[w] = (p := Fraction(w)), str(p)
+                p, _ = entries[name] = weights[w]
+                if name not in states:
+                    return None
+                num, den = num * p.denominator + p.numerator * den, den * p.denominator
+            if num != den or src not in states or len(entries) <= body.count(","):  # a state twice
+                return None
+            items = sorted((name, w) for name, w in entries.items() if w[0])
+            dist_text = "{" + ", ".join([f"{name}: {w[1]}" for name, w in items]) + "}"
+            dist = Distribution._full(tuple([(states[name], w[0]) for name, w in items]), dist_text)
+            transitions.append(PtsTransition(states[src], label, dist))
+    labels = tuple(sorted({tr.label for tr in transitions} | {"tau"}))
+    return PTS(tuple(states.values()), labels, tuple(transitions))
+
+
 def load_pts(text: str) -> PTS:
-    """Read the line-oriented PTS format; state names are opaque."""
+    """Read the line-oriented PTS format; state names are opaque.  A text that
+    `_read_regular` refuses is read here, the one place a diagnostic is worded."""
+    pts = _read_regular(text)
+    if pts is not None:
+        return pts
     diags: list[Diagnostic] = []
     states: dict[str, Term] = {}
     weights: dict[str, Fraction] = {}

@@ -1,6 +1,7 @@
 """One error model: the base class of every error raised on bad input, and the exit codes."""
 
 from fractions import Fraction
+from typing import Optional
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -12,18 +13,18 @@ class PtssError(Exception):
     """Malformed or ill-sorted input: a usage or parse error.
 
     `where` names the input at fault (a path, `path:line`, a command-line
-    argument), or is empty when the error names no place."""
+    argument), or is None when the error names no place; an empty path is a place."""
 
     exit_code = EXIT_USAGE
 
-    def __init__(self, message: str = "", where: str = ""):
+    def __init__(self, message: str = "", where: Optional[str] = None):
         super().__init__(message)
         self.where = where
 
     def lines(self) -> list[str]:
         """The diagnostics, one a line: `<where>: error: <message>`, or
         `error: <message>` without a place."""
-        return [f"{self.where}: error: {self}" if self.where else f"error: {self}"]
+        return [f"{self.where}: error: {self}" if self.where is not None else f"error: {self}"]
 
 
 class BoundError(PtssError):

@@ -64,13 +64,13 @@ class Diagnostic(NamedTuple):
 
 
 class ParseFailure(PtssError):
-    def __init__(self, diagnostics: list[Diagnostic], where: str = ""):
+    def __init__(self, diagnostics: list[Diagnostic], where: Optional[str] = None):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics) or "parse failed", where)
 
     def lines(self) -> list[str]:
         # each diagnostic carries its line and column; `where` names the input
-        prefix = f"{self.where}:" if self.where else ""
+        prefix = "" if self.where is None else f"{self.where}:"
         return [prefix + str(d) for d in self.diagnostics] or super().lines()
 
 

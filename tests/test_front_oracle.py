@@ -3,17 +3,20 @@
 to the same tokens and diagnostics, random spans read to the same weight or
 diagnostics, random entries make the same distribution or error, and mutated
 `.pts` texts load to the same states, transition order and `export_pts`
-text, or fail with the same diagnostics.  A label that is not an action
-name, which the reader now rejects, is checked apart."""
+text, or fail with the same diagnostics, both as a whole and by the
+general reader alone, which `_read_regular` leaves a text to.  A label that
+is not an action name, which the reader now rejects, is checked apart."""
 
 import json
 import random
 import re
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ptsskit import engine
 from ptsskit.distributions import Distribution, EvalError
 from ptsskit.engine import export_pts, load_pts, opaque_state
 from ptsskit.parser import ParseFailure, _Cursor, read_weight
@@ -113,7 +116,31 @@ def _pts_texts():
     return texts + [case["stdout"] for key, case in sorted(golden.items()) if case["stdout"] and "chains/" not in key]
 
 
-PTS_TEXTS = _pts_texts()
+_D = 10**4298  # 4,299 digits, the most a denominator has in a text the pattern reads
+_UNIT = 10**4299  # 4,300 digits, and under 14,284 bits, so a probability's denominator
+_NINES = 10**4300 - 1  # 4,300 digits too, but over 14,284 bits, which a probability may not have
+_HEAD = "state s\nstate t\n"
+# edge texts, each with whether `_read_regular` reads it, or leaves it to the general reader
+EDGE_TEXTS = {
+    _HEAD + "trans s --a-> { t: 1/2, s: 2/4 }\n": True,
+    "# a file\n  state s # first\n\n\t# more\nstate t\t\ntrans s --a-> { t: 1 }   # last\n": True,
+    _HEAD + "trans s --a-> { s: 0, t: 1 }\ntrans t --tau-> { s: 0/3, t: 7/7 }\n": True,
+    _HEAD + f"trans s --a-> {{ s: 0{_D}/{2 * _D}, t: 1/2 }}\ntrans t --a-> {{ s: 1/{_D}, t: {_D - 1}/{_D} }}\n": True,
+    _HEAD + f"trans s --a-> {{ s: 1/{_UNIT}, t: {_UNIT - 1}/{_UNIT} }}\n": False,
+    "": True,
+    _HEAD + "trans s --a-> { t: 1/2, t: 1/2 }\n": False,
+    _HEAD + "trans s --a-> { t: 0, t: 1 }\n": False,
+    _HEAD + f"trans s --a-> {{ s: 1/{_NINES}, t: {_NINES - 1}/{_NINES} }}\n": False,
+    _HEAD + f"trans s --a-> {{ t: {'0' * 4300}1 }}\n": False,
+    _HEAD + "trans s --a-> { t: 1/0 }\n": False,
+    _HEAD + "trans s --a-> { t: 1/2 }\n": False,
+    _HEAD + "trans s --a-> { u: 1 }\n": False,
+    "state s\ntrans s --a-> { t: 1 }\nstate t\n": False,
+    _HEAD + "state s\n": False,
+    "state f(s)\nstate t\ntrans f(s) --a-> { t: 1 }\ntrans t --a-> { f(s): 1 }\n": False,
+    _HEAD + "trans s --a-> {t: 1}\ntrans s -- a -> { t: 1 }\n": False,
+}
+PTS_TEXTS = _pts_texts() + list(EDGE_TEXTS)
 NOISE = st.lists(st.sampled_from(PIECES + ["state ", "trans ", "s", "t0", ": 1", "1/2", "\n"]), max_size=4).map("".join)
 
 
@@ -157,10 +184,31 @@ def _bad_labels(text):
     return bad
 
 
+def _read_generally(text):
+    """`load_pts` with no text read by the pattern."""
+    with patch.object(engine, "_read_regular", lambda text: None):
+        return load_pts(text)
+
+
+def test_well_formed_bracket_free_texts_take_the_pattern():
+    regular = {text: "(" not in text for text in _pts_texts()}  # the bracket-free ones, all well-formed
+    assert sum(regular.values()) >= 6 and not all(regular.values())
+    for text, expected in {**regular, **EDGE_TEXTS}.items():
+        assert (engine._read_regular(text) is not None) == expected, text[:200]
+
+
+def _edge_examples(test):
+    for text in EDGE_TEXTS:
+        test = example(text=text)(test)
+    return test
+
+
 @settings(SETTINGS, max_examples=300)
 @given(text=mutated_pts())
+@_edge_examples
 def test_pts_texts_load_as_before(text):
     new, old = _loaded(load_pts, text), _loaded(reference.load_pts, text)
+    assert new == _loaded(_read_generally, text)
     bad = _bad_labels(text)
     if bad:  # checked apart: the label is its line's one diagnostic
         kept = [d for d in old if int(d.split(":", 1)[0]) not in bad] if isinstance(old, list) else []

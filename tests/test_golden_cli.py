@@ -2,8 +2,9 @@
 byte for byte, text and `--json`: stdout, stderr and exit code of answers, a
 tripped bound, a model that does not converge, failed expectations and the
 usage errors (a missing `--root`, an unknown `.pts` state, a malformed
-expectation, a bad pairs line, an unreadable file).  `bisim` is here for its
-unknown-state error only; its answers are pinned in `golden_bisim.json`.
+expectation, a bad pairs line, an unreadable file, an empty path, which is
+named as given).  `bisim` and `check-format` are here for their usage errors
+only; their answers are pinned in `golden_bisim.json` and `golden_format.json`.
 
 Every case runs in a folder that holds the files of `populate`, with paths
 relative to it, so that no message names a temporary folder.  Re-record (only
@@ -99,6 +100,8 @@ CASES = {
     "stable-model/parse-error": ["stable-model", "bad.ptss", "--root", "0"],
     "stable-model/missing-file": ["stable-model", "missing.ptss", "--root", "0"],
     "stable-model/non-utf8": ["stable-model", "latin1.ptss", "--root", "0"],
+    "stable-model/empty-path": ["stable-model", "", "--root", "0"],
+    "check-format/empty-path": ["check-format", ""],
     "probe/violation": ["probe-congruence", "corpus/cx2.ptss", "--pairs", "pairs.txt", "--contexts",
                         "contexts.txt", "--max-depth", "10"],
     "probe/no-violations": ["probe-congruence", "corpus/cx23.ptss", "--pairs", "pairs.txt", "--contexts",
@@ -117,7 +120,9 @@ CASES = {
                             "contexts.txt"],
     "probe/unreadable-contexts": ["probe-congruence", "corpus/cx23.ptss", "--pairs", "pairs.txt", "--contexts",
                                   "contexts_dir"],
+    "probe/empty-pairs-path": ["probe-congruence", "corpus/cx23.ptss", "--pairs", "", "--contexts", "contexts.txt"],
     "bisim/unknown-state": ["bisim", "corpus/mixed_choice.pts", "--kind", "branching", "t0", "zz"],
+    "bisim/empty-path": ["bisim", "", "--kind", "branching", "t0", "u1"],
     "corpus-run/corpus": ["corpus-run", "corpus"],
     "corpus-run/failed": ["corpus-run", "failed"],
     "corpus-run/malformed": ["corpus-run", "malformed"],
@@ -127,6 +132,7 @@ CASES = {
     "corpus-run/empty": ["corpus-run", "empty"],
     "corpus-run/not-a-directory": ["corpus-run", _R],
     "corpus-run/missing": ["corpus-run", "missing"],
+    "corpus-run/empty-path": ["corpus-run", ""],
 }
 
 

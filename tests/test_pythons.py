@@ -5,7 +5,10 @@ interpreter prints, and must import `ptsskit.cli` without loading `dataclasses`
 or what it pulls in.  It also parses a fixed list of malformed specs and
 terms, some with characters that only some Unicode classes take, and must
 give the diagnostics this interpreter gives: the lexer leans on `re`'s `\\d`
-and on `str.splitlines`, which follow each interpreter's Unicode database."""
+and on `str.splitlines`, which follow each interpreter's Unicode database.
+And the CLI's argv table must read each regular argv of
+`tests/test_argv_table.py` as that interpreter's argparse does, and leave
+each irregular one to argparse, whose parsing differs between versions."""
 
 import json
 import shutil
@@ -14,6 +17,7 @@ import subprocess
 import pytest
 
 from tests.conftest import CORPUS, RUNNING_SPEC, capped_python
+from tests.test_argv_table import IRREGULAR, REGULAR
 from tests.test_front_oracle import ODD as FRONT_ODD
 from tests.test_golden_pts import GOLDEN, cases, run
 from tests.test_records import HEAVY
@@ -32,20 +36,38 @@ def diagnostics(corpus, specs, terms):
     return out
 """
 
+# reads each argv by the argv table and by argparse: "none" where the table
+# leaves it to argparse, else whether the two Namespaces are the same
+READ_ARGV = """
+from ptsskit.cli import _read_argv, build_parser
+def argv_readings(argvs):
+    out = []
+    for argv in argvs:
+        table = _read_argv(list(argv))
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                parsed = build_parser().parse_args(argv)
+        except SystemExit:
+            parsed = None
+        out.append("none" if table is None else "same" if table == parsed else "differs")
+    return out
+"""
+
 # runs each case it reads as `run` in tests/test_golden_pts.py does; that
 # module imports pytest, which another interpreter may lack.  It also names
 # the modules of HEAVY that importing ptsskit loaded.
-WORKER = "import contextlib, io, json, sys\nbefore = set(sys.modules)\n" + DIAGNOSE + """
+WORKER = "import contextlib, io, json, sys\nbefore = set(sys.modules)\n" + DIAGNOSE + READ_ARGV + """
 from ptsskit.cli import main
 loaded = [m for m in HEAVY if m in sys.modules and m not in before]
-corpus, argvs, specs, terms = json.load(sys.stdin)
+corpus, argvs, specs, terms, table_argvs = json.load(sys.stdin)
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return {"code": code, **{k: v.getvalue().replace(corpus, "corpus") for k, v in (("stdout", out), ("stderr", err))}}
 cases = {key: run(argv) for key, argv in argvs.items()}
-print(json.dumps({"cases": cases, "diagnostics": diagnostics(corpus, specs, terms), "loaded": loaded}))
+print(json.dumps({"cases": cases, "diagnostics": diagnostics(corpus, specs, terms), "loaded": loaded,
+                  "argv": argv_readings(table_argvs)}))
 """.replace("HEAVY", repr(HEAVY))
 
 # the lexer cross-check's odd characters, more line breaks and digits of other
@@ -77,7 +99,7 @@ def test_another_python_prints_the_same(name):
         pytest.skip(f"no {name} on PATH")
     corpus_run = ["corpus-run", str(CORPUS), "--json"]
     argvs = {**cases(), "corpus-run": corpus_run}
-    request = [str(CORPUS), argvs, MALFORMED_SPECS, MALFORMED_TERMS]
+    request = [str(CORPUS), argvs, MALFORMED_SPECS, MALFORMED_TERMS, REGULAR + IRREGULAR]
     with capped_python(["-c", WORKER], python=python, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                        stderr=subprocess.PIPE) as proc:
         try:
@@ -87,6 +109,7 @@ def test_another_python_prints_the_same(name):
     assert proc.returncode == 0, err[-2000:]
     got = json.loads(out)
     assert got["loaded"] == []
+    assert got["argv"] == ["same"] * len(REGULAR) + ["none"] * len(IRREGULAR)
     assert got["cases"].pop("corpus-run") == run(corpus_run)
     assert got["cases"] == json.loads(GOLDEN.read_text())
     here: dict = {}
