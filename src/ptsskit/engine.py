@@ -412,159 +412,133 @@ def opaque_state(name: str) -> Term:
     return state
 
 
-_ACTION_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # as the `.ptss` lexer reads one
+# a line is blank, `state <name>` or `trans <head>-> { <body> }`, with a comment or none; the head
+# ends at the first `->` that blanks and a `{` follow, so a source state may hold `--` or `{`
+_LINE = re.compile(r"\s*(?:state \s*([^#]*[^\s#])|trans (?=[^#]*\}\s*(?:#|$))([^#]*?)->\s*\{([^#]*)\})?\s*(?:#.*)?")
 _BRACKET_OR_SEPARATOR = re.compile(r"[(){},:]")
 
 
-def _read_distribution(
-    code: str, line_no: int, states: dict[str, Term], weights: dict[str, Fraction], diags: list[Diagnostic]
-) -> Optional[Distribution]:
-    """The `{ state: p, ... }` that ends `code`, or None after a diagnostic.
-    One scan finds the entries' `,` and `:`, those outside brackets: a state
-    name may hold a term's text.  `weights` keeps the file's weight texts read."""
+def _refused(line: str) -> str:
+    """Why `_LINE` refuses a line, given without its comment and blanks."""
+    if not line.startswith("trans "):
+        return f"unknown line {line.split()[0]!r}"
+    head, brace, _ = line.partition("{")
+    if not (brace and line.endswith("}")):
+        return "expected a '{ term: p/q, ... }' distribution"
+    head = head.rstrip()  # `_LINE` takes a line whose head before its first `{` ends in `->`
+    return "expected '--<label>->'" if head.rfind("--", 0, len(head) - 2) < 0 else "expected '->' after the label"
 
-    def err(message: str) -> None:
-        diags.append(Diagnostic("error", message, line_no, 1))
 
-    start, end = code.index("{") + 1, code.rindex("}")
-    entries, depth, colons = [], 0, []  # an entry: its start, its stop and the colons between
-    for m in _BRACKET_OR_SEPARATOR.finditer(code, start, end):
+def _bracketed_entries(line: str, start: int, end: int) -> list[list[str]]:
+    """The entries of the body line[start:end], each cut at its `:`s, where
+    the `,` and `:` that part them are those outside brackets."""
+    entries, depth = [[]], 0
+    for m in _BRACKET_OR_SEPARATOR.finditer(line, start, end):
         c = m.group()
         if c in "({":
             depth += 1
         elif c in ")}":
             depth -= 1
-        elif depth == 0 and c == ":":
-            colons.append(m.start())
         elif depth == 0:
-            entries.append((start, m.start(), colons))
-            start, colons = m.end(), []
-    entries.append((start, end, colons))
-
-    items: list[tuple[Term, Fraction]] = []
-    for start, stop, colons in entries:
-        if len(colons) != 1:
-            if not code[start:stop].strip():
-                continue
-            return err(f"malformed distribution entry {code[start:stop].strip()!r}")
-        name = code[start:colons[0]].strip()
-        if name not in states:
-            return err(f"undeclared state {name}")
-        key = code[colons[0] + 1:stop]  # a weight text that failed, or read 0, is read again
-        prob = weights[key] = weights.get(key) or read_weight(code, line_no, diags, colons[0] + 1, stop)
-        if prob is None:
-            return None
-        items.append((states[name], prob))
-    if len(items) == 1 and items[0][1] == 1:  # a point mass needs none of the checks
-        return Distribution.dirac(items[0][0])
-    try:
-        dist = Distribution(items)
-    except EvalError as exc:
-        return err(str(exc))
-    return dist if dist.is_full else err(f"distribution mass is {brief(dist.total_mass)}, expected 1")
+            entries[-1].append(line[start:m.start()])
+            start = m.end()
+            if c == ",":
+                entries.append([])
+    entries[-1].append(line[start:end])
+    return entries
 
 
-# a state name has no bracket, separator or `#`; a denominator is not 0 and has at
-# most 4,299 digits, so under the 14,284 bits past which `Distribution` refuses it
-_NAME, _WEIGHT = r"[^\s#(){},:]+", r"[0-9]{1,4300}(?:/(?=0*[1-9])[0-9]{1,4299})?"
-_REGULAR_LINE = re.compile(rf"[ \t]*(?:state ({_NAME})|trans ({_NAME}) --([A-Za-z_][A-Za-z0-9_]*)-> "
-                           rf"\{{ ({_NAME}: {_WEIGHT}(?:, {_NAME}: {_WEIGHT})*) \}})?[ \t]*(?:#.*)?")
-
-
-def _read_regular(text: str) -> Optional[PTS]:
-    """The PTS of a text each line of which `_REGULAR_LINE` matches, each
-    state declared once and before use, each target of mass exactly 1 with
-    no state twice; else None.  Each distinct weight text is read once, and
-    each target gets its text here, so `PTS` renders none."""
-    states: dict[str, Term] = {}
-    weights: dict[str, tuple[Fraction, str]] = {}
-    transitions = []
-    for line in text.splitlines():
-        m = _REGULAR_LINE.fullmatch(line)
-        if m is None or m[1] in states:  # not regular, or a state declared again
-            return None
-        name, src, label, body = m.groups()
-        if name is not None:
-            states[name] = opaque_state(name)
-        elif src is not None:
-            entries: dict[str, tuple[Fraction, str]] = {}
-            num, den = 0, 1  # the mass so far
-            for name, _, w in (entry.partition(": ") for entry in body.split(", ")):
-                if w not in weights:
-                    weights[w] = (p := Fraction(w)), str(p)
-                p, _ = entries[name] = weights[w]
-                if name not in states:
-                    return None
-                num, den = num * p.denominator + p.numerator * den, den * p.denominator
-            if num != den or src not in states or len(entries) <= body.count(","):  # a state twice
+def _read_distribution(
+    line: str, line_no: int, start: int, end: int, states: dict[str, Term], weights: dict[str, tuple], diags: list[Diagnostic]
+) -> Optional[Distribution]:
+    """The distribution of the body line[start:end], or None if a weight
+    text is no weight (`read_weight` reports it); EvalError for any other
+    fault.  A target of distinct states and mass exactly 1 gets its text
+    here, so `PTS` renders none; `Distribution` sums and checks any other."""
+    body = line[start:end]
+    if "(" in body or ")" in body or "{" in body or "}" in body:  # a state name may hold a term's text
+        entries = _bracketed_entries(line, start, end)
+    else:
+        entries = [entry.split(":") for entry in body.split(",")]
+    chosen: dict[str, tuple[tuple[Term, Fraction], str]] = {}  # an entry and its text
+    items: list[tuple[Term, Fraction]] = []  # a zero weight counts for nothing, not even as a repeat
+    num, den = 0, 1  # the mass so far
+    for pieces in entries:
+        if len(pieces) != 2:
+            entry = ":".join(pieces)
+            if entry.strip():
+                raise EvalError(f"malformed distribution entry {entry.strip()!r}")
+            start += len(entry) + 1
+            continue
+        name, w = pieces
+        start += len(name) + len(w) + 2
+        name = name.strip()
+        state = states.get(name)
+        if state is None:
+            raise EvalError(f"undeclared state {name}")
+        weight = weights.get(w)
+        if weight is None:  # a weight text is read in its line, so that a diagnostic has its column
+            p = read_weight(line, line_no, diags, start - len(w) - 1, start - 1)
+            if p is None:
                 return None
-            items = sorted((name, w) for name, w in entries.items() if w[0])
-            dist_text = "{" + ", ".join([f"{name}: {w[1]}" for name, w in items]) + "}"
-            dist = Distribution._full(tuple([(states[name], w[0]) for name, w in items]), dist_text)
-            transitions.append(PtsTransition(states[src], label, dist))
-    labels = tuple(sorted({tr.label for tr in transitions} | {"tau"}))
-    return PTS(tuple(states.values()), labels, tuple(transitions))
+            weight = weights[w] = p, str(p), p.numerator, p.denominator
+        p, text, n, d = weight
+        if n:
+            items.append((state, p))
+            chosen[name] = items[-1], f"{name}: {text}"
+            num, den = num * d + n * den, den * d
+    # a denominator past 14,284 bits, which `Distribution` refuses, makes `den` longer
+    if num == den and len(chosen) == len(items) and den.bit_length() <= 14284:
+        # by name, as `Distribution` sorts; most targets are point masses, which need no sort
+        items, texts = zip(*(map(chosen.__getitem__, sorted(chosen)) if len(chosen) > 1 else chosen.values()))
+        return Distribution._full(items, "{" + ", ".join(texts) + "}")
+    dist = Distribution(items)
+    if not dist.is_full:
+        raise EvalError(f"distribution mass is {brief(dist.total_mass)}, expected 1")
+    return dist
 
 
 def load_pts(text: str) -> PTS:
-    """Read the line-oriented PTS format; state names are opaque.  A text that
-    `_read_regular` refuses is read here, the one place a diagnostic is worded."""
-    pts = _read_regular(text)
-    if pts is not None:
-        return pts
+    """Read the line-oriented PTS format in one pass; state names are opaque.
+    The arrow of a `trans` line is the last `--` of its head, so a source may
+    hold `--`.  Each state is built once, each distinct weight text read once."""
     diags: list[Diagnostic] = []
     states: dict[str, Term] = {}
-    weights: dict[str, Fraction] = {}
-    order: list[Term] = []
+    weights: dict[str, tuple] = {}  # a weight text read: its value, the value's text, numerator, denominator
     transitions: list[PtsTransition] = []
     labels: set[str] = set()
 
     def err(message: str, line_no: int) -> None:
         diags.append(Diagnostic("error", message, line_no, 1))
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        code = raw_line.partition("#")[0]
-        line = code.strip()
-        if not line:
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        m = _LINE.fullmatch(line)
+        if m is None:
+            err(_refused(line.partition("#")[0].strip()), line_no)
             continue
-        if line.startswith("state "):
-            name = line[len("state "):].strip()
-            if not name:
-                err("empty state name", line_no)
-            elif name in states:
-                err(f"duplicate state {name}", line_no)
+        name, head, _ = m.groups()
+        if name in states:
+            err(f"duplicate state {name}", line_no)
+        elif name is not None:
+            states[name] = opaque_state(name)
+        elif head is not None:
+            src, arrow, label = head.rpartition("--")
+            src, label = src.strip(), label.strip()
+            if not arrow:
+                err("expected '--<label>->'", line_no)
+            elif label not in labels and not (label.isascii() and label.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*
+                err(f"label {label!r} is not an action name", line_no)
+            elif src not in states:
+                err(f"undeclared state {src}", line_no)
             else:
-                states[name] = opaque_state(name)
-                order.append(states[name])
-        elif line.startswith("trans "):
-            # the arrow is the last `--<label>->` before the distribution's
-            # `{`, so a source state's name may itself contain `--`
-            head, brace, dist_text = line[len("trans "):].partition("{")
-            head, dist_text = head.rstrip(), (brace + dist_text).strip()
-            arrow = head.rfind("--", 0, len(head) - 2)
-            src_text, label = head[:arrow].strip(), head[arrow + 2:-2].strip()
-            if not (brace and dist_text.endswith("}")):
-                problem = "expected a '{ term: p/q, ... }' distribution"
-            elif arrow < 0:
-                problem = "expected '--<label>->'"
-            elif not head.endswith("->"):
-                problem = "expected '->' after the label"
-            elif label not in labels and not _ACTION_NAME.fullmatch(label):
-                problem = f"label {label!r} is not an action name"
-            elif src_text not in states:
-                problem = f"undeclared state {src_text}"
-            else:
-                problem = None
-            if problem is not None:
-                err(problem, line_no)
-                continue
-            dist = _read_distribution(code, line_no, states, weights, diags)
-            if dist is None:
-                continue
-            labels.add(label)
-            transitions.append(PtsTransition(states[src_text], label, dist))
-        else:
-            err(f"unknown line {line.split()[0]!r}", line_no)
+                try:
+                    dist = _read_distribution(line, line_no, *m.span(3), states, weights, diags)
+                except EvalError as exc:
+                    err(str(exc), line_no)
+                    continue
+                if dist is not None:
+                    labels.add(label)
+                    transitions.append(PtsTransition(states[src], label, dist))
     if diags:
         raise ParseFailure(diags)
-    return PTS(tuple(order), tuple(sorted(labels | {"tau"})), tuple(transitions))
+    return PTS(tuple(states.values()), tuple(sorted(labels | {"tau"})), tuple(transitions))

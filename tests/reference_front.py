@@ -7,10 +7,14 @@ alternative matches; it lexes and parses every `.pts` weight; it splits each
 distribution body at its `,`s and then each entry at its `:`s; and it makes a
 `Fraction` of every probability and adds each one twice, into its entry and
 into the total.  A `.pts` label is whatever stands between the arrow's `--`
-and `->`.  The PTS it reads is ordered as `PTS` ordered it, by sorting the set
-of its transitions by their rendered texts.  Its `Token`, `_Cursor` and
-`_parse_weight` are the parser's own from before the one-pass parser, which
-`tests/reference_parser.py` reads with too.
+and `->`.  A `trans` line's distribution starts at the first `{` that
+follows `->` and blanks, else at the line's first `{` (`dist_brace`); it
+started at the first `{` until exported texts whose source state holds one,
+such as `f(a.oplus{...})`, failed to load back.  The PTS it reads is ordered
+as `PTS` ordered it, by sorting the set of its transitions by their rendered
+texts.  Its `Token`, `_Cursor` and `_parse_weight` are the parser's own from
+before the one-pass parser, which `tests/reference_parser.py` reads with
+too.
 """
 
 import re
@@ -192,7 +196,7 @@ def _read_distribution(code: str, line_no: int, states: dict, diags: list) -> Op
         diags.append(Diagnostic("error", message, line_no, 1))
 
     items: list[tuple[Term, Fraction]] = []
-    for start, stop in _split_balanced(code, ",", code.index("{") + 1, code.rindex("}")):
+    for start, stop in _split_balanced(code, ",", dist_brace(code) + 1, code.rindex("}")):
         if not code[start:stop].strip():
             continue
         pieces = _split_balanced(code, ":", start, stop)
@@ -212,10 +216,19 @@ def _read_distribution(code: str, line_no: int, states: dict, diags: list) -> Op
     return dist if dist.is_full else err(f"distribution mass is {brief(dist.total_mass)}, expected 1")
 
 
+def dist_brace(line: str) -> int:
+    """Where a `trans` line's distribution starts: at the first `{` that
+    follows `->` and blanks, else at the line's first `{`, else -1."""
+    arrow = re.search(r"->\s*\{", line)
+    return arrow.end() - 1 if arrow else line.find("{")
+
+
 def trans_head(line: str) -> tuple[Optional[str], str, str]:
     """A stripped `trans` line's problem with its head, if any, its source
     text and its label."""
-    head, brace, dist_text = line[len("trans "):].partition("{")
+    rest = line[len("trans "):]
+    at = dist_brace(rest)
+    head, brace, dist_text = (rest[:at], "{", rest[at + 1:]) if at >= 0 else (rest, "", "")
     head, dist_text = head.rstrip(), (brace + dist_text).strip()
     arrow = head.rfind("--", 0, len(head) - 2)
     src_text, label = head[:arrow].strip(), head[arrow + 2:-2].strip()

@@ -3,8 +3,7 @@ the library: each function it wraps is a callable of its layer's module,
 and each attribute its observers read exists.  A missing one makes that
 metric null in a `--trace 1` result.  And what the benchmark's jobs
 (`perfbench/workloads.py`) are meant to measure: each job's argv is read
-by the CLI's argv table, and each `.pts` text of the bisim workload by the
-loader's line pattern, not by the general readers."""
+by the CLI's argv table, not by argparse."""
 
 import importlib
 import importlib.util
@@ -17,7 +16,7 @@ import pytest
 
 from ptsskit.bisim import branching_bisim, prob_branching_bisim
 from ptsskit.cli import _read_argv, main
-from ptsskit.engine import DomainBound, _read_regular, export_pts, load_pts, reachable_pts, stable_model
+from ptsskit.engine import DomainBound, export_pts, load_pts, reachable_pts, stable_model
 from ptsskit.lp import feasible
 from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import match
@@ -81,5 +80,3 @@ def test_the_benchmark_jobs_take_the_fast_readers(workload):
     for seed in (7, 11):
         groups = [g for gs in workloads.WORKLOADS[workload].catalogue(seed).values() for g in gs]
         assert [job.argv for g in groups for job in g.jobs if _read_argv(job.argv) is None] == []
-        if workload == "bisim":
-            assert [path for g in groups for path, text in g.files.items() if _read_regular(text) is None] == []

@@ -1,5 +1,7 @@
 """`ptsskit pts` output pinned byte for byte: every corpus spec on fixed
 roots, and right-nested sums of n random prefix chains on `running.ptss`.
+Each pinned export also loads back with `load_pts` and exports again to
+the same text.
 
 The expected output was recorded with the scan-every-transition engine that
 `tests/reference_engine.py` keeps.  Re-record (only when the output is meant
@@ -96,6 +98,14 @@ def test_every_corpus_spec_is_covered():
 def test_pts_output_matches_golden(key):
     golden = json.loads(GOLDEN.read_text())
     assert run(cases()[key]) == golden[key]
+
+
+def test_every_export_loads_back():
+    from ptsskit.engine import export_pts, load_pts
+
+    exports = {key: case["stdout"] for key, case in json.loads(GOLDEN.read_text()).items() if case["code"] == 0}
+    for key, out in sorted(exports.items()):
+        assert export_pts(load_pts(out)) == out, key
 
 
 if __name__ == "__main__":
