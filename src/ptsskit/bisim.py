@@ -12,11 +12,12 @@ Two scheduler-free deciders plus supporting machinery:
   decided by exact-rational linear feasibility.
 
 Both refine a partition of the states by signatures (Groote & Vaandrager
-1990; Blom & Orzan 2003) over an integer index of the PTS, built once per
-call (`_Index`): states numbered in text order, each step's weights scaled
-to integers by one common denominator.  Lifting against a partition is
-equality of block masses, exact integer sums; a state's moves are kept
-across rounds until one of its targets changes block.  A pbranching block
+1990; Blom & Orzan 2003) in one loop (`_partition`) over an integer index of
+the PTS, built once per PTS and kept on it (`_Index`): states numbered in
+text order, each step's weights scaled to integers by one common denominator.
+A non-inert step is a move keyed as (label, block) when its target lies in
+one block, else as (label, block masses), exact integer sums; a state's moves
+are kept until it or a target changes block.  A pbranching block
 match is an LP over a partition (Turrini & Hermanns 2015) on the steps that
 reach only the challenge's blocks, built only when they reach all of them.
 Every LP's integer rows are written by `_flow_rows`.
@@ -149,45 +150,85 @@ class _Index:
     `scale`, the least common denominator of every probability in the PTS."""
 
     def __init__(self, pts: PTS):
-        self.pts, self.num = pts, {s: i for i, s in enumerate(pts.states)}
+        self.states, self.num = pts.states, {s: i for i, s in enumerate(pts.states)}
         self.scale = 1
         for d in {p.denominator for tr in pts.transitions for _, p in tr.target.items()}:
             self.scale *= Fraction(self.scale, d).denominator  # so the least common multiple
         self.steps: list[list[Step]] = [[] for _ in pts.states]
+        point = (self.scale,)  # the weights of a point mass, built once
         for tr in pts.transitions:
-            self.steps[self.num[tr.source]].append(self.step(tr))
+            x, items = self.num[tr.source], tr.target.items()
+            self.steps[x].append((x, tr.label, (self.num[items[0][0]],), point) if len(items) == 1 else self.step(tr))
 
     def step(self, tr: PtsTransition) -> Step:
         num, scale, items = self.num, self.scale, tr.target.items()
-        if len(items) == 1:  # a point mass
-            return num[tr.source], tr.label, (num[items[0][0]],), (scale,)
         weights = tuple([p.numerator * (scale // p.denominator) for _, p in items])
         return num[tr.source], tr.label, tuple([num[u] for u, _ in items]), weights
 
 
-def _partition(ix: _Index, signing: Callable[..., list]) -> tuple[StateRelation, list[int], list, list, list]:
-    """The coarsest partition in which no block splits by `signing(ix, block,
-    members, moves, inert)`, a block's signatures against the blocks (state ->
-    id): as a relation, each state's block, each block's members and each
-    state's `_steps`, recomputed only when it or a target changes block.  A
-    round re-signs the blocks holding such a state; a split keeps its id."""
-    n = len(ix.steps)
+def _index(pts: PTS) -> _Index:
+    """The index of `pts`, built once and kept on it."""
+    if pts._index is None:
+        object.__setattr__(pts, "_index", _Index(pts))
+    return pts._index
+
+
+def _partition(ix: _Index, signing: Optional[Callable[..., list]] = None) -> tuple[StateRelation, tuple[list, ...]]:
+    """The coarsest partition in which no block splits by its members'
+    signatures: as a relation, and as each state's block, each block's
+    members and each state's moves, inert steps and inert reach (itself
+    first; None without inert steps).  A member signs with its moves over
+    its inert reach, or by `signing(ix, block, members, moves, inert, reach)`."""
+    n, steps = len(ix.steps), ix.steps
     block, members = [0] * n, [list(range(n))]
     sources: list[list[int]] = [[] for _ in range(n)]
-    for x, steps in enumerate(ix.steps):
-        for step in steps:
+    for x, out in enumerate(steps):
+        for step in out:
             for u in step[2]:
                 sources[u].append(x)
-    moves, inert = [None] * n, [None] * n  # each state's, kept until it goes stale
+    moves, inert, reach = [None] * n, [None] * n, [None] * n
     stale, dirty = set(range(n)), [0]
     while dirty:
         for b in dirty:
-            for x in members[b]:
+            ms = members[b]
+            for x in ms:
                 if x in stale:
-                    moves[x], inert[x] = _steps(ix, block, x)
-            stale.difference_update(members[b])
+                    out, stays = [], []
+                    for step in steps[x]:
+                        targets = step[2]
+                        key = block[targets[0]]
+                        for u in targets:
+                            if block[u] != key:  # the target spreads over blocks: key it by their masses
+                                mass: dict[int, int] = {}
+                                for v, w in zip(targets, step[3]):
+                                    c = block[v]
+                                    mass[c] = mass[c] + w if c in mass else w
+                                key = frozenset(mass.items())
+                                break
+                        if key == b and step[1] == "tau":
+                            stays.append(step)
+                        else:
+                            out.append((step[1], key))
+                    moves[x], inert[x] = frozenset(out), stays
+            stale.difference_update(ms)
+            sigs = []
+            for x in ms:
+                if inert[x]:
+                    r, seen, sig = [x], {x}, set(moves[x])
+                    for u in r:
+                        for step in inert[u]:
+                            for v in step[2]:
+                                if v not in seen:
+                                    seen.add(v)
+                                    r.append(v)
+                                    sig |= moves[v]
+                    reach[x] = r
+                    sigs.append(frozenset(sig))
+                else:
+                    reach[x] = None
+                    sigs.append(moves[x])
             parts: dict[Hashable, list[int]] = {}
-            for x, sig in zip(members[b], signing(ix, block, members[b], moves, inert)):
+            for x, sig in zip(ms, sigs if signing is None else signing(ix, block, ms, moves, inert, reach)):
                 parts.setdefault(sig, []).append(x)
             if len(parts) > 1:
                 members[b], *rest = parts.values()
@@ -198,45 +239,18 @@ def _partition(ix: _Index, signing: Callable[..., list]) -> tuple[StateRelation,
                         stale.update(sources[x])
                     members.append(part)
         dirty = sorted({block[x] for x in stale})
-    states = ix.pts.states
+    states = ix.states
     sets = [frozenset(states[x] for x in ms) for ms in members]
-    return StateRelation(states, {s: sets[block[x]] for x, s in enumerate(states)}), block, members, moves, inert
+    return StateRelation(states, {s: sets[block[x]] for x, s in enumerate(states)}), (block, members, moves, inert, reach)
 
 
 def _masses(block: Mapping[Hashable, Hashable], targets: Sequence[Hashable], weights: Sequence) -> frozenset:
     """The block masses of a distribution: each block with its summed weight."""
-    if len(targets) == 1:
-        return frozenset(((block[targets[0]], weights[0]),))
     acc: dict[Hashable, int] = {}
     for u, w in zip(targets, weights):
         b = block[u]
         acc[b] = acc[b] + w if b in acc else w
     return frozenset(acc.items())
-
-
-def _steps(ix: _Index, block: list[int], x: int) -> tuple[frozenset, list[Step]]:
-    """The moves of `x`, the (label, block masses) of its non-inert steps,
-    and its inert steps: tau-steps whose targets lie in its block."""
-    moves, inert, b = set(), [], block[x]
-    for step in ix.steps[x]:
-        if step[1] == "tau" and all(block[u] == b for u in step[2]):
-            inert.append(step)
-        else:
-            moves.add((step[1], _masses(block, step[2], step[3])))
-    return frozenset(moves), inert
-
-
-def _inert_reach(inert: list[list[Step]], x: int) -> list[int]:
-    """The states `x` reaches through `inert` steps, `x` first; a step
-    reaches every state of its support."""
-    reach, seen = [x], {x}
-    for u in reach:
-        for step in inert[u]:
-            for v in step[2]:
-                if v not in seen:
-                    seen.add(v)
-                    reach.append(v)
-    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +260,7 @@ def _inert_reach(inert: list[list[Step]], x: int) -> list[int]:
 PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
 
 
-def _first_unmatched(
-    pts: PTS,
-    rel: Mapping[Term, set],
-    matched: Callable[[Term, PtsTransition, Term], bool],
-) -> PairCheck:
+def _first_unmatched(pts: PTS, rel: Mapping[Term, set], matched: Callable[[Term, PtsTransition, Term], bool]) -> PairCheck:
     """The matching loop of every decider: each non-inert challenge of `s`
     must be `matched` from `t`."""
 
@@ -268,30 +278,17 @@ def _first_unmatched(
 
 def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     lift = functools.cache(functools.partial(lift_check, rel))  # the relation is fixed within one sweep
-    return _first_unmatched(
-        pts, rel, lambda s, tr, t: _execution_match(pts, rel, s, tr, t, lift)
-    )
-
-
-def _branching_signatures(ix: _Index, block: list[int], members: list[int], moves: list, inert: list) -> list[Hashable]:
-    # what x can do after inert steps: the non-inert moves of every state it reaches
-    return [
-        frozenset().union(*(moves[u] for u in _inert_reach(inert, x))) if inert[x] else moves[x]
-        for x in members
-    ]
+    return _first_unmatched(pts, rel, lambda s, tr, t: _execution_match(pts, rel, s, tr, t, lift))
 
 
 def branching_bisim(pts: PTS) -> StateRelation:
-    """Greatest branching bisimulation, computed without schedulers."""
-    return _partition(_Index(pts), _branching_signatures)[0]
+    """Greatest branching bisimulation, computed without schedulers: a
+    state's signature is what it can do after inert steps."""
+    return _partition(_index(pts))[0]
 
 
 def _execution_match(
-    pts: PTS,
-    rel: Mapping[Term, set],
-    s: Term,
-    challenge: PtsTransition,
-    t: Term,
+    pts: PTS, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term,
     lift: Callable[[Distribution, Distribution], bool],
 ) -> bool:
     """Search a concrete execution from `t`: inert tau-steps whose supports
@@ -316,8 +313,8 @@ def _execution_match(
 
 # -- probabilistic branching bisimulation ------------------------------------
 
-def _pbranching_check(pts: PTS, rel: Mapping[Term, set], ix: Optional[_Index] = None) -> PairCheck:
-    ix = _Index(pts) if ix is None else ix
+def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+    ix = _index(pts)
     preserving = [ix.step(tr) for tr in pts.transitions
                   if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
     match = functools.cache(lambda challenge, t: _combined_match(ix, rel, preserving, *challenge, t))
@@ -325,16 +322,16 @@ def _pbranching_check(pts: PTS, rel: Mapping[Term, set], ix: Optional[_Index] = 
 
 
 def _pbranching_signatures(
-    ix: _Index, block: list[int], members: list[int], moves: list, inert: list, stay: bool = True
+    ix: _Index, block: list[int], members: list[int], moves: list, inert: list, reach: list, stay: bool = True
 ) -> list[Hashable]:
     # the non-inert moves of the block that t matches; t matches its own
     candidates = frozenset().union(*(moves[x] for x in members))
     sigs = []
     for t in members:
-        reach = _inert_reach(inert, t)
-        steps = [step for u in reach for step in inert[u]]
+        reach_t = reach[t] or [t]
+        steps = [step for u in reach_t for step in inert[u]]
         sigs.append(frozenset(
-            c for c in candidates if c in moves[t] or _block_match(ix, block, t, reach, steps, *c, stay)
+            c for c in candidates if c in moves[t] or _block_match(ix, block, reach_t, steps, *c, stay)
         ))
     return sigs
 
@@ -353,17 +350,17 @@ def prob_branching_bisim(pts: PTS) -> StateRelation:
     bisimulation equivalence exists, the pairs kept are those that some
     bisimulation partition relates (checked by brute force on small systems),
     and the classes may overlap."""
-    ix = _Index(pts)
-    rel, block, members, moves, inert = _partition(ix, _pbranching_signatures)
-    if all(len(set(_pbranching_signatures(ix, block, ms, moves, inert, False))) == 1 for ms in members):
+    ix = _index(pts)
+    rel, (block, members, *kept) = _partition(ix, _pbranching_signatures)
+    if all(len(set(_pbranching_signatures(ix, block, ms, *kept, False))) == 1 for ms in members):
         return rel
     table = {u: set(rel.partners(u)) for u in rel.states}
     while True:
-        shared = _pbranching_check(pts, table, ix)
+        shared = _pbranching_check(pts, table)
         failed = []
         for s in rel.states:
             for t in table[s] - {s}:
-                check = shared if table[s] == table[t] else _pbranching_check(pts, _common(table, s, t), ix)
+                check = shared if table[s] == table[t] else _pbranching_check(pts, _common(table, s, t))
                 if check(s, t) is not None:
                     failed.append((s, t))
         if not failed:
@@ -382,21 +379,21 @@ def _common(table: Mapping[Term, set], s: Term, t: Term) -> dict[Term, set]:
 
 
 def _block_match(
-    ix: _Index, block: list[int], t: int, reach: list[int], inert: list[Step],
-    label: str, masses: frozenset, stay: bool,
+    ix: _Index, block: list[int], reach: list[int], inert: list[Step], label: str, key: Hashable, stay: bool,
 ) -> bool:
     """`_combined_match` against a partition: a weak phase over the inert
-    steps among the states `t` reaches by them, then a convex choice of
-    `label` steps, or for tau and `stay` of staying put, whose combined
-    target has the given block masses.  A step that reaches a block without
-    mass takes none, and no LP is built when some block with mass is reached
-    by no other step, nor by staying put."""
+    steps among the states `reach[0]` reaches by them, then a convex choice
+    of `label` steps, or for tau and `stay` of staying put, whose combined
+    target has the block masses of a move's `key`.  A step that reaches a
+    block without mass takes none, and no LP is built when some block with
+    mass is reached by no other step, nor by staying put."""
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
     stay = stay and label == "tau"
     # staying alone never leaves the block; t's one step is its own move, tried by the caller
     if not steps or (not inert and not stay and len(steps) == 1):
         return False
-    want, scale = dict(masses), ix.scale
+    scale = ix.scale
+    want = {key: scale} if type(key) is int else dict(key)  # a one-block key holds all the mass
     steps += [(u, label, (u,), (scale,)) for u in reach] if stay else []  # staying put, as a step
     steps = [step for step in steps if all(block[u] in want for u in step[2])]
     if len({block[u] for step in steps for u in step[2]}) < len(want) or (not inert and len(steps) == 1):
@@ -406,7 +403,7 @@ def _block_match(
     rows: list[dict[int, int]] = [{} for _ in range(len(reach) + len(lift))]
     col = _flow_rows(rows, at, inert, 0, scale)
     _flow_rows(rows, at, steps, col, scale, {u: lift[block[u]] for step in steps for u in step[2]})
-    rhs = [scale] + [0] * (len(reach) - 1) + [-m for m in want.values()]  # reach[0] is t
+    rhs = [scale] + [0] * (len(reach) - 1) + [-m for m in want.values()]  # all mass starts at reach[0]
     return lp.feasible(rows, rhs)
 
 
@@ -419,7 +416,7 @@ def _combined_match(
     steps = [step for out in ix.steps for step in out if step[1] == label]
     if not steps:
         return False
-    n, scale, states = len(ix.steps), ix.scale, ix.pts.states
+    n, scale, states = len(ix.steps), ix.scale, ix.states
     # a weak tau phase inside the preserving set, then one label-step per stopped unit; the
     # second n rows lift the challenge target against the combined target, a column per related pair
     rows: list[dict[int, int]] = [{} for _ in range(2 * n)]
@@ -438,9 +435,7 @@ def _combined_match(
 
 # -- rooted branching bisimulation -------------------------------------------
 
-def _rooted_challenge(
-    pts: PTS, bb: StateRelation, s: Term, t: Term
-) -> Optional[tuple[Term, PtsTransition]]:
+def _rooted_challenge(pts: PTS, bb: StateRelation, s: Term, t: Term) -> Optional[tuple[Term, PtsTransition]]:
     """The first initial step of `s` or `t` that the other state cannot mirror
     by one equally labelled step with a `bb`-lifted target."""
     for x, y in ((s, t), (t, s)):
@@ -451,9 +446,7 @@ def _rooted_challenge(
     return None
 
 
-def rooted_branching_bisim(
-    pts: PTS, s: Term, t: Term, bb: Optional[StateRelation] = None
-) -> bool:
+def rooted_branching_bisim(pts: PTS, s: Term, t: Term, bb: Optional[StateRelation] = None) -> bool:
     """Initial transitions must match strictly (equal labels, single steps)
     with branching-bisimulation-lifted targets."""
     if not pts.has_state(s) or not pts.has_state(t):

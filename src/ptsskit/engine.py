@@ -30,8 +30,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .distributions import Distribution, EvalError, evaluate
 from .errors import BoundError, brief
 from .parser import PTSS, Diagnostic, ParseFailure, Rule, read_weight
-from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, _Record, match,
-                    render_term, substitute, term_sort, variables)
+from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, _Record, _dead,
+                    match, render_term, substitute, term_sort, variables)
 
 
 class DomainBoundError(BoundError):
@@ -105,9 +105,10 @@ class PtsTransition(NamedTuple):
 
 
 class PTS(_Record):
-    """States and transitions are kept in text order, transitions without repeats."""
+    """States and transitions are kept in text order, transitions without
+    repeats.  `_index` keeps the integer index the deciders build of it."""
 
-    __slots__ = ("states", "actions", "transitions", "_outgoing")
+    __slots__ = ("states", "actions", "transitions", "_outgoing", "_index")
     _fields = __slots__[:3]
 
     def __init__(self, states: tuple[Term, ...], actions: tuple[str, ...], transitions: tuple[PtsTransition, ...]) -> None:
@@ -119,7 +120,7 @@ class PTS(_Record):
         out: dict[Term, list[PtsTransition]] = {s: [] for s in states}
         for tr in transitions:
             out[tr.source].append(tr)
-        self._init(states, actions, transitions, {s: tuple(trs) for s, trs in out.items()})
+        self._init(states, actions, transitions, {s: tuple(trs) for s, trs in out.items()}, None)
 
     def outgoing(self, state: Term, label: Optional[str] = None) -> tuple[PtsTransition, ...]:
         trs = self._outgoing.get(state, ())
@@ -260,11 +261,12 @@ def _instances(
 
 def _derive(terms: Iterable[Term], neg_holds: Callable[[Term, str], bool], max_depth: int, derived: _Derived) -> _Derived:
     """Extend `derived` to the least fixed point of its rules over the
-    sources in `terms` and in `derived`.  Subterms come first and a
-    transition can be used as soon as it is derived, so one pass usually
-    derives everything; a later pass visits the dirty sources only.  A
-    source pattern that is an application only sees the terms with its head
-    symbol, and the rules take turns in their order."""
+    sources in `terms` and in `derived`.  A pass takes the rules in their
+    order and each rule's sources by depth, then by text, and uses a
+    transition as soon as it is derived, so one pass usually derives all and
+    the first target past `max_depth` in that order is reported; a later pass
+    visits the dirty sources only.  A source pattern that is an application
+    only sees the terms with its head symbol."""
     while terms:
         ordered = sorted(terms, key=lambda u: (u.depth, render_term(u)))
         by_head: dict[FunctionSymbol, list[Term]] = {}
@@ -407,8 +409,12 @@ def export_pts(pts: PTS) -> str:
 
 
 def opaque_state(name: str) -> Term:
-    state = Apply(FunctionSymbol(name, (), _STATE), ())
-    object.__setattr__(state, "text", name)  # what render_term gives a constant
+    # Apply(FunctionSymbol(name, (), _STATE)) with its text, the symbol made as a plain tuple, with no sorts to check
+    key = (tuple.__new__(FunctionSymbol, (name, (), _STATE, None, None)), ())
+    state = Apply._table.get(key, _dead)()
+    if state is None:
+        state = Apply._build(key, ())
+        state.symbol, state.sort, state.text, state.__class__ = key[0], _STATE, name, Apply
     return state
 
 

@@ -3,8 +3,11 @@
 
 Every positive premise is matched against every transition derived so far
 with the premise's label, and every rule against every term of the universe;
-no index is kept.  `stable_model` iterates the certain/possible pair the same
-way the library does, from scratch on every step, with this `derive`.
+no index is kept.  Terms are visited in the engine's order, by depth and then
+by text, and a transition is used as soon as it is derived, so that the two
+report the same target when several pass the depth bound.  `stable_model`
+iterates the certain/possible pair the same way the library does, from
+scratch on every step, with this `derive`.
 """
 
 from typing import Callable, Iterable
@@ -98,7 +101,7 @@ def derive(
     while changed:
         changed = False
         for rule in rules:
-            for tr in list(rule_instances(rule, universe, by_label, neg_holds, max_depth)):
+            for tr in rule_instances(rule, universe, by_label, neg_holds, max_depth):
                 if tr not in trans:
                     trans.add(tr)
                     by_label.setdefault(tr.label, []).append((tr.source, tr.target))
@@ -129,14 +132,14 @@ def closed_universe(p: PTSS, bound: DomainBound) -> list[Term]:
             raise ValueError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
     while True:
-        ordered = sorted(universe, key=render_term)
+        ordered = sorted(universe, key=lambda u: (u.depth, render_term(u)))  # the engine's order of sources
         trs = derive(p.rules, ordered, lambda t, a: True, bound.max_depth)
         before = len(universe)
         for tr in trs:
             for s in evaluate(tr.target).support:
                 _check_and_collect(s, universe, bound)
         if len(universe) == before:
-            return ordered
+            return sorted(universe, key=render_term)
 
 
 def stable_model(p: PTSS, bound: DomainBound) -> ThreeValuedModel:

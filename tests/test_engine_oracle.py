@@ -85,6 +85,27 @@ def test_rules_sharing_a_source_pattern_agree_with_the_oracle():
     assert outcomes["model"] >= 30 and outcomes["RuleInstantiationError"] >= 5
 
 
+# running.ptss with rules that grow targets without bound: g1 lifts the target
+# of any b-step into a longer one, so several targets pass --max-depth in one round
+GROWING_SPEC = RUNNING_SPEC.replace("rule prefix", "op k0 : s -> s\nrule prefix") + (
+    "rule g0: k0(x) --a-> delta(k0(x))\n"
+    "rule g1: z --b-> mu |- k0(x) --a-> ^+(mu,delta(x))\n"
+    "rule g2: x --a-> mu, x -/a-> |- k0(x) --b-> mu\n"
+)
+
+
+def test_the_first_target_past_the_depth_bound_is_the_oracles():
+    # the engine and the oracle visit sources by depth, then by text, and use a
+    # transition as soon as it is derived, so they name the same target
+    spec = parse_spec(GROWING_SPEC)
+    roots = [parse_term(r, spec.signature) for r in ("k0(+(a.delta(0),b.delta(0)))", "k0(k0(b.delta(0)))", "a.delta(0)")]
+    assert _agree(spec, roots, max_depth=8) == (
+        "DomainBoundError",
+        "conclusion target exceeds max depth: ^+(^+(^+(^+(delta(k0(b.delta(0))),delta(b.delta(0))),"
+        "delta(b.delta(0))),delta(b.delta(0))),delta(b.delta(0))) (depth 9)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Interning
 

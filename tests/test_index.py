@@ -1,7 +1,8 @@
 """The integer index the bisimulation deciders refine over (`bisim._Index`):
-built only by commands that decide a bisimulation, and on the product family
-of ROADMAP "Product state spaces" the same pbranching classes as before it
-with a fraction of the LPs."""
+built only by commands that decide a bisimulation, at most once per PTS, and
+on the product family of ROADMAP "Product state spaces" the same pbranching
+classes as before it with a fraction of the LPs, and the same branching
+classes as before the one-block move keys."""
 
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 
 import ptsskit.bisim as bisim
 from ptsskit import lp
-from ptsskit.cli import EXIT_OK, main
+from ptsskit.cli import EXIT_NEGATIVE, EXIT_OK, main
 from ptsskit.engine import DomainBound, export_pts, reachable_pts
 from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import render_term
@@ -31,6 +32,10 @@ COMPONENT = "a.oplus{1/2:delta(tau.delta(0)),1/2:delta(b.delta(0))}"
 PRODUCT_CLASSES_SHA256 = "8dad899302b9b5215139542cd91e8ef42735e39cd805dbf96f07db3c80c43240"
 PRODUCT_CLASS_SIZES = [3, 3, 12, 12, 18, 24, 24, 48, 72, 72, 72, 72, 96, 96, 144]
 PARENT_FEASIBLE_CALLS = 1994  # lp.feasible calls of that decision before the index
+
+# the branching classes of the 5-fold product before moves were keyed as
+# (label, block): 21 classes of 3,072 states, hashed as above
+PRODUCT5_BRANCHING_CLASSES_SHA256 = "fe88cdc52a1259841f30cda16a4fd982106592cadbbcd44e9fb591dbdbca846c"
 
 
 # the sha256 of `export_pts` of the k-fold product alone, and its states,
@@ -64,6 +69,16 @@ def test_product_pbranching_keeps_its_classes_with_a_fifth_of_the_lps(monkeypatc
     assert hashlib.sha256(json.dumps(classes).encode()).hexdigest() == PRODUCT_CLASSES_SHA256
     assert decision.related(root, stuttered)
     assert len(calls) <= PARENT_FEASIBLE_CALLS // 5
+
+
+def test_product_branching_keeps_its_classes():
+    pts, (root, stuttered) = product_pts(5)
+    assert len(pts.states) == 3072
+    decision = bisim.decide("branching", pts)
+    classes = [[render_term(u) for u in c] for c in decision.classes()]
+    assert len(classes) == 21
+    assert hashlib.sha256(json.dumps(classes).encode()).hexdigest() == PRODUCT5_BRANCHING_CLASSES_SHA256
+    assert decision.related(root, stuttered)
 
 
 @pytest.mark.parametrize("k", sorted(PRODUCT_EXPORT))
@@ -109,4 +124,20 @@ def test_pts_and_a_corpus_run_without_bisim_rows_build_no_index(index_builds, tm
 def test_a_yes_query_builds_one_index(index_builds, capsys, kind):
     assert main(["bisim", str(CORPUS / "mixed_choice.pts"), "--kind", kind, "t0", "t0"]) == EXIT_OK
     assert capsys.readouterr().out.endswith(": YES\n")
+    assert len(index_builds) == 1
+
+
+@pytest.mark.parametrize("kind", bisim.KINDS)
+def test_a_no_query_builds_one_index(index_builds, capsys, kind):
+    # the witness's per-pair check reads the index the decision built
+    assert main(["bisim", str(CORPUS / "mixed_choice.pts"), "--kind", kind, "t2", "t3"]) == EXIT_NEGATIVE
+    assert capsys.readouterr().out.endswith(": NO\nwitness: unmatched challenge t2 --b-> {stop: 1}\n")
+    assert len(index_builds) == 1
+
+
+def test_a_corpus_run_builds_one_index_per_pts(index_builds, capsys, tmp_path):
+    # mixed_choice.pts asks about branching and pbranching pairs of one PTS
+    shutil.copy(CORPUS / "mixed_choice.pts", tmp_path)
+    assert main(["corpus-run", str(tmp_path)]) == EXIT_OK
+    assert "mixed_choice.pts" in capsys.readouterr().out
     assert len(index_builds) == 1

@@ -144,6 +144,17 @@ def test_stuttered_systems_agree_with_the_pair_fixpoint(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_benchmark_scale_stuttered_systems_agree_with_the_pair_fixpoint(kind):
+    # the bisim benchmark's `br` systems, |R| = 12 and 38 states, drawn as
+    # perfbench/workloads.py draws them; the pair fixpoint solves about 2,800
+    # LPs for pbranching on one, so that kind checks one system
+    for i in (1,) if kind == "pbranching" else range(2):
+        pts = stuttered_pts(12, random_pts(random.Random(f"bisim/br/{i}"), 12))
+        assert len(pts.states) == 38
+        _agree(kind, pts)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("den", [3, 6])
 def test_thirds_and_sixths_agree_with_the_pair_fixpoint(kind, den):
     # sixths mix the denominators 6, 3 and 2 within one system
