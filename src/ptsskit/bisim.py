@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lp
 from .distributions import Distribution
@@ -49,8 +49,6 @@ from .terms import Term
 # the relations `decide` answers for: branching, probabilistic branching and
 # rooted branching bisimulation
 KINDS = ("branching", "pbranching", "rooted")
-
-RelationLike = Union["StateRelation", Iterable[tuple[Term, Term]], Mapping[Term, set]]
 
 
 class StateRelation:
@@ -82,23 +80,12 @@ class StateRelation:
         return tuple(out)
 
 
-def _partners_map(rel: RelationLike) -> Mapping[Term, set]:
-    if isinstance(rel, StateRelation):
-        return rel._by_left
-    if isinstance(rel, Mapping):
-        return rel
-    table: dict[Term, set] = {}
-    for s, t in rel:
-        table.setdefault(s, set()).add(t)
-    return table
-
-
-def lift_check(relation: RelationLike, d1: Distribution, d2: Distribution) -> bool:
-    """Does a weight function exist with marginals d1/d2 supported on related
-    pairs?  Exact max-flow feasibility on the bipartite support graph."""
+def lift_check(partners: Mapping[Term, set], d1: Distribution, d2: Distribution) -> bool:
+    """Does a weight function exist with marginals d1/d2 supported on pairs
+    related by `partners`, each state's set of partners?  Exact max-flow
+    feasibility on the bipartite support graph."""
     if d1.total_mass != 1 or d2.total_mass != 1:
         raise ValueError("lifting is defined on full distributions")
-    table = _partners_map(relation)
     left = d1.support
     right = d2.support
     l_index = {t: 1 + i for i, t in enumerate(left)}
@@ -107,9 +94,9 @@ def lift_check(relation: RelationLike, d1: Distribution, d2: Distribution) -> bo
     edges: list[tuple[int, int, Fraction]] = []
     for t in left:
         edges.append((0, l_index[t], d1.get(t)))
-        partners = table.get(t, set())
+        related = partners.get(t, set())
         for u in right:
-            if u in partners:
+            if u in related:
                 edges.append((l_index[t], r_index[u], Fraction(1)))
     for u in right:
         edges.append((r_index[u], sink, d2.get(u)))
@@ -446,13 +433,11 @@ def _rooted_challenge(pts: PTS, bb: StateRelation, s: Term, t: Term) -> Optional
     return None
 
 
-def rooted_branching_bisim(pts: PTS, s: Term, t: Term, bb: Optional[StateRelation] = None) -> bool:
+def rooted_branching_bisim(pts: PTS, s: Term, t: Term, bb: StateRelation) -> bool:
     """Initial transitions must match strictly (equal labels, single steps)
-    with branching-bisimulation-lifted targets."""
+    with targets lifted by `bb`, the branching bisimulation of `pts`."""
     if not pts.has_state(s) or not pts.has_state(t):
         raise ValueError("both states must belong to the PTS")
-    if bb is None:
-        bb = branching_bisim(pts)
     return _rooted_challenge(pts, bb, s, t) is None
 
 
@@ -491,16 +476,14 @@ def decide(kind: str, pts: PTS) -> Decision:
 
 
 def distinguishing_challenge(
-    pts: PTS, kind: str, s: Term, t: Term, rel: Optional[StateRelation] = None
+    pts: PTS, kind: str, s: Term, t: Term, rel: StateRelation
 ) -> Optional[tuple[Term, PtsTransition]]:
     """A transition certifying s and t are not `kind`-related, if they are not.
 
-    `rel` is the relation `decide(kind, pts)` computes, and is computed when
-    not given.  The certificate is a challenge that fails the kind's own
-    per-pair check even when the queried pair is added to that relation.
+    `rel` is the relation `decide(kind, pts)` computes.  The certificate is a
+    challenge that fails the kind's own per-pair check even when the queried
+    pair is added to that relation.
     """
-    if rel is None:
-        rel = decide(kind, pts).relation
     if kind == "rooted":
         return _rooted_challenge(pts, rel, s, t)
     if rel.related(s, t):

@@ -107,9 +107,8 @@ def _positive(text: str) -> int:
 
 
 def _add_bound_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-depth", type=_positive, default=8)
-    sub.add_argument("--max-states", type=_positive, default=512)
-    sub.add_argument("--max-iterations", type=_positive, default=64)
+    for field, default in DomainBound._field_defaults.items():  # --max-depth, --max-states, --max-iterations
+        sub.add_argument(f"--{field.replace('_', '-')}", type=_positive, default=default)
 
 
 def _emit(text: str) -> None:

@@ -22,7 +22,6 @@ from .terms import (
     _STATE,
     StateVar,
     Term,
-    is_closed,
     render_term,
 )
 
@@ -167,13 +166,13 @@ def evaluate(theta: Term) -> Distribution:
 def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:
     """The value of `theta`, given the values of its arguments in `evaluate`."""
     if isinstance(theta, Dirac):
-        if not is_closed(theta.inner):
+        if not theta.inner.closed:
             raise EvalError(f"cannot evaluate open term {render_term(theta)}")
         return Distribution.dirac(theta.inner)
     if isinstance(theta, Convex):
         return convex_combine(zip(theta.weights, dists))
     origin = theta.symbol.origin
-    if any(s is _DIST and not is_closed(a) for a, s in zip(theta.args, origin.arg_sorts)):
+    if any(s is _DIST and not a.closed for a, s in zip(theta.args, origin.arg_sorts)):
         raise EvalError(f"cannot evaluate open term {render_term(theta)}")
     items: list[tuple[Term, Fraction]] = []
     for combo in product(*(d.items() for d in dists)):

@@ -36,8 +36,6 @@ from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, St
 
 class DomainBoundError(BoundError):
     def __init__(self, term: Term, reason: str):
-        self.term = term
-        self.reason = reason
         text = render_term(term)
         text = text if len(text) <= 200 else text[:200] + "..."
         super().__init__(f"{reason}: {text} (depth {term.depth})")
@@ -317,12 +315,12 @@ def _check_and_collect(term: Term, universe: set[Term], bound: DomainBound) -> N
         stack.extend(reversed(sub.kids))
 
 
-def _closed_universe(p: PTSS, bound: DomainBound, derived: Optional[_Derived] = None) -> list[Term]:
+def _closed_universe(p: PTSS, bound: DomainBound) -> tuple[list[Term], _Derived]:
     """The roots' domain in text order: closed under subterms and the support
-    of every target derived over it with every negative premise granted,
-    which is left in `derived`.  That derivation is monotone in the domain, so
-    each round extends it from the new terms and evaluates the new targets."""
-    derived = _Derived(_compile(p.rules)) if derived is None else derived
+    of every target derived over it with every negative premise granted; and
+    that derivation.  It is monotone in the domain, so each round extends it
+    from the new terms and evaluates the new targets."""
+    derived = _Derived(_compile(p.rules))
     universe: set[Term] = set()
     for root in bound.roots:
         if not root.closed or term_sort(root) is not _STATE:
@@ -338,7 +336,7 @@ def _closed_universe(p: PTSS, bound: DomainBound, derived: Optional[_Derived] = 
                 if s not in universe:
                     _check_and_collect(s, universe, bound)
         new = universe - old
-    return sorted(universe, key=render_term)
+    return sorted(universe, key=render_term), derived
 
 
 def stable_model(p: PTSS, bound: DomainBound) -> ThreeValuedModel:
@@ -346,8 +344,7 @@ def stable_model(p: PTSS, bound: DomainBound) -> ThreeValuedModel:
     domain generated by the roots (closed under rule targets and subterms).
     PT0 grants every negative premise, so it is the closure's derivation;
     without negative premises every step derives it again."""
-    closure = _Derived(_compile(p.rules))
-    universe = _closed_universe(p, bound, closure)
+    universe, closure = _closed_universe(p, bound)
     pt0 = frozenset(closure.all)
 
     def derive(holds: Callable, given: object) -> frozenset[SymbolicTransition]:  # holds(given) only if it derives
@@ -386,13 +383,13 @@ def reachable_pts(p: PTSS, bound: DomainBound) -> PTS:
         by_source.setdefault(tr.source, []).append(tr)
 
     states = set(bound.roots)
-    transitions: set[PtsTransition] = set()
+    transitions: list[PtsTransition] = []
     todo = list(states)
     while todo:
         s = todo.pop()
         for tr in by_source.get(s, ()):  # derived transitions from s
             pi = evaluate(tr.target)
-            transitions.add(PtsTransition(s, tr.label, pi))
+            transitions.append(PtsTransition(s, tr.label, pi))
             todo += [u for u in pi.support if u not in states]
             states.update(pi.support)
     return PTS(tuple(states), tuple(p.signature.actions), tuple(transitions))
@@ -515,7 +512,7 @@ def load_pts(text: str) -> PTS:
     labels: set[str] = set()
 
     def err(message: str, line_no: int) -> None:
-        diags.append(Diagnostic("error", message, line_no, 1))
+        diags.append(Diagnostic(message, line_no, 1))
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         m = _LINE.fullmatch(line)

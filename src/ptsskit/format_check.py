@@ -152,11 +152,11 @@ def _nesting_graph(p: PTSS, tables: list[Table]) -> NestingGraph:
     return NestingGraph(frozenset(vertices), frozenset(edges))
 
 
-def classify_wild(p: PTSS, graph: Optional[NestingGraph] = None) -> dict[Position, bool]:
+def classify_wild(p: PTSS) -> dict[Position, bool]:
     """Least fixpoint: seed with positions receiving premise-target variables,
     propagate along nesting-graph edges by a worklist."""
     tables = _tables(p)
-    graph = _nesting_graph(p, tables) if graph is None else graph
+    graph = _nesting_graph(p, tables)
     wild: set[Position] = set()
     for rule, table in zip(p.rules, tables):
         for _, _, tgt in rule.pos_premises:
@@ -324,7 +324,7 @@ def congruence_probe(
     pairs: list[tuple[Term, Term]],
     contexts: list[Term],
     bound: DomainBound,
-    kind: str = "rooted",
+    kind: str,
 ) -> list[ProbeViolation]:
     """Wrap each related pair in each context and re-check relatedness.
 

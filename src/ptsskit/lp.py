@@ -10,38 +10,25 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
-Row = Mapping[int, Union[int, Fraction]]  # column index -> nonzero coefficient
+Row = Mapping[int, int]  # column index -> nonzero coefficient
 
 
-def feasible(rows: Sequence[Row], rhs: Sequence[Union[int, Fraction]]) -> bool:
+def feasible(rows: Sequence[Row], rhs: Sequence[int]) -> bool:
     """Is there x >= 0 with A x = b?  Phase-1 simplex, Bland's rule.
 
-    Rows are sparse.  Pivoting is fraction-free (Edmonds 1967; Bareiss 1968):
-    a row with a `Fraction` is scaled to integers, an integer row is taken as
-    it is, and after every pivot all rows share the denominator `d`, the
-    previous pivot, by which the update divides exactly.
+    Rows are sparse, and rows and right-hand sides integer.  Pivoting is
+    fraction-free (Edmonds 1967; Bareiss 1968): after every pivot all rows
+    share the denominator `d`, the previous pivot, by which the update
+    divides exactly.
     The artificial columns are never stored: they may not re-enter, so only
     their basis indices (after every structural column) are kept, for the
     tie-break.  The last row is the phase-1 objective, the sum of the rows.
     Before pivoting, variables forced to zero and the rows left empty go.
     """
-    tab: list[dict[int, int]] = []
-    b: list[int] = []
-    for row, r in zip(rows, rhs):
-        if type(r) is int and all(type(v) is int for v in row.values()):
-            tab.append(row if r >= 0 else {j: -v for j, v in row.items()})
-            b.append(abs(r))
-            continue
-        scale = r.denominator
-        for v in row.values():
-            if scale % v.denominator:
-                scale *= v.denominator
-        if r.numerator < 0:
-            scale = -scale
-        tab.append({j: v.numerator * scale // v.denominator for j, v in row.items() if v})
-        b.append(r.numerator * scale // r.denominator)
+    tab = [row if r >= 0 else {j: -v for j, v in row.items()} for row, r in zip(rows, rhs)]
+    b = [abs(r) for r in rhs]
     while True:  # as x >= 0, a row = 0 with one coefficient sign forces its variables to 0
         forced = {j for row, r in zip(tab, b) if not r and row
                   and (min(row.values()) > 0 or max(row.values()) < 0) for j in row}

@@ -54,13 +54,14 @@ META = "<A>"
 
 
 class Diagnostic(NamedTuple):
-    severity: str
+    """An error in the input, at its line and column."""
+
     message: str
     line: int
     col: int
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.col}: error: {self.message}"
 
 
 class ParseFailure(PtssError):
@@ -114,9 +115,8 @@ def _text(tok: str) -> str:
     return tok[2:-2] if tok[:2] in ("--", "-/") else tok
 
 
-def _lex_line(text: str, line_no: int, diags: list[Diagnostic], pos: int = 0, end: Optional[int] = None) -> list[str]:
+def _lex_line(text: str, line_no: int, diags: list[Diagnostic], pos: int, end: int) -> list[str]:
     """The token strings of text[pos:end]; each stray character adds a diagnostic."""
-    end = len(text) if end is None else end
     tokens = _TOKEN_RE.findall(text, pos, end)
     stop = text.find("#", pos, end)  # a comment runs to the end, unless a newline ends it
     if stop < 0 or text.find("\n", stop, end) < 0:
@@ -129,7 +129,7 @@ def _lex_line(text: str, line_no: int, diags: list[Diagnostic], pos: int = 0, en
     tokens = []
     for m in (*_TOKEN_RE.finditer(text, pos, end), None):
         stop = end if m is None else m.start()
-        diags.extend(Diagnostic("error", f"unexpected character {c!r}", line_no, j + 1)
+        diags.extend(Diagnostic(f"unexpected character {c!r}", line_no, j + 1)
                      for j, c in enumerate(text[pos:stop], pos) if c not in " \t")
         if m is not None:
             if m[0][0] != "#":
@@ -199,7 +199,7 @@ class _Cursor:
         return end
 
     def error(self, message: str, k: Optional[int] = None) -> None:
-        self.diags.append(Diagnostic("error", message, self.line, self.col(self.i if k is None else k)))
+        self.diags.append(Diagnostic(message, self.line, self.col(self.i if k is None else k)))
 
     def fail(self, message: str, k: Optional[int] = None) -> NoReturn:
         self.error(message, k)
@@ -464,7 +464,7 @@ class _Cursor:
         for part in parts:
             if type(part) is str:
                 if part not in self.prefixes:
-                    found.append(Diagnostic("error", f"unknown action {part}", self.line, 1))
+                    found.append(Diagnostic(f"unknown action {part}", self.line, 1))
                 continue
             for what, sort, k in part:
                 if sort is None:
@@ -474,7 +474,7 @@ class _Cursor:
                     if seen is sort:
                         continue
                     message = f"variable {what} used at sorts {seen.value} and {sort.value}"
-                found.append(Diagnostic("error", message, self.line, self.col(k)))
+                found.append(Diagnostic(message, self.line, self.col(k)))
                 break
         return found
 
@@ -506,7 +506,7 @@ def _rule_line(cur: _Cursor, rules: list[Rule], names: set[str]) -> list[Diagnos
             label = action if label == META else label
             parts = [action if part == META else part for part in parts]
         if name in names:
-            new = [Diagnostic("error", f"duplicate rule name {name}", cur.line, 1)]
+            new = [Diagnostic(f"duplicate rule name {name}", cur.line, 1)]
         else:
             new = cur.settle(parts)
             if not new:
@@ -532,7 +532,7 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
 
     def signature() -> Signature:
         sig = build_signature(actions, user_ops, prefix_family)
-        diags.extend(Diagnostic("error", msg, 1, 1) for msg in validate_signature(sig))
+        diags.extend(Diagnostic(msg, 1, 1) for msg in validate_signature(sig))
         return sig
 
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -614,9 +614,9 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
     if sig is None:
         sig = signature()
     if name is None:
-        diags.append(Diagnostic("error", "missing 'ptss <name>' declaration", 1, 1))
+        diags.append(Diagnostic("missing 'ptss <name>' declaration", 1, 1))
     diags += late
-    if any(d.severity == "error" for d in diags):
+    if diags:
         return None, diags
     assert name is not None
     return PTSS(name, sig, tuple(rules)), diags
@@ -625,7 +625,7 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
 def parse_spec(text: str) -> PTSS:
     spec, diags = try_parse_spec(text)
     if spec is None:
-        raise ParseFailure([d for d in diags if d.severity == "error"])
+        raise ParseFailure(diags)
     return spec
 
 
@@ -668,7 +668,7 @@ def read_weight(text: str, line_no: int, diags: list[Diagnostic], pos: int, end:
     cur = _Cursor(text, line_no, diags, pos, end)
     if not cur.toks[0]:  # nothing to point at but the end of the span
         if len(diags) == seen:
-            diags.append(Diagnostic("error", "expected a probability", line_no, end + 1))
+            diags.append(Diagnostic("expected a probability", line_no, end + 1))
         return None
     try:
         cur.weight()

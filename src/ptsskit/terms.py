@@ -208,7 +208,7 @@ class Apply(_Node):
     _table: ClassVar[dict] = {}
     args = _Node.kids  # the kids slot, read under its own name
 
-    def __new__(cls, symbol: FunctionSymbol, args: tuple["Term", ...] = ()) -> "Apply":
+    def __new__(cls, symbol: FunctionSymbol, args: tuple["Term", ...]) -> "Apply":
         key = (symbol, tuple(args))
         node = cls._table.get(key, _dead)()
         if node is not None:
@@ -343,10 +343,6 @@ def variables(t: Term) -> set[str]:
     return out
 
 
-def is_closed(t: Term) -> bool:
-    return t.closed
-
-
 def substitute(rho: Substitution, t: Term) -> Term:
     """Replace variable occurrences; unmapped variables stay.  Sort-checked.
 
@@ -426,22 +422,22 @@ class Signature(_Record):
 
     `actions` keeps declaration order (rendering is order-preserving); `tau`
     must be among them.  `dist_ops` is built here, one `lift_symbol(f)` per
-    state operator, so every state operator has exactly one lifting.
-    `has_prefix_family` records that the per-action prefix operators came from
-    a single `pre<A>` family declaration.  `_names` holds the operator of each
-    name, state or lifted, and `_prefixes` each action's prefix operator, or
-    None; the parser reads both.
+    state operator, so every state operator has exactly one lifting.  An
+    action's prefix operator, `a.`, is among `state_ops` exactly when the
+    `pre<A>` family was declared.  `_names` holds the operator of each name,
+    state or lifted, and `_prefixes` each action's prefix operator, or None;
+    the parser reads both.
     """
 
-    __slots__ = ("actions", "state_ops", "has_prefix_family", "dist_ops", "_by_name", "_names", "_prefixes")
-    _fields = __slots__[:3]
+    __slots__ = ("actions", "state_ops", "dist_ops", "_by_name", "_names", "_prefixes")
+    _fields = __slots__[:2]
 
-    def __init__(self, actions: tuple[str, ...], state_ops: tuple[FunctionSymbol, ...], has_prefix_family=False) -> None:
+    def __init__(self, actions: tuple[str, ...], state_ops: tuple[FunctionSymbol, ...]) -> None:
         # the first operator of a name wins; validate_signature reports the rest
         dist_ops = tuple(map(lift_symbol, state_ops))
         state, dist = ({f.name: f for f in reversed(ops)} for ops in (state_ops, dist_ops))
         prefixes = {a: state.get(f"{a}.") for a in actions}
-        self._init(actions, state_ops, has_prefix_family, dist_ops, (state, dist), {**dist, **state}, prefixes)
+        self._init(actions, state_ops, dist_ops, (state, dist), {**dist, **state}, prefixes)
 
     def state_op(self, name: str) -> Optional[FunctionSymbol]:
         return self._by_name[0].get(name)
@@ -455,20 +451,17 @@ class Signature(_Record):
             raise KeyError(f"no lifting declared for {f.name}")
         return g
 
-    def prefix(self, action: str) -> Optional[FunctionSymbol]:
-        return self.state_op(f"{action}.")
-
 
 def build_signature(
     actions: list[str] | tuple[str, ...],
     state_ops: list[FunctionSymbol],
-    prefix_family: bool = False,
+    prefix_family: bool,
 ) -> Signature:
     """Assemble a signature, generating prefix operators per action when asked."""
     ops = list(state_ops)
     if prefix_family:
         ops.extend(prefix_symbol(a) for a in actions)
-    return Signature(actions=tuple(actions), state_ops=tuple(ops), has_prefix_family=prefix_family)
+    return Signature(tuple(actions), tuple(ops))
 
 
 def validate_signature(sig: Signature) -> list[str]:

@@ -22,7 +22,7 @@ from ptsskit.engine import (
     _check_and_collect,
 )
 from ptsskit.parser import PTSS, Rule
-from ptsskit.terms import Sort, Term, is_closed, match, render_term, substitute, term_sort
+from ptsskit.terms import Sort, Term, match, render_term, substitute, term_sort
 
 
 def solve_positives(
@@ -68,7 +68,7 @@ def rule_instances(
             ok = True
             for nsrc, nlabel in rule.neg_premises:
                 inst = substitute(rho, nsrc)
-                if not is_closed(inst):
+                if not inst.closed:
                     raise RuleInstantiationError(
                         f"rule {rule.name}: negative premise source {render_term(inst)} "
                         f"has unbound variables"
@@ -79,7 +79,7 @@ def rule_instances(
             if not ok:
                 continue
             target = substitute(rho, rule.target)
-            if not is_closed(target):
+            if not target.closed:
                 raise RuleInstantiationError(
                     f"rule {rule.name}: conclusion target {render_term(target)} "
                     f"has unbound variables"
@@ -128,7 +128,7 @@ def holds_against(trs: frozenset[SymbolicTransition]) -> Callable[[Term, str], b
 def closed_universe(p: PTSS, bound: DomainBound) -> list[Term]:
     universe: set[Term] = set()
     for root in bound.roots:
-        if not is_closed(root) or term_sort(root) is not Sort.STATE:
+        if not root.closed or term_sort(root) is not Sort.STATE:
             raise ValueError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
     while True:

@@ -58,7 +58,7 @@ class _Cursor:
     def error(self, message: str, tok: Optional[Token] = None) -> None:
         tok = tok or self.peek()
         col = tok.col if tok else (self.tokens[-1].col + len(self.tokens[-1].text) if self.tokens else 1)
-        self.diags.append(Diagnostic("error", message, self.line, col))
+        self.diags.append(Diagnostic(message, self.line, col))
 
     def expect(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         tok = self.peek()
@@ -118,7 +118,7 @@ def lex_line(text: str, line_no: int, diags: list, pos: int = 0, end: Optional[i
     while pos < end:
         m = _TOKEN_RE.match(text, pos, end)
         if m is None:
-            diags.append(Diagnostic("error", f"unexpected character {text[pos]!r}", line_no, pos + 1))
+            diags.append(Diagnostic(f"unexpected character {text[pos]!r}", line_no, pos + 1))
             pos += 1
             continue
         kind = m.lastgroup
@@ -136,7 +136,7 @@ def read_weight(text: str, line_no: int, diags: list, pos: int, end: int) -> Opt
     tokens = lex_line(text, line_no, diags, pos, end)
     if not tokens:
         if len(diags) == seen:
-            diags.append(Diagnostic("error", "expected a probability", line_no, end + 1))
+            diags.append(Diagnostic("expected a probability", line_no, end + 1))
         return None
     cur = _Cursor(tokens, line_no, diags)
     weight = _parse_weight(cur)
@@ -193,7 +193,7 @@ def _split_balanced(text: str, sep: str, pos: int, end: int) -> list[tuple[int, 
 
 def _read_distribution(code: str, line_no: int, states: dict, diags: list) -> Optional[Distribution]:
     def err(message: str) -> None:
-        diags.append(Diagnostic("error", message, line_no, 1))
+        diags.append(Diagnostic(message, line_no, 1))
 
     items: list[tuple[Term, Fraction]] = []
     for start, stop in _split_balanced(code, ",", dist_brace(code) + 1, code.rindex("}")):
@@ -249,7 +249,7 @@ def load_pts(text: str) -> ReferencePts:
     labels: set[str] = set()
 
     def err(message: str, line_no: int) -> None:
-        diags.append(Diagnostic("error", message, line_no, 1))
+        diags.append(Diagnostic(message, line_no, 1))
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

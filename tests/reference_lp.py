@@ -2,11 +2,13 @@
 the test oracle for it.
 
 It pivots a full `Fraction` tableau with m artificial columns under Bland's
-rule.  Rows are dense coefficient lists.
+rule.  Rows are dense coefficient lists.  `integral` scales rational sparse
+rows to the integer ones the library's `feasible` takes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -65,6 +67,18 @@ def feasible(rows: Sequence[Row], rhs: Sequence[Fraction]) -> bool:
         factor = z[enter]
         z = [a - factor * b for a, b in zip(z, tab[leave])]
         basis[leave] = enter
+
+
+def integral(rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]) -> tuple[list[dict[int, int]], list[int]]:
+    """Rational sparse rows and right-hand sides as the integer ones
+    `ptsskit.lp.feasible` takes: each row and its right-hand side times the
+    least common multiple of their denominators, without zero coefficients."""
+    out_rows, out_rhs = [], []
+    for row, r in zip(rows, rhs):
+        scale = math.lcm(Fraction(r).denominator, *(Fraction(v).denominator for v in row.values()))
+        out_rows.append({j: int(v * scale) for j, v in row.items() if v})
+        out_rhs.append(int(r * scale))
+    return out_rows, out_rhs
 
 
 def dense(rows: Sequence[Mapping[int, Fraction]]) -> list[list[Fraction]]:

@@ -219,7 +219,7 @@ class _Resolver:
         self.var_sorts: dict[str, Sort] = {}
 
     def error(self, message: str, raw: _Raw) -> None:
-        self.diags.append(Diagnostic("error", message, raw.line, raw.col))
+        self.diags.append(Diagnostic(message, raw.line, raw.col))
 
     def _check_result(self, raw: _Raw, got: Sort, expected: Optional[Sort]) -> bool:
         if expected is not None and got is not expected:
@@ -285,7 +285,7 @@ class _Resolver:
             if raw.action not in self.sig.actions:
                 self.error(f"unknown action {raw.action}", raw)
                 return None
-            f = self.sig.prefix(raw.action)
+            f = self.sig.state_op(f"{raw.action}.")
             if f is None:
                 self.error(f"no prefix operator declared (missing 'op pre<A> : d -> s')", raw)
                 return None
@@ -416,7 +416,7 @@ def _resolve_rule(raw: _RawRule, name: str, sig: Signature, diags: list[Diagnost
 
     def check_label(label: str, line: int) -> bool:
         if label not in sig.actions:
-            diags.append(Diagnostic("error", f"unknown action {label}", line, 1))
+            diags.append(Diagnostic(f"unknown action {label}", line, 1))
             return False
         return True
 
@@ -456,7 +456,7 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
         if sig is None:
             sig = build_signature(actions, user_ops, prefix_family)
             for msg in validate_signature(sig):
-                diags.append(Diagnostic("error", msg, 1, 1))
+                diags.append(Diagnostic(msg, 1, 1))
         return sig
 
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -560,7 +560,7 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
 
     signature = ensure_signature()
     if name is None:
-        diags.append(Diagnostic("error", "missing 'ptss <name>' declaration", 1, 1))
+        diags.append(Diagnostic("missing 'ptss <name>' declaration", 1, 1))
 
     rules: list[Rule] = []
     seen_rule_names: set[str] = set()
@@ -585,14 +585,14 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
             instances = [(raw.name, raw)]
         for inst_name, inst in instances:
             if inst_name in seen_rule_names:
-                diags.append(Diagnostic("error", f"duplicate rule name {inst_name}", inst.line, 1))
+                diags.append(Diagnostic(f"duplicate rule name {inst_name}", inst.line, 1))
                 continue
             rule = _resolve_rule(inst, inst_name, signature, diags)
             if rule is not None:
                 rules.append(rule)
                 seen_rule_names.add(inst_name)
 
-    if any(d.severity == "error" for d in diags):
+    if diags:
         return None, diags
     assert name is not None
     return PTSS(name, signature, tuple(rules)), diags
@@ -601,7 +601,7 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
 def parse_spec(text: str) -> PTSS:
     spec, diags = try_parse_spec(text)
     if spec is None:
-        raise ParseFailure([d for d in diags if d.severity == "error"])
+        raise ParseFailure(diags)
     return spec
 
 

@@ -8,7 +8,8 @@ through `lift_check`'s exact max-flow, and the pbranching check solves one LP
 with a `w` variable per related pair; rooted pairs lift by max-flow as well.
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
 with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
-either kind of relation.
+either kind of relation, and `partner_map(rel)` gives either, or a pair set,
+as the partner map `lift_check` takes.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ class PairRelation:
 def pairs(rel) -> frozenset[tuple[Term, Term]]:
     """Every related pair of a `StateRelation` or `PairRelation`, n² of them for one block."""
     return frozenset((s, t) for s in rel.states for t in rel.partners(s))
+
+
+def partner_map(rel) -> dict[Term, set[Term]]:
+    """Each state's set of partners, the form `lift_check` takes, of a set of
+    pairs or of a `StateRelation` or `PairRelation`."""
+    if hasattr(rel, "partners"):
+        return {s: set(rel.partners(s)) for s in rel.states}
+    return PairRelation((), rel).table
 
 
 def is_equivalence(rel) -> bool:

@@ -53,7 +53,7 @@ def render_spec(spec: PTSS) -> str:
         sorts = " ".join(s.value for s in f.arg_sorts)
         sorts = f"{sorts} " if sorts else ""
         lines.append(f"op {f.name} : {sorts}-> {f.result_sort.value}")
-    if spec.signature.has_prefix_family:
+    if any(f.prefix_action is not None for f in spec.signature.state_ops):  # the family was declared
         lines.append("op pre<A> : d -> s")
     lines.extend(render_rule(r) for r in spec.rules)
     return "\n".join(lines) + "\n"

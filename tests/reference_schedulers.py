@@ -28,6 +28,7 @@ from ptsskit.distributions import Distribution
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.errors import BoundError
 from ptsskit.terms import Term, render_term
+from tests import reference_lp
 from tests.reference_refine import PairRelation
 
 
@@ -180,7 +181,7 @@ def weak_combined_reachable(
     rhs = [scale if u == ix.num[s] else 0 for u in range(n)] + [0] * (len(rows) - n)
     for u, p in target.items():  # the target is met in the rows of the last phase
         rhs[len(rows) - n + ix.num[u]] -= scale * p
-    return lp.feasible(rows, rhs)
+    return lp.feasible(*reference_lp.integral(rows, rhs))  # a target's weights need not divide `scale`
 
 
 # ---------------------------------------------------------------------------

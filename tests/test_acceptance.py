@@ -24,7 +24,7 @@ from ptsskit.format_check import check_format, congruence_probe, plug
 from ptsskit.parser import parse_spec, parse_term
 from tests.conftest import CORPUS
 from tests.genspecs import random_format_safe_spec, random_negative_free_spec, shallow_contexts
-from tests.reference_refine import pairs
+from tests.reference_refine import pairs, partner_map
 from tests.reference_schedulers import EPSILON, branching_bisim_scheduler_oracle, weak_combined_reachable
 
 S_TEXT = "a.delta(b.delta(0))"
@@ -121,7 +121,7 @@ def test_criterion_5_tau_tree():
             assert bb.related(u, v)
     taus = [tr for tr in pts.transitions if tr.label == "tau"]
     for tr in taus:
-        assert lift_check(bb, Distribution.dirac(tr.source), tr.target)
+        assert lift_check(partner_map(bb), Distribution.dirac(tr.source), tr.target)
     report(5, "t1..t4 all related; every depicted tau-transition is branching preserving")
 
 
@@ -218,8 +218,8 @@ def test_criterion_7_counterexample_battery():
             sig,
         )
     )
-    assert lift_check(rel, gbb, gcc)
-    assert not lift_check(rel, gbb, mixed)
+    assert lift_check(partner_map(rel), gbb, gcc)
+    assert not lift_check(partner_map(rel), gbb, mixed)
     report(7, "all six counterexample specs behave exactly as documented")
 
 
@@ -248,10 +248,10 @@ def test_criterion_8a_lifting_preserves_properties():
         d3 = _random_dist(rng, names, den)
         base = {(a, b) for a in states for b in states if rng.random() < 0.4}
         refl = base | {(a, a) for a in states}
-        assert lift_check(refl, d1, d1)
+        assert lift_check(partner_map(refl), d1, d1)
         sym = base | {(b, a) for a, b in base}
-        if lift_check(sym, d1, d2):
-            assert lift_check(sym, d2, d1)
+        if lift_check(partner_map(sym), d1, d2):
+            assert lift_check(partner_map(sym), d2, d1)
         closed = set(sym)
         changed = True
         while changed:
@@ -261,6 +261,7 @@ def test_criterion_8a_lifting_preserves_properties():
                     if b == c and (a, d) not in closed:
                         closed.add((a, d))
                         changed = True
+        closed = partner_map(closed)
         if lift_check(closed, d1, d2) and lift_check(closed, d2, d3):
             assert lift_check(closed, d1, d3)
     report("8a", "200 random cases: lifting preserves reflexivity/symmetry/transitivity")
@@ -305,7 +306,7 @@ def test_criterion_8b_lift_check_vs_bruteforce():
             for r in ("r1", "r2", "r3")
             if rng.random() < 0.5
         }
-        assert lift_check(pairs, d1, d2) == _lift_bruteforce(pairs, d1, d2, den)
+        assert lift_check(partner_map(pairs), d1, d2) == _lift_bruteforce(pairs, d1, d2, den)
     report("8b", "200 random cases: max-flow lifting = weight-function enumeration")
 
 

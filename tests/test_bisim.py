@@ -6,6 +6,7 @@ import pytest
 
 from ptsskit.bisim import (
     branching_bisim,
+    decide,
     distinguishing_challenge,
     lift_check,
     prob_branching_bisim,
@@ -15,7 +16,7 @@ from ptsskit.distributions import Distribution
 from ptsskit.engine import DomainBound, load_pts, opaque_state, reachable_pts
 from ptsskit.parser import parse_term
 from tests.conftest import CORPUS
-from tests.reference_refine import is_equivalence, pairs
+from tests.reference_refine import is_equivalence, pairs, partner_map
 from tests.reference_schedulers import (
     EPSILON,
     Scheduler,
@@ -56,23 +57,23 @@ def dist(*pairs):
 def test_lift_identity(wtrans):
     d = dist(("s1", "1/2"), ("s6", "1/2"))
     ident = {(s, s) for s in d.support}
-    assert lift_check(ident, d, d)
+    assert lift_check(partner_map(ident), d, d)
 
 
 def test_lift_dirac_pair():
-    assert lift_check({(S("s"), S("t"))}, dist(("s", 1)), dist(("t", 1)))
+    assert lift_check({S("s"): {S("t")}}, dist(("s", 1)), dist(("t", 1)))
 
 
 def test_lift_mass_with_nowhere_to_go():
     d1 = dist(("s", "1/2"), ("u", "1/2"))
     d2 = dist(("t", 1))
-    assert not lift_check({(S("s"), S("t"))}, d1, d2)
+    assert not lift_check({S("s"): {S("t")}}, d1, d2)
 
 
 def test_lift_rejects_subdistribution():
     half = Distribution([(S("s"), Fraction(1, 2))])
     with pytest.raises(ValueError):
-        lift_check(set(), half, half)
+        lift_check({}, half, half)
 
 
 def _lift_bruteforce(pairs, d1, d2, denominator):
@@ -141,7 +142,7 @@ def test_lift_matches_bruteforce_enumeration():
             for r in names_r
             if rng.random() < 0.5
         }
-        fast = lift_check(pairs, d1, d2)
+        fast = lift_check(partner_map(pairs), d1, d2)
         slow = _lift_bruteforce(pairs, d1, d2, den)
         assert fast == slow
         agree += 1
@@ -160,11 +161,11 @@ def test_lift_preserves_relation_properties():
         base = {(a, b) for a in states for b in states if rng.random() < 0.4}
         # reflexivity
         refl = base | {(a, a) for a in states}
-        assert lift_check(refl, d1, d1)
+        assert lift_check(partner_map(refl), d1, d1)
         # symmetry
         sym = base | {(b, a) for a, b in base}
-        if lift_check(sym, d1, d2):
-            assert lift_check(sym, d2, d1)
+        if lift_check(partner_map(sym), d1, d2):
+            assert lift_check(partner_map(sym), d2, d1)
         # transitivity: close the relation, then check composition
         trans = dict.fromkeys(states)
         closed = set(sym)
@@ -176,6 +177,7 @@ def test_lift_preserves_relation_properties():
                     if b == c and (a, d) not in closed:
                         closed.add((a, d))
                         changed = True
+        closed = partner_map(closed)
         if lift_check(closed, d1, d2) and lift_check(closed, d2, d3):
             assert lift_check(closed, d1, d3)
         assert trans is not None
@@ -324,7 +326,7 @@ def test_tau_tree_transitions_branching_preserving(tautree):
     rel = branching_bisim(tautree)
     taus = [tr for tr in tautree.transitions if tr.label == "tau"]
     for tr in taus:
-        assert lift_check(rel, Distribution.dirac(tr.source), tr.target)
+        assert lift_check(partner_map(rel), Distribution.dirac(tr.source), tr.target)
 
 
 def test_tau_tree_stop_not_related_to_live_states(tautree):
@@ -370,7 +372,7 @@ def test_branching_is_greatest_fixpoint(mixed):
         if not rel.related(s, t)
     ]
     for s, t in removed:
-        assert distinguishing_challenge(mixed, "branching", s, t) is not None
+        assert distinguishing_challenge(mixed, "branching", s, t, rel) is not None
 
 
 def test_oracle_agrees_on_corpus_automata(wtrans, mixed, tautree):
@@ -393,21 +395,21 @@ def test_rooted_running_example(running, sig):
     s = parse_term("a.delta(b.delta(0))", sig)
     t = parse_term("a.delta(tau.delta(b.delta(0)))", sig)
     pts = reachable_pts(running, DomainBound((s, t)))
-    assert rooted_branching_bisim(pts, s, t)
+    assert rooted_branching_bisim(pts, s, t, branching_bisim(pts))
 
 
 def test_rooted_rejects_label_mismatch(running, sig):
     s = parse_term("b.delta(0)", sig)
     t = parse_term("tau.delta(b.delta(0))", sig)
     pts = reachable_pts(running, DomainBound((s, t)))
-    assert not rooted_branching_bisim(pts, s, t)
-    # but they are branching bisimilar
     rel = branching_bisim(pts)
+    assert not rooted_branching_bisim(pts, s, t, rel)
+    # but they are branching bisimilar
     assert rel.related(s, t)
 
 
 def test_rooted_reflexive(mixed):
-    assert rooted_branching_bisim(mixed, S("t1"), S("t1"))
+    assert rooted_branching_bisim(mixed, S("t1"), S("t1"), branching_bisim(mixed))
 
 
 def test_rooted_contained_in_branching(running, sig):
@@ -420,8 +422,26 @@ def test_rooted_contained_in_branching(running, sig):
         s = parse_term(left, sig)
         t = parse_term(right, sig)
         pts = reachable_pts(running, DomainBound((s, t)))
-        if rooted_branching_bisim(pts, s, t):
+        if rooted_branching_bisim(pts, s, t, branching_bisim(pts)):
             assert branching_bisim(pts).related(s, t)
+
+
+def test_rooted_lifts_initial_steps_against_branching_bisimulation():
+    """Pins the rooted reading that ROADMAP item 10 ("Rooted bisimulation")
+    leaves open: x and y each take one c-step, to t1 and to u1, which
+    pbranching relates and branching does not.  Rooted lifts the c-steps
+    against branching bisimulation, so it answers NO.  Lifting them against
+    the pbranching relation instead would make this test fail, as it should."""
+    extra = "state x\nstate y\ntrans x --c-> { t1: 1 }\ntrans y --c-> { u1: 1 }\n"
+    pts = load_pts((CORPUS / "mixed_choice.pts").read_text() + extra)
+    x, y = S("x"), S("y")
+    pb = decide("pbranching", pts)
+    assert pb.related(S("t1"), S("u1")) and pb.related(x, y)
+    assert not decide("branching", pts).related(S("t1"), S("u1"))
+    rooted = decide("rooted", pts)
+    assert not rooted.related(x, y)
+    state, challenge = rooted.witness(x, y)
+    assert state == x and repr(challenge) == "x --c-> {t1: 1}"
 
 
 def test_wtrans_pi0_mass_is_one(wtrans):

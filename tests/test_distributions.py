@@ -138,7 +138,7 @@ def test_eval_total_mass_one_randomized(sig, t):
             return rng.choice(leaves)
         kind = rng.randrange(3)
         if kind == 0:
-            return Apply(sig.lifted(sig.prefix(rng.choice(sig.actions))), (rand_dist(depth - 1),))
+            return Apply(sig.lifted(sig.state_op(f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
         if kind == 1:
             return Apply(sig.lifted(sig.state_op("+")), (rand_dist(depth - 1), rand_dist(depth - 1)))
         return rng.choice(leaves)

@@ -19,7 +19,7 @@ from ptsskit.engine import (
     stable_model,
 )
 from ptsskit.parser import parse_spec, parse_term
-from ptsskit.terms import Apply, Convex, Dirac, is_closed, substitute
+from ptsskit.terms import Apply, Convex, Dirac, substitute
 from tests import reference_engine as reference
 from tests.conftest import RUNNING_SPEC
 from tests.genspecs import LEAF_TERMS, random_format_safe_spec, random_grouped_spec, random_negative_free_spec
@@ -141,7 +141,7 @@ def test_finished_nodes_refuse_writes_and_copies_stay_interned(sig):
 
 
 def test_deep_terms_answer_hash_depth_and_closedness_without_recursion(sig):
-    zero, pre_a = parse_term("0", sig), sig.prefix("a")
+    zero, pre_a = parse_term("0", sig), sig.state_op("a.")
     term = zero
     for _ in range(5000):
         term = Apply(pre_a, (Dirac(term),))
@@ -150,7 +150,7 @@ def test_deep_terms_answer_hash_depth_and_closedness_without_recursion(sig):
         rebuilt = Apply(pre_a, (Dirac(rebuilt),))
     assert rebuilt is term and rebuilt == term and hash(rebuilt) == hash(term)
     assert term.depth == 10001
-    assert is_closed(term)
+    assert term.closed
 
 
 def _interned_count() -> int:

@@ -18,6 +18,7 @@ from ptsskit.format_check import (
 )
 from ptsskit.parser import parse_spec, parse_term
 from tests.conftest import CORPUS
+from tests.reference_refine import partner_map
 
 
 def load(name):
@@ -63,7 +64,7 @@ def test_running_nesting_graph_empty(running):
 def test_cx2_edges_and_wildness(cx2):
     graph = build_nesting_graph(cx2)
     assert (("f", 1), ("g", 1)) in graph.edges
-    wild = classify_wild(cx2, graph)
+    wild = classify_wild(cx2)
     assert wild[("g", 2)] is True
     assert wild[("g", 1)] is False
     assert wild[("f", 1)] is False
@@ -79,7 +80,7 @@ def test_cx235_inherited_wildness(cx235):
     graph = build_nesting_graph(cx235)
     assert (("g", 2), ("h", 1)) in graph.edges
     assert (("g", 1), ("h", 2)) in graph.edges
-    wild = classify_wild(cx235, graph)
+    wild = classify_wild(cx235)
     assert wild[("h", 1)]  # inherited from g.2
     assert not wild[("h", 2)]
 
@@ -87,7 +88,7 @@ def test_cx235_inherited_wildness(cx235):
 def test_wildness_is_least_fixpoint(cx235):
     # dropping any wild mark breaks a seeding or propagation clause
     graph = build_nesting_graph(cx235)
-    wild = classify_wild(cx235, graph)
+    wild = classify_wild(cx235)
     wild_set = {pos for pos, w in wild.items() if w}
     seeds = set()
     from ptsskit.format_check import _above, _occurrences
@@ -304,9 +305,10 @@ def test_probe_final_pb_mixed_target_analysis(final_pb):
             sig,
         )
     )
-    assert lift_check(rel, gbb, gcc)
-    assert not lift_check(rel, gbb, mixed)
-    assert not lift_check(rel, gcc, mixed)
+    partners = partner_map(rel)
+    assert lift_check(partners, gbb, gcc)
+    assert not lift_check(partners, gbb, mixed)
+    assert not lift_check(partners, gcc, mixed)
     assert not rel.related(ft1, ft2)
 
 

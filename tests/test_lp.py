@@ -8,9 +8,9 @@ F = Fraction
 
 
 def solve(rows, rhs):
-    """`feasible` on the sparse form of the dense `rows`, checked against the
-    dense reference simplex."""
-    got = feasible([{j: v for j, v in enumerate(row) if v} for row in rows], rhs)
+    """`feasible` on the sparse integer form of the dense `rows`, checked
+    against the dense reference simplex."""
+    got = feasible(*reference_lp.integral([dict(enumerate(row)) for row in rows], rhs))
     assert got == reference_lp.feasible(rows, rhs)
     return got
 

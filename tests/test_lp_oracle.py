@@ -36,10 +36,11 @@ def sparse(rows):
 
 
 def agree(rows, rhs):
-    """The sparse answer equals the dense one; the input rows are untouched."""
-    sp = sparse(rows)
+    """The sparse answer, on the rows scaled to integers, equals the dense
+    one; the input rows are untouched."""
+    sp, b = reference_lp.integral(sparse(rows), rhs)
     copy = [dict(row) for row in sp]
-    got = lp.feasible(sp, rhs)
+    got = lp.feasible(sp, b)
     assert sp == copy
     assert got == reference_lp.feasible(rows, rhs)
     return got

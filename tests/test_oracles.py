@@ -63,7 +63,7 @@ def test_eval_agrees_with_pointwise_oracle(sig):
             return rng.choice(leaves)
         kind = rng.randrange(4)
         if kind == 0:
-            return Apply(sig.lifted(sig.prefix(rng.choice(sig.actions))), (rand_dist(depth - 1),))
+            return Apply(sig.lifted(sig.state_op(f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
         if kind == 1:
             return Apply(sig.lifted(plus), (rand_dist(depth - 1), rand_dist(depth - 1)))
         if kind == 2:
@@ -171,7 +171,7 @@ def test_stable_model_agrees_with_proof_enumeration(name, root_texts):
     assert model.converged
 
     # same finite domain for both; only the proof search is independent
-    universe = _closed_universe(spec, bound)
+    universe, _ = _closed_universe(spec, bound)
     assert len(universe) <= 30
     ct, pt = oracle_stable_model(spec, universe)
     assert {(t.source, t.label, t.target) for t in model.ct} == ct, name

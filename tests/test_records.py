@@ -66,17 +66,16 @@ def test_a_function_symbol_hashes_by_name_and_is_equal_on_every_field():
 
 def test_a_signature_is_compared_by_what_it_is_built_from(running):
     sig = running.signature
-    same = Signature(sig.actions, sig.state_ops, sig.has_prefix_family)
+    same = Signature(sig.actions, sig.state_ops)
     assert same == sig and not same != sig and same is not sig
-    assert hash(same) == hash(sig) == hash((sig.actions, sig.state_ops, sig.has_prefix_family))
-    assert Signature(sig.actions, sig.state_ops, not sig.has_prefix_family) != sig
-    assert Signature(sig.actions[::-1], sig.state_ops, sig.has_prefix_family) != sig
-    assert Signature(sig.actions, sig.state_ops[::-1], sig.has_prefix_family) != sig
+    assert hash(same) == hash(sig) == hash((sig.actions, sig.state_ops))
+    assert Signature(sig.actions[::-1], sig.state_ops) != sig
+    assert Signature(sig.actions, sig.state_ops[::-1]) != sig
     # the derived maps take no part: one changed in place leaves the two equal
     same._names["extra"] = same.state_ops[0]
     same._prefixes["extra"] = None
     assert same == sig and hash(same) == hash(sig)
-    assert sig != tuple(getattr(sig, name) for name in ("actions", "state_ops", "has_prefix_family"))
+    assert sig != tuple(getattr(sig, name) for name in ("actions", "state_ops"))
 
 
 def test_a_pts_is_compared_by_its_states_actions_and_transitions():
@@ -122,7 +121,7 @@ def records():
     pts = reachable_pts(running, bound)
     report = check_format(cx2)
     u, v = (parse_term(text, cx2.signature) for text in ("a.delta(b.delta(0))", "a.delta(tau.delta(b.delta(0)))"))
-    (probe,) = congruence_probe(cx2, [(u, v)], [parse_term("f(_)", cx2.signature)], bound._replace(max_depth=10))
+    (probe,) = congruence_probe(cx2, [(u, v)], [parse_term("f(_)", cx2.signature)], bound._replace(max_depth=10), "rooted")
     return {
         FunctionSymbol: running.signature.state_ops[0],
         StateVar: x2,

@@ -45,7 +45,7 @@ def test_corpus_terms(path):
         patterns += [rule.source, rule.target, *(s for s, _ in rule.neg_premises)]
         patterns += [term for s, _, t in rule.pos_premises for term in (s, t)]
     roots = [parse_term(text, spec.signature) for text in SPEC_ROOTS.get(path.name, ())]
-    universe = _closed_universe(spec, DomainBound(tuple(roots), max_depth=10)) if roots else []
+    universe = _closed_universe(spec, DomainBound(tuple(roots), max_depth=10))[0] if roots else []
     _agree(_subterms(patterns + roots + universe))
 
 
@@ -59,7 +59,7 @@ def test_generated_spec_domains():
             spec = random_format_safe_spec(rng)
             roots = [parse_term(f"k0({rng.choice(LEAF_TERMS)})", spec.signature) for _ in range(2)]
         try:
-            universe = _closed_universe(spec, DomainBound(tuple(roots), max_depth=10, max_states=128))
+            universe, _ = _closed_universe(spec, DomainBound(tuple(roots), max_depth=10, max_states=128))
         except DomainBoundError:
             continue
         _agree(_subterms(universe), seed=i)
@@ -98,7 +98,7 @@ def test_deep_chains_render_and_sort_without_recursion():
     labels = [("a", "b", "tau")[i % 3] for i in range(2500)]
     chain = [Apply(sig.state_op("0"), ())]
     for label in labels:  # a.delta(…) 5,000 levels deep
-        chain.append(Apply(sig.prefix(label), (Dirac(chain[-1]),)))
+        chain.append(Apply(sig.state_op(f"{label}."), (Dirac(chain[-1]),)))
     assert chain[-1].depth == 5001
 
     def text(k):
@@ -114,5 +114,5 @@ def test_deep_chains_render_and_sort_without_recursion():
 
     mixed = chain[0]
     for _ in range(1700):  # a.oplus{1/2:delta(0),1/2:delta(…)}, 5,100 levels
-        mixed = Apply(sig.prefix("a"), (Convex((Fraction(1, 2),) * 2, (Dirac(chain[0]), Dirac(mixed))),))
+        mixed = Apply(sig.state_op("a."), (Convex((Fraction(1, 2),) * 2, (Dirac(chain[0]), Dirac(mixed))),))
     assert render_term(mixed) == "a.oplus{1/2:delta(0),1/2:delta(" * 1700 + "0" + ")}" * 1700

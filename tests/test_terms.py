@@ -16,7 +16,6 @@ from ptsskit.terms import (
     SortError,
     StateVar,
     build_signature,
-    is_closed,
     lift_symbol,
     match,
     render_term,
@@ -45,13 +44,13 @@ def test_signature_holds_one_lifting_per_state_operator(sig):
 
 def test_validate_duplicate_name():
     f_state = FunctionSymbol("f", (), Sort.STATE)
-    sig = build_signature(["tau"], [f_state, FunctionSymbol("f", (Sort.STATE,), Sort.STATE)])
+    sig = build_signature(["tau"], [f_state, FunctionSymbol("f", (Sort.STATE,), Sort.STATE)], False)
     msgs = validate_signature(sig)
     assert any("duplicate name: f" in m for m in msgs)
 
 
 def test_validate_missing_tau():
-    sig = build_signature(["a"], [])
+    sig = build_signature(["a"], [], False)
     assert any("tau" in m for m in validate_signature(sig))
 
 
@@ -62,7 +61,7 @@ def test_apply_enforces_arity(sig):
 
 
 def test_apply_enforces_arg_sorts(sig):
-    pre_a = sig.prefix("a")
+    pre_a = sig.state_op("a.")
     with pytest.raises(SortError):
         Apply(pre_a, (Apply(sig.state_op("0"), ()),))  # state arg where dist expected
 
@@ -191,7 +190,7 @@ def _term_strategy(sig, closed=True, max_depth=3):
         strats = [
             st.builds(lambda l, r: Apply(plus, (l, r)), state, state),
             st.builds(Dirac, state),
-            st.builds(lambda d, a: Apply(sig.prefix(a), (d,)), dist, st.sampled_from(sig.actions)),
+            st.builds(lambda d, a: Apply(sig.state_op(f"{a}."), (d,)), dist, st.sampled_from(sig.actions)),
             st.builds(
                 lambda d1, d2: Convex((Fraction(1, 3), Fraction(2, 3)), (d1, d2)), dist, dist
             ),
@@ -225,7 +224,7 @@ def test_substitute_preserves_sort(sig, data):
     zero = Apply(sig.state_op("0"), ())
     out = substitute({"x": zero, "mu": Dirac(zero)}, term)
     assert term_sort(out) is term_sort(term)
-    assert is_closed(out)
+    assert out.closed
 
 
 @settings(max_examples=60, deadline=None)
