@@ -9,7 +9,7 @@ from .bisim import (
     prob_branching_bisim,
     rooted_branching_bisim,
 )
-from .distributions import Distribution, convex_combine, evaluate
+from .distributions import Distribution, evaluate
 from .engine import (
     PTS,
     DomainBound,
@@ -19,19 +19,15 @@ from .engine import (
     export_pts,
     is_complete,
     load_pts,
-    opaque_state,
     reachable_pts,
     stable_model,
 )
 from .errors import PtssError
 from .format_check import (
     FormatReport,
-    build_nesting_graph,
     check_format,
     classify_wild,
     congruence_probe,
-    detect_patience_rules,
-    is_w_nested_occurrence,
 )
 from .parser import PTSS, Diagnostic, ParseFailure, Rule, parse_spec, parse_term
 from .terms import (
@@ -47,6 +43,7 @@ from .terms import (
     Term,
     build_signature,
     match,
+    opaque_state,
     render_term,
     substitute,
     validate_signature,

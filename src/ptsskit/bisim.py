@@ -84,8 +84,6 @@ def lift_check(partners: Mapping[Term, set], d1: Distribution, d2: Distribution)
     """Does a weight function exist with marginals d1/d2 supported on pairs
     related by `partners`, each state's set of partners?  Exact max-flow
     feasibility on the bipartite support graph."""
-    if d1.total_mass != 1 or d2.total_mass != 1:
-        raise ValueError("lifting is defined on full distributions")
     left = d1.support
     right = d2.support
     l_index = {t: 1 + i for i, t in enumerate(left)}

@@ -26,14 +26,13 @@ from .engine import (
     export_pts,
     is_complete,
     load_pts,
-    opaque_state,
     reachable_pts,
     stable_model,
 )
 from .errors import EXIT_BOUNDS, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, PtssError
 from .format_check import check_format, congruence_probe
 from .parser import PTSS, ParseFailure, parse_spec, parse_term
-from .terms import Term, render_term
+from .terms import Term, opaque_state, render_term
 
 T = TypeVar("T")
 # the one bound of every corpus-run expectation

@@ -2,17 +2,16 @@
 distributions over closed state terms.
 
 A `Distribution` never stores zero-probability entries, so structural
-equality is canonical.  Sub-distributions (total mass < 1) reuse the same
-type; the missing mass is the implicit bottom element used by schedulers.
+equality is canonical, and its mass is exactly 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .errors import PtssError
+from .errors import PtssError, brief
 from .terms import (
     Apply,
     Convex,
@@ -34,11 +33,11 @@ class EvalError(PtssError):
 
 
 class Distribution:
-    """Finite-support map from closed state terms to positive rationals,
-    kept as given.  The text is made once, and it is the hash: hashing a
-    `Fraction` costs more than a string's cached hash."""
+    """Finite-support map from closed state terms to positive rationals of
+    sum 1, kept as given.  The text is made once, and it is the hash:
+    hashing a `Fraction` costs more than a string's cached hash."""
 
-    __slots__ = ("_items", "_table", "_total", "_support", "_text")
+    __slots__ = ("_items", "_table", "_support", "_text")
 
     def __init__(self, items: Iterable[tuple[Term, Fraction]]):
         table: dict[Term, Fraction] = {}
@@ -61,11 +60,12 @@ class Distribution:
                 num, den = num + pn, pd
         if num > den:
             raise EvalError("total mass exceeds 1")
+        if num < den:
+            raise EvalError(f"distribution mass is {brief(Fraction(num, den))}, expected 1")
         support = tuple(sorted(table, key=render_term)) if len(table) > 1 else tuple(table)
         self._table = table
         self._items = tuple(zip(support, map(table.__getitem__, support)))
         self._support = support
-        self._total = _ONE if num == den else Fraction(num, den)
         self._text = None
 
     @staticmethod
@@ -79,32 +79,18 @@ class Distribution:
         repeats and of mass 1."""
         dist = object.__new__(Distribution)
         dist._table = dict(items)
-        dist._items, dist._support, dist._total, dist._text = items, tuple(dist._table), _ONE, text
+        dist._items, dist._support, dist._text = items, tuple(dist._table), text
         return dist
 
     @property
     def support(self) -> tuple[Term, ...]:
         return self._support
 
-    @property
-    def total_mass(self) -> Fraction:
-        return self._total
-
-    @property
-    def is_full(self) -> bool:
-        return self._total == 1
-
     def items(self) -> tuple[tuple[Term, Fraction], ...]:
         return self._items
 
     def get(self, term: Term) -> Fraction:
         return self._table.get(term, _ZERO)
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self._support)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Distribution) and self._items == other._items
@@ -116,17 +102,6 @@ class Distribution:
         if self._text is None:
             self._text = "{" + ", ".join(f"{render_term(t)}: {p}" for t, p in self._items) + "}"
         return self._text
-
-
-def convex_combine(pairs: Iterable[tuple[Fraction, Distribution]]) -> Distribution:
-    """Pointwise weighted sum; weights must be positive and sum to at most 1."""
-    pairs = [(Fraction(p), d) for p, d in pairs]
-    for p, _ in pairs:
-        if p <= 0:
-            raise EvalError("nonpositive weight in convex combination")
-    if sum(p for p, _ in pairs) > 1:
-        raise EvalError("convex combination weights exceed 1")
-    return Distribution([(t, p if q is _ONE else p * q) for p, d in pairs for t, q in d.items()])
 
 
 def evaluate(theta: Term) -> Distribution:
@@ -170,7 +145,8 @@ def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:
             raise EvalError(f"cannot evaluate open term {render_term(theta)}")
         return Distribution.dirac(theta.inner)
     if isinstance(theta, Convex):
-        return convex_combine(zip(theta.weights, dists))
+        # `Convex` holds positive weights of sum 1
+        return Distribution([(t, p if q is _ONE else p * q) for p, d in zip(theta.weights, dists) for t, q in d.items()])
     origin = theta.symbol.origin
     if any(s is _DIST and not a.closed for a, s in zip(theta.args, origin.arg_sorts)):
         raise EvalError(f"cannot evaluate open term {render_term(theta)}")

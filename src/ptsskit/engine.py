@@ -28,10 +28,10 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .distributions import Distribution, EvalError, evaluate
-from .errors import BoundError, brief
+from .errors import BoundError
 from .parser import PTSS, Diagnostic, ParseFailure, Rule, read_weight
-from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, _Record, _dead,
-                    match, render_term, substitute, term_sort, variables)
+from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, _Record, match,
+                    opaque_state, render_term, substitute, term_sort, variables)
 
 
 class DomainBoundError(BoundError):
@@ -405,16 +405,6 @@ def export_pts(pts: PTS) -> str:
     return "\n".join(lines) + "\n"
 
 
-def opaque_state(name: str) -> Term:
-    # Apply(FunctionSymbol(name, (), _STATE)) with its text, the symbol made as a plain tuple, with no sorts to check
-    key = (tuple.__new__(FunctionSymbol, (name, (), _STATE, None, None)), ())
-    state = Apply._table.get(key, _dead)()
-    if state is None:
-        state = Apply._build(key, ())
-        state.symbol, state.sort, state.text, state.__class__ = key[0], _STATE, name, Apply
-    return state
-
-
 # a line is blank, `state <name>` or `trans <head>-> { <body> }`, with a comment or none; the head
 # ends at the first `->` that blanks and a `{` follow, so a source state may hold `--` or `{`
 _LINE = re.compile(r"\s*(?:state \s*([^#]*[^\s#])|trans (?=[^#]*\}\s*(?:#|$))([^#]*?)->\s*\{([^#]*)\})?\s*(?:#.*)?")
@@ -495,10 +485,7 @@ def _read_distribution(
         # by name, as `Distribution` sorts; most targets are point masses, which need no sort
         items, texts = zip(*(map(chosen.__getitem__, sorted(chosen)) if len(chosen) > 1 else chosen.values()))
         return Distribution._full(items, "{" + ", ".join(texts) + "}")
-    dist = Distribution(items)
-    if not dist.is_full:
-        raise EvalError(f"distribution mass is {brief(dist.total_mass)}, expected 1")
-    return dist
+    return Distribution(items)
 
 
 def load_pts(text: str) -> PTS:

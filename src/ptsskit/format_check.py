@@ -16,10 +16,10 @@ source position makes wild every position above its variable in the target.
 
 Each rule target is read once, by an iterative walk that records, for every
 variable occurrence, the (operator, argument) positions above it (the
-occurrence table); the nesting graph, the wildness seeds, the w-nested test
-and probe contexts all read that table.  A patience rule is recognised by
-building the canonical patience target from the rule's own source and
-comparing it with the rule's target.
+occurrence table); the nesting graph, the wildness seeds and probe contexts
+read that table.  A patience rule is recognised by building the canonical
+patience target from the rule's own source and comparing it with the rule's
+target.
 
 The check returns its report as data, a `FormatReport` of per-rule verdicts,
 and the probe a list of `ProbeViolation`s; `cli` renders both.
@@ -27,7 +27,7 @@ and the probe a list of `ProbeViolation`s; `cli` renders both.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .bisim import decide
 from .engine import DomainBound, reachable_pts
@@ -50,11 +50,6 @@ Position = tuple[str, int]  # (state operator name, 1-based argument index)
 Table = dict[str, list[tuple[Position, ...]]]  # variable -> the positions above each occurrence
 
 HOLE = "_"
-
-
-class NestingGraph(NamedTuple):
-    vertices: frozenset[Position]
-    edges: frozenset[tuple[Position, Position]]
 
 
 class Violation(NamedTuple):
@@ -131,13 +126,10 @@ def _tables(p: PTSS) -> list[Table]:
     return [_occurrences(rule.target) for rule in p.rules]
 
 
-def build_nesting_graph(p: PTSS) -> NestingGraph:
-    return _nesting_graph(p, _tables(p))
-
-
-def _nesting_graph(p: PTSS, tables: list[Table]) -> NestingGraph:
-    """An edge from each argument position of a conclusion source that holds
-    a variable to every position above that variable in the target."""
+def _nesting_graph(p: PTSS, tables: list[Table]) -> tuple[set[Position], set[tuple[Position, Position]]]:
+    """The vertices and edges of the nesting graph: an edge from each argument
+    position of a conclusion source that holds a variable to every position
+    above that variable in the target."""
     vertices = {
         (f.name, i)
         for f in p.signature.state_ops
@@ -149,22 +141,22 @@ def _nesting_graph(p: PTSS, tables: list[Table]) -> NestingGraph:
             for i, arg in enumerate(rule.source.args, start=1):
                 if isinstance(arg, (StateVar, DistVar)):
                     edges.update(((rule.source.symbol.name, i), pos) for pos in _above(table, arg.name))
-    return NestingGraph(frozenset(vertices), frozenset(edges))
+    return vertices, edges
 
 
 def classify_wild(p: PTSS) -> dict[Position, bool]:
     """Least fixpoint: seed with positions receiving premise-target variables,
     propagate along nesting-graph edges by a worklist."""
     tables = _tables(p)
-    graph = _nesting_graph(p, tables)
+    vertices, edges = _nesting_graph(p, tables)
     wild: set[Position] = set()
     for rule, table in zip(p.rules, tables):
         for _, _, tgt in rule.pos_premises:
             for var in variables(tgt):
                 wild |= _above(table, var)
-    wild &= graph.vertices
+    wild &= vertices
     after: dict[Position, list[Position]] = {}
-    for src, dst in graph.edges:
+    for src, dst in edges:
         after.setdefault(src, []).append(dst)
     work = list(wild)
     while work:
@@ -172,7 +164,7 @@ def classify_wild(p: PTSS) -> dict[Position, bool]:
             if dst not in wild:
                 wild.add(dst)
                 work.append(dst)
-    return {pos: pos in wild for pos in sorted(graph.vertices)}
+    return {pos: pos in wild for pos in sorted(vertices)}
 
 
 # ---------------------------------------------------------------------------
@@ -201,31 +193,6 @@ def _patience_shape(rule: Rule) -> Optional[Position]:
         lift_symbol(src.symbol), tuple(mu if a == x else Dirac(a) if a.sort is Sort.STATE else a for a in args)
     )
     return (src.symbol.name, args.index(x) + 1) if canonical == rule.target else None
-
-
-def _first_per_position(rules: Iterable[Rule], shapes: Iterable[Optional[Position]]) -> dict[Position, str]:
-    out: dict[Position, str] = {}
-    for rule, pos in zip(rules, shapes):
-        if pos is not None:
-            out.setdefault(pos, rule.name)
-    return out
-
-
-def detect_patience_rules(p: PTSS) -> dict[Position, str]:
-    """First patience rule per argument position, by syntactic shape."""
-    return _first_per_position(p.rules, map(_patience_shape, p.rules))
-
-
-# ---------------------------------------------------------------------------
-# w-nested positions
-
-def is_w_nested_occurrence(target: Term, var: str, wildness: dict[Position, bool]) -> bool:
-    """True iff every occurrence of `var` in `target` sits under wild argument
-    positions only (Dirac and convex nodes are transparent)."""
-    table = _occurrences(target)
-    if var not in table:
-        raise ValueError(f"variable {var} does not occur in {render_term(target)}")
-    return all(wildness.get(pos, False) for pos in _above(table, var))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +252,10 @@ def check_format(p: PTSS) -> FormatReport:
     safe-rule shape and conditions 2a, 2b and 2d, reporting all violations."""
     wildness = classify_wild(p)
     shapes = [_patience_shape(rule) for rule in p.rules]
-    patience = _first_per_position(p.rules, shapes)
+    patience: dict[Position, str] = {}  # the first patience rule for each position
+    for rule, pos in zip(p.rules, shapes):
+        if pos is not None:
+            patience.setdefault(pos, rule.name)
     verdicts: list[RuleVerdict] = []
     for rule, pos in zip(p.rules, shapes):
         if pos is not None and wildness.get(pos, False):

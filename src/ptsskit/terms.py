@@ -227,6 +227,16 @@ class Apply(_Node):
         return node
 
 
+def opaque_state(name: str) -> Term:
+    # Apply(FunctionSymbol(name, (), _STATE)) with its text, the symbol made as a plain tuple, with no sorts to check
+    key = (tuple.__new__(FunctionSymbol, (name, (), _STATE, None, None)), ())
+    state = Apply._table.get(key, _dead)()
+    if state is None:
+        state = Apply._build(key, ())
+        state.symbol, state.sort, state.text, state.__class__ = key[0], _STATE, name, Apply
+    return state
+
+
 class Dirac(_Node):
     __slots__ = _fields = ("inner",)
     sort = Sort.DIST

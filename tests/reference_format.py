@@ -6,15 +6,20 @@ and checks the patience-rule shape piece by piece.  It returns the same
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from ptsskit.format_check import FormatReport, NestingGraph, Position, RuleVerdict, Violation
+from ptsskit.format_check import FormatReport, Position, RuleVerdict, Violation
 from ptsskit.parser import PTSS, Rule
 from ptsskit.terms import Apply, Dirac, DistVar, FunctionSymbol, Sort, StateVar, Term, render_term, variables
 
 
 # ---------------------------------------------------------------------------
 # Nesting graph and wildness
+
+class NestingGraph(NamedTuple):
+    vertices: frozenset[Position]
+    edges: frozenset[tuple[Position, Position]]
+
 
 def _origin_position(symbol: FunctionSymbol) -> Optional[str]:
     """State-operator name a target application contributes positions for."""

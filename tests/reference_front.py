@@ -162,9 +162,10 @@ class ReferenceDistribution(Distribution):
         total = sum(table.values(), Fraction(0))
         if total > 1:
             raise EvalError("total mass exceeds 1")
+        if total < 1:
+            raise EvalError(f"distribution mass is {brief(total)}, expected 1")
         self._table = table
         self._items = tuple(sorted(table.items(), key=lambda kv: render_term(kv[0])))
-        self._total = total
         self._support = tuple(t for t, _ in self._items)  # the slots the library adds
         self._text = None
 
@@ -210,10 +211,9 @@ def _read_distribution(code: str, line_no: int, states: dict, diags: list) -> Op
             return None
         items.append((states[name], prob))
     try:
-        dist = ReferenceDistribution(items)
+        return ReferenceDistribution(items)
     except EvalError as exc:
         return err(str(exc))
-    return dist if dist.is_full else err(f"distribution mass is {brief(dist.total_mass)}, expected 1")
 
 
 def dist_brace(line: str) -> int:

@@ -158,8 +158,6 @@ def weak_combined_reachable(
     """
     if not pts.has_state(s):
         raise ValueError(f"not a state of the PTS: {render_term(s)}")
-    if target.total_mass != 1:
-        raise ValueError("weak transitions target full distributions")
     for u in target.support:
         if not pts.has_state(u):
             raise ValueError(f"target mentions a foreign state: {render_term(u)}")

@@ -3,26 +3,26 @@
 outside its own definition and `__init__.py`.  No one-valued parameter: a
 parameter default is left out by one library call and overridden by another.
 What no command and no library module runs belongs in `tests/`, beside the
-oracles that use it.  And only `cli` imports `json`: it alone renders answers."""
+oracles that use it; the allowlist may name only what the benchmark's tracer
+wraps.  And only `cli` imports `json`: it alone renders answers."""
 
 import ast
+import importlib.util
 import pathlib
+import sys
 from typing import Optional
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ptsskit"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 ALLOWED = {
     # wrapped by the benchmark's tracer (perfbench/tracer.py), which times and
-    # counts them; tests/test_bench_contract.py requires that they exist
+    # counts them; tests/test_bench_contract.py requires that they exist, and
+    # nothing else may be allowed
     "bisim.lift_check",
     "bisim.rooted_branching_bisim",
     "bisim.distinguishing_challenge",
     "lp.max_flow",
-    # the paper's named format definitions, checked one by one against the
-    # reference checker by tests/test_format_oracle.py
-    "format_check.build_nesting_graph",
-    "format_check.detect_patience_rules",
-    "format_check.is_w_nested_occurrence",
 }
 
 
@@ -111,6 +111,14 @@ def test_the_allowlist_names_only_public_definitions():
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     defined = {f"{m}.{q}" for m, tree in trees.items() for q, _ in _public_definitions(tree)}
     assert ALLOWED | SHARED_WITH_FIELDS.keys() <= defined
+
+
+def test_the_allowlist_names_only_traced_functions():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # as dataclasses need
+    spec.loader.exec_module(tracer)
+    traced = {f"{span.split('.')[0]}.{func}" for span, func, _ in tracer.TARGETS}
+    assert sorted(ALLOWED - traced) == []
 
 
 # defaulted parameters that no library call both sets and leaves out, each with

@@ -70,12 +70,6 @@ def test_lift_mass_with_nowhere_to_go():
     assert not lift_check({S("s"): {S("t")}}, d1, d2)
 
 
-def test_lift_rejects_subdistribution():
-    half = Distribution([(S("s"), Fraction(1, 2))])
-    with pytest.raises(ValueError):
-        lift_check({}, half, half)
-
-
 def _lift_bruteforce(pairs, d1, d2, denominator):
     """Enumerate weight matrices on the 1/denominator grid."""
     left = d1.support

@@ -446,6 +446,9 @@ _NOT_A_WEIGHT = "error: a probability is an integer or p/q"
     pytest.param("t: 1/0", "aut.pts:4:22: error: weight denominator is zero", id="zero-denominator"),
     pytest.param("t: , s: 1", "aut.pts:4:20: error: expected a probability", id="empty"),
     pytest.param(f"t: 1/{_A}, u: 1/{_B}, s: 1", "aut.pts:4:1: error: total mass exceeds 1", id="huge-mass-pts"),
+    pytest.param("t: 1/3", "aut.pts:4:1: error: distribution mass is 1/3, expected 1", id="mass-below-1"),
+    pytest.param("t: 2/3, u: 2/3", "aut.pts:4:1: error: total mass exceeds 1", id="mass-above-1"),
+    pytest.param("t: 0", "aut.pts:4:1: error: distribution mass is 0, expected 1", id="mass-0"),
     pytest.param(None, f"--root '{_HUGE_ROOT}':1:3: error: weights sum to a number of over 40 digits, expected 1",
                  id="huge-mass-ptss"),
 ])

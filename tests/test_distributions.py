@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ptsskit.distributions import Distribution, EvalError, convex_combine, evaluate
+from ptsskit.distributions import Distribution, EvalError, evaluate
 from ptsskit.terms import Apply, Dirac, render_term
 from tests.reference_schedulers import mass
 
@@ -17,7 +17,7 @@ def test_eval_convex(t):
     d = evaluate(t("oplus{1/2:delta(0),1/2:delta(a.delta(0))}"))
     assert d.get(t("0")) == Fraction(1, 2)
     assert d.get(t("a.delta(0)")) == Fraction(1, 2)
-    assert d.total_mass == 1
+    assert mass(d, d.support) == 1
 
 
 def test_eval_lifted_prefix_is_point_mass(t):
@@ -27,7 +27,7 @@ def test_eval_lifted_prefix_is_point_mass(t):
         theta = t(theta_text)
         d = evaluate(t(f"^a.{theta_text}"))
         pre_a = theta  # the lifted prefix keeps theta as-is inside the state term
-        assert len(d) == 1
+        assert len(d.items()) == 1
         (term, p), = d.items()
         assert p == 1
         assert render_term(term) == f"a.{theta_text.replace(' ', '')}"
@@ -43,7 +43,7 @@ def test_eval_lifted_plus_products(t):
     d = evaluate(Apply(t("^+(delta(0),delta(0))").symbol, (theta1, t("delta(0)"))))
     assert d.get(t("+(0,0)")) == Fraction(1, 2)
     assert d.get(t("+(a.delta(0),0)")) == Fraction(1, 2)
-    assert d.total_mass == 1
+    assert mass(d, d.support) == 1
 
 
 def test_eval_lifted_plus_against_bruteforce(t):
@@ -57,7 +57,7 @@ def test_eval_lifted_plus_against_bruteforce(t):
     for (u, p), (v, q) in product(theta1.items(), theta2.items()):
         expected[Apply(plus, (u, v))] = p * q
     assert dict(d.items()) == expected
-    assert d.total_mass == 1
+    assert mass(d, d.support) == 1
 
 
 def test_eval_open_term_rejected(t):
@@ -77,55 +77,46 @@ def test_mass(t):
     assert mass(d, [t("b.delta(0)")]) == 0
 
 
+# an oplus term is the convex combination of its branches' distributions
+
 def test_convex_combine_identity(t):
-    d = evaluate(t("delta(0)"))
-    assert convex_combine([(Fraction(1), d)]) == d
+    assert evaluate(t("oplus{1:delta(0)}")) == evaluate(t("delta(0)"))
 
 
 def test_convex_combine_merges(t):
-    d0 = Distribution.dirac(t("0"))
-    out = convex_combine([(Fraction(1, 2), d0), (Fraction(1, 2), d0)])
-    assert out == d0
+    assert evaluate(t("oplus{1/2:delta(0),1/2:delta(0)}")) == Distribution.dirac(t("0"))
 
 
 def test_convex_combine_pi1prime(t):
     # the even two-point split used throughout the corpus automata
-    d = convex_combine(
-        [(Fraction(1, 2), Distribution.dirac(t("0"))), (Fraction(1, 2), Distribution.dirac(t("a.delta(0)")))]
-    )
-    assert d.get(t("0")) == Fraction(1, 2)
-    assert d.get(t("a.delta(0)")) == Fraction(1, 2)
-
-
-def test_convex_combine_subdistribution(t):
-    d = convex_combine([(Fraction(1, 4), Distribution.dirac(t("0")))])
-    assert d.total_mass == Fraction(1, 4)
-
-
-def test_convex_combine_rejects_bad_weights(t):
-    d = Distribution.dirac(t("0"))
-    with pytest.raises(EvalError):
-        convex_combine([(Fraction(0), d)])
-    with pytest.raises(EvalError):
-        convex_combine([(Fraction(3, 4), d), (Fraction(1, 2), d)])
+    d = evaluate(t("oplus{1/2:delta(0),1/2:delta(a.delta(0))}"))
+    assert d.items() == ((t("0"), Fraction(1, 2)), (t("a.delta(0)"), Fraction(1, 2)))
 
 
 def test_convex_combine_commutative_and_flattens(t):
-    da = Distribution.dirac(t("0"))
-    db = Distribution.dirac(t("a.delta(0)"))
-    left = convex_combine([(Fraction(1, 3), da), (Fraction(2, 3), db)])
-    right = convex_combine([(Fraction(2, 3), db), (Fraction(1, 3), da)])
+    left = evaluate(t("oplus{1/3:delta(0),2/3:delta(a.delta(0))}"))
+    right = evaluate(t("oplus{2/3:delta(a.delta(0)),1/3:delta(0)}"))
     assert left == right
-    nested = convex_combine(
-        [(Fraction(1, 2), convex_combine([(Fraction(2, 3), da), (Fraction(1, 3), db)])), (Fraction(1, 2), db)]
-    )
-    flat = convex_combine([(Fraction(1, 3), da), (Fraction(2, 3), db)])
-    assert nested == flat
+    nested = evaluate(t("oplus{1/2:oplus{2/3:delta(0),1/3:delta(a.delta(0))},1/2:delta(a.delta(0))}"))
+    assert nested == left
 
 
 def test_zero_mass_never_stored(t):
     d = Distribution([(t("0"), Fraction(0)), (t("a.delta(0)"), Fraction(1))])
     assert d.support == (t("a.delta(0)"),)
+
+
+@pytest.mark.parametrize("weights, message", [
+    pytest.param((Fraction(1, 3),), "distribution mass is 1/3, expected 1", id="one-third"),
+    pytest.param((), "distribution mass is 0, expected 1", id="empty"),
+    pytest.param((Fraction(0),), "distribution mass is 0, expected 1", id="zero"),
+    pytest.param((Fraction(2, 3), Fraction(2, 3)), "total mass exceeds 1", id="two-thirds-twice"),
+    pytest.param((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), "total mass exceeds 1", id="over-by-1/30"),
+])
+def test_a_distribution_of_mass_other_than_1_is_refused(t, weights, message):
+    states = [t("0"), t("a.delta(0)"), t("b.delta(0)")]
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        Distribution(zip(states, weights))
 
 
 def test_eval_total_mass_one_randomized(sig, t):
@@ -145,4 +136,5 @@ def test_eval_total_mass_one_randomized(sig, t):
 
     for _ in range(100):
         theta = rand_dist(3)
-        assert evaluate(theta).total_mass == 1
+        d = evaluate(theta)
+        assert mass(d, d.support) == 1

@@ -8,12 +8,13 @@ from ptsskit.distributions import evaluate
 from ptsskit.engine import DomainBound, reachable_pts
 from ptsskit.format_check import (
     ProbeError,
-    build_nesting_graph,
+    _above,
+    _nesting_graph,
+    _occurrences,
+    _tables,
     check_format,
     classify_wild,
     congruence_probe,
-    detect_patience_rules,
-    is_w_nested_occurrence,
     plug,
 )
 from ptsskit.parser import parse_spec, parse_term
@@ -23,6 +24,22 @@ from tests.reference_refine import partner_map
 
 def load(name):
     return parse_spec((CORPUS / name).read_text())
+
+
+def nesting_graph(p):
+    """The nesting graph's vertices and edges."""
+    return _nesting_graph(p, _tables(p))
+
+
+def patience(p):
+    """The first patience rule for each argument position, by its shape."""
+    return dict(check_format(p).patience)
+
+
+def w_nested(target, var, wild):
+    """Every occurrence of `var` in `target` sits under wild argument
+    positions only (Dirac and convex nodes are transparent)."""
+    return all(wild.get(pos, False) for pos in _above(_occurrences(target), var))
 
 
 @pytest.fixture(scope="module")
@@ -53,17 +70,17 @@ def final_pb():
 # -- nesting graph and wildness -------------------------------------------------
 
 def test_running_nesting_graph_empty(running):
-    graph = build_nesting_graph(running)
-    assert graph.edges == frozenset()
+    vertices, edges = nesting_graph(running)
+    assert edges == set()
     # vertices cover exactly the state operators' argument positions
-    assert ("+", 1) in graph.vertices and ("+", 2) in graph.vertices
-    assert ("a.", 1) in graph.vertices
+    assert ("+", 1) in vertices and ("+", 2) in vertices
+    assert ("a.", 1) in vertices
     assert all(not w for _, w in check_format(running).wildness)
 
 
 def test_cx2_edges_and_wildness(cx2):
-    graph = build_nesting_graph(cx2)
-    assert (("f", 1), ("g", 1)) in graph.edges
+    _, edges = nesting_graph(cx2)
+    assert (("f", 1), ("g", 1)) in edges
     wild = classify_wild(cx2)
     assert wild[("g", 2)] is True
     assert wild[("g", 1)] is False
@@ -77,9 +94,9 @@ def test_cx4_both_positions_seeded(cx4):
 
 
 def test_cx235_inherited_wildness(cx235):
-    graph = build_nesting_graph(cx235)
-    assert (("g", 2), ("h", 1)) in graph.edges
-    assert (("g", 1), ("h", 2)) in graph.edges
+    _, edges = nesting_graph(cx235)
+    assert (("g", 2), ("h", 1)) in edges
+    assert (("g", 1), ("h", 2)) in edges
     wild = classify_wild(cx235)
     assert wild[("h", 1)]  # inherited from g.2
     assert not wild[("h", 2)]
@@ -87,11 +104,10 @@ def test_cx235_inherited_wildness(cx235):
 
 def test_wildness_is_least_fixpoint(cx235):
     # dropping any wild mark breaks a seeding or propagation clause
-    graph = build_nesting_graph(cx235)
+    _, edges = nesting_graph(cx235)
     wild = classify_wild(cx235)
     wild_set = {pos for pos, w in wild.items() if w}
     seeds = set()
-    from ptsskit.format_check import _above, _occurrences
     from ptsskit.terms import variables
 
     for rule in cx235.rules:
@@ -102,7 +118,7 @@ def test_wildness_is_least_fixpoint(cx235):
             seeds.update(_above(_occurrences(rule.target), v))
     for pos in wild_set:
         justified = pos in seeds or any(
-            (src, pos) in graph.edges and src in wild_set for src in wild_set
+            (src, pos) in edges and src in wild_set for src in wild_set
         )
         assert justified, pos
 
@@ -110,12 +126,11 @@ def test_wildness_is_least_fixpoint(cx235):
 # -- patience rules ---------------------------------------------------------------
 
 def test_patience_detected(cx23, sig):
-    pat = detect_patience_rules(cx23)
-    assert pat == {("g", 2): "g_pat"}
+    assert patience(cx23) == {("g", 2): "g_pat"}
 
 
 def test_patience_running_empty(running):
-    assert detect_patience_rules(running) == {}
+    assert patience(running) == {}
 
 
 def test_patience_alpha_renamed(cx23):
@@ -125,7 +140,7 @@ def test_patience_alpha_renamed(cx23):
             "rule g_pat: zz --tau-> nu |- g(w1,zz) --tau-> ^g(delta(w1),nu)",
         )
     )
-    assert detect_patience_rules(renamed) == {("g", 2): "g_pat"}
+    assert patience(renamed) == {("g", 2): "g_pat"}
 
 
 def test_patience_wrong_shape_not_detected():
@@ -133,7 +148,7 @@ def test_patience_wrong_shape_not_detected():
         "rule g_pat: x2 --tau-> mu |- g(x1,x2) --tau-> ^g(delta(x1),mu)",
         "rule g_pat: x2 --tau-> mu |- g(x1,x2) --tau-> ^g(delta(x2),mu)",
     )
-    assert detect_patience_rules(parse_spec(src)) == {}
+    assert patience(parse_spec(src)) == {}
 
 
 # -- w-nested positions ------------------------------------------------------------
@@ -141,22 +156,16 @@ def test_patience_wrong_shape_not_detected():
 def test_w_nested_empty_context(cx23):
     rule = next(r for r in cx23.rules if r.name == "sum_l@a")
     wild = classify_wild(cx23)
-    assert is_w_nested_occurrence(rule.target, "mu", wild)
+    assert w_nested(rule.target, "mu", wild)
 
 
 def test_w_nested_wild_position(cx23):
     rule = next(r for r in cx23.rules if r.name == "f_a")
     wild = classify_wild(cx23)
     # mu sits at g's wild second argument
-    assert is_w_nested_occurrence(rule.target, "mu", wild)
+    assert w_nested(rule.target, "mu", wild)
     # x sits under delta at g's tame first argument
-    assert not is_w_nested_occurrence(rule.target, "x", wild)
-
-
-def test_w_nested_absent_variable_rejected(cx23):
-    rule = next(r for r in cx23.rules if r.name == "f_a")
-    with pytest.raises(ValueError):
-        is_w_nested_occurrence(rule.target, "nope", classify_wild(cx23))
+    assert not w_nested(rule.target, "x", wild)
 
 
 # -- the format check ---------------------------------------------------------------
@@ -319,9 +328,8 @@ def test_patience_classification_precedes_safe_rule_check(cx23):
     from ptsskit.format_check import _check_safe_rule
 
     wild = classify_wild(cx23)
-    patience = detect_patience_rules(cx23)
     rule = next(r for r in cx23.rules if r.name == "g_pat")
-    forced = _check_safe_rule(rule, wild, patience)
+    forced = _check_safe_rule(rule, wild, patience(cx23))
     assert any(v.condition == "2a" for v in forced)
     report = check_format(cx23)
     verdict = next(v for v in report.verdicts if v.rule == "g_pat")

@@ -20,8 +20,7 @@ from ptsskit.cli import Expectation
 from ptsskit.distributions import Distribution
 from ptsskit.engine import (PTS, DomainBound, PtsTransition, ThreeValuedModel, opaque_state, reachable_pts,
                             stable_model)
-from ptsskit.format_check import (FormatReport, NestingGraph, ProbeViolation, RuleVerdict, Violation,
-                                  build_nesting_graph, check_format, congruence_probe)
+from ptsskit.format_check import FormatReport, ProbeViolation, RuleVerdict, Violation, check_format, congruence_probe
 from ptsskit.parser import PTSS, Diagnostic, Rule, parse_spec, parse_term, try_parse_spec
 from ptsskit.terms import DistVar, FunctionSymbol, Signature, Sort, StateVar
 from tests.conftest import CORPUS
@@ -106,7 +105,7 @@ def test_a_domain_bound_is_positive(field, value):
 
 
 KINDS = [FunctionSymbol, StateVar, DistVar, Signature, Diagnostic, Rule, PTSS, DomainBound, ThreeValuedModel, PTS,
-         Decision, NestingGraph, Violation, RuleVerdict, FormatReport, ProbeViolation, Expectation]
+         Decision, Violation, RuleVerdict, FormatReport, ProbeViolation, Expectation]
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +133,6 @@ def records():
         ThreeValuedModel: stable_model(running, bound),
         PTS: pts,
         Decision: decide("branching", pts),
-        NestingGraph: build_nesting_graph(cx2),
         Violation: report.all_violations()[0],
         RuleVerdict: report.verdicts[-1],
         FormatReport: report,

@@ -71,6 +71,13 @@ def test_convex_weight_sum_checked():
         Convex((Fraction(1, 2), Fraction(1, 3)), (Dirac(StateVar("x")), Dirac(StateVar("y"))))
 
 
+def test_convex_weight_positive_checked():
+    branches = (Dirac(StateVar("x")), Dirac(StateVar("y")))
+    for weights in [(Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(3, 2))]:
+        with pytest.raises(SortError, match="positive"):
+            Convex(weights, branches)
+
+
 def test_substitute_basic(sig, t):
     target = t("a.mu")
     out = substitute({"mu": t("delta(0)")}, target)
