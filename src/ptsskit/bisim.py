@@ -2,14 +2,16 @@
 
 Two scheduler-free deciders plus supporting machinery:
 
-* `branching_bisim` — scheduler-free characterization: a challenge either is
-  an inert tau-step (target supported inside the pair's classes) or is matched
-  by a concrete execution of inert tau-steps followed by an equally labelled
-  step whose target is lifting-related to the challenge target.
-* `prob_branching_bisim` — the combined variant: matching goes through an
-  allowed weak tau-transition (restricted to the branching-preserving set)
-  followed by a one-step convex combination of equally labelled transitions;
-  decided by exact-rational linear feasibility.
+* `branching_bisim`: a challenge is an inert tau-step (target inside the
+  pair's classes) or is matched by a concrete execution of inert tau-steps
+  and an equally labelled step whose target is lifting-related to it.
+* `prob_branching_bisim`, the combined variant: a challenge is matched by an
+  allowed weak tau-transition (inside the branching-preserving set) and a
+  one-step convex combination of equally labelled transitions.  Where the
+  challenge's target lies in one block, that is almost-sure reachability by
+  inert steps (de Alfaro 1997); else exact-rational linear feasibility, an LP
+  over a partition (Turrini & Hermanns 2015) on the steps that reach only the
+  challenge's blocks, built only when they reach all of them.
 
 Both refine a partition of the states by signatures (Groote & Vaandrager
 1990; Blom & Orzan 2003) in one loop (`_partition`) over an integer index of
@@ -17,13 +19,10 @@ the PTS, built once per PTS and kept on it (`_Index`): states numbered in
 text order, each step's weights scaled to integers by one common denominator.
 A non-inert step is a move keyed as (label, block) when its target lies in
 one block, else as (label, block masses), exact integer sums; a state's moves
-are kept until it or a target changes block.  A pbranching block
-match is an LP over a partition (Turrini & Hermanns 2015) on the steps that
-reach only the challenge's blocks, built only when they reach all of them.
-Every LP's integer rows are written by `_flow_rows`.
-`rooted_branching_bisim` matches the initial steps of a pair strictly
-against the branching relation.  The scheduler-based definitions, the
-pair-deleting fixpoint and the weak combined transition LP live in the
+are kept until it or a target changes block.  `_flow_rows` writes every LP's
+integer rows.  `rooted_branching_bisim` matches the initial steps of a pair
+strictly against the branching relation.  The scheduler-based definitions,
+the pair-deleting fixpoint and the weak combined transition LP live in the
 tests, as oracles (`tests/reference_schedulers.py`, `tests/reference_refine.py`).
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
@@ -84,8 +83,7 @@ def lift_check(partners: Mapping[Term, set], d1: Distribution, d2: Distribution)
     """Does a weight function exist with marginals d1/d2 supported on pairs
     related by `partners`, each state's set of partners?  Exact max-flow
     feasibility on the bipartite support graph."""
-    left = d1.support
-    right = d2.support
+    left, right = d1.support, d2.support
     l_index = {t: 1 + i for i, t in enumerate(left)}
     r_index = {t: 1 + len(left) + i for i, t in enumerate(right)}
     sink = 1 + len(left) + len(right)
@@ -280,10 +278,8 @@ def _execution_match(
     stay related to `s`, ending in a `challenge.label` step with lifted-related
     target."""
     related_to_s = rel.get(s, set())
-    seen = {t}
-    queue = [t]
-    while queue:
-        u = queue.pop(0)
+    seen, queue = {t}, [t]
+    for u in queue:  # breadth first: the list grows as it is read
         for tr in pts.outgoing(u, challenge.label):
             if lift(challenge.target, tr.target):
                 return True
@@ -309,16 +305,39 @@ def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
 def _pbranching_signatures(
     ix: _Index, block: list[int], members: list[int], moves: list, inert: list, reach: list, stay: bool = True
 ) -> list[Hashable]:
-    # the non-inert moves of the block that t matches; t matches its own
+    """The moves of its block that each member matches: its own; a one-block
+    move (label, B) when by inert steps it almost surely reaches a member with
+    it, as the move's LP asks (de Alfaro, PhD thesis, Stanford 1997; Baier &
+    Katoen 2008, 10.6.1; staying put never helps); others by `_block_match`."""
     candidates = frozenset().union(*(moves[x] for x in members))
+    graph = [step for x in members for step in inert[x]]  # the block's inert steps
+    sure = {c: _almost_sure(graph, [x for x in members if c in moves[x]]) if graph else ()
+            for c in candidates if type(c[1]) is int}
     sigs = []
     for t in members:
-        reach_t = reach[t] or [t]
-        steps = [step for u in reach_t for step in inert[u]]
-        sigs.append(frozenset(
-            c for c in candidates if c in moves[t] or _block_match(ix, block, reach_t, steps, *c, stay)
-        ))
+        sigs.append(frozenset(c for c in candidates if c in moves[t] or (
+            t in sure[c] if c in sure else _block_match(ix, block, reach[t] or [t], inert, *c, stay))))
     return sigs
+
+
+def _almost_sure(steps: Sequence[Step], goal: list[int]) -> set[int]:
+    """The states that reach `goal` by `steps` with probability 1: search back
+    over predecessor lists, drop the steps that leave what it found, repeat."""
+    while True:
+        preds: dict[int, list[int]] = {}
+        for x, _, targets, _ in steps:
+            for u in targets:
+                preds.setdefault(u, []).append(x)
+        found, work = set(goal), list(goal)
+        for v in work:
+            for x in preds.get(v, ()):
+                if x not in found:
+                    found.add(x)
+                    work.append(x)
+        kept = [step for step in steps if found.issuperset(step[2])]
+        if len(kept) == len(steps):
+            return found
+        steps = kept
 
 
 def prob_branching_bisim(pts: PTS) -> StateRelation:
@@ -364,29 +383,28 @@ def _common(table: Mapping[Term, set], s: Term, t: Term) -> dict[Term, set]:
 
 
 def _block_match(
-    ix: _Index, block: list[int], reach: list[int], inert: list[Step], label: str, key: Hashable, stay: bool,
+    ix: _Index, block: list[int], reach: list[int], inert: list, label: str, key: Hashable, stay: bool,
 ) -> bool:
     """`_combined_match` against a partition: a weak phase over the inert
-    steps among the states `reach[0]` reaches by them, then a convex choice
-    of `label` steps, or for tau and `stay` of staying put, whose combined
-    target has the block masses of a move's `key`.  A step that reaches a
-    block without mass takes none, and no LP is built when some block with
-    mass is reached by no other step, nor by staying put."""
+    steps (`inert[u]` of each u) of the states `reach[0]` reaches by them,
+    then a convex choice of `label` steps, or for tau and `stay` of staying
+    put, whose combined target has the block masses `key` of a move into
+    several blocks.  A step reaching a block without mass takes none, and no
+    LP is built when a block with mass is reached by no other step, nor by
+    staying put, or when `reach[0]` has just one step, its own move."""
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
-    stay = stay and label == "tau"
-    # staying alone never leaves the block; t's one step is its own move, tried by the caller
-    if not steps or (not inert and not stay and len(steps) == 1):
+    stay, alone = stay and label == "tau", not inert[reach[0]]  # alone: no inert step to take
+    if not steps or (alone and not stay and len(steps) == 1):
         return False
-    scale = ix.scale
-    want = {key: scale} if type(key) is int else dict(key)  # a one-block key holds all the mass
+    scale, want = ix.scale, dict(key)
     steps += [(u, label, (u,), (scale,)) for u in reach] if stay else []  # staying put, as a step
     steps = [step for step in steps if all(block[u] in want for u in step[2])]
-    if len({block[u] for step in steps for u in step[2]}) < len(want) or (not inert and len(steps) == 1):
+    if len({block[u] for step in steps for u in step[2]}) < len(want) or (alone and len(steps) == 1):
         return False
     # a flow row per reached state, then a row per block with mass, for the combined target
     at, lift = {u: i for i, u in enumerate(reach)}, {b: len(reach) + i for i, b in enumerate(want)}
     rows: list[dict[int, int]] = [{} for _ in range(len(reach) + len(lift))]
-    col = _flow_rows(rows, at, inert, 0, scale)
+    col = _flow_rows(rows, at, [step for u in reach for step in inert[u]], 0, scale)
     _flow_rows(rows, at, steps, col, scale, {u: lift[block[u]] for step in steps for u in step[2]})
     rhs = [scale] + [0] * (len(reach) - 1) + [-m for m in want.values()]  # all mass starts at reach[0]
     return lp.feasible(rows, rhs)

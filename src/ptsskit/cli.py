@@ -12,6 +12,7 @@ the payload that `--json` prints; the text lines are rendered from it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -20,15 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .bisim import KINDS, Decision, decide
-from .engine import (
-    PTS,
-    DomainBound,
-    export_pts,
-    is_complete,
-    load_pts,
-    reachable_pts,
-    stable_model,
-)
+from .engine import PTS, DomainBound, export_pts, is_complete, load_pts, reachable_pts, stable_model
 from .errors import EXIT_BOUNDS, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, PtssError
 from .format_check import check_format, congruence_probe
 from .parser import PTSS, ParseFailure, parse_spec, parse_term
@@ -91,18 +84,15 @@ def _term_lines(path: str) -> list[_TermText]:
 
 
 def _bound(args: argparse.Namespace, roots: tuple[Term, ...]) -> DomainBound:
-    return DomainBound(
-        roots,
-        max_depth=args.max_depth,
-        max_states=args.max_states,
-        max_iterations=args.max_iterations,
-    )
+    return DomainBound(roots, max_depth=args.max_depth, max_states=args.max_states, max_iterations=args.max_iterations)
 
 
 def _positive(text: str) -> int:
-    if not text.isdigit() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    # decimal, not digit: int() refuses '²'; and it refuses a text past 4,300 digits
+    with contextlib.suppress(ValueError):
+        if text.isdecimal() and int(text) > 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _add_bound_flags(sub: argparse.ArgumentParser) -> None:

@@ -5,6 +5,9 @@ usage errors (a missing `--root`, an unknown `.pts` state, a malformed
 expectation, a bad pairs line, an unreadable file, an empty path, which is
 named as given).  `bisim` and `check-format` are here for their usage errors
 only; their answers are pinned in `golden_bisim.json` and `golden_format.json`.
+`pts` is here for bound values that `int()` refuses though they are digits;
+argparse words them as any other value that is not a positive integer, in
+usage lines wrapped at 80 columns.
 
 Every case runs in a folder that holds the files of `populate`, with paths
 relative to it, so that no message names a temporary folder.  Re-record (only
@@ -20,6 +23,7 @@ import shutil
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -133,6 +137,8 @@ CASES = {
     "corpus-run/not-a-directory": ["corpus-run", _R],
     "corpus-run/missing": ["corpus-run", "missing"],
     "corpus-run/empty-path": ["corpus-run", ""],
+    "pts/superscript-bound": ["pts", _R, "--root", "0", "--max-depth", "²"],
+    "pts/bound-past-int-digits": ["pts", _R, "--root", "0", "--max-depth", "1" * 5000],
 }
 
 
@@ -155,8 +161,11 @@ def run(argv: list[str]) -> dict:
     outcome = {}
     for key, flags in (("text", []), ("json", ["--json"])):
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([*argv, *flags])
+        with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+            try:
+                code = main([*argv, *flags])
+            except SystemExit as exc:  # a usage error
+                code = exc.code
         outcome[key] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
     return outcome
 
