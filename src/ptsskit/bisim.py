@@ -182,11 +182,7 @@ def _partition(ix: _Index, signing: Optional[Callable[..., list]] = None) -> tup
                         key = block[targets[0]]
                         for u in targets:
                             if block[u] != key:  # the target spreads over blocks: key it by their masses
-                                mass: dict[int, int] = {}
-                                for v, w in zip(targets, step[3]):
-                                    c = block[v]
-                                    mass[c] = mass[c] + w if c in mass else w
-                                key = frozenset(mass.items())
+                                key = _masses(block, targets, step[3])
                                 break
                         if key == b and step[1] == "tau":
                             stays.append(step)
@@ -504,9 +500,8 @@ def distinguishing_challenge(
         return _rooted_challenge(pts, rel, s, t)
     if rel.related(s, t):
         return None
-    table = {u: set(rel.partners(u)) for u in pts.states}
-    table.setdefault(s, set()).add(t)
-    table.setdefault(t, set()).add(s)
+    table = {u: rel.partners(u) for u in pts.states}  # shared: the checks only read it
+    table[s], table[t] = rel.partners(s) | {t}, rel.partners(t) | {s}
     check = (_branching_check if kind == "branching" else _pbranching_check)(pts, table)
     for x, y in ((s, t), (t, s)):
         tr = check(x, y)

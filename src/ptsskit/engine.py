@@ -13,9 +13,9 @@ Each `stable_model` call compiles every rule once (`_compile`), choosing how
 each premise is read from the variables bound before it: a bound source is
 looked up in the index of derived transitions, a still unbound target
 variable takes each derived target as it is, and a conclusion target is read
-from the binding or built by constructors chosen once; `match` and
-`substitute` serve the other shapes.  A pass matches a term once per source
-pattern, and each rule of that source goes on from the binding.
+from the binding or built by constructors chosen once; any other premise
+is matched under the binding it extends.  A pass matches a term once per
+source pattern, and each rule of that source goes on from the binding.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .distributions import Distribution, EvalError, evaluate
 from .errors import BoundError
 from .parser import PTSS, Diagnostic, ParseFailure, Rule, read_weight
-from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, _Record, match,
-                    opaque_state, render_term, substitute, term_sort, variables)
+from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, _Record,
+                    _match_into, match, opaque_state, render_term, substitute, term_sort, variables)
 
 
 class DomainBoundError(BoundError):
@@ -213,31 +213,28 @@ def _instances(
 ) -> list[Term]:
     """The conclusion targets of a compiled rule from rho0, its source's
     binding: one for each solution of its positive premises, read by the
-    steps chosen when it was compiled, whose negative premises hold."""
+    steps chosen when it was compiled, whose negative premises hold.  A
+    premise is matched into a copy of the binding, as its instance would be:
+    a rule uses each variable at one sort, and equal terms are identical."""
     rule, premises, negatives, target_of = compiled
     solutions = [rho0]
     for psrc, label, ptgt, source_of, target_var in premises:
         grown: list[Binding] = []
         for sub in solutions:
             if source_of is None:  # match the source against every transition of the label
-                src, tgt_pat = substitute(sub, psrc), substitute(sub, ptgt)
                 for u, theta in derived.read(label, reader):
-                    m1 = match(src, u)
-                    if m1 is None:
-                        continue
-                    m2 = match(substitute(m1, tgt_pat), theta)
-                    if m2 is not None:
-                        grown.append({**sub, **m1, **m2})
+                    rho = dict(sub)
+                    if _match_into(psrc, u, rho) and _match_into(ptgt, theta, rho):
+                        grown.append(rho)
                 continue
             thetas = derived.read((source_of(sub), label), reader)
             if target_var is not None:  # nothing to match the target against
                 grown += [{**sub, target_var: theta} for theta in thetas]
                 continue
-            tgt_pat = substitute(sub, ptgt)
             for theta in thetas:
-                m = match(tgt_pat, theta)
-                if m is not None:
-                    grown.append({**sub, **m})
+                rho = dict(sub)
+                if _match_into(ptgt, theta, rho):
+                    grown.append(rho)
         solutions = grown
     targets = []
     for rho in solutions:

@@ -19,12 +19,13 @@ identifiers for variables, whose sort is inferred from position.
 The parser makes one pass.  A line's tokens are the strings of one
 `findall`; a column is worked out only for a diagnostic.  A recursive
 descent over them (`_Cursor`) looks each name up once and builds
-sort-checked, interned terms as it reads; a `<A>` rule is read from its
-tokens once per action, or once and relabelled if every `<A>` in it is an
-arrow's label.  The sort errors of a rule are reported after every line's
-syntax errors, as a resolver walking the rule would meet them: its
-positive premises, its negative ones, its conclusion, each term in order.
-A rule line reports each of them once.
+sort-checked, interned terms as it reads, a head after `^` as a plain one;
+a `<A>` rule is read from its tokens once per action, or once and
+relabelled if every `<A>` in it is an arrow's label.  The sort errors of a
+rule are reported after every line's syntax errors, as a resolver walking
+the rule would meet them: its positive premises, its negative ones, its
+conclusion, each term in order.  A rule line reports each of them once.
+`read_weight` reads a `.pts` weight by the same cursor as an oplus weight.
 """
 
 from __future__ import annotations
@@ -241,7 +242,6 @@ class _Cursor:
         if depth > MAX_NESTING:
             self.fail(f"term nested more than {MAX_NESTING} levels deep")
         self.i = k + 1
-        c = tok[0]
         if tok == "delta":
             self.take("(")
             if expected is _STATE:
@@ -251,39 +251,30 @@ class _Cursor:
             return None if inner is None or expected is _STATE else Dirac(inner)
         if tok == "oplus":
             return self.convex(k, expected, depth)
-        # the forms left but `(t)` are prefixes, whose operand is read below, and operators
-        if c in _NAME_START or c >= "\x80":
-            nxt = toks[k + 1]
-            if nxt == "(":
-                return self.apply(tok, False, k, expected, depth)
-            if nxt != "." or c not in _IDENT_START:
-                return self.name(tok, k, expected)
-            self.i = k + 2
-            f = self.prefixes.get(tok)
-            if f is None or expected is _DIST:
-                f = self.prefix(tok, False, k, expected)
-        elif tok == "<A>":
-            self.take(".")
-            f = self.prefix(self.action, False, k, expected)
-        elif tok == "^":
-            head = toks[k + 1]
-            c = head[:1]
-            if head == "<A>":
-                self.i = k + 2
-                self.take(".")
-                f = self.prefix(self.action, True, k, expected)
-            elif not (c in _NAME_START or c >= "\x80"):
-                self.fail("expected an operator name after '^'")
-            elif toks[k + 2] != "." or c not in _IDENT_START:
-                self.i = k + 2
-                return self.apply(head, True, k, expected, depth)
-            else:
-                self.i = k + 3
-                f = self.prefix(head, True, k, expected)
-        elif tok == "(":
+        if tok == "(":
             inner = self.term(expected, depth + 1)
             self.take(")")
             return inner
+        # the forms left are prefixes, whose operand is read below, and operators
+        lifted = tok == "^"
+        h = k + lifted  # the head's token, after an optional `^`
+        tok, self.i = toks[h], h + 1
+        c = tok[:1]
+        if tok == "<A>":
+            self.take(".")
+            f = self.prefix(self.action, lifted, k, expected)
+        elif c in _NAME_START or c >= "\x80":
+            nxt = toks[h + 1]
+            if nxt != "." or c not in _IDENT_START:
+                if lifted or nxt == "(":
+                    return self.apply(tok, lifted, k, expected, depth)
+                return self.name(tok, k, expected)
+            self.i = h + 2
+            f = None if lifted else self.prefixes.get(tok)
+            if f is None or expected is _DIST:
+                f = self.prefix(tok, lifted, k, expected)
+        elif lifted:
+            self.fail("expected an operator name after '^'", h)
         else:
             self.fail(f"unexpected token {_text(tok)!r} in term", k)
         arg = self.term(_DIST, depth + 1)
@@ -648,22 +639,10 @@ def parse_term(text: str, sig: Signature, expected: Optional[Sort] = None) -> Te
     return term
 
 
-# a weight as _Cursor.weight reads one: INT or INT/INT, an INT being the lexer's \d+ of at most 4,300 digits
-_WEIGHT_RE = re.compile(r"[ \t]*(\d{1,4300})[ \t]*(?:/[ \t]*(\d{1,4300})[ \t]*)?")
-
-
 def read_weight(text: str, line_no: int, diags: list[Diagnostic], pos: int, end: int) -> Optional[Fraction]:
-    """The weight that fills text[pos:end], read as an oplus weight is:
-    `INT` or `INT/INT`.  Anything else adds a diagnostic and gives None.
-    The span holds no `#`: a `.pts` line loses its comment first."""
-    m = _WEIGHT_RE.fullmatch(text, pos, end)
-    if m is not None:
-        num, den = m.groups()
-        if den is None:
-            return Fraction(int(num))
-        if int(den):
-            return Fraction(int(num), int(den))
-    # not a weight: the lexer and the weight reader word the diagnostic
+    """The weight that fills text[pos:end], read by `_Cursor.weight` as an
+    oplus weight is: `INT` or `INT/INT`; anything else adds a diagnostic and
+    gives None.  The span holds no `#`: a `.pts` line loses its comment first."""
     seen = len(diags)
     cur = _Cursor(text, line_no, diags, pos, end)
     if not cur.toks[0]:  # nothing to point at but the end of the span
@@ -671,9 +650,11 @@ def read_weight(text: str, line_no: int, diags: list[Diagnostic], pos: int, end:
             diags.append(Diagnostic("expected a probability", line_no, end + 1))
         return None
     try:
-        cur.weight()
+        weight = cur.weight()
         if cur.toks[cur.i]:
             cur.error("a probability is an integer or p/q")
+        elif len(diags) == seen:
+            return weight
     except _Stop:
         pass
     return None

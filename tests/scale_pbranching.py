@@ -5,9 +5,12 @@
 One line per size: wall time, `lp.feasible` calls and the class count.  The
 plain family (`random_pts` of `tests/test_refine_oracle.py`, seed 1) comes
 first, so that a run cut short by a timeout still prints it; then the tau
-chain of `tests/test_almost_sure.py`.  Each system is built afresh and
-decided once, in process; information only, nothing is asserted.  A script,
-not a test module, so pytest does not collect it."""
+chain of `tests/test_almost_sure.py`, with a second line per size: the time
+of one branching and one pbranching NO witness for the pair p/q planted
+beside the chain, while one class holds almost every state.  Each system
+is built afresh and decided once per kind, in process; information only,
+nothing is asserted.  A script, not a test module, so pytest does not
+collect it."""
 
 import pathlib
 import random
@@ -18,7 +21,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from ptsskit import bisim, lp  # noqa: E402
-from tests.test_almost_sure import tau_chain  # noqa: E402
+from ptsskit.terms import render_term  # noqa: E402
+from tests.test_almost_sure import PLANTED, tau_chain  # noqa: E402
 from tests.test_refine_oracle import plain_pts, random_pts  # noqa: E402
 
 PLAIN = (250, 500, 1000, 2000)
@@ -44,11 +48,22 @@ def measure(family, n, pts):
     print(f"{family} n={n} seconds={seconds:.3f} lp.feasible={calls} classes={len(classes)}", flush=True)
 
 
+def witness_seconds(decision):
+    """The time of the NO witness for the planted pair."""
+    s, t = (state for state in decision.pts.states if render_term(state) in ("p", "q"))
+    start = time.perf_counter()
+    decision.witness(s, t)
+    return time.perf_counter() - start
+
+
 def main():
     for n in PLAIN:
         measure("plain", n, plain_pts(n, random_pts(random.Random(1), n)))
     for n in TAU_CHAIN:
         measure("tau-chain", n, tau_chain(n))
+        pts = tau_chain(n, PLANTED)
+        seconds = [witness_seconds(bisim.decide(kind, pts)) for kind in ("branching", "pbranching")]
+        print(f"tau-chain n={n} witness branching={seconds[0]:.3f} pbranching={seconds[1]:.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -23,14 +23,19 @@ from tests.test_partition_oracle import tau_heavy_pts
 from tests.test_refine_oracle import plain_pts, random_pts, stuttered_pts
 
 
-def tau_chain(n):
+# two states no bisimulation relates: p has an `a` self-loop and q no step
+PLANTED = ["state p", "state q", "trans p --a-> { p: 1 }"]
+
+
+def tau_chain(n, extra=()):
     """r_i --tau-> r_{i+1} for i < n-1, a `b` self-loop on every seventh
-    state, and r_{n-1} --a-> r_0: every target a point mass."""
+    state, and r_{n-1} --a-> r_0: every target a point mass; then the
+    lines `extra`."""
     lines = [f"state r{i}" for i in range(n)]
     lines += [f"trans r{i} --tau-> {{ r{i + 1}: 1 }}" for i in range(n - 1)]
     lines += [f"trans r{i} --b-> {{ r{i}: 1 }}" for i in range(0, n, 7)]
     lines.append(f"trans r{n - 1} --a-> {{ r0: 1 }}")
-    return load_pts("\n".join(lines) + "\n")
+    return load_pts("\n".join([*lines, *extra]) + "\n")
 
 
 def tau_cycle(n, spread):

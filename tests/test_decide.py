@@ -21,7 +21,9 @@ from ptsskit.bisim import (
 )
 from ptsskit.cli import EXIT_NEGATIVE, EXIT_USAGE, main
 from ptsskit.engine import load_pts
+from ptsskit.terms import render_term
 from tests.conftest import CORPUS
+from tests.test_almost_sure import PLANTED, tau_chain
 
 GOLDEN = Path(__file__).resolve().parent / "golden_bisim.json"
 
@@ -118,6 +120,22 @@ def test_decide_agrees_with_the_deciders_on_random_systems():
                 assert state in (s, t) and tr in pts.outgoing(state), (trial, kind, s, t)
         assert decide("rooted", pts).classes() is None
         assert decide("branching", pts).classes() == bb.classes()
+
+
+@pytest.mark.parametrize("kind", ["branching", "pbranching"])
+def test_a_witness_widens_only_the_queried_pairs_partner_sets(monkeypatch, kind):
+    # the per-pair check only reads its relation, so every other state keeps
+    # the decided relation's own set: no copy of the n^2 pairs of a large class
+    pts = tau_chain(60, PLANTED)
+    decision = decide(kind, pts)
+    s, t = (u for u in pts.states if render_term(u) in ("p", "q"))
+    name = "_branching_check" if kind == "branching" else "_pbranching_check"
+    check, tables = getattr(bisim, name), []
+    monkeypatch.setattr(bisim, name, lambda pts, table: tables.append(table) or check(pts, table))
+    assert decision.witness(s, t) == (s, pts.outgoing(s)[0])
+    (table,), relation = tables, decision.relation
+    assert table[s] == relation.partners(s) | {t} and table[t] == relation.partners(t) | {s}
+    assert all(table[u] is relation.partners(u) for u in pts.states if u not in (s, t))
 
 
 def test_decide_rejects_an_unknown_kind():

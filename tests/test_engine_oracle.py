@@ -85,6 +85,32 @@ def test_rules_sharing_a_source_pattern_agree_with_the_oracle():
     assert outcomes["model"] >= 30 and outcomes["RuleInstantiationError"] >= 5
 
 
+# running.ptss with premises matched under the binding so far: `loop` reads a
+# bound source whose target pattern repeats the bound `x`, `open` an open
+# source whose target repeats the conclusion's `x`, and `open2` an open source
+# pattern that the target's `w` must meet
+BOUND_PREMISE_SPEC = RUNNING_SPEC.replace("rule prefix", "op h : -> s\nop f : s -> s\nop g : s s -> s\nrule prefix") + (
+    "rule spin: h --a-> delta(h)\n"
+    "rule loop: x --a-> delta(x) |- f(x) --b-> delta(x)\n"
+    "rule open: y --a-> delta(x) |- g(x,z) --a-> delta(y)\n"
+    "rule open2: f(w) --b-> delta(w) |- g(x,z) --b-> delta(w)\n"
+)
+
+
+def test_premises_matched_under_their_binding_agree_with_the_oracle():
+    spec = parse_spec(BOUND_PREMISE_SPEC)
+    roots = [parse_term(r, spec.signature) for r in ("g(0,0)", "g(h,a.delta(0))", "f(h)", "f(a.delta(h))")]
+    history, _, converged = _agree(spec, roots)
+    derived = {repr(tr) for tr in history[-1][0]}
+    assert converged and {
+        "f(h) --b-> delta(h)",  # loop: h's a-target repeats h
+        "g(0,0) --a-> delta(a.delta(0))",  # open: a.delta(0)'s a-target repeats g's 0
+        "g(h,a.delta(0)) --a-> delta(h)",
+        "g(0,0) --b-> delta(h)",  # open2
+    } <= derived
+    assert not any(tr.startswith("f(a.delta(h)) ") for tr in derived)  # its a-target is delta(h), not itself
+
+
 # running.ptss with rules that grow targets without bound: g1 lifts the target
 # of any b-step into a longer one, so several targets pass --max-depth in one round
 GROWING_SPEC = RUNNING_SPEC.replace("rule prefix", "op k0 : s -> s\nrule prefix") + (

@@ -169,3 +169,20 @@ TERMS = sorted({root for _, root in ROOTS} | {"x", "+(x,mu)", "^+(mu,delta(x))",
 def test_mutated_terms_parse_as_before(text, expected):
     check_term(text, SIG, expected)
 
+
+# every head form that the term reader tells apart after `^`: an `<A>.` or a
+# name prefix, an operator with and without parentheses, a name that cannot
+# start a prefix, and no name at all
+LIFTED = ["^<A>.mu", "^a.mu", "^+(mu,mu)", "^+", "^0", "^g", "^x", "^+.mu", "^(", "^"]
+
+
+@pytest.mark.parametrize("expected", [None, Sort.STATE, Sort.DIST], ids=["none", "s", "d"])
+@pytest.mark.parametrize("text", LIFTED)
+def test_lifted_heads_parse_as_before(text, expected):
+    check_term(text, SIG, expected)
+
+
+@pytest.mark.parametrize("text", LIFTED)
+def test_lifted_heads_in_rules_parse_as_before(text):
+    for rule in (f"x --a-> {text}", f"{text} --a-> mu", f"x --<A>-> {text}"):
+        check_spec(SPECS["running.ptss"] + f"rule lifted: {rule}\n")
