@@ -22,15 +22,17 @@ one block, else as (label, block masses), exact integer sums; a state's moves
 are kept until it or a target changes block.  `_flow_rows` writes every LP's
 integer rows.  `rooted_branching_bisim` matches the initial steps of a pair
 strictly against the branching relation.  The scheduler-based definitions,
-the pair-deleting fixpoint and the weak combined transition LP live in the
-tests, as oracles (`tests/reference_schedulers.py`, `tests/reference_refine.py`).
+the pair-deleting fixpoint and the weak combined transition LP over the
+whole system live in the tests, as oracles (`tests/reference_schedulers.py`,
+`tests/reference_refine.py`).
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
 kind once and answers relatedness, classes and a distinguishing witness.  The
 witness reruns the kind's per-pair check on the relation plus the queried
 pair, lifting by exact max-flow for branching (`lift_check`) and through
-transport columns in one LP for pbranching (`_combined_match`); a rooted
-witness lifts by block masses (`_rooted_challenge`).
+transport columns in one LP for pbranching (`_combined_match`), an LP that
+spans reach(t), the states the matching state t reaches by preserving
+tau-steps; a rooted witness lifts by block masses (`_rooted_challenge`).
 """
 
 from __future__ import annotations
@@ -292,8 +294,10 @@ def _execution_match(
 
 def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     ix = _index(pts)
-    preserving = [ix.step(tr) for tr in pts.transitions
-                  if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
+    preserving: dict[int, list[Step]] = {}  # by source
+    for tr in pts.transitions:
+        if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support):
+            preserving.setdefault(ix.num[tr.source], []).append(ix.step(tr))
     match = functools.cache(lambda challenge, t: _combined_match(ix, rel, preserving, *challenge, t))
     return _first_unmatched(pts, rel, lambda s, tr, t: match(ix.step(tr)[1:], ix.num[t]))
 
@@ -351,8 +355,10 @@ def prob_branching_bisim(pts: PTS) -> StateRelation:
     bisimulation partition relates (checked by brute force on small systems),
     and the classes may overlap."""
     ix = _index(pts)
-    rel, (block, members, *kept) = _partition(ix, _pbranching_signatures)
-    if all(len(set(_pbranching_signatures(ix, block, ms, *kept, False))) == 1 for ms in members):
+    rel, (block, members, moves, *kept) = _partition(ix, _pbranching_signatures)
+    # a block with one-block moves only signs alike without staying put: no LP reads `stay`
+    if all(len(set(_pbranching_signatures(ix, block, ms, moves, *kept, False))) == 1 for ms in members
+           if any(type(key) is not int for x in ms for _, key in moves[x])):
         return rel
     table = {u: set(rel.partners(u)) for u in rel.states}
     while True:
@@ -407,25 +413,39 @@ def _block_match(
 
 
 def _combined_match(
-    ix: _Index, rel: Mapping[Term, set], preserving: Sequence[Step], label: str, targets: tuple, weights: tuple, t: int
+    ix: _Index, rel: Mapping[Term, set], preserving: Mapping[int, list[Step]], label: str, targets: tuple,
+    weights: tuple, t: int,
 ) -> bool:
     """One linear feasibility question: does some weak tau-step of `t` inside
-    the preserving set reach an intermediate distribution whose one-step
-    `label`-combination is lifting-related to the challenge target?"""
-    steps = [step for out in ix.steps for step in out if step[1] == label]
-    if not steps:
+    the preserving set (by source) reach an intermediate distribution whose
+    one-step `label`-combination is lifting-related to the challenge target?
+    No other state receives mass, so the LP spans reach(t), the states `t`
+    reaches by preserving steps: a flow row each, their `label` steps, and a
+    lift row for each state that those steps reach."""
+    reach, at = [t], {t: 0}
+    for u in reach:  # the list grows as it is read
+        for step in preserving.get(u, ()):
+            for v in step[2]:
+                if v not in at:
+                    at[v] = len(reach)
+                    reach.append(v)
+    steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
+    states, scale = ix.states, ix.scale
+    lift = {v: i for i, v in enumerate(dict.fromkeys(v for step in steps for v in step[2]), len(reach))}
+    # each challenge entry's related lift rows; an entry with none is not lifted
+    partners = [[i for v, i in lift.items() if states[v] in rel.get(states[p], ())] for p in targets]
+    if not all(partners):
         return False
-    n, scale, states = len(ix.steps), ix.scale, ix.states
-    # a weak tau phase inside the preserving set, then one label-step per stopped unit; the
-    # second n rows lift the challenge target against the combined target, a column per related pair
-    rows: list[dict[int, int]] = [{} for _ in range(2 * n)]
-    col = _flow_rows(rows, range(n), preserving, 0, scale)
-    col = _flow_rows(rows, range(n), steps, col, scale, range(n, 2 * n))
-    rhs = [scale if u == t else 0 for u in range(n)] + [0] * n
-    for p, w in zip(targets, weights):
+    # a weak tau phase inside the preserving set, then one label-step per stopped unit; the lift
+    # rows lift the challenge target against the combined target, a column per related pair
+    rows: list[dict[int, int]] = [{} for _ in range(len(reach) + len(lift))]
+    col = _flow_rows(rows, at, [step for u in reach for step in preserving.get(u, ())], 0, scale)
+    col = _flow_rows(rows, at, steps, col, scale, lift)
+    rhs = [scale] + [0] * (len(rows) - 1)  # all mass starts at t
+    for lifts, w in zip(partners, weights):
         row = {}
-        for v in sorted(ix.num[v] for v in rel.get(states[p], ())):
-            row[col] = rows[n + v][col] = scale
+        for i in lifts:
+            row[col] = rows[i][col] = scale
             col += 1
         rows.append(row)
         rhs.append(w)

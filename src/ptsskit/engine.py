@@ -312,8 +312,8 @@ def _check_and_collect(term: Term, universe: set[Term], bound: DomainBound) -> N
         stack.extend(reversed(sub.kids))
 
 
-def _closed_universe(p: PTSS, bound: DomainBound) -> tuple[list[Term], _Derived]:
-    """The roots' domain in text order: closed under subterms and the support
+def _closed_universe(p: PTSS, bound: DomainBound) -> tuple[set[Term], _Derived]:
+    """The roots' domain, unordered: closed under subterms and the support
     of every target derived over it with every negative premise granted; and
     that derivation.  It is monotone in the domain, so each round extends it
     from the new terms and evaluates the new targets."""
@@ -333,7 +333,7 @@ def _closed_universe(p: PTSS, bound: DomainBound) -> tuple[list[Term], _Derived]
                 if s not in universe:
                     _check_and_collect(s, universe, bound)
         new = universe - old
-    return sorted(universe, key=render_term), derived
+    return universe, derived
 
 
 def stable_model(p: PTSS, bound: DomainBound) -> ThreeValuedModel:

@@ -4,7 +4,8 @@ refinement, kept as a test oracle.
 `_refine` starts from every pair of states and, each sweep, keeps the pairs
 that pass the kind's per-pair check in both directions against the relation
 of the sweep before; it stops when a sweep deletes nothing.  Lifting goes
-through `lift_check`'s exact max-flow, and the pbranching check solves one LP
+through `lift_check`'s exact max-flow, and the pbranching check
+(`pbranching_check`) solves one LP over the whole system, `combined_match`,
 with a `w` variable per related pair; rooted pairs lift by max-flow as well.
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
 with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
@@ -14,9 +15,11 @@ as the partner map `lift_check` takes.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from ptsskit.bisim import PairCheck, _branching_check, _pbranching_check, lift_check
+from ptsskit import lp
+from ptsskit.bisim import PairCheck, Step, _branching_check, _first_unmatched, _flow_rows, _index, _Index, lift_check
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.terms import Term, render_term
 
@@ -82,8 +85,46 @@ def branching_bisim(pts: PTS) -> PairRelation:
     return _refine(pts, _branching_check)
 
 
+def pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+    """The pbranching per-pair check: every non-inert challenge of `s` is
+    matched from `t` by `combined_match`, over the preserving tau-steps."""
+    ix = _index(pts)
+    preserving = [ix.step(tr) for tr in pts.transitions
+                  if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
+    match = functools.cache(lambda challenge, t: combined_match(ix, rel, preserving, *challenge, t))
+    return _first_unmatched(pts, rel, lambda s, tr, t: match(ix.step(tr)[1:], ix.num[t]))
+
+
+def combined_match(
+    ix: _Index, rel: Mapping[Term, set], preserving: Sequence[Step], label: str, targets: tuple, weights: tuple, t: int
+) -> bool:
+    """One linear feasibility question over the whole system: does some weak
+    tau-step of `t` inside the preserving set reach an intermediate
+    distribution whose one-step `label`-combination is lifting-related to the
+    challenge target?  A flow row and a lift row for every state, and a
+    column for every `label` step."""
+    steps = [step for out in ix.steps for step in out if step[1] == label]
+    if not steps:
+        return False
+    n, scale, states = len(ix.steps), ix.scale, ix.states
+    # a weak tau phase inside the preserving set, then one label-step per stopped unit; the
+    # second n rows lift the challenge target against the combined target, a column per related pair
+    rows: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    col = _flow_rows(rows, range(n), preserving, 0, scale)
+    col = _flow_rows(rows, range(n), steps, col, scale, range(n, 2 * n))
+    rhs = [scale if u == t else 0 for u in range(n)] + [0] * n
+    for p, w in zip(targets, weights):
+        row = {}
+        for v in sorted(ix.num[v] for v in rel.get(states[p], ())):
+            row[col] = rows[n + v][col] = scale
+            col += 1
+        rows.append(row)
+        rhs.append(w)
+    return lp.feasible(rows, rhs)
+
+
 def prob_branching_bisim(pts: PTS) -> PairRelation:
-    return _refine(pts, _pbranching_check)
+    return _refine(pts, pbranching_check)
 
 
 def rooted_challenge(

@@ -6,11 +6,11 @@ One line per size: wall time, `lp.feasible` calls and the class count.  The
 plain family (`random_pts` of `tests/test_refine_oracle.py`, seed 1) comes
 first, so that a run cut short by a timeout still prints it; then the tau
 chain of `tests/test_almost_sure.py`, with a second line per size: the time
-of one branching and one pbranching NO witness for the pair p/q planted
-beside the chain, while one class holds almost every state.  Each system
-is built afresh and decided once per kind, in process; information only,
-nothing is asserted.  A script, not a test module, so pytest does not
-collect it."""
+and `lp.feasible` calls of one branching and one pbranching NO witness for
+the pair p/q planted beside the chain, while one class holds almost every
+state.  Each system is built afresh and decided once per kind, in process;
+information only, nothing is asserted.  A script, not a test module, so
+pytest does not collect it."""
 
 import pathlib
 import random
@@ -26,10 +26,12 @@ from tests.test_almost_sure import PLANTED, tau_chain  # noqa: E402
 from tests.test_refine_oracle import plain_pts, random_pts  # noqa: E402
 
 PLAIN = (250, 500, 1000, 2000)
-TAU_CHAIN = (60, 120, 250, 500, 1000)
+TAU_CHAIN = (60, 120, 250, 500, 1000, 2000)
 
 
-def measure(family, n, pts):
+def counted(run):
+    """The seconds `run()` takes and the `lp.feasible` calls it makes, with
+    its result."""
     calls = 0
     feasible = lp.feasible
 
@@ -41,19 +43,23 @@ def measure(family, n, pts):
     lp.feasible = counting
     try:
         start = time.perf_counter()
-        classes = bisim.decide("pbranching", pts).classes()
+        result = run()
         seconds = time.perf_counter() - start
     finally:
         lp.feasible = feasible
+    return seconds, calls, result
+
+
+def measure(family, n, pts):
+    seconds, calls, classes = counted(lambda: bisim.decide("pbranching", pts).classes())
     print(f"{family} n={n} seconds={seconds:.3f} lp.feasible={calls} classes={len(classes)}", flush=True)
 
 
-def witness_seconds(decision):
-    """The time of the NO witness for the planted pair."""
+def witness(decision):
+    """The time and LP count of the NO witness for the planted pair."""
     s, t = (state for state in decision.pts.states if render_term(state) in ("p", "q"))
-    start = time.perf_counter()
-    decision.witness(s, t)
-    return time.perf_counter() - start
+    seconds, calls, _ = counted(lambda: decision.witness(s, t))
+    return f"{decision.kind}={seconds:.3f} lp.feasible={calls}"
 
 
 def main():
@@ -62,8 +68,8 @@ def main():
     for n in TAU_CHAIN:
         measure("tau-chain", n, tau_chain(n))
         pts = tau_chain(n, PLANTED)
-        seconds = [witness_seconds(bisim.decide(kind, pts)) for kind in ("branching", "pbranching")]
-        print(f"tau-chain n={n} witness branching={seconds[0]:.3f} pbranching={seconds[1]:.3f}", flush=True)
+        print(f"tau-chain n={n} witness", *(witness(bisim.decide(kind, pts)) for kind in ("branching", "pbranching")),
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ block masses, on every one-block key of every signing that refinement asks
 for: fixed-seed tau-heavy, plain and stuttered systems, tau chains, tau
 cycles, and a block whose inert step leaks into a dead end, where plain
 reachability holds and almost-sure reachability fails.  Then the saving: the
-tau chain and the benchmark's `pb` family decide with no one-block LP."""
+tau chain and the benchmark's `pb` family decide with no one-block LP, and
+their NO witnesses for the planted pair build no LP at all, as the per-pair
+LP spans only the states the queried state reaches."""
 
 import hashlib
 import json
@@ -19,6 +21,7 @@ import ptsskit.bisim as bisim
 from ptsskit import lp
 from ptsskit.engine import load_pts
 from ptsskit.terms import render_term
+from tests import reference_refine
 from tests.test_partition_oracle import tau_heavy_pts
 from tests.test_refine_oracle import plain_pts, random_pts, stuttered_pts
 
@@ -152,3 +155,39 @@ def test_the_benchmark_pb_family_matches_no_one_block_key_by_lp(monkeypatch):
             assert decision.related(named["r0"], named["c0"])
             assert decision.witness(named["p"], named["q"]) is not None
     assert [key for key in keys if type(key) is int] == []
+
+
+def _witness_by_lp_count(monkeypatch, decision, s, t):
+    """The witness for (s, t) with the `lp.feasible` calls it makes, and the
+    witness of the whole-system LP (`reference_refine.pbranching_check`)."""
+    calls = []
+    feasible = lp.feasible
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "feasible", lambda rows, rhs: calls.append(len(rows)) or feasible(rows, rhs))
+        witness = decision.witness(s, t)
+    with monkeypatch.context() as patch:
+        patch.setattr(bisim, "_pbranching_check", reference_refine.pbranching_check)
+        whole = decision.witness(s, t)
+    return witness, calls, whole
+
+
+def test_the_planted_tau_chain_witness_builds_no_lp(monkeypatch):
+    # q has no step, so it reaches no `a` step: the witness needs no LP
+    pts = tau_chain(250, PLANTED)
+    named = {render_term(u): u for u in pts.states}
+    witness, calls, whole = _witness_by_lp_count(monkeypatch, bisim.decide("pbranching", pts), named["p"], named["q"])
+    assert calls == []
+    assert witness == whole
+    assert (render_term(witness[0]), str(witness[1])) == ("p", "p --a-> {p: 1}")
+
+
+def test_the_benchmark_pb_family_witnesses_build_no_lp(monkeypatch):
+    # the `pb-no` queries of the `pb` and `pbx` systems of perfbench/workloads.py
+    for cls, count in (("pb", 16), ("pbx", 8)):
+        for i in range(count):
+            pts = stuttered_pts(1, random_pts(random.Random(f"bisim/{cls}/{i}"), 1))
+            named = {render_term(u): u for u in pts.states}
+            decision = bisim.decide("pbranching", pts)
+            witness, calls, whole = _witness_by_lp_count(monkeypatch, decision, named["p"], named["q"])
+            assert calls == []
+            assert witness == whole and witness is not None

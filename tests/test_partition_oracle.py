@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import ptsskit.bisim as bisim
 from ptsskit.bisim import prob_branching_bisim
 from ptsskit.engine import load_pts
 from ptsskit.terms import render_term
@@ -108,3 +109,26 @@ def test_no_greatest_bisimulation_equivalence():
     ]
     assert join(pts, kept) not in kept
     assert _names(prob_branching_bisim(pts).classes()) == [["r0", "r1"], ["r1", "r2"], ["r3"]]
+
+
+def test_only_blocks_with_a_multi_block_move_are_re_signed_without_staying_put():
+    # `prob_branching_bisim` returns the partition when every block signs alike
+    # without staying put, and re-signs only the blocks where some member has
+    # a move into several blocks: on a block with one-block moves only, no LP
+    # reads `stay`, so its members sign alike, as refinement left them.  Then
+    # the skip and the full re-check return alike, and so give one relation.
+    draws = [plain_pts(k, generate(random.Random(f"partitions:{family}:{seed}")))
+             for family, (k, generate) in sorted(FAMILIES.items()) for seed in range(SYSTEMS)]
+    draws += [_tau_heavy(2611), _not_transitive()]
+    one_block_blocks = returned = 0
+    for pts in draws:
+        ix = bisim._index(pts)
+        rel, (block, members, moves, *kept) = bisim._partition(ix, bisim._pbranching_signatures)
+        alike = [len(set(bisim._pbranching_signatures(ix, block, ms, moves, *kept, False))) == 1 for ms in members]
+        one_block = [all(type(key) is int for x in ms for _, key in moves[x]) for ms in members]
+        assert all(a for a, o in zip(alike, one_block) if o)
+        one_block_blocks += sum(one_block)
+        if all(alike):
+            returned += 1
+            assert pairs(prob_branching_bisim(pts)) == pairs(rel)
+    assert one_block_blocks > len(draws) and 0 < returned < len(draws)
