@@ -19,32 +19,30 @@ the PTS, built once per PTS and kept on it (`_Index`): states numbered in
 text order, each step's weights scaled to integers by one common denominator.
 A non-inert step is a move keyed as (label, block) when its target lies in
 one block, else as (label, block masses), exact integer sums; a state's moves
-are kept until it or a target changes block.  `_flow_rows` writes every LP's
-integer rows.  `rooted_branching_bisim` matches the initial steps of a pair
-strictly against the branching relation.  The scheduler-based definitions,
-the pair-deleting fixpoint and the weak combined transition LP over the
-whole system live in the tests, as oracles (`tests/reference_schedulers.py`,
-`tests/reference_refine.py`).
+are kept until it or a target changes block.  `_flow_rows` and `_lift_rows`
+write every LP's integer rows.  `rooted_branching_bisim` matches the initial
+steps of a pair strictly against the branching relation.  The scheduler-based
+definitions, the pair-deleting fixpoint, the weak combined transition LP over
+the whole system and max-flow lifting live in the tests, as oracles.
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
 kind once and answers relatedness, classes and a distinguishing witness.  The
 witness reruns the kind's per-pair check on the relation plus the queried
-pair, lifting by exact max-flow for branching (`lift_check`) and through
-transport columns in one LP for pbranching (`_combined_match`), an LP that
-spans reach(t), the states the matching state t reaches by preserving
-tau-steps; a rooted witness lifts by block masses (`_rooted_challenge`).
+pair.  It lifts by transport columns in one exact LP, for branching the
+target alone (`lift_check`) and for pbranching after a weak phase over
+reach(t), the states the matching state t reaches by preserving tau-steps
+(`_combined_match`).  A rooted witness lifts by block masses.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lp
 from .distributions import Distribution
 from .engine import PTS, PtsTransition
-from .lp import max_flow
 from .terms import Term
 
 # the relations `decide` answers for: branching, probabilistic branching and
@@ -83,22 +81,18 @@ class StateRelation:
 
 def lift_check(partners: Mapping[Term, set], d1: Distribution, d2: Distribution) -> bool:
     """Does a weight function exist with marginals d1/d2 supported on pairs
-    related by `partners`, each state's set of partners?  Exact max-flow
-    feasibility on the bipartite support graph."""
-    left, right = d1.support, d2.support
-    l_index = {t: 1 + i for i, t in enumerate(left)}
-    r_index = {t: 1 + len(left) + i for i, t in enumerate(right)}
-    sink = 1 + len(left) + len(right)
-    edges: list[tuple[int, int, Fraction]] = []
-    for t in left:
-        edges.append((0, l_index[t], d1.get(t)))
-        related = partners.get(t, set())
-        for u in right:
-            if u in related:
-                edges.append((l_index[t], r_index[u], Fraction(1)))
-    for u in right:
-        edges.append((r_index[u], sink, d2.get(u)))
-    return max_flow(sink + 1, edges, 0, sink) == 1
+    related by `partners`, each state's set of partners?  One exact LP: a row
+    per entry of d2, into which `_lift_rows` lifts d1's entries, in integers."""
+    scale = _lcm({p.denominator for d in (d1, d2) for _, p in d.items()})
+    w1, rhs = ([p.numerator * (scale // p.denominator) for _, p in d.items()] for d in (d1, d2))
+    rows: list[dict[int, int]] = [{} for _ in rhs]
+    _lift_rows(rows, rhs, [[i for i, u in enumerate(d2.support) if u in partners.get(t, ())] for t in d1.support], w1, 0)
+    return lp.feasible(rows, rhs)
+
+
+def _lcm(numbers: Iterable[int]) -> int:
+    """The least common multiple of `numbers` (a decision module imports no `math`)."""
+    return functools.reduce(lambda out, n: out * Fraction(out, n).denominator, numbers, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +123,21 @@ def _flow_rows(
     return col + len(steps)
 
 
+def _lift_rows(
+    rows: list[dict[int, int]], rhs: list[int], lifts: Sequence[Sequence[int]], weights: Sequence[int], col: int
+) -> None:
+    """Transport rows: for the k-th entry, of weight `weights[k]`, a new row
+    whose columns, from `col` on, one per row i of `lifts[k]`, sum to that
+    weight; each column counts 1 in its row i too."""
+    for related, w in zip(lifts, weights):
+        row = {}
+        for i in related:
+            row[col] = rows[i][col] = 1
+            col += 1
+        rows.append(row)
+        rhs.append(w)
+
+
 class _Index:
     """A PTS over dense state numbers, the order of `pts.states`: `steps[x]`
     lists x's steps in the order of `pts.outgoing`, their probabilities times
@@ -136,9 +145,7 @@ class _Index:
 
     def __init__(self, pts: PTS):
         self.states, self.num = pts.states, {s: i for i, s in enumerate(pts.states)}
-        self.scale = 1
-        for d in {p.denominator for tr in pts.transitions for _, p in tr.target.items()}:
-            self.scale *= Fraction(self.scale, d).denominator  # so the least common multiple
+        self.scale = _lcm({p.denominator for tr in pts.transitions for _, p in tr.target.items()})
         self.steps: list[list[Step]] = [[] for _ in pts.states]
         point = (self.scale,)  # the weights of a point mass, built once
         for tr in pts.transitions:
@@ -242,8 +249,7 @@ PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
 
 
 def _first_unmatched(pts: PTS, rel: Mapping[Term, set], matched: Callable[[Term, PtsTransition, Term], bool]) -> PairCheck:
-    """The matching loop of every decider: each non-inert challenge of `s`
-    must be `matched` from `t`."""
+    """The per-pair matching loop: each non-inert challenge of `s` must be `matched` from `t`."""
 
     def check(s: Term, t: Term) -> Optional[PtsTransition]:
         members = rel.get(s, set()) & rel.get(t, set())  # an inert challenge stays among them
@@ -442,13 +448,7 @@ def _combined_match(
     col = _flow_rows(rows, at, [step for u in reach for step in preserving.get(u, ())], 0, scale)
     col = _flow_rows(rows, at, steps, col, scale, lift)
     rhs = [scale] + [0] * (len(rows) - 1)  # all mass starts at t
-    for lifts, w in zip(partners, weights):
-        row = {}
-        for i in lifts:
-            row[col] = rows[i][col] = scale
-            col += 1
-        rows.append(row)
-        rhs.append(w)
+    _lift_rows(rows, rhs, partners, weights, col)
     return lp.feasible(rows, rhs)
 
 

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -101,9 +102,13 @@ def _add_bound_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
+    try:  # the newline is its own write: unbuffered, a write cut short by a closed pipe is lost silently
+        sys.stdout.write(text.removesuffix("\n"))
         sys.stdout.write("\n")
+        sys.stdout.flush()  # here, so that a closed pipe fails inside the try
+    except BrokenPipeError as exc:  # the reader has gone: the rest, and the flush at exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise PtssError(f"cannot write: {exc.strerror}") from None
 
 
 def _answer(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:

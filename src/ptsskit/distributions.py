@@ -25,7 +25,7 @@ from .terms import (
 )
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE = Fraction(1)
 
 
 class EvalError(PtssError):
@@ -37,7 +37,7 @@ class Distribution:
     sum 1, kept as given.  The text is made once, and it is the hash:
     hashing a `Fraction` costs more than a string's cached hash."""
 
-    __slots__ = ("_items", "_table", "_support", "_text")
+    __slots__ = ("_items", "_support", "_text")
 
     def __init__(self, items: Iterable[tuple[Term, Fraction]]):
         table: dict[Term, Fraction] = {}
@@ -63,7 +63,6 @@ class Distribution:
         if num < den:
             raise EvalError(f"distribution mass is {brief(Fraction(num, den))}, expected 1")
         support = tuple(sorted(table, key=render_term)) if len(table) > 1 else tuple(table)
-        self._table = table
         self._items = tuple(zip(support, map(table.__getitem__, support)))
         self._support = support
         self._text = None
@@ -78,8 +77,7 @@ class Distribution:
         if given: the caller knows the items positive, ordered by text, without
         repeats and of mass 1."""
         dist = object.__new__(Distribution)
-        dist._table = dict(items)
-        dist._items, dist._support, dist._text = items, tuple(dist._table), text
+        dist._items, dist._support, dist._text = items, tuple([t for t, _ in items]), text
         return dist
 
     @property
@@ -88,9 +86,6 @@ class Distribution:
 
     def items(self) -> tuple[tuple[Term, Fraction], ...]:
         return self._items
-
-    def get(self, term: Term) -> Fraction:
-        return self._table.get(term, _ZERO)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Distribution) and self._items == other._items

@@ -1,9 +1,8 @@
-"""Exact rational linear feasibility and max-flow.
-
-Both routines are exact: `feasible` pivots integer rows, and `max_flow`
-runs over `fractions.Fraction`.  The decision procedures built on top
-(relation lifting and the probabilistic branching block matches) sit on
-boundary cases where floating point would flip answers.
+"""Exact rational linear feasibility, the one solver of every decision:
+`feasible` pivots integer rows.  Relation lifting and the probabilistic
+branching matches sit on boundary cases where floating point would flip
+answers.  `max_flow`, over `fractions.Fraction`, decides nothing: the tests
+lift by it (`tests/reference_lp.py`) to check `bisim.lift_check`.
 """
 
 from __future__ import annotations

@@ -164,7 +164,6 @@ class ReferenceDistribution(Distribution):
             raise EvalError("total mass exceeds 1")
         if total < 1:
             raise EvalError(f"distribution mass is {brief(total)}, expected 1")
-        self._table = table
         self._items = tuple(sorted(table.items(), key=lambda kv: render_term(kv[0])))
         self._support = tuple(t for t, _ in self._items)  # the slots the library adds
         self._text = None

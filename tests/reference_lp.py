@@ -1,9 +1,11 @@
 """The dense phase-1 simplex that `ptsskit.lp.feasible` replaced, kept as
-the test oracle for it.
+the test oracle for it, and the max-flow lifting that `ptsskit.bisim.lift_check`
+replaced, kept as the oracles' own lifting.
 
-It pivots a full `Fraction` tableau with m artificial columns under Bland's
-rule.  Rows are dense coefficient lists.  `integral` scales rational sparse
-rows to the integer ones the library's `feasible` takes.
+`feasible` pivots a full `Fraction` tableau with m artificial columns under
+Bland's rule.  Rows are dense coefficient lists.  `integral` scales rational
+sparse rows to the integer ones the library's `feasible` takes.
+`lift_by_max_flow` lifts a relation by `ptsskit.lp.max_flow`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+from ptsskit.distributions import Distribution
+from ptsskit.lp import max_flow
 
 Row = Sequence[Fraction]
 
@@ -85,3 +90,24 @@ def dense(rows: Sequence[Mapping[int, Fraction]]) -> list[list[Fraction]]:
     """Sparse rows (column -> coefficient) as dense lists, for `feasible`."""
     n = 1 + max((j for row in rows for j in row), default=-1)
     return [[Fraction(row.get(j, 0)) for j in range(n)] for row in rows]
+
+
+def lift_by_max_flow(partners: Mapping, d1: Distribution, d2: Distribution) -> bool:
+    """Does a weight function exist with marginals d1/d2 supported on pairs
+    related by `partners`, each state's set of partners?  Exact max-flow
+    feasibility on the bipartite support graph (Baier, Engelen &
+    Majster-Cederbaum, JCSS 2000): source to each entry of d1 with its
+    weight, d1 to d2 along related pairs, each entry of d2 to the sink with
+    its weight; the answer is yes when the flow is 1."""
+    left, right = d1.items(), d2.items()
+    sink = 1 + len(left) + len(right)
+    edges: list[tuple[int, int, Fraction]] = []
+    for i, (t, p) in enumerate(left, 1):
+        edges.append((0, i, p))
+        related = partners.get(t, set())
+        for j, (u, _) in enumerate(right, 1 + len(left)):
+            if u in related:
+                edges.append((i, j, Fraction(1)))
+    for j, (_, q) in enumerate(right, 1 + len(left)):
+        edges.append((j, sink, q))
+    return max_flow(sink + 1, edges, 0, sink) == 1

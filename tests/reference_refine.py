@@ -3,14 +3,16 @@ refinement, kept as a test oracle.
 
 `_refine` starts from every pair of states and, each sweep, keeps the pairs
 that pass the kind's per-pair check in both directions against the relation
-of the sweep before; it stops when a sweep deletes nothing.  Lifting goes
-through `lift_check`'s exact max-flow, and the pbranching check
-(`pbranching_check`) solves one LP over the whole system, `combined_match`,
-with a `w` variable per related pair; rooted pairs lift by max-flow as well.
+of the sweep before; it stops when a sweep deletes nothing.  The branching
+check (`branching_check`) lifts by exact max-flow (`lift_by_max_flow` of
+`tests/reference_lp.py`, not the library's `lift_check`), and the pbranching
+check (`pbranching_check`) solves one LP over the whole system,
+`combined_match`, with a `w` variable per related pair; rooted pairs lift by
+max-flow as well.
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
 with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
 either kind of relation, and `partner_map(rel)` gives either, or a pair set,
-as the partner map `lift_check` takes.
+as the partner map lifting takes.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import functools
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ptsskit import lp
-from ptsskit.bisim import PairCheck, Step, _branching_check, _first_unmatched, _flow_rows, _index, _Index, lift_check
+from ptsskit.bisim import PairCheck, Step, _execution_match, _first_unmatched, _flow_rows, _index, _Index
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.terms import Term, render_term
+from tests.reference_lp import lift_by_max_flow
 
 
 class PairRelation:
@@ -47,7 +50,7 @@ def pairs(rel) -> frozenset[tuple[Term, Term]]:
 
 
 def partner_map(rel) -> dict[Term, set[Term]]:
-    """Each state's set of partners, the form `lift_check` takes, of a set of
+    """Each state's set of partners, the form lifting takes, of a set of
     pairs or of a `StateRelation` or `PairRelation`."""
     if hasattr(rel, "partners"):
         return {s: set(rel.partners(s)) for s in rel.states}
@@ -81,8 +84,15 @@ def _refine(pts: PTS, make_check: Callable[[PTS, Mapping[Term, set]], PairCheck]
         pairs = new_pairs
 
 
+def branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+    """The branching per-pair check: every non-inert challenge of `s` is
+    matched from `t` by a concrete execution, lifting by max-flow."""
+    lift = functools.cache(functools.partial(lift_by_max_flow, rel))
+    return _first_unmatched(pts, rel, lambda s, tr, t: _execution_match(pts, rel, s, tr, t, lift))
+
+
 def branching_bisim(pts: PTS) -> PairRelation:
-    return _refine(pts, _branching_check)
+    return _refine(pts, branching_check)
 
 
 def pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
@@ -135,7 +145,7 @@ def rooted_challenge(
     for x, y in ((s, t), (t, s)):
         for tr in pts.outgoing(x):
             if not any(
-                lift_check(bb.table, tr.target, other.target)
+                lift_by_max_flow(bb.table, tr.target, other.target)
                 for other in pts.outgoing(y, tr.label)
             ):
                 return x, tr

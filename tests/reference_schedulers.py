@@ -23,12 +23,13 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from ptsskit import lp
-from ptsskit.bisim import _flow_rows, _Index, lift_check
+from ptsskit.bisim import _flow_rows, _Index
 from ptsskit.distributions import Distribution
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.errors import BoundError
 from ptsskit.terms import Term, render_term
 from tests import reference_lp
+from tests.reference_lp import lift_by_max_flow
 from tests.reference_refine import PairRelation
 
 
@@ -41,7 +42,8 @@ class BudgetExceededError(BoundError):
 
 def mass(d: Distribution, terms: Iterable[Term]) -> Fraction:
     """Summed probability of a set of state terms."""
-    return sum((d.get(t) for t in set(terms)), Fraction(0))
+    terms = set(terms)
+    return sum((p for t, p in d.items() if t in terms), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ def cone_probability(pts: PTS, sched: Scheduler, s: Term, frag: Fragment) -> Fra
     choice = sched.at(prefix)
     step = Fraction(0)
     for tr in pts.outgoing(prefix[-1], action):
-        step += choice.get(tr, Fraction(0)) * tr.target.get(last)
+        step += choice.get(tr, Fraction(0)) * mass(tr.target, (last,))
     return base * step
 
 
@@ -235,7 +237,7 @@ def _cached_lift(rel: Mapping[Term, set]) -> Callable[[Distribution, Distributio
     def check(d1: Distribution, d2: Distribution) -> bool:
         key = (d1, d2)
         if key not in cache:
-            cache[key] = lift_check(rel, d1, d2)
+            cache[key] = lift_by_max_flow(rel, d1, d2)
         return cache[key]
 
     return check

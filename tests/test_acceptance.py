@@ -269,6 +269,7 @@ def test_criterion_8a_lifting_preserves_properties():
 
 def _lift_bruteforce(pairs, d1, d2, denominator):
     left, right = d1.support, d2.support
+    weight1, weight2 = dict(d1.items()), dict(d2.items())
 
     def compositions(total, parts):
         if parts == 1:
@@ -282,14 +283,14 @@ def _lift_bruteforce(pairs, d1, d2, denominator):
         if idx == len(left):
             yield cols
             return
-        steps = int(d1.get(left[idx]) * denominator)
+        steps = int(weight1[left[idx]] * denominator)
         for combo in compositions(steps, len(right)):
             if any(c and (left[idx], right[j]) not in pairs for j, c in enumerate(combo)):
                 continue
             yield from rows(idx + 1, [a + b for a, b in zip(cols, combo)])
 
     return any(
-        all(Fraction(c, denominator) == d2.get(r) for c, r in zip(cols, right))
+        all(Fraction(c, denominator) == weight2[r] for c, r in zip(cols, right))
         for cols in rows(0, [0] * len(right))
     )
 
@@ -307,7 +308,7 @@ def test_criterion_8b_lift_check_vs_bruteforce():
             if rng.random() < 0.5
         }
         assert lift_check(partner_map(pairs), d1, d2) == _lift_bruteforce(pairs, d1, d2, den)
-    report("8b", "200 random cases: max-flow lifting = weight-function enumeration")
+    report("8b", "200 random cases: LP lifting = weight-function enumeration")
 
 
 CORPUS_SPEC_ROOTS = {

@@ -74,12 +74,13 @@ def _lift_bruteforce(pairs, d1, d2, denominator):
     """Enumerate weight matrices on the 1/denominator grid."""
     left = d1.support
     right = d2.support
+    weight1, weight2 = dict(d1.items()), dict(d2.items())
 
     def rows(idx, used_cols):
         if idx == len(left):
             yield used_cols
             return
-        total = d1.get(left[idx])
+        total = weight1[left[idx]]
         steps = int(total * denominator)
         for combo in _compositions(steps, len(right)):
             cols = list(used_cols)
@@ -94,7 +95,7 @@ def _lift_bruteforce(pairs, d1, d2, denominator):
 
     for cols in rows(0, [0] * len(right)):
         if all(
-            Fraction(cols[j], denominator) == d2.get(right[j]) for j in range(len(right))
+            Fraction(cols[j], denominator) == weight2[right[j]] for j in range(len(right))
         ):
             return True
     return False

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import subprocess
 
 import pytest
 
+from ptsskit.bisim import KINDS
 from ptsskit.cli import EXIT_BOUNDS, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from ptsskit.parser import MAX_NESTING
 from tests.conftest import CORPUS, RUNNING_SPEC, capped_python
+from tests.test_index import COMPONENT, PRODUCT_SPEC
 
 
 def run_cli(capsys, *argv):
@@ -532,3 +535,64 @@ def test_bisim_on_a_401_state_chain_finishes(tmp_path, kind):
     code, out, err = _capped_cli(argv, tmp_path, 20)
     assert (code, err) == (EXIT_OK, "")
     assert out.endswith(": YES\n") and out.count("class: ") == (401 if kind == "branching" else 0)
+
+
+# negative premises over the product of tests/test_index.py: th passes a and
+# tau steps on only where no b step is possible
+TH_SPEC = PRODUCT_SPEC.replace("op par", "op th : s -> s\nop par") + (
+    "rule th_b: x --b-> mu |- th(x) --b-> ^th(mu)\n"
+    "rule th_a: x --a-> mu, x -/b-> |- th(x) --a-> ^th(mu)\n"
+    "rule th_t: x --tau-> mu, x -/b-> |- th(x) --tau-> ^th(mu)\n"
+)
+
+
+@pytest.mark.parametrize("command", [["stable-model", "--json"], ["pts"]])
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_pipe_is_one_diagnostic(monkeypatch, tmp_path, command, unbuffered):
+    # the answer (321,692 bytes of JSON, or a PTS text of 107,109 ending in a
+    # newline) fills the pipe; the reader takes 100 bytes and closes it, as
+    # `| head -c 100` does: exit 2 and one line on stderr, as for an
+    # unwritable `pts -o`, not a traceback and exit 1, nor a silent exit 0
+    # when stdout is unbuffered and a write is cut short
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    (tmp_path / "th.ptss").write_text(TH_SPEC)
+    root = COMPONENT
+    for _ in range(3):
+        root = f"par({COMPONENT},{root})"
+    argv = [command[0], "th.ptss", "--root", f"th({root})", "--max-depth", "64", "--max-states", "100000", *command[1:]]
+    with capped_python(["-m", "ptsskit.cli", *argv], cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (EXIT_USAGE, "error: cannot write: Broken pipe\n")
+
+
+CROSS_PROCESS_RUNS = [
+    (["corpus-run", "corpus", "--json"], EXIT_OK),
+    (["pts", "corpus/running.ptss", "--root", "+(a.delta(b.delta(0)),+(b.delta(tau.delta(0)),tau.delta(a.delta(0))))"],
+     EXIT_OK),
+    (["stable-model", "corpus/delayed_g.ptss", "--root", "g", "--json"], EXIT_OK),  # a negative premise
+    *((["bisim", "corpus/mixed_choice.pts", "--kind", kind, "t1", "t2", "--json"], EXIT_NEGATIVE) for kind in KINDS),
+]
+
+
+@pytest.mark.parametrize("argv, code", CROSS_PROCESS_RUNS)
+def test_output_is_byte_identical_across_processes(monkeypatch, argv, code):
+    # every other test sees one hash seed and one memory layout; term nodes
+    # hash by address and symbols by their name's string hash, so only the
+    # explicit sorts keep the output the same from one process to the next
+    procs = []
+    for seed in "0123":
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        procs.append(capped_python(["-m", "ptsskit.cli", *argv], cwd=CORPUS.parent,
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    runs = set()
+    for proc in procs:
+        with proc:
+            out, err = proc.communicate(timeout=60)
+        runs.add((proc.returncode, hashlib.sha256(out.encode()).hexdigest(), err))
+    assert len(runs) == 1
+    assert next(iter(runs))[0] == code

@@ -6,10 +6,13 @@ duplicated and rank-deficient rows, negative right-hand sides, infeasible and
 degenerate systems, and 30-digit numerators and denominators.  Every LP that
 `corpus-run` makes on the corpus, and every LP of the pair-deleting
 pbranching fixpoint (`tests/reference_refine.py`) on the corpus `.pts`
-files, is replayed against the oracle as well.
+files, is replayed against the oracle as well.  `bisim.lift_check`, which
+lifts by the simplex, is checked against the max-flow lifting the oracles
+keep and against criterion 8b's enumeration of weight functions.
 """
 
 import io
+import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -18,10 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptsskit import lp
+from ptsskit.bisim import lift_check
 from ptsskit.cli import main
+from ptsskit.distributions import Distribution
 from ptsskit.engine import load_pts
+from ptsskit.terms import opaque_state
 from tests import reference_lp, reference_refine
 from tests.conftest import CORPUS
+from tests.test_acceptance import _lift_bruteforce, _random_dist
 
 F = Fraction
 BIG = 10**30
@@ -105,6 +112,42 @@ def test_negative_right_hand_sides():
     assert agree([[F(-1), F(1)]], [F(-2)])  # x = 2 + y
     assert not agree([[F(1), F(1)]], [F(-1)])
     assert agree([[F(0)], [F(-3)]], [F(0), F(-1)])
+
+
+def test_lift_check_agrees_with_max_flow_and_the_enumeration():
+    rng = random.Random(31)
+    names = ["u1", "u2", "u3"]
+    states = [opaque_state(n) for n in names]
+    answers = []
+
+    def agree_on(pairs, d1, d2, den=None):
+        partners = reference_refine.partner_map(pairs)
+        answer = lift_check(partners, d1, d2)
+        assert answer == reference_lp.lift_by_max_flow(partners, d1, d2)
+        assert den is None or answer == _lift_bruteforce(pairs, d1, d2, den)
+        answers.append(answer)
+
+    for case in range(300):
+        den = rng.choice([2, 3, 4, 5, 6])
+        d1 = _random_dist(rng, names, den)
+        if case % 3:
+            d2 = _random_dist(rng, names, den)
+        else:  # the same support, its weights reversed
+            d2 = Distribution(zip(d1.support, [p for _, p in reversed(d1.items())]))
+        pairs = set() if case % 10 == 0 else {(a, b) for a in states for b in states if rng.random() < 0.5}
+        agree_on(pairs, d1, d2, den)
+    # 30-digit weights, past the enumeration's reach; moving 10^-60 of mass
+    # between two entries breaks the identity lifting
+    identity = {(u, u) for u in states}
+    for _ in range(50):
+        weights = [rng.randrange(1, BIG) for _ in names]
+        d1 = Distribution([(u, F(w, sum(weights))) for u, w in zip(states, weights)])
+        (u1, p1), (u2, p2), (u3, p3) = d1.items()
+        moved = Distribution([(u1, p1 + F(1, BIG**2)), (u2, p2 - F(1, BIG**2)), (u3, p3)])
+        agree_on(identity, d1, d1)
+        agree_on(identity, d1, moved)
+        agree_on({(a, b) for a in states for b in states if rng.random() < 0.7}, d1, moved)
+    assert 0.2 < sum(answers) / len(answers) < 0.8
 
 
 def corpus_lps():

@@ -1,10 +1,12 @@
 """Partition refinement against the pair-deleting fixpoint it replaced
 (`tests/reference_refine.py`): the same relation of every kind on fixed-seed
 random and stuttered PTSs and on the corpus, each result a fixpoint of the
-kind's per-pair check, and no max-flow on the way to a YES."""
+kind's per-pair check, no lifting on the way to a YES, and no max-flow on
+any decision path."""
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -297,20 +299,42 @@ def test_corpus_systems_agree_with_the_pair_fixpoint(kind):
         _agree(kind, pts)
 
 
+def _counted(monkeypatch, *functions):
+    """Each library function's call count, counted at every `ptsskit` module that holds it."""
+    calls = {f.__name__: 0 for f in functions}
+    for f in functions:
+        def counting(*args, f=f):
+            calls[f.__name__] += 1
+            return f(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ptsskit" and getattr(module, f.__name__, None) is f:
+                monkeypatch.setattr(module, f.__name__, counting)
+    return calls
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_yes_query_runs_no_max_flow(monkeypatch, capsys, kind):
-    calls = []
-    flow = lp.max_flow
-
-    def counting(*args):
-        calls.append(args)
-        return flow(*args)
-
-    monkeypatch.setattr(lp, "max_flow", counting)
-    monkeypatch.setattr(bisim, "max_flow", counting)
+    # a YES answer runs no witness, so it lifts nothing
+    calls = _counted(monkeypatch, bisim.lift_check, lp.max_flow)
     for path in sorted(CORPUS.glob("*.pts")):
         for state in load_pts(path.read_text()).states:
             name = render_term(state)
             assert main(["bisim", str(path), "--kind", kind, name, name]) == EXIT_OK
             assert capsys.readouterr().out.endswith(": YES\n")
-    assert calls == []
+    assert calls == {"lift_check": 0, "max_flow": 0}
+
+
+def test_no_decision_path_runs_max_flow(monkeypatch):
+    # every verdict and witness on the corpus systems lifts by the simplex;
+    # max-flow is left to the oracles
+    calls = _counted(monkeypatch, bisim.lift_check, lp.max_flow)
+    for path in sorted(CORPUS.glob("*.pts")):
+        pts = load_pts(path.read_text())
+        for kind in KINDS:
+            decision = bisim.decide(kind, pts)
+            for s in pts.states:
+                for t in pts.states:
+                    decision.related(s, t)
+                    decision.witness(s, t)
+    assert calls["max_flow"] == 0 and calls["lift_check"] > 0
