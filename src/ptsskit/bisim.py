@@ -264,7 +264,7 @@ def _first_unmatched(pts: PTS, rel: Mapping[Term, set], matched: Callable[[Term,
 # -- scheduler-free branching bisimulation ----------------------------------
 
 def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
-    lift = functools.cache(functools.partial(lift_check, rel))  # the relation is fixed within one sweep
+    lift = functools.partial(lift_check, rel)
     return _first_unmatched(pts, rel, lambda s, tr, t: _execution_match(pts, rel, s, tr, t, lift))
 
 
@@ -304,8 +304,7 @@ def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     for tr in pts.transitions:
         if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support):
             preserving.setdefault(ix.num[tr.source], []).append(ix.step(tr))
-    match = functools.cache(lambda challenge, t: _combined_match(ix, rel, preserving, *challenge, t))
-    return _first_unmatched(pts, rel, lambda s, tr, t: match(ix.step(tr)[1:], ix.num[t]))
+    return _first_unmatched(pts, rel, lambda s, tr, t: _combined_match(ix, rel, preserving, *ix.step(tr)[1:], ix.num[t]))
 
 
 def _pbranching_signatures(

@@ -103,13 +103,13 @@ class PtsTransition(NamedTuple):
 
 
 class PTS(_Record):
-    """States and transitions are kept in text order, transitions without
-    repeats.  `_index` keeps the integer index the deciders build of it."""
+    """A PTS is its states and transitions, both in text order, transitions
+    without repeats.  `_index` keeps the integer index the deciders build of it."""
 
-    __slots__ = ("states", "actions", "transitions", "_outgoing", "_index")
-    _fields = __slots__[:3]
+    __slots__ = ("states", "transitions", "_outgoing", "_index")
+    _fields = __slots__[:2]
 
-    def __init__(self, states: tuple[Term, ...], actions: tuple[str, ...], transitions: tuple[PtsTransition, ...]) -> None:
+    def __init__(self, states: tuple[Term, ...], transitions: tuple[PtsTransition, ...]) -> None:
         text = {s: render_term(s) for s in states}
         states = tuple(sorted(states, key=text.__getitem__))
         # equal transitions have equal texts, and texts hash without the Fractions
@@ -118,7 +118,7 @@ class PTS(_Record):
         out: dict[Term, list[PtsTransition]] = {s: [] for s in states}
         for tr in transitions:
             out[tr.source].append(tr)
-        self._init(states, actions, transitions, {s: tuple(trs) for s, trs in out.items()}, None)
+        self._init(states, transitions, {s: tuple(trs) for s, trs in out.items()}, None)
 
     def outgoing(self, state: Term, label: Optional[str] = None) -> tuple[PtsTransition, ...]:
         trs = self._outgoing.get(state, ())
@@ -389,7 +389,7 @@ def reachable_pts(p: PTSS, bound: DomainBound) -> PTS:
             transitions.append(PtsTransition(s, tr.label, pi))
             todo += [u for u in pi.support if u not in states]
             states.update(pi.support)
-    return PTS(tuple(states), tuple(p.signature.actions), tuple(transitions))
+    return PTS(tuple(states), tuple(transitions))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +493,7 @@ def load_pts(text: str) -> PTS:
     states: dict[str, Term] = {}
     weights: dict[str, tuple] = {}  # a weight text read: its value, the value's text, numerator, denominator
     transitions: list[PtsTransition] = []
-    labels: set[str] = set()
+    labels: set[str] = set()  # the labels already checked
 
     def err(message: str, line_no: int) -> None:
         diags.append(Diagnostic(message, line_no, 1))
@@ -528,4 +528,4 @@ def load_pts(text: str) -> PTS:
                     transitions.append(PtsTransition(states[src], label, dist))
     if diags:
         raise ParseFailure(diags)
-    return PTS(tuple(states.values()), tuple(sorted(labels | {"tau"})), tuple(transitions))
+    return PTS(tuple(states.values()), tuple(transitions))

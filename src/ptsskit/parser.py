@@ -48,6 +48,7 @@ from .terms import (
     StateVar,
     Term,
     build_signature,
+    lift_symbol,
     validate_signature,
 )
 
@@ -290,7 +291,7 @@ class _Cursor:
         elif f is None:
             err = "no prefix operator declared (missing 'op pre<A> : d -> s')"
         else:
-            f = self.sig.lifted(f) if lifted else f
+            f = lift_symbol(f) if lifted else f
             err = _mismatch(f.result_sort, expected)
         if err is None:
             return f
@@ -300,7 +301,7 @@ class _Cursor:
     def apply(self, name: str, lifted: bool, k: int, expected: Optional[Sort], depth: int) -> Optional[Term]:
         if lifted:
             f = self.sig.state_op(name)
-            sym = None if f is None else self.sig.lifted(f)
+            sym = None if f is None else lift_symbol(f)
             err = f"unknown operator {name} (cannot lift)" if f is None else None
         else:
             sym = self.ops.get(name)

@@ -432,34 +432,24 @@ class Signature(_Record):
 
     `actions` keeps declaration order (rendering is order-preserving); `tau`
     must be among them.  `dist_ops` is built here, one `lift_symbol(f)` per
-    state operator, so every state operator has exactly one lifting.  An
-    action's prefix operator, `a.`, is among `state_ops` exactly when the
-    `pre<A>` family was declared.  `_names` holds the operator of each name,
-    state or lifted, and `_prefixes` each action's prefix operator, or None;
-    the parser reads both.
+    state operator, so every state operator has exactly one lifting, which
+    `lift_symbol(f)` gives again.  An action's prefix operator, `a.`, is
+    among `state_ops` exactly when the `pre<A>` family was declared.
+    `_names` holds the state operator of each name, and `_prefixes` each
+    action's prefix operator, or None; the parser reads both.
     """
 
-    __slots__ = ("actions", "state_ops", "dist_ops", "_by_name", "_names", "_prefixes")
+    __slots__ = ("actions", "state_ops", "dist_ops", "_names", "_prefixes")
     _fields = __slots__[:2]
 
     def __init__(self, actions: tuple[str, ...], state_ops: tuple[FunctionSymbol, ...]) -> None:
         # the first operator of a name wins; validate_signature reports the rest
-        dist_ops = tuple(map(lift_symbol, state_ops))
-        state, dist = ({f.name: f for f in reversed(ops)} for ops in (state_ops, dist_ops))
-        prefixes = {a: state.get(f"{a}.") for a in actions}
-        self._init(actions, state_ops, dist_ops, (state, dist), {**dist, **state}, prefixes)
+        names = {f.name: f for f in reversed(state_ops)}
+        prefixes = {a: names.get(f"{a}.") for a in actions}
+        self._init(actions, state_ops, tuple(map(lift_symbol, state_ops)), names, prefixes)
 
     def state_op(self, name: str) -> Optional[FunctionSymbol]:
-        return self._by_name[0].get(name)
-
-    def dist_op(self, name: str) -> Optional[FunctionSymbol]:
-        return self._by_name[1].get(name)
-
-    def lifted(self, f: FunctionSymbol) -> FunctionSymbol:
-        g = self.dist_op(f"^{f.name}")
-        if g is None:
-            raise KeyError(f"no lifting declared for {f.name}")
-        return g
+        return self._names.get(name)
 
 
 def build_signature(

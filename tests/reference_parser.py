@@ -28,6 +28,7 @@ from ptsskit.terms import (
     StateVar,
     Term,
     build_signature,
+    lift_symbol,
     validate_signature,
 )
 from tests.reference_front import _Cursor, _parse_weight
@@ -217,6 +218,8 @@ class _Resolver:
         self.sig = sig
         self.diags = diags
         self.var_sorts: dict[str, Sort] = {}
+        # the lifted operator of each name, the first of a name winning, as state_op's do
+        self.dist_ops = {g.name: g for g in reversed(sig.dist_ops)}
 
     def error(self, message: str, raw: _Raw) -> None:
         self.diags.append(Diagnostic(message, raw.line, raw.col))
@@ -232,7 +235,7 @@ class _Resolver:
 
     def resolve(self, raw: _Raw, expected: Optional[Sort]) -> Optional[Term]:
         if isinstance(raw, _RName):
-            op = self.sig.state_op(raw.name) or self.sig.dist_op(raw.name)
+            op = self.sig.state_op(raw.name) or self.dist_ops.get(raw.name)
             if op is not None:
                 if op.rank != 0:
                     self.error(f"operator {raw.name} expects {op.rank} arguments", raw)
@@ -259,9 +262,9 @@ class _Resolver:
                 if f is None:
                     self.error(f"unknown operator {raw.name} (cannot lift)", raw)
                     return None
-                sym = self.sig.lifted(f)
+                sym = lift_symbol(f)
             else:
-                sym = f if f is not None else self.sig.dist_op(raw.name)
+                sym = f if f is not None else self.dist_ops.get(raw.name)
             if sym is None:
                 self.error(f"unknown operator {raw.name}", raw)
                 return None
@@ -289,7 +292,7 @@ class _Resolver:
             if f is None:
                 self.error(f"no prefix operator declared (missing 'op pre<A> : d -> s')", raw)
                 return None
-            sym = self.sig.lifted(f) if raw.lifted else f
+            sym = lift_symbol(f) if raw.lifted else f
             if not self._check_result(raw, sym.result_sort, expected):
                 return None
             arg = self.resolve(raw.arg, Sort.DIST)

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from ptsskit.distributions import Distribution, EvalError, evaluate
-from ptsskit.terms import Apply, Dirac, render_term
+from ptsskit.terms import Apply, Dirac, lift_symbol, render_term
 from tests.reference_schedulers import mass
 
 
@@ -127,9 +127,9 @@ def test_eval_total_mass_one_randomized(sig, t):
             return rng.choice(leaves)
         kind = rng.randrange(3)
         if kind == 0:
-            return Apply(sig.lifted(sig.state_op(f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
+            return Apply(lift_symbol(sig.state_op(f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
         if kind == 1:
-            return Apply(sig.lifted(sig.state_op("+")), (rand_dist(depth - 1), rand_dist(depth - 1)))
+            return Apply(lift_symbol(sig.state_op("+")), (rand_dist(depth - 1), rand_dist(depth - 1)))
         return rng.choice(leaves)
 
     for _ in range(100):

@@ -168,7 +168,7 @@ def _loaded(load, text):
     except ParseFailure as exc:
         return exc.lines()
     transitions = [(tr.source, tr.label, tr.target.items(), repr(tr.target)) for tr in pts.transitions]
-    return pts.states, pts.actions, transitions, export_pts(pts)
+    return pts.states, transitions, export_pts(pts)
 
 
 def _bad_labels(text):

@@ -3,11 +3,14 @@ byte for byte, text and `--json`: stdout, stderr and exit code of answers, a
 tripped bound, a model that does not converge, failed expectations and the
 usage errors (a missing `--root`, an unknown `.pts` state, a malformed
 expectation, a bad pairs line, an unreadable file, an empty path, which is
-named as given).  `bisim` and `check-format` are here for their usage errors
-only; their answers are pinned in `golden_bisim.json` and `golden_format.json`.
-`pts` is here for bound values that `int()` refuses though they are digits;
-argparse words them as any other value that is not a positive integer, in
-usage lines wrapped at 80 columns.
+named as given, a context without its hole).  `bisim` and `check-format` are
+here for their usage errors, each parse error of a declaration or a rule line
+that no other test reaches, a conclusion whose source is not an operator, and
+`.pts` bodies with a stray comma, which load as without it; their other
+answers are pinned in `golden_bisim.json` and `golden_format.json`.  `pts` is
+here for bound values that `int()` refuses though they are digits, which
+argparse words as any other value that is not a positive integer, in usage
+lines wrapped at 80 columns, and for a model that does not converge.
 
 Every case runs in a folder that holds the files of `populate`, with paths
 relative to it, so that no message names a temporary folder.  Re-record (only
@@ -40,6 +43,7 @@ _RUNNING = (CORPUS / "running.ptss").read_text()
 _BARE = "".join(line for line in _RUNNING.splitlines(keepends=True) if not line.startswith("#"))
 _GOOD = "# roots: 0\n# expect complete: yes\n" + _BARE
 _DEEP = "a.delta(" * 12 + "0" + ")" * 12
+_HEAD = "ptss x\nactions a, tau\nop pre<A> : d -> s\nop 0 : -> s\n"
 
 
 def _flipped(name: str, old: str, new: str) -> str:
@@ -86,6 +90,18 @@ FILES = {
     "unreadable/good.ptss": _GOOD,
     "bound/deep.ptss": f"# roots: {_DEEP}\n# expect complete: yes\n" + _BARE,
     "bound/good.ptss": _GOOD,
+    "no_hole.txt": "f(0)\n",
+    "trailing_comma.pts": "state s\nstate t\nstate v\ntrans s --a-> { t: 1, }\ntrans v --b-> {t: 1}\n",
+    "leading_comma.pts": "state s\nstate t\nstate v\ntrans s --a-> { , t: 1 }\ntrans v --b-> {t: 1}\n",
+    "diagnostics/rule_name.ptss": _HEAD + "rule r@ : 0 --a-> delta(0)\n",
+    "diagnostics/turnstile.ptss": _HEAD + "rule r: x --a-> mu |- x --a-> nu |- 0 --a-> mu\n",
+    "diagnostics/conclusion.ptss": _HEAD + "rule r: x --a-> mu |- 0 --a-> mu, 0 --a-> nu\n",
+    "diagnostics/ptss.ptss": "ptss x\nptss y\nactions a, tau\nop 0 : -> s\n",
+    "diagnostics/order.ptss": _HEAD + "rule r: a.mu --a-> mu\nop 1 : -> s\n",
+    "diagnostics/family.ptss": "ptss x\nactions a, tau\nop pre<A> : s -> s\n",
+    "diagnostics/collision.ptss": "ptss x\nactions a, tau\nop a : -> s\n",
+    "diagnostics/duplicate_op.ptss": _HEAD + "op 0 : -> s\n",
+    "diagnostics/shape.ptss": "ptss v\nactions a, tau\nrule r: x --a-> delta(x)\n",
 }
 
 _R = "corpus/running.ptss"
@@ -106,6 +122,15 @@ CASES = {
     "stable-model/non-utf8": ["stable-model", "latin1.ptss", "--root", "0"],
     "stable-model/empty-path": ["stable-model", "", "--root", "0"],
     "check-format/empty-path": ["check-format", ""],
+    "check-format/rule-name-part": ["check-format", "diagnostics/rule_name.ptss"],
+    "check-format/duplicate-turnstile": ["check-format", "diagnostics/turnstile.ptss"],
+    "check-format/two-conclusions": ["check-format", "diagnostics/conclusion.ptss"],
+    "check-format/duplicate-ptss": ["check-format", "diagnostics/ptss.ptss"],
+    "check-format/declaration-after-rule": ["check-format", "diagnostics/order.ptss"],
+    "check-format/prefix-family-sorts": ["check-format", "diagnostics/family.ptss"],
+    "check-format/operator-action-collision": ["check-format", "diagnostics/collision.ptss"],
+    "check-format/duplicate-operator": ["check-format", "diagnostics/duplicate_op.ptss"],
+    "check-format/source-not-an-application": ["check-format", "diagnostics/shape.ptss"],
     "probe/violation": ["probe-congruence", "corpus/cx2.ptss", "--pairs", "pairs.txt", "--contexts",
                         "contexts.txt", "--max-depth", "10"],
     "probe/no-violations": ["probe-congruence", "corpus/cx23.ptss", "--pairs", "pairs.txt", "--contexts",
@@ -125,8 +150,12 @@ CASES = {
     "probe/unreadable-contexts": ["probe-congruence", "corpus/cx23.ptss", "--pairs", "pairs.txt", "--contexts",
                                   "contexts_dir"],
     "probe/empty-pairs-path": ["probe-congruence", "corpus/cx23.ptss", "--pairs", "", "--contexts", "contexts.txt"],
+    "probe/context-without-hole": ["probe-congruence", "corpus/cx23.ptss", "--pairs", "pairs.txt", "--contexts",
+                                   "no_hole.txt"],
     "bisim/unknown-state": ["bisim", "corpus/mixed_choice.pts", "--kind", "branching", "t0", "zz"],
     "bisim/empty-path": ["bisim", "", "--kind", "branching", "t0", "u1"],
+    "bisim/trailing-comma": ["bisim", "trailing_comma.pts", "--kind", "branching", "s", "v"],
+    "bisim/leading-comma": ["bisim", "leading_comma.pts", "--kind", "branching", "s", "v"],
     "corpus-run/corpus": ["corpus-run", "corpus"],
     "corpus-run/failed": ["corpus-run", "failed"],
     "corpus-run/malformed": ["corpus-run", "malformed"],
@@ -139,6 +168,7 @@ CASES = {
     "corpus-run/empty-path": ["corpus-run", ""],
     "pts/superscript-bound": ["pts", _R, "--root", "0", "--max-depth", "²"],
     "pts/bound-past-int-digits": ["pts", _R, "--root", "0", "--max-depth", "1" * 5000],
+    "pts/not-converged": ["pts", _R, "--root", "a.delta(0)", "--max-iterations", "1"],
 }
 
 

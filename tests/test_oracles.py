@@ -14,7 +14,7 @@ import pytest
 from ptsskit.distributions import evaluate
 from ptsskit.engine import DomainBound, load_pts, reachable_pts, stable_model
 from ptsskit.parser import parse_spec, parse_term
-from ptsskit.terms import Apply, Convex, Dirac, Sort, match, render_term, substitute
+from ptsskit.terms import Apply, Convex, Dirac, Sort, lift_symbol, match, render_term, substitute
 from tests.conftest import CORPUS
 
 
@@ -63,9 +63,9 @@ def test_eval_agrees_with_pointwise_oracle(sig):
             return rng.choice(leaves)
         kind = rng.randrange(4)
         if kind == 0:
-            return Apply(sig.lifted(sig.state_op(f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
+            return Apply(lift_symbol(sig.state_op(f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
         if kind == 1:
-            return Apply(sig.lifted(plus), (rand_dist(depth - 1), rand_dist(depth - 1)))
+            return Apply(lift_symbol(plus), (rand_dist(depth - 1), rand_dist(depth - 1)))
         if kind == 2:
             return Convex(
                 (Fraction(1, 4), Fraction(3, 4)), (rand_dist(depth - 1), rand_dist(depth - 1))

@@ -77,18 +77,17 @@ def test_a_signature_is_compared_by_what_it_is_built_from(running):
     assert sig != tuple(getattr(sig, name) for name in ("actions", "state_ops"))
 
 
-def test_a_pts_is_compared_by_its_states_actions_and_transitions():
+def test_a_pts_is_compared_by_its_states_and_transitions():
     s, t = opaque_state("s"), opaque_state("t")
     to_s, to_t = (Distribution([(u, Fraction(1))]) for u in (s, t))
     moves = (PtsTransition(s, "a", to_t), PtsTransition(t, "tau", to_s))
-    pts = PTS((s, t), ("a", "tau"), moves)
-    shuffled = PTS((t, s), ("a", "tau"), moves[::-1] + moves)
+    pts = PTS((s, t), moves)
+    shuffled = PTS((t, s), moves[::-1] + moves)
     assert shuffled == pts and hash(shuffled) == hash(pts)
-    assert hash(pts) == hash((pts.states, pts.actions, pts.transitions))
+    assert hash(pts) == hash((pts.states, pts.transitions))
     assert shuffled.transitions == pts.transitions and len(pts.transitions) == 2
-    assert PTS((s, t), ("a", "b", "tau"), moves) != pts
-    assert PTS((s, t), ("a", "tau"), moves[:1]) != pts
-    assert PTS((s, t, opaque_state("u")), ("a", "tau"), moves) != pts
+    assert PTS((s, t), moves[:1]) != pts
+    assert PTS((s, t, opaque_state("u")), moves) != pts
     assert pts.outgoing(s) == moves[:1] and pts.outgoing(t, "a") == ()
 
 
