@@ -16,7 +16,8 @@ Two scheduler-free deciders plus supporting machinery:
 Both refine a partition of the states by signatures (Groote & Vaandrager
 1990; Blom & Orzan 2003) in one loop (`_partition`) over an integer index of
 the PTS, built once per PTS and kept on it (`_Index`): states numbered in
-text order, each step's weights scaled to integers by one common denominator.
+text order, each state's transitions, and each step's weights scaled to
+integers by one common denominator.
 A non-inert step is a move keyed as (label, block) when its target lies in
 one block, else as (label, block masses), exact integer sums; a state's moves
 are kept until it or a target changes block.  `_flow_rows` and `_lift_rows`
@@ -139,23 +140,22 @@ def _lift_rows(
 
 
 class _Index:
-    """A PTS over dense state numbers, the order of `pts.states`: `steps[x]`
-    lists x's steps in the order of `pts.outgoing`, their probabilities times
-    `scale`, the least common denominator of every probability in the PTS."""
+    """A PTS over dense state numbers, the order of `pts.states`: `out[x]`
+    lists x's transitions in text order, and `steps[x][j]` is the step of
+    `out[x][j]`, its probabilities times `scale`, the least common
+    denominator of every probability in the PTS."""
 
     def __init__(self, pts: PTS):
         self.states, self.num = pts.states, {s: i for i, s in enumerate(pts.states)}
         self.scale = _lcm({p.denominator for tr in pts.transitions for _, p in tr.target.items()})
+        self.out: list[list[PtsTransition]] = [[] for _ in pts.states]
         self.steps: list[list[Step]] = [[] for _ in pts.states]
-        point = (self.scale,)  # the weights of a point mass, built once
+        num, scale, point = self.num, self.scale, (self.scale,)  # point: the weights of a point mass, built once
         for tr in pts.transitions:
-            x, items = self.num[tr.source], tr.target.items()
-            self.steps[x].append((x, tr.label, (self.num[items[0][0]],), point) if len(items) == 1 else self.step(tr))
-
-    def step(self, tr: PtsTransition) -> Step:
-        num, scale, items = self.num, self.scale, tr.target.items()
-        weights = tuple([p.numerator * (scale // p.denominator) for _, p in items])
-        return num[tr.source], tr.label, tuple([num[u] for u, _ in items]), weights
+            x, items = num[tr.source], tr.target.items()
+            self.out[x].append(tr)
+            self.steps[x].append((x, tr.label, (num[items[0][0]],), point) if len(items) == 1 else (
+                x, tr.label, tuple([num[u] for u, _ in items]), tuple([p.numerator * (scale // p.denominator) for _, p in items])))
 
 
 def _index(pts: PTS) -> _Index:
@@ -248,13 +248,13 @@ def _masses(block: Mapping[Hashable, Hashable], targets: Sequence[Hashable], wei
 PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
 
 
-def _first_unmatched(pts: PTS, rel: Mapping[Term, set], matched: Callable[[Term, PtsTransition, Term], bool]) -> PairCheck:
-    """The per-pair matching loop: each non-inert challenge of `s` must be `matched` from `t`."""
+def _first_unmatched(ix: _Index, rel: Mapping[Term, set], matched: Callable[..., bool]) -> PairCheck:
+    """The per-pair matching loop: each non-inert challenge of `s` must be `matched(s, tr, step, t)`."""
 
     def check(s: Term, t: Term) -> Optional[PtsTransition]:
         members = rel.get(s, set()) & rel.get(t, set())  # an inert challenge stays among them
-        for tr in pts.outgoing(s):
-            if not (tr.label == "tau" and members.issuperset(tr.target.support)) and not matched(s, tr, t):
+        for tr, step in zip(ix.out[ix.num[s]], ix.steps[ix.num[s]]):
+            if not (tr.label == "tau" and members.issuperset(tr.target.support)) and not matched(s, tr, step, t):
                 return tr
         return None
 
@@ -264,8 +264,8 @@ def _first_unmatched(pts: PTS, rel: Mapping[Term, set], matched: Callable[[Term,
 # -- scheduler-free branching bisimulation ----------------------------------
 
 def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
-    lift = functools.partial(lift_check, rel)
-    return _first_unmatched(pts, rel, lambda s, tr, t: _execution_match(pts, rel, s, tr, t, lift))
+    ix, lift = _index(pts), functools.partial(lift_check, rel)
+    return _first_unmatched(ix, rel, lambda s, tr, step, t: _execution_match(ix, rel, s, tr, t, lift))
 
 
 def branching_bisim(pts: PTS) -> StateRelation:
@@ -275,7 +275,7 @@ def branching_bisim(pts: PTS) -> StateRelation:
 
 
 def _execution_match(
-    pts: PTS, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term,
+    ix: _Index, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term,
     lift: Callable[[Distribution, Distribution], bool],
 ) -> bool:
     """Search a concrete execution from `t`: inert tau-steps whose supports
@@ -284,11 +284,12 @@ def _execution_match(
     related_to_s = rel.get(s, set())
     seen, queue = {t}, [t]
     for u in queue:  # breadth first: the list grows as it is read
-        for tr in pts.outgoing(u, challenge.label):
-            if lift(challenge.target, tr.target):
+        out = ix.out[ix.num[u]]
+        for tr in out:
+            if tr.label == challenge.label and lift(challenge.target, tr.target):
                 return True
-        for tr in pts.outgoing(u, "tau"):
-            if set(tr.target.support) <= related_to_s:
+        for tr in out:
+            if tr.label == "tau" and set(tr.target.support) <= related_to_s:
                 for v in tr.target.support:
                     if v not in seen:
                         seen.add(v)
@@ -301,10 +302,11 @@ def _execution_match(
 def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     ix = _index(pts)
     preserving: dict[int, list[Step]] = {}  # by source
-    for tr in pts.transitions:
-        if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support):
-            preserving.setdefault(ix.num[tr.source], []).append(ix.step(tr))
-    return _first_unmatched(pts, rel, lambda s, tr, t: _combined_match(ix, rel, preserving, *ix.step(tr)[1:], ix.num[t]))
+    for x, s in enumerate(ix.states):
+        for tr, step in zip(ix.out[x], ix.steps[x]):
+            if tr.label == "tau" and rel.get(s, set()).issuperset(tr.target.support):
+                preserving.setdefault(x, []).append(step)
+    return _first_unmatched(ix, rel, lambda s, tr, step, t: _combined_match(ix, rel, preserving, *step[1:], ix.num[t]))
 
 
 def _pbranching_signatures(
@@ -456,10 +458,12 @@ def _combined_match(
 def _rooted_challenge(pts: PTS, bb: StateRelation, s: Term, t: Term) -> Optional[tuple[Term, PtsTransition]]:
     """The first initial step of `s` or `t` that the other state cannot mirror
     by one equally labelled step with a `bb`-lifted target."""
+    ix = _index(pts)
     for x, y in ((s, t), (t, s)):
-        for tr in pts.outgoing(x):
+        for tr in ix.out[ix.num[x]]:
             want = _masses(bb._by_left, *zip(*tr.target.items()))
-            if all(_masses(bb._by_left, *zip(*o.target.items())) != want for o in pts.outgoing(y, tr.label)):
+            if all(_masses(bb._by_left, *zip(*o.target.items())) != want
+                   for o in ix.out[ix.num[y]] if o.label == tr.label):
                 return x, tr
     return None
 
@@ -467,7 +471,7 @@ def _rooted_challenge(pts: PTS, bb: StateRelation, s: Term, t: Term) -> Optional
 def rooted_branching_bisim(pts: PTS, s: Term, t: Term, bb: StateRelation) -> bool:
     """Initial transitions must match strictly (equal labels, single steps)
     with targets lifted by `bb`, the branching bisimulation of `pts`."""
-    if not pts.has_state(s) or not pts.has_state(t):
+    if not {s, t} <= _index(pts).num.keys():
         raise ValueError("both states must belong to the PTS")
     return _rooted_challenge(pts, bb, s, t) is None
 
@@ -513,17 +517,20 @@ def distinguishing_challenge(
 
     `rel` is the relation `decide(kind, pts)` computes.  The certificate is a
     challenge that fails the kind's own per-pair check even when the queried
-    pair is added to that relation.
+    pair is added to that relation; for pbranching, where the sweeps deleted
+    the pair, failing that, when s and t keep only their common partners.
     """
+    if not {s, t} <= _index(pts).num.keys():
+        raise ValueError("both states must belong to the PTS")
     if kind == "rooted":
         return _rooted_challenge(pts, rel, s, t)
     if rel.related(s, t):
         return None
     table = {u: rel.partners(u) for u in pts.states}  # shared: the checks only read it
     table[s], table[t] = rel.partners(s) | {t}, rel.partners(t) | {s}
-    check = (_branching_check if kind == "branching" else _pbranching_check)(pts, table)
-    for x, y in ((s, t), (t, s)):
-        tr = check(x, y)
-        if tr is not None:
-            return x, tr
+    for against in [table] if kind == "branching" else [table, _common(table, s, t)]:
+        check = (_branching_check if kind == "branching" else _pbranching_check)(pts, against)
+        for x, y in ((s, t), (t, s)):
+            if (tr := check(x, y)) is not None:
+                return x, tr
     return None

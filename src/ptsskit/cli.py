@@ -127,7 +127,7 @@ def _spec_and_roots(args: argparse.Namespace) -> tuple[PTSS, tuple[Term, ...]]:
 def _states(pts: PTS, s: str, t: str, where: str) -> tuple[Term, Term]:
     """The states of `pts` named `s` and `t`."""
     u, v = opaque_state(s), opaque_state(t)
-    if not pts.has_state(u) or not pts.has_state(v):
+    if u not in pts.states or v not in pts.states:
         raise PtssError(f"unknown state {s!r} or {t!r}", where)
     return u, v
 

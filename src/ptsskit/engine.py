@@ -31,7 +31,7 @@ from .distributions import Distribution, EvalError, evaluate
 from .errors import BoundError
 from .parser import PTSS, Diagnostic, ParseFailure, Rule, read_weight
 from .terms import (Apply, Convex, Dirac, DistVar, FunctionSymbol, SortError, StateVar, Term, _STATE, _Record,
-                    _match_into, match, opaque_state, render_term, substitute, term_sort, variables)
+                    _match_into, match, opaque_state, render_term, substitute, variables)
 
 
 class DomainBoundError(BoundError):
@@ -104,9 +104,10 @@ class PtsTransition(NamedTuple):
 
 class PTS(_Record):
     """A PTS is its states and transitions, both in text order, transitions
-    without repeats.  `_index` keeps the integer index the deciders build of it."""
+    without repeats.  `_index` keeps the integer index the deciders build of
+    it, which lists each state's transitions."""
 
-    __slots__ = ("states", "transitions", "_outgoing", "_index")
+    __slots__ = ("states", "transitions", "_index")
     _fields = __slots__[:2]
 
     def __init__(self, states: tuple[Term, ...], transitions: tuple[PtsTransition, ...]) -> None:
@@ -114,20 +115,7 @@ class PTS(_Record):
         states = tuple(sorted(states, key=text.__getitem__))
         # equal transitions have equal texts, and texts hash without the Fractions
         keyed = {(text[t.source], t.label, repr(t.target)): t for t in transitions}
-        transitions = tuple(keyed[k] for k in sorted(keyed))
-        out: dict[Term, list[PtsTransition]] = {s: [] for s in states}
-        for tr in transitions:
-            out[tr.source].append(tr)
-        self._init(states, transitions, {s: tuple(trs) for s, trs in out.items()}, None)
-
-    def outgoing(self, state: Term, label: Optional[str] = None) -> tuple[PtsTransition, ...]:
-        trs = self._outgoing.get(state, ())
-        if label is None:
-            return trs
-        return tuple(tr for tr in trs if tr.label == label)
-
-    def has_state(self, state: Term) -> bool:
-        return state in self._outgoing
+        self._init(states, tuple(keyed[k] for k in sorted(keyed)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +291,7 @@ def _check_and_collect(term: Term, universe: set[Term], bound: DomainBound) -> N
         sub = stack.pop()
         if sub in universe:
             continue
-        if term_sort(sub) is _STATE:
+        if sub.sort is _STATE:
             if sub.depth > bound.max_depth:
                 raise DomainBoundError(sub, "term exceeds max depth")
             universe.add(sub)
@@ -320,7 +308,7 @@ def _closed_universe(p: PTSS, bound: DomainBound) -> tuple[set[Term], _Derived]:
     derived = _Derived(_compile(p.rules))
     universe: set[Term] = set()
     for root in bound.roots:
-        if not root.closed or term_sort(root) is not _STATE:
+        if not root.closed or root.sort is not _STATE:
             raise SortError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
     new = set(universe)

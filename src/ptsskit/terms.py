@@ -217,10 +217,10 @@ class Apply(_Node):
         if len(args) != len(symbol.arg_sorts):
             raise SortError(f"{symbol.name} expects {symbol.rank} arguments, got {len(args)}")
         for arg, want in zip(args, symbol.arg_sorts):
-            if term_sort(arg) is not want:
+            if arg.sort is not want:
                 raise SortError(
                     f"argument {render_term(arg)} of {symbol.name} has sort "
-                    f"{term_sort(arg).value}, expected {want.value}"
+                    f"{arg.sort.value}, expected {want.value}"
                 )
         node = cls._build(key, args)
         node.symbol, node.sort, node.__class__ = symbol, symbol.result_sort, cls
@@ -246,7 +246,7 @@ class Dirac(_Node):
         node = cls._table.get(inner, _dead)()
         if node is not None:
             return node
-        if term_sort(inner) is not _STATE:
+        if inner.sort is not _STATE:
             raise SortError(f"delta takes a state term, got {render_term(inner)}")
         node = cls._build(inner, (inner,))
         node.inner, node.__class__ = inner, cls
@@ -273,7 +273,7 @@ class Convex(_Node):
         if sum(weights) != 1:
             raise SortError("oplus weights do not sum to 1")
         for arg in args:
-            if term_sort(arg) is not _DIST:
+            if arg.sort is not _DIST:
                 raise SortError(f"oplus branches must be distribution terms, got {render_term(arg)}")
         node = cls._build(key, args)
         node.weights, node.__class__ = weights, cls
@@ -283,12 +283,6 @@ class Convex(_Node):
 Term = Union[StateVar, DistVar, Apply, Dirac, Convex]
 
 Substitution = Mapping[str, Term]
-
-
-def term_sort(t: Term) -> Sort:
-    if isinstance(t, (StateVar, DistVar, _Node)):
-        return t.sort
-    raise TypeError(f"not a term: {t!r}")
 
 
 def _pieces(t: _Node) -> list:
@@ -370,7 +364,7 @@ def substitute(rho: Substitution, t: Term) -> Term:
             done.append(u)
         elif not u.kids:  # a variable
             rep = rho.get(u.name, u)
-            if term_sort(rep) is not u.sort:
+            if rep.sort is not u.sort:
                 sort, other = ("state", "distribution") if u.sort is _STATE else ("distribution", "state")
                 raise SortError(f"{sort} variable {u.name} bound to {other} term {render_term(rep)}")
             done.append(rep)
@@ -405,7 +399,7 @@ def _match_into(pattern: Term, subject: Term, binding: dict[str, Term]) -> bool:
         return pattern is subject
     kind = type(pattern)
     if kind is StateVar or kind is DistVar:
-        if term_sort(subject) is not pattern.sort:
+        if subject.sort is not pattern.sort:
             return False
         seen = binding.get(pattern.name)
         if seen is not None:

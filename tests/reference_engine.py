@@ -22,7 +22,7 @@ from ptsskit.engine import (
     _check_and_collect,
 )
 from ptsskit.parser import PTSS, Rule
-from ptsskit.terms import Sort, Term, match, render_term, substitute, term_sort
+from ptsskit.terms import Sort, Term, match, render_term, substitute
 
 
 def solve_positives(
@@ -128,7 +128,7 @@ def holds_against(trs: frozenset[SymbolicTransition]) -> Callable[[Term, str], b
 def closed_universe(p: PTSS, bound: DomainBound) -> list[Term]:
     universe: set[Term] = set()
     for root in bound.roots:
-        if not root.closed or term_sort(root) is not Sort.STATE:
+        if not root.closed or root.sort is not Sort.STATE:
             raise ValueError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
     while True:

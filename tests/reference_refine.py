@@ -12,7 +12,9 @@ max-flow as well.
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
 with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
 either kind of relation, and `partner_map(rel)` gives either, or a pair set,
-as the partner map lifting takes.
+as the partner map lifting takes.  `outgoing(pts, s, label)` reads a state's
+transitions off `pts.transitions`, and `index_step(ix, tr)` scales a
+transition to a step of the library's integer index.
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ class PairRelation:
 
     def partners(self, s: Term) -> set[Term]:
         return self.table.get(s, set())
+
+
+def outgoing(pts: PTS, state: Term, label: Optional[str] = None) -> list[PtsTransition]:
+    """The transitions of `state` in `pts`, of `label` if given, in text order."""
+    return [tr for tr in pts.transitions if tr.source == state and label in (None, tr.label)]
+
+
+def index_step(ix: _Index, tr: PtsTransition) -> Step:
+    """`tr` as a step of the index `ix`: state numbers and its weights times `ix.scale`."""
+    num, items = ix.num, tr.target.items()
+    weights = tuple([p.numerator * (ix.scale // p.denominator) for _, p in items])
+    return num[tr.source], tr.label, tuple([num[u] for u, _ in items]), weights
 
 
 def pairs(rel) -> frozenset[tuple[Term, Term]]:
@@ -87,8 +101,8 @@ def _refine(pts: PTS, make_check: Callable[[PTS, Mapping[Term, set]], PairCheck]
 def branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     """The branching per-pair check: every non-inert challenge of `s` is
     matched from `t` by a concrete execution, lifting by max-flow."""
-    lift = functools.cache(functools.partial(lift_by_max_flow, rel))
-    return _first_unmatched(pts, rel, lambda s, tr, t: _execution_match(pts, rel, s, tr, t, lift))
+    ix, lift = _index(pts), functools.cache(functools.partial(lift_by_max_flow, rel))
+    return _first_unmatched(ix, rel, lambda s, tr, step, t: _execution_match(ix, rel, s, tr, t, lift))
 
 
 def branching_bisim(pts: PTS) -> PairRelation:
@@ -99,10 +113,10 @@ def pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     """The pbranching per-pair check: every non-inert challenge of `s` is
     matched from `t` by `combined_match`, over the preserving tau-steps."""
     ix = _index(pts)
-    preserving = [ix.step(tr) for tr in pts.transitions
+    preserving = [index_step(ix, tr) for tr in pts.transitions
                   if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
     match = functools.cache(lambda challenge, t: combined_match(ix, rel, preserving, *challenge, t))
-    return _first_unmatched(pts, rel, lambda s, tr, t: match(ix.step(tr)[1:], ix.num[t]))
+    return _first_unmatched(ix, rel, lambda s, tr, step, t: match(index_step(ix, tr)[1:], ix.num[t]))
 
 
 def combined_match(
@@ -143,10 +157,10 @@ def rooted_challenge(
     """The first initial step of `s` or `t` that the other state cannot mirror
     by one equally labelled step with a `bb`-lifted target, by max-flow."""
     for x, y in ((s, t), (t, s)):
-        for tr in pts.outgoing(x):
+        for tr in outgoing(pts, x):
             if not any(
                 lift_by_max_flow(bb.table, tr.target, other.target)
-                for other in pts.outgoing(y, tr.label)
+                for other in outgoing(pts, y, tr.label)
             ):
                 return x, tr
     return None

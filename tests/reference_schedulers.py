@@ -30,7 +30,7 @@ from ptsskit.errors import BoundError
 from ptsskit.terms import Term, render_term
 from tests import reference_lp
 from tests.reference_lp import lift_by_max_flow
-from tests.reference_refine import PairRelation
+from tests.reference_refine import PairRelation, index_step, outgoing
 
 
 EPSILON = "eps"  # the empty trace of a weak transition, as tau
@@ -97,7 +97,7 @@ def cone_probability(pts: PTS, sched: Scheduler, s: Term, frag: Fragment) -> Fra
         return base
     choice = sched.at(prefix)
     step = Fraction(0)
-    for tr in pts.outgoing(prefix[-1], action):
+    for tr in outgoing(pts, prefix[-1], action):
         step += choice.get(tr, Fraction(0)) * mass(tr.target, (last,))
     return base * step
 
@@ -158,23 +158,23 @@ def weak_combined_reachable(
     Decided by exact linear feasibility over per-transition occupation
     variables, split into a before-`a` and an after-`a` phase for visible `a`.
     """
-    if not pts.has_state(s):
+    if s not in pts.states:
         raise ValueError(f"not a state of the PTS: {render_term(s)}")
     for u in target.support:
-        if not pts.has_state(u):
+        if u not in pts.states:
             raise ValueError(f"target mentions a foreign state: {render_term(u)}")
     allowed_set = set(pts.transitions if allowed is None else allowed)
     if not allowed_set <= set(pts.transitions):
         raise ValueError("allowed set must be a subset of the PTS transitions")
     ix = _Index(pts)
     n, scale = len(pts.states), ix.scale
-    taus = [ix.step(tr) for tr in pts.transitions if tr.label == "tau" and tr in allowed_set]
+    taus = [index_step(ix, tr) for tr in pts.transitions if tr.label == "tau" and tr in allowed_set]
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     col = _flow_rows(rows, range(n), taus, 0, scale)
     if a not in (None, EPSILON, "tau"):
         # tau flow x until the `a`-step y, then tau flow z; y leaves the first
         # phase and enters the second
-        visibles = [ix.step(tr) for tr in pts.transitions if tr.label == a and tr in allowed_set]
+        visibles = [index_step(ix, tr) for tr in pts.transitions if tr.label == a and tr in allowed_set]
         rows += [{} for _ in range(n)]
         col = _flow_rows(rows, range(n), visibles, col, scale, range(n, 2 * n))
         _flow_rows(rows, range(n, 2 * n), taus, col, scale)
@@ -219,7 +219,7 @@ def branching_bisim_scheduler_oracle(
             return all(
                 (tr.label == "tau" and set(tr.target.support) <= members)
                 or _oracle_match(pts, preserving, tr, t, max_len, budget, memo, counter, lift)
-                for tr in pts.outgoing(s)
+                for tr in outgoing(pts, s)
             )
 
         kept = {pair for pair in sorted(pairs, key=lambda p: (render_term(p[0]), render_term(p[1])))
@@ -283,7 +283,7 @@ def _one_step_products(
 ) -> Iterator[Distribution]:
     options = []
     for u in pi_tilde.support:
-        outs = pts.outgoing(u, label)
+        outs = outgoing(pts, u, label)
         if not outs:
             return
         options.append(outs)

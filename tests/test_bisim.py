@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from ptsskit.bisim import (
+    KINDS,
     branching_bisim,
     decide,
     distinguishing_challenge,
@@ -16,7 +17,7 @@ from ptsskit.distributions import Distribution
 from ptsskit.engine import DomainBound, load_pts, opaque_state, reachable_pts
 from ptsskit.parser import parse_term
 from tests.conftest import CORPUS
-from tests.reference_refine import is_equivalence, pairs, partner_map
+from tests.reference_refine import is_equivalence, outgoing, pairs, partner_map
 from tests.reference_schedulers import (
     EPSILON,
     Scheduler,
@@ -181,7 +182,7 @@ def test_lift_preserves_relation_properties():
 # -- schedulers and cones --------------------------------------------------------
 
 def _wtrans_transition(pts, src, label):
-    (tr,) = pts.outgoing(S(src), label)
+    (tr,) = outgoing(pts, S(src), label)
     return tr
 
 
@@ -407,6 +408,16 @@ def test_rooted_reflexive(mixed):
     assert rooted_branching_bisim(mixed, S("t1"), S("t1"), branching_bisim(mixed))
 
 
+def test_rooted_and_witnesses_refuse_a_state_outside_the_pts(mixed):
+    bb = branching_bisim(mixed)
+    for pair in ((S("t1"), S("nowhere")), (S("nowhere"), S("t1"))):
+        with pytest.raises(ValueError, match="^both states must belong to the PTS$"):
+            rooted_branching_bisim(mixed, *pair, bb)
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="^both states must belong to the PTS$"):
+                decide(kind, mixed).witness(*pair)
+
+
 def test_rooted_contained_in_branching(running, sig):
     pairs = [
         ("a.delta(0)", "a.delta(0)"),
@@ -440,7 +451,7 @@ def test_rooted_lifts_initial_steps_against_branching_bisimulation():
 
 
 def test_wtrans_pi0_mass_is_one(wtrans):
-    (tr,) = wtrans.outgoing(S("s0"), "tau")
+    (tr,) = outgoing(wtrans, S("s0"), "tau")
     assert mass(tr.target, [S("s1"), S("s6")]) == 1
     assert mass(tr.target, [S("s1")]) == Fraction(1, 2)
 

@@ -67,6 +67,13 @@ def test_eval_open_term_rejected(t):
         evaluate(t("oplus{1/2:mu,1/2:^+(delta(0),nu)}"))
 
 
+def test_eval_refuses_a_state_term_and_an_open_lifted_prefix(t):
+    with pytest.raises(EvalError, match="^0 is not a distribution operator$"):
+        evaluate(t("0"))
+    with pytest.raises(EvalError, match=r"^cannot evaluate open term \^a\.mu$"):
+        evaluate(t("^a.mu"))
+
+
 def test_mass(t):
     d = evaluate(t("oplus{1/2:delta(0),1/2:delta(a.delta(0))}"))
     assert mass(d, [t("0")]) == Fraction(1, 2)

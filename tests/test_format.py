@@ -151,6 +151,16 @@ def test_patience_wrong_shape_not_detected():
     assert patience(parse_spec(src)) == {}
 
 
+def test_patience_shape_with_a_repeated_source_variable_not_detected():
+    # g(x2,x2) --tau-> ^g(mu,mu) is what the canonical patience target of
+    # g(x1,x2) becomes when x1 is x2, yet a repeated variable is no patience rule
+    src = (CORPUS / "cx23.ptss").read_text().replace(
+        "rule g_pat: x2 --tau-> mu |- g(x1,x2) --tau-> ^g(delta(x1),mu)",
+        "rule g_pat: x2 --tau-> mu |- g(x2,x2) --tau-> ^g(mu,mu)",
+    )
+    assert patience(parse_spec(src)) == {}
+
+
 # -- w-nested positions ------------------------------------------------------------
 
 def test_w_nested_empty_context(cx23):

@@ -7,10 +7,17 @@ named as given, a context without its hole).  `bisim` and `check-format` are
 here for their usage errors, each parse error of a declaration or a rule line
 that no other test reaches, a conclusion whose source is not an operator, and
 `.pts` bodies with a stray comma, which load as without it; their other
-answers are pinned in `golden_bisim.json` and `golden_format.json`.  `pts` is
-here for bound values that `int()` refuses though they are digits, which
-argparse words as any other value that is not a positive integer, in usage
-lines wrapped at 80 columns, and for a model that does not converge.
+answers are pinned in `golden_bisim.json` and `golden_format.json`.  `bisim`
+is also here for what only these cases run through the CLI: the pbranching
+sweeps (a system whose greatest fixpoint is not transitive, whose NO answer
+has a witness, and one whose classes overlap), the inert steps of a branching
+witness, `.pts` bodies that hold brackets, a repeated target state, which
+sums, and the `.pts` diagnostics of a state line or an entry; `stable-model`
+for premises with an open source and premise targets matched against a
+pattern.  `pts` is here for bound values that `int()` refuses though they
+are digits, which argparse words as any other value that is not a positive
+integer, in usage lines wrapped at 80 columns, and for a model that does not
+converge.
 
 Every case runs in a folder that holds the files of `populate`, with paths
 relative to it, so that no message names a temporary folder.  Re-record (only
@@ -44,6 +51,38 @@ _BARE = "".join(line for line in _RUNNING.splitlines(keepends=True) if not line.
 _GOOD = "# roots: 0\n# expect complete: yes\n" + _BARE
 _DEEP = "a.delta(" * 12 + "0" + ")" * 12
 _HEAD = "ptss x\nactions a, tau\nop pre<A> : d -> s\nop 0 : -> s\n"
+# NOT_TRANSITIVE of tests/test_refine_oracle.py, with its states declared
+_NOT_TRANSITIVE = "".join(f"state r{i}\n" for i in range(4)) + (
+    "trans r0 --tau-> { r0: 1/2, r3: 1/2 }\ntrans r0 --tau-> { r3: 1/4, r1: 3/4 }\n"
+    "trans r1 --b-> { r2: 3/4, r1: 1/4 }\ntrans r2 --tau-> { r1: 1 }\ntrans r2 --a-> { r0: 1 }\n"
+    "trans r3 --tau-> { r3: 1/2, r2: 1/2 }\n"
+)
+# draw 2611 of the tau-heavy family of tests/test_partition_oracle.py, whose
+# pbranching classes overlap
+_DRAW_2611 = "".join(f"state r{i}\n" for i in range(4)) + (
+    "trans r0 --a-> { r0: 1/2, r1: 1/2 }\ntrans r0 --tau-> { r3: 1 }\ntrans r1 --tau-> { r0: 1 }\n"
+    "trans r1 --tau-> { r3: 1 }\ntrans r2 --tau-> { r0: 3/4, r3: 1/4 }\ntrans r2 --tau-> { r1: 1/2, r2: 1/2 }\n"
+    "trans r3 --b-> { r0: 3/4, r2: 1/4 }\n"
+)
+# t matches s's challenges only after its inert step to w
+_INERT_STEP = "state s\nstate t\nstate w\nstate x\n" + "".join(
+    f"trans {u} --{a}-> {{ x: 1 }}\n" for u in "sw" for a in "ab"
+) + "trans t --tau-> { w: 1 }\ntrans t --c-> { x: 1 }\n"
+# what `pts` writes for corpus/running.ptss from _SUM: state names hold brackets
+_SUM = "+(a.oplus{1/2:delta(b.delta(0)),1/2:delta(0)},tau.delta(a.delta(0)))"
+_BRACKETED = (
+    f"state {_SUM}\nstate 0\nstate a.delta(0)\nstate b.delta(0)\n"
+    f"trans {_SUM} --a-> {{ 0: 1/2, b.delta(0): 1/2 }}\ntrans {_SUM} --tau-> {{ a.delta(0): 1 }}\n"
+    "trans a.delta(0) --a-> { 0: 1 }\ntrans b.delta(0) --b-> { 0: 1 }\n"
+)
+# BOUND_PREMISE_SPEC of tests/test_engine_oracle.py: premises with an open
+# source, and premise targets matched against a pattern
+_BOUND_PREMISE = _BARE.replace("rule prefix", "op h : -> s\nop f : s -> s\nop g : s s -> s\nrule prefix") + (
+    "rule spin: h --a-> delta(h)\n"
+    "rule loop: x --a-> delta(x) |- f(x) --b-> delta(x)\n"
+    "rule open: y --a-> delta(x) |- g(x,z) --a-> delta(y)\n"
+    "rule open2: f(w) --b-> delta(w) |- g(x,z) --b-> delta(w)\n"
+)
 
 
 def _flipped(name: str, old: str, new: str) -> str:
@@ -102,6 +141,14 @@ FILES = {
     "diagnostics/collision.ptss": "ptss x\nactions a, tau\nop a : -> s\n",
     "diagnostics/duplicate_op.ptss": _HEAD + "op 0 : -> s\n",
     "diagnostics/shape.ptss": "ptss v\nactions a, tau\nrule r: x --a-> delta(x)\n",
+    "diagnostics/states.pts": "state s\nstate t\nstate s\ntrans s --a-> { t: 1/2, u: 1/2 }\n"
+                              "trans t --a-> { s: 1, t }\ntrans t --b-> { s: 1/2 : t }\n",
+    "repeated_target.pts": "state s\nstate t\nstate v\ntrans s --a-> { t: 1/2, t: 1/2 }\ntrans v --b-> {t: 1}\n",
+    "not_transitive.pts": _NOT_TRANSITIVE,
+    "draw_2611.pts": _DRAW_2611,
+    "inert_step.pts": _INERT_STEP,
+    "bracketed.pts": _BRACKETED,
+    "bound_premise.ptss": _BOUND_PREMISE,
 }
 
 _R = "corpus/running.ptss"
@@ -121,6 +168,8 @@ CASES = {
     "stable-model/missing-file": ["stable-model", "missing.ptss", "--root", "0"],
     "stable-model/non-utf8": ["stable-model", "latin1.ptss", "--root", "0"],
     "stable-model/empty-path": ["stable-model", "", "--root", "0"],
+    "stable-model/premise-patterns": ["stable-model", "bound_premise.ptss", "--root", "g(0,0)", "--root",
+                                      "g(h,a.delta(0))", "--root", "f(h)", "--root", "f(a.delta(h))"],
     "check-format/empty-path": ["check-format", ""],
     "check-format/rule-name-part": ["check-format", "diagnostics/rule_name.ptss"],
     "check-format/duplicate-turnstile": ["check-format", "diagnostics/turnstile.ptss"],
@@ -156,6 +205,12 @@ CASES = {
     "bisim/empty-path": ["bisim", "", "--kind", "branching", "t0", "u1"],
     "bisim/trailing-comma": ["bisim", "trailing_comma.pts", "--kind", "branching", "s", "v"],
     "bisim/leading-comma": ["bisim", "leading_comma.pts", "--kind", "branching", "s", "v"],
+    "bisim/repeated-target": ["bisim", "repeated_target.pts", "--kind", "branching", "s", "v"],
+    "bisim/pts-diagnostics": ["bisim", "diagnostics/states.pts", "--kind", "branching", "s", "t"],
+    "bisim/bracketed-bodies": ["bisim", "bracketed.pts", "--kind", "branching", _SUM, "a.delta(0)"],
+    "bisim/branching-inert-step": ["bisim", "inert_step.pts", "--kind", "branching", "s", "t"],
+    "bisim/pbranching-not-transitive": ["bisim", "not_transitive.pts", "--kind", "pbranching", "r0", "r3"],
+    "bisim/pbranching-overlapping-classes": ["bisim", "draw_2611.pts", "--kind", "pbranching", "r0", "r2"],
     "corpus-run/corpus": ["corpus-run", "corpus"],
     "corpus-run/failed": ["corpus-run", "failed"],
     "corpus-run/malformed": ["corpus-run", "malformed"],

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ptsskit.lp import feasible, max_flow
 from tests import reference_lp
 
@@ -74,6 +76,11 @@ def test_max_flow_parallel_edges_accumulate():
 
 def test_max_flow_disconnected():
     assert max_flow(4, [(0, 1, F(1))], 0, 3) == 0
+
+
+def test_max_flow_refuses_a_negative_capacity():
+    with pytest.raises(ValueError, match="^negative capacity$"):
+        max_flow(2, [(0, 1, F(-1))], 0, 1)
 
 
 def test_max_flow_matches_mincut_on_random_bipartite():

@@ -6,7 +6,7 @@ from ptsskit.parser import (
     parse_term,
     try_parse_spec,
 )
-from ptsskit.terms import Convex, Dirac, Sort, term_sort
+from ptsskit.terms import Convex, Dirac, Sort
 from tests.conftest import RUNNING_SPEC
 from tests.reference_render import render
 
@@ -80,8 +80,8 @@ def test_parse_term_position_in_diagnostics(sig):
 
 
 def test_parse_term_sort_inference(sig):
-    assert term_sort(parse_term("mu", sig, Sort.DIST)) is Sort.DIST
-    assert term_sort(parse_term("x", sig)) is Sort.STATE
+    assert parse_term("mu", sig, Sort.DIST).sort is Sort.DIST
+    assert parse_term("x", sig).sort is Sort.STATE
     with pytest.raises(ParseFailure):
         parse_term("+(x,delta(x))", sig)  # x at both sorts
 

@@ -170,6 +170,16 @@ def test_mutated_terms_parse_as_before(text, expected):
     check_term(text, SIG, expected)
 
 
+@pytest.mark.parametrize("text", ["0()", "+()"])
+def test_empty_parentheses_parse_as_before(text):
+    # a constant reads as without them; any other operator reports its arity
+    new = check_term(text, SIG)
+    if text == "0()":
+        assert new is parse_term("0", SIG)
+    else:
+        assert [d.message for d in new] == ["operator + expects 2 arguments, got 0"]
+
+
 # every head form that the term reader tells apart after `^`: an `<A>.` or a
 # name prefix, an operator with and without parentheses, a name that cannot
 # start a prefix, and no name at all

@@ -7,7 +7,8 @@ an equivalence it is that join, the coarsest bisimulation partition.  Seed
 
 Two families: tau-heavy 4-state systems (labels from tau, tau, a, b; 70%
 two-point targets in quarters) and the plain 5-state systems of
-`tests/test_refine_oracle.py`."""
+`tests/test_refine_oracle.py`.  Every unrelated pair has a witness, on those
+families, on plain 6-state systems and on the corpus `.pts` files."""
 
 import random
 import re
@@ -17,8 +18,9 @@ import pytest
 
 import ptsskit.bisim as bisim
 from ptsskit.bisim import prob_branching_bisim
-from ptsskit.engine import load_pts
-from ptsskit.terms import render_term
+from ptsskit.engine import export_pts, load_pts
+from ptsskit.terms import opaque_state, render_term
+from tests.conftest import CORPUS
 from tests.reference_refine import is_equivalence, pairs
 from tests.reference_partitions import bisimulation_pairs, bisimulation_partitions, join
 from tests.test_refine_oracle import NOT_TRANSITIVE, plain_pts, random_pts
@@ -132,3 +134,25 @@ def test_only_blocks_with_a_multi_block_move_are_re_signed_without_staying_put()
             returned += 1
             assert pairs(prob_branching_bisim(pts)) == pairs(rel)
     assert one_block_blocks > len(draws) and 0 < returned < len(draws)
+
+
+def test_every_unrelated_pair_has_a_witness():
+    # where the sweeps deleted a pair, its challenge may be matched against the
+    # relation widened by the pair; the witness then checks again with the pair
+    # keeping only its common partners, as the sweeps did (not-transitive:
+    # r0 --tau-> {r1: 3/4, r3: 1/4} fails against r3 either way)
+    draws = [load_pts(path.read_text()) for path in sorted(CORPUS.glob("*.pts"))]
+    draws += [_not_transitive(), _tau_heavy(2611)] + [_tau_heavy(seed) for seed in range(300)]
+    draws += [plain_pts(6, random_pts(random.Random(f"witness:plain:{seed}"), 6)) for seed in range(150)]
+    unrelated = 0
+    for pts in draws:
+        decision = bisim.decide("pbranching", pts)
+        for s in pts.states:
+            for t in pts.states:
+                if not decision.related(s, t):
+                    unrelated += 1
+                    assert decision.witness(s, t) is not None, (export_pts(pts), s, t)
+    assert unrelated > 3000
+    r0, r3 = (opaque_state(name) for name in ("r0", "r3"))
+    assert [str(tr) for _, tr in (bisim.decide("pbranching", _not_transitive()).witness(*pair)
+                                  for pair in ((r0, r3), (r3, r0)))] == ["r0 --tau-> {r1: 3/4, r3: 1/4}"] * 2

@@ -88,7 +88,6 @@ def test_a_pts_is_compared_by_its_states_and_transitions():
     assert shuffled.transitions == pts.transitions and len(pts.transitions) == 2
     assert PTS((s, t), moves[:1]) != pts
     assert PTS((s, t, opaque_state("u")), moves) != pts
-    assert pts.outgoing(s) == moves[:1] and pts.outgoing(t, "a") == ()
 
 
 @pytest.mark.parametrize("field", ["max_depth", "max_states", "max_iterations"])
@@ -167,12 +166,6 @@ def test_every_public_attribute_holds_a_hashable_value(records, kind):
     assert names
     for name in names:
         hash(getattr(value, name))  # raises TypeError on a list, dict or set anywhere inside
-
-
-def test_outgoing_returns_the_stored_tuple(records):
-    pts = records[PTS]
-    for s in pts.states:
-        assert type(pts.outgoing(s)) is tuple and pts.outgoing(s) is pts.outgoing(s)
 
 
 def test_importing_the_cli_loads_no_dataclasses():

@@ -18,9 +18,9 @@ from ptsskit.terms import (
     build_signature,
     lift_symbol,
     match,
+    prefix_symbol,
     render_term,
     substitute,
-    term_sort,
     validate_signature,
 )
 from tests.conftest import CORPUS
@@ -53,6 +53,18 @@ def test_validate_missing_tau():
     assert any("tau" in m for m in validate_signature(sig))
 
 
+def test_validate_prefix_operator_of_an_undeclared_action():
+    # built by hand: `build_signature` makes prefix operators only for declared actions
+    assert validate_signature(Signature(("tau",), (prefix_symbol("a"),))) == [
+        "prefix operator a. uses undeclared action a"
+    ]
+
+
+def test_only_state_operators_lift(sig):
+    with pytest.raises(SortError, match=r"^only state operators can be lifted, got \^\+$"):
+        lift_symbol(lift_symbol(sig.state_op("+")))
+
+
 def test_apply_enforces_arity(sig):
     plus = sig.state_op("+")
     with pytest.raises(SortError):
@@ -68,6 +80,15 @@ def test_apply_enforces_arg_sorts(sig):
 def test_convex_weight_sum_checked():
     with pytest.raises(SortError, match="sum"):
         Convex((Fraction(1, 2), Fraction(1, 3)), (Dirac(StateVar("x")), Dirac(StateVar("y"))))
+
+
+def test_dirac_and_oplus_check_the_sorts_of_their_branches(t):
+    with pytest.raises(SortError, match=r"^delta takes a state term, got delta\(0\)$"):
+        Dirac(t("delta(0)"))
+    with pytest.raises(SortError, match="^oplus needs one weight per branch and at least one branch$"):
+        Convex((), ())
+    with pytest.raises(SortError, match="^oplus branches must be distribution terms, got 0$"):
+        Convex((Fraction(1),), (t("0"),))
 
 
 def test_convex_weight_positive_checked():
@@ -114,6 +135,14 @@ def test_match_basic(sig, t):
     subj = t("+(0,a.delta(0))")
     rho = match(pat, subj)
     assert rho == {"x": t("0"), "y": t("a.delta(0)")}
+
+
+def test_match_fails_across_sorts_and_oplus_weights(t):
+    assert match(StateVar("x"), t("delta(0)")) is None and match(DistVar("mu"), t("0")) is None
+    pattern = t("oplus{1/2:mu,1/2:nu}")
+    assert match(pattern, t("oplus{1/3:delta(0),2/3:delta(a.delta(0))}")) is None
+    assert match(pattern, t("oplus{1/2:delta(0),1/2:delta(a.delta(0))}")) == {"mu": t("delta(0)"),
+                                                                            "nu": t("delta(a.delta(0))")}
 
 
 def test_match_mismatch(sig, t):
@@ -190,8 +219,8 @@ def _term_strategy(sig, closed=True, max_depth=3):
     zero = Apply(sig.state_op("0"), ())
 
     def extend(children):
-        state = children.filter(lambda x: term_sort(x) is Sort.STATE)
-        dist = children.filter(lambda x: term_sort(x) is Sort.DIST)
+        state = children.filter(lambda x: x.sort is Sort.STATE)
+        dist = children.filter(lambda x: x.sort is Sort.DIST)
         plus = sig.state_op("+")
         strats = [
             st.builds(lambda l, r: Apply(plus, (l, r)), state, state),
@@ -229,7 +258,7 @@ def test_substitute_preserves_sort(sig, data):
     term = data.draw(_term_strategy(sig, closed=False))
     zero = Apply(sig.state_op("0"), ())
     out = substitute({"x": zero, "mu": Dirac(zero)}, term)
-    assert term_sort(out) is term_sort(term)
+    assert out.sort is term.sort
     assert out.closed
 
 
@@ -237,4 +266,4 @@ def test_substitute_preserves_sort(sig, data):
 @given(data=st.data())
 def test_render_parse_roundtrip(sig, data):
     term = data.draw(_term_strategy(sig, closed=True))
-    assert parse_term(render_term(term), sig, term_sort(term)) == term
+    assert parse_term(render_term(term), sig, term.sort) == term
