@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import re
 import sys
+from _json import encode_basestring_ascii as _quote  # json.encoder's C string writer, without loading json
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, TypeVar
 
@@ -34,9 +34,9 @@ _CORPUS_BOUND = DomainBound((), max_depth=10)
 
 
 def _read_file(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+    try:  # bytes, decoded once: line ends stay as written, and every reader splits by str.splitlines
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise PtssError(f"cannot read: {getattr(exc, 'strerror', None) or exc}", path)
 
@@ -55,8 +55,7 @@ _TermText = tuple[str, str, int, int]
 
 
 def _parse_terms(spec: PTSS, items: list[_TermText]) -> list[Term]:
-    """Parse terms; a diagnostic names the term's origin and its line and
-    column there."""
+    """Parse terms; a diagnostic names the term's origin, and its line and column there."""
     out = []
     for text, origin, line, offset in items:
         try:
@@ -77,11 +76,9 @@ def _words(text: str, origin: str, line: int, offset: int) -> list[_TermText]:
 
 def _term_lines(path: str) -> list[_TermText]:
     """The non-blank, non-comment lines of a file."""
-    items = []
-    for line_no, line in enumerate(_read_file(path).splitlines(), start=1):
-        if line.strip() and not line.strip().startswith("#"):
-            items.append((line.strip(), path, line_no, len(line) - len(line.lstrip())))
-    return items
+    lines = enumerate(_read_file(path).splitlines(), start=1)
+    return [(line.strip(), path, n, len(line) - len(line.lstrip())) for n, line in lines
+            if line.strip()[:1] not in ("", "#")]
 
 
 def _bound(args: argparse.Namespace, roots: tuple[Term, ...]) -> DomainBound:
@@ -111,9 +108,25 @@ def _emit(text: str) -> None:
         raise PtssError(f"cannot write: {exc.strerror}") from None
 
 
+def _json(value: object, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` of a payload: dicts with
+    str keys, lists, str, int, bool and None; any other type is a TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]" if value else "[]"
+    if isinstance(value, dict):
+        items = ("," + inner).join([_quote(k) + ": " + _json(value[k], inner) for k in sorted(value)])
+        return "{" + inner + items + indent + "}" if value else "{}"
+    if value is None or isinstance(value, int):  # a bool is an int, whose repr lowered is JSON's
+        return "null" if value is None else repr(value).lower()
+    raise TypeError(f"a payload holds no {type(value).__name__}")
+
+
 def _answer(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
     """Print an answer: its payload under `--json`, else its text lines."""
-    _emit(json.dumps(payload, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+    _emit(_json(payload) if args.json else "\n".join(lines))
 
 
 def _spec_and_roots(args: argparse.Namespace) -> tuple[PTSS, tuple[Term, ...]]:
@@ -229,18 +242,13 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         parts = _words(text, path, line_no, offset)
         if len(parts) != 2:
             raise PtssError("expected '<term> <term>' per line", f"{path}:{line_no}")
-        u, v = _parse_terms(spec, parts)
-        pairs.append((u, v))
+        pairs.append(tuple(_parse_terms(spec, parts)))
     contexts = _parse_terms(spec, _term_lines(args.contexts))
     violations = congruence_probe(spec, pairs, contexts, _bound(args, ()), kind=args.kind)
-    payload = {
-        "kind": args.kind,
-        "violations": [
-            {"context": render_term(v.context), "left": render_term(v.left), "right": render_term(v.right)}
-            for v in violations
-        ],
-    }
-    lines = [f"violation: context {v['context']} separates {v['left']} and {v['right']}" for v in payload["violations"]]
+    rows = [{"context": render_term(v.context), "left": render_term(v.left), "right": render_term(v.right)}
+            for v in violations]
+    payload = {"kind": args.kind, "violations": rows}
+    lines = [f"violation: context {v['context']} separates {v['left']} and {v['right']}" for v in rows]
     _answer(args, payload, lines or ["no violations"])
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
@@ -454,43 +462,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _argv_table() -> dict[str, tuple]:
-    """Each subcommand's parser, its options by exact name, its positionals,
-    the actions it requires and the Namespace fields argparse starts from."""
+    """Each subcommand's parser, its options by exact name and its positionals
+    as rows (dest, flag | store | append, type, choices), the dests it
+    requires and the Namespace fields argparse starts from."""
     (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     table = {}
     for name, parser in commands.items():
         actions = [a for a in parser._actions if a.default != argparse.SUPPRESS]  # all but -h
-        table[name] = (parser, {o: a for a in actions for o in a.option_strings},
-                       [a for a in actions if not a.option_strings], [a for a in actions if a.required],
+        row = {a: (a.dest, "flag" if a.nargs == 0 else "append" if isinstance(a, argparse._AppendAction) else "store",
+                   a.type, a.choices) for a in actions}
+        table[name] = (parser, {o: row[a] for a in actions for o in a.option_strings},
+                       [row[a] for a in actions if not a.option_strings], {a.dest for a in actions if a.required},
                        {**parser._defaults, **{a.dest: a.default for a in actions}})
     return table
 
 
 def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
-    """argparse's Namespace of a regular argv: a subcommand, then options by
-    exact name, each but a flag followed by its value, and positionals, no
-    value starting with `-`; each value goes through argparse's own
-    conversion, check and action.  None for any other argv."""
+    """argparse's Namespace of a regular argv: a subcommand, then options by exact
+    name, each but a flag followed by its value, and positionals, no value starting
+    with `-`, each converted by its row's type and checked as argparse does; else None."""
     if not argv or argv[0] not in _argv_table():
         return None
-    parser, options, positionals, required, defaults = _argv_table()[argv[0]]
+    _, options, positionals, required, defaults = _argv_table()[argv[0]]
     args = argparse.Namespace(command=argv[0], **defaults)
     tokens, free, seen = iter(argv[1:]), iter(positionals), set()
     for token in tokens:
-        action = options.get(token) if token.startswith("-") else next(free, None)
-        values = [] if action is None or action.nargs == 0 else [next(tokens, "-") if action.option_strings else token]
-        if action is None or any(v.startswith("-") for v in values):
+        row = options.get(token) if token.startswith("-") else next(free, None)
+        if row is None:
             return None
+        dest, how, convert, choices = row
+        text = token if not token.startswith("-") else "" if how == "flag" else next(tokens, "-")
         try:
-            action(parser, args, parser._get_values(action, values))
-        except argparse.ArgumentError:
+            value = True if how == "flag" else convert(text) if convert else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        seen.add(action)
-    return args if all(a in seen for a in required) else None
+        if text.startswith("-") or choices is not None and value not in choices:
+            return None
+        setattr(args, dest, getattr(args, dest) + [value] if how == "append" else value)
+        seen.add(dest)
+    return args if required <= seen else None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
+    for dest, *_ in _argv_table()[args.command][2]:  # a second `--` leaves a list under Python 3.11's argparse
+        if not isinstance(getattr(args, dest), str):
+            _argv_table()[args.command][0].error(f"argument {dest}: expected one argument")
     try:
         return args.fn(args)
     except PtssError as exc:

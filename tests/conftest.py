@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import resource
@@ -34,6 +35,26 @@ rule prefix: <A>.mu --<A>-> mu
 rule sum_l: x --<A>-> mu |- +(x,y) --<A>-> mu
 rule sum_r: y --<A>-> mu |- +(x,y) --<A>-> mu
 """
+
+
+@pytest.fixture(scope="session", autouse=True)
+def json_answers_are_canonical():
+    """Every `--json` answer printed in process is the text that
+    `json.dumps(payload, indent=2, sort_keys=True)` gives, and reads back to it."""
+    from ptsskit import cli
+
+    answer = cli._answer
+
+    def checked(args, payload, lines):
+        if args.json:
+            text = cli._json(payload)
+            assert text == json.dumps(payload, indent=2, sort_keys=True)
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+        answer(args, payload, lines)
+
+    cli._answer = checked
+    yield
+    cli._answer = answer
 
 
 @pytest.fixture(scope="session")

@@ -229,5 +229,5 @@ def _imports(tree: ast.Module) -> set[str]:
 def test_only_the_cli_renders_answers():
     """Every answer is printed by `cli` from one payload, as JSON or as text
     lines derived from it, so no other module serialises one."""
-    users = [p.stem for p in sorted(SRC.glob("*.py")) if "json" in _imports(ast.parse(p.read_text()))]
+    users = [p.stem for p in sorted(SRC.glob("*.py")) if {"json", "_json"} & _imports(ast.parse(p.read_text()))]
     assert users == ["cli"]

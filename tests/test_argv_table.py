@@ -46,6 +46,7 @@ IRREGULAR = [
     ["bisim", "b.pts", "--kind", "rooted", "s"], ["bisim", "b.pts", "--kind", "rooted", "s", "t", "u"],
     ["bisim", "b.pts", "--kind", "rooted", "--", "s", "t"], ["bisim", "b.pts", "--kind", "rooted", "-s", "t"],
     ["probe-congruence", "s.ptss", "--pairs", "p.txt"], ["corpus-run", "corpus", "--json", "--", "x"],
+    ["bisim", "--kind", "branching", "--", "s.ptss", "0", "--"], ["bisim", "--kind", "rooted", "--", "b.pts", "--", "t0"],
 ]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import subprocess
+import sys
 
 import pytest
 
@@ -129,6 +130,20 @@ def test_bisim_unknown_state(capsys):
         capsys, "bisim", str(CORPUS / "mixed_choice.pts"), "--kind", "branching", "t0", "zz"
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("path, s", [("cx2.ptss", "0"), ("mixed_choice.pts", "t0")])
+def test_a_second_double_dash_is_a_usage_error(capsys, path, s):
+    # Python 3.11's argparse reads the last `--` as t=[], which no term or
+    # state parser takes; later versions read it as t="--", not a state
+    try:
+        code = main(["bisim", "--kind", "branching", "--", str(CORPUS / path), s, "--"])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    assert "error: argument t: expected one argument" in err or sys.version_info >= (3, 12)
 
 
 def test_bisim_json_deterministic(capsys):
@@ -594,5 +609,7 @@ def test_output_is_byte_identical_across_processes(monkeypatch, argv, code):
         with proc:
             out, err = proc.communicate(timeout=60)
         runs.add((proc.returncode, hashlib.sha256(out.encode()).hexdigest(), err))
+        if "--json" in argv:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert len(runs) == 1
     assert next(iter(runs))[0] == code
