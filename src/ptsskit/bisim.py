@@ -32,14 +32,17 @@ witness reruns the kind's per-pair check on the relation plus the queried
 pair.  It lifts by transport columns in one exact LP, for branching the
 target alone (`lift_check`) and for pbranching after a weak phase over
 reach(t), the states the matching state t reaches by preserving tau-steps
-(`_combined_match`).  A rooted witness lifts by block masses.
+(`_combined_match`).  Both matches reach t's states by one lazy walk
+(`_reach`): the branching match stops at the first lifted step, and the
+pbranching match picks the preserving steps as it walks.  A rooted witness
+lifts by block masses; a rooted verdict is that there is none.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lp
 from .distributions import Distribution
@@ -248,6 +251,21 @@ def _masses(block: Mapping[Hashable, Hashable], targets: Sequence[Hashable], wei
 PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
 
 
+def _reach(ix: _Index, t: int, inert: Callable[[PtsTransition], bool]) -> Iterator[tuple[int, list[Step]]]:
+    """The states `t` reaches by the steps whose transitions are `inert`,
+    breadth first from `t`, each with those of its steps; a state is yielded
+    before its steps are followed, so a caller that stops walks no further."""
+    seen, queue = {t}, [t]
+    for u in queue:  # the list grows as it is read
+        steps = [step for tr, step in zip(ix.out[u], ix.steps[u]) if inert(tr)]
+        yield u, steps
+        for step in steps:
+            for v in step[2]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+
+
 def _first_unmatched(ix: _Index, rel: Mapping[Term, set], matched: Callable[..., bool]) -> PairCheck:
     """The per-pair matching loop: each non-inert challenge of `s` must be `matched(s, tr, step, t)`."""
 
@@ -282,31 +300,15 @@ def _execution_match(
     stay related to `s`, ending in a `challenge.label` step with lifted-related
     target."""
     related_to_s = rel.get(s, set())
-    seen, queue = {t}, [t]
-    for u in queue:  # breadth first: the list grows as it is read
-        out = ix.out[ix.num[u]]
-        for tr in out:
-            if tr.label == challenge.label and lift(challenge.target, tr.target):
-                return True
-        for tr in out:
-            if tr.label == "tau" and set(tr.target.support) <= related_to_s:
-                for v in tr.target.support:
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-    return False
+    walk = _reach(ix, ix.num[t], lambda tr: tr.label == "tau" and related_to_s.issuperset(tr.target.support))
+    return any(lift(challenge.target, tr.target) for u, _ in walk for tr in ix.out[u] if tr.label == challenge.label)
 
 
 # -- probabilistic branching bisimulation ------------------------------------
 
 def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     ix = _index(pts)
-    preserving: dict[int, list[Step]] = {}  # by source
-    for x, s in enumerate(ix.states):
-        for tr, step in zip(ix.out[x], ix.steps[x]):
-            if tr.label == "tau" and rel.get(s, set()).issuperset(tr.target.support):
-                preserving.setdefault(x, []).append(step)
-    return _first_unmatched(ix, rel, lambda s, tr, step, t: _combined_match(ix, rel, preserving, *step[1:], ix.num[t]))
+    return _first_unmatched(ix, rel, lambda s, tr, step, t: _combined_match(ix, rel, *step[1:], ix.num[t]))
 
 
 def _pbranching_signatures(
@@ -420,22 +422,17 @@ def _block_match(
 
 
 def _combined_match(
-    ix: _Index, rel: Mapping[Term, set], preserving: Mapping[int, list[Step]], label: str, targets: tuple,
-    weights: tuple, t: int,
+    ix: _Index, rel: Mapping[Term, set], label: str, targets: tuple, weights: tuple, t: int
 ) -> bool:
     """One linear feasibility question: does some weak tau-step of `t` inside
-    the preserving set (by source) reach an intermediate distribution whose
-    one-step `label`-combination is lifting-related to the challenge target?
-    No other state receives mass, so the LP spans reach(t), the states `t`
-    reaches by preserving steps: a flow row each, their `label` steps, and a
-    lift row for each state that those steps reach."""
-    reach, at = [t], {t: 0}
-    for u in reach:  # the list grows as it is read
-        for step in preserving.get(u, ()):
-            for v in step[2]:
-                if v not in at:
-                    at[v] = len(reach)
-                    reach.append(v)
+    the preserving set (tau-steps with support among the source's partners)
+    reach an intermediate distribution whose one-step `label`-combination is
+    lifting-related to the challenge target?  No other state receives mass, so
+    the LP spans reach(t), the states `t` reaches by preserving steps: a flow
+    row each, their `label` steps, and a lift row for each state they reach."""
+    walk = _reach(ix, t, lambda tr: tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support))
+    reach, preserving = zip(*walk)
+    at = {u: i for i, u in enumerate(reach)}
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
     states, scale = ix.states, ix.scale
     lift = {v: i for i, v in enumerate(dict.fromkeys(v for step in steps for v in step[2]), len(reach))}
@@ -446,7 +443,7 @@ def _combined_match(
     # a weak tau phase inside the preserving set, then one label-step per stopped unit; the lift
     # rows lift the challenge target against the combined target, a column per related pair
     rows: list[dict[int, int]] = [{} for _ in range(len(reach) + len(lift))]
-    col = _flow_rows(rows, at, [step for u in reach for step in preserving.get(u, ())], 0, scale)
+    col = _flow_rows(rows, at, [step for steps in preserving for step in steps], 0, scale)
     col = _flow_rows(rows, at, steps, col, scale, lift)
     rhs = [scale] + [0] * (len(rows) - 1)  # all mass starts at t
     _lift_rows(rows, rhs, partners, weights, col)
@@ -471,9 +468,7 @@ def _rooted_challenge(pts: PTS, bb: StateRelation, s: Term, t: Term) -> Optional
 def rooted_branching_bisim(pts: PTS, s: Term, t: Term, bb: StateRelation) -> bool:
     """Initial transitions must match strictly (equal labels, single steps)
     with targets lifted by `bb`, the branching bisimulation of `pts`."""
-    if not {s, t} <= _index(pts).num.keys():
-        raise ValueError("both states must belong to the PTS")
-    return _rooted_challenge(pts, bb, s, t) is None
+    return distinguishing_challenge(pts, "rooted", s, t, bb) is None
 
 
 # -- the query entry point ----------------------------------------------------

@@ -104,7 +104,8 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
         sys.stdout.flush()  # here, so that a closed pipe fails inside the try
     except BrokenPipeError as exc:  # the reader has gone: the rest, and the flush at exit, go to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         raise PtssError(f"cannot write: {exc.strerror}") from None
 
 

@@ -4,11 +4,14 @@ refinement, kept as a test oracle.
 `_refine` starts from every pair of states and, each sweep, keeps the pairs
 that pass the kind's per-pair check in both directions against the relation
 of the sweep before; it stops when a sweep deletes nothing.  The branching
-check (`branching_check`) lifts by exact max-flow (`lift_by_max_flow` of
-`tests/reference_lp.py`, not the library's `lift_check`), and the pbranching
-check (`pbranching_check`) solves one LP over the whole system,
-`combined_match`, with a `w` variable per related pair; rooted pairs lift by
-max-flow as well.
+check (`branching_check`) searches a concrete execution (`execution_match`)
+and lifts by exact max-flow (`lift_by_max_flow` of `tests/reference_lp.py`,
+not the library's `lift_check`); the pbranching check (`pbranching_check`)
+solves one LP over the whole system, `combined_match`, with a `w` variable
+per related pair; rooted pairs lift by max-flow as well.  Both checks run
+their own per-pair loop (`first_unmatched`): of the library's per-pair layer
+they share only the integer index (`_index`) and the flow-row builder
+(`_flow_rows`).
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
 with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
 either kind of relation, and `partner_map(rel)` gives either, or a pair set,
@@ -23,7 +26,8 @@ import functools
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ptsskit import lp
-from ptsskit.bisim import PairCheck, Step, _execution_match, _first_unmatched, _flow_rows, _index, _Index
+from ptsskit.bisim import PairCheck, Step, _flow_rows, _index, _Index
+from ptsskit.distributions import Distribution
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.terms import Term, render_term
 from tests.reference_lp import lift_by_max_flow
@@ -98,11 +102,50 @@ def _refine(pts: PTS, make_check: Callable[[PTS, Mapping[Term, set]], PairCheck]
         pairs = new_pairs
 
 
+def first_unmatched(ix: _Index, rel: Mapping[Term, set], matched: Callable[..., bool]) -> PairCheck:
+    """The per-pair matching loop: the first challenge of `s`, in text order,
+    that is neither an inert tau-step (support among the partners common to
+    `s` and `t`) nor `matched(s, tr, step, t)`; None when there is none."""
+
+    def check(s: Term, t: Term) -> Optional[PtsTransition]:
+        members = rel.get(s, set()) & rel.get(t, set())
+        for tr, step in zip(ix.out[ix.num[s]], ix.steps[ix.num[s]]):
+            if not (tr.label == "tau" and members.issuperset(tr.target.support)) and not matched(s, tr, step, t):
+                return tr
+        return None
+
+    return check
+
+
+def execution_match(
+    ix: _Index, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term,
+    lift: Callable[[Distribution, Distribution], bool],
+) -> bool:
+    """Search a concrete execution from `t`, breadth first: inert tau-steps
+    whose supports stay related to `s`, ending in a `challenge.label` step
+    whose target `lift` relates to the challenge's.  A state's steps are
+    lifted, in text order, before its inert steps are followed."""
+    related_to_s = rel.get(s, set())
+    seen, queue = {t}, [t]
+    for u in queue:
+        out = ix.out[ix.num[u]]
+        for tr in out:
+            if tr.label == challenge.label and lift(challenge.target, tr.target):
+                return True
+        for tr in out:
+            if tr.label == "tau" and set(tr.target.support) <= related_to_s:
+                for v in tr.target.support:
+                    if v not in seen:
+                        seen.add(v)
+                        queue.append(v)
+    return False
+
+
 def branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     """The branching per-pair check: every non-inert challenge of `s` is
     matched from `t` by a concrete execution, lifting by max-flow."""
     ix, lift = _index(pts), functools.cache(functools.partial(lift_by_max_flow, rel))
-    return _first_unmatched(ix, rel, lambda s, tr, step, t: _execution_match(ix, rel, s, tr, t, lift))
+    return first_unmatched(ix, rel, lambda s, tr, step, t: execution_match(ix, rel, s, tr, t, lift))
 
 
 def branching_bisim(pts: PTS) -> PairRelation:
@@ -116,7 +159,7 @@ def pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
     preserving = [index_step(ix, tr) for tr in pts.transitions
                   if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
     match = functools.cache(lambda challenge, t: combined_match(ix, rel, preserving, *challenge, t))
-    return _first_unmatched(ix, rel, lambda s, tr, step, t: match(index_step(ix, tr)[1:], ix.num[t]))
+    return first_unmatched(ix, rel, lambda s, tr, step, t: match(index_step(ix, tr)[1:], ix.num[t]))
 
 
 def combined_match(

@@ -8,9 +8,12 @@ first, so that a run cut short by a timeout still prints it; then the same
 systems stuttered (`stuttered_pts`, 3n + 2 states: each system beside a copy
 whose states first take one inert tau-step, the shape of the benchmark's
 bisim systems); then the tau chain of `tests/test_almost_sure.py`, with a
-second line per size: the time and `lp.feasible` calls of one branching and
-one pbranching NO witness for the pair p/q planted beside the chain, while
-one class holds almost every state.  Each system is built afresh and decided
+line for the pair p/q planted beside the chain, while one class holds almost
+every state: the time and `lp.feasible` calls of one branching and one
+pbranching NO witness.  Each stuttered and tau-chain size has a `witnesses`
+line too: the total time and `lp.feasible` calls of each kind's NO
+witnesses for SAMPLE pairs drawn with a fixed seed among the pairs that
+neither kind relates, p/q left out.  Each system is built afresh and decided
 once per kind, in process; information only, nothing is asserted.  A script,
 not a test module, so pytest does not collect it."""
 
@@ -53,28 +56,51 @@ def counted(run):
     return seconds, calls, result
 
 
+SAMPLE = 12
+
+
 def measure(family, n, pts):
-    seconds, calls, classes = counted(lambda: bisim.decide("pbranching", pts).classes())
-    print(f"{family} n={n} seconds={seconds:.3f} lp.feasible={calls} classes={len(classes)}", flush=True)
+    """Decide pbranching on `pts`, print its line and return the decision."""
+    seconds, calls, decision = counted(lambda: bisim.decide("pbranching", pts))
+    print(f"{family} n={n} seconds={seconds:.3f} lp.feasible={calls} classes={len(decision.classes())}", flush=True)
+    return decision
 
 
-def witness(decision):
-    """The time and LP count of the NO witness for the planted pair."""
-    s, t = (state for state in decision.pts.states if render_term(state) in ("p", "q"))
-    seconds, calls, _ = counted(lambda: decision.witness(s, t))
+def witness(decision, pairs):
+    """The time and LP count of the NO witnesses for `pairs`."""
+    seconds, calls, _ = counted(lambda: [decision.witness(s, t) for s, t in pairs])
     return f"{decision.kind}={seconds:.3f} lp.feasible={calls}"
+
+
+def witnesses(family, n, decisions):
+    """Print the NO witnesses' line, a branching and a pbranching decision,
+    of up to SAMPLE ordered pairs, drawn uniformly with a fixed seed, that
+    neither kind relates."""
+    rng = random.Random(f"witnesses:{family}:{n}")
+    states = [s for s in decisions[0].pts.states if render_term(s) not in ("p", "q")]
+    pairs = []
+    for _ in range(1000 * SAMPLE):  # bounded: on some sizes every pair is related
+        s, t = rng.sample(states, 2)
+        if not any(d.related(s, t) for d in decisions):
+            pairs.append((s, t))
+            if len(pairs) == SAMPLE:
+                break
+    print(f"{family} n={n} witnesses={len(pairs)}", *(witness(d, pairs) for d in decisions), flush=True)
 
 
 def main():
     for n in PLAIN:
         measure("plain", n, plain_pts(n, random_pts(random.Random(1), n)))
     for n in STUTTERED:
-        measure("stuttered", n, stuttered_pts(n, random_pts(random.Random(1), n)))
+        pts = stuttered_pts(n, random_pts(random.Random(1), n))
+        witnesses("stuttered", n, [bisim.decide("branching", pts), measure("stuttered", n, pts)])
     for n in TAU_CHAIN:
         measure("tau-chain", n, tau_chain(n))
         pts = tau_chain(n, PLANTED)
-        print(f"tau-chain n={n} witness", *(witness(bisim.decide(kind, pts)) for kind in ("branching", "pbranching")),
-              flush=True)
+        decisions = [bisim.decide(kind, pts) for kind in ("branching", "pbranching")]
+        planted = [tuple(s for s in pts.states if render_term(s) in ("p", "q"))]
+        print(f"tau-chain n={n} witness", *(witness(d, planted) for d in decisions), flush=True)
+        witnesses("tau-chain", n, decisions)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from ptsskit import cli
 from ptsskit.bisim import KINDS
 from ptsskit.cli import EXIT_BOUNDS, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from ptsskit.errors import PtssError
 from ptsskit.parser import MAX_NESTING
 from tests.conftest import CORPUS, RUNNING_SPEC, capped_python
 from tests.test_index import COMPONENT, PRODUCT_SPEC
@@ -583,6 +586,25 @@ def test_a_closed_stdout_pipe_is_one_diagnostic(monkeypatch, tmp_path, command, 
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (EXIT_USAGE, "error: cannot write: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors in")
+def test_a_closed_stdout_pipe_leaves_no_descriptor_open(monkeypatch):
+    # each write meets a pipe whose reader has gone: one diagnostic each, and
+    # the devnull that takes the pipe's place is opened and closed again
+    def descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = descriptors()
+    for _ in range(5):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            with pytest.raises(PtssError, match="^cannot write: Broken pipe$"):
+                cli._emit("an answer")
+        monkeypatch.undo()
+    assert descriptors() == before
 
 
 CROSS_PROCESS_RUNS = [

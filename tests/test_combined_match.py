@@ -43,16 +43,18 @@ class Tally:
         self.asked = self.matched = self.no_lp = 0
         self.match = bisim._combined_match
 
-    def both(self, ix, rel, preserving, *question):
+    def both(self, ix, rel, *question):
         solved = []
         feasible = lp.feasible
         lp.feasible = lambda rows, rhs: solved.append(len(rows)) or feasible(rows, rhs)
         try:
-            got = self.match(ix, rel, preserving, *question)
+            got = self.match(ix, rel, *question)
         finally:
             lp.feasible = feasible
-        flat = [step for x in sorted(preserving) for step in preserving[x]]
-        assert got == reference_refine.combined_match(ix, rel, flat, *question), question
+        # the oracle's preserving set: every tau-step whose support lies among its source's partners
+        preserving = [reference_refine.index_step(ix, tr) for out in ix.out for tr in out
+                      if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
+        assert got == reference_refine.combined_match(ix, rel, preserving, *question), question
         self.asked += 1
         self.matched += got
         self.no_lp += not solved
