@@ -21,21 +21,23 @@ integers by one common denominator.
 A non-inert step is a move keyed as (label, block) when its target lies in
 one block, else as (label, block masses), exact integer sums; a state's moves
 are kept until it or a target changes block.  `_flow_rows` and `_lift_rows`
-write every LP's integer rows.  `rooted_branching_bisim` matches the initial
-steps of a pair strictly against the branching relation.  The scheduler-based
-definitions, the pair-deleting fixpoint, the weak combined transition LP over
-the whole system and max-flow lifting live in the tests, as oracles.
+write every LP's integer rows.  The scheduler-based definitions, the
+pair-deleting fixpoint, the weak combined transition LP over the whole system
+and max-flow lifting live in the tests, as oracles.
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
-kind once and answers relatedness, classes and a distinguishing witness.  The
-witness reruns the kind's per-pair check on the relation plus the queried
-pair.  It lifts by transport columns in one exact LP, for branching the
-target alone (`lift_check`) and for pbranching after a weak phase over
-reach(t), the states the matching state t reaches by preserving tau-steps
-(`_combined_match`).  Both matches reach t's states by one lazy walk
-(`_reach`): the branching match stops at the first lifted step, and the
-pbranching match picks the preserving steps as it walks.  A rooted witness
-lifts by block masses; a rooted verdict is that there is none.
+kind once and answers relatedness, classes and a distinguishing witness, which
+one per-pair loop for every kind (`_first_unmatched`) finds, run both ways:
+rooted against no relation, so that no initial step is inert and each needs
+one equally labelled step with the same branching-class masses (a rooted
+verdict is that there is no witness); the others against the relation plus the
+queried pair, and pbranching, failing that, with the pair keeping only its
+common partners, built only then.  The branching match lifts the target alone
+in one exact LP (`lift_check`), the pbranching match after a weak phase over
+reach(t), the states t reaches by preserving tau-steps (`_combined_match`).
+Both reach t's states by one lazy walk (`_reach`): the branching match stops
+at the first lifted step, and the pbranching match picks the preserving steps
+as it walks.
 """
 
 from __future__ import annotations
@@ -282,8 +284,8 @@ def _first_unmatched(ix: _Index, rel: Mapping[Term, set], matched: Callable[...,
 # -- scheduler-free branching bisimulation ----------------------------------
 
 def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
-    ix, lift = _index(pts), functools.partial(lift_check, rel)
-    return _first_unmatched(ix, rel, lambda s, tr, step, t: _execution_match(ix, rel, s, tr, t, lift))
+    ix = _index(pts)
+    return _first_unmatched(ix, rel, lambda s, tr, step, t: _execution_match(ix, rel, s, tr, t))
 
 
 def branching_bisim(pts: PTS) -> StateRelation:
@@ -292,16 +294,14 @@ def branching_bisim(pts: PTS) -> StateRelation:
     return _partition(_index(pts))[0]
 
 
-def _execution_match(
-    ix: _Index, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term,
-    lift: Callable[[Distribution, Distribution], bool],
-) -> bool:
+def _execution_match(ix: _Index, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term) -> bool:
     """Search a concrete execution from `t`: inert tau-steps whose supports
     stay related to `s`, ending in a `challenge.label` step with lifted-related
     target."""
     related_to_s = rel.get(s, set())
     walk = _reach(ix, ix.num[t], lambda tr: tr.label == "tau" and related_to_s.issuperset(tr.target.support))
-    return any(lift(challenge.target, tr.target) for u, _ in walk for tr in ix.out[u] if tr.label == challenge.label)
+    return any(lift_check(rel, challenge.target, tr.target)
+               for u, _ in walk for tr in ix.out[u] if tr.label == challenge.label)
 
 
 # -- probabilistic branching bisimulation ------------------------------------
@@ -452,17 +452,13 @@ def _combined_match(
 
 # -- rooted branching bisimulation -------------------------------------------
 
-def _rooted_challenge(pts: PTS, bb: StateRelation, s: Term, t: Term) -> Optional[tuple[Term, PtsTransition]]:
-    """The first initial step of `s` or `t` that the other state cannot mirror
-    by one equally labelled step with a `bb`-lifted target."""
-    ix = _index(pts)
-    for x, y in ((s, t), (t, s)):
-        for tr in ix.out[ix.num[x]]:
-            want = _masses(bb._by_left, *zip(*tr.target.items()))
-            if all(_masses(bb._by_left, *zip(*o.target.items())) != want
-                   for o in ix.out[ix.num[y]] if o.label == tr.label):
-                return x, tr
-    return None
+def _rooted_check(pts: PTS, bb: StateRelation) -> PairCheck:
+    """The per-pair loop over no relation, so that no step is inert: a
+    challenge is matched by one equally labelled step whose target has the
+    same `bb`-class masses, the challenge's computed once."""
+    ix, masses = _index(pts), lambda d: _masses(bb._by_left, *zip(*d.items()))
+    return _first_unmatched(ix, {}, lambda s, tr, step, t: masses(tr.target) in (
+        masses(o.target) for o in ix.out[ix.num[t]] if o.label == tr.label))
 
 
 def rooted_branching_bisim(pts: PTS, s: Term, t: Term, bb: StateRelation) -> bool:
@@ -518,14 +514,17 @@ def distinguishing_challenge(
     if not {s, t} <= _index(pts).num.keys():
         raise ValueError("both states must belong to the PTS")
     if kind == "rooted":
-        return _rooted_challenge(pts, rel, s, t)
-    if rel.related(s, t):
+        check, relations = _rooted_check, [lambda: rel]
+    elif rel.related(s, t):
         return None
-    table = {u: rel.partners(u) for u in pts.states}  # shared: the checks only read it
-    table[s], table[t] = rel.partners(s) | {t}, rel.partners(t) | {s}
-    for against in [table] if kind == "branching" else [table, _common(table, s, t)]:
-        check = (_branching_check if kind == "branching" else _pbranching_check)(pts, against)
+    else:
+        table = {u: rel.partners(u) for u in pts.states}  # shared: the checks only read it
+        table[s], table[t] = rel.partners(s) | {t}, rel.partners(t) | {s}
+        check, relations = (_branching_check, [lambda: table]) if kind == "branching" else (
+            _pbranching_check, [lambda: table, lambda: _common(table, s, t)])  # each built when it is read
+    for against in relations:
+        unmatched = check(pts, against())
         for x, y in ((s, t), (t, s)):
-            if (tr := check(x, y)) is not None:
+            if (tr := unmatched(x, y)) is not None:
                 return x, tr
     return None

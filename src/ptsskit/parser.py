@@ -300,7 +300,7 @@ class _Cursor:
 
     def apply(self, name: str, lifted: bool, k: int, expected: Optional[Sort], depth: int) -> Optional[Term]:
         if lifted:
-            f = self.sig.state_op(name)
+            f = self.ops.get(name)
             sym = None if f is None else lift_symbol(f)
             err = f"unknown operator {name} (cannot lift)" if f is None else None
         else:

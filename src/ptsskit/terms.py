@@ -442,9 +442,6 @@ class Signature(_Record):
         prefixes = {a: names.get(f"{a}.") for a in actions}
         self._init(actions, state_ops, tuple(map(lift_symbol, state_ops)), names, prefixes)
 
-    def state_op(self, name: str) -> Optional[FunctionSymbol]:
-        return self._names.get(name)
-
 
 def build_signature(
     actions: list[str] | tuple[str, ...],

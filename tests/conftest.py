@@ -14,6 +14,11 @@ from ptsskit.parser import parse_spec, parse_term
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
+def state_op(sig, name):
+    """The state operator of `sig` called `name`, the first declared of that name, or None."""
+    return next((f for f in sig.state_ops if f.name == name), None)
+
+
 def capped_python(argv: list[str], python: str = sys.executable, **popen) -> subprocess.Popen:
     """Start `python *argv` on this checkout's `ptsskit`, its address space
     capped at 1 GiB, so that a runaway big-int computation fails on its own

@@ -31,6 +31,7 @@ from ptsskit.terms import (
     lift_symbol,
     validate_signature,
 )
+from tests.conftest import state_op
 from tests.reference_front import _Cursor, _parse_weight
 from tests.reference_front import lex_line as _lex_line
 
@@ -218,7 +219,7 @@ class _Resolver:
         self.sig = sig
         self.diags = diags
         self.var_sorts: dict[str, Sort] = {}
-        # the lifted operator of each name, the first of a name winning, as state_op's do
+        # the lifted operator of each name, the first of a name winning, as `state_op` does
         self.dist_ops = {g.name: g for g in reversed(sig.dist_ops)}
 
     def error(self, message: str, raw: _Raw) -> None:
@@ -235,7 +236,7 @@ class _Resolver:
 
     def resolve(self, raw: _Raw, expected: Optional[Sort]) -> Optional[Term]:
         if isinstance(raw, _RName):
-            op = self.sig.state_op(raw.name) or self.dist_ops.get(raw.name)
+            op = state_op(self.sig, raw.name) or self.dist_ops.get(raw.name)
             if op is not None:
                 if op.rank != 0:
                     self.error(f"operator {raw.name} expects {op.rank} arguments", raw)
@@ -257,7 +258,7 @@ class _Resolver:
             return StateVar(raw.name) if sort is Sort.STATE else DistVar(raw.name)
 
         if isinstance(raw, _RApp):
-            f = self.sig.state_op(raw.name)
+            f = state_op(self.sig, raw.name)
             if raw.lifted:
                 if f is None:
                     self.error(f"unknown operator {raw.name} (cannot lift)", raw)
@@ -288,7 +289,7 @@ class _Resolver:
             if raw.action not in self.sig.actions:
                 self.error(f"unknown action {raw.action}", raw)
                 return None
-            f = self.sig.state_op(f"{raw.action}.")
+            f = state_op(self.sig, f"{raw.action}.")
             if f is None:
                 self.error(f"no prefix operator declared (missing 'op pre<A> : d -> s')", raw)
                 return None

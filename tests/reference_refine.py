@@ -8,10 +8,11 @@ check (`branching_check`) searches a concrete execution (`execution_match`)
 and lifts by exact max-flow (`lift_by_max_flow` of `tests/reference_lp.py`,
 not the library's `lift_check`); the pbranching check (`pbranching_check`)
 solves one LP over the whole system, `combined_match`, with a `w` variable
-per related pair; rooted pairs lift by max-flow as well.  Both checks run
-their own per-pair loop (`first_unmatched`): of the library's per-pair layer
-they share only the integer index (`_index`) and the flow-row builder
-(`_flow_rows`).
+per related pair; rooted pairs lift by max-flow as well, or by class masses
+(`by_class_masses`), in the rooted loop of their own (`rooted_challenge`).
+Both checks run their own per-pair loop (`first_unmatched`): of the
+library's per-pair layer they share only the integer index (`_index`) and
+the flow-row builder (`_flow_rows`).
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
 with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
 either kind of relation, and `partner_map(rel)` gives either, or a pair set,
@@ -195,23 +196,37 @@ def prob_branching_bisim(pts: PTS) -> PairRelation:
 
 
 def rooted_challenge(
-    pts: PTS, bb: PairRelation, s: Term, t: Term
+    pts: PTS, s: Term, t: Term, lifted: Callable[[Distribution, Distribution], bool]
 ) -> Optional[tuple[Term, PtsTransition]]:
-    """The first initial step of `s` or `t` that the other state cannot mirror
-    by one equally labelled step with a `bb`-lifted target, by max-flow."""
+    """The first initial step of `s` or `t`, in text order, that the other
+    state cannot mirror by one equally labelled step whose target is
+    `lifted` to it: the loop by which `ptsskit.bisim` found rooted witnesses
+    before they joined its per-pair loop."""
     for x, y in ((s, t), (t, s)):
         for tr in outgoing(pts, x):
-            if not any(
-                lift_by_max_flow(bb.table, tr.target, other.target)
-                for other in outgoing(pts, y, tr.label)
-            ):
+            if not any(lifted(tr.target, other.target) for other in outgoing(pts, y, tr.label)):
                 return x, tr
     return None
 
 
+def by_class_masses(bb) -> Callable[[Distribution, Distribution], bool]:
+    """Lifting against the equivalence `bb`, a `StateRelation` or
+    `PairRelation`, as equal masses on each class."""
+
+    def masses(d: Distribution) -> dict[frozenset, object]:
+        acc: dict[frozenset, object] = {}
+        for u, p in d.items():
+            block = frozenset(bb.partners(u))
+            acc[block] = acc.get(block, 0) + p
+        return acc
+
+    return lambda d1, d2: masses(d1) == masses(d2)
+
+
 def rooted_bisim(pts: PTS) -> PairRelation:
-    """The pairs that are rooted branching bisimilar."""
+    """The pairs that are rooted branching bisimilar, lifting by max-flow."""
     bb = branching_bisim(pts)
+    lifted = functools.partial(lift_by_max_flow, bb.table)
     return PairRelation(
-        bb.states, {(s, t) for s in bb.states for t in bb.states if rooted_challenge(pts, bb, s, t) is None}
+        bb.states, {(s, t) for s in bb.states for t in bb.states if rooted_challenge(pts, s, t, lifted) is None}
     )

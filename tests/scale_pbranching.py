@@ -10,12 +10,14 @@ whose states first take one inert tau-step, the shape of the benchmark's
 bisim systems); then the tau chain of `tests/test_almost_sure.py`, with a
 line for the pair p/q planted beside the chain, while one class holds almost
 every state: the time and `lp.feasible` calls of one branching and one
-pbranching NO witness.  Each stuttered and tau-chain size has a `witnesses`
-line too: the total time and `lp.feasible` calls of each kind's NO
-witnesses for SAMPLE pairs drawn with a fixed seed among the pairs that
-neither kind relates, p/q left out.  Each system is built afresh and decided
-once per kind, in process; information only, nothing is asserted.  A script,
-not a test module, so pytest does not collect it."""
+pbranching NO witness, with the `bisim._common` calls, each a copy of the
+partner sets that a pbranching witness builds only when the widened relation
+leaves every challenge matched.  Each stuttered and tau-chain size has a
+`witnesses` line too: the total time, `lp.feasible` and `_common` calls of
+each kind's NO witnesses for SAMPLE pairs drawn with a fixed seed among the
+pairs that neither kind relates, p/q left out.  Each system is built afresh
+and decided once per kind, in process; information only, nothing is
+asserted.  A script, not a test module, so pytest does not collect it."""
 
 import pathlib
 import random
@@ -36,23 +38,28 @@ TAU_CHAIN = (60, 120, 250, 500, 1000, 2000)
 
 
 def counted(run):
-    """The seconds `run()` takes and the `lp.feasible` calls it makes, with
-    its result."""
-    calls = 0
-    feasible = lp.feasible
+    """The seconds `run()` takes and the calls it makes of `lp.feasible` and
+    of `bisim._common`, the pbranching witness's fallback relation, with its
+    result."""
+    calls = {}
+    originals = {(lp, "feasible"): lp.feasible, (bisim, "_common"): bisim._common}
 
-    def counting(rows, rhs):
-        nonlocal calls
-        calls += 1
-        return feasible(rows, rhs)
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
 
-    lp.feasible = counting
+    for (module, name), f in originals.items():
+        calls[name] = 0
+        setattr(module, name, counting(name, f))
     try:
         start = time.perf_counter()
         result = run()
         seconds = time.perf_counter() - start
     finally:
-        lp.feasible = feasible
+        for (module, name), f in originals.items():
+            setattr(module, name, f)
     return seconds, calls, result
 
 
@@ -62,14 +69,15 @@ SAMPLE = 12
 def measure(family, n, pts):
     """Decide pbranching on `pts`, print its line and return the decision."""
     seconds, calls, decision = counted(lambda: bisim.decide("pbranching", pts))
-    print(f"{family} n={n} seconds={seconds:.3f} lp.feasible={calls} classes={len(decision.classes())}", flush=True)
+    print(f"{family} n={n} seconds={seconds:.3f} lp.feasible={calls['feasible']} classes={len(decision.classes())}",
+          flush=True)
     return decision
 
 
 def witness(decision, pairs):
-    """The time and LP count of the NO witnesses for `pairs`."""
+    """The time, LP count and `_common` count of the NO witnesses for `pairs`."""
     seconds, calls, _ = counted(lambda: [decision.witness(s, t) for s, t in pairs])
-    return f"{decision.kind}={seconds:.3f} lp.feasible={calls}"
+    return f"{decision.kind}={seconds:.3f} lp.feasible={calls['feasible']} _common={calls['_common']}"
 
 
 def witnesses(family, n, decisions):

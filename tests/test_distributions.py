@@ -6,6 +6,7 @@ import pytest
 
 from ptsskit.distributions import Distribution, EvalError, evaluate
 from ptsskit.terms import Apply, Dirac, lift_symbol, render_term
+from tests.conftest import state_op
 from tests.reference_schedulers import mass
 
 
@@ -134,9 +135,9 @@ def test_eval_total_mass_one_randomized(sig, t):
             return rng.choice(leaves)
         kind = rng.randrange(3)
         if kind == 0:
-            return Apply(lift_symbol(sig.state_op(f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
+            return Apply(lift_symbol(state_op(sig, f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
         if kind == 1:
-            return Apply(lift_symbol(sig.state_op("+")), (rand_dist(depth - 1), rand_dist(depth - 1)))
+            return Apply(lift_symbol(state_op(sig, "+")), (rand_dist(depth - 1), rand_dist(depth - 1)))
         return rng.choice(leaves)
 
     for _ in range(100):

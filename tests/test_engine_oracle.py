@@ -21,7 +21,7 @@ from ptsskit.engine import (
 from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import Apply, Convex, Dirac, substitute
 from tests import reference_engine as reference
-from tests.conftest import RUNNING_SPEC
+from tests.conftest import RUNNING_SPEC, state_op
 from tests.genspecs import LEAF_TERMS, random_format_safe_spec, random_grouped_spec, random_negative_free_spec
 from tests.test_golden_pts import CORPUS, SPEC_ROOTS, chain_root
 
@@ -167,7 +167,7 @@ def test_finished_nodes_refuse_writes_and_copies_stay_interned(sig):
 
 
 def test_deep_terms_answer_hash_depth_and_closedness_without_recursion(sig):
-    zero, pre_a = parse_term("0", sig), sig.state_op("a.")
+    zero, pre_a = parse_term("0", sig), state_op(sig, "a.")
     term = zero
     for _ in range(5000):
         term = Apply(pre_a, (Dirac(term),))

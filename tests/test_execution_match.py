@@ -7,13 +7,17 @@ lifts in the same order, stop at the same one and fail the same challenge.
 Fixed-seed systems: the random plain and stuttered families of
 `tests/test_refine_oracle.py`, the tau-heavy family of
 `tests/test_partition_oracle.py`, tau chains with a planted unrelated pair
-(`tests/test_almost_sure.py`), and the corpus `.pts` files."""
+(`tests/test_almost_sure.py`), the corpus `.pts` files, and `mixed_choice.pts`
+with ROADMAP item 10's x and y.  On the same systems, every rooted witness is
+the one the hand-written rooted loop of `reference_refine.rooted_challenge`
+finds, lifting by class masses."""
 
 import functools
 import random
 
 import ptsskit.bisim as bisim
 from ptsskit.engine import load_pts
+from ptsskit.terms import render_term
 from tests import reference_refine
 from tests.conftest import CORPUS
 from tests.test_almost_sure import PLANTED, tau_chain
@@ -29,6 +33,11 @@ def _systems():
     yield from (plain_pts(4, tau_heavy_pts(random.Random(f"partitions:tau_heavy:{seed}"))) for seed in range(200))
     yield from (tau_chain(n, PLANTED) for n in (2, 7, 15, 30))
     yield from (load_pts(path.read_text()) for path in sorted(CORPUS.glob("*.pts")))
+    yield load_pts((CORPUS / "mixed_choice.pts").read_text() + X_Y)
+
+
+# x and y each take one c-step, to t1 and to u1, which pbranching relates and branching does not
+X_Y = "state x\nstate y\ntrans x --c-> { t1: 1 }\ntrans y --c-> { u1: 1 }\n"
 
 
 def _witness(check, s, t):
@@ -69,3 +78,19 @@ def test_the_execution_search_asks_the_oracles_lifts(monkeypatch):
                 lifted += sum(answer for _, _, answer in got[1])
     assert pairs > 10000 and lifts > 12000
     assert 0.2 < lifted / lifts < 0.8
+
+
+def test_rooted_witnesses_are_the_hand_written_loops():
+    no = 0
+    for pts in _systems():
+        decision = bisim.decide("rooted", pts)
+        lifted = reference_refine.by_class_masses(decision.relation)
+        for s in pts.states:
+            for t in pts.states:
+                want = reference_refine.rooted_challenge(pts, s, t, lifted)
+                assert decision.witness(s, t) == want, (s, t)
+                no += want is not None
+    named = {render_term(u): u for u in pts.states}  # the last system: mixed_choice.pts with x and y
+    x, challenge = decision.witness(named["x"], named["y"])
+    assert (x, repr(challenge)) == (named["x"], "x --c-> {t1: 1}")
+    assert no > 10000

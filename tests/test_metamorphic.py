@@ -1,0 +1,125 @@
+"""Metamorphic relations of the deciders: checks that need no oracle (Chen,
+Cheung and Yiu, "Metamorphic testing: a new approach for generating next
+test cases", 1998; Segura et al., "A survey on metamorphic testing", TSE
+2016).  A kind's relation, read as a set of named pairs (for rooted, the
+pairs with no rooted witness), is checked against itself under
+transformations whose effect the definitions fix:
+
+* copy: in the union of a PTS with a renamed copy, each state is related to
+  its copy, and the relation on the originals is unchanged;
+* order: shuffling the `.pts` lines (the states' lines first, as the format
+  asks) keeps the relation;
+* quotient, for the kinds with classes: beside its quotient by the kind's
+  classes (each class's non-inert transitions, lifted to classes and
+  deduplicated), each state is related to its class and no two classes are
+  related.  A relation whose classes overlap, as tau-heavy draw 2611's
+  pbranching classes do, has no quotient and is skipped.
+
+Fixed-seed systems: the plain and stuttered families of
+`tests/test_refine_oracle.py` and its not-transitive system, the tau-heavy
+family of `tests/test_partition_oracle.py` with the draws on which its
+pbranching relation once differed from the coarsest partition's, and the
+corpus `.pts` files."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ptsskit.bisim import KINDS, decide
+from ptsskit.engine import load_pts
+from ptsskit.terms import render_term
+from tests.conftest import CORPUS
+from tests.reference_refine import is_equivalence
+from tests.test_partition_oracle import tau_heavy_pts
+from tests.test_refine_oracle import NOT_TRANSITIVE, plain_pts, random_pts, stuttered_pts
+
+
+def _systems():
+    yield from (plain_pts(6, random_pts(random.Random(f"metamorphic:plain:{seed}"), 6)) for seed in range(80))
+    yield from (stuttered_pts(3, random_pts(random.Random(f"metamorphic:stuttered:{seed}"), 3)) for seed in range(20))
+    for seed in [*range(200), 2611, 4194, 4367]:
+        yield plain_pts(4, tau_heavy_pts(random.Random(f"components:tau_heavy:{seed}")))
+    yield load_pts("".join(f"state r{i}\n" for i in range(4)) + NOT_TRANSITIVE)
+    yield from (load_pts(path.read_text()) for path in sorted(CORPUS.glob("*.pts")))
+
+
+SYSTEMS = list(_systems())
+
+
+def _lines(pts, rename=str):
+    """The `.pts` lines of `pts`, its states' lines first, each name passed through `rename`."""
+    states = [f"state {rename(render_term(s))}" for s in pts.states]
+    trans = [
+        f"trans {rename(render_term(tr.source))} --{tr.label}-> {{ "
+        + ", ".join(f"{rename(render_term(u))}: {p}" for u, p in tr.target.items()) + " }"
+        for tr in pts.transitions
+    ]
+    return states, trans
+
+
+def _load(states, trans):
+    return load_pts("\n".join([*states, *trans]) + "\n")
+
+
+def _relation(kind, pts):
+    """The `kind` relation on `pts` as a set of named pairs."""
+    decision, name = decide(kind, pts), render_term
+    if kind == "rooted":
+        return {(name(s), name(t)) for s in pts.states for t in pts.states if decision.related(s, t)}
+    return {(name(s), name(t)) for s in pts.states for t in decision.relation.partners(s)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_state_is_related_to_its_renamed_copy(kind):
+    for pts in SYSTEMS:
+        names = [render_term(s) for s in pts.states]
+        states, trans = _lines(pts)
+        copy_states, copy_trans = _lines(pts, "copy_{}".format)
+        union = _relation(kind, _load(states + copy_states, trans + copy_trans))
+        assert all((s, f"copy_{s}") in union for s in names), names
+        assert {(s, t) for s, t in union if s in names and t in names} == _relation(kind, pts), names
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_order_of_the_lines_keeps_the_relation(kind):
+    rng = random.Random(f"metamorphic:order:{kind}")
+    for pts in SYSTEMS:
+        states, trans = _lines(pts)
+        rng.shuffle(states)
+        rng.shuffle(trans)
+        assert _relation(kind, _load(states, trans)) == _relation(kind, pts), states
+
+
+def _quotient_lines(pts, classes):
+    """The `.pts` lines of the quotient of `pts` by `classes`, the class
+    `k<i>` for the i-th: each class's transitions lifted to classes, less
+    the inert ones (tau into its own class) and the repeats."""
+    block = {s: i for i, members in enumerate(classes) for s in members}
+    states = [f"state k{i}" for i in range(len(classes))]
+    trans = {}
+    for tr in pts.transitions:
+        masses = {}
+        for u, p in tr.target.items():
+            masses[block[u]] = masses.get(block[u], Fraction(0)) + p
+        if not (tr.label == "tau" and set(masses) == {block[tr.source]}):
+            entries = ", ".join(f"k{b}: {p}" for b, p in sorted(masses.items()))
+            trans[f"trans k{block[tr.source]} --{tr.label}-> {{ {entries} }}"] = None
+    return states, list(trans)
+
+
+@pytest.mark.parametrize("kind", ["branching", "pbranching"])
+def test_a_state_is_related_to_its_class_in_the_quotient(kind):
+    quotients = 0
+    for pts in SYSTEMS:
+        decision = decide(kind, pts)
+        if not is_equivalence(decision.relation):
+            continue
+        classes = decision.classes()
+        states, trans = _lines(pts)
+        k_states, k_trans = _quotient_lines(pts, classes)
+        union = _relation(kind, _load(states + k_states, trans + k_trans))
+        assert all((render_term(s), f"k{i}") in union for i, members in enumerate(classes) for s in members)
+        assert all((f"k{i}", f"k{j}") not in union for i in range(len(classes)) for j in range(len(classes)) if i != j)
+        quotients += 1
+    assert quotients >= len(SYSTEMS) - 1

@@ -15,7 +15,7 @@ from ptsskit.distributions import evaluate
 from ptsskit.engine import DomainBound, load_pts, reachable_pts, stable_model
 from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import Apply, Convex, Dirac, Sort, lift_symbol, match, render_term, substitute
-from tests.conftest import CORPUS
+from tests.conftest import CORPUS, state_op
 
 
 # -- distribution evaluation oracle -----------------------------------------------
@@ -56,14 +56,14 @@ def test_eval_agrees_with_pointwise_oracle(sig):
         parse_term(t, sig)
         for t in ("delta(0)", "^0", "oplus{1/3:delta(0),2/3:delta(b.delta(0))}")
     ]
-    plus = sig.state_op("+")
+    plus = state_op(sig, "+")
 
     def rand_dist(depth):
         if depth == 0:
             return rng.choice(leaves)
         kind = rng.randrange(4)
         if kind == 0:
-            return Apply(lift_symbol(sig.state_op(f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
+            return Apply(lift_symbol(state_op(sig, f"{rng.choice(sig.actions)}.")), (rand_dist(depth - 1),))
         if kind == 1:
             return Apply(lift_symbol(plus), (rand_dist(depth - 1), rand_dist(depth - 1)))
         if kind == 2:

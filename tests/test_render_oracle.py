@@ -12,7 +12,7 @@ from ptsskit.engine import DomainBound, DomainBoundError, _closed_universe, load
 from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import Apply, Convex, Dirac, DistVar, StateVar, render_term
 from tests import reference_render as reference
-from tests.conftest import CORPUS, RUNNING_SPEC
+from tests.conftest import CORPUS, RUNNING_SPEC, state_op
 from tests.genspecs import LEAF_TERMS, random_format_safe_spec, random_negative_free_spec
 from tests.test_golden_pts import SPEC_ROOTS
 
@@ -80,7 +80,7 @@ def _random_term(rng, sig, sort, depth):
         op = rng.choice(sig.dist_ops)
         return Apply(op, tuple(_random_term(rng, sig, "d", depth - 1) for _ in op.arg_sorts))
     if not depth or rng.random() < 0.15:
-        return rng.choice([StateVar("x"), StateVar("y"), Apply(sig.state_op("0"), ())])
+        return rng.choice([StateVar("x"), StateVar("y"), Apply(state_op(sig, "0"), ())])
     op = rng.choice([f for f in sig.state_ops if f.rank])
     return Apply(op, tuple(_random_term(rng, sig, s.value, depth - 1) for s in op.arg_sorts))
 
@@ -96,9 +96,9 @@ def test_random_terms():
 def test_deep_chains_render_and_sort_without_recursion():
     sig = parse_spec(RUNNING_SPEC).signature
     labels = [("a", "b", "tau")[i % 3] for i in range(2500)]
-    chain = [Apply(sig.state_op("0"), ())]
+    chain = [Apply(state_op(sig, "0"), ())]
     for label in labels:  # a.delta(…) 5,000 levels deep
-        chain.append(Apply(sig.state_op(f"{label}."), (Dirac(chain[-1]),)))
+        chain.append(Apply(state_op(sig, f"{label}."), (Dirac(chain[-1]),)))
     assert chain[-1].depth == 5001
 
     def text(k):
@@ -114,5 +114,5 @@ def test_deep_chains_render_and_sort_without_recursion():
 
     mixed = chain[0]
     for _ in range(1700):  # a.oplus{1/2:delta(0),1/2:delta(…)}, 5,100 levels
-        mixed = Apply(sig.state_op("a."), (Convex((Fraction(1, 2),) * 2, (Dirac(chain[0]), Dirac(mixed))),))
+        mixed = Apply(state_op(sig, "a."), (Convex((Fraction(1, 2),) * 2, (Dirac(chain[0]), Dirac(mixed))),))
     assert render_term(mixed) == "a.oplus{1/2:delta(0),1/2:delta(" * 1700 + "0" + ")}" * 1700

@@ -23,7 +23,7 @@ from ptsskit.terms import (
     substitute,
     validate_signature,
 )
-from tests.conftest import CORPUS
+from tests.conftest import CORPUS, state_op
 
 
 def test_validate_running_signature(sig):
@@ -32,7 +32,7 @@ def test_validate_running_signature(sig):
 
 def test_signature_holds_one_lifting_per_state_operator(sig):
     # a signature builds its own liftings, so validate_signature has none to check
-    ops = (sig.state_op("0"), sig.state_op("+"))
+    ops = (state_op(sig, "0"), state_op(sig, "+"))
     for built in (Signature(("tau", "a"), ops), build_signature(("tau", "a"), list(ops), prefix_family=True), sig):
         assert built.dist_ops == tuple(lift_symbol(f) for f in built.state_ops)
     specs = sorted(CORPUS.glob("*.ptss"))
@@ -62,19 +62,19 @@ def test_validate_prefix_operator_of_an_undeclared_action():
 
 def test_only_state_operators_lift(sig):
     with pytest.raises(SortError, match=r"^only state operators can be lifted, got \^\+$"):
-        lift_symbol(lift_symbol(sig.state_op("+")))
+        lift_symbol(lift_symbol(state_op(sig, "+")))
 
 
 def test_apply_enforces_arity(sig):
-    plus = sig.state_op("+")
+    plus = state_op(sig, "+")
     with pytest.raises(SortError):
-        Apply(plus, (Apply(sig.state_op("0"), ()),))
+        Apply(plus, (Apply(state_op(sig, "0"), ()),))
 
 
 def test_apply_enforces_arg_sorts(sig):
-    pre_a = sig.state_op("a.")
+    pre_a = state_op(sig, "a.")
     with pytest.raises(SortError):
-        Apply(pre_a, (Apply(sig.state_op("0"), ()),))  # state arg where dist expected
+        Apply(pre_a, (Apply(state_op(sig, "0"), ()),))  # state arg where dist expected
 
 
 def test_convex_weight_sum_checked():
@@ -216,16 +216,16 @@ def test_equal_terms_hash_equal(t):
 # -- randomized term machinery ------------------------------------------------
 
 def _term_strategy(sig, closed=True, max_depth=3):
-    zero = Apply(sig.state_op("0"), ())
+    zero = Apply(state_op(sig, "0"), ())
 
     def extend(children):
         state = children.filter(lambda x: x.sort is Sort.STATE)
         dist = children.filter(lambda x: x.sort is Sort.DIST)
-        plus = sig.state_op("+")
+        plus = state_op(sig, "+")
         strats = [
             st.builds(lambda l, r: Apply(plus, (l, r)), state, state),
             st.builds(Dirac, state),
-            st.builds(lambda d, a: Apply(sig.state_op(f"{a}."), (d,)), dist, st.sampled_from(sig.actions)),
+            st.builds(lambda d, a: Apply(state_op(sig, f"{a}."), (d,)), dist, st.sampled_from(sig.actions)),
             st.builds(
                 lambda d1, d2: Convex((Fraction(1, 3), Fraction(2, 3)), (d1, d2)), dist, dist
             ),
@@ -245,7 +245,7 @@ def _term_strategy(sig, closed=True, max_depth=3):
 @given(data=st.data())
 def test_substitution_composes(sig, data):
     term = data.draw(_term_strategy(sig, closed=False))
-    zero = Apply(sig.state_op("0"), ())
+    zero = Apply(state_op(sig, "0"), ())
     rho_inner = {"x": StateVar("y")}
     rho_outer = {"y": zero, "mu": Dirac(zero)}
     composed = {"x": zero, "y": zero, "mu": Dirac(zero)}
@@ -256,7 +256,7 @@ def test_substitution_composes(sig, data):
 @given(data=st.data())
 def test_substitute_preserves_sort(sig, data):
     term = data.draw(_term_strategy(sig, closed=False))
-    zero = Apply(sig.state_op("0"), ())
+    zero = Apply(state_op(sig, "0"), ())
     out = substitute({"x": zero, "mu": Dirac(zero)}, term)
     assert out.sort is term.sort
     assert out.closed
