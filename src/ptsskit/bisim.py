@@ -318,7 +318,9 @@ def _pbranching_signatures(
     move (label, B) when by inert steps it almost surely reaches a member with
     it, as the move's LP asks (de Alfaro, PhD thesis, Stanford 1997; Baier &
     Katoen 2008, 10.6.1; staying put never helps); others by `_block_match`."""
-    candidates = frozenset().union(*(moves[x] for x in members))
+    # in one order, which the LPs of `_block_match` follow: a move into several blocks by its sorted masses
+    candidates = sorted(frozenset().union(*(moves[x] for x in members)),
+                        key=lambda c: (c[0], c[1], ()) if type(c[1]) is int else (c[0], -1, sorted(c[1])))
     graph = [step for x in members for step in inert[x]]  # the block's inert steps
     sure = {c: _almost_sure(graph, [x for x in members if c in moves[x]]) if graph else ()
             for c in candidates if type(c[1]) is int}
@@ -374,7 +376,7 @@ def prob_branching_bisim(pts: PTS) -> StateRelation:
         shared = _pbranching_check(pts, table)
         failed = []
         for s in rel.states:
-            for t in table[s] - {s}:
+            for t in sorted(table[s] - {s}, key=ix.num.__getitem__):  # in state order, as the LPs are asked
                 check = shared if table[s] == table[t] else _pbranching_check(pts, _common(table, s, t))
                 if check(s, t) is not None:
                     failed.append((s, t))

@@ -16,16 +16,17 @@ named `<name>@<action>`.  Term syntax: `a.t` (prefix), `delta(t)`,
 of `f` (liftings are auto-declared; declaring one is an error), and bare
 identifiers for variables, whose sort is inferred from position.
 
-The parser makes one pass.  A line's tokens are the strings of one
-`findall`; a column is worked out only for a diagnostic.  A recursive
-descent over them (`_Cursor`) looks each name up once and builds
-sort-checked, interned terms as it reads, a head after `^` as a plain one;
-a `<A>` rule is read from its tokens once per action, or once and
-relabelled if every `<A>` in it is an arrow's label.  The sort errors of a
-rule are reported after every line's syntax errors, as a resolver walking
-the rule would meet them: its positive premises, its negative ones, its
-conclusion, each term in order.  A rule line reports each of them once.
-`read_weight` reads a `.pts` weight by the same cursor as an oplus weight.
+The parser makes one pass, one cursor (`_Cursor`) per text: its tokens are
+one `findall` over the text stripped of comments, each line ended by a
+newline token, or, if a character is stray, one `finditer` a line, which
+words the diagnostics.  A column is worked out only for a diagnostic.  The
+recursive descent tells a term's form by its first token and builds
+sort-checked, interned terms as it reads, a head after `^` as a plain one.
+A rule line is read and settled once: the instance of a `<A>` rule for an
+action relabels the reading and gives its `<A>.` prefixes, read as a
+placeholder, the action's prefix.  Sort errors follow every line's syntax
+errors, in the order a resolver walking the rule meets them: positive
+premises, negative ones, conclusion.  `read_weight` reads as oplus does.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from .terms import (
 )
 
 META = "<A>"
+# the operator a rule's `<A>.` is read as; each of its instances has the action's prefix there
+_META_PREFIX = FunctionSymbol(f"{META}.", (_DIST,), _STATE, prefix_action=META)
 
 
 class Diagnostic(NamedTuple):
@@ -97,18 +100,16 @@ class PTSS(NamedTuple):
 # ---------------------------------------------------------------------------
 # Lexer
 
+_TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*|[(){},:.^/+@]|--(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->"
+          r"|-/(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->|->|\|-|<A>|\d+")
 # A match is a token or a comment.  A search skips what no match starts
 # at: blanks, and stray characters, which the lexer reports.
-_TOKEN_RE = re.compile(
-    r"#.*|--(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->|-/(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->|->|\|-|<A>"
-    r"|[A-Za-z_][A-Za-z0-9_]*|\d+|[(){},:.^/+@]"
-)
+_TOKEN_RE = re.compile("#.*|" + _TOKEN)
+# over a text stripped of its comments: the tokens, and "\n" for each line end
+_LINES_RE = re.compile(_TOKEN + "|\n")
+_NOTE_RE = re.compile("#.*")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
-# the first characters of an identifier, an integer or `+`, the tokens that
-# name an operator or a variable; a token beginning past ASCII is an integer
-_NAME_START = _IDENT_START | _DIGITS | {"+"}
-_ARROW_MSG = "expected '--<label>->' or '-/<label>->'"
 _SORTS = {"s": _STATE, "d": _DIST}
 
 
@@ -119,24 +120,14 @@ def _text(tok: str) -> str:
 
 def _lex_line(text: str, line_no: int, diags: list[Diagnostic], pos: int, end: int) -> list[str]:
     """The token strings of text[pos:end]; each stray character adds a diagnostic."""
-    tokens = _TOKEN_RE.findall(text, pos, end)
-    stop = text.find("#", pos, end)  # a comment runs to the end, unless a newline ends it
-    if stop < 0 or text.find("\n", stop, end) < 0:
-        stop = end if stop < 0 else stop
-        blanks = text.count(" ", pos, stop) + text.count("\t", pos, stop)
-        if stop < end:
-            tokens.pop()
-        if sum(map(len, tokens)) + blanks == stop - pos:
-            return tokens  # the tokens and the blanks fill the text up to the comment
     tokens = []
     for m in (*_TOKEN_RE.finditer(text, pos, end), None):
         stop = end if m is None else m.start()
         diags.extend(Diagnostic(f"unexpected character {c!r}", line_no, j + 1)
                      for j, c in enumerate(text[pos:stop], pos) if c not in " \t")
-        if m is not None:
-            if m[0][0] != "#":
-                tokens.append(m[0])
-            pos = m.end()
+        if m is not None and m[0][0] != "#":
+            tokens.append(m[0])
+        pos = m.end() if m else end
     return tokens
 
 
@@ -151,48 +142,57 @@ class _Stop(PtssError):
 
 
 # Nesting bound: a deeper term is rejected before it could exhaust the Python
-# stack in the two walks that still recurse: this parser, and
+# stack in the walks that recurse: this parser, `_reprefix` and
 # `terms._match_into` over the patterns of rules.  Operands count one level,
 # and arguments of an operator or of oplus two, as they cost the walks two
 # frames.
 MAX_NESTING = 800
 
-_Event = tuple[str, Optional[Sort], int]
+# the tokens that are no name: each starts a term of its own form, or none
+_FORMS = frozenset(["delta", "oplus", "(", "^", META, ")", "{", "}", ",", ":", ".", "/", "@", "|-"])
 
 
 class _Cursor:
-    """The tokens of one line, or of a term or weight text, and the reading
-    of them into terms over `sig`.
+    """The tokens of a text, each line's ended by "\\n", and the reading of
+    them into terms over `sig`: a spec, whose `lines` are given, or a term
+    or weight text, one line whatever it holds.
 
     Terms are built as they are read.  A sort error makes the term None and
     is put in `events`, which also holds each variable's sort as its position
     gives it; `settle` reports them as a resolver walking the terms in order
-    would.  A syntax error raises `_Stop`.  Token k's column is worked out
-    only for a diagnostic.
+    would.  A syntax error raises `_Stop`.  A column is worked out from
+    `text`, the line numbered `line`, whose first token is `start`.
     """
 
-    __slots__ = ("text", "pos", "end", "toks", "i", "line", "diags", "sig", "ops", "prefixes", "action", "events",
-                 "vars")
+    __slots__ = ("text", "pos", "end", "toks", "i", "start", "line", "diags", "stray", "sig", "ops", "prefixes",
+                 "action", "events", "vars", "heads")
 
-    def __init__(self, text: str, line: int, diags: list[Diagnostic], pos: int = 0, end: Optional[int] = None):
-        self.text, self.pos, self.end = text, pos, len(text) if end is None else end
-        self.toks = _lex_line(text, line, diags, pos, self.end)
-        self.toks.append("")  # the end, which no test of a token matches
-        self.i = 0
-        self.line = line
-        self.diags = diags
-        self.action: Optional[str] = None  # the action `<A>` stands for
-        self.events: list[_Event] = []
-        self.vars: dict[str, Term] = {}  # the variables read, which a rule's instances share
+    def __init__(self, text: str, line: int, diags: list[Diagnostic], pos: int = 0, end: Optional[int] = None,
+                 lines: Optional[list[str]] = None):
+        self.text, self.pos, self.end, self.line, self.diags = text, pos, len(text) if end is None else end, line, diags
+        self.i = self.start = 0
+        self.stray: dict[int, list[Diagnostic]] = {}  # the diagnostics of each later line's stray characters
+        bare = _NOTE_RE.sub("", text) if end is None and "#" in text else text  # a comment runs to its line's end
+        stop = len(bare) if end is None else end
+        self.toks = toks = _LINES_RE.findall(bare, pos, stop)
+        toks.append("\n")  # the end, which no test of a token but the end's passes
+        # a stray character, or a line end that is no "\n" (a term's text has none)
+        if (len("".join(toks)) - 1 + bare.count(" ", pos, stop) + bare.count("\t", pos, stop) != stop - pos
+                or bare.count("\n", pos, stop) != (0 if lines is None else len(lines) - 1 + text.endswith("\n"))):
+            self.toks = toks = []
+            for n, piece in enumerate(lines or [text], line):
+                toks += (*_lex_line(piece, n, diags if n == line else self.stray.setdefault(n, []), pos, self.end), "\n")
 
-    def over(self, sig: Signature) -> "_Cursor":
-        """Read terms over `sig`."""
-        self.sig, self.ops, self.prefixes = sig, sig._names, sig._prefixes
+    def over(self, sig: Signature, action: Optional[str] = None) -> "_Cursor":
+        """Read terms over `sig`; in a rule, `action` is META and `<A>.` reads as its placeholder prefix."""
+        self.sig, self.ops, self.action, self.events, self.vars = sig, sig._names, action, [], {}
+        self.prefixes = sig._prefixes if action is None else {
+            **sig._prefixes, META: _META_PREFIX if any(sig._prefixes.values()) else None}
         return self
 
     def col(self, k: int) -> int:
         """The column of token k, or just past the last token for the end."""
-        n, end = 0, 1
+        n, end = self.start, 1
         for m in _TOKEN_RE.finditer(self.text, self.pos, self.end):
             if m[0][0] != "#":
                 if n == k:
@@ -238,76 +238,91 @@ class _Cursor:
         toks = self.toks
         k = self.i
         tok = toks[k]
-        if not tok:
+        if tok == "\n":
             self.fail("expected a term")
         if depth > MAX_NESTING:
             self.fail(f"term nested more than {MAX_NESTING} levels deep")
         self.i = k + 1
-        if tok == "delta":
+        if tok not in _FORMS and tok[0] != "-":  # a name, and not an arrow
+            nxt = toks[k + 1]
+            if nxt == "(":
+                return self.apply(tok, False, k, expected, depth)
+            if nxt != "." or tok[0] not in _IDENT_START:  # a constant or a variable
+                op = self.ops.get(tok)
+                if op is None and tok not in self.prefixes:
+                    sort = expected or _STATE
+                    self.events.append((tok, sort, k))
+                    var = self.vars.get(tok)
+                    if var is None or var.sort is not sort:
+                        var = self.vars[tok] = StateVar(tok) if sort is _STATE else DistVar(tok)
+                    return var
+                err = (f"action {tok} cannot be used as a term" if op is None
+                       else f"operator {tok} expects {op.rank} arguments" if op.arg_sorts
+                       else _mismatch(op.result_sort, expected))
+                return Apply(op, ()) if err is None else self.reject(len(self.events), err, k)
+            self.i = k + 2
+            f = self.prefixes.get(tok)
+            if f is None or expected is _DIST:
+                f = self.prefix(tok, False, k, expected)
+        elif tok == "(":
+            inner = self.term(expected, depth + 1)
+            self.take(")")
+            return inner
+        elif tok == "delta":
             self.take("(")
             if expected is _STATE:
                 self.events.append(("term has sort d, expected s", None, k))
             inner = self.term(_STATE, depth + 1)
             self.take(")")
             return None if inner is None or expected is _STATE else Dirac(inner)
-        if tok == "oplus":
+        elif tok == "^" or tok == META:  # `<A>.`, or `^` and a head read as a plain one, lifted
+            lifted = tok == "^"
+            h = k + lifted  # the head's token
+            tok = toks[h]
+            self.i = h + 1
+            c = tok[:1]
+            if tok == META:
+                self.take(".")
+                self.heads = True
+                f = self.prefix(self.action, lifted, k, expected)
+            elif not (c in _IDENT_START or c in _DIGITS or c == "+" or c >= "\x80"):
+                self.fail("expected an operator name after '^'", h)
+            elif toks[h + 1] != "." or c not in _IDENT_START:
+                return self.apply(tok, True, k, expected, depth)
+            else:
+                self.i = h + 2
+                f = self.prefix(tok, True, k, expected)
+        elif tok == "oplus":
             return self.convex(k, expected, depth)
-        if tok == "(":
-            inner = self.term(expected, depth + 1)
-            self.take(")")
-            return inner
-        # the forms left are prefixes, whose operand is read below, and operators
-        lifted = tok == "^"
-        h = k + lifted  # the head's token, after an optional `^`
-        tok, self.i = toks[h], h + 1
-        c = tok[:1]
-        if tok == "<A>":
-            self.take(".")
-            f = self.prefix(self.action, lifted, k, expected)
-        elif c in _NAME_START or c >= "\x80":
-            nxt = toks[h + 1]
-            if nxt != "." or c not in _IDENT_START:
-                if lifted or nxt == "(":
-                    return self.apply(tok, lifted, k, expected, depth)
-                return self.name(tok, k, expected)
-            self.i = h + 2
-            f = None if lifted else self.prefixes.get(tok)
-            if f is None or expected is _DIST:
-                f = self.prefix(tok, lifted, k, expected)
-        elif lifted:
-            self.fail("expected an operator name after '^'", h)
         else:
             self.fail(f"unexpected token {_text(tok)!r} in term", k)
-        arg = self.term(_DIST, depth + 1)
+        arg = self.term(_DIST, depth + 1)  # a prefix's operand
         return None if f is None or arg is None else Apply(f, (arg,))
 
     def prefix(self, act: Optional[str], lifted: bool, k: int, expected: Optional[Sort]) -> Optional[FunctionSymbol]:
         """The operator of a prefix `act.`, or None with its error put in events."""
         f = self.prefixes.get(act)
-        if act is None:
-            err = "action metavariable <A> is only allowed inside rules"
-        elif act not in self.prefixes:
-            err = f"unknown action {act}"
-        elif f is None:
-            err = "no prefix operator declared (missing 'op pre<A> : d -> s')"
-        else:
+        if f is not None:
             f = lift_symbol(f) if lifted else f
             err = _mismatch(f.result_sort, expected)
-        if err is None:
-            return f
+        else:
+            err = ("action metavariable <A> is only allowed inside rules" if act is None
+                   else f"unknown action {act}" if act not in self.prefixes
+                   else "no prefix operator declared (missing 'op pre<A> : d -> s')")
+        return f if err is None else self.reject(len(self.events), err, k)
+
+    def reject(self, start: int, err: str, k: int) -> None:
+        """No term: the events from `start` on give way to the error `err` of the term at token k."""
+        del self.events[start:]
         self.events.append((err, None, k))
-        return None
 
     def apply(self, name: str, lifted: bool, k: int, expected: Optional[Sort], depth: int) -> Optional[Term]:
-        if lifted:
-            f = self.ops.get(name)
-            sym = None if f is None else lift_symbol(f)
-            err = f"unknown operator {name} (cannot lift)" if f is None else None
-        else:
-            sym = self.ops.get(name)
-            err = f"unknown operator {name}" if sym is None else None
-        toks, events = self.toks, self.events
-        start = len(events)  # the arguments' events go if the operator has an error
+        sym = self.ops.get(name)
+        err = f"unknown operator {name}{' (cannot lift)' if lifted else ''}" if sym is None else None
+        if lifted and sym is not None:
+            sym = lift_symbol(sym)
+        toks = self.toks
+        start = len(self.events)  # the arguments' events go if the operator has an error
         args: list = []
         failed = False
         if toks[self.i] == "(":
@@ -315,9 +330,9 @@ class _Cursor:
             if toks[self.i] == ")":
                 self.i += 1
             else:
-                sorts = iter(() if sym is None else sym.arg_sorts)
+                sorts = () if sym is None else sym.arg_sorts
                 while True:
-                    arg = self.term(next(sorts, None), depth + 2)
+                    arg = self.term(sorts[len(args)] if len(args) < len(sorts) else None, depth + 2)
                     failed = failed or arg is None
                     args.append(arg)
                     if toks[self.i] != ",":
@@ -330,34 +345,12 @@ class _Cursor:
             else:
                 err = _mismatch(sym.result_sort, expected)
         if err:
-            del events[start:]
-            events.append((err, None, k))
-            return None
+            return self.reject(start, err, k)
         return None if failed else Apply(sym, tuple(args))
-
-    def name(self, name: str, k: int, expected: Optional[Sort]) -> Optional[Term]:
-        op = self.ops.get(name)
-        if op is not None:
-            err = f"operator {name} expects {op.rank} arguments" if op.arg_sorts else None
-            err = err or _mismatch(op.result_sort, expected)
-            if err is None:
-                return Apply(op, ())
-        elif name in self.prefixes:
-            err = f"action {name} cannot be used as a term"
-        else:
-            sort = expected or _STATE
-            self.events.append((name, sort, k))
-            var = self.vars.get(name)
-            if var is None or var.sort is not sort:
-                var = self.vars[name] = StateVar(name) if sort is _STATE else DistVar(name)
-            return var
-        self.events.append((err, None, k))
-        return None
 
     def convex(self, k: int, expected: Optional[Sort], depth: int) -> Optional[Term]:
         self.take("{")
-        events = self.events
-        start = len(events)
+        start = len(self.events)
         weights: list[Fraction] = []
         args: list = []
         failed = False
@@ -371,21 +364,22 @@ class _Cursor:
                 break
             self.i += 1
         self.take("}")
-        total = sum(weights)
+        num, den = 0, 1  # the sum of the weights, in ints
+        for w in weights:
+            num, den = num * w.denominator + w.numerator * den, den * w.denominator
         err = (_mismatch(_DIST, expected)
-               or (f"weights sum to {brief(total)}, expected 1" if total != 1 else None)
-               or ("weights must be positive" if any(w <= 0 for w in weights) else None))
+               or (f"weights sum to {brief(Fraction(num, den))}, expected 1" if num != den else None)
+               or ("weights must be positive" if not all(weights) else None))
         if err:
-            del events[start:]
-            events.append((err, None, k))
-            return None
+            return self.reject(start, err, k)
         return None if failed else Convex(tuple(weights), tuple(args))
 
-    def rule(self) -> tuple[str, list, list, tuple[Term, str, Term], list]:
-        """The name, positive and negative premises and conclusion of a rule,
-        and the parts of it that `settle` reports on, in the order a resolver
-        meets them: the positive premises, the negative ones, the conclusion."""
+    def rule(self) -> tuple[Rule, list]:
+        """A rule, and the parts of it that `settle` reports on, in the order
+        a resolver meets them: the positive premises, the negative ones, the
+        conclusion.  `heads` tells whether a `<A>.` was read."""
         toks = self.toks
+        self.heads = False
         tok = toks[self.i]
         c = tok[:1]
         if not (c in _IDENT_START or c in _DIGITS or c >= "\x80"):
@@ -402,23 +396,18 @@ class _Cursor:
         self.take(":")
         pos: list = []
         neg: list = []
-        parts: list = []  # (label, events, events) a positive literal
-        neg_parts: list = []  # (label, events) a negative one
+        parts: list = []  # (label, events, events) a positive literal, (label, events) a negative one
+        neg_parts: list = []
         turnstile: Optional[int] = None
         while True:
             self.events = source_events = []
             source = self.term(_STATE, 0)
-            k = self.i
-            arrow = toks[k]
-            if not arrow:
-                self.fail(_ARROW_MSG)
-            self.i = k + 1
+            arrow = toks[self.i]
             kind = arrow[:2]
             if kind != "--" and kind != "-/":
-                self.fail(_ARROW_MSG, k)
+                self.fail("expected '--<label>->' or '-/<label>->'")
+            self.i += 1
             label = arrow[2:-2]
-            if label == META and self.action is not None:
-                label = self.action
             negative = kind == "-/"
             if negative:
                 neg.append((source, label))
@@ -438,13 +427,13 @@ class _Cursor:
                 turnstile = len(pos) + len(neg)
                 continue
             break
-        if toks[self.i]:
+        if toks[self.i] != "\n":
             self.fail("unexpected trailing tokens in rule")
         if len(pos) + len(neg) - (turnstile or 0) != 1:
             self.fail("a rule needs exactly one conclusion after '|-'")
         if negative:
             self.fail("rule conclusion cannot be a negative literal")
-        return name, pos[:-1], neg, pos[-1], parts[:-3] + neg_parts + parts[-3:]
+        return Rule(name, tuple(pos[:-1]), tuple(neg), *pos[-1]), parts[:-3] + neg_parts + parts[-3:]
 
     def settle(self, parts: list) -> list[Diagnostic]:
         """The diagnostics of a rule or term read, as a resolver walking its
@@ -474,35 +463,41 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # Spec parsing
 
+def _reprefix(t: Term, prefix: Optional[FunctionSymbol]) -> Term:
+    """t with its `<A>.` prefixes made `prefix` and their liftings its lifting."""
+    if prefix is None or not t.kids:
+        return t
+    kids = []
+    for kid in t.kids:  # not a comprehension, whose frame would make two a level
+        kids.append(_reprefix(kid, prefix))
+    if type(t) is not Apply:
+        return Dirac(kids[0]) if type(t) is Dirac else Convex(t.weights, tuple(kids))
+    f = t.symbol
+    return Apply(f if f.prefix_action != META else lift_symbol(prefix) if f.origin else prefix, tuple(kids))
+
+
 def _rule_line(cur: _Cursor, rules: list[Rule], names: set[str]) -> list[Diagnostic]:
-    """Read the rule on cur's line, once per action if it mentions `<A>`,
-    and add its instances to `rules`; gives their diagnostics, each once.
-    A rule whose `<A>` are all arrow labels is read once and relabelled."""
-    metas = [tok for tok in cur.toks if META in tok]
-    once = all(tok[2:-2] == META for tok in metas)  # every `<A>` is an arrow's label
-    actions = cur.sig.actions if metas else (None,)
-    start = cur.i
+    """Read the rule on cur's line and add its instances to `rules`, one per
+    action if it mentions `<A>`; gives their diagnostics, each once.  The
+    rule is read and settled once: an instance relabels the reading, and
+    gives the `<A>.` prefixes in it the action's prefix."""
+    read, parts = cur.rule()
+    heads = cur.heads
     found: list[Diagnostic] = []
-    for k, action in enumerate(actions or (None,)):
-        if k == 0 or not once:
-            cur.i, cur.action = start, None if once else action
-            read = cur.rule()
-        name, pos, neg, (source, label, target), parts = read
-        if not actions:  # nothing to instantiate `<A>` with: read for syntax errors only
-            break
-        if metas:
-            name = f"{name}@{action}"
-        if metas and once:  # the arrows read `<A>` as their label
-            pos = [(s, action if a == META else a, t) for s, a, t in pos]
-            neg = [(s, action if a == META else a) for s, a in neg]
-            label = action if label == META else label
-            parts = [action if part == META else part for part in parts]
+    settled = None
+    for action in cur.sig.actions if heads or META in parts else (None,):
+        name = read.name if action is None else f"{read.name}@{action}"
         if name in names:
             new = [Diagnostic(f"duplicate rule name {name}", cur.line, 1)]
         else:
-            new = cur.settle(parts)
+            new = settled = cur.settle(parts) if settled is None else settled
             if not new:
-                rules.append(Rule(name, tuple(pos), tuple(neg), source, label, target))
+                f = cur.sig._prefixes[action] if heads else None
+                rules.append(read if action is None else Rule(
+                    name, tuple([(_reprefix(s, f), action if a == META else a, _reprefix(t, f))
+                                 for s, a, t in read.pos_premises]),
+                    tuple([(_reprefix(s, f), action if a == META else a) for s, a in read.neg_premises]),
+                    _reprefix(read.source, f), action if read.label == META else read.label, _reprefix(read.target, f)))
                 names.add(name)
         for d in new:
             if d not in found:
@@ -516,35 +511,43 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
     late: list[Diagnostic] = []  # the rules' sort and name diagnostics, which follow every line's
     name: Optional[str] = None
     actions: list[str] = []
-    user_ops: list[FunctionSymbol] = []
+    user_ops: dict[str, FunctionSymbol] = {}
     prefix_family = False
     rules: list[Rule] = []
     rule_names: set[str] = set()
     sig: Optional[Signature] = None
 
     def signature() -> Signature:
-        sig = build_signature(actions, user_ops, prefix_family)
+        sig = build_signature(actions, list(user_ops.values()), prefix_family)
         diags.extend(Diagnostic(msg, 1, 1) for msg in validate_signature(sig))
         return sig
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.lstrip(" \t")[:1] in ("", "#"):  # a blank or comment line: no tokens, nothing stray
+    lines = text.splitlines()
+    cur = _Cursor(text, 1, diags, lines=lines)
+    toks = cur.toks
+    for line_no, line in enumerate(lines, start=1):
+        s = cur.i  # the line's first token
+        diags += cur.stray.pop(line_no, ())
+        head = toks[s]
+        if head == "\n":  # a blank or comment line
+            cur.i = s + 1
             continue
-        cur = _Cursor(line, line_no, diags)
-        toks = cur.toks
-        head = toks[0]
-        if not head:
-            continue
-        cur.i = 1
+        end = toks.index("\n", s)
+        cur.text, cur.line, cur.start, cur.i = line, line_no, s, s + 1
         try:
-            if head == "ptss":
-                if toks[1][:1] not in _IDENT_START:
+            if head == "rule":
+                if sig is None:
+                    sig = signature()
+                    cur.over(sig, META)
+                late += _rule_line(cur, rules, rule_names)
+            elif head == "ptss":
+                if toks[s + 1][:1] not in _IDENT_START:
                     cur.fail("expected a specification name")
                 if name is not None:
-                    cur.error("duplicate 'ptss' declaration", 0)
-                name = toks[1]
+                    cur.error("duplicate 'ptss' declaration", s)
+                name = toks[s + 1]
             elif head in ("actions", "op") and sig is not None:
-                cur.fail("declarations must precede rules", 0)
+                cur.fail("declarations must precede rules", s)
             elif head == "actions":
                 while True:
                     tok = toks[cur.i]
@@ -555,53 +558,49 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
                     if toks[cur.i] != ",":
                         break
                     cur.i += 1
-                if toks[cur.i]:
+                if toks[cur.i] != "\n":
                     cur.fail("expected ',' between actions")
             elif head == "op":
-                tok = toks[1]
-                if not tok:
+                tok = toks[s + 1]
+                if tok == "\n":
                     cur.fail("expected an operator name")
                 if tok == "^":
-                    cur.fail("liftings are auto-declared; do not declare '^' operators", 1)
-                is_family = tok == "pre" and toks[2] == META
-                cur.i = 3 if is_family else 2
-                cur.take(":")
+                    cur.fail("liftings are auto-declared; do not declare '^' operators", s + 1)
+                is_family = tok == "pre" and toks[s + 2] == META
+                i = s + 3 if is_family else s + 2
+                if toks[i] != ":":
+                    cur.fail("expected ':'", i)
                 arg_sorts: list[Sort] = []
-                while toks[cur.i] in _SORTS:
-                    arg_sorts.append(_SORTS[toks[cur.i]])
-                    cur.i += 1
-                if toks[cur.i] != "->":
-                    cur.fail("expected 'rarrow'")
-                cur.i += 1
-                if toks[cur.i] not in _SORTS:
-                    cur.fail("expected a result sort ('s' or 'd')")
-                result = _SORTS[toks[cur.i]]
-                cur.i += 1
-                if toks[cur.i]:
-                    cur.fail("unexpected trailing tokens in op declaration")
+                while toks[i + 1] in _SORTS:
+                    i += 1
+                    arg_sorts.append(_SORTS[toks[i]])
+                if toks[i + 1] != "->":
+                    cur.fail("expected 'rarrow'", i + 1)
+                result = _SORTS.get(toks[i + 2])
+                if result is None:
+                    cur.fail("expected a result sort ('s' or 'd')", i + 2)
+                if toks[i + 3] != "\n":
+                    cur.fail("unexpected trailing tokens in op declaration", i + 3)
                 opname = _text(tok)
                 if is_family:
                     if arg_sorts != [_DIST] or result is not _STATE:
-                        cur.fail("the prefix family must be declared 'op pre<A> : d -> s'", 0)
+                        cur.fail("the prefix family must be declared 'op pre<A> : d -> s'", s)
                     prefix_family = True
                 elif result is not _STATE:
-                    cur.fail("only state operators may be declared; liftings are automatic", 0)
+                    cur.fail("only state operators may be declared; liftings are automatic", s)
                 elif opname in ("delta", "oplus"):
-                    cur.fail(f"{opname} is a reserved name", 0)
+                    cur.fail(f"{opname} is a reserved name", s)
                 elif opname in actions:
-                    cur.fail(f"operator name {opname} collides with an action", 0)
-                elif any(f.name == opname for f in user_ops):
-                    cur.fail(f"duplicate operator {opname}", 0)
+                    cur.fail(f"operator name {opname} collides with an action", s)
+                elif opname in user_ops:
+                    cur.fail(f"duplicate operator {opname}", s)
                 else:
-                    user_ops.append(FunctionSymbol(opname, tuple(arg_sorts), result))
-            elif head == "rule":
-                if sig is None:
-                    sig = signature()
-                late += _rule_line(cur.over(sig), rules, rule_names)
+                    user_ops[opname] = FunctionSymbol(opname, tuple(arg_sorts), result)
             else:
-                cur.error(f"unknown declaration {_text(head)!r}", 0)
+                cur.error(f"unknown declaration {_text(head)!r}", s)
         except _Stop:
             pass
+        cur.i = end + 1
 
     if sig is None:
         sig = signature()
@@ -628,7 +627,7 @@ def parse_term(text: str, sig: Signature, expected: Optional[Sort] = None) -> Te
     term = None
     try:
         term = cur.term(expected, 0)
-        if cur.toks[cur.i]:
+        if cur.toks[cur.i] != "\n":
             cur.fail("unexpected trailing tokens after term")
     except _Stop:
         pass
@@ -646,13 +645,13 @@ def read_weight(text: str, line_no: int, diags: list[Diagnostic], pos: int, end:
     gives None.  The span holds no `#`: a `.pts` line loses its comment first."""
     seen = len(diags)
     cur = _Cursor(text, line_no, diags, pos, end)
-    if not cur.toks[0]:  # nothing to point at but the end of the span
+    if cur.toks[0] == "\n":  # nothing to point at but the end of the span
         if len(diags) == seen:
             diags.append(Diagnostic("expected a probability", line_no, end + 1))
         return None
     try:
         weight = cur.weight()
-        if cur.toks[cur.i]:
+        if cur.toks[cur.i] != "\n":
             cur.error("a probability is an integer or p/q")
         elif len(diags) == seen:
             return weight

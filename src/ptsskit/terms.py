@@ -65,20 +65,15 @@ class FunctionSymbol(NamedTuple):
 
 
 def prefix_symbol(action: str) -> FunctionSymbol:
-    return FunctionSymbol(f"{action}.", (_DIST,), _STATE, prefix_action=action)
+    return FunctionSymbol(f"{action}.", (_DIST,), _STATE, None, action)
 
 
 def lift_symbol(f: FunctionSymbol) -> FunctionSymbol:
     """The probabilistic lifting of a state operator: same rank, all-dist arguments."""
     if f.result_sort is not _STATE:
         raise SortError(f"only state operators can be lifted, got {f.name}")
-    return FunctionSymbol(
-        f"^{f.name}",
-        (_DIST,) * f.rank,
-        _DIST,
-        origin=f,
-        prefix_action=f.prefix_action,
-    )
+    # made as a plain tuple, as opaque_state makes a symbol: a Signature lifts each of its operators
+    return tuple.__new__(FunctionSymbol, (f"^{f.name}", (_DIST,) * len(f.arg_sorts), _DIST, f, f.prefix_action))
 
 
 class _Record:
@@ -261,16 +256,20 @@ class Convex(_Node):
     args = _Node.kids
 
     def __new__(cls, weights: tuple[Fraction, ...], args: tuple["Term", ...]) -> "Convex":
-        key = (tuple(weights), tuple(args))
+        # keyed by each weight's numerator and denominator, ints, which hash and add faster than a Fraction
+        weights, args = tuple(weights), tuple(args)
+        key = (tuple([(w.numerator, w.denominator) for w in weights]), args)
         node = cls._table.get(key, _dead)()
         if node is not None:
             return node
-        weights, args = key
         if len(weights) != len(args) or not args:
             raise SortError("oplus needs one weight per branch and at least one branch")
-        if any(w <= 0 for w in weights):
-            raise SortError("oplus weights must be positive")
-        if sum(weights) != 1:
+        num, den = 0, 1  # the sum of the weights
+        for n, d in key[0]:
+            if n <= 0:
+                raise SortError("oplus weights must be positive")
+            num, den = num * d + n * den, den * d
+        if num != den:
             raise SortError("oplus weights do not sum to 1")
         for arg in args:
             if arg.sort is not _DIST:
@@ -449,10 +448,7 @@ def build_signature(
     prefix_family: bool,
 ) -> Signature:
     """Assemble a signature, generating prefix operators per action when asked."""
-    ops = list(state_ops)
-    if prefix_family:
-        ops.extend(prefix_symbol(a) for a in actions)
-    return Signature(tuple(actions), tuple(ops))
+    return Signature(tuple(actions), (*state_ops, *map(prefix_symbol, actions)) if prefix_family else tuple(state_ops))
 
 
 def validate_signature(sig: Signature) -> list[str]:
@@ -466,7 +462,7 @@ def validate_signature(sig: Signature) -> list[str]:
             out.append(f"duplicate action: {a}")
         seen_actions.add(a)
     names: set[str] = set()
-    for f in list(sig.state_ops) + list(sig.dist_ops):
+    for f in sig.state_ops + sig.dist_ops:
         if f.name in names:
             out.append(f"duplicate name: {f.name}")
         names.add(f.name)

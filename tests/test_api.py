@@ -42,7 +42,6 @@ def _public_definitions(tree: ast.Module):
 # tell from field reads: each with the library code that calls it
 SHARED_WITH_FIELDS = {
     "parser._Cursor.col": "_Cursor.error and _Cursor.settle",
-    "parser._Cursor.name": "_Cursor.term",
     "parser._Cursor.rule": "parser._rule_line",
 }
 

@@ -4,7 +4,9 @@ per-kind deciders on random systems."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from itertools import product
 from pathlib import Path
@@ -193,3 +195,38 @@ def test_corpus_run_decides_each_kind_once_per_pts_file(monkeypatch, tmp_path, c
     assert main(["corpus-run", str(tmp_path)]) == 0
     assert "summary: 13 expectations, 0 failed" in capsys.readouterr().out
     assert {name: len(c) for name, c in counts.items()} == {"branching_bisim": 2, "prob_branching_bisim": 1}
+
+
+# a process that logs the rows of every LP `decide("pbranching")` asks, on
+# not-transitive, tau-heavy draw 2611 and corpus/mixed_choice.pts
+_LP_ORDER = """
+from ptsskit import lp
+from ptsskit.bisim import decide
+from ptsskit.engine import load_pts
+from tests.conftest import CORPUS
+from tests.test_partition_oracle import _not_transitive, _tau_heavy
+
+feasible = lp.feasible
+
+
+def logged(rows, rhs):
+    print(len(rows), end=" ")
+    return feasible(rows, rhs)
+
+
+lp.feasible = logged
+for pts in (_not_transitive(), _tau_heavy(2611), load_pts((CORPUS / "mixed_choice.pts").read_text())):
+    decide("pbranching", pts)
+    print()
+"""
+
+
+def test_pbranching_asks_its_lps_in_one_order_whatever_the_hash_seed():
+    # string hashes change with the hash seed and term hashes with memory layout,
+    # so an LP order read off a set would change between the two processes
+    root = Path(__file__).resolve().parent.parent
+    logs = [subprocess.run([sys.executable, "-c", _LP_ORDER], cwd=root, capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}", "PYTHONHASHSEED": seed},
+                           ).stdout for seed in ("1", "2")]
+    assert logs[0] == logs[1]
+    assert all(line.split() for line in logs[0].splitlines()), logs[0]  # each system asks LPs

@@ -2,12 +2,13 @@ import pytest
 
 from ptsskit.parser import (
     ParseFailure,
+    _Cursor,
     parse_spec,
     parse_term,
     try_parse_spec,
 )
 from ptsskit.terms import Convex, Dirac, Sort
-from tests.conftest import RUNNING_SPEC
+from tests.conftest import CORPUS, RUNNING_SPEC
 from tests.reference_render import render
 
 
@@ -138,8 +139,22 @@ def test_reserved_names_rejected():
 
 
 def test_a_rule_reports_each_diagnostic_once():
-    # a `<A>` rule is read once per action, and its error is the same in each
+    # a `<A>` rule is read and settled once: its error would be the same for each action
     spec = RUNNING_SPEC + "rule r: <A>.delta(g(x)) --<A>-> mu\n"
     line = spec.count("\n")
     _, diags = try_parse_spec(spec)
     assert [str(d) for d in diags] == [f"{line}:19: error: unknown operator g"]
+
+
+def test_settle_runs_once_per_rule_line(monkeypatch):
+    # a `<A>` rule's instances share its reading, and so its diagnostics
+    lines = []
+    settle = _Cursor.settle
+    monkeypatch.setattr(_Cursor, "settle", lambda cur, parts: lines.append(cur.line) or settle(cur, parts))
+    specs = sorted(CORPUS.glob("*.ptss"))
+    assert specs
+    for path in specs:
+        lines.clear()
+        text = path.read_text()
+        parse_spec(text)
+        assert lines == [n for n, line in enumerate(text.splitlines(), 1) if line.startswith("rule ")], path.name

@@ -38,8 +38,10 @@ RULES = ["rule r1: x -/a->, mu --a-> x |- +(x,y) --a-> mu", "rule r2: ^+(x) --a-
          "rule r4: a.oplus{1/3: mu, 1/3: delta(x)} --b-> oplus{1/2: delta(mu), 0/2: x}",
          "rule r5: x --tau->", "rule r6: x -/<A>->"]  # and an error at the end, past an arrow
 SPECS.update((f"running+{rule[5:7]}", SPECS["running.ptss"] + rule + "\n") for rule in RULES)
-# lines of blanks and comments, some after a character that is no blank
-LINES = ["\t  # a comment after blanks", "\xa0# after a no-break space", "\x00#", "é # ²"]
+# lines of blanks and comments, some after a character that is no blank, and
+# comments holding a line end of str.splitlines that is no newline
+LINES = ["\t  # a comment after blanks", "\xa0# after a no-break space", "\x00#", "é # ²", "# a\x0bop ^b : -> s",
+         "# a\rop"]
 SPECS.update((f"running+line{i}", line + "\n" + SPECS["running.ptss"]) for i, line in enumerate(LINES))
 
 ROOTS = sorted({(argv[1].rsplit("/", 1)[-1], argv[i + 1]) for argv in cases().values()
@@ -134,6 +136,29 @@ def test_terms_at_the_nesting_bound_parse_as_before(shape, depth):
     text = _nested(*shape, depth)
     check_term(text, sig)
     check_spec(SPECS["running.ptss"] + f"rule deep: {text} --a-> mu\n")
+
+
+# `<A>` as a prefix head in a premise source, a conclusion source, a lifted
+# target and under delta and oplus, and as a negative premise's label, in specs
+# with and without the prefix family, without actions and with an action twice:
+# a rule's instances come from one reading, the reference reads it per action
+META_HEADS = ["ptss m\nactions a, b, tau\nop 0 : -> s\nop pre<A> : d -> s\nop g : s s -> s\n",
+              "ptss m\nactions a, b, tau\nop 0 : -> s\nop g : s s -> s\n",
+              "ptss m\nop 0 : -> s\nop pre<A> : d -> s\nop g : s s -> s\n",
+              "ptss m\nactions a, tau, a\nop 0 : -> s\nop pre<A> : d -> s\nop g : s s -> s\n"]
+META_RULES = ["rule src: <A>.mu --<A>-> nu |- <A>.mu --tau-> nu", "rule conc: <A>.mu --<A>-> mu",
+              "rule lifted: x --<A>-> mu |- x --<A>-> ^<A>.mu", "rule neg: x -/<A>-> |- g(x, x) --<A>-> delta(0)",
+              "rule mixed: <A>.delta(x) -/<A>->, y --a-> mu |- g(x, y) --<A>-> ^g(^<A>.mu, delta(<A>.delta(y)))",
+              "rule mass: x --<A>-> mu |- x --<A>-> oplus{1/2: delta(<A>.mu), 1/2: mu}"]
+
+
+@pytest.mark.parametrize("rule", META_RULES, ids=[rule.split(":")[0][5:] for rule in META_RULES])
+@pytest.mark.parametrize("head", range(len(META_HEADS)))
+def test_meta_rules_parse_as_before(head, rule):
+    spec = check_spec(META_HEADS[head] + rule + "\n")
+    assert (spec is not None) == (head == 0 or head == 1 and "<A>." not in rule)
+    if spec is not None:
+        assert [r.name for r in spec.rules] == [f"{rule.split(':')[0][5:]}@{a}" for a in ("a", "b", "tau")]
 
 
 NOISE = ["", " ", "(", ")", "{", "}", ",", ":", ".", "^", "@", "/", "+", "-", "|-", "<A>", "<A", "--a->", "-/b->",
