@@ -154,7 +154,7 @@ _FORMS = frozenset(["delta", "oplus", "(", "^", META, ")", "{", "}", ",", ":", "
 
 class _Cursor:
     """The tokens of a text, each line's ended by "\\n", and the reading of
-    them into terms over `sig`: a spec, whose `lines` are given, or a term
+    them into terms over `sig`: a spec's `lines` joined by "\\n", or a term
     or weight text, one line whatever it holds.
 
     Terms are built as they are read.  A sort error makes the term None and
@@ -176,9 +176,9 @@ class _Cursor:
         stop = len(bare) if end is None else end
         self.toks = toks = _LINES_RE.findall(bare, pos, stop)
         toks.append("\n")  # the end, which no test of a token but the end's passes
-        # a stray character, or a line end that is no "\n" (a term's text has none)
+        # a stray character, or a line end in a term's text
         if (len("".join(toks)) - 1 + bare.count(" ", pos, stop) + bare.count("\t", pos, stop) != stop - pos
-                or bare.count("\n", pos, stop) != (0 if lines is None else len(lines) - 1 + text.endswith("\n"))):
+                or lines is None and bare.find("\n", pos, stop) >= 0):
             self.toks = toks = []
             for n, piece in enumerate(lines or [text], line):
                 toks += (*_lex_line(piece, n, diags if n == line else self.stray.setdefault(n, []), pos, self.end), "\n")
@@ -523,7 +523,7 @@ def try_parse_spec(text: str) -> tuple[Optional[PTSS], list[Diagnostic]]:
         return sig
 
     lines = text.splitlines()
-    cur = _Cursor(text, 1, diags, lines=lines)
+    cur = _Cursor("\n".join(lines), 1, diags, lines=lines)  # each line end a "\n", as the lexer reads them
     toks = cur.toks
     for line_no, line in enumerate(lines, start=1):
         s = cur.i  # the line's first token
