@@ -318,12 +318,12 @@ def _pbranching_signatures(
     move (label, B) when by inert steps it almost surely reaches a member with
     it, as the move's LP asks (de Alfaro, PhD thesis, Stanford 1997; Baier &
     Katoen 2008, 10.6.1; staying put never helps); others by `_block_match`."""
-    # in one order, which the LPs of `_block_match` follow: a move into several blocks by its sorted masses
-    candidates = sorted(frozenset().union(*(moves[x] for x in members)),
-                        key=lambda c: (c[0], c[1], ()) if type(c[1]) is int else (c[0], -1, sorted(c[1])))
+    candidates = frozenset().union(*(moves[x] for x in members))
     graph = [step for x in members for step in inert[x]]  # the block's inert steps
     sure = {c: _almost_sure(graph, [x for x in members if c in moves[x]]) if graph else ()
             for c in candidates if type(c[1]) is int}
+    if len(sure) < len(candidates):  # a move into several blocks, by its sorted masses: the LPs in one order
+        candidates = sorted(candidates, key=lambda c: (c[0], c[1], ()) if type(c[1]) is int else (c[0], -1, sorted(c[1])))
     sigs = []
     for t in members:
         sigs.append(frozenset(c for c in candidates if c in moves[t] or (
