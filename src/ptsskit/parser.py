@@ -100,13 +100,11 @@ class PTSS(NamedTuple):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*|[(){},:.^/+@]|--(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->"
-          r"|-/(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->|->|\|-|<A>|\d+")
-# A match is a token or a comment.  A search skips what no match starts
-# at: blanks, and stray characters, which the lexer reports.
-_TOKEN_RE = re.compile("#.*|" + _TOKEN)
-# over a text stripped of its comments: the tokens, and "\n" for each line end
-_LINES_RE = re.compile(_TOKEN + "|\n")
+# A match is a token, a line end or a comment, which runs to its line's end.
+# A search skips what no match starts at: blanks, and stray characters, which
+# the lexer reports, as it does a line end in a term's text.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(){},:.^/+@]|--(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->"
+                       r"|-/(?:[A-Za-z_][A-Za-z0-9_]*|<A>)->|->|\|-|<A>|\d+|\n|#.*")
 _NOTE_RE = re.compile("#.*")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
@@ -122,6 +120,8 @@ def _lex_line(text: str, line_no: int, diags: list[Diagnostic], pos: int, end: i
     """The token strings of text[pos:end]; each stray character adds a diagnostic."""
     tokens = []
     for m in (*_TOKEN_RE.finditer(text, pos, end), None):
+        if m is not None and m[0] == "\n":  # a line end here is stray
+            continue
         stop = end if m is None else m.start()
         diags.extend(Diagnostic(f"unexpected character {c!r}", line_no, j + 1)
                      for j, c in enumerate(text[pos:stop], pos) if c not in " \t")
@@ -174,11 +174,11 @@ class _Cursor:
         self.stray: dict[int, list[Diagnostic]] = {}  # the diagnostics of each later line's stray characters
         bare = _NOTE_RE.sub("", text) if end is None and "#" in text else text  # a comment runs to its line's end
         stop = len(bare) if end is None else end
-        self.toks = toks = _LINES_RE.findall(bare, pos, stop)
+        self.toks = toks = _TOKEN_RE.findall(bare, pos, stop)
         toks.append("\n")  # the end, which no test of a token but the end's passes
-        # a stray character, or a line end in a term's text
+        # a stray character, a line end in a term's text, or a comment in a span
         if (len("".join(toks)) - 1 + bare.count(" ", pos, stop) + bare.count("\t", pos, stop) != stop - pos
-                or lines is None and bare.find("\n", pos, stop) >= 0):
+                or lines is None and (bare.find("\n", pos, stop) >= 0 or bare.find("#", pos, stop) >= 0)):
             self.toks = toks = []
             for n, piece in enumerate(lines or [text], line):
                 toks += (*_lex_line(piece, n, diags if n == line else self.stray.setdefault(n, []), pos, self.end), "\n")
@@ -194,7 +194,7 @@ class _Cursor:
         """The column of token k, or just past the last token for the end."""
         n, end = self.start, 1
         for m in _TOKEN_RE.finditer(self.text, self.pos, self.end):
-            if m[0][0] != "#":
+            if m[0][0] not in "#\n":
                 if n == k:
                     return m.start() + 1
                 n, end = n + 1, m.start() + 1 + len(_text(m[0]))
