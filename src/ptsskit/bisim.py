@@ -322,7 +322,7 @@ def _pbranching_signatures(
     graph = [step for x in members for step in inert[x]]  # the block's inert steps
     sure = {c: _almost_sure(graph, [x for x in members if c in moves[x]]) if graph else ()
             for c in candidates if type(c[1]) is int}
-    if len(sure) < len(candidates):  # a move into several blocks, by its sorted masses: the LPs in one order
+    if len(sure) < len(candidates):  # a move into several blocks asks LPs, so the moves go in one order
         candidates = sorted(candidates, key=lambda c: (c[0], c[1], ()) if type(c[1]) is int else (c[0], -1, sorted(c[1])))
     sigs = []
     for t in members:
