@@ -9,13 +9,14 @@ only when no rule conclusion could ever produce a matching transition.  The
 domain closure derives PT0 once, extending one derivation as the domain
 grows, and a spec without negative premises derives nothing more.
 
-Each `stable_model` call compiles every rule once (`_compile`), choosing how
-each premise is read from the variables bound before it: a bound source is
-looked up in the index of derived transitions, a still unbound target
-variable takes each derived target as it is, and a conclusion target is read
-from the binding or built by constructors chosen once; any other premise
-is matched under the binding it extends.  A pass matches a term once per
-source pattern, and each rule of that source goes on from the binding.
+Each `stable_model` call compiles every rule once (`_compile`): a premise
+source is built from the binding and looked up in the index of derived
+transitions, a still unbound target variable takes each derived target as it
+is, any other premise target is matched under the binding it extends, and a
+part with a variable the rule leaves unbound is refused where it is reached.
+The domain holds the roots and is closed under subterms, derived targets'
+supports and the premise sources that rules read.  A pass matches a term once
+per source pattern, and each rule of that source goes on from the binding.
 """
 
 from __future__ import annotations
@@ -139,49 +140,57 @@ def _builder(t: Term) -> Callable[[Binding], Term]:
     return lambda rho: make(tuple([k(rho) for k in kids]))
 
 
-def _instance(t: Term, bound: set[str]) -> Callable[[Binding], Term]:
-    if t.depth <= 16 and variables(t) <= bound:  # _builder recurses once a level
+def _instance(t: Term, bound: set[str], part: str) -> Callable[[Binding], Term]:
+    """t's instance under a binding of `bound`, or, where t has another variable, its refusal."""
+    if not variables(t) <= bound:
+        def unbound(rho: Binding) -> Term:
+            raise RuleInstantiationError(f"{part} {render_term(substitute(rho, t))} has unbound variables")
+        return unbound
+    if t.depth <= 16:  # _builder recurses once a level
         return _builder(t)
-    return lambda rho: substitute(rho, t)  # an open instance is reported where it is used
+    return lambda rho: substitute(rho, t)
 
 
 def _compile(rules: tuple[Rule, ...]) -> tuple[tuple, ...]:
     """Each rule as (rule, premises, negatives, target), a positive premise
-    as (source, label, target, source_of, target_var): `source_of` builds a
-    bound source, or is None for an open one, which is matched against every
-    transition of its label, and `target_var` names an unbound target variable."""
+    as (label, target, source_of, target_var, built), a negative one as
+    (source_of, label, built).  A positive premise's source is bound by the
+    rule's source and earlier premises' targets, the other parts by all
+    premises' targets, or refused; `target_var` names an unbound target
+    variable, `built` a source that is no variable, so may leave the domain."""
     compiled = []
     for rule in rules:
         bound = variables(rule.source)
         premises = []
         for src, label, tgt in rule.pos_premises:
-            names = variables(src)
-            source_of = _instance(src, bound) if names <= bound else None
-            bound |= names
             target_var = tgt.name if isinstance(tgt, DistVar) and tgt.name not in bound else None
+            source_of = _instance(src, bound, f"rule {rule.name}: premise source")
+            premises.append((label, tgt, source_of, target_var, not isinstance(src, StateVar)))
             bound |= variables(tgt)
-            premises.append((src, label, tgt, source_of, target_var))
-        negatives = [(_instance(src, bound), label) for src, label in rule.neg_premises]
-        compiled.append((rule, premises, negatives, _instance(rule.target, bound)))
+        negatives = [(_instance(src, bound, f"rule {rule.name}: negative premise source"), label,
+                      not isinstance(src, StateVar)) for src, label in rule.neg_premises]
+        compiled.append((rule, premises, negatives, _instance(rule.target, bound, f"rule {rule.name}: conclusion target")))
     return tuple(compiled)
 
 
 class _Derived:
     """The transitions derived so far by the compiled `rules`, in the order
-    derived, and an index: targets by (source, label), for premises whose
-    source is bound, and (source, target) pairs by label, for the labels of
-    open ones.  An index entry remembers the sources whose rule instances
-    read it; a transition added to it marks them dirty."""
+    derived, and an index of their targets by (source, label).  An index
+    entry remembers the sources whose rule instances read it; a transition
+    added to it marks them dirty.  The domain closure's `collect` takes each
+    built premise source: a positive one first read, a negative one granted."""
 
-    def __init__(self, rules: tuple[tuple, ...]) -> None:
+    def __init__(self, rules: tuple[tuple, ...], collect: Optional[Callable[[Term], None]] = None) -> None:
         self.rules = rules
-        self.scanned = {label for c in rules for _, label, _, source_of, _ in c[1] if source_of is None}
+        self.collect = collect
         self.all: dict[SymbolicTransition, None] = {}
-        self.index: dict[object, list] = {}
-        self.readers: dict[object, set[Term]] = {}
+        self.index: dict[tuple[Term, str], list[Term]] = {}
+        self.readers: dict[tuple[Term, str], set[Term]] = {}
         self.dirty: set[Term] = set()
 
-    def read(self, key: object, reader: Term) -> list:
+    def read(self, key: tuple[Term, str], reader: Term, built: bool) -> list[Term]:
+        if built and self.collect and key not in self.readers:
+            self.collect(key[0])
         self.readers.setdefault(key, set()).add(reader)
         return self.index.get(key, ())
 
@@ -189,11 +198,10 @@ class _Derived:
         if tr not in self.all:
             self.all[tr] = None
             source, label, target = tr
-            keyed = (((source, label), target), (label, (source, target)))
-            for key, entry in keyed if label in self.scanned else keyed[:1]:
-                self.index.setdefault(key, []).append(entry)
-                if key in self.readers:
-                    self.dirty.update(self.readers[key])
+            key = source, label
+            self.index.setdefault(key, []).append(target)
+            if key in self.readers:
+                self.dirty.update(self.readers[key])
 
 
 def _instances(
@@ -204,18 +212,12 @@ def _instances(
     steps chosen when it was compiled, whose negative premises hold.  A
     premise is matched into a copy of the binding, as its instance would be:
     a rule uses each variable at one sort, and equal terms are identical."""
-    rule, premises, negatives, target_of = compiled
+    _, premises, negatives, target_of = compiled
     solutions = [rho0]
-    for psrc, label, ptgt, source_of, target_var in premises:
+    for label, ptgt, source_of, target_var, built in premises:
         grown: list[Binding] = []
         for sub in solutions:
-            if source_of is None:  # match the source against every transition of the label
-                for u, theta in derived.read(label, reader):
-                    rho = dict(sub)
-                    if _match_into(psrc, u, rho) and _match_into(ptgt, theta, rho):
-                        grown.append(rho)
-                continue
-            thetas = derived.read((source_of(sub), label), reader)
+            thetas = derived.read((source_of(sub), label), reader, built)
             if target_var is not None:  # nothing to match the target against
                 grown += [{**sub, target_var: theta} for theta in thetas]
                 continue
@@ -226,16 +228,14 @@ def _instances(
         solutions = grown
     targets = []
     for rho in solutions:
-        for source_of, label in negatives:
+        for source_of, label, built in negatives:
             inst = source_of(rho)
-            if not inst.closed:
-                raise RuleInstantiationError(f"rule {rule.name}: negative premise source {render_term(inst)} has unbound variables")
             if not neg_holds(inst, label):
                 break
+            if built and derived.collect:
+                derived.collect(inst)
         else:
             target = target_of(rho)
-            if not target.closed:
-                raise RuleInstantiationError(f"rule {rule.name}: conclusion target {render_term(target)} has unbound variables")
             if target.depth > max_depth:
                 raise DomainBoundError(target, "conclusion target exceeds max depth")
             targets.append(target)
@@ -301,21 +301,20 @@ def _check_and_collect(term: Term, universe: set[Term], bound: DomainBound) -> N
 
 
 def _closed_universe(p: PTSS, bound: DomainBound) -> tuple[set[Term], _Derived]:
-    """The roots' domain, unordered: closed under subterms and the support
-    of every target derived over it with every negative premise granted; and
-    that derivation.  It is monotone in the domain, so each round extends it
-    from the new terms and evaluates the new targets."""
-    derived = _Derived(_compile(p.rules))
+    """The roots' domain, unordered: closed under subterms, the support of
+    every target derived over it with every negative premise granted and the
+    premise sources that derivation reads; and that derivation.  It is
+    monotone in the domain, so each round extends it from the new terms."""
     universe: set[Term] = set()
+    derived = _Derived(_compile(p.rules), lambda t: _check_and_collect(t, universe, bound))
     for root in bound.roots:
         if not root.closed or root.sort is not _STATE:
             raise SortError(f"root must be a closed state term: {render_term(root)}")
         _check_and_collect(root, universe, bound)
     new = set(universe)
     while new:
-        done = len(derived.all)
+        done, old = len(derived.all), set(universe)
         _derive(new, lambda t, a: True, bound.max_depth, derived)
-        old = set(universe)
         for tr in islice(derived.all, done, None):
             for s in evaluate(tr.target).support:
                 if s not in universe:
@@ -326,9 +325,9 @@ def _closed_universe(p: PTSS, bound: DomainBound) -> tuple[set[Term], _Derived]:
 
 def stable_model(p: PTSS, bound: DomainBound) -> ThreeValuedModel:
     """Iterate the certain/possible pair to its least fixed point over the
-    domain generated by the roots (closed under rule targets and subterms).
-    PT0 grants every negative premise, so it is the closure's derivation;
-    without negative premises every step derives it again."""
+    roots' domain (`_closed_universe`).  PT0 grants every negative premise,
+    so it is the closure's derivation; without negative premises every step
+    derives it again."""
     universe, closure = _closed_universe(p, bound)
     pt0 = frozenset(closure.all)
 

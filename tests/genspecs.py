@@ -110,13 +110,19 @@ def shallow_contexts(spec: PTSS, max_count: int = 4) -> list[Term]:
 GROUP_PREMISES = [
     "x --{l}-> mu",  # bound source, target a variable still unbound
     "x --{l}-> delta(y)",  # bound source, target matched
-    "z --{l}-> mu",  # open source: every transition of the label
-    "+(x,z) --{l}-> mu",  # a source open in one argument
+    "+(x,0) --{l}-> mu",  # a source the rule builds, which may lie outside the domain
     "x -/{l}->",  # negative premise
+    "+(x,0) -/{l}->",  # a negative premise whose source the rule builds
 ]
 GROUP_TARGETS = ["mu", "delta(y)", "^k0(mu)", "delta(k0(x))", "^+(mu,delta(x))", "delta(0)"]
-# rules that cannot be instantiated: nothing binds nu, and z is open
-BROKEN_RULES = ["x --a-> mu |- k0(x) --b-> nu", "z -/a-> |- k0(x) --a-> delta(0)"]
+# rules that cannot be instantiated: nothing binds nu, and z is open in a
+# negative premise's source, a positive one's and an argument of one's
+BROKEN_RULES = [
+    "x --a-> mu |- k0(x) --b-> nu",
+    "z -/a-> |- k0(x) --a-> delta(0)",
+    "z --a-> mu |- k0(x) --b-> mu",
+    "+(x,z) --b-> mu |- k0(x) --a-> mu",
+]
 
 
 def grouped_text(rng: random.Random) -> tuple[str, list[str]]:
@@ -128,9 +134,7 @@ def grouped_text(rng: random.Random) -> tuple[str, list[str]]:
     for _ in range(rng.randint(2, 4)):
         premises = [p.format(l=rng.choice(["a", "b", "tau"])) for p in rng.sample(GROUP_PREMISES, rng.randint(0, 2))]
         bound = {v for p in premises if "-/" not in p for v in ("y", "mu") if v in p}
-        # z --l-> mu reads the rules' own targets, so lifting mu grows terms without bound
-        lifted = {"^k0(mu)", "^+(mu,delta(x))"} if any(p.startswith("z ") for p in premises) else set()
-        target = rng.choice([t for t in GROUP_TARGETS if t not in lifted and all(v in bound for v in ("y", "mu") if v in t)])
+        target = rng.choice([t for t in GROUP_TARGETS if all(v in bound for v in ("y", "mu") if v in t)])
         conclusion = f"k0(x) --{rng.choice('ab')}-> {target}"
         rules.append(f"{', '.join(premises)} |- {conclusion}" if premises else conclusion)
     if rng.random() < 0.25:

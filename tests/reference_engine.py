@@ -3,14 +3,23 @@
 
 Every positive premise is matched against every transition derived so far
 with the premise's label, and every rule against every term of the universe;
-no index is kept.  Terms are visited in the engine's order, by depth and then
-by text, and a transition is used as soon as it is derived, so that the two
-report the same target when several pass the depth bound.  `stable_model`
-iterates the certain/possible pair the same way the library does, from
-scratch on every step, with this `derive`.
+no index is kept.  A rule part is instantiated under the binding that
+reaches it: a positive premise's source under the rule's source and the
+earlier positive premises, a negative premise's source and the conclusion
+target under all of them; an instance with a variable left is a
+`RuleInstantiationError`.  Terms are visited in the engine's order, by depth
+and then by text, and a transition is used as soon as it is derived, so that
+the two report the same target when several pass the depth bound.
+
+The universe is the least set of terms that holds the roots and is closed
+under subterms, under the support of every target derived over it with every
+negative premise granted, and under the premise sources that derivation
+reads, a negative one where it is granted; a read source joins it as it is
+read.  `stable_model` iterates the certain/possible pair the same way the
+library does, from scratch on every step, with this `derive`.
 """
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from ptsskit.distributions import evaluate
 from ptsskit.engine import (
@@ -25,16 +34,29 @@ from ptsskit.parser import PTSS, Rule
 from ptsskit.terms import Sort, Term, match, render_term, substitute
 
 
+Read = Optional[Callable[[Term], None]]
+
+
+def closed_instance(rule: Rule, part: str, rho: dict[str, Term], t: Term) -> Term:
+    inst = substitute(rho, t)
+    if not inst.closed:
+        raise RuleInstantiationError(f"rule {rule.name}: {part} {render_term(inst)} has unbound variables")
+    return inst
+
+
 def solve_positives(
+    rule: Rule,
     rho: dict[str, Term],
-    premises: tuple[tuple[Term, str, Term], ...],
     by_label: dict[str, list[tuple[Term, Term]]],
+    read: Read,
 ) -> list[dict[str, Term]]:
     solutions = [rho]
-    for psrc, label, ptgt in premises:
+    for psrc, label, ptgt in rule.pos_premises:
         grown: list[dict[str, Term]] = []
         for sub in solutions:
-            src_pat = substitute(sub, psrc)
+            src_pat = closed_instance(rule, "premise source", sub, psrc)
+            if read:
+                read(src_pat)
             tgt_pat = substitute(sub, ptgt)
             for u, theta in by_label.get(label, ()):  # derived so far
                 m1 = match(src_pat, u)
@@ -59,31 +81,24 @@ def rule_instances(
     by_label: dict[str, list[tuple[Term, Term]]],
     neg_holds: Callable[[Term, str], bool],
     max_depth: int,
+    read: Read,
 ) -> Iterable[SymbolicTransition]:
     for src in universe:
         rho0 = match(rule.source, src)
         if rho0 is None:
             continue
-        for rho in solve_positives(rho0, rule.pos_premises, by_label):
+        for rho in solve_positives(rule, rho0, by_label, read):
             ok = True
             for nsrc, nlabel in rule.neg_premises:
-                inst = substitute(rho, nsrc)
-                if not inst.closed:
-                    raise RuleInstantiationError(
-                        f"rule {rule.name}: negative premise source {render_term(inst)} "
-                        f"has unbound variables"
-                    )
+                inst = closed_instance(rule, "negative premise source", rho, nsrc)
                 if not neg_holds(inst, nlabel):
                     ok = False
                     break
+                if read:
+                    read(inst)
             if not ok:
                 continue
-            target = substitute(rho, rule.target)
-            if not target.closed:
-                raise RuleInstantiationError(
-                    f"rule {rule.name}: conclusion target {render_term(target)} "
-                    f"has unbound variables"
-                )
+            target = closed_instance(rule, "conclusion target", rho, rule.target)
             if target.depth > max_depth:
                 raise DomainBoundError(target, "conclusion target exceeds max depth")
             yield SymbolicTransition(src, rule.label, target)
@@ -94,6 +109,7 @@ def derive(
     universe: list[Term],
     neg_holds: Callable[[Term, str], bool],
     max_depth: int,
+    read: Read = None,
 ) -> frozenset[SymbolicTransition]:
     trans: set[SymbolicTransition] = set()
     by_label: dict[str, list[tuple[Term, Term]]] = {}
@@ -101,7 +117,7 @@ def derive(
     while changed:
         changed = False
         for rule in rules:
-            for tr in rule_instances(rule, universe, by_label, neg_holds, max_depth):
+            for tr in rule_instances(rule, universe, by_label, neg_holds, max_depth, read):
                 if tr not in trans:
                     trans.add(tr)
                     by_label.setdefault(tr.label, []).append((tr.source, tr.target))
@@ -133,8 +149,8 @@ def closed_universe(p: PTSS, bound: DomainBound) -> list[Term]:
         _check_and_collect(root, universe, bound)
     while True:
         ordered = sorted(universe, key=lambda u: (u.depth, render_term(u)))  # the engine's order of sources
-        trs = derive(p.rules, ordered, lambda t, a: True, bound.max_depth)
         before = len(universe)
+        trs = derive(p.rules, ordered, lambda t, a: True, bound.max_depth, lambda t: _check_and_collect(t, universe, bound))
         for tr in trs:
             for s in evaluate(tr.target).support:
                 _check_and_collect(s, universe, bound)

@@ -128,6 +128,43 @@ def test_bisim_spec_rooted(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+# a premise source that nothing binds: read as every a-step of the domain,
+# it would make f(0)'s answer hang on which other roots were given
+OPEN_SOURCE_SPEC = (
+    "ptss open\nactions a, b, tau\nop 0 : -> s\nop f : s -> s\nop pre<A> : d -> s\n"
+    "rule pre: <A>.mu --<A>-> mu\nrule r: y --a-> mu |- f(x) --b-> mu\n"
+)
+# a premise source that the rule builds, g(0) for the root f(0), which lies
+# outside the roots' subterms and targets until the rule reads it
+_G_AX = "ptss g_ax\nactions a, b, tau\nop 0 : -> s\nop f : s -> s\nop g : s -> s\nrule g_ax: g(x) --a-> delta(x)\n"
+BUILT_SOURCE_SPECS = {
+    "positive": _G_AX + "rule r: g(x) --a-> mu |- f(x) --b-> mu\n",
+    "negative": _G_AX + "rule r: g(x) -/a-> |- f(x) --b-> delta(x)\n",
+}
+
+
+@pytest.mark.parametrize("extra", [[], ["--root", "a.delta(0)"]])
+def test_an_open_premise_source_stops_the_run_whatever_the_roots(tmp_path, capsys, extra):
+    spec = tmp_path / "open.ptss"
+    spec.write_text(OPEN_SOURCE_SPEC)
+    got = run_cli(capsys, "bisim", str(spec), "--kind", "branching", "f(0)", "0", *extra)
+    assert got == (EXIT_BOUNDS, "", "error: rule r: premise source y has unbound variables\n")
+
+
+@pytest.mark.parametrize("name, steps, verdict", [
+    ("positive", ["trans f(0) --b-> { 0: 1 }"], (EXIT_NEGATIVE, "witness: unmatched challenge f(0) --b-> {0: 1}")),
+    ("negative", [], (EXIT_OK, "rooted: f(0) ~ 0: YES")),
+])
+def test_a_built_premise_source_answers_the_same_whatever_the_roots(tmp_path, capsys, name, steps, verdict):
+    spec = tmp_path / "g_ax.ptss"
+    spec.write_text(BUILT_SOURCE_SPECS[name])
+    for extra in ([], ["--root", "g(0)"]):
+        code, out, _ = run_cli(capsys, "pts", str(spec), "--root", "f(0)", *extra)
+        assert code == EXIT_OK and [line for line in out.splitlines() if line.startswith("trans f(0) ")] == steps
+        code, out, _ = run_cli(capsys, "bisim", str(spec), "--kind", "rooted", "f(0)", "0", *extra)
+        assert (code, out.splitlines()[-1]) == verdict
+
+
 def test_bisim_unknown_state(capsys):
     code, _, err = run_cli(
         capsys, "bisim", str(CORPUS / "mixed_choice.pts"), "--kind", "branching", "t0", "zz"

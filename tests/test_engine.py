@@ -154,16 +154,17 @@ def test_unbound_target_variable_rejected():
 
 
 def test_lookahead_premise_rejected():
-    # the second premise's source variable is bound by nothing
+    # the second premise's source variable is bound by nothing: it would read
+    # every b-step of the domain, so the rule is refused where it is reached
     src = (
-        "ptss la\nactions a, b, tau\nop c : -> s\n"
+        "ptss la\nactions a, b, tau\nop c : -> s\nop f : s -> s\n"
         "rule ax: c --a-> ^c\n"
-        "rule r: x --a-> mu, y --b-> nu |- c --b-> ^c\n"
+        "rule r: x --a-> mu, y --b-> nu |- f(x) --b-> mu\n"
     )
     spec = parse_spec(src)
-    model = stable_model(spec, DomainBound((parse_term("c", spec.signature),)))
-    # y never matches any derived b-transition, so the rule simply never fires
-    assert all(tr.label == "a" for tr in model.ct)
+    with pytest.raises(RuleInstantiationError, match="^rule r: premise source y has unbound variables$"):
+        stable_model(spec, DomainBound((parse_term("f(c)", spec.signature),)))
+    assert stable_model(spec, DomainBound((parse_term("c", spec.signature),))).converged  # r is not reached
 
 
 def test_negative_premise_unbound_var_rejected():

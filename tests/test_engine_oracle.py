@@ -73,9 +73,10 @@ def test_generated_specs_agree_with_the_oracle():
 def test_rules_sharing_a_source_pattern_agree_with_the_oracle():
     # every rule of a spec but the base ones has the source k0(x), which a
     # pass matches once a term: the rules differ in how their premises are
-    # read (a bound or an open source, a target variable bound or matched),
-    # in negative premises, in targets built or read, and some cannot be
-    # instantiated, where the first error must be the oracle's
+    # read (a variable source or one the rule builds, which may lie outside
+    # the domain, a target variable bound or matched), in negative premises,
+    # in targets built or read, and some cannot be instantiated, where the
+    # first error must be the oracle's
     rng = random.Random(1414)
     outcomes = Counter()
     for _ in range(60):
@@ -86,36 +87,52 @@ def test_rules_sharing_a_source_pattern_agree_with_the_oracle():
 
 
 # running.ptss with premises matched under the binding so far: `loop` reads a
-# bound source whose target pattern repeats the bound `x`, `open` an open
-# source whose target repeats the conclusion's `x`, and `open2` an open source
-# pattern that the target's `w` must meet
+# bound source whose target pattern repeats the bound `x`, `pair` a bound
+# source whose target repeats the conclusion's `x`, and `meet` a source that
+# it builds, f(x), which only its read brings into the domain
 BOUND_PREMISE_SPEC = RUNNING_SPEC.replace("rule prefix", "op h : -> s\nop f : s -> s\nop g : s s -> s\nrule prefix") + (
     "rule spin: h --a-> delta(h)\n"
     "rule loop: x --a-> delta(x) |- f(x) --b-> delta(x)\n"
-    "rule open: y --a-> delta(x) |- g(x,z) --a-> delta(y)\n"
-    "rule open2: f(w) --b-> delta(w) |- g(x,z) --b-> delta(w)\n"
+    "rule pair: z --a-> delta(x) |- g(x,z) --a-> delta(z)\n"
+    "rule meet: f(x) --b-> delta(x) |- g(x,z) --b-> delta(z)\n"
 )
+BOUND_PREMISE_ROOTS = ("g(0,a.delta(0))", "g(h,a.delta(0))", "g(h,a.delta(h))", "f(a.delta(h))")
+# premise sources that nothing binds: `open` reads every a-step, `open2` the
+# b-steps of f(w) for any w
+OPEN_PREMISE_RULES = {
+    "rule open: y --a-> delta(x) |- g(x,z) --a-> delta(y)\n": "rule open: premise source y has unbound variables",
+    "rule open2: f(w) --b-> delta(w) |- g(x,z) --b-> delta(w)\n": "rule open2: premise source f(w) has unbound variables",
+}
 
 
 def test_premises_matched_under_their_binding_agree_with_the_oracle():
     spec = parse_spec(BOUND_PREMISE_SPEC)
-    roots = [parse_term(r, spec.signature) for r in ("g(0,0)", "g(h,a.delta(0))", "f(h)", "f(a.delta(h))")]
+    roots = [parse_term(r, spec.signature) for r in BOUND_PREMISE_ROOTS]
     history, _, converged = _agree(spec, roots)
     derived = {repr(tr) for tr in history[-1][0]}
     assert converged and {
-        "f(h) --b-> delta(h)",  # loop: h's a-target repeats h
-        "g(0,0) --a-> delta(a.delta(0))",  # open: a.delta(0)'s a-target repeats g's 0
-        "g(h,a.delta(0)) --a-> delta(h)",
-        "g(0,0) --b-> delta(h)",  # open2
+        "f(h) --b-> delta(h)",  # loop: h's a-target repeats h; f(h) is no root, meet reads it
+        "g(0,a.delta(0)) --a-> delta(a.delta(0))",  # pair: a.delta(0)'s a-target repeats g's 0
+        "g(h,a.delta(h)) --a-> delta(a.delta(h))",
+        "g(h,a.delta(0)) --b-> delta(a.delta(0))",  # meet: f(h)'s b-target repeats h
+        "g(h,a.delta(h)) --b-> delta(a.delta(h))",
     } <= derived
-    assert not any(tr.startswith("f(a.delta(h)) ") for tr in derived)  # its a-target is delta(h), not itself
+    assert not any(tr.startswith(("f(a.delta(h)) ", "g(h,a.delta(0)) --a->", "g(0,a.delta(0)) --b->")) for tr in derived)
 
 
-# running.ptss with rules that grow targets without bound: g1 lifts the target
-# of any b-step into a longer one, so several targets pass --max-depth in one round
+@pytest.mark.parametrize("rule", sorted(OPEN_PREMISE_RULES))
+def test_an_open_premise_source_is_refused_as_the_oracle_refuses_it(rule):
+    spec = parse_spec(BOUND_PREMISE_SPEC + rule)
+    roots = [parse_term(r, spec.signature) for r in BOUND_PREMISE_ROOTS]
+    assert _agree(spec, roots) == ("RuleInstantiationError", OPEN_PREMISE_RULES[rule])
+
+
+# running.ptss with rules that grow targets without bound: g1 lifts each
+# a-target of k0(x) into a longer one, read back by its bound source, so every
+# k0 term's targets grow and several pass --max-depth in one round
 GROWING_SPEC = RUNNING_SPEC.replace("rule prefix", "op k0 : s -> s\nrule prefix") + (
     "rule g0: k0(x) --a-> delta(k0(x))\n"
-    "rule g1: z --b-> mu |- k0(x) --a-> ^+(mu,delta(x))\n"
+    "rule g1: k0(x) --a-> mu |- k0(x) --a-> ^+(mu,delta(x))\n"
     "rule g2: x --a-> mu, x -/a-> |- k0(x) --b-> mu\n"
 )
 
@@ -127,8 +144,8 @@ def test_the_first_target_past_the_depth_bound_is_the_oracles():
     roots = [parse_term(r, spec.signature) for r in ("k0(+(a.delta(0),b.delta(0)))", "k0(k0(b.delta(0)))", "a.delta(0)")]
     assert _agree(spec, roots, max_depth=8) == (
         "DomainBoundError",
-        "conclusion target exceeds max depth: ^+(^+(^+(^+(delta(k0(b.delta(0))),delta(b.delta(0))),"
-        "delta(b.delta(0))),delta(b.delta(0))),delta(b.delta(0))) (depth 9)",
+        "conclusion target exceeds max depth: ^+(^+(^+(delta(k0(+(a.delta(0),b.delta(0)))),delta(+(a.delta(0),b.delta(0)))),"
+        "delta(+(a.delta(0),b.delta(0)))),delta(+(a.delta(0),b.delta(0)))) (depth 9)",
     )
 
 

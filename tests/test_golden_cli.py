@@ -13,11 +13,11 @@ sweeps (a system whose greatest fixpoint is not transitive, whose NO answer
 has a witness, and one whose classes overlap), the inert steps of a branching
 witness, `.pts` bodies that hold brackets, a repeated target state, which
 sums, and the `.pts` diagnostics of a state line or an entry; `stable-model`
-for premises with an open source and premise targets matched against a
-pattern.  `pts` is here for bound values that `int()` refuses though they
-are digits, which argparse words as any other value that is not a positive
-integer, in usage lines wrapped at 80 columns, and for a model that does not
-converge.
+for premise targets matched against a pattern under bound sources and for a
+premise source that nothing binds.  `pts` is here for bound values that
+`int()` refuses though they are digits, which argparse words as any other
+value that is not a positive integer, in usage lines wrapped at 80 columns,
+and for a model that does not converge.
 
 Every case runs in a folder that holds the files of `populate`, with paths
 relative to it, so that no message names a temporary folder.  Re-record (only
@@ -75,14 +75,18 @@ _BRACKETED = (
     f"trans {_SUM} --a-> {{ 0: 1/2, b.delta(0): 1/2 }}\ntrans {_SUM} --tau-> {{ a.delta(0): 1 }}\n"
     "trans a.delta(0) --a-> { 0: 1 }\ntrans b.delta(0) --b-> { 0: 1 }\n"
 )
-# BOUND_PREMISE_SPEC of tests/test_engine_oracle.py: premises with an open
-# source, and premise targets matched against a pattern
+# BOUND_PREMISE_SPEC of tests/test_engine_oracle.py: premise targets matched
+# against a pattern under bound sources, one of which the rule builds; with
+# its `open` rule, a premise source that nothing binds
 _BOUND_PREMISE = _BARE.replace("rule prefix", "op h : -> s\nop f : s -> s\nop g : s s -> s\nrule prefix") + (
     "rule spin: h --a-> delta(h)\n"
     "rule loop: x --a-> delta(x) |- f(x) --b-> delta(x)\n"
-    "rule open: y --a-> delta(x) |- g(x,z) --a-> delta(y)\n"
-    "rule open2: f(w) --b-> delta(w) |- g(x,z) --b-> delta(w)\n"
+    "rule pair: z --a-> delta(x) |- g(x,z) --a-> delta(z)\n"
+    "rule meet: f(x) --b-> delta(x) |- g(x,z) --b-> delta(z)\n"
 )
+_BOUND_PREMISE_ROOTS = [
+    arg for root in ("g(0,a.delta(0))", "g(h,a.delta(0))", "g(h,a.delta(h))", "f(a.delta(h))") for arg in ("--root", root)
+]
 
 
 def _flipped(name: str, old: str, new: str) -> str:
@@ -149,6 +153,7 @@ FILES = {
     "inert_step.pts": _INERT_STEP,
     "bracketed.pts": _BRACKETED,
     "bound_premise.ptss": _BOUND_PREMISE,
+    "open_premise.ptss": _BOUND_PREMISE + "rule open: y --a-> delta(x) |- g(x,z) --a-> delta(y)\n",
 }
 
 _R = "corpus/running.ptss"
@@ -168,8 +173,8 @@ CASES = {
     "stable-model/missing-file": ["stable-model", "missing.ptss", "--root", "0"],
     "stable-model/non-utf8": ["stable-model", "latin1.ptss", "--root", "0"],
     "stable-model/empty-path": ["stable-model", "", "--root", "0"],
-    "stable-model/premise-patterns": ["stable-model", "bound_premise.ptss", "--root", "g(0,0)", "--root",
-                                      "g(h,a.delta(0))", "--root", "f(h)", "--root", "f(a.delta(h))"],
+    "stable-model/premise-patterns": ["stable-model", "bound_premise.ptss", *_BOUND_PREMISE_ROOTS],
+    "stable-model/open-premise-source": ["stable-model", "open_premise.ptss", *_BOUND_PREMISE_ROOTS],
     "check-format/empty-path": ["check-format", ""],
     "check-format/rule-name-part": ["check-format", "diagnostics/rule_name.ptss"],
     "check-format/duplicate-turnstile": ["check-format", "diagnostics/turnstile.ptss"],
