@@ -7,6 +7,8 @@ probe violations, all expectations met), 1 negative, 2 usage or parse errors,
 An error prints one `<where>: error: <message>` line per diagnostic, or
 `error: <message>` when it names no place.  Each answer is computed once, as
 the payload that `--json` prints; the text lines are rendered from it.
+`bisim` and corpus-run read a pair of states by one reader, `_pair`, and
+corpus-run answers each expectation by one evaluator, in file order.
 """
 
 from __future__ import annotations
@@ -138,12 +140,18 @@ def _spec_and_roots(args: argparse.Namespace) -> tuple[PTSS, tuple[Term, ...]]:
     return spec, roots
 
 
-def _states(pts: PTS, s: str, t: str, where: str) -> tuple[Term, Term]:
-    """The states of `pts` named `s` and `t`."""
-    u, v = opaque_state(s), opaque_state(t)
-    if u not in pts.states or v not in pts.states:
-        raise PtssError(f"unknown state {s!r} or {t!r}", where)
-    return u, v
+def _pair(source: PTS | PTSS, words: list[_TermText], where: str,
+          bound: Callable[[tuple[Term, Term]], DomainBound]) -> tuple[PTS, Term, Term]:
+    """The PTS and the two states a pair's words name: a `.pts` file's own
+    states, or the spec's terms in the PTS reached under `bound(pair)`, which
+    is called after the pair is read, so that its diagnostics come first."""
+    if isinstance(source, PTS):
+        s, t = (opaque_state(word[0]) for word in words)
+        if s not in source.states or t not in source.states:
+            raise PtssError(f"unknown state {words[0][0]!r} or {words[1][0]!r}", where)
+        return source, s, t
+    s, t = _parse_terms(source, words)
+    return reachable_pts(source, bound((s, t))), s, t
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +217,9 @@ def _cmd_pts(args: argparse.Namespace) -> int:
 
 
 def _cmd_bisim(args: argparse.Namespace) -> int:
-    path = args.path
-    if path.endswith(".pts"):
-        pts = _load(path, load_pts)
-        s, t = _states(pts, args.s, args.t, path)
-    else:
-        spec = _load(path, parse_spec)
-        s, t = _parse_terms(spec, _args("argument s", [args.s]) + _args("argument t", [args.t]))
-        roots = tuple(_parse_terms(spec, _args("--root", args.root))) + (s, t)
-        pts = reachable_pts(spec, _bound(args, roots))
-
+    source = _load(args.path, load_pts if args.path.endswith(".pts") else parse_spec)
+    pts, s, t = _pair(source, _args("argument s", [args.s]) + _args("argument t", [args.t]), args.path,
+                      lambda pair: _bound(args, tuple(_parse_terms(source, _args("--root", args.root))) + pair))
     decision = decide(args.kind, pts)
     related = decision.related(s, t)
     partition = decision.classes()
@@ -257,12 +258,17 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Corpus expectations
 
+# each expectation's form: the words before its colon, and those after it of a violation
+_FORMS = {"format": "format", "violation": "violation: <rule> <cond>", "complete": "complete",
+          "bisim": "bisim <kind> <s> <t>", "probe": "probe <kind> <context> <u> <v>"}
+
+
 class Expectation(NamedTuple):
     line: int
     kind: str
     detail: str
     expected: str
-    words: list[_TermText]  # the words of `detail`, each with its place in the file
+    words: list[_TermText]  # the words between the kind and the colon, each with its place in the file
 
 
 def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_TermText]]:
@@ -284,7 +290,7 @@ def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_
                 raise PtssError("malformed expectation", f"{path}:{line_no}")
             kind = words[0][0]
             detail = head.strip()[len(kind):].strip()
-            if kind not in ("format", "violation", "complete", "bisim", "probe"):
+            if kind not in _FORMS:
                 raise PtssError(f"unknown expectation {kind!r}", f"{path}:{line_no}")
             if kind in ("bisim", "probe") and detail and words[1][0] not in KINDS:
                 raise PtssError(f"unknown {kind} kind {words[1][0]!r}", f"{path}:{line_no}")
@@ -295,70 +301,43 @@ def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_
     return expectations, roots
 
 
-def _pts_evaluator(path: str, pts: PTS) -> Callable[[Expectation], str]:
-    """The outcome of an expectation on a `.pts` file, deciding each kind once."""
+def _run_corpus_file(path: Path) -> list[dict]:
+    """The `--json` rows of a file's expectations, each evaluated in file order
+    by one function, which checks the format at most once and, on a `.pts`
+    file, decides each kind at most once."""
+    text = _read_file(str(path))
+    expectations, root_items = _parse_expectations(text, str(path))
+    source = load_pts(text) if path.suffix == ".pts" else parse_spec(text)
+    roots = () if isinstance(source, PTS) else tuple(_parse_terms(source, root_items))
+    report = functools.cache(lambda: check_format(source))
     decisions: dict[str, Decision] = {}
 
     def actual(exp: Expectation) -> str:
         where = f"{path}:{exp.line}"
-        if exp.kind != "bisim":
+        if isinstance(source, PTS) and exp.kind != "bisim":
             raise PtssError("only bisim expectations apply to .pts files", where)
-        if len(exp.words) != 3:
-            raise PtssError("expected 'bisim <kind> <s> <t>'", where)
-        kind, sname, tname = (word[0] for word in exp.words)
-        s, t = _states(pts, sname, tname, where)
-        if kind not in decisions:
-            decisions[kind] = decide(kind, pts)
-        return "yes" if decisions[kind].related(s, t) else "no"
-
-    return actual
-
-
-def _spec_evaluator(path: str, spec: PTSS, roots: tuple[Term, ...]) -> Callable[[Expectation], str]:
-    """The outcome of an expectation on a `.ptss` file, checking its format once."""
-    report = functools.cache(lambda: check_format(spec))
-
-    def actual(exp: Expectation) -> str:
-        where = f"{path}:{exp.line}"
+        head, _, tail = _FORMS[exp.kind].partition(":")  # a word a placeholder, a violation's after the colon
+        if len(exp.words) != head.count("<") or tail and len(exp.detail.split()) != tail.count("<"):
+            raise PtssError(f"expected '{_FORMS[exp.kind]}'", where)
         if exp.kind == "format":
             return "pass" if report().overall else "fail"
         if exp.kind == "violation":
-            try:
-                rule, cond = exp.detail.split()
-            except ValueError:
-                raise PtssError("expected 'violation: <rule> <cond>'", where)
+            rule, cond = exp.detail.split()
             hit = any(v.rule == rule and v.condition == cond for v in report().all_violations())
             return "present" if hit else "absent"
         if exp.kind == "complete":
             if not roots:
                 raise PtssError("complete expectation needs '# roots:'", where)
-            complete, _ = is_complete(spec, _CORPUS_BOUND._replace(roots=roots))
-            return "yes" if complete else "no"
-        if exp.kind == "bisim":
-            if len(exp.words) != 3:
-                raise PtssError("expected 'bisim <kind> <s> <t>'", where)
-            s, t = _parse_terms(spec, exp.words[1:])
-            pts = reachable_pts(spec, _CORPUS_BOUND._replace(roots=roots + (s, t)))
-            return "yes" if decide(exp.words[0][0], pts).related(s, t) else "no"
-        # "probe", the last kind _parse_expectations admits
-        if len(exp.words) != 4:
-            raise PtssError("expected 'probe <kind> <context> <u> <v>'", where)
-        context, u, v = _parse_terms(spec, exp.words[1:])
-        violations = congruence_probe(spec, [(u, v)], [context], _CORPUS_BOUND, kind=exp.words[0][0])
-        return "ok" if not violations else "fail"
+            return "yes" if is_complete(source, _CORPUS_BOUND._replace(roots=roots))[0] else "no"
+        kind, words = exp.words[0][0], exp.words[1:]
+        if exp.kind == "probe":
+            context, u, v = _parse_terms(source, words)
+            return "fail" if congruence_probe(source, [(u, v)], [context], _CORPUS_BOUND, kind=kind) else "ok"
+        pts, s, t = _pair(source, words, where, lambda pair: _CORPUS_BOUND._replace(roots=roots + pair))
+        if pts is not source or kind not in decisions:  # a spec's pair reaches a PTS of its own
+            decisions[kind] = decide(kind, pts)
+        return "yes" if decisions[kind].related(s, t) else "no"
 
-    return actual
-
-
-def _run_corpus_file(path: Path) -> list[dict]:
-    """The `--json` rows of a file's expectations."""
-    text = _read_file(str(path))
-    expectations, root_items = _parse_expectations(text, str(path))
-    if path.suffix == ".pts":
-        actual = _pts_evaluator(str(path), load_pts(text))
-    else:
-        spec = parse_spec(text)
-        actual = _spec_evaluator(str(path), spec, tuple(_parse_terms(spec, root_items)))
     rows = []
     for exp in expectations:
         got = actual(exp)

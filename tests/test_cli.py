@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +288,72 @@ def test_corpus_run_malformed_header(tmp_path, capsys):
     bad.write_text("# expect nonsense: yes\nstate s\n")
     code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("line, form", [
+    ("# expect complete f: yes", "complete"),
+    ("# expect format extra words: pass", "format"),
+    ("# expect violation junk: g_neg 2a", "violation: <rule> <cond>"),
+])
+def test_words_an_expectation_does_not_take_are_a_diagnostic(tmp_path, capsys, line, form):
+    # these kinds take no words before the colon; such words were dropped silently
+    (tmp_path / "x.ptss").write_text(f"# roots: 0\n# expect format: pass\n{line}\n" + RUNNING_SPEC)
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    error = f"{tmp_path / 'x.ptss'}:3: error: expected '{form}'"
+    assert (code, out) == (EXIT_USAGE, f"{error}\nsummary: 0 expectations, 1 failed\n")
+
+
+def test_expectations_are_checked_in_file_order(tmp_path, capsys):
+    # the unknown state of line 1 is reported, not the stray word of line 2
+    text = (CORPUS / "mixed_choice.pts").read_text()
+    (tmp_path / "m.pts").write_text("# expect bisim branching t0 zz: yes\n# expect bisim branching t0 u1 u2: no\n" + text)
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert (code, out.splitlines()[0]) == (EXIT_USAGE, f"{tmp_path / 'm.pts'}:1: error: unknown state 't0' or 'zz'")
+
+
+def test_bisim_reports_the_pair_before_the_roots(capsys):
+    code, out, err = run_cli(capsys, "bisim", str(CORPUS / "running.ptss"), "--kind", "branching", "q(0)", "0",
+                             "--root", "zz(0)")
+    assert (code, out, err) == (EXIT_USAGE, "", "argument s 'q(0)':1:1: error: unknown operator q\n")
+
+
+def _corpus_files(capsys, directory):
+    """The `--json` payload's files of `corpus-run directory`."""
+    code, out, _ = run_cli(capsys, "corpus-run", str(directory), "--json")
+    assert code in (EXIT_OK, EXIT_NEGATIVE)
+    return json.loads(out)["files"]
+
+
+_VERDICT = {EXIT_OK: "yes", EXIT_NEGATIVE: "no"}
+
+
+@pytest.mark.parametrize("name", ["mixed_choice.pts", "tau_tree.pts", "weak_trans.pts"])
+def test_corpus_run_and_bisim_agree_on_every_pair_of_a_pts_file(tmp_path, capsys, name):
+    text = (CORPUS / name).read_text()
+    states = [line.split()[1] for line in text.splitlines() if line.startswith("state ")]
+    assert len(states) in (6, 9, 10)
+    questions = [(kind, s, t) for kind in KINDS for s in states for t in states]
+    (tmp_path / name).write_text("".join(f"# expect bisim {k} {s} {t}: yes\n" for k, s, t in questions) + text)
+    (file,) = _corpus_files(capsys, tmp_path)
+    assert len(file["expectations"]) >= len(questions)  # the file's own expectations follow
+    for (kind, s, t), row in zip(questions, file["expectations"]):
+        code, _, _ = run_cli(capsys, "bisim", str(CORPUS / name), "--kind", kind, s, t)
+        assert (row["detail"], row["actual"]) == (f"{kind} {s} {t}", _VERDICT[code])
+
+
+def test_corpus_run_and_bisim_agree_on_the_corpus_specs(capsys):
+    checked = 0
+    for file in _corpus_files(capsys, CORPUS):
+        lines = Path(file["path"]).read_text().splitlines()
+        roots = [w for line in lines if line.startswith("# roots:") for w in line[len("# roots:"):].split()]
+        for row in file["expectations"]:
+            if row["kind"] == "bisim" and file["path"].endswith(".ptss"):
+                kind, s, t = row["detail"].split()
+                code, _, _ = run_cli(capsys, "bisim", file["path"], "--kind", kind, s, t, "--max-depth", "10",
+                                     *(arg for root in roots for arg in ("--root", root)))
+                assert row["actual"] == _VERDICT[code], (file["path"], row)
+                checked += 1
+    assert checked == 4
 
 
 def test_pts_negative_entry_is_a_diagnostic(tmp_path, capsys):
