@@ -11,7 +11,10 @@ Two scheduler-free deciders plus supporting machinery:
   challenge's target lies in one block, that is almost-sure reachability by
   inert steps (de Alfaro 1997); else exact-rational linear feasibility, an LP
   over a partition (Turrini & Hermanns 2015) on the steps that reach only the
-  challenge's blocks, built only when they reach all of them.
+  challenge's blocks, built only when they reach all of them.  Over point
+  masses alone, almost-sure is plain reachability (de Alfaro 1997) and a weak
+  combined transition (Segala 1995) stops anywhere it reaches (Turrini &
+  Hermanns 2015): a PTS of them has the branching partition, one LP flow row.
 
 Both refine a partition of the states by signatures (Groote & Vaandrager
 1990; Blom & Orzan 2003) in one loop (`_partition`) over an integer index of
@@ -364,8 +367,13 @@ def prob_branching_bisim(pts: PTS) -> StateRelation:
     the check is monotone, so no pair of one is deleted.  Where no greatest
     bisimulation equivalence exists, the pairs kept are those that some
     bisimulation partition relates (checked by brute force on small systems),
-    and the classes may overlap."""
+    and the classes may overlap.  Where every step is a point mass, no move
+    spreads over blocks and a member almost surely reaches a set by inert steps
+    exactly when an inert path does (de Alfaro 1997; Baier & Katoen 2008,
+    10.6.1): each signature is the branching one, as is the partition."""
     ix = _index(pts)
+    if all(len(step[2]) == 1 for out in ix.steps for step in out):  # point masses: the branching partition
+        return _partition(ix)[0]
     rel, (block, members, moves, *kept) = _partition(ix, _pbranching_signatures)
     # a block with one-block moves only signs alike without staying put: no LP reads `stay`
     if all(len(set(_pbranching_signatures(ix, block, ms, moves, *kept, False))) == 1 for ms in members
@@ -404,7 +412,8 @@ def _block_match(
     put, whose combined target has the block masses `key` of a move into
     several blocks.  A step reaching a block without mass takes none, and no
     LP is built when a block with mass is reached by no other step, nor by
-    staying put, or when `reach[0]` has just one step, its own move."""
+    staying put, or when `reach[0]` has just one step, its own move.  Inert
+    point masses alone take one flow row, as in `_combined_match`."""
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
     stay, alone = stay and label == "tau", not inert[reach[0]]  # alone: no inert step to take
     if not steps or (alone and not stay and len(steps) == 1):
@@ -414,12 +423,13 @@ def _block_match(
     steps = [step for step in steps if all(block[u] in want for u in step[2])]
     if len({block[u] for step in steps for u in step[2]}) < len(want) or (alone and len(steps) == 1):
         return False
-    # a flow row per reached state, then a row per block with mass, for the combined target
-    at, lift = {u: i for i, u in enumerate(reach)}, {b: len(reach) + i for i, b in enumerate(want)}
-    rows: list[dict[int, int]] = [{} for _ in range(len(reach) + len(lift))]
-    col = _flow_rows(rows, at, [step for u in reach for step in inert[u]], 0, scale)
+    # the weak phase's flow rows, then a row per block with mass, for the combined target
+    at, taus, flows = _weak_phase(reach, [step for u in reach for step in inert[u]])
+    lift = {b: flows + i for i, b in enumerate(want)}
+    rows: list[dict[int, int]] = [{} for _ in range(flows + len(lift))]
+    col = _flow_rows(rows, at, taus, 0, scale)
     _flow_rows(rows, at, steps, col, scale, {u: lift[block[u]] for step in steps for u in step[2]})
-    rhs = [scale] + [0] * (len(reach) - 1) + [-m for m in want.values()]  # all mass starts at reach[0]
+    rhs = [scale] + [0] * (flows - 1) + [-m for m in want.values()]  # all mass starts at reach[0]
     return lp.feasible(rows, rhs)
 
 
@@ -431,25 +441,36 @@ def _combined_match(
     reach an intermediate distribution whose one-step `label`-combination is
     lifting-related to the challenge target?  No other state receives mass, so
     the LP spans reach(t), the states `t` reaches by preserving steps: a flow
-    row each, their `label` steps, and a lift row for each state they reach."""
+    row each, their `label` steps, and a lift row for each state they reach.
+    Over preserving point masses each unit of a weak combined transition
+    (Segala 1995) follows one path, so any stop over reach(t) is reached
+    (Turrini & Hermanns 2015): one convexity row, and no tau column."""
     walk = _reach(ix, t, lambda tr: tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support))
     reach, preserving = zip(*walk)
-    at = {u: i for i, u in enumerate(reach)}
+    at, taus, flows = _weak_phase(reach, [step for steps in preserving for step in steps])
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
     states, scale = ix.states, ix.scale
-    lift = {v: i for i, v in enumerate(dict.fromkeys(v for step in steps for v in step[2]), len(reach))}
+    lift = {v: i for i, v in enumerate(dict.fromkeys(v for step in steps for v in step[2]), flows)}
     # each challenge entry's related lift rows; an entry with none is not lifted
     partners = [[i for v, i in lift.items() if states[v] in rel.get(states[p], ())] for p in targets]
     if not all(partners):
         return False
     # a weak tau phase inside the preserving set, then one label-step per stopped unit; the lift
     # rows lift the challenge target against the combined target, a column per related pair
-    rows: list[dict[int, int]] = [{} for _ in range(len(reach) + len(lift))]
-    col = _flow_rows(rows, at, [step for steps in preserving for step in steps], 0, scale)
+    rows: list[dict[int, int]] = [{} for _ in range(flows + len(lift))]
+    col = _flow_rows(rows, at, taus, 0, scale)
     col = _flow_rows(rows, at, steps, col, scale, lift)
     rhs = [scale] + [0] * (len(rows) - 1)  # all mass starts at t
     _lift_rows(rows, rhs, partners, weights, col)
     return lp.feasible(rows, rhs)
+
+
+def _weak_phase(reach: Sequence[int], taus: list[Step]) -> tuple[dict[int, int], list[Step], int]:
+    """A weak phase from `reach[0]` by `taus` over `reach`: each state's flow
+    row, the steps that take a column and the row count."""
+    if all(len(step[2]) == 1 for step in taus):
+        return dict.fromkeys(reach, 0), [], 1
+    return {u: i for i, u in enumerate(reach)}, taus, len(reach)
 
 
 # -- rooted branching bisimulation -------------------------------------------

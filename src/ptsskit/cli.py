@@ -218,6 +218,8 @@ def _cmd_pts(args: argparse.Namespace) -> int:
 
 def _cmd_bisim(args: argparse.Namespace) -> int:
     source = _load(args.path, load_pts if args.path.endswith(".pts") else parse_spec)
+    if isinstance(source, PTS) and args.root:
+        raise PtssError("--root applies to a .ptss spec, not a .pts file", args.path)
     pts, s, t = _pair(source, _args("argument s", [args.s]) + _args("argument t", [args.t]), args.path,
                       lambda pair: _bound(args, tuple(_parse_terms(source, _args("--root", args.root))) + pair))
     decision = decide(args.kind, pts)
@@ -290,10 +292,6 @@ def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_
                 raise PtssError("malformed expectation", f"{path}:{line_no}")
             kind = words[0][0]
             detail = head.strip()[len(kind):].strip()
-            if kind not in _FORMS:
-                raise PtssError(f"unknown expectation {kind!r}", f"{path}:{line_no}")
-            if kind in ("bisim", "probe") and detail and words[1][0] not in KINDS:
-                raise PtssError(f"unknown {kind} kind {words[1][0]!r}", f"{path}:{line_no}")
             if kind == "violation":
                 # payload sits after the colon: `# expect violation: <rule> <cond>`
                 detail, expected = expected, "present"
@@ -308,12 +306,18 @@ def _run_corpus_file(path: Path) -> list[dict]:
     text = _read_file(str(path))
     expectations, root_items = _parse_expectations(text, str(path))
     source = load_pts(text) if path.suffix == ".pts" else parse_spec(text)
-    roots = () if isinstance(source, PTS) else tuple(_parse_terms(source, root_items))
+    if isinstance(source, PTS) and root_items:  # a .pts file's states are its own: it reaches no roots
+        raise PtssError("'# roots:' applies to a .ptss spec, not a .pts file", f"{path}:{root_items[0][2]}")
+    roots = tuple(_parse_terms(source, root_items))
     report = functools.cache(lambda: check_format(source))
     decisions: dict[str, Decision] = {}
 
     def actual(exp: Expectation) -> str:
         where = f"{path}:{exp.line}"
+        if exp.kind not in _FORMS:
+            raise PtssError(f"unknown expectation {exp.kind!r}", where)
+        if exp.kind in ("bisim", "probe") and exp.detail and exp.words[0][0] not in KINDS:
+            raise PtssError(f"unknown {exp.kind} kind {exp.words[0][0]!r}", where)
         if isinstance(source, PTS) and exp.kind != "bisim":
             raise PtssError("only bisim expectations apply to .pts files", where)
         head, _, tail = _FORMS[exp.kind].partition(":")  # a word a placeholder, a violation's after the colon

@@ -7,17 +7,21 @@ plain family (`random_pts` of `tests/test_refine_oracle.py`, seed 1) comes
 first, so that a run cut short by a timeout still prints it; then the same
 systems stuttered (`stuttered_pts`, 3n + 2 states: each system beside a copy
 whose states first take one inert tau-step, the shape of the benchmark's
-bisim systems); then the tau chain of `tests/test_almost_sure.py`, with a
-line for the pair p/q planted beside the chain, while one class holds almost
+bisim systems); then the tau chain of `tests/test_almost_sure.py`, whose
+decision line also gives the time of its branching decision (every step is a
+point mass, so pbranching takes the branching partition), with a line for
+the pair p/q planted beside the chain, while one class holds almost
 every state: the time and `lp.feasible` calls of one branching and one
 pbranching NO witness, with the `bisim._common` calls, each a copy of the
 partner sets that a pbranching witness builds only when the widened relation
 leaves every challenge matched.  Each stuttered and tau-chain size has a
-`witnesses` line too: the total time, `lp.feasible` and `_common` calls of
-each kind's NO witnesses for SAMPLE pairs drawn with a fixed seed among the
-pairs that neither kind relates, p/q left out.  Each system is built afresh
-and decided once per kind, in process; information only, nothing is
-asserted.  A script, not a test module, so pytest does not collect it."""
+`witnesses` line too: the total time, `lp.feasible` calls and `_common` calls
+of each kind's NO witnesses for SAMPLE pairs drawn with a fixed seed among the
+pairs that neither kind relates, p/q left out.  Every witness line also gives
+the largest and the total row count of its LPs (`rows.max`, `rows.total`).
+Each system is built afresh and decided once per kind, in process;
+information only, nothing is asserted.  A script, not a test module, so
+pytest does not collect it."""
 
 import pathlib
 import random
@@ -39,14 +43,16 @@ TAU_CHAIN = (60, 120, 250, 500, 1000, 2000)
 
 def counted(run):
     """The seconds `run()` takes and the calls it makes of `lp.feasible` and
-    of `bisim._common`, the pbranching witness's fallback relation, with its
-    result."""
-    calls = {}
+    of `bisim._common`, the pbranching witness's fallback relation, with each
+    LP's row count under "rows", and its result."""
+    calls = {"rows": []}
     originals = {(lp, "feasible"): lp.feasible, (bisim, "_common"): bisim._common}
 
     def counting(name, f):
         def wrapper(*args):
             calls[name] += 1
+            if name == "feasible":
+                calls["rows"].append(len(args[0]))
             return f(*args)
         return wrapper
 
@@ -66,18 +72,21 @@ def counted(run):
 SAMPLE = 12
 
 
-def measure(family, n, pts):
-    """Decide pbranching on `pts`, print its line and return the decision."""
+def measure(family, n, pts, *extra):
+    """Decide pbranching on `pts`, print its line, ending in `extra`, and return the decision."""
     seconds, calls, decision = counted(lambda: bisim.decide("pbranching", pts))
     print(f"{family} n={n} seconds={seconds:.3f} lp.feasible={calls['feasible']} classes={len(decision.classes())}",
-          flush=True)
+          *extra, flush=True)
     return decision
 
 
 def witness(decision, pairs):
-    """The time, LP count and `_common` count of the NO witnesses for `pairs`."""
+    """The time, LP count, largest and total LP row count and `_common` count
+    of the NO witnesses for `pairs`."""
     seconds, calls, _ = counted(lambda: [decision.witness(s, t) for s, t in pairs])
-    return f"{decision.kind}={seconds:.3f} lp.feasible={calls['feasible']} _common={calls['_common']}"
+    rows = calls["rows"]
+    return (f"{decision.kind}={seconds:.3f} lp.feasible={calls['feasible']} rows.max={max(rows, default=0)}"
+            f" rows.total={sum(rows)} _common={calls['_common']}")
 
 
 def witnesses(family, n, decisions):
@@ -103,7 +112,9 @@ def main():
         pts = stuttered_pts(n, random_pts(random.Random(1), n))
         witnesses("stuttered", n, [bisim.decide("branching", pts), measure("stuttered", n, pts)])
     for n in TAU_CHAIN:
-        measure("tau-chain", n, tau_chain(n))
+        pts = tau_chain(n)  # a system of its own, so that neither decision finds the other's index
+        branching = counted(lambda: bisim.decide("branching", pts))[0]
+        measure("tau-chain", n, tau_chain(n), f"branching.seconds={branching:.3f}")
         pts = tau_chain(n, PLANTED)
         decisions = [bisim.decide(kind, pts) for kind in ("branching", "pbranching")]
         planted = [tuple(s for s in pts.states if render_term(s) in ("p", "q"))]

@@ -6,9 +6,10 @@ block masses, on every one-block key of every signing that refinement asks
 for: fixed-seed tau-heavy, plain and stuttered systems, tau chains, tau
 cycles, and a block whose inert step leaks into a dead end, where plain
 reachability holds and almost-sure reachability fails.  Then the saving: the
-tau chain and the benchmark's `pb` family decide with no one-block LP, and
-their NO witnesses for the planted pair build no LP at all, as the per-pair
-LP spans only the states the queried state reaches."""
+tau chain and the benchmark's `pb` family, whose steps are all point masses,
+decide with no signing at all (so no one-block LP), and their NO witnesses
+for the planted pair build no LP at all, as the per-pair LP spans only the
+states the queried state reaches."""
 
 import hashlib
 import json
@@ -131,22 +132,35 @@ def test_an_inert_step_into_a_dead_end_is_no_sure_match(text):
 TAU_CHAIN_60_CLASSES_SHA256 = "84595d177745d203180051dd5c185472a38ac063882d9b78a259e59aec7c2b08"
 
 
+def signing_spy(monkeypatch):
+    """The names of the pbranching signing and of `_almost_sure`, one per call
+    made from now on."""
+    calls = []
+    for name in ("_pbranching_signatures", "_almost_sure"):
+        f = getattr(bisim, name)
+        monkeypatch.setattr(bisim, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    return calls
+
+
 def test_the_tau_chain_decides_with_no_lp(monkeypatch):
     calls = []
     feasible = lp.feasible
     monkeypatch.setattr(lp, "feasible", lambda rows, rhs: calls.append(len(rows)) or feasible(rows, rhs))
+    signings = signing_spy(monkeypatch)
     decision = bisim.decide("pbranching", tau_chain(60))
     classes = [[render_term(u) for u in c] for c in decision.classes()]
     assert sorted(map(len, classes), reverse=True) == [57, 3]
     assert hashlib.sha256(json.dumps(classes).encode()).hexdigest() == TAU_CHAIN_60_CLASSES_SHA256
-    assert calls == []
+    assert calls == [] and signings == []  # every step a point mass: the branching partition, unsigned
 
 
 def test_the_benchmark_pb_family_matches_no_one_block_key_by_lp(monkeypatch):
-    # the `pb` and `pbx` systems of perfbench/workloads.py: |R| = 1, stuttered
+    # the `pb` and `pbx` systems of perfbench/workloads.py: |R| = 1, stuttered, every step a
+    # point mass, so no member is signed and no one-block key is asked of any match
     keys = []
     block_match = bisim._block_match
     monkeypatch.setattr(bisim, "_block_match", lambda *args: keys.append(args[5]) or block_match(*args))
+    signings = signing_spy(monkeypatch)
     for cls, count in (("pb", 16), ("pbx", 8)):
         for i in range(count):
             pts = stuttered_pts(1, random_pts(random.Random(f"bisim/{cls}/{i}"), 1))
@@ -154,7 +168,7 @@ def test_the_benchmark_pb_family_matches_no_one_block_key_by_lp(monkeypatch):
             decision = bisim.decide("pbranching", pts)
             assert decision.related(named["r0"], named["c0"])
             assert decision.witness(named["p"], named["q"]) is not None
-    assert [key for key in keys if type(key) is int] == []
+    assert keys == [] and signings == []
 
 
 def _witness_by_lp_count(monkeypatch, decision, s, t):

@@ -311,6 +311,27 @@ def test_expectations_are_checked_in_file_order(tmp_path, capsys):
     assert (code, out.splitlines()[0]) == (EXIT_USAGE, f"{tmp_path / 'm.pts'}:1: error: unknown state 't0' or 'zz'")
 
 
+def test_an_unknown_kind_is_reported_in_file_order(tmp_path, capsys):
+    # the unknown state of line 1 is reported, not the unknown kind of line 2
+    text = (CORPUS / "mixed_choice.pts").read_text()
+    (tmp_path / "m.pts").write_text("# expect bisim branching zz t0: yes\n# expect bisim strong t0 u1: yes\n" + text)
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert (code, out.splitlines()[0]) == (EXIT_USAGE, f"{tmp_path / 'm.pts'}:1: error: unknown state 'zz' or 't0'")
+
+
+def test_a_pts_file_refuses_roots(tmp_path, capsys):
+    # a .pts file's states are its own: a root given to it was dropped unread
+    path = str(CORPUS / "mixed_choice.pts")
+    code, out, err = run_cli(capsys, "bisim", path, "--kind", "branching", "t0", "u1", "--root", "garbage(((")
+    assert (code, out, err) == (EXIT_USAGE, "", f"{path}: error: --root applies to a .ptss spec, not a .pts file\n")
+    # in a corpus file, before any expectation is evaluated: line 1's unknown state goes unreported
+    text = (CORPUS / "mixed_choice.pts").read_text()
+    (tmp_path / "m.pts").write_text("# expect bisim branching zz t0: yes\n# roots: q(((\n" + text)
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    error = f"{tmp_path / 'm.pts'}:2: error: '# roots:' applies to a .ptss spec, not a .pts file"
+    assert (code, out) == (EXIT_USAGE, f"{error}\nsummary: 0 expectations, 1 failed\n")
+
+
 def test_bisim_reports_the_pair_before_the_roots(capsys):
     code, out, err = run_cli(capsys, "bisim", str(CORPUS / "running.ptss"), "--kind", "branching", "q(0)", "0",
                              "--root", "zz(0)")
