@@ -7,8 +7,9 @@ probe violations, all expectations met), 1 negative, 2 usage or parse errors,
 An error prints one `<where>: error: <message>` line per diagnostic, or
 `error: <message>` when it names no place.  Each answer is computed once, as
 the payload that `--json` prints; the text lines are rendered from it.
-`bisim` and corpus-run read a pair of states by one reader, `_pair`, and
-corpus-run answers each expectation by one evaluator, in file order.
+`bisim` and corpus-run read a pair of states by one reader, `_pair`; corpus-run
+reports a file's parse errors, then its `# roots:` errors, then answers each
+`# expect` line once, in file order, and stops the file at its first error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 import sys
 from _json import encode_basestring_ascii as _quote  # json.encoder's C string writer, without loading json
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .bisim import KINDS, Decision, decide
 from .engine import PTS, DomainBound, export_pts, is_complete, load_pts, reachable_pts, stable_model
@@ -265,46 +266,14 @@ _FORMS = {"format": "format", "violation": "violation: <rule> <cond>", "complete
           "bisim": "bisim <kind> <s> <t>", "probe": "probe <kind> <context> <u> <v>"}
 
 
-class Expectation(NamedTuple):
-    line: int
-    kind: str
-    detail: str
-    expected: str
-    words: list[_TermText]  # the words between the kind and the colon, each with its place in the file
-
-
-def _parse_expectations(text: str, path: str) -> tuple[list[Expectation], list[_TermText]]:
-    expectations: list[Expectation] = []
-    roots: list[_TermText] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        indent = len(line) - len(line.lstrip())
-        if stripped.startswith("# roots:"):
-            roots.extend(_words(stripped[len("# roots:"):], path, line_no, indent + len("# roots:")))
-        elif stripped.startswith("# expect "):
-            body = stripped[len("# expect "):]
-            if ":" not in body:
-                raise PtssError("malformed expectation (missing ':')", f"{path}:{line_no}")
-            head, expected = body.rsplit(":", 1)
-            words = _words(head, path, line_no, indent + len("# expect "))
-            expected = expected.strip()
-            if not words or not expected:
-                raise PtssError("malformed expectation", f"{path}:{line_no}")
-            kind = words[0][0]
-            detail = head.strip()[len(kind):].strip()
-            if kind == "violation":
-                # payload sits after the colon: `# expect violation: <rule> <cond>`
-                detail, expected = expected, "present"
-            expectations.append(Expectation(line_no, kind, detail, expected, words[1:]))
-    return expectations, roots
-
-
 def _run_corpus_file(path: Path) -> list[dict]:
-    """The `--json` rows of a file's expectations, each evaluated in file order
-    by one function, which checks the format at most once and, on a `.pts`
-    file, decides each kind at most once."""
+    """The `--json` rows of a file's expectations, after its own errors: one
+    function reads and answers each `# expect` line in file order, checking the
+    format at most once and, on a `.pts` file, deciding each kind at most once."""
     text = _read_file(str(path))
-    expectations, root_items = _parse_expectations(text, str(path))
+    lines = [(n, line.strip(), len(line) - len(line.lstrip())) for n, line in enumerate(text.splitlines(), start=1)]
+    root_items = [word for n, stripped, indent in lines if stripped.startswith("# roots:")
+                  for word in _words(stripped[len("# roots:"):], str(path), n, indent + len("# roots:"))]
     source = load_pts(text) if path.suffix == ".pts" else parse_spec(text)
     if isinstance(source, PTS) and root_items:  # a .pts file's states are its own: it reaches no roots
         raise PtssError("'# roots:' applies to a .ptss spec, not a .pts file", f"{path}:{root_items[0][2]}")
@@ -312,42 +281,52 @@ def _run_corpus_file(path: Path) -> list[dict]:
     report = functools.cache(lambda: check_format(source))
     decisions: dict[str, Decision] = {}
 
-    def actual(exp: Expectation) -> str:
-        where = f"{path}:{exp.line}"
-        if exp.kind not in _FORMS:
-            raise PtssError(f"unknown expectation {exp.kind!r}", where)
-        if exp.kind in ("bisim", "probe") and exp.detail and exp.words[0][0] not in KINDS:
-            raise PtssError(f"unknown {exp.kind} kind {exp.words[0][0]!r}", where)
-        if isinstance(source, PTS) and exp.kind != "bisim":
+    def answer(line_no: int, stripped: str, indent: int) -> dict:
+        where = f"{path}:{line_no}"
+        body = stripped[len("# expect "):]
+        if ":" not in body:
+            raise PtssError("malformed expectation (missing ':')", where)
+        head, expected = body.rsplit(":", 1)
+        words = _words(head, str(path), line_no, indent + len("# expect "))  # the kind, then its words
+        expected = expected.strip()
+        if not words or not expected:
+            raise PtssError("malformed expectation", where)
+        kind, words = words[0][0], words[1:]
+        detail = head.strip()[len(kind):].strip()
+        if kind == "violation":  # payload sits after the colon: `# expect violation: <rule> <cond>`
+            detail, expected = expected, "present"
+        if kind not in _FORMS:
+            raise PtssError(f"unknown expectation {kind!r}", where)
+        if kind in ("bisim", "probe") and words and words[0][0] not in KINDS:
+            raise PtssError(f"unknown {kind} kind {words[0][0]!r}", where)
+        if isinstance(source, PTS) and kind != "bisim":
             raise PtssError("only bisim expectations apply to .pts files", where)
-        head, _, tail = _FORMS[exp.kind].partition(":")  # a word a placeholder, a violation's after the colon
-        if len(exp.words) != head.count("<") or tail and len(exp.detail.split()) != tail.count("<"):
-            raise PtssError(f"expected '{_FORMS[exp.kind]}'", where)
-        if exp.kind == "format":
-            return "pass" if report().overall else "fail"
-        if exp.kind == "violation":
-            rule, cond = exp.detail.split()
+        form, _, tail = _FORMS[kind].partition(":")  # a word a placeholder, a violation's after the colon
+        if len(words) != form.count("<") or tail and len(detail.split()) != tail.count("<"):
+            raise PtssError(f"expected '{_FORMS[kind]}'", where)
+        if kind == "format":
+            got = "pass" if report().overall else "fail"
+        elif kind == "violation":
+            rule, cond = detail.split()
             hit = any(v.rule == rule and v.condition == cond for v in report().all_violations())
-            return "present" if hit else "absent"
-        if exp.kind == "complete":
+            got = "present" if hit else "absent"
+        elif kind == "complete":
             if not roots:
                 raise PtssError("complete expectation needs '# roots:'", where)
-            return "yes" if is_complete(source, _CORPUS_BOUND._replace(roots=roots))[0] else "no"
-        kind, words = exp.words[0][0], exp.words[1:]
-        if exp.kind == "probe":
-            context, u, v = _parse_terms(source, words)
-            return "fail" if congruence_probe(source, [(u, v)], [context], _CORPUS_BOUND, kind=kind) else "ok"
-        pts, s, t = _pair(source, words, where, lambda pair: _CORPUS_BOUND._replace(roots=roots + pair))
-        if pts is not source or kind not in decisions:  # a spec's pair reaches a PTS of its own
-            decisions[kind] = decide(kind, pts)
-        return "yes" if decisions[kind].related(s, t) else "no"
+            got = "yes" if is_complete(source, _CORPUS_BOUND._replace(roots=roots))[0] else "no"
+        elif kind == "probe":
+            context, u, v = _parse_terms(source, words[1:])
+            got = "fail" if congruence_probe(source, [(u, v)], [context], _CORPUS_BOUND, kind=words[0][0]) else "ok"
+        else:
+            relation = words[0][0]
+            pts, s, t = _pair(source, words[1:], where, lambda pair: _CORPUS_BOUND._replace(roots=roots + pair))
+            if pts is not source or relation not in decisions:  # a spec's pair reaches a PTS of its own
+                decisions[relation] = decide(relation, pts)
+            got = "yes" if decisions[relation].related(s, t) else "no"
+        return {"line": line_no, "kind": kind, "detail": detail, "expected": expected,
+                "actual": got, "ok": got == expected}
 
-    rows = []
-    for exp in expectations:
-        got = actual(exp)
-        rows.append({"line": exp.line, "kind": exp.kind, "detail": exp.detail, "expected": exp.expected,
-                     "actual": got, "ok": got == exp.expected})
-    return rows
+    return [answer(*line) for line in lines if line[1].startswith("# expect ")]
 
 
 def corpus_run(directory: str) -> tuple[dict, list[str], int]:

@@ -16,10 +16,7 @@ from .terms import (
     Apply,
     Convex,
     Dirac,
-    DistVar,
-    _DIST,
     _STATE,
-    StateVar,
     Term,
     render_term,
 )
@@ -113,11 +110,11 @@ def evaluate(theta: Term) -> Distribution:
     """
     if theta.value is not None:
         return theta.value
+    if not theta.closed:  # and so no node below it is open
+        raise EvalError(f"cannot evaluate open term {render_term(theta)}")
     stack = [theta]
     while stack:
         t = stack[-1]
-        if isinstance(t, (StateVar, DistVar)):
-            raise EvalError(f"cannot evaluate open term {render_term(t)}")
         if isinstance(t, Apply) and not t.symbol.is_lifted:
             raise EvalError(f"{t.symbol.name} is not a distribution operator")
         if isinstance(t, Apply):
@@ -136,15 +133,11 @@ def evaluate(theta: Term) -> Distribution:
 def _evaluate_node(theta: Term, dists: list[Distribution]) -> Distribution:
     """The value of `theta`, given the values of its arguments in `evaluate`."""
     if isinstance(theta, Dirac):
-        if not theta.inner.closed:
-            raise EvalError(f"cannot evaluate open term {render_term(theta)}")
         return Distribution.dirac(theta.inner)
     if isinstance(theta, Convex):
         # `Convex` holds positive weights of sum 1
         return Distribution([(t, p if q is _ONE else p * q) for p, d in zip(theta.weights, dists) for t, q in d.items()])
     origin = theta.symbol.origin
-    if any(s is _DIST and not a.closed for a, s in zip(theta.args, origin.arg_sorts)):
-        raise EvalError(f"cannot evaluate open term {render_term(theta)}")
     items: list[tuple[Term, Fraction]] = []
     for combo in product(*(d.items() for d in dists)):
         picked = iter(combo)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,61 @@ def test_a_pts_file_refuses_roots(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
     error = f"{tmp_path / 'm.pts'}:2: error: '# roots:' applies to a .ptss spec, not a .pts file"
     assert (code, out) == (EXIT_USAGE, f"{error}\nsummary: 0 expectations, 1 failed\n")
+
+
+def test_an_earlier_expectation_error_is_reported_before_a_later_malformed_line(tmp_path, capsys):
+    # line 4's unknown state is reported, not line 5's missing colon
+    text = (CORPUS / "mixed_choice.pts").read_text()
+    (tmp_path / "x.pts").write_text("# a\n# b\n# c\n# expect bisim branching zz t0: yes\n"
+                                    "# expect bisim branching t0 u1\n" + text)
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    error = f"{tmp_path / 'x.pts'}:4: error: unknown state 'zz' or 't0'"
+    assert (code, out) == (EXIT_USAGE, f"{error}\nsummary: 0 expectations, 1 failed\n")
+
+
+def test_a_parse_error_is_reported_before_a_malformed_expectation(tmp_path, capsys):
+    (tmp_path / "x.ptss").write_text("# expect format pass\nptss x\nactions tau\nop 0 : -> q\n")
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    error = f"{tmp_path / 'x.ptss'}:4:11: error: expected a result sort ('s' or 'd')"
+    assert (code, out) == (EXIT_USAGE, f"{error}\nsummary: 0 expectations, 1 failed\n")
+
+
+# faulty expectation lines of each file: the line, and its diagnostic after `<path>:<line>`
+_FAULTS = {
+    "running.ptss": [
+        ("# expect bisim branching 0 0", ": error: malformed expectation (missing ':')"),
+        ("# expect bisim strong 0 0: yes", ": error: unknown bisim kind 'strong'"),
+        ("# expect format extra: pass", ": error: expected 'format'"),
+        ("# expect bisim branching zz(0) 0: yes", ":26: error: unknown operator zz"),
+    ],
+    "mixed_choice.pts": [
+        ("# expect bisim branching t0 u1", ": error: malformed expectation (missing ':')"),
+        ("# expect bisim strong t0 u1: yes", ": error: unknown bisim kind 'strong'"),
+        ("# expect bisim branching t0 u1 u2: no", ": error: expected 'bisim <kind> <s> <t>'"),
+        ("# expect bisim branching zz t0: yes", ": error: unknown state 'zz' or 't0'"),
+    ],
+}
+
+
+def test_a_file_reports_its_earliest_faulty_expectation(tmp_path, capsys):
+    rng = random.Random(42)
+    expected = {}
+    for i in range(12):
+        name = sorted(_FAULTS)[i % 2]
+        lines = (CORPUS / name).read_text().splitlines()
+        placed = {}  # each fault's line, by its own text
+        for fault, diagnostic in rng.sample(_FAULTS[name], rng.randint(1, 3)):
+            at = rng.randint(0, len(lines))
+            lines.insert(at, fault)
+            placed = {f: n + (n >= at) for f, n in placed.items()}
+            placed[fault] = at
+        first = min(placed, key=placed.get)
+        path = tmp_path / f"f{i:02}{Path(name).suffix}"
+        path.write_text("\n".join(lines) + "\n")
+        expected[str(path)] = f"{path}:{placed[first] + 1}" + dict(_FAULTS[name])[first]
+    code, out, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out.splitlines() == [expected[p] for p in sorted(expected)] + ["summary: 0 expectations, 12 failed"]
 
 
 def test_bisim_reports_the_pair_before_the_roots(capsys):

@@ -64,8 +64,8 @@ def test_eval_open_term_rejected(t):
         evaluate(t("mu"))
     with pytest.raises(EvalError):
         evaluate(Dirac(t("x")))
-    with pytest.raises(EvalError, match="open term mu$"):  # the first open branch
-        evaluate(t("oplus{1/2:mu,1/2:^+(delta(0),nu)}"))
+    with pytest.raises(EvalError, match=r"^cannot evaluate open term oplus\{1/2:mu,1/2:\^\+\(delta\(0\),nu\)\}$"):
+        evaluate(t("oplus{1/2:mu,1/2:^+(delta(0),nu)}"))  # the whole term: it is checked once, at entry
 
 
 def test_eval_refuses_a_state_term_and_an_open_lifted_prefix(t):

@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from ptsskit.bisim import Decision, StateRelation, decide
-from ptsskit.cli import Expectation
 from ptsskit.distributions import Distribution
 from ptsskit.engine import (PTS, DomainBound, PtsTransition, ThreeValuedModel, opaque_state, reachable_pts,
                             stable_model)
@@ -103,7 +102,7 @@ def test_a_domain_bound_is_positive(field, value):
 
 
 KINDS = [FunctionSymbol, StateVar, DistVar, Signature, Diagnostic, Rule, PTSS, DomainBound, ThreeValuedModel, PTS,
-         Decision, Violation, RuleVerdict, FormatReport, ProbeViolation, Expectation]
+         Decision, Violation, RuleVerdict, FormatReport, ProbeViolation]
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +134,6 @@ def records():
         RuleVerdict: report.verdicts[-1],
         FormatReport: report,
         ProbeViolation: probe,
-        Expectation: Expectation(3, "format", "", "fail", []),
     }
 
 
