@@ -7,7 +7,9 @@ Two scheduler-free deciders plus supporting machinery:
   and an equally labelled step whose target is lifting-related to it.
 * `prob_branching_bisim`, the combined variant: a challenge is matched by an
   allowed weak tau-transition (inside the branching-preserving set) and a
-  one-step convex combination of equally labelled transitions.  Where the
+  one-step convex combination of equally labelled transitions, in which for
+  tau a stopped unit may stay put instead (the (tau) clause of van Glabbeek &
+  Weijland 1996, per unit as in Andova, Georgievska & Trcka 2012).  Where the
   challenge's target lies in one block, that is almost-sure reachability by
   inert steps (de Alfaro 1997); else exact-rational linear feasibility, an LP
   over a partition (Turrini & Hermanns 2015) on the steps that reach only the
@@ -34,10 +36,9 @@ one per-pair loop for every kind (`_first_unmatched`) finds, run both ways:
 rooted against no relation, so that no initial step is inert and each needs
 one equally labelled step with the same branching-class masses (a rooted
 verdict is that there is no witness); the others against the relation plus the
-queried pair, and pbranching, failing that, with the pair keeping only its
-common partners, built only then.  The branching match lifts the target alone
-in one exact LP (`lift_check`), the pbranching match after a weak phase over
-reach(t), the states t reaches by preserving tau-steps (`_combined_match`).
+queried pair.  The branching match lifts the target alone in one exact LP
+(`lift_check`), the pbranching match after a weak phase over reach(t), the
+states t reaches by preserving tau-steps (`_combined_match`).
 Both reach t's states by one lazy walk (`_reach`): the branching match stops
 at the first lifted step, and the pbranching match picks the preserving steps
 as it walks.
@@ -62,8 +63,7 @@ KINDS = ("branching", "pbranching", "rooted")
 class StateRelation:
     """A symmetric relation on the states of a PTS, as each state's set of
     partners.  The deciders' relations are equivalences, each class sharing
-    one set, except for a pbranching relation on a system with no greatest
-    bisimulation equivalence, whose classes may overlap."""
+    one set."""
 
     def __init__(self, states: Sequence[Term], partners: Mapping[Term, frozenset[Term]]):
         self.states = tuple(states)
@@ -173,12 +173,12 @@ def _index(pts: PTS) -> _Index:
     return pts._index
 
 
-def _partition(ix: _Index, signing: Optional[Callable[..., list]] = None) -> tuple[StateRelation, tuple[list, ...]]:
+def _partition(ix: _Index, signing: Optional[Callable[..., list]] = None) -> StateRelation:
     """The coarsest partition in which no block splits by its members'
-    signatures: as a relation, and as each state's block, each block's
-    members and each state's moves, inert steps and inert reach (itself
-    first; None without inert steps).  A member signs with its moves over
-    its inert reach, or by `signing(ix, block, members, moves, inert, reach)`."""
+    signatures, as a relation.  A member signs with its moves over its inert
+    reach, or by `signing(ix, block, members, moves, inert, reach)`: each
+    state's block, the block's members and each state's moves, inert steps
+    and inert reach (itself first; None without inert steps)."""
     n, steps = len(ix.steps), ix.steps
     block, members = [0] * n, [list(range(n))]
     sources: list[list[int]] = [[] for _ in range(n)]
@@ -237,7 +237,7 @@ def _partition(ix: _Index, signing: Optional[Callable[..., list]] = None) -> tup
         dirty = sorted({block[x] for x in stale})
     states = ix.states
     sets = [frozenset(states[x] for x in ms) for ms in members]
-    return StateRelation(states, {s: sets[block[x]] for x, s in enumerate(states)}), (block, members, moves, inert, reach)
+    return StateRelation(states, {s: sets[block[x]] for x, s in enumerate(states)})
 
 
 def _masses(block: Mapping[Hashable, Hashable], targets: Sequence[Hashable], weights: Sequence) -> frozenset:
@@ -250,7 +250,7 @@ def _masses(block: Mapping[Hashable, Hashable], targets: Sequence[Hashable], wei
 
 
 # ---------------------------------------------------------------------------
-# The per-pair checks, against any relation: witnesses and the last pbranching sweeps
+# The per-pair checks, against any relation: witnesses
 
 # A per-pair check: the first challenge of `s` that `t` fails to match, or None.
 PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
@@ -294,7 +294,7 @@ def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
 def branching_bisim(pts: PTS) -> StateRelation:
     """Greatest branching bisimulation, computed without schedulers: a
     state's signature is what it can do after inert steps."""
-    return _partition(_index(pts))[0]
+    return _partition(_index(pts))
 
 
 def _execution_match(ix: _Index, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term) -> bool:
@@ -315,7 +315,7 @@ def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
 
 
 def _pbranching_signatures(
-    ix: _Index, block: list[int], members: list[int], moves: list, inert: list, reach: list, stay: bool = True
+    ix: _Index, block: list[int], members: list[int], moves: list, inert: list, reach: list
 ) -> list[Hashable]:
     """The moves of its block that each member matches: its own; a one-block
     move (label, B) when by inert steps it almost surely reaches a member with
@@ -330,7 +330,7 @@ def _pbranching_signatures(
     sigs = []
     for t in members:
         sigs.append(frozenset(c for c in candidates if c in moves[t] or (
-            t in sure[c] if c in sure else _block_match(ix, block, reach[t] or [t], inert, *c, stay))))
+            t in sure[c] if c in sure else _block_match(ix, block, reach[t] or [t], inert, *c))))
     return sigs
 
 
@@ -355,67 +355,30 @@ def _almost_sure(steps: Sequence[Step], goal: list[int]) -> set[int]:
 
 
 def prob_branching_bisim(pts: PTS) -> StateRelation:
-    """Greatest probabilistic branching bisimulation: combined matching via an
-    allowed weak tau-step followed by a one-step convex combination.
-
-    One state of a related pair may mix an inert tau-step into a combination
-    where the other cannot, so the signatures let a unit stay put instead.
-    Unless each member then matches every move of its block without staying
-    put, sweeps keep the pairs that pass the per-pair check both ways against
-    the relation in which the pair keeps only its common partners.  Every
-    bisimulation equivalence relating the pair lies inside that relation and
-    the check is monotone, so no pair of one is deleted.  Where no greatest
-    bisimulation equivalence exists, the pairs kept are those that some
-    bisimulation partition relates (checked by brute force on small systems),
-    and the classes may overlap.  Where every step is a point mass, no move
+    """Greatest probabilistic branching bisimulation, the coarsest partition
+    whose every member matches its block's moves by an allowed weak
+    tau-transition and a one-step convex combination, in which for tau a
+    stopped unit may stay put.  Where every step is a point mass, no move
     spreads over blocks and a member almost surely reaches a set by inert steps
     exactly when an inert path does (de Alfaro 1997; Baier & Katoen 2008,
     10.6.1): each signature is the branching one, as is the partition."""
     ix = _index(pts)
     if all(len(step[2]) == 1 for out in ix.steps for step in out):  # point masses: the branching partition
-        return _partition(ix)[0]
-    rel, (block, members, moves, *kept) = _partition(ix, _pbranching_signatures)
-    # a block with one-block moves only signs alike without staying put: no LP reads `stay`
-    if all(len(set(_pbranching_signatures(ix, block, ms, moves, *kept, False))) == 1 for ms in members
-           if any(type(key) is not int for x in ms for _, key in moves[x])):
-        return rel
-    table = {u: set(rel.partners(u)) for u in rel.states}
-    while True:
-        shared = _pbranching_check(pts, table)
-        failed = []
-        for s in rel.states:
-            for t in sorted(table[s] - {s}, key=ix.num.__getitem__):  # in state order, as the LPs are asked
-                check = shared if table[s] == table[t] else _pbranching_check(pts, _common(table, s, t))
-                if check(s, t) is not None:
-                    failed.append((s, t))
-        if not failed:
-            return StateRelation(rel.states, {s: frozenset(table[s]) for s in rel.states})
-        for s, t in failed:
-            table[s].discard(t)
-            table[t].discard(s)
+        return _partition(ix)
+    return _partition(ix, _pbranching_signatures)
 
 
-def _common(table: Mapping[Term, set], s: Term, t: Term) -> dict[Term, set]:
-    """`table` in which `s` and `t` keep only their common partners."""
-    common = table[s] & table[t]
-    out = {u: partners if u in common else partners - {s, t} for u, partners in table.items()}
-    out[s] = out[t] = common
-    return out
-
-
-def _block_match(
-    ix: _Index, block: list[int], reach: list[int], inert: list, label: str, key: Hashable, stay: bool,
-) -> bool:
+def _block_match(ix: _Index, block: list[int], reach: list[int], inert: list, label: str, key: Hashable) -> bool:
     """`_combined_match` against a partition: a weak phase over the inert
     steps (`inert[u]` of each u) of the states `reach[0]` reaches by them,
-    then a convex choice of `label` steps, or for tau and `stay` of staying
-    put, whose combined target has the block masses `key` of a move into
-    several blocks.  A step reaching a block without mass takes none, and no
+    then a convex choice of `label` steps, or for tau of staying put, whose
+    combined target has the block masses `key` of a move into several
+    blocks.  A step reaching a block without mass takes none, and no
     LP is built when a block with mass is reached by no other step, nor by
     staying put, or when `reach[0]` has just one step, its own move.  Inert
     point masses alone take one flow row, as in `_combined_match`."""
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
-    stay, alone = stay and label == "tau", not inert[reach[0]]  # alone: no inert step to take
+    stay, alone = label == "tau", not inert[reach[0]]  # alone: no inert step to take
     if not steps or (alone and not stay and len(steps) == 1):
         return False
     scale, want = ix.scale, dict(key)
@@ -439,9 +402,11 @@ def _combined_match(
     """One linear feasibility question: does some weak tau-step of `t` inside
     the preserving set (tau-steps with support among the source's partners)
     reach an intermediate distribution whose one-step `label`-combination is
-    lifting-related to the challenge target?  No other state receives mass, so
-    the LP spans reach(t), the states `t` reaches by preserving steps: a flow
-    row each, their `label` steps, and a lift row for each state they reach.
+    lifting-related to the challenge target, where for tau a stopped unit may
+    stay put instead?  No other state receives mass, so the LP spans reach(t),
+    the states `t` reaches by preserving steps: a flow row each, their `label`
+    steps (for tau, with staying put as a point-mass step of each), and a lift
+    row for each state those steps reach.
     Over preserving point masses each unit of a weak combined transition
     (Segala 1995) follows one path, so any stop over reach(t) is reached
     (Turrini & Hermanns 2015): one convexity row, and no tau column."""
@@ -450,6 +415,7 @@ def _combined_match(
     at, taus, flows = _weak_phase(reach, [step for steps in preserving for step in steps])
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
     states, scale = ix.states, ix.scale
+    steps += [(u, label, (u,), (scale,)) for u in reach] if label == "tau" else []  # staying put, as a step
     lift = {v: i for i, v in enumerate(dict.fromkeys(v for step in steps for v in step[2]), flows)}
     # each challenge entry's related lift rows; an entry with none is not lifted
     partners = [[i for v, i in lift.items() if states[v] in rel.get(states[p], ())] for p in targets]
@@ -531,23 +497,19 @@ def distinguishing_challenge(
 
     `rel` is the relation `decide(kind, pts)` computes.  The certificate is a
     challenge that fails the kind's own per-pair check even when the queried
-    pair is added to that relation; for pbranching, where the sweeps deleted
-    the pair, failing that, when s and t keep only their common partners.
+    pair is added to that relation.
     """
     if not {s, t} <= _index(pts).num.keys():
         raise ValueError("both states must belong to the PTS")
     if kind == "rooted":
-        check, relations = _rooted_check, [lambda: rel]
+        unmatched = _rooted_check(pts, rel)
     elif rel.related(s, t):
         return None
     else:
-        table = {u: rel.partners(u) for u in pts.states}  # shared: the checks only read it
+        table = {u: rel.partners(u) for u in pts.states}  # shared: the check only reads it
         table[s], table[t] = rel.partners(s) | {t}, rel.partners(t) | {s}
-        check, relations = (_branching_check, [lambda: table]) if kind == "branching" else (
-            _pbranching_check, [lambda: table, lambda: _common(table, s, t)])  # each built when it is read
-    for against in relations:
-        unmatched = check(pts, against())
-        for x, y in ((s, t), (t, s)):
-            if (tr := unmatched(x, y)) is not None:
-                return x, tr
+        unmatched = (_branching_check if kind == "branching" else _pbranching_check)(pts, table)
+    for x, y in ((s, t), (t, s)):
+        if (tr := unmatched(x, y)) is not None:
+            return x, tr
     return None

@@ -1,8 +1,8 @@
 """Brute-force probabilistic branching bisimulation for small systems: every
-partition of the states is tried as the relation, and those whose every pair
-passes the library's per-pair check (`_pbranching_check`) against the
-partition itself are kept.  The paper's bisimulations are equivalences, so
-the coarsest partition kept, if there is one, is the relation to compute.
+partition of the states is tried as the relation, and those that the
+definition oracle (`tests/reference_pbranching.is_bisimulation`) calls a
+bisimulation are kept.  The paper's bisimulations are equivalences, so the
+coarsest partition kept, their join, is the relation to compute.
 
 Only for systems of at most 6 states (203 partitions)."""
 
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ptsskit.bisim import _pbranching_check
 from ptsskit.engine import PTS
 from ptsskit.terms import Term
+from tests.reference_pbranching import is_bisimulation
 
 Partition = tuple[tuple[Term, ...], ...]  # blocks in state order, each in state order
 
@@ -29,14 +29,6 @@ def partitions(items: Sequence[Term]) -> Iterator[list[list[Term]]]:
             yield [*part[:i], [first, *part[i]], *part[i + 1:]]
 
 
-def is_bisimulation(pts: PTS, blocks) -> bool:
-    """Does every pair of a block pass the pbranching check, with the
-    partition as the relation?"""
-    table = {u: set(b) for b in blocks for u in b}
-    check = _pbranching_check(pts, table)
-    return all(check(s, t) is None for b in blocks for s in b for t in b if s is not t)
-
-
 def bisimulation_partitions(pts: PTS) -> list[Partition]:
     """Every partition of the states that is a bisimulation."""
     assert len(pts.states) <= 6, "only for systems of at most 6 states"
@@ -50,7 +42,7 @@ def bisimulation_partitions(pts: PTS) -> list[Partition]:
 
 def bisimulation_pairs(pts: PTS) -> frozenset[tuple[Term, Term]]:
     """Every pair that some bisimulation partition relates: the pairs of the
-    coarsest one, where the bisimulation partitions are closed under join."""
+    coarsest one, as the bisimulation partitions are closed under join."""
     return frozenset((s, t) for part in bisimulation_partitions(pts) for b in part for s in b for t in b)
 
 

@@ -169,12 +169,14 @@ def combined_match(
     """One linear feasibility question over the whole system: does some weak
     tau-step of `t` inside the preserving set reach an intermediate
     distribution whose one-step `label`-combination is lifting-related to the
-    challenge target?  A flow row and a lift row for every state, and a
-    column for every `label` step."""
+    challenge target, where for tau a stopped unit may stay put instead?  A
+    flow row and a lift row for every state, and a column for every `label`
+    step and, for tau, for staying put at every state."""
+    n, scale, states = len(ix.steps), ix.scale, ix.states
     steps = [step for out in ix.steps for step in out if step[1] == label]
+    steps += [(u, label, (u,), (scale,)) for u in range(n)] if label == "tau" else []
     if not steps:
         return False
-    n, scale, states = len(ix.steps), ix.scale, ix.states
     # a weak tau phase inside the preserving set, then one label-step per stopped unit; the
     # second n rows lift the challenge target against the combined target, a column per related pair
     rows: list[dict[int, int]] = [{} for _ in range(2 * n)]

@@ -12,12 +12,10 @@ decision line also gives the time of its branching decision (every step is a
 point mass, so pbranching takes the branching partition), with a line for
 the pair p/q planted beside the chain, while one class holds almost
 every state: the time and `lp.feasible` calls of one branching and one
-pbranching NO witness, with the `bisim._common` calls, each a copy of the
-partner sets that a pbranching witness builds only when the widened relation
-leaves every challenge matched.  Each stuttered and tau-chain size has a
-`witnesses` line too: the total time, `lp.feasible` calls and `_common` calls
-of each kind's NO witnesses for SAMPLE pairs drawn with a fixed seed among the
-pairs that neither kind relates, p/q left out.  Every witness line also gives
+pbranching NO witness.  Each stuttered and tau-chain size has a `witnesses`
+line too: the total time and `lp.feasible` calls of each kind's NO witnesses
+for SAMPLE pairs drawn with a fixed seed among the pairs that neither kind
+relates, p/q left out.  Every witness line also gives
 the largest and the total row count of its LPs (`rows.max`, `rows.total`).
 Each system is built afresh and decided once per kind, in process;
 information only, nothing is asserted.  A script, not a test module, so
@@ -42,30 +40,23 @@ TAU_CHAIN = (60, 120, 250, 500, 1000, 2000)
 
 
 def counted(run):
-    """The seconds `run()` takes and the calls it makes of `lp.feasible` and
-    of `bisim._common`, the pbranching witness's fallback relation, with each
-    LP's row count under "rows", and its result."""
-    calls = {"rows": []}
-    originals = {(lp, "feasible"): lp.feasible, (bisim, "_common"): bisim._common}
+    """The seconds `run()` takes and the calls it makes of `lp.feasible`,
+    with each LP's row count under "rows", and its result."""
+    calls = {"feasible": 0, "rows": []}
+    feasible = lp.feasible
 
-    def counting(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            if name == "feasible":
-                calls["rows"].append(len(args[0]))
-            return f(*args)
-        return wrapper
+    def counting(rows, rhs):
+        calls["feasible"] += 1
+        calls["rows"].append(len(rows))
+        return feasible(rows, rhs)
 
-    for (module, name), f in originals.items():
-        calls[name] = 0
-        setattr(module, name, counting(name, f))
+    lp.feasible = counting
     try:
         start = time.perf_counter()
         result = run()
         seconds = time.perf_counter() - start
     finally:
-        for (module, name), f in originals.items():
-            setattr(module, name, f)
+        lp.feasible = feasible
     return seconds, calls, result
 
 
@@ -81,12 +72,12 @@ def measure(family, n, pts, *extra):
 
 
 def witness(decision, pairs):
-    """The time, LP count, largest and total LP row count and `_common` count
-    of the NO witnesses for `pairs`."""
+    """The time, LP count and largest and total LP row count of the NO
+    witnesses for `pairs`."""
     seconds, calls, _ = counted(lambda: [decision.witness(s, t) for s, t in pairs])
     rows = calls["rows"]
     return (f"{decision.kind}={seconds:.3f} lp.feasible={calls['feasible']} rows.max={max(rows, default=0)}"
-            f" rows.total={sum(rows)} _common={calls['_common']}")
+            f" rows.total={sum(rows)}")
 
 
 def witnesses(family, n, decisions):

@@ -126,7 +126,6 @@ DEFAULTS_ALLOWED = {
     "cli.main.argv": "the console script calls main()",
     "parser.parse_term.expected": "the only way to read a term of a given sort; tests/test_parser_oracle.py "
                                   "cross-checks each sort",
-    "bisim._pbranching_signatures.stay": "_partition calls it as `signing`, without `stay`",
     "errors.PtssError.__init__.message": "`raise _Stop` leaves it out",
     "terms._Record.__setattr__.value": "delattr leaves it out, as `__delattr__`",
     "terms._forget.remove": "binds a global early, as the weakref callback may run at exit",

@@ -3,8 +3,8 @@ the whole-system LP it replaced (`reference_refine.combined_match`): for
 every (challenge, t) that `bisim._pbranching_check` asks, both give the same
 answer.  The checks are asked by deciding each system, by one more sweep of
 the check over the relation, by a NO witness for every unrelated pair, and
-on systems of at most 5 states by the brute-force partition search of
-`tests/reference_partitions.py`.  Fixed-seed systems: the random plain and
+on systems of at most 5 states by the check of every partition of the
+states taken as the relation, each until a pair fails it.  Fixed-seed systems: the random plain and
 stuttered families of `tests/test_refine_oracle.py`, the tau-heavy and plain
 families of `tests/test_partition_oracle.py` with tau-heavy draw 2611, tau
 chains with a planted unrelated pair, and the corpus `.pts` files."""
@@ -16,7 +16,7 @@ from ptsskit import lp
 from ptsskit.engine import load_pts
 from tests import reference_refine
 from tests.conftest import CORPUS
-from tests.reference_partitions import bisimulation_partitions
+from tests.reference_partitions import partitions
 from tests.test_almost_sure import PLANTED, tau_chain
 from tests.test_partition_oracle import tau_heavy_pts
 from tests.test_refine_oracle import plain_pts, random_pts, stuttered_pts
@@ -72,7 +72,9 @@ def _ask(pts):
             else:
                 assert decision.witness(s, t) is not None
     if len(pts.states) <= 5:
-        bisimulation_partitions(pts)
+        for blocks in partitions(pts.states):
+            check = bisim._pbranching_check(pts, {u: set(b) for b in blocks for u in b})
+            all(check(s, t) is None for b in blocks for s in b for t in b if s is not t)
 
 
 def test_the_reach_lp_agrees_with_the_whole_system_lp(monkeypatch):

@@ -27,7 +27,6 @@ from ptsskit.terms import render_term
 from tests.conftest import CORPUS
 from tests.reference_refine import outgoing
 from tests.test_almost_sure import PLANTED, tau_chain
-from tests.test_refine_oracle import NOT_TRANSITIVE, random_pts, stuttered_pts
 
 GOLDEN = Path(__file__).resolve().parent / "golden_bisim.json"
 
@@ -126,52 +125,20 @@ def test_decide_agrees_with_the_deciders_on_random_systems():
         assert decide("branching", pts).classes() == bb.classes()
 
 
-def _common_calls(monkeypatch):
-    """The (s, t) of each later `bisim._common(table, s, t)` call."""
-    common, calls = bisim._common, []
-    monkeypatch.setattr(bisim, "_common", lambda table, s, t: calls.append((s, t)) or common(table, s, t))
-    return calls
-
-
 @pytest.mark.parametrize("kind", ["branching", "pbranching"])
 def test_a_witness_widens_only_the_queried_pairs_partner_sets(monkeypatch, kind):
     # the per-pair check only reads its relation, so every other state keeps
-    # the decided relation's own set: no copy of the n^2 pairs of a large class,
-    # and no pair keeping only its common partners while the widened relation
-    # leaves a challenge unmatched
+    # the decided relation's own set: no copy of the n^2 pairs of a large class
     pts = tau_chain(60, PLANTED)
     decision = decide(kind, pts)
     s, t = (u for u in pts.states if render_term(u) in ("p", "q"))
     name = "_branching_check" if kind == "branching" else "_pbranching_check"
     check, tables = getattr(bisim, name), []
     monkeypatch.setattr(bisim, name, lambda pts, table: tables.append(table) or check(pts, table))
-    commons = _common_calls(monkeypatch)
     assert decision.witness(s, t) == (s, outgoing(pts, s)[0])
     (table,), relation = tables, decision.relation
     assert table[s] == relation.partners(s) | {t} and table[t] == relation.partners(t) | {s}
     assert all(table[u] is relation.partners(u) for u in pts.states if u not in (s, t))
-    assert commons == []
-
-
-def test_a_pbranching_witness_keeps_common_partners_only_when_it_reads_them(monkeypatch):
-    # the `pb-no` witnesses of the `pb` and `pbx` systems of perfbench/workloads.py
-    # fail against the widened relation; not-transitive's r0/r3, which the sweeps
-    # deleted, needs the pair to keep only its common partners, built once
-    queries = []
-    for cls, count in (("pb", 16), ("pbx", 8)):
-        for i in range(count):
-            pts = stuttered_pts(1, random_pts(random.Random(f"bisim/{cls}/{i}"), 1))
-            named = {render_term(u): u for u in pts.states}
-            queries.append((decide("pbranching", pts), named["p"], named["q"]))
-    pts = load_pts("".join(f"state r{i}\n" for i in range(4)) + NOT_TRANSITIVE)
-    r0, r3 = (u for u in pts.states if render_term(u) in ("r0", "r3"))
-    not_transitive = decide("pbranching", pts)
-    calls = _common_calls(monkeypatch)  # counted from here: the sweeps of `decide` call it too
-    assert all(decision.witness(s, t) is not None for decision, s, t in queries)
-    assert calls == []
-    state, challenge = not_transitive.witness(r0, r3)
-    assert (state, repr(challenge)) == (r0, "r0 --tau-> {r1: 3/4, r3: 1/4}")
-    assert calls == [(r0, r3)]
 
 
 def test_decide_rejects_an_unknown_kind():
@@ -199,9 +166,9 @@ def test_corpus_run_decides_each_kind_once_per_pts_file(monkeypatch, tmp_path, c
 
 # a process that logs every LP `decide("pbranching")` asks, its rows (each by
 # column) paired with their right-hand sides, on not-transitive, tau-heavy draws
-# 30, 42, 48 and 2611 and corpus/mixed_choice.pts; with a block's moves or the
-# sweeps' pairs read off a set, the LPs of draws 30, 42 and 48 came in another
-# order under hash seeds 1 and 2
+# 30, 42, 48 and 2611 and corpus/mixed_choice.pts; with a block's moves read
+# off a set, the LPs of draws 30, 42 and 48 came in another order under hash
+# seeds 1 and 2
 _LP_ORDER = """
 from ptsskit import lp
 from ptsskit.bisim import decide

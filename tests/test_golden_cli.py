@@ -8,10 +8,11 @@ here for their usage errors, each parse error of a declaration or a rule line
 that no other test reaches, a conclusion whose source is not an operator, and
 `.pts` bodies with a stray comma, which load as without it; their other
 answers are pinned in `golden_bisim.json` and `golden_format.json`.  `bisim`
-is also here for what only these cases run through the CLI: the pbranching
-sweeps (a system whose greatest fixpoint is not transitive, whose NO answer
-has a witness, and one whose classes overlap), the inert steps of a branching
-witness, `.pts` bodies that hold brackets, a repeated target state, which
+is also here for what only these cases run through the CLI: pbranching on
+two systems where a unit of a tau-challenge must stay put (one on which the
+stay-free reading's fixpoint was not transitive, and one on which that
+reading had no greatest bisimulation equivalence), the inert steps of a
+branching witness, `.pts` bodies that hold brackets, a repeated target state, which
 sums, and the `.pts` diagnostics of a state line or an entry; `stable-model`
 for premise targets matched against a pattern under bound sources and for a
 premise source that nothing binds.  `pts` is here for bound values that
@@ -58,7 +59,7 @@ _NOT_TRANSITIVE = "".join(f"state r{i}\n" for i in range(4)) + (
     "trans r3 --tau-> { r3: 1/2, r2: 1/2 }\n"
 )
 # draw 2611 of the tau-heavy family of tests/test_partition_oracle.py, whose
-# pbranching classes overlap
+# pbranching class {r0 r1 r2} needs units that stay put
 _DRAW_2611 = "".join(f"state r{i}\n" for i in range(4)) + (
     "trans r0 --a-> { r0: 1/2, r1: 1/2 }\ntrans r0 --tau-> { r3: 1 }\ntrans r1 --tau-> { r0: 1 }\n"
     "trans r1 --tau-> { r3: 1 }\ntrans r2 --tau-> { r0: 3/4, r3: 1/4 }\ntrans r2 --tau-> { r1: 1/2, r2: 1/2 }\n"
@@ -215,7 +216,7 @@ CASES = {
     "bisim/bracketed-bodies": ["bisim", "bracketed.pts", "--kind", "branching", _SUM, "a.delta(0)"],
     "bisim/branching-inert-step": ["bisim", "inert_step.pts", "--kind", "branching", "s", "t"],
     "bisim/pbranching-not-transitive": ["bisim", "not_transitive.pts", "--kind", "pbranching", "r0", "r3"],
-    "bisim/pbranching-overlapping-classes": ["bisim", "draw_2611.pts", "--kind", "pbranching", "r0", "r2"],
+    "bisim/pbranching-draw-2611": ["bisim", "draw_2611.pts", "--kind", "pbranching", "r0", "r2"],
     "corpus-run/corpus": ["corpus-run", "corpus"],
     "corpus-run/failed": ["corpus-run", "failed"],
     "corpus-run/malformed": ["corpus-run", "malformed"],
