@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptsskit import cli
 from ptsskit.bisim import KINDS
@@ -633,6 +635,52 @@ def test_bad_input_is_a_one_line_diagnostic(tmp_path, capsys, argv, message):
         ]
     else:
         assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+def test_corpus_run_spells_each_path_as_pathlib_does(tmp_path, capsys, monkeypatch):
+    # read: names whose suffix, as pathlib reads it, is .ptss or .pts; `.pts`
+    # has no suffix, `z.PTS` another one, and the directory `y.ptss` is read
+    d = tmp_path / "d"
+    d.mkdir()
+    for name in ("x.ptss", ".pts", "z.PTS"):
+        (d / name).write_text("# expect format: pass\n" + RUNNING_SPEC)
+    (d / "y.ptss").mkdir()
+    # each directory argument and the text before each name; `os.path.join` gives four of these otherwise
+    spelled = {"d": "d/", "d/": "d/", "d//": "d/", "./d": "d/", "d/.": "d/", str(d): f"{d}/", ".": ""}
+    for arg, prefix in spelled.items():
+        monkeypatch.chdir(d if arg == "." else tmp_path)
+        code, out, err = run_cli(capsys, "corpus-run", arg)
+        assert (code, err) == (EXIT_USAGE, "")
+        assert out.splitlines() == [f"{prefix}x.ptss:1: format: expected pass, got pass: PASS",
+                                    f"{prefix}y.ptss: error: cannot read: Is a directory",
+                                    "summary: 1 expectations, 1 failed"], arg
+        code, out, _ = run_cli(capsys, "corpus-run", arg, "--json")
+        files = json.loads(out)["files"]
+        assert code == EXIT_USAGE and [f["path"] for f in files] == [f"{prefix}x.ptss", f"{prefix}y.ptss"], arg
+        assert files[1]["error"] == f"{prefix}y.ptss: error: cannot read: Is a directory"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(directory=st.text(alphabet="/.a ", min_size=1, max_size=10),
+       names=st.sets(st.sampled_from(["x.ptss", "y.pts", ".pts", "..pts", "a.b.ptss", ".ptss.pts", "z.PTS", "w.ptsx"])))
+def test_corpus_run_reads_and_spells_entries_as_pathlib_does(directory, names):
+    # any directory text, against pathlib itself: the listing and each file's run are stand-ins
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "listdir", lambda path: list(names))
+        patch.setattr(cli, "_run_corpus_file", lambda path: [])
+        payload, _, _ = cli.corpus_run(directory)
+    want = sorted(Path(directory) / name for name in names if Path(name).suffix in (".ptss", ".pts"))
+    assert [f["path"] for f in payload["files"]] == list(map(str, want))
+
+
+def test_corpus_run_on_an_unreadable_directory_is_a_diagnostic(tmp_path, capsys, monkeypatch):
+    # a missing path or a file is `not a directory`, as the golden CLI cases pin
+    def denied(path):  # as `os.listdir` fails on a directory its reader may not list, also when run as root
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "listdir", denied)
+    assert run_cli(capsys, "corpus-run", str(tmp_path)) == (
+        EXIT_USAGE, "", f"{tmp_path}: error: cannot read: Permission denied\n")
 
 
 _A, _B = 10**2999 + 1, 10**2999 + 3  # coprime, so 1/_A + 1/_B has a 6,000-digit denominator

@@ -1,14 +1,19 @@
-"""`pts` and `bisim` through `cli.main` against the reference oracles (ROADMAP
-item 17, a differential run in the sense of McKeeman, "Differential testing for
-software", 1998).  On fixed-seed negative-free generated specs and roots, the
-`pts` text must be the PTS reached in `tests/reference_engine.stable_model`,
-and the `bisim` verdict and classes of every kind those of
-`tests/reference_refine` on that PTS, with the witness of a branching or
-rooted NO the first challenge the reference's per-pair loops leave unmatched.
+"""`stable-model`, `pts` and `bisim` through `cli.main` against the reference
+oracles (ROADMAP item 17, a differential run in the sense of McKeeman,
+"Differential testing for software", 1998).  On fixed-seed negative-free
+generated specs and roots, and on fixed-seed specs with negative premises,
+`stable-model --json` must give the model of `tests/reference_engine.stable_model`,
+or stop with its error.  On the negative-free specs, the `pts` text must be
+the PTS reached in that model, and the `bisim` verdict and classes of every
+kind those of `tests/reference_refine` on that PTS, with the witness of a
+branching or rooted NO the first challenge the reference's per-pair loops
+leave unmatched.
 """
 
+import collections
 import functools
 import itertools
+import json
 import random
 
 from ptsskit.bisim import KINDS
@@ -19,7 +24,8 @@ from ptsskit.errors import PtssError
 from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import render_term
 from tests import reference_engine
-from tests.genspecs import negative_free_text
+from tests.conftest import CORPUS
+from tests.genspecs import grouped_text, negative_free_text
 from tests.reference_lp import lift_by_max_flow
 from tests.reference_refine import (
     branching_bisim,
@@ -32,6 +38,7 @@ from tests.reference_refine import (
 )
 
 SEEDS = range(150)
+GROUPED = 120  # grouped specs drawn, of which those with a negative premise are run
 
 
 def oracle_pts(text, roots):
@@ -112,3 +119,50 @@ def test_pts_and_bisim_agree_with_the_reference_oracles(tmp_path, capsys):
             assert None not in lines or out[-1].startswith("witness: unmatched challenge "), argv
             answered += 1
     assert answered >= 3500
+
+
+def stable_model_cases():
+    """(spec text, roots, bounds): the negative-free specs above, at the
+    default bounds; the grouped specs with a negative premise, at the bounds
+    of the engine's own oracle test, which are stratified, so complete unless
+    a rule cannot be instantiated; and the corpus specs whose model settles
+    late or stays three-valued, also cut off before it converges."""
+    for name, root, bounds in [("delayed_g.ptss", "g", {}), ("incomplete_f.ptss", "f", {}),
+                               ("incomplete_f.ptss", "f", {"max_iterations": 1})]:
+        yield (CORPUS / name).read_text(), [root], bounds
+    for seed in SEEDS:
+        yield *negative_free_text(random.Random(f"cli-oracle:{seed}")), {}
+    rng = random.Random("cli-oracle:grouped")
+    for _ in range(GROUPED):
+        text, roots = grouped_text(rng)
+        if "-/" in text:
+            yield text, roots, {"max_depth": 8, "max_states": 128}
+
+
+def test_stable_model_agrees_with_the_reference_engine(tmp_path, capsys):
+    outcomes = []
+    for i, (text, roots, bounds) in enumerate(stable_model_cases()):
+        spec_path = tmp_path / f"gen{i}.ptss"
+        spec_path.write_text(text)
+        flags = [arg for field, value in bounds.items() for arg in (f"--{field.replace('_', '-')}", str(value))]
+        argv = ["stable-model", str(spec_path), *(arg for r in roots for arg in ("--root", r)), *flags, "--json"]
+        spec = parse_spec(text)
+        try:
+            model = reference_engine.stable_model(spec, DomainBound(tuple(parse_term(r, spec.signature) for r in roots),
+                                                                     **bounds))
+        except PtssError as exc:  # the command stops with the reference's error
+            assert main(argv) == exc.exit_code, argv
+            assert capsys.readouterr() == ("", "\n".join(exc.lines()) + "\n"), argv
+            outcomes.append(type(exc).__name__)
+            continue
+        complete = model.converged and model.ct == model.pt
+        assert main(argv) == (0 if complete else 1 if model.converged else 3), argv
+        assert json.loads(capsys.readouterr().out) == {
+            "certain": sorted(repr(tr) for tr in model.ct),
+            "possible_only": sorted(repr(tr) for tr in model.pt - model.ct),
+            "iterations": model.iterations, "converged": model.converged, "complete": complete}, argv
+        outcomes.append("complete" if complete else "incomplete" if model.converged else "unconverged")
+    # every outcome occurs: a model complete, three-valued or cut off, and a rule that cannot be instantiated
+    seen = collections.Counter(outcomes)
+    assert seen["complete"] >= 200 and seen["RuleInstantiationError"] >= 10, seen
+    assert seen["incomplete"] == seen["unconverged"] == 1, seen
