@@ -39,10 +39,18 @@ _WORD = re.compile(r"\S+")
 
 
 def _read_file(path: str) -> str:
-    try:  # bytes, decoded once: line ends stay as written, and every reader splits by str.splitlines
-        with open(path, "rb") as f:
-            return f.read().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    # by `os.read` to end of file, with none of `open()`'s buffer objects and calls, then decoded once:
+    # line ends stay as written, and every reader splits by str.splitlines
+    try:
+        fd = os.open(path, os.O_RDONLY)  # a ValueError: an embedded NUL
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return b"".join(chunks).decode("utf-8")
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
         raise PtssError(f"cannot read: {getattr(exc, 'strerror', None) or exc}", path)
 
 
@@ -211,8 +219,8 @@ def _cmd_pts(args: argparse.Namespace) -> int:
     if args.out:
         try:
             Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise PtssError(f"cannot write: {exc.strerror or exc}", args.out)
+        except (OSError, ValueError) as exc:  # a ValueError: an embedded NUL
+            raise PtssError(f"cannot write: {getattr(exc, 'strerror', None) or exc}", args.out)
         _emit(f"wrote {len(pts.states)} states, {len(pts.transitions)} transitions to {args.out}")
     else:
         _emit(text)

@@ -393,6 +393,8 @@ def export_pts(pts: PTS) -> str:
 # ends at the first `->` that blanks and a `{` follow, so a source state may hold `--` or `{`
 _LINE = re.compile(r"\s*(?:state \s*([^#]*[^\s#])|trans (?=[^#]*\}\s*(?:#|$))([^#]*?)->\s*\{([^#]*)\})?\s*(?:#.*)?")
 _BRACKET_OR_SEPARATOR = re.compile(r"[(){},:]")
+# a weight `int` reads as `read_weight` does: at most 4,300 digits a part, a denominator not all zeros
+_WEIGHT = re.compile(r"[ \t]*([0-9]{1,4300})(?:/(?=0*[1-9])([0-9]{1,4300}))?[ \t]*")
 
 
 def _refused(line: str) -> str:
@@ -430,46 +432,51 @@ def _read_distribution(
 ) -> Optional[Distribution]:
     """The distribution of the body line[start:end], or None if a weight
     text is no weight (`read_weight` reports it); EvalError for any other
-    fault.  A target of distinct states and mass exactly 1 gets its text
-    here, so `PTS` renders none; `Distribution` sums and checks any other."""
+    fault.  A weight text of ASCII digits, or of two such runs about a `/`,
+    blanks around, is read by `int`; any other by `read_weight`, at a column
+    worked out then.  A target of distinct states and mass exactly 1 gets its
+    text here, so `PTS` renders none; `Distribution` sums and checks any other."""
     body = line[start:end]
     if "(" in body or ")" in body or "{" in body or "}" in body:  # a state name may hold a term's text
         entries = _bracketed_entries(line, start, end)
     else:
         entries = [entry.split(":") for entry in body.split(",")]
-    chosen: dict[str, tuple[tuple[Term, Fraction], str]] = {}  # an entry and its text
-    items: list[tuple[Term, Fraction]] = []  # a zero weight counts for nothing, not even as a repeat
+    named: list[tuple[str, tuple[Term, Fraction], str]] = []  # name, item and weight text of each positive entry
     num, den = 0, 1  # the mass so far
-    for pieces in entries:
+    for k, pieces in enumerate(entries):
         if len(pieces) != 2:
             entry = ":".join(pieces)
             if entry.strip():
                 raise EvalError(f"malformed distribution entry {entry.strip()!r}")
-            start += len(entry) + 1
             continue
-        name, w = pieces
-        start += len(name) + len(w) + 2
-        name = name.strip()
+        name, w = pieces[0].strip(), pieces[1]
         state = states.get(name)
         if state is None:
             raise EvalError(f"undeclared state {name}")
         weight = weights.get(w)
-        if weight is None:  # a weight text is read in its line, so that a diagnostic has its column
-            p = read_weight(line, line_no, diags, start - len(w) - 1, start - 1)
-            if p is None:
-                return None
+        if weight is None:
+            m = _WEIGHT.fullmatch(w)
+            if m is not None:
+                p = Fraction(int(m[1]), int(m[2] or 1))
+            else:  # read in its line, after the earlier entries and their `,`s, so that a diagnostic has its column
+                at = start + sum([len(":".join(e)) + 1 for e in entries[:k]]) + len(pieces[0]) + 1
+                p = read_weight(line, line_no, diags, at, at + len(w))
+                if p is None:
+                    return None
             weight = weights[w] = p, str(p), p.numerator, p.denominator
         p, text, n, d = weight
-        if n:
-            items.append((state, p))
-            chosen[name] = items[-1], f"{name}: {text}"
+        if n:  # a zero weight counts for nothing, not even as a repeat
+            named.append((name, (state, p), text))
             num, den = num * d + n * den, den * d
     # a denominator past 14,284 bits, which `Distribution` refuses, makes `den` longer
-    if num == den and len(chosen) == len(items) and den.bit_length() <= 14284:
-        # by name, as `Distribution` sorts; most targets are point masses, which need no sort
-        items, texts = zip(*(map(chosen.__getitem__, sorted(chosen)) if len(chosen) > 1 else chosen.values()))
-        return Distribution._full(items, "{" + ", ".join(texts) + "}")
-    return Distribution(items)
+    if num == den and den.bit_length() <= 14284:
+        if len(named) == 1:  # most targets are point masses
+            name, item, text = named[0]
+            return Distribution._full((item,), f"{{{name}: {text}}}")
+        named.sort(key=itemgetter(0))  # by name, as `Distribution` sorts; stable, so a state's entries keep their order
+        if all([a[0] != b[0] for a, b in zip(named, named[1:])]):
+            return Distribution._full(tuple([e[1] for e in named]), "{" + ", ".join([f"{e[0]}: {e[2]}" for e in named]) + "}")
+    return Distribution([e[1] for e in named])
 
 
 def load_pts(text: str) -> PTS:

@@ -637,6 +637,53 @@ def test_bad_input_is_a_one_line_diagnostic(tmp_path, capsys, argv, message):
         assert out == "" and err.startswith(message) and err.count("\n") == 1
 
 
+def _opened(path):
+    """What `open(path, "rb")` reads, decoded, or the `cannot read` text of its error."""
+    try:
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"cannot read: {getattr(exc, 'strerror', None) or exc}"
+
+
+def _read(path):
+    try:
+        return cli._read_file(path)
+    except PtssError as exc:
+        assert exc.where == path and exc.exit_code == EXIT_USAGE
+        return str(exc)
+
+
+def _denied(path, flags):  # as `os.open` fails on a file its reader may not read, also when run as root
+    raise PermissionError(13, "Permission denied", path)
+
+
+@pytest.mark.parametrize("case", ["regular", "empty", "chunks", "directory", "missing", "non-utf8", "denied"])
+def test_read_file_gives_what_open_gives(tmp_path, monkeypatch, case):
+    path = tmp_path / case
+    if case == "regular":
+        path.write_bytes(RUNNING_SPEC.replace("\n", "\r\n").encode("utf-8") + "é\n".encode("utf-8"))
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "chunks":  # about 200 KB, more than one `os.read` takes
+        path.write_bytes(("".join(f"state s{i}\n" for i in range(20000)) + "é").encode("utf-8"))
+    elif case == "directory":
+        path.mkdir()
+    elif case == "non-utf8":
+        path.write_bytes(b"state caf\xe9\n")
+    want = _opened(path)
+    if case == "denied":
+        monkeypatch.setattr(os, "open", _denied)
+        want = "cannot read: Permission denied"
+    assert want.startswith("cannot read: ") == (case in ("directory", "missing", "non-utf8", "denied"))
+    assert (len(want) > 200_000) == (case == "chunks")
+    fds = Path("/proc/self/fd")  # no descriptor is left open; uncounted where there is no /proc/self/fd
+    open_fds = (lambda: len(os.listdir(fds))) if fds.is_dir() else (lambda: 0)
+    before = open_fds()
+    assert all(_read(str(path)) == want for _ in range(100))
+    assert open_fds() == before
+
+
 def test_corpus_run_spells_each_path_as_pathlib_does(tmp_path, capsys, monkeypatch):
     # read: names whose suffix, as pathlib reads it, is .ptss or .pts; `.pts`
     # has no suffix, `z.PTS` another one, and the directory `y.ptss` is read

@@ -229,3 +229,19 @@ def _grow(tmp_path, rule, root, bounds):
             proc.kill()
             pytest.fail(f"{rule} {bounds} ran past {DEADLINE_S} s")
     return proc.returncode, err
+
+
+# -- paths the operating system refuses ----------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-format", "a\0b"], "a\0b: error: cannot read: embedded null byte"),
+    (["stable-model", "a\0b", "--root", "0"], "a\0b: error: cannot read: embedded null byte"),
+    (["pts", "a\0b", "--root", "0"], "a\0b: error: cannot read: embedded null byte"),
+    (["bisim", "a\0b.pts", "--kind", "branching", "s", "t"], "a\0b.pts: error: cannot read: embedded null byte"),
+    (["probe-congruence", str(CORPUS / "running.ptss"), "--pairs", "a\0b", "--contexts", "c"],
+     "a\0b: error: cannot read: embedded null byte"),
+    (["pts", str(CORPUS / "running.ptss"), "--root", "0", "-o", "a\0b"], "a\0b: error: cannot write: embedded null byte"),
+], ids=["check-format", "stable-model", "pts", "bisim", "probe-pairs", "pts-out"])
+def test_a_path_with_an_embedded_nul_is_a_diagnostic(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message + "\n")

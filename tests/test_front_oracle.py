@@ -138,6 +138,18 @@ EDGE_TEXTS = [
     # a source state that holds `{`: by hand, and exported, where `oplus{` comes before the arrow
     "state a{b\nstate t\ntrans a{b --a-> { t: 1 }\ntrans a{b --b-> { t: 1/2, t: 1/2 }\n",
     json.loads(GOLDEN.read_text())["final_pb.ptss"]["stdout"],
+    # weights on both sides of the reader's `int` check: leading zeros, zero weights and denominators
+    _HEAD + "trans s --a-> { s: 007/010, t: 3/10 }\ntrans t --a-> { s: 0, t: 1 }\ntrans t --b-> { s: 0/5, t: 1 }\n",
+    _HEAD + "trans s --a-> { t: 1/0 }\ntrans t --a-> { s: 1/00 }\ntrans t --b-> { s: 1/2, t: 0/00 }\n",
+    # runs of 4,300 digits, which `int` reads, and of 4,301, which no reader does, about a `/`
+    _HEAD + f"trans s --a-> {{ t: {'0' * 4299}1/{'0' * 4299}1 }}\ntrans t --a-> {{ s: {'7' * 4300}/{'7' * 4300} }}\n",
+    _HEAD + f"trans s --a-> {{ t: {'0' * 4300}1/1 }}\ntrans t --a-> {{ s: 1/{'0' * 4300}1 }}\n",
+    # digits that are not ASCII: `١` is a digit to `\d` and to int(), `²` is neither
+    _HEAD + "trans s --a-> { t: \u0661 }\ntrans t --a-> { s: \u0661/\u0662, t: 1/2 }\n",
+    # blanks and tabs about a weight, and texts that are no weight, among them other white space about one
+    _HEAD + "trans s --a-> { t:\t1\t}\ntrans t --a-> { s:  1/2 , t:\t 1/2\t }\ntrans t --b-> { s: 1 / 2, t: 1/ 2 }\n",
+    _HEAD + "trans s --a-> { t: +1 }\ntrans t --a-> { s: 1.0 }\ntrans t --b-> { s: 1e3 }\ntrans s --b-> { s: 1/2, t: 1e3 }\n"
+    "trans s --tau-> { t: \u00b2 }\ntrans t --tau-> { s:\u00a01 }\ntrans t --c-> { s: 1\x1f }\n",
 ]
 PTS_TEXTS = _pts_texts() + EDGE_TEXTS
 NOISE = st.lists(st.sampled_from(PIECES + ["state ", "trans ", "s", "t0", ": 1", "1/2", "\n"]), max_size=4).map("".join)
