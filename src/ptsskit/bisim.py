@@ -25,23 +25,24 @@ text order, each state's transitions, and each step's weights scaled to
 integers by one common denominator.
 A non-inert step is a move keyed as (label, block) when its target lies in
 one block, else as (label, block masses), exact integer sums; a state's moves
-are kept until it or a target changes block.  `_flow_rows` and `_lift_rows`
-write every LP's integer rows.  The scheduler-based definitions, the
-pair-deleting fixpoint, the weak combined transition LP over the whole system
-and max-flow lifting live in the tests, as oracles.
+are kept until it or a target changes block, and a `StateRelation` reads the
+partition as computed.  `_flow_rows` and `_lift_rows` write every LP's integer
+rows.  The scheduler-based definitions, the pair-deleting fixpoint, the weak
+combined transition LP over the whole system and max-flow lifting live in the
+tests, as oracles.
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
 kind once and answers relatedness, classes and a distinguishing witness, which
-one per-pair loop for every kind (`_first_unmatched`) finds, run both ways:
-rooted against no relation, so that no initial step is inert and each needs
-one equally labelled step with the same branching-class masses (a rooted
-verdict is that there is no witness); the others against the relation plus the
-queried pair.  The branching match lifts the target alone in one exact LP
-(`lift_check`), the pbranching match after a weak phase over reach(t), the
-states t reaches by preserving tau-steps (`_combined_match`).
-Both reach t's states by one lazy walk (`_reach`): the branching match stops
-at the first lifted step, and the pbranching match picks the preserving steps
-as it walks.
+one per-pair loop for every kind (`_first_unmatched`) finds on state numbers,
+run both ways: rooted against no relation, so that no initial step is inert
+and each needs one equally labelled step with the same branching block masses
+(a rooted verdict is that there is no witness); the others against the
+partition widened by exactly the queried pair.  The branching match lifts the
+target alone in one exact LP (`lift_check`), the pbranching match after a weak
+phase over reach(t), the states t reaches by preserving tau-steps
+(`_combined_match`).  Both reach t's states by one lazy walk (`_reach`): the
+branching match stops at the first lifted step, and the pbranching match picks
+the preserving steps as it walks.
 """
 
 from __future__ import annotations
@@ -61,31 +62,26 @@ KINDS = ("branching", "pbranching", "rooted")
 
 
 class StateRelation:
-    """A symmetric relation on the states of a PTS, as each state's set of
-    partners.  The deciders' relations are equivalences, each class sharing
-    one set."""
+    """An equivalence on the states of a PTS, as the partition that decides
+    it: `_block[x]` numbers the x-th state's block and `_members[b]` lists
+    block b's state numbers in order.  A state outside the PTS has no partner."""
 
-    def __init__(self, states: Sequence[Term], partners: Mapping[Term, frozenset[Term]]):
-        self.states = tuple(states)
-        self._by_left = dict(partners)
+    def __init__(self, ix: _Index, block: list[int], members: list[list[int]]):
+        self.states, self._num, self._block, self._members = ix.states, ix.num, block, members
 
     def related(self, s: Term, t: Term) -> bool:
-        return t in self.partners(s)
+        x, y = self._num.get(s), self._num.get(t)
+        return x is not None and y is not None and self._block[x] == self._block[y]
 
     def partners(self, s: Term) -> frozenset[Term]:
-        return self._by_left.get(s, frozenset())
+        """The states related to `s`, itself among them, built on each call."""
+        x = self._num.get(s)
+        return frozenset() if x is None else frozenset([self.states[y] for y in self._members[self._block[x]]])
 
     def classes(self) -> tuple[tuple[Term, ...], ...]:
-        # each unseen state with its partners, in the order of `states`
-        index = {s: i for i, s in enumerate(self.states)}
-        seen: set[Term] = set()
-        out: list[tuple[Term, ...]] = []
-        for s in self.states:
-            if s not in seen:
-                block = sorted(self.partners(s) | {s}, key=index.__getitem__)
-                seen.update(block)
-                out.append(tuple(block))
-        return tuple(out)
+        # each block at its first member, so in the order of `states`
+        states, members = self.states, self._members
+        return tuple(tuple([states[y] for y in ms]) for x, b in enumerate(self._block) if (ms := members[b])[0] == x)
 
 
 def lift_check(partners: Mapping[Term, set], d1: Distribution, d2: Distribution) -> bool:
@@ -235,14 +231,12 @@ def _partition(ix: _Index, signing: Optional[Callable[..., list]] = None) -> Sta
                         stale.update(sources[x])
                     members.append(part)
         dirty = sorted({block[x] for x in stale})
-    states = ix.states
-    sets = [frozenset(states[x] for x in ms) for ms in members]
-    return StateRelation(states, {s: sets[block[x]] for x, s in enumerate(states)})
+    return StateRelation(ix, block, members)
 
 
-def _masses(block: Mapping[Hashable, Hashable], targets: Sequence[Hashable], weights: Sequence) -> frozenset:
+def _masses(block: Sequence[int], targets: Sequence[int], weights: Sequence[int]) -> frozenset:
     """The block masses of a distribution: each block with its summed weight."""
-    acc: dict[Hashable, int] = {}
+    acc: dict[int, int] = {}
     for u, w in zip(targets, weights):
         b = block[u]
         acc[b] = acc[b] + w if b in acc else w
@@ -252,17 +246,19 @@ def _masses(block: Mapping[Hashable, Hashable], targets: Sequence[Hashable], wei
 # ---------------------------------------------------------------------------
 # The per-pair checks, against any relation: witnesses
 
-# A per-pair check: the first challenge of `s` that `t` fails to match, or None.
-PairCheck = Callable[[Term, Term], Optional[PtsTransition]]
+# A relation on state numbers, as the per-pair checks read it.
+_Related = Callable[[int, int], bool]
+# A per-pair check: the first challenge of state `s` that state `t` fails to match, or None.
+PairCheck = Callable[[int, int], Optional[PtsTransition]]
 
 
-def _reach(ix: _Index, t: int, inert: Callable[[PtsTransition], bool]) -> Iterator[tuple[int, list[Step]]]:
-    """The states `t` reaches by the steps whose transitions are `inert`,
-    breadth first from `t`, each with those of its steps; a state is yielded
-    before its steps are followed, so a caller that stops walks no further."""
+def _reach(ix: _Index, t: int, inert: Callable[[Step], bool]) -> Iterator[tuple[int, list[Step]]]:
+    """The states `t` reaches by the steps that are `inert`, breadth first
+    from `t`, each with those of its steps; a state is yielded before its
+    steps are followed, so a caller that stops walks no further."""
     seen, queue = {t}, [t]
     for u in queue:  # the list grows as it is read
-        steps = [step for tr, step in zip(ix.out[u], ix.steps[u]) if inert(tr)]
+        steps = [step for step in ix.steps[u] if inert(step)]
         yield u, steps
         for step in steps:
             for v in step[2]:
@@ -271,13 +267,14 @@ def _reach(ix: _Index, t: int, inert: Callable[[PtsTransition], bool]) -> Iterat
                     queue.append(v)
 
 
-def _first_unmatched(ix: _Index, rel: Mapping[Term, set], matched: Callable[..., bool]) -> PairCheck:
-    """The per-pair matching loop: each non-inert challenge of `s` must be `matched(s, tr, step, t)`."""
+def _first_unmatched(ix: _Index, related: _Related, matched: Callable[..., bool]) -> PairCheck:
+    """The per-pair matching loop: each challenge of `s` must be inert, a
+    tau-step into states `related` to both `s` and `t`, or `matched(s, tr, step, t)`."""
 
-    def check(s: Term, t: Term) -> Optional[PtsTransition]:
-        members = rel.get(s, set()) & rel.get(t, set())  # an inert challenge stays among them
-        for tr, step in zip(ix.out[ix.num[s]], ix.steps[ix.num[s]]):
-            if not (tr.label == "tau" and members.issuperset(tr.target.support)) and not matched(s, tr, step, t):
+    def check(s: int, t: int) -> Optional[PtsTransition]:
+        for tr, step in zip(ix.out[s], ix.steps[s]):
+            inert = step[1] == "tau" and all(related(s, u) and related(t, u) for u in step[2])
+            if not inert and not matched(s, tr, step, t):
                 return tr
         return None
 
@@ -286,9 +283,9 @@ def _first_unmatched(ix: _Index, rel: Mapping[Term, set], matched: Callable[...,
 
 # -- scheduler-free branching bisimulation ----------------------------------
 
-def _branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+def _branching_check(pts: PTS, related: _Related) -> PairCheck:
     ix = _index(pts)
-    return _first_unmatched(ix, rel, lambda s, tr, step, t: _execution_match(ix, rel, s, tr, t))
+    return _first_unmatched(ix, related, lambda s, tr, step, t: _execution_match(ix, related, s, tr, step, t))
 
 
 def branching_bisim(pts: PTS) -> StateRelation:
@@ -297,21 +294,22 @@ def branching_bisim(pts: PTS) -> StateRelation:
     return _partition(_index(pts))
 
 
-def _execution_match(ix: _Index, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term) -> bool:
+def _execution_match(ix: _Index, related: _Related, s: int, challenge: PtsTransition, step: Step, t: int) -> bool:
     """Search a concrete execution from `t`: inert tau-steps whose supports
     stay related to `s`, ending in a `challenge.label` step with lifted-related
     target."""
-    related_to_s = rel.get(s, set())
-    walk = _reach(ix, ix.num[t], lambda tr: tr.label == "tau" and related_to_s.issuperset(tr.target.support))
-    return any(lift_check(rel, challenge.target, tr.target)
-               for u, _ in walk for tr in ix.out[u] if tr.label == challenge.label)
+    walk = _reach(ix, t, lambda o: o[1] == "tau" and all(related(s, v) for v in o[2]))
+    states, label = ix.states, step[1]
+    return any(lift_check({states[p]: {states[v] for v in o[2] if related(p, v)} for p in step[2]},
+                          challenge.target, tr.target)
+               for u, _ in walk for tr, o in zip(ix.out[u], ix.steps[u]) if o[1] == label)
 
 
 # -- probabilistic branching bisimulation ------------------------------------
 
-def _pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+def _pbranching_check(pts: PTS, related: _Related) -> PairCheck:
     ix = _index(pts)
-    return _first_unmatched(ix, rel, lambda s, tr, step, t: _combined_match(ix, rel, *step[1:], ix.num[t]))
+    return _first_unmatched(ix, related, lambda s, tr, step, t: _combined_match(ix, related, *step[1:], t))
 
 
 def _pbranching_signatures(
@@ -396,11 +394,9 @@ def _block_match(ix: _Index, block: list[int], reach: list[int], inert: list, la
     return lp.feasible(rows, rhs)
 
 
-def _combined_match(
-    ix: _Index, rel: Mapping[Term, set], label: str, targets: tuple, weights: tuple, t: int
-) -> bool:
+def _combined_match(ix: _Index, related: _Related, label: str, targets: tuple, weights: tuple, t: int) -> bool:
     """One linear feasibility question: does some weak tau-step of `t` inside
-    the preserving set (tau-steps with support among the source's partners)
+    the preserving set (tau-steps into states `related` to their source)
     reach an intermediate distribution whose one-step `label`-combination is
     lifting-related to the challenge target, where for tau a stopped unit may
     stay put instead?  No other state receives mass, so the LP spans reach(t),
@@ -410,15 +406,15 @@ def _combined_match(
     Over preserving point masses each unit of a weak combined transition
     (Segala 1995) follows one path, so any stop over reach(t) is reached
     (Turrini & Hermanns 2015): one convexity row, and no tau column."""
-    walk = _reach(ix, t, lambda tr: tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support))
+    walk = _reach(ix, t, lambda step: step[1] == "tau" and all(related(step[0], v) for v in step[2]))
     reach, preserving = zip(*walk)
     at, taus, flows = _weak_phase(reach, [step for steps in preserving for step in steps])
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
-    states, scale = ix.states, ix.scale
+    scale = ix.scale
     steps += [(u, label, (u,), (scale,)) for u in reach] if label == "tau" else []  # staying put, as a step
     lift = {v: i for i, v in enumerate(dict.fromkeys(v for step in steps for v in step[2]), flows)}
     # each challenge entry's related lift rows; an entry with none is not lifted
-    partners = [[i for v, i in lift.items() if states[v] in rel.get(states[p], ())] for p in targets]
+    partners = [[i for v, i in lift.items() if related(p, v)] for p in targets]
     if not all(partners):
         return False
     # a weak tau phase inside the preserving set, then one label-step per stopped unit; the lift
@@ -444,10 +440,10 @@ def _weak_phase(reach: Sequence[int], taus: list[Step]) -> tuple[dict[int, int],
 def _rooted_check(pts: PTS, bb: StateRelation) -> PairCheck:
     """The per-pair loop over no relation, so that no step is inert: a
     challenge is matched by one equally labelled step whose target has the
-    same `bb`-class masses, the challenge's computed once."""
-    ix, masses = _index(pts), lambda d: _masses(bb._by_left, *zip(*d.items()))
-    return _first_unmatched(ix, {}, lambda s, tr, step, t: masses(tr.target) in (
-        masses(o.target) for o in ix.out[ix.num[t]] if o.label == tr.label))
+    same masses on the blocks of `bb`, the challenge's computed once."""
+    ix, masses = _index(pts), lambda step: _masses(bb._block, *step[2:])
+    return _first_unmatched(ix, lambda x, y: False, lambda s, tr, step, t: masses(step) in (
+        masses(o) for o in ix.steps[t] if o[1] == step[1]))
 
 
 def rooted_branching_bisim(pts: PTS, s: Term, t: Term, bb: StateRelation) -> bool:
@@ -497,19 +493,21 @@ def distinguishing_challenge(
 
     `rel` is the relation `decide(kind, pts)` computes.  The certificate is a
     challenge that fails the kind's own per-pair check even when the queried
-    pair is added to that relation.
+    pair is added to that relation: to the partition's block numbers, with no
+    table, so that a witness pays only for the states its check walks.
     """
-    if not {s, t} <= _index(pts).num.keys():
+    i, j = map(_index(pts).num.get, (s, t))
+    if i is None or j is None:
         raise ValueError("both states must belong to the PTS")
     if kind == "rooted":
         unmatched = _rooted_check(pts, rel)
     elif rel.related(s, t):
         return None
     else:
-        table = {u: rel.partners(u) for u in pts.states}  # shared: the check only reads it
-        table[s], table[t] = rel.partners(s) | {t}, rel.partners(t) | {s}
-        unmatched = (_branching_check if kind == "branching" else _pbranching_check)(pts, table)
-    for x, y in ((s, t), (t, s)):
+        block = rel._block
+        widened = lambda x, y: block[x] == block[y] or (x, y) in ((i, j), (j, i))
+        unmatched = (_branching_check if kind == "branching" else _pbranching_check)(pts, widened)
+    for x, y in ((i, j), (j, i)):
         if (tr := unmatched(x, y)) is not None:
-            return x, tr
+            return pts.states[x], tr
     return None

@@ -12,7 +12,9 @@ per related pair; rooted pairs lift by max-flow as well, or by class masses
 (`by_class_masses`), in the rooted loop of their own (`rooted_challenge`).
 Both checks run their own per-pair loop (`first_unmatched`): of the
 library's per-pair layer they share only the integer index (`_index`) and
-the flow-row builder (`_flow_rows`).
+the flow-row builder (`_flow_rows`).  Like the library's checks, they read
+the relation as a predicate on state numbers, which `numbered(ix, related)`
+makes of a relation on states, and ask a pair by its state numbers.
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
 with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
 either kind of relation, and `partner_map(rel)` gives either, or a pair set,
@@ -24,10 +26,10 @@ transition to a step of the library's integer index.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ptsskit import lp
-from ptsskit.bisim import PairCheck, Step, _flow_rows, _index, _Index
+from ptsskit.bisim import PairCheck, Step, _flow_rows, _index, _Index, _Related
 from ptsskit.distributions import Distribution
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.terms import Term, render_term
@@ -63,6 +65,12 @@ def index_step(ix: _Index, tr: PtsTransition) -> Step:
     return num[tr.source], tr.label, tuple([num[u] for u, _ in items]), weights
 
 
+def numbered(ix: _Index, related: Callable[[Term, Term], bool]) -> _Related:
+    """`related`, a relation on the states of `ix`, on their numbers."""
+    states = ix.states
+    return lambda x, y: related(states[x], states[y])
+
+
 def pairs(rel) -> frozenset[tuple[Term, Term]]:
     """Every related pair of a `StateRelation` or `PairRelation`, n² of them for one block."""
     return frozenset((s, t) for s in rel.states for t in rel.partners(s))
@@ -84,18 +92,16 @@ def is_equivalence(rel) -> bool:
     )
 
 
-def _refine(pts: PTS, make_check: Callable[[PTS, Mapping[Term, set]], PairCheck]) -> PairRelation:
-    states = sorted(pts.states, key=render_term)
+def _refine(pts: PTS, make_check: Callable[[PTS, _Related], PairCheck]) -> PairRelation:
+    states, num = sorted(pts.states, key=render_term), _index(pts).num
     pairs = {(s, t) for s in states for t in states}
     while True:
-        table: dict[Term, set] = {}
-        for s, t in pairs:
-            table.setdefault(s, set()).add(t)
-        check = make_check(pts, table)
+        numbers = {(num[s], num[t]) for s, t in pairs}
+        check = make_check(pts, lambda x, y: (x, y) in numbers)
         matched = {
             pair
             for pair in sorted(pairs, key=lambda p: (render_term(p[0]), render_term(p[1])))
-            if check(*pair) is None
+            if check(num[pair[0]], num[pair[1]]) is None
         }
         new_pairs = {(s, t) for (s, t) in matched if (t, s) in matched}
         if new_pairs == pairs:
@@ -103,15 +109,15 @@ def _refine(pts: PTS, make_check: Callable[[PTS, Mapping[Term, set]], PairCheck]
         pairs = new_pairs
 
 
-def first_unmatched(ix: _Index, rel: Mapping[Term, set], matched: Callable[..., bool]) -> PairCheck:
+def first_unmatched(ix: _Index, related: _Related, matched: Callable[..., bool]) -> PairCheck:
     """The per-pair matching loop: the first challenge of `s`, in text order,
     that is neither an inert tau-step (support among the partners common to
     `s` and `t`) nor `matched(s, tr, step, t)`; None when there is none."""
 
-    def check(s: Term, t: Term) -> Optional[PtsTransition]:
-        members = rel.get(s, set()) & rel.get(t, set())
-        for tr, step in zip(ix.out[ix.num[s]], ix.steps[ix.num[s]]):
-            if not (tr.label == "tau" and members.issuperset(tr.target.support)) and not matched(s, tr, step, t):
+    def check(s: int, t: int) -> Optional[PtsTransition]:
+        for tr, step in zip(ix.out[s], ix.steps[s]):
+            common = all(related(s, u) and related(t, u) for u in step[2])
+            if not (tr.label == "tau" and common) and not matched(s, tr, step, t):
                 return tr
         return None
 
@@ -119,52 +125,55 @@ def first_unmatched(ix: _Index, rel: Mapping[Term, set], matched: Callable[..., 
 
 
 def execution_match(
-    ix: _Index, rel: Mapping[Term, set], s: Term, challenge: PtsTransition, t: Term,
+    ix: _Index, related: _Related, s: int, challenge: PtsTransition, t: int,
     lift: Callable[[Distribution, Distribution], bool],
 ) -> bool:
     """Search a concrete execution from `t`, breadth first: inert tau-steps
     whose supports stay related to `s`, ending in a `challenge.label` step
     whose target `lift` relates to the challenge's.  A state's steps are
     lifted, in text order, before its inert steps are followed."""
-    related_to_s = rel.get(s, set())
     seen, queue = {t}, [t]
     for u in queue:
-        out = ix.out[ix.num[u]]
+        out = ix.out[u]
         for tr in out:
             if tr.label == challenge.label and lift(challenge.target, tr.target):
                 return True
-        for tr in out:
-            if tr.label == "tau" and set(tr.target.support) <= related_to_s:
-                for v in tr.target.support:
+        for tr, step in zip(out, ix.steps[u]):
+            if tr.label == "tau" and all(related(s, v) for v in step[2]):
+                for v in step[2]:
                     if v not in seen:
                         seen.add(v)
                         queue.append(v)
     return False
 
 
-def branching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+def branching_check(pts: PTS, related: _Related) -> PairCheck:
     """The branching per-pair check: every non-inert challenge of `s` is
-    matched from `t` by a concrete execution, lifting by max-flow."""
-    ix, lift = _index(pts), functools.cache(functools.partial(lift_by_max_flow, rel))
-    return first_unmatched(ix, rel, lambda s, tr, step, t: execution_match(ix, rel, s, tr, t, lift))
+    matched from `t` by a concrete execution, lifting by max-flow against
+    each state's partners."""
+    ix = _index(pts)
+    n, states = len(ix.states), ix.states
+    table = {states[x]: {states[y] for y in range(n) if related(x, y)} for x in range(n)}
+    lift = functools.cache(functools.partial(lift_by_max_flow, table))
+    return first_unmatched(ix, related, lambda s, tr, step, t: execution_match(ix, related, s, tr, t, lift))
 
 
 def branching_bisim(pts: PTS) -> PairRelation:
     return _refine(pts, branching_check)
 
 
-def pbranching_check(pts: PTS, rel: Mapping[Term, set]) -> PairCheck:
+def pbranching_check(pts: PTS, related: _Related) -> PairCheck:
     """The pbranching per-pair check: every non-inert challenge of `s` is
     matched from `t` by `combined_match`, over the preserving tau-steps."""
     ix = _index(pts)
-    preserving = [index_step(ix, tr) for tr in pts.transitions
-                  if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
-    match = functools.cache(lambda challenge, t: combined_match(ix, rel, preserving, *challenge, t))
-    return first_unmatched(ix, rel, lambda s, tr, step, t: match(index_step(ix, tr)[1:], ix.num[t]))
+    preserving = [step for step in (index_step(ix, tr) for tr in pts.transitions)
+                  if step[1] == "tau" and all(related(step[0], v) for v in step[2])]
+    match = functools.cache(lambda challenge, t: combined_match(ix, related, preserving, *challenge, t))
+    return first_unmatched(ix, related, lambda s, tr, step, t: match(index_step(ix, tr)[1:], t))
 
 
 def combined_match(
-    ix: _Index, rel: Mapping[Term, set], preserving: Sequence[Step], label: str, targets: tuple, weights: tuple, t: int
+    ix: _Index, related: _Related, preserving: Sequence[Step], label: str, targets: tuple, weights: tuple, t: int
 ) -> bool:
     """One linear feasibility question over the whole system: does some weak
     tau-step of `t` inside the preserving set reach an intermediate
@@ -172,7 +181,7 @@ def combined_match(
     challenge target, where for tau a stopped unit may stay put instead?  A
     flow row and a lift row for every state, and a column for every `label`
     step and, for tau, for staying put at every state."""
-    n, scale, states = len(ix.steps), ix.scale, ix.states
+    n, scale = len(ix.steps), ix.scale
     steps = [step for out in ix.steps for step in out if step[1] == label]
     steps += [(u, label, (u,), (scale,)) for u in range(n)] if label == "tau" else []
     if not steps:
@@ -185,9 +194,10 @@ def combined_match(
     rhs = [scale if u == t else 0 for u in range(n)] + [0] * n
     for p, w in zip(targets, weights):
         row = {}
-        for v in sorted(ix.num[v] for v in rel.get(states[p], ())):
-            row[col] = rows[n + v][col] = scale
-            col += 1
+        for v in range(n):
+            if related(p, v):
+                row[col] = rows[n + v][col] = scale
+                col += 1
         rows.append(row)
         rhs.append(w)
     return lp.feasible(rows, rhs)

@@ -15,7 +15,8 @@ every state: the time and `lp.feasible` calls of one branching and one
 pbranching NO witness.  Each stuttered and tau-chain size has a `witnesses`
 line too: the total time and `lp.feasible` calls of each kind's NO witnesses
 for SAMPLE pairs drawn with a fixed seed among the pairs that neither kind
-relates, p/q left out.  Every witness line also gives
+relates, p/q left out, the median time of one of them (`median_us`) and the
+time of each kind's `classes()` (`classes_us`).  Every witness line also gives
 the largest and the total row count of its LPs (`rows.max`, `rows.total`).
 Each system is built afresh and decided once per kind, in process;
 information only, nothing is asserted.  A script, not a test module, so
@@ -23,6 +24,7 @@ pytest does not collect it."""
 
 import pathlib
 import random
+import statistics
 import sys
 import time
 
@@ -72,12 +74,27 @@ def measure(family, n, pts, *extra):
 
 
 def witness(decision, pairs):
-    """The time, LP count and largest and total LP row count of the NO
-    witnesses for `pairs`."""
-    seconds, calls, _ = counted(lambda: [decision.witness(s, t) for s, t in pairs])
+    """The total and the median time, LP count and largest and total LP row
+    count of the NO witnesses for `pairs`."""
+    times = []
+
+    def run():
+        for s, t in pairs:
+            start = time.perf_counter()
+            decision.witness(s, t)
+            times.append(time.perf_counter() - start)
+
+    seconds, calls, _ = counted(run)
     rows = calls["rows"]
-    return (f"{decision.kind}={seconds:.3f} lp.feasible={calls['feasible']} rows.max={max(rows, default=0)}"
-            f" rows.total={sum(rows)}")
+    return (f"{decision.kind}={seconds:.6f} median_us={statistics.median(times or [0]) * 1e6:.1f}"
+            f" lp.feasible={calls['feasible']} rows.max={max(rows, default=0)} rows.total={sum(rows)}")
+
+
+def classes_us(decision):
+    """The microseconds `decision.classes()` takes."""
+    start = time.perf_counter()
+    decision.classes()
+    return (time.perf_counter() - start) * 1e6
 
 
 def witnesses(family, n, decisions):
@@ -93,7 +110,8 @@ def witnesses(family, n, decisions):
             pairs.append((s, t))
             if len(pairs) == SAMPLE:
                 break
-    print(f"{family} n={n} witnesses={len(pairs)}", *(witness(d, pairs) for d in decisions), flush=True)
+    print(f"{family} n={n} witnesses={len(pairs)}",
+          *(f"{witness(d, pairs)} classes_us={classes_us(d):.0f}" for d in decisions), flush=True)
 
 
 def main():

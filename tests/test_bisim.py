@@ -418,6 +418,13 @@ def test_rooted_and_witnesses_refuse_a_state_outside_the_pts(mixed):
                 decide(kind, mixed).witness(*pair)
 
 
+@pytest.mark.parametrize("kind", ["branching", "pbranching"])
+def test_a_state_outside_the_pts_is_related_to_nothing(mixed, kind):
+    decision, z = decide(kind, mixed), S("zz")
+    assert not any(decision.related(*pair) for pair in ((z, z), (S("t1"), z), (z, S("t1"))))
+    assert decision.relation.partners(z) == frozenset()
+
+
 def test_rooted_contained_in_branching(running, sig):
     pairs = [
         ("a.delta(0)", "a.delta(0)"),

@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 
-from ptsskit.bisim import KINDS
+from ptsskit.bisim import KINDS, _index
 from ptsskit.cli import main
 from ptsskit.distributions import evaluate
 from ptsskit.engine import PTS, DomainBound, PtsTransition, export_pts
@@ -31,7 +31,7 @@ from tests.reference_refine import (
     branching_bisim,
     branching_check,
     is_equivalence,
-    partner_map,
+    numbered,
     prob_branching_bisim,
     rooted_bisim,
     rooted_challenge,
@@ -64,7 +64,7 @@ def classes(pts, rel):
     seen, out = set(), []
     for s in pts.states:
         if s not in seen:
-            block = [u for u in pts.states if u == s or u in rel.partners(s)]
+            block = [u for u in pts.states if u == s or rel.related(s, u)]
             seen.update(block)
             out.append(block)
     return out
@@ -83,10 +83,9 @@ def expected_bisim(pts, kind, s, t, relations):
     if kind == "rooted":  # the initial steps, lifted against the branching relation
         witness = rooted_challenge(pts, s, t, functools.partial(lift_by_max_flow, relations["branching"].table))
     else:  # a challenge unmatched even with the pair related
-        table = partner_map(rel)
-        table[s], table[t] = table[s] | {t}, table[t] | {s}
-        check = branching_check(pts, table)
-        witness = next((x, tr) for x, y in ((s, t), (t, s)) if (tr := check(x, y)) is not None)
+        ix = _index(pts)
+        check = branching_check(pts, numbered(ix, lambda u, v: rel.related(u, v) or {u, v} == {s, t}))
+        witness = next((x, tr) for x, y in ((s, t), (t, s)) if (tr := check(ix.num[x], ix.num[y])) is not None)
     return related, lines + [f"witness: unmatched challenge {witness[1]!r}"]
 
 

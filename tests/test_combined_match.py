@@ -43,18 +43,18 @@ class Tally:
         self.asked = self.matched = self.no_lp = 0
         self.match = bisim._combined_match
 
-    def both(self, ix, rel, *question):
+    def both(self, ix, related, *question):
         solved = []
         feasible = lp.feasible
         lp.feasible = lambda rows, rhs: solved.append(len(rows)) or feasible(rows, rhs)
         try:
-            got = self.match(ix, rel, *question)
+            got = self.match(ix, related, *question)
         finally:
             lp.feasible = feasible
         # the oracle's preserving set: every tau-step whose support lies among its source's partners
-        preserving = [reference_refine.index_step(ix, tr) for out in ix.out for tr in out
-                      if tr.label == "tau" and rel.get(tr.source, set()).issuperset(tr.target.support)]
-        assert got == reference_refine.combined_match(ix, rel, preserving, *question), question
+        preserving = [step for step in (reference_refine.index_step(ix, tr) for out in ix.out for tr in out)
+                      if step[1] == "tau" and all(related(step[0], v) for v in step[2])]
+        assert got == reference_refine.combined_match(ix, related, preserving, *question), question
         self.asked += 1
         self.matched += got
         self.no_lp += not solved
@@ -62,19 +62,20 @@ class Tally:
 
 
 def _ask(pts):
-    decision = bisim.decide("pbranching", pts)
-    table = {u: set(decision.relation.partners(u)) for u in pts.states}
-    check = bisim._pbranching_check(pts, table)
+    ix, decision = bisim._index(pts), bisim.decide("pbranching", pts)
+    num = ix.num
+    check = bisim._pbranching_check(pts, reference_refine.numbered(ix, decision.related))
     for s in pts.states:
         for t in pts.states:
             if decision.related(s, t):
-                assert check(s, t) is None
+                assert check(num[s], num[t]) is None
             else:
                 assert decision.witness(s, t) is not None
     if len(pts.states) <= 5:
         for blocks in partitions(pts.states):
-            check = bisim._pbranching_check(pts, {u: set(b) for b in blocks for u in b})
-            all(check(s, t) is None for b in blocks for s in b for t in b if s is not t)
+            block = {u: b for b in blocks for u in b}
+            check = bisim._pbranching_check(pts, reference_refine.numbered(ix, lambda u, v: v in block[u]))
+            all(check(num[s], num[t]) is None for b in blocks for s in b for t in b if s is not t)
 
 
 def test_the_reach_lp_agrees_with_the_whole_system_lp(monkeypatch):

@@ -126,19 +126,21 @@ def test_decide_agrees_with_the_deciders_on_random_systems():
 
 
 @pytest.mark.parametrize("kind", ["branching", "pbranching"])
-def test_a_witness_widens_only_the_queried_pairs_partner_sets(monkeypatch, kind):
-    # the per-pair check only reads its relation, so every other state keeps
-    # the decided relation's own set: no copy of the n^2 pairs of a large class
+def test_a_witness_widens_only_the_queried_pair_and_builds_no_partner_set(monkeypatch, kind):
+    # the per-pair check reads the partition's block numbers widened by the
+    # pair: no state's set of partners is built, let alone a table of them
     pts = tau_chain(60, PLANTED)
     decision = decide(kind, pts)
     s, t = (u for u in pts.states if render_term(u) in ("p", "q"))
     name = "_branching_check" if kind == "branching" else "_pbranching_check"
-    check, tables = getattr(bisim, name), []
-    monkeypatch.setattr(bisim, name, lambda pts, table: tables.append(table) or check(pts, table))
-    assert decision.witness(s, t) == (s, outgoing(pts, s)[0])
-    (table,), relation = tables, decision.relation
-    assert table[s] == relation.partners(s) | {t} and table[t] == relation.partners(t) | {s}
-    assert all(table[u] is relation.partners(u) for u in pts.states if u not in (s, t))
+    check, predicates = getattr(bisim, name), []
+    with monkeypatch.context() as patch:
+        patch.setattr(bisim, name, lambda pts, related: predicates.append(related) or check(pts, related))
+        patch.setattr(bisim.StateRelation, "partners", lambda self, u: pytest.fail("a witness built a partner set"))
+        assert decision.witness(s, t) == (s, outgoing(pts, s)[0])
+    (related,), num = predicates, bisim._index(pts).num
+    assert all(related(num[u], num[v]) == (decision.related(u, v) or {u, v} == {s, t})
+               for u in pts.states for v in pts.states)
 
 
 def test_decide_rejects_an_unknown_kind():

@@ -2,7 +2,8 @@
 built only by commands that decide a bisimulation, at most once per PTS, and
 on the product family of ROADMAP "Product state spaces" the same pbranching
 classes as before it with a fraction of the LPs, and the same branching
-classes as before the one-block move keys."""
+classes as before the one-block move keys.  A match that a member with no
+inert step could make only by its own single step builds no LP."""
 
 import hashlib
 import io
@@ -15,7 +16,7 @@ import pytest
 import ptsskit.bisim as bisim
 from ptsskit import lp
 from ptsskit.cli import EXIT_NEGATIVE, EXIT_OK, main
-from ptsskit.engine import DomainBound, export_pts, reachable_pts
+from ptsskit.engine import DomainBound, export_pts, load_pts, reachable_pts
 from ptsskit.parser import parse_spec, parse_term
 from ptsskit.terms import render_term
 from tests.conftest import CORPUS
@@ -141,3 +142,29 @@ def test_a_corpus_run_builds_one_index_per_pts(index_builds, capsys, tmp_path):
     assert main(["corpus-run", str(tmp_path)]) == EXIT_OK
     assert "mixed_choice.pts" in capsys.readouterr().out
     assert len(index_builds) == 1
+
+
+# after the first split, t and x form a block whose members have no inert step
+# and one tau step each, its own move into the blocks of g and h
+SPREAD_TAUS = """state t
+state x
+state g
+state h
+trans t --tau-> { g: 1/2, h: 1/2 }
+trans x --tau-> { g: 1/4, h: 3/4 }
+trans g --a-> { g: 1 }
+trans h --b-> { h: 1 }
+"""
+
+
+def test_a_member_alone_with_its_own_move_asks_no_lp(monkeypatch):
+    # staying put leaves t in its own block, outside x's move, so the one step
+    # left is t's own, whose masses are not x's: answered without an LP
+    calls, asked = [], []
+    feasible, block_match = lp.feasible, bisim._block_match
+    monkeypatch.setattr(lp, "feasible", lambda rows, rhs: calls.append(len(rows)) or feasible(rows, rhs))
+    monkeypatch.setattr(bisim, "_block_match", lambda *args: asked.append(block_match(*args)) or asked[-1])
+    decision = bisim.decide("pbranching", load_pts(SPREAD_TAUS))
+    assert [[render_term(u) for u in c] for c in decision.classes()] == [["g"], ["h"], ["t"], ["x"]]
+    assert asked == [False, False]
+    assert calls == []

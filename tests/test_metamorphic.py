@@ -84,7 +84,7 @@ def _relation(kind, pts):
     decision, name = decide(kind, pts), render_term
     if kind == "rooted":
         return {(name(s), name(t)) for s in pts.states for t in pts.states if decision.related(s, t)}
-    return {(name(s), name(t)) for s in pts.states for t in decision.relation.partners(s)}
+    return {(name(s), name(t)) for block in decision.classes() for s in block for t in block}
 
 
 @pytest.mark.parametrize("kind", KINDS)

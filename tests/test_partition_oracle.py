@@ -24,7 +24,7 @@ from ptsskit.bisim import prob_branching_bisim
 from ptsskit.engine import export_pts, load_pts
 from ptsskit.terms import opaque_state, render_term
 from tests.conftest import CORPUS
-from tests.reference_refine import is_equivalence, pairs
+from tests.reference_refine import is_equivalence, numbered, pairs
 from tests.reference_partitions import bisimulation_pairs, bisimulation_partitions, join
 from tests.test_refine_oracle import NOT_TRANSITIVE, plain_pts, random_pts
 
@@ -127,8 +127,9 @@ def test_the_relation_is_an_equivalence_and_a_fixpoint_of_its_check():
     for pts in draws:
         rel = prob_branching_bisim(pts)
         assert is_equivalence(rel), export_pts(pts)
-        check = bisim._pbranching_check(pts, {u: rel.partners(u) for u in pts.states})
-        assert all(check(s, t) is None for s, t in pairs(rel)), export_pts(pts)
+        ix = bisim._index(pts)
+        check = bisim._pbranching_check(pts, numbered(ix, rel.related))
+        assert all(check(ix.num[s], ix.num[t]) is None for s, t in pairs(rel)), export_pts(pts)
 
 
 def test_every_unrelated_pair_has_a_witness():
