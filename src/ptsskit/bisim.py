@@ -26,23 +26,23 @@ integers by one common denominator.
 A non-inert step is a move keyed as (label, block) when its target lies in
 one block, else as (label, block masses), exact integer sums; a state's moves
 are kept until it or a target changes block, and a `StateRelation` reads the
-partition as computed.  `_flow_rows` and `_lift_rows` write every LP's integer
-rows.  The scheduler-based definitions, the pair-deleting fixpoint, the weak
-combined transition LP over the whole system and max-flow lifting live in the
-tests, as oracles.
+partition as computed.  `_flow_rows` writes every LP's flow rows.  The
+scheduler-based definitions, the pair-deleting fixpoint, the weak combined
+transition LP over the whole system and max-flow lifting live in the tests,
+as oracles.
 
 `decide(kind, pts)` is the query entry point: it computes the relation of a
-kind once and answers relatedness, classes and a distinguishing witness, which
-one per-pair loop for every kind (`_first_unmatched`) finds on state numbers,
-run both ways: rooted against no relation, so that no initial step is inert
-and each needs one equally labelled step with the same branching block masses
-(a rooted verdict is that there is no witness); the others against the
-partition widened by exactly the queried pair.  The branching match lifts the
-target alone in one exact LP (`lift_check`), the pbranching match after a weak
-phase over reach(t), the states t reaches by preserving tau-steps
-(`_combined_match`).  Both reach t's states by one lazy walk (`_reach`): the
-branching match stops at the first lifted step, and the pbranching match picks
-the preserving steps as it walks.
+kind once and answers relatedness, classes and a distinguishing witness, found
+on state numbers both ways: rooted by one loop over no relation, so that no
+initial step is inert and each needs one equally labelled step with the same
+branching block masses (a rooted verdict is that there is no witness); the
+others by one per-pair loop (`_first_unmatched`) against the partition's
+block numbers widened by exactly the queried pair s, t, where lifting has a
+closed form on block masses (`_lifts`).  By one lazy walk of t's states
+(`_reach`), the branching match stops at the first step whose target lifts,
+with no LP; the pbranching match asks `_block_match` with the pair, over the
+states t reaches by preserving tau-steps: a row per block with mass, rows for
+the masses at s and t, and transfer columns between their blocks.
 """
 
 from __future__ import annotations
@@ -86,13 +86,18 @@ class StateRelation:
 
 def lift_check(partners: Mapping[Term, set], d1: Distribution, d2: Distribution) -> bool:
     """Does a weight function exist with marginals d1/d2 supported on pairs
-    related by `partners`, each state's set of partners?  One exact LP: a row
-    per entry of d2, into which `_lift_rows` lifts d1's entries, in integers."""
+    related by `partners`, each state's set of partners?  One exact LP in
+    integers: a row per entry of d2 and of d1, a column per related pair.
+    No decision asks it, as the per-pair checks lift against a partition by
+    block masses; it is the public lifting of an arbitrary relation (criterion
+    8b), which the tests check against max-flow and the oracles lift by."""
     scale = _lcm({p.denominator for d in (d1, d2) for _, p in d.items()})
-    w1, rhs = ([p.numerator * (scale // p.denominator) for _, p in d.items()] for d in (d1, d2))
-    rows: list[dict[int, int]] = [{} for _ in rhs]
-    _lift_rows(rows, rhs, [[i for i, u in enumerate(d2.support) if u in partners.get(t, ())] for t in d1.support], w1, 0)
-    return lp.feasible(rows, rhs)
+    w1, w2 = ([p.numerator * (scale // p.denominator) for _, p in d.items()] for d in (d1, d2))
+    # a column per related pair of d1's k-th and d2's i-th entry, in the rows of d2's entries, then d1's
+    cols = [(k, i) for k, t in enumerate(d1.support) for i, u in enumerate(d2.support) if u in partners.get(t, ())]
+    rows = [{j: 1 for j, col in enumerate(cols) if col[side] == r}
+            for side, w in ((1, w2), (0, w1)) for r in range(len(w))]
+    return lp.feasible(rows, w2 + w1)
 
 
 def _lcm(numbers: Iterable[int]) -> int:
@@ -126,21 +131,6 @@ def _flow_rows(
             else:  # a point-mass self-loop neither leaves nor enters
                 del row[j]
     return col + len(steps)
-
-
-def _lift_rows(
-    rows: list[dict[int, int]], rhs: list[int], lifts: Sequence[Sequence[int]], weights: Sequence[int], col: int
-) -> None:
-    """Transport rows: for the k-th entry, of weight `weights[k]`, a new row
-    whose columns, from `col` on, one per row i of `lifts[k]`, sum to that
-    weight; each column counts 1 in its row i too."""
-    for related, w in zip(lifts, weights):
-        row = {}
-        for i in related:
-            row[col] = rows[i][col] = 1
-            col += 1
-        rows.append(row)
-        rhs.append(w)
 
 
 class _Index:
@@ -244,10 +234,8 @@ def _masses(block: Sequence[int], targets: Sequence[int], weights: Sequence[int]
 
 
 # ---------------------------------------------------------------------------
-# The per-pair checks, against any relation: witnesses
+# The per-pair checks, against a partition widened by the queried pair: witnesses
 
-# A relation on state numbers, as the per-pair checks read it.
-_Related = Callable[[int, int], bool]
 # A per-pair check: the first challenge of state `s` that state `t` fails to match, or None.
 PairCheck = Callable[[int, int], Optional[PtsTransition]]
 
@@ -267,25 +255,43 @@ def _reach(ix: _Index, t: int, inert: Callable[[Step], bool]) -> Iterator[tuple[
                     queue.append(v)
 
 
-def _first_unmatched(ix: _Index, related: _Related, matched: Callable[..., bool]) -> PairCheck:
-    """The per-pair matching loop: each challenge of `s` must be inert, a
-    tau-step into states `related` to both `s` and `t`, or `matched(s, tr, step, t)`."""
+def _first_unmatched(pts: PTS, block: Sequence[int], matched: Callable[..., bool]) -> PairCheck:
+    """The per-pair matching loop against the partition `block` widened by the
+    queried pair: each challenge of `s` must be inert, a tau-step into states
+    related to both `s` and `t` (s and t alone, unless they share a block), or
+    `matched(ix, block, s, step, t)` over the index `ix` of `pts`."""
+    ix = _index(pts)
 
     def check(s: int, t: int) -> Optional[PtsTransition]:
+        both = block[s] if block[s] == block[t] else -1  # the block related to both, if any
         for tr, step in zip(ix.out[s], ix.steps[s]):
-            inert = step[1] == "tau" and all(related(s, u) and related(t, u) for u in step[2])
-            if not inert and not matched(s, tr, step, t):
+            inert = step[1] == "tau" and all(u == s or u == t or block[u] == both for u in step[2])
+            if not inert and not matched(ix, block, s, step, t):
                 return tr
         return None
 
     return check
 
 
+def _lifts(block: Sequence[int], s: int, t: int, mu: Step, nu: Step) -> bool:
+    """Does the target of step `mu` lift to that of `nu` against the partition
+    `block` widened by the pair s, t?  With S and T the blocks of s and t,
+    exactly when they agree on every other block and mu(S) - nu(S) lies
+    between -min(mu(t), nu(s)) and min(mu(s), nu(t)): the mass the pair moves
+    from s to t less the mass it moves from t to s."""
+    diff: dict[int, int] = {}
+    for sign, (_, _, targets, weights) in ((1, mu), (-1, nu)):
+        for u, w in zip(targets, weights):
+            diff[block[u]] = diff.get(block[u], 0) + sign * w
+    d, m, n = diff.pop(block[s], 0), dict(zip(*mu[2:])), dict(zip(*nu[2:]))
+    diff.pop(block[t], 0)
+    return not any(diff.values()) and -min(m.get(t, 0), n.get(s, 0)) <= d <= min(m.get(s, 0), n.get(t, 0))
+
+
 # -- scheduler-free branching bisimulation ----------------------------------
 
-def _branching_check(pts: PTS, related: _Related) -> PairCheck:
-    ix = _index(pts)
-    return _first_unmatched(ix, related, lambda s, tr, step, t: _execution_match(ix, related, s, tr, step, t))
+def _branching_check(pts: PTS, block: Sequence[int]) -> PairCheck:
+    return _first_unmatched(pts, block, _execution_match)
 
 
 def branching_bisim(pts: PTS) -> StateRelation:
@@ -294,22 +300,27 @@ def branching_bisim(pts: PTS) -> StateRelation:
     return _partition(_index(pts))
 
 
-def _execution_match(ix: _Index, related: _Related, s: int, challenge: PtsTransition, step: Step, t: int) -> bool:
+def _execution_match(ix: _Index, block: Sequence[int], s: int, step: Step, t: int) -> bool:
     """Search a concrete execution from `t`: inert tau-steps whose supports
-    stay related to `s`, ending in a `challenge.label` step with lifted-related
-    target."""
-    walk = _reach(ix, t, lambda o: o[1] == "tau" and all(related(s, v) for v in o[2]))
-    states, label = ix.states, step[1]
-    return any(lift_check({states[p]: {states[v] for v in o[2] if related(p, v)} for p in step[2]},
-                          challenge.target, tr.target)
-               for u, _ in walk for tr, o in zip(ix.out[u], ix.steps[u]) if o[1] == label)
+    stay related to `s`, ending in a step of the challenge `step`'s label
+    whose target it lifts to (`_lifts`)."""
+    walk = _reach(ix, t, lambda o: o[1] == "tau" and all(block[v] == block[s] or v == t for v in o[2]))
+    return any(_lifts(block, s, t, step, o) for u, _ in walk for o in ix.steps[u] if o[1] == step[1])
 
 
 # -- probabilistic branching bisimulation ------------------------------------
 
-def _pbranching_check(pts: PTS, related: _Related) -> PairCheck:
-    ix = _index(pts)
-    return _first_unmatched(ix, related, lambda s, tr, step, t: _combined_match(ix, related, *step[1:], t))
+def _pbranching_check(pts: PTS, block: Sequence[int]) -> PairCheck:
+    return _first_unmatched(pts, block, _pair_match)
+
+
+def _pair_match(ix: _Index, block: Sequence[int], s: int, step: Step, t: int) -> bool:
+    """`_block_match` asked with the queried pair over reach(t), the states `t`
+    reaches by preserving steps: tau-steps into states related to their source."""
+    added = ((s, t), (t, s))
+    inert = dict(_reach(ix, t, lambda o: o[1] == "tau" and all(block[v] == block[o[0]] or (o[0], v) in added
+                                                               for v in o[2])))
+    return _block_match(ix, block, list(inert), inert, step[1], _masses(block, *step[2:]), (s, t, step))
 
 
 def _pbranching_signatures(
@@ -328,7 +339,7 @@ def _pbranching_signatures(
     sigs = []
     for t in members:
         sigs.append(frozenset(c for c in candidates if c in moves[t] or (
-            t in sure[c] if c in sure else _block_match(ix, block, reach[t] or [t], inert, *c))))
+            t in sure[c] if c in sure else _block_match(ix, block, reach[t] or [t], inert, *c, None))))
     return sigs
 
 
@@ -366,64 +377,54 @@ def prob_branching_bisim(pts: PTS) -> StateRelation:
     return _partition(ix, _pbranching_signatures)
 
 
-def _block_match(ix: _Index, block: list[int], reach: list[int], inert: list, label: str, key: Hashable) -> bool:
-    """`_combined_match` against a partition: a weak phase over the inert
-    steps (`inert[u]` of each u) of the states `reach[0]` reaches by them,
-    then a convex choice of `label` steps, or for tau of staying put, whose
-    combined target has the block masses `key` of a move into several
-    blocks.  A step reaching a block without mass takes none, and no
-    LP is built when a block with mass is reached by no other step, nor by
-    staying put, or when `reach[0]` has just one step, its own move.  Inert
-    point masses alone take one flow row, as in `_combined_match`."""
+def _block_match(
+    ix: _Index, block: Sequence[int], reach: Sequence[int], inert: Union[Sequence, Mapping], label: str, key: Hashable,
+    pair: Optional[tuple[int, int, Step]],
+) -> bool:
+    """A weak phase over the inert steps (`inert[u]` of each u) of the states
+    `reach[0]` reaches by them, then a convex choice of `label` steps, or for
+    tau of staying put, whose combined target has the block masses `key`, or
+    with `pair` = (s, t, challenge) lifts the challenge's, of masses `key`,
+    against the partition widened by s and t.  A step reaching a block without
+    mass takes none.  No LP is built when some mass (an entry of the challenge)
+    has no partner among the states the steps reach, or when `reach[0]` has no
+    inert step and one step is left: a member's own move, or one `_lifts`
+    answers for.  Inert point masses alone take one flow row (`_weak_phase`)."""
     steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
-    stay, alone = label == "tau", not inert[reach[0]]  # alone: no inert step to take
-    if not steps or (alone and not stay and len(steps) == 1):
-        return False
-    scale, want = ix.scale, dict(key)
-    steps += [(u, label, (u,), (scale,)) for u in reach] if stay else []  # staying put, as a step
+    scale, alone = ix.scale, not inert[reach[0]]  # alone: no inert step to take
+    if label == "tau":  # staying put, as a step
+        steps += [(u, label, (u,), (scale,)) for u in reach]
+    if not steps or alone and len(steps) == 1:  # no weak phase and one step: the combined target is its
+        return bool(steps) and pair is not None and _lifts(block, *pair, steps[0])
+    S, T, want = *((block[pair[0]], block[pair[1]]) if pair else (-1, -1)), dict(key)
+    if widened := S != T and (S in want or T in want):  # else the pair's blocks take no mass
+        want = {S: 0, T: 0, **want}  # both get rows, with or without mass
     steps = [step for step in steps if all(block[u] in want for u in step[2])]
-    if len({block[u] for step in steps for u in step[2]}) < len(want) or (alone and len(steps) == 1):
+    reached = {block[u] for step in steps for u in step[2]}
+    if widened:  # each entry of the challenge needs a partner: a state of its block, or the pair's other
+        (s, t, challenge), ends = pair, {u for step in steps for u in step[2]}
+        for p in challenge[2]:
+            if not (block[p] in reached or p == s and t in ends or p == t and s in ends):
+                return False
+    elif len(reached) < len(want):
         return False
+    if alone and len(steps) == 1:  # a signing member's own move, or a target `_lifts` answers for
+        return pair is not None and _lifts(block, *pair, steps[0])
     # the weak phase's flow rows, then a row per block with mass, for the combined target
     at, taus, flows = _weak_phase(reach, [step for u in reach for step in inert[u]])
     lift = {b: flows + i for i, b in enumerate(want)}
+    into = {u: lift[block[u]] for step in steps for u in step[2]}
     rows: list[dict[int, int]] = [{} for _ in range(flows + len(lift))]
-    col = _flow_rows(rows, at, taus, 0, scale)
-    _flow_rows(rows, at, steps, col, scale, {u: lift[block[u]] for step in steps for u in step[2]})
     rhs = [scale] + [0] * (flows - 1) + [-m for m in want.values()]  # all mass starts at reach[0]
-    return lp.feasible(rows, rhs)
-
-
-def _combined_match(ix: _Index, related: _Related, label: str, targets: tuple, weights: tuple, t: int) -> bool:
-    """One linear feasibility question: does some weak tau-step of `t` inside
-    the preserving set (tau-steps into states `related` to their source)
-    reach an intermediate distribution whose one-step `label`-combination is
-    lifting-related to the challenge target, where for tau a stopped unit may
-    stay put instead?  No other state receives mass, so the LP spans reach(t),
-    the states `t` reaches by preserving steps: a flow row each, their `label`
-    steps (for tau, with staying put as a point-mass step of each), and a lift
-    row for each state those steps reach.
-    Over preserving point masses each unit of a weak combined transition
-    (Segala 1995) follows one path, so any stop over reach(t) is reached
-    (Turrini & Hermanns 2015): one convexity row, and no tau column."""
-    walk = _reach(ix, t, lambda step: step[1] == "tau" and all(related(step[0], v) for v in step[2]))
-    reach, preserving = zip(*walk)
-    at, taus, flows = _weak_phase(reach, [step for steps in preserving for step in steps])
-    steps = [step for u in reach for step in ix.steps[u] if step[1] == label]
-    scale = ix.scale
-    steps += [(u, label, (u,), (scale,)) for u in reach] if label == "tau" else []  # staying put, as a step
-    lift = {v: i for i, v in enumerate(dict.fromkeys(v for step in steps for v in step[2]), flows)}
-    # each challenge entry's related lift rows; an entry with none is not lifted
-    partners = [[i for v, i in lift.items() if related(p, v)] for p in targets]
-    if not all(partners):
-        return False
-    # a weak tau phase inside the preserving set, then one label-step per stopped unit; the lift
-    # rows lift the challenge target against the combined target, a column per related pair
-    rows: list[dict[int, int]] = [{} for _ in range(flows + len(lift))]
-    col = _flow_rows(rows, at, taus, 0, scale)
-    col = _flow_rows(rows, at, steps, col, scale, lift)
-    rhs = [scale] + [0] * (len(rows) - 1)  # all mass starts at t
-    _lift_rows(rows, rhs, partners, weights, col)
+    col = 0
+    if widened:  # rows for the target's masses at s and at t, each kept (columns 0, 3) or moved to
+        # the other's block (1, 4), and the moves bounded by the challenge's at t and at s (slacks 2, 5)
+        mass, into[s], into[t], col = dict(zip(*challenge[2:])), len(rows), len(rows) + 1, 6
+        rows += [{0: 1, 1: 1}, {3: 1, 4: 1}, {4: 1, 5: 1}, {1: 1, 2: 1}]
+        rows[lift[S]][0] = rows[lift[S]][4] = rows[lift[T]][3] = rows[lift[T]][1] = -1
+        rhs += [0, 0, mass.get(s, 0), mass.get(t, 0)]
+    col = _flow_rows(rows, at, taus, col, scale)
+    _flow_rows(rows, at, steps, col, scale, into)
     return lp.feasible(rows, rhs)
 
 
@@ -438,12 +439,12 @@ def _weak_phase(reach: Sequence[int], taus: list[Step]) -> tuple[dict[int, int],
 # -- rooted branching bisimulation -------------------------------------------
 
 def _rooted_check(pts: PTS, bb: StateRelation) -> PairCheck:
-    """The per-pair loop over no relation, so that no step is inert: a
+    """The per-pair check over no relation, so that no step is inert: a
     challenge is matched by one equally labelled step whose target has the
     same masses on the blocks of `bb`, the challenge's computed once."""
     ix, masses = _index(pts), lambda step: _masses(bb._block, *step[2:])
-    return _first_unmatched(ix, lambda x, y: False, lambda s, tr, step, t: masses(step) in (
-        masses(o) for o in ix.steps[t] if o[1] == step[1]))
+    return lambda s, t: next((tr for tr, step in zip(ix.out[s], ix.steps[s]) if masses(step) not in (
+        masses(o) for o in ix.steps[t] if o[1] == step[1])), None)
 
 
 def rooted_branching_bisim(pts: PTS, s: Term, t: Term, bb: StateRelation) -> bool:
@@ -504,9 +505,7 @@ def distinguishing_challenge(
     elif rel.related(s, t):
         return None
     else:
-        block = rel._block
-        widened = lambda x, y: block[x] == block[y] or (x, y) in ((i, j), (j, i))
-        unmatched = (_branching_check if kind == "branching" else _pbranching_check)(pts, widened)
+        unmatched = (_branching_check if kind == "branching" else _pbranching_check)(pts, rel._block)
     for x, y in ((i, j), (j, i)):
         if (tr := unmatched(x, y)) is not None:
             return pts.states[x], tr

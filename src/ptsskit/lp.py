@@ -1,6 +1,6 @@
 """Exact rational linear feasibility, the one solver of every decision:
-`feasible` pivots integer rows.  Relation lifting and the probabilistic
-branching matches sit on boundary cases where floating point would flip
+`feasible` pivots integer rows.  The probabilistic branching matches and
+`bisim.lift_check` sit on boundary cases where floating point would flip
 answers.  `max_flow`, over `fractions.Fraction`, decides nothing: the tests
 lift by it (`tests/reference_lp.py`) to check `bisim.lift_check`.
 """

@@ -12,9 +12,11 @@ per related pair; rooted pairs lift by max-flow as well, or by class masses
 (`by_class_masses`), in the rooted loop of their own (`rooted_challenge`).
 Both checks run their own per-pair loop (`first_unmatched`): of the
 library's per-pair layer they share only the integer index (`_index`) and
-the flow-row builder (`_flow_rows`).  Like the library's checks, they read
-the relation as a predicate on state numbers, which `numbered(ix, related)`
-makes of a relation on states, and ask a pair by its state numbers.
+the flow-row builder (`_flow_rows`).  They read the relation as a predicate
+on state numbers, which `numbered(ix, related)` makes of a relation on
+states, and ask a pair by its state numbers; `widened(make_check)` builds
+one, as the library builds its checks, from a partition's block numbers
+widened by each queried pair.
 `PairRelation` holds a result as a pair set, whose `.pairs` the tests compare
 with `pairs(rel)` of a library `StateRelation`; `is_equivalence(rel)` reads
 either kind of relation, and `partner_map(rel)` gives either, or a pair set,
@@ -29,11 +31,14 @@ import functools
 from typing import Callable, Iterable, Optional, Sequence
 
 from ptsskit import lp
-from ptsskit.bisim import PairCheck, Step, _flow_rows, _index, _Index, _Related
+from ptsskit.bisim import PairCheck, Step, _flow_rows, _index, _Index
 from ptsskit.distributions import Distribution
 from ptsskit.engine import PTS, PtsTransition
 from ptsskit.terms import Term, render_term
 from tests.reference_lp import lift_by_max_flow
+
+# A relation on state numbers, as the oracle's checks read it.
+_Related = Callable[[int, int], bool]
 
 
 class PairRelation:
@@ -156,6 +161,21 @@ def branching_check(pts: PTS, related: _Related) -> PairCheck:
     table = {states[x]: {states[y] for y in range(n) if related(x, y)} for x in range(n)}
     lift = functools.cache(functools.partial(lift_by_max_flow, table))
     return first_unmatched(ix, related, lambda s, tr, step, t: execution_match(ix, related, s, tr, t, lift))
+
+
+def widened(make_check: Callable[[PTS, _Related], PairCheck]) -> Callable[[PTS, Sequence[int]], PairCheck]:
+    """An oracle check, `make_check(pts, related)`, built as the library's
+    per-pair checks are, from a partition's block numbers: each pair is
+    checked against the partition widened by exactly that pair."""
+
+    def build(pts: PTS, block: Sequence[int]) -> PairCheck:
+        def check(s: int, t: int) -> Optional[PtsTransition]:
+            pair = ((s, t), (t, s))
+            return make_check(pts, lambda x, y: block[x] == block[y] or (x, y) in pair)(s, t)
+
+        return check
+
+    return build
 
 
 def branching_bisim(pts: PTS) -> PairRelation:

@@ -84,7 +84,7 @@ class Tally:
             for label, b in keys:
                 if (label, b) in moves[t]:
                     continue
-                matched = bisim._block_match(ix, block, reach_t, inert, label, frozenset({(b, ix.scale)}))
+                matched = bisim._block_match(ix, block, reach_t, inert, label, frozenset({(b, ix.scale)}), None)
                 assert ((label, b) in sig) == matched, (render_term(ix.states[t]), label, b)
                 self.compared += 1
                 self.feasible += matched
@@ -156,7 +156,13 @@ def test_the_benchmark_pb_family_matches_no_one_block_key_by_lp(monkeypatch):
     # point mass, so no member is signed and no one-block key is asked of any match
     keys = []
     block_match = bisim._block_match
-    monkeypatch.setattr(bisim, "_block_match", lambda *args: keys.append(args[5]) or block_match(*args))
+
+    def spy(*args):
+        if args[6] is None:  # a signing's question: a witness asks with the queried pair
+            keys.append(args[5])
+        return block_match(*args)
+
+    monkeypatch.setattr(bisim, "_block_match", spy)
     signings = signing_spy(monkeypatch)
     for cls, count in (("pb", 16), ("pbx", 8)):
         for i in range(count):
@@ -177,7 +183,7 @@ def _witness_by_lp_count(monkeypatch, decision, s, t):
         patch.setattr(lp, "feasible", lambda rows, rhs: calls.append(len(rows)) or feasible(rows, rhs))
         witness = decision.witness(s, t)
     with monkeypatch.context() as patch:
-        patch.setattr(bisim, "_pbranching_check", reference_refine.pbranching_check)
+        patch.setattr(bisim, "_pbranching_check", reference_refine.widened(reference_refine.pbranching_check))
         whole = decision.witness(s, t)
     return witness, calls, whole
 

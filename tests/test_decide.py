@@ -24,6 +24,7 @@ from ptsskit.bisim import (
 from ptsskit.cli import EXIT_NEGATIVE, EXIT_USAGE, main
 from ptsskit.engine import load_pts
 from ptsskit.terms import render_term
+from tests import reference_refine
 from tests.conftest import CORPUS
 from tests.reference_refine import outgoing
 from tests.test_almost_sure import PLANTED, tau_chain
@@ -127,20 +128,23 @@ def test_decide_agrees_with_the_deciders_on_random_systems():
 
 @pytest.mark.parametrize("kind", ["branching", "pbranching"])
 def test_a_witness_widens_only_the_queried_pair_and_builds_no_partner_set(monkeypatch, kind):
-    # the per-pair check reads the partition's block numbers widened by the
-    # pair: no state's set of partners is built, let alone a table of them
+    # the per-pair check reads the partition's own block numbers, which it
+    # widens by the queried pair as it checks it: no state's set of partners
+    # is built, let alone a table of them, and no copy of the partition
     pts = tau_chain(60, PLANTED)
     decision = decide(kind, pts)
     s, t = (u for u in pts.states if render_term(u) in ("p", "q"))
     name = "_branching_check" if kind == "branching" else "_pbranching_check"
-    check, predicates = getattr(bisim, name), []
+    check, blocks = getattr(bisim, name), []
     with monkeypatch.context() as patch:
-        patch.setattr(bisim, name, lambda pts, related: predicates.append(related) or check(pts, related))
+        patch.setattr(bisim, name, lambda pts, block: blocks.append(block) or check(pts, block))
         patch.setattr(bisim.StateRelation, "partners", lambda self, u: pytest.fail("a witness built a partner set"))
         assert decision.witness(s, t) == (s, outgoing(pts, s)[0])
-    (related,), num = predicates, bisim._index(pts).num
-    assert all(related(num[u], num[v]) == (decision.related(u, v) or {u, v} == {s, t})
-               for u in pts.states for v in pts.states)
+    assert len(blocks) == 1 and blocks[0] is decision.relation._block
+    oracle = reference_refine.branching_check if kind == "branching" else reference_refine.pbranching_check
+    widened = reference_refine.widened(oracle)(pts, blocks[0])
+    num = bisim._index(pts).num
+    assert widened(num[s], num[t]) == outgoing(pts, s)[0]
 
 
 def test_decide_rejects_an_unknown_kind():

@@ -24,7 +24,7 @@ from ptsskit.bisim import prob_branching_bisim
 from ptsskit.engine import export_pts, load_pts
 from ptsskit.terms import opaque_state, render_term
 from tests.conftest import CORPUS
-from tests.reference_refine import is_equivalence, numbered, pairs
+from tests.reference_refine import is_equivalence, pairs
 from tests.reference_partitions import bisimulation_pairs, bisimulation_partitions, join
 from tests.test_refine_oracle import NOT_TRANSITIVE, plain_pts, random_pts
 
@@ -128,7 +128,7 @@ def test_the_relation_is_an_equivalence_and_a_fixpoint_of_its_check():
         rel = prob_branching_bisim(pts)
         assert is_equivalence(rel), export_pts(pts)
         ix = bisim._index(pts)
-        check = bisim._pbranching_check(pts, numbered(ix, rel.related))
+        check = bisim._pbranching_check(pts, rel._block)
         assert all(check(ix.num[s], ix.num[t]) is None for s, t in pairs(rel)), export_pts(pts)
 
 

@@ -128,8 +128,7 @@ def _agree(kind, pts):
         # an equivalence, and one more sweep of the per-pair check deletes nothing
         assert reference_refine.is_equivalence(fast)
         ix = bisim._index(pts)
-        related = reference_refine.numbered(ix, fast.related)
-        check = (bisim._branching_check if kind == "branching" else bisim._pbranching_check)(pts, related)
+        check = (bisim._branching_check if kind == "branching" else bisim._pbranching_check)(pts, fast._block)
         assert all(check(ix.num[s], ix.num[t]) is None for s, t in reference_refine.pairs(fast))
 
 
@@ -325,9 +324,10 @@ def test_a_yes_query_runs_no_max_flow(monkeypatch, capsys, kind):
 
 
 def test_no_decision_path_runs_max_flow(monkeypatch):
-    # every verdict and witness on the corpus systems lifts by the simplex;
-    # max-flow is left to the oracles
-    calls = _counted(monkeypatch, bisim.lift_check, lp.max_flow)
+    # every verdict and witness on the corpus systems lifts against a partition
+    # by block masses: `lift_check` and max-flow are left to the oracles, and
+    # branching and rooted build no LP at all
+    calls = _counted(monkeypatch, bisim.lift_check, lp.max_flow, lp.feasible)
     for path in sorted(CORPUS.glob("*.pts")):
         pts = load_pts(path.read_text())
         for kind in KINDS:
@@ -336,4 +336,7 @@ def test_no_decision_path_runs_max_flow(monkeypatch):
                 for t in pts.states:
                     decision.related(s, t)
                     decision.witness(s, t)
-    assert calls["max_flow"] == 0 and calls["lift_check"] > 0
+            if kind != "pbranching":
+                assert calls["feasible"] == 0, (path.name, kind)
+            calls["feasible"] = 0
+    assert calls == {"lift_check": 0, "max_flow": 0, "feasible": 0}
